@@ -11,7 +11,6 @@ from .certify import (
     certificate,
     contraction_check,
     find_T_tilde,
-    monodromy_from_data,
     monodromy_from_integral,
 )
 from .demos import (
@@ -61,15 +60,11 @@ from .learner import (
     AffineBasis,
     LearnedController,
     build_basis,
-    control_closed_loop,
-    control_open_loop,
     load_controller,
-    reconstruct_trajectory,
     save_controller,
     simulate_chain_closed_loop,
-    zeta,
 )
-from .multi import MultiController, control_multi, per_simplex_monodromy, select_index_set
+from .multi import MultiController, per_simplex_monodromy, select_index_set
 from .plant import (
     BrunovskyPair,
     ExpertController,

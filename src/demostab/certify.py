@@ -35,11 +35,6 @@ def expm_nilpotent(A: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def monodromy_from_data(basis: AffineBasis, T: Optional[float] = None) -> np.ndarray:
-    """Psi(T) = Z(T) Z(0)^{-1} straight from the demonstration matrices."""
-    return basis.monodromy(T)
-
-
 def monodromy_from_integral(
     basis: AffineBasis,
     A: np.ndarray,

@@ -6,7 +6,8 @@ integration, deterministic tie-breaks, and no randomness anywhere in the
 pipeline.
 
 Exit codes: 0 success, 1 usage, 2 validation failure, 3 certification failure,
-4 divergence.
+4 divergence or a state outside the plant domain.  Every failure prints one
+line to standard error.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ class RunConfig:
             self.dt = float(data["dt"])
         except KeyError as exc:
             raise _UsageError(f"config missing required key: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(f"T and dt must be numbers: {exc}") from exc
         if self.T <= 0 or self.dt <= 0:
             raise _UsageError("T and dt must be positive")
         steps = self.T / self.dt
@@ -87,7 +90,6 @@ class RunConfig:
         self.feedback = data.get("feedback", "closed_loop")
         if self.feedback not in ("closed_loop", "open_loop"):
             raise _UsageError(f"feedback must be closed_loop or open_loop, got {self.feedback!r}")
-        self.hold = data.get("hold")
         self.t_tilde_grid = [float(t) for t in data.get("t_tilde_grid", [])]
         self.simulate = dict(data.get("simulate", {}))
         self.track = dict(data.get("track", {}))
@@ -243,8 +245,9 @@ def _embedding_of(cfg: RunConfig):
 def cmd_demos(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
     try:
         dset, embedded = _build_demo_set(cfg, jobs)
-    except DivergenceError as exc:
-        print(f"demos: divergence while recording: {exc}", file=sys.stderr)
+    except (DivergenceError, DomainError) as exc:
+        notes = "".join(f"; {note}" for note in getattr(exc, "__notes__", []))
+        print(f"demos: recording failed: {exc}{notes}", file=sys.stderr)
         return EXIT_DIVERGENCE
     demos_mod.save_demo_set(dset, out / "demo_set.json")
     for i, demo in enumerate(dset.demos):

@@ -136,10 +136,6 @@ class DemonstrationSet:
     def dt(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
-    @property
-    def includes_trivial(self) -> bool:
-        return True
-
     def z0_points(self) -> np.ndarray:
         """Initial states z^i(0), shaped (M, n); the point set triangulated for M > n+1."""
         return np.stack([d.z[0] for d in self.demos])
@@ -164,7 +160,8 @@ def record_expert(
         try:
             raw.append(simulate_closed_loop(plant, controller, x0, T, dt))
         except Exception as exc:
-            raise type(exc)(f"recording from x0={x0} failed: {exc}") from exc
+            exc.add_note(f"recording from x0={x0} failed")
+            raise
     return raw
 
 
@@ -189,7 +186,8 @@ def to_zv(plant: PlantModel, raw: Sequence[Trajectory]) -> DemonstrationSet:
                 z[k] = feedback_linearize(plant, x)
                 v[k] = plant.lie_f_h[plant.n](x) + plant.lie_g_lie_f_h[plant.n - 1](x) * traj.inputs[k]
             except Exception as exc:
-                raise type(exc)(f"demonstration {i}, sample {k}: {exc}") from exc
+                exc.add_note(f"demonstration {i}, sample {k}")
+                raise
         demos.append(Demonstration(times=traj.times, z=z, v=v))
     pair = brunovsky_pair(plant.n)
     return DemonstrationSet(demos=tuple(demos), A=pair.A, B=pair.B)

@@ -26,10 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, SingularEmbeddingError
-from .learner import interval_index
+from .errors import SingularEmbeddingError
 from .plant import PlantModel
-from .sim import DIVERGENCE_NORM, Trajectory, time_grid
+from .sim import Trajectory, rk4
 
 # |r(x)| at or below this is a singular embedding.
 R_TOL = 1e-6
@@ -213,24 +212,13 @@ def transform_demos(
                 time=float(traj.times[k_bad]),
             )
 
-        def xi_rhs(t, xi):
+        def xi_rhs(t, xi, _):
             x_t = traj.state_at(t)
             u_t = np.interp(t, traj.times, traj.inputs)
             L = np.array([cfg.plant.lie_g_lie_f_h[k](x_t) for k in range(n - 1)])
-            return A @ xi - L * u_t
+            return A @ xi - L * u_t, 0.0
 
-        xi = np.empty((len(traj.times), n - 1))
-        xi[0] = xi0
-        cur = xi0.copy()
-        for k in range(len(traj.times) - 1):
-            h = traj.times[k + 1] - traj.times[k]
-            t = traj.times[k]
-            k1 = xi_rhs(t, cur)
-            k2 = xi_rhs(t + 0.5 * h, cur + 0.5 * h * k1)
-            k3 = xi_rhs(t + 0.5 * h, cur + 0.5 * h * k2)
-            k4 = xi_rhs(t + h, cur + h * k3)
-            cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            xi[k + 1] = cur
+        _, xi, _ = rk4(xi_rhs, xi0, traj.t0, traj.times[-1], traj.dt)
 
         z = np.empty((len(traj.times), n))
         v = np.empty(len(traj.times))
@@ -347,8 +335,9 @@ def simulate_embedded_closed_loop(
 
     At each RK4 stage the chain state is read off as z = Phi_z(x, xi), the
     learned controller supplies v, and the dynamic feedback turns it into the
-    physical input u = (s + v) / r.  The controller is re-anchored at interval
-    starts from the committed state there.
+    physical input u = (s + v) / r.  The controller is anchored at interval
+    starts from the committed chain state there; ctrl.T must be a whole
+    multiple of dt.
     """
     if ctrl.m != 1:
         raise ValueError("the embedding pipeline drives a single-input plant")
@@ -359,48 +348,15 @@ def simulate_embedded_closed_loop(
     plant.require_in_domain(x0)
     T = ctrl.T
 
-    times = time_grid(0.0, duration, dt)
-    xs = np.empty((len(times), n))
-    xis = np.empty((len(times), n - 1))
-    vs = np.empty(len(times))
-    us = np.empty(len(times))
-    y = np.concatenate([x0, xi0])
-    xs[0], xis[0] = x0, xi0
+    def rhs(tau, y, anchor):
+        x, xi = y[:n], y[n:]
+        v = float(ctrl.eval_in_interval(anchor, min(tau, T), phi_z(cfg, x, xi))[0])
+        u = dynamic_feedback(cfg, x, xi, v)
+        return np.concatenate([plant.rhs(x, u), aux_rhs(cfg, x, xi, u)]), (v, u)
 
-    def controls_at(tau, yv):
-        x, xi = yv[:n], yv[n:]
-        z = phi_z(cfg, x, xi)
-        v = float(ctrl.eval_in_interval(min(tau, T), z)[0])
-        return v, dynamic_feedback(cfg, x, xi, v)
-
-    def rhs(tau, yv):
-        x, xi = yv[:n], yv[n:]
-        v, u = controls_at(tau, yv)
-        return np.concatenate([plant.rhs(x, u), aux_rhs(cfg, x, xi, u)])
-
-    current_p = None
-    for k in range(len(times) - 1):
-        p, tau_k = interval_index(times[k], T)
-        if p != current_p:
-            ctrl.begin_interval(p, phi_z(cfg, y[:n], y[n:]))
-            current_p = p
-        vs[k], us[k] = controls_at(tau_k, y)
-        h = times[k + 1] - times[k]
-        k1 = rhs(tau_k, y)
-        k2 = rhs(tau_k + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(tau_k + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(tau_k + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_next = times[k + 1]
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y) > DIVERGENCE_NORM:
-            raise DivergenceError(f"extended state diverged at t={t_next:.6f}", time=float(t_next))
-        if not plant.domain_check(y[:n]):
-            raise DivergenceError(
-                f"state left the domain of {plant.name} at t={t_next:.6f}", time=float(t_next)
-            )
-        xs[k + 1], xis[k + 1] = y[:n], y[n:]
-    p, tau_k = interval_index(times[-1], T)
-    if p != current_p:
-        ctrl.begin_interval(p, phi_z(cfg, y[:n], y[n:]))
-    vs[-1], us[-1] = controls_at(tau_k, y)
-    return EmbeddedTrajectory(times=times, x=xs, xi=xis, v=vs, u=us)
+    times, states, inputs = rk4(
+        rhs, np.concatenate([x0, xi0]), 0.0, duration, dt, period=T,
+        begin=lambda t, y: ctrl.begin_interval(phi_z(cfg, y[:n], y[n:])), domain=plant,
+    )
+    return EmbeddedTrajectory(times=times, x=states[:, :n], xi=states[:, n:],
+                              v=inputs[:, 0], u=inputs[:, 1])

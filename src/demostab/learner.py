@@ -28,14 +28,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .demos import DemonstrationSet, difference_matrices
-from .errors import AffineDependenceError, DivergenceError
+from .errors import AffineDependenceError
 from .plant import brunovsky_pair
-from .sim import DIVERGENCE_NORM, Trajectory, time_grid
+from .sim import Trajectory, interval_index, rk4
 
 # Reject bases whose Z(t) condition number exceeds this anywhere on the grid.
 COND_MAX = 1e12
-# Tolerance used when assigning a time to its interval index p = floor(t / T).
-_P_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -157,23 +155,32 @@ def build_basis(dset: DemonstrationSet, index_set: Optional[Sequence[int]] = Non
     )
 
 
-def interval_index(t: float, T: float) -> tuple[int, float]:
-    """Split t >= 0 into the interval index p and the offset tau in [0, T].
+class IntervalController:
+    """Call protocol shared by the learned controllers.
 
-    Right-continuous at interval boundaries: at exactly t = pT the new
-    interval's formula applies.
+    The law is evaluated interval by interval: begin_interval(z) turns the
+    state at an interval start into an anchor value, which the simulator
+    holds for the whole interval, and eval_in_interval(anchor, tau, z) is a
+    pure function of its arguments.  Calling the controller evaluates the
+    law at absolute time t with its interval anchored at z itself, so a
+    call never depends on earlier ones.
     """
-    p = max(int(np.floor(t / T + _P_TOL)), 0)
-    tau = min(max(t - p * T, 0.0), T)
-    return p, tau
+
+    def __call__(self, t: float, z: np.ndarray):
+        z = np.asarray(z, dtype=float)
+        _, tau = interval_index(t, self.T)
+        v = self.eval_in_interval(self.begin_interval(z), tau, z)
+        if self.m == 1 and v.ndim == 1:
+            return float(v[0])
+        return v
 
 
-class LearnedController:
+class LearnedController(IntervalController):
     """Single-basis learned controller kappa_hat(t, z).
 
     feedback_mode selects the closed-loop variant (zeta recomputed from the
     current state, the default) or the open-loop variant (zeta frozen per
-    interval from the state seen at the interval start).
+    interval from the state at the interval start, which is the anchor).
     """
 
     mode = "single"
@@ -197,8 +204,6 @@ class LearnedController:
         self.B = np.asarray(B, dtype=float)
         if self.B.ndim == 1:
             self.B = self.B[:, None]
-        self._anchor_p: Optional[int] = None
-        self._anchor_zeta: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -208,60 +213,20 @@ class LearnedController:
     def m(self) -> int:
         return self.basis.m
 
-    def begin_interval(self, p: int, z: np.ndarray) -> None:
-        """Anchor interval p at its starting state (used by simulators)."""
-        self._anchor_p = p
+    def begin_interval(self, z: np.ndarray) -> Optional[np.ndarray]:
+        """Anchor of an interval starting at z: zeta(0, z) for the open-loop law."""
         if self.feedback_mode == "open_loop":
-            self._anchor_zeta = self.basis.zeta(0.0, z)
+            return self.basis.zeta(0.0, z)
+        return None
 
-    def eval_in_interval(self, tau: float, z: np.ndarray) -> np.ndarray:
+    def eval_in_interval(self, anchor, tau: float, z: np.ndarray) -> np.ndarray:
         if self.feedback_mode == "open_loop":
-            if self._anchor_zeta is None:
-                raise RuntimeError("open-loop controller evaluated before begin_interval")
-            return self.basis.value_from_zeta(tau, self._anchor_zeta)
+            return self.basis.value_from_zeta(tau, anchor)
         return self.basis.value(tau, z)
-
-    def kappa(self, t: float, z: np.ndarray) -> np.ndarray:
-        """Evaluate the controller at absolute time t and state z."""
-        p, tau = interval_index(t, self.T)
-        if self.feedback_mode == "open_loop" and p != self._anchor_p:
-            self.begin_interval(p, z)
-        return self.eval_in_interval(tau, z)
-
-    def __call__(self, t: float, z: np.ndarray):
-        v = self.kappa(t, np.asarray(z, dtype=float))
-        if self.m == 1 and v.ndim == 1:
-            return float(v[0])
-        return v
-
-
-def zeta(basis: AffineBasis, tau: float, z: np.ndarray) -> np.ndarray:
-    """Affine-combination coefficients of z at time tau: solves Z(tau) zeta = z."""
-    return basis.zeta(tau, z)
-
-
-def control_open_loop(ctrl: LearnedController, t: float, z_pT: np.ndarray):
-    """Open-loop value v = V(t - pT) Z(0)^{-1} z(pT) for the interval of t."""
-    _, tau = interval_index(t, ctrl.T)
-    zt = ctrl.basis.zeta(0.0, np.asarray(z_pT, dtype=float))
-    v = ctrl.basis.value_from_zeta(tau, zt)
-    return float(v[0]) if ctrl.m == 1 and v.ndim == 1 else v
-
-
-def control_closed_loop(ctrl: LearnedController, t: float, z: np.ndarray):
-    """Closed-loop value v = V(t - pT) Z(t - pT)^{-1} z, recomputed per call."""
-    _, tau = interval_index(t, ctrl.T)
-    v = ctrl.basis.value(tau, np.asarray(z, dtype=float))
-    return float(v[0]) if ctrl.m == 1 and v.ndim == 1 else v
-
-
-def reconstruct_trajectory(basis: AffineBasis, zeta_vec: np.ndarray, tau: float) -> np.ndarray:
-    """Predicted closed-loop state z(tau) = Z(tau) zeta (plus base terms)."""
-    return basis.reconstruct(tau, zeta_vec)
 
 
 # ---------------------------------------------------------------------------
-# Chain closed-loop simulation with explicit interval anchoring.
+# Chain closed-loop simulation
 # ---------------------------------------------------------------------------
 
 
@@ -273,48 +238,24 @@ def simulate_chain_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate dz/dt = A z + B kappa_hat(t, z) for a batch of initial states.
 
-    z0 is (n,) or (n, k).  The controller is re-anchored at every interval
+    z0 is (n,) or (n, k).  The controller is anchored at every interval
     start from the committed state there, and RK4 stage times are resolved
     against the interval of the enclosing step, so stages at exactly (p+1)T
-    use the interval-p matrices.  Returns (times, states, inputs) with states
-    shaped (G, n, k) and inputs (G, m, k).
+    use the interval-p matrices; ctrl.T must be a whole multiple of dt.
+    Returns (times, states, inputs) with states shaped (G, n, k) and inputs
+    (G, m, k).
     """
     A, B, T = ctrl.A, ctrl.B, ctrl.T
     z = np.asarray(z0, dtype=float)
-    squeeze = z.ndim == 1
-    if squeeze:
+    if z.ndim == 1:
         z = z[:, None]
-    times = time_grid(0.0, duration, dt)
-    states = np.empty((len(times),) + z.shape)
-    inputs = np.empty((len(times), B.shape[1], z.shape[1]))
-    states[0] = z
-    current_p = None
-    for k in range(len(times) - 1):
-        t_k = times[k]
-        p, tau_k = interval_index(t_k, T)
-        if p != current_p:
-            ctrl.begin_interval(p, z)
-            current_p = p
-        inputs[k] = ctrl.eval_in_interval(tau_k, z)
-        h = times[k + 1] - times[k]
 
-        def rhs(tau, zz):
-            return A @ zz + B @ ctrl.eval_in_interval(min(tau, T), zz)
+    def rhs(tau, zz, anchor):
+        v = ctrl.eval_in_interval(anchor, min(tau, T), zz)
+        return A @ zz + B @ v, v
 
-        k1 = rhs(tau_k, z)
-        k2 = rhs(tau_k + 0.5 * h, z + 0.5 * h * k1)
-        k3 = rhs(tau_k + 0.5 * h, z + 0.5 * h * k2)
-        k4 = rhs(tau_k + h, z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > DIVERGENCE_NORM:
-            raise DivergenceError(f"chain state diverged at t={times[k + 1]:.6f}",
-                                  time=float(times[k + 1]))
-        states[k + 1] = z
-    p, tau_k = interval_index(times[-1], T)
-    if p != current_p:
-        ctrl.begin_interval(p, z)
-    inputs[-1] = ctrl.eval_in_interval(tau_k, z)
-    return times, states, inputs
+    return rk4(rhs, z, 0.0, duration, dt, period=T,
+               begin=lambda t, zz: ctrl.begin_interval(zz))
 
 
 def simulate_chain_closed_loop(ctrl, z0: np.ndarray, duration: float, dt: float) -> Trajectory:

@@ -24,7 +24,7 @@ from .geometry import (
     project_to_hull,
     triangulation_from_simplices,
 )
-from .learner import AffineBasis, build_basis, interval_index
+from .learner import AffineBasis, IntervalController, build_basis
 
 
 def _locate_nearest(tri: Triangulation, xi: np.ndarray) -> int:
@@ -45,7 +45,7 @@ def _locate_nearest(tri: Triangulation, xi: np.ndarray) -> int:
     return best_j
 
 
-class MultiController:
+class MultiController(IntervalController):
     """Piecewise (per-simplex) learned controller over a triangulation of Z(0)."""
 
     mode = "multi"
@@ -73,11 +73,6 @@ class MultiController:
         self.bases: tuple[AffineBasis, ...] = tuple(
             build_basis(dset, s.vertex_indices) for s in tri.simplices
         )
-        # Per-trajectory interval anchor: do not share one controller instance
-        # across concurrently simulated trajectories.
-        self._anchor_p: Optional[int] = None
-        self._anchor_js: Optional[np.ndarray] = None
-        self._anchor_zetas: Optional[list] = None
 
     @property
     def n(self) -> int:
@@ -98,46 +93,35 @@ class MultiController:
         xi_star, _ = project_to_hull(self.tri.points, z)
         return _locate_nearest(self.tri, xi_star)
 
-    def begin_interval(self, p: int, z: np.ndarray) -> None:
-        """Anchor interval p: pick one simplex per trajectory column of z."""
+    def begin_interval(self, z: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Anchor (simplices, zetas) of an interval starting at z.
+
+        One simplex index per trajectory column of z; for the open-loop law
+        also the coefficients zeta(0, z) of each column, stacked as columns.
+        """
         z = np.asarray(z, dtype=float)
         cols = z[:, None] if z.ndim == 1 else z
-        self._anchor_p = p
-        self._anchor_js = np.array([self._select_simplex(cols[:, k]) for k in range(cols.shape[1])])
+        js = np.array([self._select_simplex(cols[:, k]) for k in range(cols.shape[1])])
+        zetas = None
         if self.feedback_mode == "open_loop":
-            self._anchor_zetas = [
-                self.bases[j].zeta(0.0, cols[:, k])
-                for k, j in enumerate(self._anchor_js)
-            ]
+            zetas = np.stack([self.bases[j].zeta(0.0, cols[:, k]) for k, j in enumerate(js)],
+                             axis=1)
+        return js, zetas
 
-    def eval_in_interval(self, tau: float, z: np.ndarray) -> np.ndarray:
-        if self._anchor_js is None:
-            raise RuntimeError("multi controller evaluated before begin_interval")
+    def eval_in_interval(self, anchor, tau: float, z: np.ndarray) -> np.ndarray:
+        js, zetas = anchor
         z = np.asarray(z, dtype=float)
         squeeze = z.ndim == 1
         cols = z[:, None] if squeeze else z
         out = np.empty((self.m, cols.shape[1]))
-        for j in np.unique(self._anchor_js):
-            sel = np.flatnonzero(self._anchor_js == j)
+        for j in np.unique(js):
+            sel = np.flatnonzero(js == j)
             basis = self.bases[j]
-            if self.feedback_mode == "open_loop":
-                zetas = np.stack([self._anchor_zetas[k] for k in sel], axis=1)
-                out[:, sel] = basis.value_from_zeta(tau, zetas)
+            if zetas is not None:
+                out[:, sel] = basis.value_from_zeta(tau, zetas[:, sel])
             else:
                 out[:, sel] = basis.value(tau, cols[:, sel])
         return out[:, 0] if squeeze else out
-
-    def kappa(self, t: float, z: np.ndarray) -> np.ndarray:
-        p, tau = interval_index(t, self.T)
-        if p != self._anchor_p:
-            self.begin_interval(p, z)
-        return self.eval_in_interval(tau, np.asarray(z, dtype=float))
-
-    def __call__(self, t: float, z: np.ndarray):
-        v = self.kappa(t, np.asarray(z, dtype=float))
-        if self.m == 1 and v.ndim == 1:
-            return float(v[0])
-        return v
 
 
 def select_index_set(ctrl: MultiController, z_pT: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -155,11 +139,6 @@ def select_index_set(ctrl: MultiController, z_pT: np.ndarray) -> tuple[tuple[int
     idx = ctrl.tri.simplices[j].vertex_indices
     theta = barycentric(ctrl.tri.points[list(idx)], z_pT)
     return idx, theta
-
-
-def control_multi(ctrl: MultiController, t: float, z: np.ndarray):
-    """Controller value with the index set held fixed over the enclosing interval."""
-    return ctrl(t, z)
 
 
 def per_simplex_monodromy(ctrl: MultiController, T: Optional[float] = None) -> list[np.ndarray]:

@@ -1,8 +1,11 @@
 """Fixed-step RK4 integration and closed-loop simulation.
 
-All grids are deterministic: the step dt is fixed and the final step is
-shortened, if necessary, to land exactly on the requested end time.  That
-keeps demonstration alignment and file outputs reproducible bit for bit.
+Every integration in the package runs through one driver, rk4, which owns
+the grid, the per-interval anchoring of learned controllers and the
+post-step divergence and domain guard.  All grids are deterministic: the
+step dt is fixed and the final step is shortened, if necessary, to land
+exactly on the requested end time.  That keeps demonstration alignment and
+file outputs reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from .plant import PlantModel
 # Abort integration once the state norm passes this bound.
 DIVERGENCE_NORM = 1e6
 MAX_STEPS = int(1e8)
+# Tolerance used when assigning a time to its interval index p = floor(t / T).
+_P_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,14 +70,6 @@ class Trajectory:
         return (1.0 - w) * self.states[i] + w * self.states[i + 1]
 
 
-def _rk4_step(rhs, t, x, h):
-    k1 = rhs(t, x)
-    k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = rhs(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     """Grid t0 + k*dt, with the last point snapped exactly to t1."""
     if dt <= 0.0:
@@ -91,6 +88,77 @@ def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return times
 
 
+
+
+def interval_index(t: float, T: float) -> tuple[int, float]:
+    """Split t >= 0 into the interval index p and the offset tau in [0, T].
+
+    Right-continuous at interval boundaries: at exactly t = pT the new
+    interval's formula applies.
+    """
+    p = max(int(np.floor(t / T + _P_TOL)), 0)
+    tau = min(max(t - p * T, 0.0), T)
+    return p, tau
+
+
+def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantModel] = None):
+    """Classical RK4 on time_grid(t0, t1, dt); returns (times, states, inputs).
+
+    rhs(s, y, anchor) returns (dy/dt, u): the derivative and the input it
+    applied.  inputs[k] is the input of the first stage at t_k (one extra
+    call supplies it at the last grid point).  Without a period the stage
+    time s is absolute, t_k + c h.  With a period T, which must be a whole
+    multiple of dt, time splits into intervals [pT, (p+1)T): s is the offset
+    tau_k + c h from the start of the step's interval, so a step ending at
+    (p+1)T stays in interval p, and at each interval's first grid point
+    begin(t_k, y_k) turns the committed state into the anchor that rhs
+    receives for the whole interval.
+
+    After every step the state must be finite with norm at most
+    DIVERGENCE_NORM and, if a plant is given as domain, its first plant.n
+    entries must lie in the plant's domain; otherwise DivergenceError
+    carries the time of the offending grid point.
+    """
+    times = time_grid(t0, t1, dt)
+    if period is not None:
+        ratio = period / dt
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+            raise ValueError(f"interval length {period} is not a whole multiple of dt={dt}")
+    last = len(times) - 1
+    y = np.asarray(y0, dtype=float)
+    states = np.empty((len(times),) + y.shape)
+    states[0] = y
+    inputs = None
+    p_now = anchor = None
+    for k, t in enumerate(times):
+        s = t
+        if period is not None:
+            p, s = interval_index(t, period)
+            if p != p_now:
+                p_now, anchor = p, begin(t, y)
+        k1, u = rhs(s, y, anchor)
+        if inputs is None:
+            inputs = np.empty((len(times),) + np.shape(u))
+        inputs[k] = u
+        if k == last:
+            break
+        h = times[k + 1] - t
+        k2, _ = rhs(s + 0.5 * h, y + 0.5 * h * k1, anchor)
+        k3, _ = rhs(s + 0.5 * h, y + 0.5 * h * k2, anchor)
+        k4, _ = rhs(s + h, y + h * k3, anchor)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t_next = float(times[k + 1])
+        # A non-finite entry makes the squared norm NaN or inf, failing the test too.
+        if not float(np.vdot(y, y)) <= DIVERGENCE_NORM**2:
+            raise DivergenceError(f"state diverged at t={t_next:.6f}", time=t_next)
+        if domain is not None and not domain.domain_check(y[: domain.n]):
+            raise DivergenceError(
+                f"state left the domain of {domain.name} at t={t_next:.6f}", time=t_next
+            )
+        states[k + 1] = y
+    return times, states, inputs
+
+
 def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -101,21 +169,9 @@ def integrate(
     """Classical RK4 solution of dx/dt = rhs(t, x) on a fixed grid.
 
     Raises DivergenceError (carrying the offending time) if the state becomes
-    non-finite or its norm exceeds the runaway bound.
+    non-finite or its norm exceeds the runaway bound.  Inputs are all zero.
     """
-    times = time_grid(t0, t1, dt)
-    x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((len(times), x.size))
-    states[0] = x
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        x = _rk4_step(rhs, times[k], x, h)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
-            raise DivergenceError(
-                f"state diverged at t={times[k + 1]:.6f}", time=float(times[k + 1])
-            )
-        states[k + 1] = x
-    inputs = np.zeros(len(times))
+    times, states, inputs = rk4(lambda t, x, _: (rhs(t, x), 0.0), x0, t0, t1, dt)
     return Trajectory(times=times, states=states, inputs=inputs)
 
 
@@ -130,54 +186,31 @@ def simulate_closed_loop(
     """Simulate dx/dt = f(x) + g(x) u under u = controller(t, x).
 
     Without hold, the controller is evaluated at every RK4 stage, i.e. the
-    loop is closed continuously up to the integration error.  With hold, the
-    input is sampled once per hold window and kept constant across it
-    (emulated sampled-data control); hold must be an integer multiple of dt.
-    Inputs are recorded per grid point as the value in effect on [t_k, t_k+dt).
+    loop is closed continuously up to the integration error; a learned
+    controller (one with begin_interval) is anchored once per interval at the
+    committed state there, as in the chain simulator.  With hold, the input
+    is sampled once per hold window and kept constant across it (emulated
+    sampled-data control); hold must be a whole multiple of dt.  Inputs are
+    recorded per grid point as the value in effect on [t_k, t_k+dt).
     """
     x0 = np.asarray(x0, dtype=float)
     plant.require_in_domain(x0)
+    period = begin = None
     if hold is not None:
-        ratio = hold / dt
-        if hold <= 0 or abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(f"hold={hold} must be a positive integer multiple of dt={dt}")
-        steps_per_hold = int(round(ratio))
+        period, begin = hold, lambda t, x: float(controller(t, x))
 
-    times = time_grid(0.0, duration, dt)
-    x = x0.copy()
-    states = np.empty((len(times), x.size))
-    inputs = np.empty(len(times))
-    states[0] = x
+        def rhs(t, x, u):
+            return plant.rhs(x, u), u
+    elif hasattr(controller, "begin_interval"):
+        period, begin = controller.T, lambda t, x: controller.begin_interval(x)
 
-    def check(xk, tk):
-        if not np.all(np.isfinite(xk)) or np.linalg.norm(xk) > DIVERGENCE_NORM:
-            raise DivergenceError(f"state diverged at t={tk:.6f}", time=float(tk))
-        if not plant.domain_check(xk):
-            raise DivergenceError(
-                f"state left the domain of {plant.name} at t={tk:.6f}", time=float(tk)
-            )
-
-    if hold is None:
-        def rhs(t, xk):
-            return plant.rhs(xk, controller(t, xk))
-
-        for k in range(len(times) - 1):
-            inputs[k] = controller(times[k], states[k])
-            h = times[k + 1] - times[k]
-            x = _rk4_step(rhs, times[k], x, h)
-            check(x, times[k + 1])
-            states[k + 1] = x
-        inputs[-1] = controller(times[-1], states[-1])
+        def rhs(tau, x, anchor):
+            u = float(controller.eval_in_interval(anchor, min(tau, period), x)[0])
+            return plant.rhs(x, u), u
     else:
-        u_held = 0.0
-        for k in range(len(times) - 1):
-            if k % steps_per_hold == 0:
-                u_held = float(controller(times[k], states[k]))
-            inputs[k] = u_held
-            h = times[k + 1] - times[k]
-            x = _rk4_step(lambda t, xk: plant.rhs(xk, u_held), times[k], x, h)
-            check(x, times[k + 1])
-            states[k + 1] = x
-        inputs[-1] = u_held
+        def rhs(t, x, _):
+            u = float(controller(t, x))
+            return plant.rhs(x, u), u
 
+    times, states, inputs = rk4(rhs, x0, 0.0, duration, dt, period, begin, domain=plant)
     return Trajectory(times=times, states=states, inputs=inputs)

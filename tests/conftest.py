@@ -10,8 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and never time out.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 from oracles import DOUBLE_INT_K, double_int_flow
 

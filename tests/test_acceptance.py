@@ -22,14 +22,13 @@ from demostab.certify import (
     certificate,
     contraction_check,
     find_T_tilde,
-    monodromy_from_data,
     monodromy_from_integral,
 )
 from demostab.cli import EXIT_OK, main
 from demostab.embed import a_xi, charpoly, dynamic_feedback, simulate_embedded_closed_loop
 from demostab.geometry import delaunay
 from demostab.learner import LearnedController, build_basis
-from demostab.multi import MultiController, control_multi
+from demostab.multi import MultiController
 from demostab.sim import time_grid
 from demostab.systems import figure_eight, simulate_tracking
 
@@ -89,10 +88,10 @@ def test_criterion_02_monodromy_cross_check(double_int_set, chain2_recorded,
     worst = 0.0
     for name, dset in fixtures.items():
         basis = build_basis(dset)
-        Psi_d = monodromy_from_data(basis)
+        Psi_d = basis.monodromy()
         Psi_i = monodromy_from_integral(basis, dset.A, dset.B)
         worst = max(worst, float(np.linalg.norm(Psi_d - Psi_i)))
-        exact_identity = np.array_equal(monodromy_from_data(basis, 0.0), np.eye(dset.n))
+        exact_identity = np.array_equal(basis.monodromy(0.0), np.eye(dset.n))
         exact_identity &= np.array_equal(
             monodromy_from_integral(basis, dset.A, dset.B, 0.0), np.eye(dset.n)
         )
@@ -104,7 +103,7 @@ def test_criterion_02_monodromy_cross_check(double_int_set, chain2_recorded,
 
 def test_criterion_03_certificate_oracle(double_int_set):
     basis = build_basis(double_int_set)
-    Psi = monodromy_from_data(basis)
+    Psi = basis.monodromy()
     oracle = double_int_flow(2.0)
     norm = float(np.linalg.norm(Psi, 2))
     ok = abs(norm - 0.5732) <= 1e-3
@@ -196,7 +195,7 @@ def test_criterion_07_multi_equivalence(double_int_set):
     for _ in range(1000):
         t = float(rng.uniform(0.0, 8.0))
         z = rng.normal(size=2) * rng.uniform(0.1, 3.0)
-        worst = max(worst, abs(control_multi(multi, t, z) - single(t, z)))
+        worst = max(worst, abs(multi(t, z) - single(t, z)))
     _report(7, worst <= 1e-12,
             f"multi pipeline equals single pipeline within {worst:.2e} "
             f"(<= 1e-12) on 1000 random (t, z)")

@@ -14,7 +14,6 @@ from demostab.certify import (
     contraction_check,
     expm_nilpotent,
     find_T_tilde,
-    monodromy_from_data,
     monodromy_from_integral,
 )
 from demostab.demos import Demonstration, DemonstrationSet
@@ -30,13 +29,13 @@ PSI_2_NORM = math.sqrt(9.0 + math.sqrt(80.0)) * math.exp(-2.0)
 
 def test_monodromy_at_zero_is_identity(double_int_set):
     basis = build_basis(double_int_set)
-    assert_allclose(monodromy_from_data(basis, 0.0), np.eye(2), atol=0)
+    assert_allclose(basis.monodromy(0.0), np.eye(2), atol=0)
     A, B = double_int_set.A, double_int_set.B
     assert_allclose(monodromy_from_integral(basis, A, B, 0.0), np.eye(2), atol=0)
 
 
 def test_monodromy_matches_flow_oracle(double_int_set):
-    Psi = monodromy_from_data(build_basis(double_int_set))
+    Psi = build_basis(double_int_set).monodromy()
     assert_allclose(Psi, math.exp(-2.0) * np.array([[3.0, 2.0], [-2.0, -1.0]]), atol=1e-12)
     assert_allclose(Psi, double_int_flow(2.0), atol=1e-12)
     assert abs(spectral_norm(Psi) - PSI_2_NORM) < 1e-12
@@ -48,8 +47,8 @@ def test_monodromy_invariant_under_demo_scaling(double_int_set):
         starts=[np.zeros(2), np.array([3.7, 0.0]), np.array([0.0, 3.7])]
     )
     assert_allclose(
-        monodromy_from_data(build_basis(scaled)),
-        monodromy_from_data(build_basis(double_int_set)),
+        build_basis(scaled).monodromy(),
+        build_basis(double_int_set).monodromy(),
         atol=1e-12,
     )
 
@@ -72,7 +71,7 @@ def test_integral_with_zero_inputs_is_exponential():
 
 def test_integral_matches_data_formula(double_int_set):
     basis = build_basis(double_int_set)
-    Psi_data = monodromy_from_data(basis)
+    Psi_data = basis.monodromy()
     Psi_int = monodromy_from_integral(basis, double_int_set.A, double_int_set.B)
     assert np.linalg.norm(Psi_data - Psi_int) < 1e-4
 
@@ -86,7 +85,7 @@ def test_integral_scalar_case_by_hand():
     demo = Demonstration(times=grid, z=z, v=-z[:, 0])
     dset = DemonstrationSet(demos=(trivial, demo), A=pair.A, B=pair.B)
     basis = build_basis(dset)
-    assert_allclose(monodromy_from_data(basis, 1.0), [[math.exp(-1.0)]], atol=1e-9)
+    assert_allclose(basis.monodromy(1.0), [[math.exp(-1.0)]], atol=1e-9)
     assert_allclose(monodromy_from_integral(basis, pair.A, pair.B, 1.0),
                     [[math.exp(-1.0)]], atol=1e-7)
 
@@ -166,6 +165,13 @@ def test_contraction_multi_linear_flow(multi_point_set):
     for p in range(1, 5):
         expected = flow_T @ expected
         assert_allclose(report.sampled_norms[p, 0], np.linalg.norm(expected), atol=1e-4)
+
+
+def test_contraction_rejects_horizon_off_the_grid(double_int_ctrl):
+    # T = 2 is not a whole multiple of dt = 0.003, so z(pT) is no grid sample.
+    for p_max in (2, 3):
+        with pytest.raises(ValueError, match="whole multiple"):
+            contraction_check(double_int_ctrl, np.array([0.5, 0.5]), p_max=p_max, dt=0.003)
 
 
 def test_frobenius_bound_dominates(double_int_set):

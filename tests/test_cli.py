@@ -89,6 +89,25 @@ def test_usage_errors(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
 
 
+def test_non_numeric_horizon_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json", T="abc")
+    assert main(["demos", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+def test_demo_start_outside_domain_exit_divergence(tmp_path, capsys):
+    # |phi| >= pi/2 is outside the ball-beam domain: one line, exit 4.
+    config = {"preset": "ball_beam", "T": 1.0, "dt": 0.01,
+              "initial_conditions": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                     [0.0, 0.0, 1.6, 0.0], [0.0, 0.0, 0.0, 1.0]]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["demos", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DIVERGENCE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "outside the domain" in err[0]
+
+
 def test_multi_pipeline_writes_per_simplex_certificate(tmp_path):
     cfg = write_config(
         tmp_path / "config.json",

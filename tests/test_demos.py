@@ -20,10 +20,10 @@ from demostab.demos import (
     to_zv,
     validate_affine_independence,
 )
-from demostab.errors import NotFeedbackLinearizableError
+from demostab.errors import DivergenceError, NotFeedbackLinearizableError
 from demostab.plant import brunovsky_pair, chain_preset, expert_lqr
 from demostab.sim import time_grid
-from demostab.systems import ball_beam_plant
+from demostab.systems import ball_beam_expert, ball_beam_plant
 
 
 def test_record_count_and_trivial_first():
@@ -41,6 +41,17 @@ def test_record_from_origin_equals_trivial():
     raw = record_expert(plant, expert, [np.zeros(2)], T=1.0, dt=1e-2)
     assert np.array_equal(raw[0].states, raw[1].states)
     assert np.array_equal(raw[0].inputs, raw[1].inputs)
+
+
+def test_recording_divergence_keeps_time():
+    # A fast-spinning start tips the beam past pi/2 within a few steps; the
+    # error keeps its time and gains a note naming the start.
+    plant = ball_beam_plant()
+    with pytest.raises(DivergenceError) as err:
+        record_expert(plant, ball_beam_expert(plant), [np.array([0.0, 0.0, 0.0, 200.0])],
+                      T=8.0, dt=1e-3)
+    assert err.value.time == pytest.approx(0.009)
+    assert any("x0=" in note for note in err.value.__notes__)
 
 
 def test_to_zv_chain_is_identity_on_samples(chain2_recorded):

@@ -289,10 +289,10 @@ class _ReplayController:
         self.A, self.B = A, B
         self.m = 1
 
-    def begin_interval(self, p, z):
-        pass
+    def begin_interval(self, z):
+        return None
 
-    def eval_in_interval(self, tau, z):
+    def eval_in_interval(self, anchor, tau, z):
         return np.array([np.interp(tau, self.times, self.v)])
 
 

@@ -11,13 +11,9 @@ from demostab.errors import AffineDependenceError
 from demostab.learner import (
     LearnedController,
     build_basis,
-    control_closed_loop,
-    control_open_loop,
     controller_from_dict,
     controller_to_dict,
-    reconstruct_trajectory,
     simulate_chain_closed_loop,
-    zeta,
 )
 from demostab.sim import integrate
 
@@ -38,12 +34,12 @@ def test_basis_permutation_permutes_columns(double_int_set):
 
 def test_zeta_zero_state(double_int_set):
     basis = build_basis(double_int_set)
-    assert_allclose(zeta(basis, 0.7, np.zeros(2)), 0.0, atol=1e-15)
+    assert_allclose(basis.zeta(0.7, np.zeros(2)), 0.0, atol=1e-15)
 
 
 def test_zeta_identity_at_zero(double_int_set):
     basis = build_basis(double_int_set)
-    assert_allclose(zeta(basis, 0.0, np.array([0.3, 0.7])), [0.3, 0.7], atol=1e-14)
+    assert_allclose(basis.zeta(0.0, np.array([0.3, 0.7])), [0.3, 0.7], atol=1e-14)
 
 
 def test_zeta_columns_give_unit_vectors(double_int_set):
@@ -51,23 +47,29 @@ def test_zeta_columns_give_unit_vectors(double_int_set):
     tau = 0.613
     Z, _, _, _ = basis._interp(tau)
     for j in range(2):
-        assert_allclose(zeta(basis, tau, Z[:, j]), np.eye(2)[j], atol=1e-11)
+        assert_allclose(basis.zeta(tau, Z[:, j]), np.eye(2)[j], atol=1e-11)
 
 
-def test_open_loop_zero_state(double_int_ctrl):
-    assert control_open_loop(double_int_ctrl, 1.3, np.zeros(2)) == 0.0
+@pytest.fixture(scope="module")
+def open_ctrl(double_int_set):
+    # Called at (t, z(pT)), the open-loop law anchors its interval at z(pT).
+    return LearnedController(build_basis(double_int_set), feedback_mode="open_loop")
 
 
-def test_open_loop_replays_demonstration(double_int_ctrl):
+def test_open_loop_zero_state(open_ctrl):
+    assert open_ctrl(1.3, np.zeros(2)) == 0.0
+
+
+def test_open_loop_replays_demonstration(open_ctrl):
     # Starting at a demonstration start replays that demonstration's input.
     for t in (0.0, 0.4, 1.7):
-        v = control_open_loop(double_int_ctrl, t, np.array([1.0, 0.0]))
+        v = open_ctrl(t, np.array([1.0, 0.0]))
         expected = -DOUBLE_INT_K @ (double_int_flow(t) @ np.array([1.0, 0.0]))
         assert_allclose(v, expected, atol=1e-9)
 
 
-def test_open_loop_affine_combination_value(double_int_ctrl):
-    v0 = control_open_loop(double_int_ctrl, 0.0, np.array([0.5, 0.5]))
+def test_open_loop_affine_combination_value(open_ctrl):
+    v0 = open_ctrl(0.0, np.array([0.5, 0.5]))
     assert_allclose(v0, -1.5, atol=1e-12)
 
 
@@ -75,12 +77,12 @@ def test_closed_loop_on_demonstration(double_int_set, double_int_ctrl):
     tau = 0.9
     z = double_int_set.demos[2].z[900]
     expected = double_int_set.demos[2].v[900, 0]
-    assert_allclose(control_closed_loop(double_int_ctrl, tau, z), expected, atol=1e-10)
+    assert_allclose(double_int_ctrl(tau, z), expected, atol=1e-10)
 
 
 def test_closed_loop_zero_preservation(double_int_ctrl):
     for t in (0.0, 0.3, 1.999, 2.0, 5.41):
-        assert control_closed_loop(double_int_ctrl, t, np.zeros(2)) == 0.0
+        assert double_int_ctrl(t, np.zeros(2)) == 0.0
 
 
 def test_open_equals_closed_along_disturbance_free_run(double_int_set):
@@ -88,11 +90,11 @@ def test_open_equals_closed_along_disturbance_free_run(double_int_set):
     ctrl = LearnedController(build_basis(double_int_set))
     traj = simulate_chain_closed_loop(ctrl, np.array([0.4, -0.2]), 2.0, 1e-3)
     open_ctrl = LearnedController(build_basis(double_int_set), feedback_mode="open_loop")
-    open_ctrl.begin_interval(0, traj.states[0])
+    anchor = open_ctrl.begin_interval(traj.states[0])
     for k in range(0, len(traj.times), 250):
         tau = traj.times[k]
         v_closed = ctrl.basis.value(min(tau, 2.0), traj.states[k])[0]
-        v_open = open_ctrl.eval_in_interval(min(tau, 2.0), traj.states[k])[0]
+        v_open = open_ctrl.eval_in_interval(anchor, min(tau, 2.0), traj.states[k])[0]
         assert_allclose(v_closed, v_open, atol=1e-6)
 
 
@@ -100,9 +102,9 @@ def test_reconstruct_unit_coefficients(double_int_set):
     basis = build_basis(double_int_set)
     tau = 1.2
     k = 1200
-    assert_allclose(reconstruct_trajectory(basis, np.array([1.0, 0.0]), tau),
+    assert_allclose(basis.reconstruct(tau, np.array([1.0, 0.0])),
                     double_int_set.demos[1].z[k], atol=1e-12)
-    assert_allclose(reconstruct_trajectory(basis, np.zeros(2), tau), 0.0, atol=1e-15)
+    assert_allclose(basis.reconstruct(tau, np.zeros(2)), 0.0, atol=1e-15)
 
 
 def test_affine_combinations_are_valid_solutions(double_int_set):
@@ -136,8 +138,8 @@ def test_coefficient_constancy_in_closed_loop(double_int_set):
 def test_interval_reanchoring_is_right_continuous(double_int_ctrl):
     # At exactly t = pT the new interval's matrices apply.
     z = np.array([0.2, -0.1])
-    v_start = control_closed_loop(double_int_ctrl, 0.0, z)
-    v_boundary = control_closed_loop(double_int_ctrl, 2.0, z)
+    v_start = double_int_ctrl(0.0, z)
+    v_boundary = double_int_ctrl(2.0, z)
     assert_allclose(v_boundary, v_start, atol=1e-12)
 
 
@@ -161,7 +163,7 @@ def test_serialization_bit_exact(double_int_set, tmp_path):
         k = rng.integers(0, len(ctrl.basis.times))
         tau = float(ctrl.basis.times[k])
         z = rng.normal(size=2)
-        assert control_closed_loop(ctrl, tau, z) == control_closed_loop(rebuilt, tau, z)
+        assert ctrl(tau, z) == rebuilt(tau, z)
         assert ctrl(t, z) == rebuilt(t, z)
 
 

@@ -5,12 +5,10 @@ from numpy.testing import assert_allclose
 
 from oracles import double_int_flow
 
-from demostab.certify import monodromy_from_data
 from demostab.geometry import pl_interpolate
 from demostab.learner import LearnedController, build_basis, simulate_chain_closed_loop
 from demostab.multi import (
     MultiController,
-    control_multi,
     per_simplex_monodromy,
     select_index_set,
 )
@@ -24,7 +22,7 @@ def test_single_simplex_matches_single_controller(double_int_set):
     for _ in range(200):
         t = float(rng.uniform(0.0, 6.0))
         z = rng.normal(size=2) * 2.0
-        assert control_multi(multi, t, z) == single(t, z)
+        assert multi(t, z) == single(t, z)
 
 
 def test_select_index_set_vertex(multi_point_set):
@@ -62,8 +60,8 @@ def test_demonstration_replay(multi_point_set):
     for j in range(multi_point_set.M):
         z = multi_point_set.demos[j].z[k]
         idx, _ = select_index_set(ctrl, multi_point_set.demos[j].z[0])
-        ctrl.begin_interval(0, multi_point_set.demos[j].z[0])
-        got = ctrl.eval_in_interval(tau, z)[0]
+        anchor = ctrl.begin_interval(multi_point_set.demos[j].z[0])
+        got = ctrl.eval_in_interval(anchor, tau, z)[0]
         assert_allclose(got, multi_point_set.demos[j].v[k, 0], atol=1e-9)
 
 
@@ -77,7 +75,7 @@ def test_interior_value_matches_pl_interpolant(multi_point_set):
     for _ in range(30):
         w = rng.dirichlet(np.ones(multi_point_set.M))
         z = w @ points
-        got = control_multi(ctrl, 0.0, z)
+        got = ctrl(0.0, z)
         expected = pl_interpolate(points, values, ctrl.tri, z)
         assert_allclose(got, expected, atol=1e-10)
 
@@ -86,7 +84,7 @@ def test_per_simplex_monodromy_singleton(double_int_set):
     multi = MultiController(double_int_set)
     psis = per_simplex_monodromy(multi)
     assert len(psis) == 1
-    assert_allclose(psis[0], monodromy_from_data(build_basis(double_int_set)), atol=0)
+    assert_allclose(psis[0], build_basis(double_int_set).monodromy(), atol=0)
 
 
 def test_per_simplex_monodromy_all_equal_for_linear_flow(multi_point_set):
@@ -128,8 +126,8 @@ def test_anchored_coefficients_match_interval_start(multi_point_set):
     ctrl = MultiController(multi_point_set)
     z0 = np.array([0.6, 0.4])
     traj = simulate_chain_closed_loop(ctrl, z0, 2.0, 1e-3)
-    ctrl.begin_interval(0, z0)
-    j = ctrl._anchor_js[0]
+    js, _ = ctrl.begin_interval(z0)
+    j = js[0]
     basis = ctrl.bases[j]
     zeta0 = basis.zeta(0.0, z0)
     for k in range(0, len(traj.times) - 1, 250):
@@ -142,12 +140,12 @@ def test_value_continuous_in_z_within_simplex(multi_point_set):
     simplex = ctrl.tri.simplices[0]
     verts = ctrl.tri.points[list(simplex.vertex_indices)]
     inside = verts.mean(axis=0)
-    ctrl.begin_interval(0, inside)
+    anchor = ctrl.begin_interval(inside)
     tau = 0.37
-    v_mid = ctrl.eval_in_interval(tau, inside)[0]
+    v_mid = ctrl.eval_in_interval(anchor, tau, inside)[0]
     # Linear map within the simplex: value of a convex combination equals
     # the combination of values.
-    vals = [ctrl.eval_in_interval(tau, v)[0] for v in verts]
+    vals = [ctrl.eval_in_interval(anchor, tau, v)[0] for v in verts]
     assert_allclose(v_mid, np.mean(vals), atol=1e-10)
 
 
@@ -163,10 +161,10 @@ def test_multi_serialization_roundtrip(multi_point_set, tmp_path):
     for _ in range(50):
         t = float(rng.uniform(0.0, 4.0))
         z = rng.normal(size=2)
-        assert control_multi(ctrl, t, z) == control_multi(rebuilt, t, z)
+        assert ctrl(t, z) == rebuilt(t, z)
 
 
 def test_zero_state_zero_input(multi_point_set):
     ctrl = MultiController(multi_point_set)
     for t in (0.0, 0.5, 2.0, 3.25):
-        assert control_multi(ctrl, t, np.zeros(2)) == 0.0
+        assert ctrl(t, np.zeros(2)) == 0.0

@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 from oracles import DOUBLE_INT_ACL, double_int_flow, matrix_exp_series
 
 from demostab.errors import DivergenceError
+from demostab.learner import LearnedController, build_basis, simulate_chain_closed_loop
 from demostab.plant import chain_preset
-from demostab.sim import integrate, simulate_closed_loop, time_grid
+from demostab.sim import integrate, rk4, simulate_closed_loop, time_grid
 
 
 def test_chain_equilibrium_stays_constant():
@@ -81,6 +82,25 @@ def test_hold_must_divide_grid():
     plant = chain_preset(2)
     with pytest.raises(ValueError):
         simulate_closed_loop(plant, lambda t, z: 0.0, np.zeros(2), 1.0, 1e-3, hold=2.5e-3)
+
+
+def test_driver_rejects_interval_off_the_grid():
+    rhs = lambda s, x, anchor: (-x, 0.0)
+    for period in (2.5e-3, 0.0, 1e-12):
+        with pytest.raises(ValueError, match="whole multiple"):
+            rk4(rhs, np.ones(1), 0.0, 1.0, 1e-3, period=period, begin=lambda t, x: None)
+
+
+def test_interval_controller_anchored_at_committed_state(double_int_set):
+    # The generic simulator anchors a learned controller once per interval,
+    # at the committed state, exactly like the chain simulator.  Anchoring
+    # at the RK4 predictor state at t = (p+1)T instead puts it ~2e-9 off.
+    ctrl = LearnedController(build_basis(double_int_set), feedback_mode="open_loop")
+    z0 = np.array([0.4, -0.2])
+    chain = simulate_chain_closed_loop(ctrl, z0, 6.0, 1e-2)
+    generic = simulate_closed_loop(chain_preset(2), ctrl, z0, 6.0, 1e-2)
+    assert np.max(np.abs(generic.states - chain.states)) < 1e-12
+    assert np.max(np.abs(generic.inputs - chain.inputs)) < 1e-12
 
 
 def test_divergence_reports_time():
