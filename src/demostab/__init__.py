@@ -50,7 +50,6 @@ from .geometry import (
     Simplex,
     Triangulation,
     barycentric,
-    circumsphere,
     delaunay,
     locate,
     pl_interpolate,

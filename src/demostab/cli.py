@@ -47,6 +47,13 @@ class _UsageError(Exception):
     pass
 
 
+def _number(what: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"{what} must be a number, got {value!r}") from exc
+
+
 def _preset_kind(name: str) -> str:
     if name.startswith("chain") or name == "flat_quad_axis":
         return _CHAIN_KIND
@@ -90,9 +97,19 @@ class RunConfig:
         self.feedback = data.get("feedback", "closed_loop")
         if self.feedback not in ("closed_loop", "open_loop"):
             raise _UsageError(f"feedback must be closed_loop or open_loop, got {self.feedback!r}")
-        self.t_tilde_grid = [float(t) for t in data.get("t_tilde_grid", [])]
+        self.t_tilde_grid = [_number("t_tilde_grid entry", t)
+                             for t in data.get("t_tilde_grid", [])]
         self.simulate = dict(data.get("simulate", {}))
+        if "duration" in self.simulate:
+            self.simulate["duration"] = _number("simulate.duration", self.simulate["duration"])
         self.track = dict(data.get("track", {}))
+        for key in ("f", "duration"):
+            if key in self.track:
+                self.track[key] = _number(f"track.{key}", self.track[key])
+        if self.track.get("f", 0.1) <= 0:
+            raise _UsageError("track.f must be positive")
+        if self.track.get("axis", 0) not in (0, 1, 2):
+            raise _UsageError(f"track.axis must be 0, 1 or 2, got {self.track['axis']!r}")
         ics = data.get("initial_conditions", "default")
         self.initial_conditions = ics
 
@@ -111,7 +128,17 @@ class RunConfig:
     def ics(self, default: list) -> list:
         if self.initial_conditions == "default":
             return [np.asarray(ic, dtype=float) for ic in default]
-        return [np.asarray(ic, dtype=float) for ic in self.initial_conditions]
+        n = len(default[0])
+        out = []
+        for k, ic in enumerate(self.initial_conditions):
+            try:
+                x = np.asarray(ic, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise _UsageError(f"initial_conditions[{k}] must be numbers: {exc}") from exc
+            if x.shape != (n,):
+                raise _UsageError(f"initial_conditions[{k}] must have {n} entries, got {ic!r}")
+            out.append(x)
+        return out
 
 
 def _fmt(x: float) -> str:

@@ -1,53 +1,33 @@
-"""n-dimensional Delaunay triangulation and simplex queries, at desk scale.
+"""n-dimensional Delaunay triangulation and simplex queries.
 
-The triangulation is built by brute force: every (n+1)-subset of the input
-points is tested for an empty open circum-hypersphere, and the surviving
-candidate simplices are assembled greedily into a tiling of the convex hull.
-Cost is C(M, n+1) * M sphere tests, which is fine for the point counts here
-(M <= ~15, n <= 9).  Cospherical ties are broken deterministically by
-preferring lexicographically smaller vertex sets.
+The triangulation comes from Qhull (``scipy.spatial.Delaunay``): the vertex
+indices of each simplex are sorted and the simplices are listed in
+lexicographic order.  When n+2 or more points are cospherical the Delaunay
+triangulation is not unique; the policy is Qhull's choice, after sorting (on
+the cocircular unit square that is {(0, 1, 3), (0, 2, 3)}).  The barycentric
+maps of all simplices are built once per triangulation, so locating a point is
+one vectorised evaluation.  Hull projection is one non-negative least-squares
+solve (Lawson-Hanson) that picks the face, an exact solve on that face, and
+the variational-inequality certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import nnls
+from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegenerateGeometryError
 
-# A point is strictly inside a circumsphere when its distance to the center is
-# below radius * (1 - SPHERE_TOL); boundary points do not violate emptiness.
-SPHERE_TOL = 1e-9
 # Barycentric coordinates down to -LOCATE_TOL still count as inside.
 LOCATE_TOL = 1e-9
-
-
-def circumsphere(vertices: np.ndarray) -> tuple[np.ndarray, float]:
-    """Circumcenter and circumradius of n+1 affinely independent points in R^n.
-
-    The center solves the linear system of equidistance conditions
-    2 (v_i - v_0)^T c = |v_i|^2 - |v_0|^2.
-    """
-    V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    n = V.shape[1]
-    if V.shape[0] != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} vertices in R^{n}, got {V.shape[0]}")
-    D = V[1:] - V[0]
-    rhs = 0.5 * (np.sum(V[1:] ** 2, axis=1) - np.sum(V[0] ** 2))
-    try:
-        center = np.linalg.solve(D, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateGeometryError(f"affinely dependent vertices: {V}") from exc
-    scale = max(1.0, float(np.abs(V).max()))
-    if np.linalg.cond(D) > 1e12 * scale:
-        raise DegenerateGeometryError(f"nearly affinely dependent vertices: {V}")
-    radius = float(np.linalg.norm(center - V[0]))
-    return center, radius
+# Weight of the sum-to-one row in the projection's NNLS, per unit of
+# coordinate scale.
+SUM_WEIGHT = 1e3
 
 
 def barycentric(vertices: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -69,14 +49,23 @@ def barycentric(vertices: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def barycentric_map(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map (W, c) with theta(x) = W x + c for a fixed simplex."""
+    """Affine map (W, c) with theta(x) = W x + c for a fixed simplex.
+
+    Raises DegenerateGeometryError when the vertices are (nearly) affinely
+    dependent.
+    """
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     n = V.shape[1]
+    if V.shape[0] != n + 1:
+        raise ValueError(f"need n+1 = {n + 1} vertices in R^{n}, got {V.shape[0]}")
     A = np.vstack([np.ones(n + 1), V.T])
     try:
         Ainv = np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
         raise DegenerateGeometryError(f"degenerate simplex: {V}") from exc
+    scale = max(1.0, float(np.abs(V).max()))
+    if np.linalg.cond(V[1:] - V[0]) > 1e12 * scale:
+        raise DegenerateGeometryError(f"nearly affinely dependent vertices: {V}")
     return Ainv[:, 1:], Ainv[:, 0]
 
 
@@ -92,17 +81,26 @@ class Simplex:
     """An n-simplex referenced by vertex indices into a shared point list."""
 
     vertex_indices: tuple[int, ...]
-    circumcenter: np.ndarray
-    circumradius: float
 
 
 @dataclass(frozen=True)
 class Triangulation:
-    """A simplex tiling of the convex hull of a point set."""
+    """A simplex tiling of the convex hull of a point set.
+
+    ``W`` (P, n+1, n) and ``c`` (P, n+1) hold the barycentric maps
+    theta_j(x) = W[j] x + c[j] of the P simplices, built once here.
+    """
 
     points: np.ndarray
     simplices: tuple[Simplex, ...]
     kind: str = "delaunay"
+    W: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        maps = [barycentric_map(self.vertices_of(j)) for j in range(len(self.simplices))]
+        object.__setattr__(self, "W", np.stack([W for W, _ in maps]))
+        object.__setattr__(self, "c", np.stack([c for _, c in maps]))
 
     @property
     def n(self) -> int:
@@ -111,48 +109,27 @@ class Triangulation:
     def vertices_of(self, j: int) -> np.ndarray:
         return self.points[list(self.simplices[j].vertex_indices)]
 
+    def worst_coordinates(self, xi: np.ndarray) -> np.ndarray:
+        """Smallest barycentric coordinate of xi in each simplex, shape (P,)."""
+        return (self.W @ np.asarray(xi, dtype=float) + self.c).min(axis=1)
+
 
 def triangulation_from_simplices(
     points: np.ndarray, simplices: Sequence[Sequence[int]], kind: str = "user"
 ) -> Triangulation:
-    """Wrap user-supplied simplex index sets (circumspheres computed here)."""
+    """Wrap user-supplied simplex index sets (degenerate simplices are rejected)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = []
-    for idx in simplices:
-        idx = tuple(sorted(int(i) for i in idx))
-        center, radius = circumsphere(points[list(idx)])
-        out.append(Simplex(vertex_indices=idx, circumcenter=center, circumradius=radius))
-    return Triangulation(points=points, simplices=tuple(out), kind=kind)
-
-
-def _interiors_intersect(W1, c1, W2, c2, scale: float) -> bool:
-    """LP: do two simplices share an interior point?
-
-    Maximizes the joint barycentric margin t subject to theta(x) >= t for
-    both simplices; the interiors intersect iff the optimal margin is
-    positive.  Simplices that merely share a face reach t = 0, which stays
-    below the threshold regardless of solver tolerances.
-    """
-    n = W1.shape[1]
-    A_ub = np.hstack([np.vstack([-W1, -W2]), np.ones((W1.shape[0] + W2.shape[0], 1))])
-    b_ub = np.concatenate([c1, c2])
-    res = linprog(
-        c=np.concatenate([np.zeros(n), [-1.0]]),  # maximize the margin
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=[(-10.0 * scale, 10.0 * scale)] * n + [(-1.0, 1.0)],
-        method="highs",
-    )
-    return res.status == 0 and res.x is not None and res.x[-1] > 1e-7
+    out = tuple(Simplex(tuple(sorted(int(i) for i in idx))) for idx in simplices)
+    return Triangulation(points=points, simplices=out, kind=kind)
 
 
 def delaunay(points: np.ndarray) -> Triangulation:
-    """Brute-force Delaunay triangulation of a small point set.
+    """Delaunay triangulation of a point set, by Qhull.
 
-    Every returned simplex has an empty open circumsphere.  When n+2 or more
-    points are cospherical the triangulation is not unique; candidates are
-    assembled in lexicographic vertex order, so the lexicographically smallest
-    compatible choice wins.
+    Every returned simplex has an empty open circumsphere.  Vertex indices are
+    sorted within each simplex and the simplices are sorted lexicographically.
+    When n+2 or more points are cospherical the triangulation is not unique;
+    Qhull's choice is kept, and two calls on the same points agree.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     M, n = points.shape
@@ -160,65 +137,15 @@ def delaunay(points: np.ndarray) -> Triangulation:
         raise DegenerateGeometryError(f"need at least n+1 = {n + 1} points, got {M}")
     if np.linalg.matrix_rank(points[1:] - points[0]) < n:
         raise DegenerateGeometryError("all points lie on a common hyperplane")
-
-    scale = max(1.0, float(np.abs(points).max()))
-    candidates = []
-    for combo in combinations(range(M), n + 1):
-        verts = points[list(combo)]
-        try:
-            center, radius = circumsphere(verts)
-        except DegenerateGeometryError:
-            continue
-        others = [i for i in range(M) if i not in combo]
-        if others:
-            d = np.linalg.norm(points[others] - center, axis=1)
-            if np.any(d < radius - SPHERE_TOL * max(1.0, radius)):
-                continue
-        candidates.append(Simplex(vertex_indices=combo, circumcenter=center, circumradius=radius))
-    if not candidates:
-        raise DegenerateGeometryError("no empty-circumsphere simplex found")
-
-    # Candidates with distinct circumspheres never overlap: each one
-    # triangulates a different cell of the Delaunay complex.  The LP overlap
-    # test is only needed inside cospherical clusters (shared circumsphere),
-    # where alternative tilings of one cell compete.
-    def same_sphere(a: Simplex, b: Simplex) -> bool:
-        return (
-            np.linalg.norm(a.circumcenter - b.circumcenter) <= 1e-7 * scale
-            and abs(a.circumradius - b.circumradius) <= 1e-7 * scale
-        )
-
-    general_position = all(
-        not same_sphere(candidates[i], candidates[j])
-        for i in range(len(candidates))
-        for j in range(i + 1, len(candidates))
-    )
-    if general_position:
-        return Triangulation(points=points, simplices=tuple(candidates), kind="delaunay")
-
-    accepted: list[Simplex] = []
-    maps: list[tuple[np.ndarray, np.ndarray]] = []
-    for cand in candidates:
-        W, c = barycentric_map(points[list(cand.vertex_indices)])
-        clash = False
-        for acc, (Wa, ca) in zip(accepted, maps):
-            if same_sphere(acc, cand) and _interiors_intersect(W, c, Wa, ca, scale):
-                clash = True
-                break
-        if not clash:
-            accepted.append(cand)
-            maps.append((W, c))
-
-    tri = Triangulation(points=points, simplices=tuple(accepted), kind="delaunay")
-    # The union of all candidates is the hull, so every candidate centroid must
-    # land in some accepted simplex; a miss would mean the greedy pass left a gap.
-    for cand in candidates:
-        centroid = points[list(cand.vertex_indices)].mean(axis=0)
-        if locate(tri, centroid) is None:
-            raise DegenerateGeometryError(
-                f"tiling gap at {centroid} while assembling the triangulation"
-            )
-    return tri
+    try:
+        qhull = Delaunay(points)
+    except QhullError as exc:
+        raise DegenerateGeometryError(f"Qhull could not triangulate the points: {exc}") from exc
+    if qhull.coplanar.size:
+        unused = sorted(set(qhull.coplanar[:, 0].tolist()))
+        raise DegenerateGeometryError(f"points {unused} coincide with other points")
+    simplices = sorted(tuple(sorted(int(i) for i in s)) for s in qhull.simplices)
+    return Triangulation(points=points, simplices=tuple(Simplex(s) for s in simplices))
 
 
 def locate(tri: Triangulation, xi: np.ndarray) -> Optional[int]:
@@ -226,55 +153,64 @@ def locate(tri: Triangulation, xi: np.ndarray) -> Optional[int]:
 
     Boundary ties resolve to the lowest simplex index.
     """
-    xi = np.asarray(xi, dtype=float)
-    for j, s in enumerate(tri.simplices):
-        theta = barycentric(tri.points[list(s.vertex_indices)], xi)
-        if np.all(theta >= -LOCATE_TOL):
-            return j
-    return None
+    inside = np.flatnonzero(tri.worst_coordinates(xi) >= -LOCATE_TOL)
+    return int(inside[0]) if inside.size else None
+
+
+def _solve_face(points: np.ndarray, xi: np.ndarray, face: np.ndarray):
+    """Closest point to xi on the affine hull of points[face], and its weights."""
+    base = points[face[0]]
+    D = (points[face[1:]] - base).T
+    lam, *_ = np.linalg.lstsq(D, xi - base, rcond=None)
+    return base + D @ lam, np.concatenate([[1.0 - lam.sum()], lam])
 
 
 def project_to_hull(points: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean projection of xi onto the convex hull of a point set.
 
-    Exhausts all faces (point subsets up to size n+1, enough by Caratheodory),
-    keeps the feasible candidate closest to xi, and certifies optimality with
-    the variational inequality (xi - xi*)^T (y - xi*) <= tol for every vertex y.
-    Returns (xi*, theta) with theta >= 0 over all points and sum(theta) = 1.
+    One NNLS solve over the convex weights, with a heavily weighted row of ones
+    for sum(theta) = 1, gives a first face (the support of its weights).  The
+    penalised sum row can leave that face off by a vertex whose weight or
+    multiplier is tiny, so the face is then made exact by Wolfe's active-set
+    steps: the face is solved exactly by least squares; a vertex whose weight
+    comes out below -1e-10 leaves the face, and a vertex that breaks the
+    variational inequality (xi - xi*)^T (y - xi*) <= tol enters it.  Returns
+    (xi*, theta) with theta >= 0 over all points and sum(theta) = 1.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     xi = np.asarray(xi, dtype=float)
-    M, n = points.shape
+    M = points.shape[0]
     scale = max(1.0, float(np.abs(points).max()), float(np.abs(xi).max()))
-
-    best = None  # (dist, xi_star, theta)
-    for size in range(1, min(M, n + 1) + 1):
-        for combo in combinations(range(M), size):
-            base = points[combo[0]]
-            if size == 1:
-                y, lam = base, np.zeros(0)
-            else:
-                D = (points[list(combo[1:])] - base).T
-                lam, *_ = np.linalg.lstsq(D, xi - base, rcond=None)
-                y = base + D @ lam
-            theta_sub = np.concatenate([[1.0 - lam.sum()], lam])
-            if np.any(theta_sub < -1e-10):
-                continue
-            dist = float(np.linalg.norm(xi - y))
-            if best is None or dist < best[0] - 1e-14:
-                theta = np.zeros(M)
-                theta[list(combo)] = theta_sub
-                best = (dist, y, theta)
-    assert best is not None  # size-1 subsets always feasible
-    dist, xi_star, theta = best
-    if dist <= 1e-12 * scale:
-        return xi.copy(), theta
-    gaps = (points - xi_star) @ (xi - xi_star)
-    if np.any(gaps > 1e-9 * scale * scale):
-        raise RuntimeError(
-            f"projection of {xi} failed its optimality certificate (gap {gaps.max():.3e})"
-        )
-    return xi_star, theta
+    w = SUM_WEIGHT * scale
+    weights, _ = nnls(np.vstack([points.T, np.full(M, w)]), np.append(xi, w))
+    # Feasible weights supported on the face; Wolfe's steps keep them so.
+    current = weights / weights.sum()
+    in_face = current > 0.0
+    for _ in range(4 * M + 4):
+        face = np.flatnonzero(in_face)
+        xi_star, theta_face = _solve_face(points, xi, face)
+        theta = np.zeros(M)
+        theta[face] = theta_face
+        if np.any(theta_face < -1e-10):
+            # Walk from the feasible weights toward theta until the first
+            # weight reaches zero; that vertex leaves the face.
+            neg = face[theta_face < 0.0]
+            ratios = current[neg] / (current[neg] - theta[neg])
+            k = int(np.argmin(ratios))
+            current = np.maximum(current + ratios[k] * (theta - current), 0.0)
+            in_face[neg[k]] = False
+            continue
+        if float(np.linalg.norm(xi - xi_star)) <= 1e-12 * scale:
+            return xi.copy(), theta
+        gaps = (points - xi_star) @ (xi - xi_star)
+        j = int(np.argmax(gaps))
+        if gaps[j] <= 1e-9 * scale * scale:
+            return xi_star, theta
+        if in_face[j]:
+            break
+        current = np.maximum(theta, 0.0)
+        in_face[j] = True
+    raise RuntimeError(f"projection of {xi} did not converge to a certified face")
 
 
 def pl_interpolate(

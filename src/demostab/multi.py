@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .demos import DemonstrationSet, demo_set_from_dict, demo_set_to_dict
-from .errors import DegenerateGeometryError
 from .geometry import (
+    LOCATE_TOL,
     Triangulation,
     barycentric,
     delaunay,
@@ -32,17 +32,13 @@ def _locate_nearest(tri: Triangulation, xi: np.ndarray) -> int:
 
     Projected points can sit a rounding error outside every simplex; the
     simplex whose worst barycentric coordinate is largest is then the right
-    owner.  Ties resolve to the lowest index.
+    owner.  Ties (within 1e-12) resolve to the lowest index.
     """
-    best_j, best_worst = 0, -np.inf
-    for j, s in enumerate(tri.simplices):
-        theta = barycentric(tri.points[list(s.vertex_indices)], xi)
-        worst = float(theta.min())
-        if worst >= -1e-9:
-            return j
-        if worst > best_worst + 1e-12:
-            best_j, best_worst = j, worst
-    return best_j
+    worst = tri.worst_coordinates(xi)
+    inside = np.flatnonzero(worst >= -LOCATE_TOL)
+    if inside.size:
+        return int(inside[0])
+    return int(np.flatnonzero(worst >= worst.max() - 1e-12)[0])
 
 
 class MultiController(IntervalController):
@@ -133,8 +129,6 @@ def select_index_set(ctrl: MultiController, z_pT: np.ndarray) -> tuple[tuple[int
     combination of its vertices, so coefficients may be negative.
     """
     z_pT = np.asarray(z_pT, dtype=float)
-    if ctrl.tri.points.shape[0] == ctrl.n:  # hull would be lower-dimensional
-        raise DegenerateGeometryError("too few demonstration starts to form a hull")
     j = ctrl._select_simplex(z_pT)
     idx = ctrl.tri.simplices[j].vertex_indices
     theta = barycentric(ctrl.tri.points[list(idx)], z_pT)

@@ -12,6 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
+from demostab.errors import DegenerateGeometryError
+
 # ---------------------------------------------------------------------------
 # Double-integrator LQR fixture: A = [[0,1],[0,0]], B = [0,1]^T, K = [1,2].
 # The closed-loop matrix [[0,1],[-1,-2]] has the double eigenvalue -1 and
@@ -93,6 +95,82 @@ def empty_circumsphere_violations(points: np.ndarray, simplices) -> int:
             if np.linalg.norm(points[i] - center) < radius - 1e-9 * max(1.0, radius):
                 bad += 1
     return bad
+
+
+# ---------------------------------------------------------------------------
+# n-D geometry by brute force: circumspheres, empty-circumsphere Delaunay
+# enumeration and hull projection over every face.
+# ---------------------------------------------------------------------------
+
+
+def circumsphere(vertices: np.ndarray) -> tuple[np.ndarray, float]:
+    """Circumcenter and circumradius of n+1 affinely independent points in R^n.
+
+    The center solves the linear system of equidistance conditions
+    2 (v_i - v_0)^T c = |v_i|^2 - |v_0|^2.
+    """
+    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    n = V.shape[1]
+    if V.shape[0] != n + 1:
+        raise ValueError(f"need n+1 = {n + 1} vertices in R^{n}, got {V.shape[0]}")
+    D = V[1:] - V[0]
+    rhs = 0.5 * (np.sum(V[1:] ** 2, axis=1) - np.sum(V[0] ** 2))
+    scale = max(1.0, float(np.abs(V).max()))
+    if np.linalg.matrix_rank(D) < n or np.linalg.cond(D) > 1e12 * scale:
+        raise DegenerateGeometryError(f"affinely dependent vertices: {V}")
+    center = np.linalg.solve(D, rhs)
+    return center, float(np.linalg.norm(center - V[0]))
+
+
+def delaunay_brute_force(points: np.ndarray, margin: float = 1e-6):
+    """Sorted Delaunay simplices of a point set in general position, or None.
+
+    Every (n+1)-subset is kept when no other point lies inside its
+    circumsphere.  In general position that enumeration is the triangulation;
+    when some point lies within ``margin`` (relative) of a candidate sphere, or
+    a subset is nearly flat, the set is too close to a tie and None is
+    returned.
+    """
+    points = np.asarray(points, dtype=float)
+    M, n = points.shape
+    out = []
+    for combo in combinations(range(M), n + 1):
+        try:
+            center, radius = circumsphere(points[list(combo)])
+        except DegenerateGeometryError:
+            return None
+        others = np.delete(points, combo, axis=0)
+        d = np.linalg.norm(others - center, axis=1)
+        if np.any(np.abs(d - radius) <= margin * max(1.0, radius)):
+            return None
+        if not np.any(d < radius):
+            out.append(combo)
+    return out
+
+
+def project_to_hull_brute_force(points: np.ndarray, xi: np.ndarray):
+    """Closest point to xi over every face of up to n+1 points (Caratheodory).
+
+    Returns (point, theta) with theta the convex weights over all points.
+    """
+    points = np.asarray(points, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    M, n = points.shape
+    best, best_dist = None, np.inf
+    for size in range(1, min(M, n + 1) + 1):
+        for combo in combinations(range(M), size):
+            base = points[combo[0]]
+            D = (points[list(combo[1:])] - base).T
+            lam = np.linalg.lstsq(D, xi - base, rcond=None)[0] if size > 1 else np.zeros(0)
+            if lam.sum() > 1.0 + 1e-10 or np.any(lam < -1e-10):
+                continue
+            y = base + D @ lam
+            dist = float(np.linalg.norm(xi - y))
+            if dist < best_dist:
+                theta = np.zeros(M)
+                theta[list(combo)] = np.concatenate([[1.0 - lam.sum()], lam])
+                best, best_dist = (y, theta), dist
+    return best
 
 
 def triangle_area(a, b, c) -> float:

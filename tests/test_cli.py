@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from demostab.cli import (
     EXIT_CERTIFICATION,
     EXIT_DIVERGENCE,
@@ -92,6 +94,22 @@ def test_usage_errors(tmp_path):
 def test_non_numeric_horizon_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "config.json", T="abc")
     assert main(["demos", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"t_tilde_grid": [1.0, "x"]},
+    {"simulate": {"x0": [0.5, 0.5], "duration": "abc"}},
+    {"track": {"f": "abc"}},
+    {"track": {"duration": "abc"}},
+    {"track": {"axis": "x"}},
+    {"initial_conditions": [[1.0], [0.0, 1.0]]},
+], ids=["t_tilde_grid", "simulate.duration", "track.f", "track.duration", "track.axis",
+        "ragged_initial_conditions"])
+def test_malformed_config_value_is_usage_error(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path / "config.json", **overrides)
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
 

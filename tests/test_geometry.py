@@ -4,19 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
+    circumsphere,
+    delaunay_brute_force,
     empty_circumsphere_violations,
     enumerate_triangulations_2d,
     hull_area_2d,
     max_interp_error_2d,
+    project_to_hull_brute_force,
 )
 
 from demostab.errors import DegenerateGeometryError
 from demostab.geometry import (
     barycentric,
-    circumsphere,
     delaunay,
     locate,
     pl_interpolate,
@@ -85,12 +88,22 @@ def test_delaunay_rejects_hyperplane_points():
         delaunay(pts)
 
 
+def test_delaunay_rejects_coincident_points():
+    # Qhull would leave the repeated point out of every simplex.
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DegenerateGeometryError):
+        delaunay(pts)
+
+
 def test_delaunay_cocircular_square_deterministic():
-    # All four corners lie on one circle; the lexicographic tie-break keeps
-    # the diagonal through vertex 0.
+    # All four corners lie on one circle, so both diagonals are Delaunay.  The
+    # documented policy is Qhull's choice after sorting: the diagonal 0-3.
     unit_square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     tri = delaunay(unit_square)
-    assert {s.vertex_indices for s in tri.simplices} == {(0, 1, 2), (1, 2, 3)}
+    simplices = [s.vertex_indices for s in tri.simplices]
+    assert simplices == [(0, 1, 3), (0, 2, 3)]
+    assert [s.vertex_indices for s in delaunay(unit_square).simplices] == simplices
+    assert empty_circumsphere_violations(unit_square, simplices) == 0
 
 
 def test_delaunay_empty_circumsphere_random_sets():
@@ -170,6 +183,22 @@ def test_project_square_far_corner_hits_vertex():
     assert_allclose(xi_star, [0.9, 0.9], atol=1e-10)
 
 
+@pytest.mark.parametrize("offset", [-1e-7, 1e-7, -1e-9, 1e-9, 3e-8])
+def test_project_next_to_normal_cone_boundary(offset):
+    # xi = (2, 1 + offset) lies next to the boundary between the normal cones
+    # of the vertex (1, 0) and of the edge (1, 0)-(0, 1).  The exact
+    # projection is (1 - t, t) with t = max(offset, 0) / 2; a penalised
+    # sum-to-one row alone picks the wrong face within about 1e-7 of it.
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    xi = np.array([2.0, 1.0 + offset])
+    xi_star, theta = project_to_hull(pts, xi)
+    t = max(xi[1] - 1.0, 0.0) / 2.0
+    assert_allclose(xi_star, [1.0 - t, t], rtol=0, atol=1e-15)
+    assert_allclose(theta, [0.0, 1.0 - t, t], rtol=0, atol=1e-15)
+    if offset < 0:
+        assert np.array_equal(xi_star, project_to_hull_brute_force(pts, xi)[0])
+
+
 def test_projection_kkt_certificate_random():
     rng = np.random.default_rng(4)
     for _ in range(25):
@@ -238,3 +267,61 @@ def test_delaunay_minimizes_quadratic_interp_error_small():
     dt_simplices = [s.vertex_indices for s in delaunay(pts).simplices]
     dt_err = max_interp_error_2d(pts, values, dt_simplices, psi, grid_pts)
     assert dt_err <= min(errors) + 1e-9
+
+
+def general_position_set(seed: int, n: int, M: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal((M, n))
+
+
+point_sets = st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.integers(0, 2**32 - 1), st.just(n), st.integers(n + 1, 12))
+)
+
+
+@given(args=point_sets)
+def test_delaunay_matches_brute_force_oracle(args):
+    pts = general_position_set(*args)
+    expected = delaunay_brute_force(pts)
+    assume(expected is not None)
+    assert [s.vertex_indices for s in delaunay(pts).simplices] == expected
+
+
+@given(args=point_sets, radius=st.floats(0.0, 4.0))
+def test_project_to_hull_matches_brute_force_oracle(args, radius):
+    seed, n, M = args
+    pts = general_position_set(seed, n, M)
+    direction = np.random.default_rng(seed + 1).standard_normal(n)
+    xi = radius * np.abs(pts).max() * direction / np.linalg.norm(direction)
+    xi_star, theta = project_to_hull(pts, xi)
+    scale = max(1.0, float(np.abs(pts).max()), float(np.abs(xi).max()))
+    assert np.linalg.norm(xi_star - project_to_hull_brute_force(pts, xi)[0]) <= 1e-12 * scale
+    assert np.all(theta >= 0.0)
+    assert abs(theta.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(args=point_sets, pick=st.integers(0, 2**16),
+       eps=st.sampled_from([1e-6, 1e-7, 1e-8, 1e-9, 0.0, -1e-9, -1e-8, -1e-7, -1e-6]))
+def test_project_to_hull_next_to_face_boundaries(args, pick, eps):
+    # Slide the foot of a projection onto the boundary of its face (weight k
+    # set to zero), keep the normal offset, then step eps back toward or
+    # away from vertex k: xi then sits within eps of a normal-cone boundary.
+    seed, n, M = args
+    pts = general_position_set(seed, n, M)
+    direction = np.random.default_rng(seed + 1).standard_normal(n)
+    far = 3.0 * np.abs(pts).max() * direction / np.linalg.norm(direction)
+    foot, weights = project_to_hull_brute_force(pts, far)
+    face = np.flatnonzero(weights > 1e-9)
+    assume(face.size >= 2)
+    k = face[pick % face.size]
+    rest = np.where(np.arange(M) == k, 0.0, np.maximum(weights, 0.0))
+    corner = (rest / rest.sum()) @ pts
+    xi = corner + (far - foot) + eps * (pts[k] - corner)
+    xi_star, theta = project_to_hull(pts, xi)
+    scale = max(1.0, float(np.abs(pts).max()), float(np.abs(xi).max()))
+    assert theta.min() >= -1e-10
+    assert abs(theta.sum() - 1.0) <= 1e-10
+    assert np.linalg.norm(theta @ pts - xi_star) <= 1e-9 * scale
+    assert ((pts - xi_star) @ (xi - xi_star)).max() <= 1e-9 * scale * scale
+    best, _ = project_to_hull_brute_force(pts, xi)
+    assert np.linalg.norm(xi - xi_star) <= np.linalg.norm(xi - best) + 1e-12 * scale
