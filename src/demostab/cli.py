@@ -54,6 +54,23 @@ def _number(what: str, value) -> float:
         raise _UsageError(f"{what} must be a number, got {value!r}") from exc
 
 
+def _vector(what: str, value, n: int) -> np.ndarray:
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"{what} must be numbers, got {value!r}") from exc
+    if x.shape != (n,):
+        raise _UsageError(f"{what} must have {n} entries, got {value!r}")
+    return x
+
+
+def _section(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise _UsageError(f"{key} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def _preset_kind(name: str) -> str:
     if name.startswith("chain") or name == "flat_quad_axis":
         return _CHAIN_KIND
@@ -66,10 +83,11 @@ def _preset_kind(name: str) -> str:
 
 def _chain_plant(name: str):
     if name == "flat_quad_axis":
-        plant = chain_preset(3)
-        return plant
-    n = int(name.removeprefix("chain"))
-    return chain_preset(n)
+        return chain_preset(3)
+    try:
+        return chain_preset(int(name.removeprefix("chain")))
+    except ValueError as exc:
+        raise _UsageError(f"unknown preset {name!r}") from exc
 
 
 class RunConfig:
@@ -91,18 +109,20 @@ class RunConfig:
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise _UsageError(f"T={self.T} must be an integer multiple of dt={self.dt}")
-        self.preset_params = dict(data.get("preset_params", {}))
-        self.expert_params = dict(data.get("expert", {}))
+        self.preset_params = _section(data, "preset_params")
+        self.expert_params = _section(data, "expert")
         self.multi = bool(data.get("multi", False))
         self.feedback = data.get("feedback", "closed_loop")
         if self.feedback not in ("closed_loop", "open_loop"):
             raise _UsageError(f"feedback must be closed_loop or open_loop, got {self.feedback!r}")
-        self.t_tilde_grid = [_number("t_tilde_grid entry", t)
-                             for t in data.get("t_tilde_grid", [])]
-        self.simulate = dict(data.get("simulate", {}))
+        grid = data.get("t_tilde_grid", [])
+        if not isinstance(grid, list):
+            raise _UsageError(f"t_tilde_grid must be a list of numbers, got {grid!r}")
+        self.t_tilde_grid = [_number("t_tilde_grid entry", t) for t in grid]
+        self.simulate = _section(data, "simulate")
         if "duration" in self.simulate:
             self.simulate["duration"] = _number("simulate.duration", self.simulate["duration"])
-        self.track = dict(data.get("track", {}))
+        self.track = _section(data, "track")
         for key in ("f", "duration"):
             if key in self.track:
                 self.track[key] = _number(f"track.{key}", self.track[key])
@@ -113,21 +133,32 @@ class RunConfig:
         ics = data.get("initial_conditions", "default")
         self.initial_conditions = ics
 
-    def expert_QR(self, n: int, default_Q=None, default_R=None):
+    def expert_QR(self, default_Q: np.ndarray, default_R: float) -> tuple[np.ndarray, float]:
+        """Expert LQR weights: Q (a diagonal or a full n x n matrix) and scalar R."""
+        n = len(default_Q)
         Q = self.expert_params.get("Q")
-        R = self.expert_params.get("R")
         if Q is None:
-            Q = default_Q if default_Q is not None else np.eye(n)
+            Q = default_Q
         else:
-            Q = np.asarray(Q, dtype=float)
+            try:
+                Q = np.asarray(Q, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise _UsageError(f"expert.Q must be numbers, got {Q!r}") from exc
             if Q.ndim == 1:
                 Q = np.diag(Q)
-        R = float(R) if R is not None else (default_R if default_R is not None else 1.0)
+            if Q.shape != (n, n):
+                raise _UsageError(f"expert.Q must be {n} diagonal entries or {n}x{n}, "
+                                  f"got shape {Q.shape}")
+        R = self.expert_params.get("R")
+        R = default_R if R is None else _number("expert.R", R)
         return Q, R
 
     def ics(self, default: list) -> list:
         if self.initial_conditions == "default":
             return [np.asarray(ic, dtype=float) for ic in default]
+        if not isinstance(self.initial_conditions, list):
+            raise _UsageError("initial_conditions must be \"default\" or a list of states, "
+                              f"got {self.initial_conditions!r}")
         n = len(default[0])
         out = []
         for k, ic in enumerate(self.initial_conditions):
@@ -182,35 +213,20 @@ def _trajectory_tables(traj: Trajectory, state_prefix: str = "z"):
 # ---------------------------------------------------------------------------
 
 
-def _record_one_chain(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    preset, params, expert_params, ic, T, dt = args
+def _plant_and_expert(preset: str, params: dict, Q: np.ndarray, R: float):
+    if preset == "ball_beam":
+        plant = systems.ball_beam_plant(params.get("b_bar", systems.BALL_BEAM_B),
+                                        params.get("g_bar", systems.BALL_BEAM_G))
+        return plant, systems.ball_beam_expert(plant, Q=Q, R=R)
     plant = _chain_plant(preset)
-    cfg_Q = expert_params.get("Q")
-    Q = np.diag(cfg_Q) if cfg_Q is not None and np.ndim(cfg_Q) == 1 else (
-        np.asarray(cfg_Q, dtype=float) if cfg_Q is not None else np.eye(plant.n))
-    R = float(expert_params.get("R", 1.0))
-    expert = expert_lqr(plant, Q, R)
-    u_of_x = expert.state_feedback(plant)
-    from .sim import simulate_closed_loop
-
-    traj = simulate_closed_loop(plant, lambda t, x: u_of_x(x), np.asarray(ic, dtype=float), T, dt)
-    return traj.times, traj.states, traj.inputs
+    return plant, expert_lqr(plant, Q, R)
 
 
-def _record_one_ball_beam(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    preset, params, expert_params, ic, T, dt = args
-    plant = systems.ball_beam_plant(
-        params.get("b_bar", systems.BALL_BEAM_B), params.get("g_bar", systems.BALL_BEAM_G)
-    )
-    Q = expert_params.get("Q")
-    Q = np.diag(Q) if Q is not None and np.ndim(Q) == 1 else (
-        np.asarray(Q, dtype=float) if Q is not None else None)
-    R = float(expert_params.get("R", 0.1))
-    expert = systems.ball_beam_expert(plant, Q=Q, R=R)
-    u_of_x = expert.state_feedback(plant)
-    from .sim import simulate_closed_loop
-
-    traj = simulate_closed_loop(plant, lambda t, x: u_of_x(x), np.asarray(ic, dtype=float), T, dt)
+def _record_one(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One expert run; module level and fed plain data, so a process pool can run it."""
+    preset, params, Q, R, x0, T, dt = args
+    plant, expert = _plant_and_expert(preset, params, Q, R)
+    traj = demos_mod.record_run(plant, expert, x0, T, dt)
     return traj.times, traj.states, traj.inputs
 
 
@@ -226,42 +242,43 @@ def _record_parallel(worker, argses, jobs: int) -> list[Trajectory]:
 def _build_demo_set(cfg: RunConfig, jobs: int = 1):
     """Returns (DemonstrationSet, embedded demos or None)."""
     if cfg.kind == _FLAT3D_KIND:
-        Q, R = cfg.expert_QR(9, default_Q=40.0 * np.eye(9), default_R=1.0)
+        Q, R = cfg.expert_QR(40.0 * np.eye(9), 1.0)
         q = float(Q[0, 0])
         dset = systems.flat_quad_demo_set(T=cfg.T, dt=cfg.dt, q=q, r=R)
         return dset, None
 
     if cfg.kind == _CHAIN_KIND:
         plant = _chain_plant(cfg.preset)
-        default_ics = list(np.eye(plant.n))
-        ics = cfg.ics(default_ics)
-        argses = [(cfg.preset, cfg.preset_params, cfg.expert_params, ic, cfg.T, cfg.dt)
-                  for ic in [np.zeros(plant.n)] + ics]
-        raw = _record_parallel(_record_one_chain, argses, jobs)
+        Q, R = cfg.expert_QR(np.eye(plant.n), 1.0)
+        ics = cfg.ics(list(np.eye(plant.n)))
+    else:
+        plant, emb_cfg = _embedding_of(cfg)
+        Q, R = cfg.expert_QR(np.diag(systems.BALL_BEAM_Q), systems.BALL_BEAM_R)
+        ics = cfg.ics([np.asarray(ic) for ic in systems.BALL_BEAM_ICS])
+        xi0 = _vector("preset_params.xi0", cfg.preset_params.get("xi0", np.zeros(plant.n - 1)),
+                      plant.n - 1)
+    try:
+        _plant_and_expert(cfg.preset, cfg.preset_params, Q, R)
+    except ValueError as exc:
+        raise _UsageError(f"expert: {exc}") from exc
+    argses = [(cfg.preset, cfg.preset_params, Q, R, ic, cfg.T, cfg.dt)
+              for ic in [np.zeros(plant.n)] + ics]
+    raw = _record_parallel(_record_one, argses, jobs)
+    if cfg.kind == _CHAIN_KIND:
         return demos_mod.to_zv(plant, raw), None
-
-    # ball and beam
-    plant, emb_cfg = systems.ball_beam_preset(
-        cfg.preset_params.get("b_bar", systems.BALL_BEAM_B),
-        cfg.preset_params.get("g_bar", systems.BALL_BEAM_G),
-        cfg.preset_params.get("w", systems.BALL_BEAM_W),
-    )
-    ics = cfg.ics([np.asarray(ic) for ic in systems.BALL_BEAM_ICS])
-    argses = [(cfg.preset, cfg.preset_params, cfg.expert_params, ic, cfg.T, cfg.dt)
-              for ic in [np.zeros(4)] + ics]
-    raw = _record_parallel(_record_one_ball_beam, argses, jobs)
-    xi0 = np.asarray(cfg.preset_params.get("xi0", np.zeros(plant.n - 1)), dtype=float)
     embedded = embed_mod.transform_demos(emb_cfg, raw, xi0)
     return embed_mod.embedded_to_demo_set(embedded), embedded
 
 
 def _embedding_of(cfg: RunConfig):
-    _, emb_cfg = systems.ball_beam_preset(
-        cfg.preset_params.get("b_bar", systems.BALL_BEAM_B),
-        cfg.preset_params.get("g_bar", systems.BALL_BEAM_G),
-        cfg.preset_params.get("w", systems.BALL_BEAM_W),
-    )
-    return emb_cfg
+    """(plant, embedding) of the ball-beam preset with the configured parameters."""
+    params = cfg.preset_params
+    try:
+        return systems.ball_beam_preset(params.get("b_bar", systems.BALL_BEAM_B),
+                                        params.get("g_bar", systems.BALL_BEAM_G),
+                                        params.get("w", systems.BALL_BEAM_W))
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"preset_params: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +299,7 @@ def cmd_demos(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
     if embedded is not None:
         payload = {
             "n": dset.n,
-            "w": list(_embedding_of(cfg).w),
+            "w": list(_embedding_of(cfg)[1].w),
             "T": dset.T,
             "dt": dset.dt,
             "demos": [
@@ -380,9 +397,10 @@ def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:
 
     try:
         if cfg.kind == _EMBED_KIND:
-            emb_cfg = _embedding_of(cfg)
-            x0 = np.asarray(cfg.simulate.get("x0", [6.0, 0.0, 0.345, 0.0]), dtype=float)
-            xi0 = np.asarray(cfg.simulate.get("xi0", np.zeros(emb_cfg.n - 1)), dtype=float)
+            _, emb_cfg = _embedding_of(cfg)
+            n = emb_cfg.n
+            x0 = _vector("simulate.x0", cfg.simulate.get("x0", [6.0, 0.0, 0.345, 0.0]), n)
+            xi0 = _vector("simulate.xi0", cfg.simulate.get("xi0", np.zeros(n - 1)), n - 1)
             traj = embed_mod.simulate_embedded_closed_loop(
                 emb_cfg, ctrl, x0, xi0, duration, cfg.dt
             )
@@ -396,7 +414,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:
             norms = np.linalg.norm(traj.x, axis=1)
             times = traj.times
         else:
-            z0 = np.asarray(cfg.simulate.get("x0", np.zeros(ctrl.n)), dtype=float)
+            z0 = _vector("simulate.x0", cfg.simulate.get("x0", np.zeros(ctrl.n)), ctrl.n)
             traj = simulate_chain_closed_loop(ctrl, z0, duration, cfg.dt)
             header, cols = _trajectory_tables(traj)
             _write_csv(out / "trajectory.csv", header, cols)
@@ -444,7 +462,7 @@ def cmd_track(cfg: RunConfig, out: Path, force: bool = False) -> int:
         if ctrl.n != 3:
             print("track: the axis reference needs a 3-state chain", file=sys.stderr)
             return EXIT_USAGE
-    z0 = np.asarray(cfg.track.get("z0", np.zeros(ctrl.n)), dtype=float)
+    z0 = _vector("track.z0", cfg.track.get("z0", np.zeros(ctrl.n)), ctrl.n)
 
     try:
         res = systems.simulate_tracking(ctrl, ref, z0, duration, cfg.dt)

@@ -141,6 +141,19 @@ class DemonstrationSet:
         return np.stack([d.z[0] for d in self.demos])
 
 
+def record_run(
+    plant: PlantModel, expert: ExpertController, x0: np.ndarray, T: float, dt: float
+) -> Trajectory:
+    """One closed-loop expert run from x0; a failure carries a note naming x0."""
+    x0 = np.asarray(x0, dtype=float)
+    u_of_x = expert.state_feedback(plant)
+    try:
+        return simulate_closed_loop(plant, lambda t, x: u_of_x(x), x0, T, dt)
+    except Exception as exc:
+        exc.add_note(f"recording from x0={x0} failed")
+        raise
+
+
 def record_expert(
     plant: PlantModel,
     expert: ExpertController,
@@ -153,16 +166,7 @@ def record_expert(
     The trivial solution (from x0 = 0) is always included as the first entry,
     so the result has len(x0s) + 1 trajectories.
     """
-    u_of_x = expert.state_feedback(plant)
-    controller = lambda t, x: u_of_x(x)
-    raw = []
-    for x0 in [np.zeros(plant.n)] + [np.asarray(x, dtype=float) for x in x0s]:
-        try:
-            raw.append(simulate_closed_loop(plant, controller, x0, T, dt))
-        except Exception as exc:
-            exc.add_note(f"recording from x0={x0} failed")
-            raise
-    return raw
+    return [record_run(plant, expert, x0, T, dt) for x0 in [np.zeros(plant.n), *x0s]]
 
 
 def to_zv(plant: PlantModel, raw: Sequence[Trajectory]) -> DemonstrationSet:

@@ -21,14 +21,14 @@ v = r u - s; the chain learner then applies unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import SingularEmbeddingError
 from .plant import PlantModel
-from .sim import Trajectory, rk4
+from .sim import HalfGrid, Trajectory, rk4
 
 # |r(x)| at or below this is a singular embedding.
 R_TOL = 1e-6
@@ -76,20 +76,45 @@ class EmbeddingConfig:
     """Plant plus the w-coefficients of the auxiliary companion dynamics.
 
     Construction enforces that the companion matrix built from w is Hurwitz
-    (the unforced auxiliary dynamics must decay on their own).
+    (the unforced auxiliary dynamics must decay on their own) and keeps that
+    matrix, read-only, as A_xi.  Every term of the embedding is linear in
+    q = (lf, lg, xi), where lf = [L_f^k h]_{k=0..n} and lg = [L_g L_f^k h]_{k=0..n-1}:
+
+        z = lf[:n] + [I; -w] xi,   r = lg[n-1] + w . lg[:n-1],
+        s = -lf[n] + (A_xi^T w) . xi,
+
+    and the auxiliary dynamics need A_xi xi and lg[:n-1].  The rows of
+    q_map, built here, stack those five terms, so one product q_map @ q
+    gives all of them.
     """
 
     plant: PlantModel
     w: tuple[float, ...]
+    A_xi: np.ndarray = field(init=False, repr=False, compare=False)
+    q_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(float(v) for v in self.w))
-        if len(self.w) != self.plant.n - 1:
-            raise ValueError(
-                f"need n-1 = {self.plant.n - 1} coefficients w, got {len(self.w)}"
-            )
-        if not hurwitz(companion_from_coeffs(self.w)):
+        n = self.plant.n
+        if len(self.w) != n - 1:
+            raise ValueError(f"need n-1 = {n - 1} coefficients w, got {len(self.w)}")
+        A = companion_from_coeffs(self.w)
+        if not hurwitz(A):
             raise ValueError(f"companion matrix of w={self.w} is not Hurwitz")
+        w = np.array(self.w)
+        # Columns: lf in 0..n, lg in n+1..2n, xi in 2n+1..3n-1.
+        xi = slice(2 * n + 1, 3 * n)
+        M = np.zeros((3 * n, 3 * n))
+        M[:n, :n] = np.eye(n)                       # z
+        M[:n, xi] = np.vstack([np.eye(n - 1), -w])
+        M[n, n + 1:2 * n + 1] = np.append(w, 1.0)   # r
+        M[n + 1, n] = -1.0                          # s
+        M[n + 1, xi] = A.T @ w
+        M[n + 2:2 * n + 1, xi] = A                  # A_xi xi
+        M[2 * n + 1:, n + 1:2 * n] = np.eye(n - 1)  # lg[:n-1]
+        for name, value in (("A_xi", A), ("q_map", M)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -112,20 +137,33 @@ class ExtendedState:
 
 def a_xi(cfg: EmbeddingConfig) -> np.ndarray:
     """Companion matrix of the auxiliary dynamics (condition A1 checks this)."""
-    return companion_from_coeffs(cfg.w)
+    return cfg.A_xi
+
+
+# The functions below take x shaped (n,) with xi (n-1,), or a batch of states
+# as columns, x (n, k) with xi (n-1, k).
+
+
+def _terms(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray):
+    """(z, r, s, A_xi xi, lg[:n-1]) at (x, xi), evaluating each Lie derivative once."""
+    plant, n = cfg.plant, cfg.n
+    q = np.array([ev(x) for ev in plant.lie_f_h] + [ev(x) for ev in plant.lie_g_lie_f_h]
+                 + list(xi))
+    out = cfg.q_map @ q
+    return out[:n], out[n], out[n + 1], out[n + 2:2 * n + 1], out[2 * n + 1:]
+
+
+def _feedback(r, s, v, x) -> float:
+    if abs(r) <= R_TOL:
+        raise SingularEmbeddingError(f"r(x) = {r:.3e} at x={np.asarray(x)}")
+    return float((s + v) / r)
 
 
 def phi_z(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Chain coordinates of the extended state."""
-    plant, w = cfg.plant, np.asarray(cfg.w)
+    """Chain coordinates of the extended state (one column per state of a batch)."""
     x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    plant.require_in_domain(x)
-    z = np.empty(plant.n)
-    for k in range(plant.n - 1):
-        z[k] = plant.lie_f_h[k](x) + xi[k]
-    z[-1] = plant.lie_f_h[plant.n - 1](x) - float(w @ xi)
-    return z
+    cfg.plant.require_in_domain(x)
+    return _terms(cfg, x, np.asarray(xi, dtype=float))[0]
 
 
 def phi(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,44 +171,29 @@ def phi(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray
     return phi_z(cfg, x, xi), np.asarray(xi, dtype=float).copy()
 
 
-def r_of_x(cfg: EmbeddingConfig, x: np.ndarray) -> float:
+def r_of_x(cfg: EmbeddingConfig, x: np.ndarray):
     """Input coefficient r(x) of the embedded chain's top equation."""
-    plant, w = cfg.plant, cfg.w
     x = np.asarray(x, dtype=float)
-    out = plant.lie_g_lie_f_h[plant.n - 1](x)
-    for j in range(plant.n - 1):
-        out += w[j] * plant.lie_g_lie_f_h[j](x)
-    return float(out)
+    return _terms(cfg, x, np.zeros((cfg.n - 1,) + x.shape[1:]))[1]
 
 
-def s_of_x_xi(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> float:
+def s_of_x_xi(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray):
     """Drift term s(x, xi), chosen so that dz_n/dt = -s + r u."""
-    plant, w = cfg.plant, cfg.w
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    n = plant.n
-    out = -plant.lie_f_h[n](x)
-    for j in range(n - 2):
-        out += w[j] * xi[j + 1]
-    out -= w[n - 2] * float(np.asarray(w) @ xi)
-    return float(out)
+    return _terms(cfg, np.asarray(x, dtype=float), np.asarray(xi, dtype=float))[2]
 
 
-def aux_rhs(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, u: float) -> np.ndarray:
+def aux_rhs(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, u) -> np.ndarray:
     """Auxiliary dynamics dxi/dt = A_xi xi - [L_g L_f^{k-1} h(x)]_k u."""
-    plant = cfg.plant
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    L = np.array([plant.lie_g_lie_f_h[k](x) for k in range(plant.n - 1)])
-    return a_xi(cfg) @ xi - L * float(u)
+    _, _, _, a_xi_xi, gains = _terms(cfg, np.asarray(x, dtype=float),
+                                     np.asarray(xi, dtype=float))
+    return a_xi_xi - gains * u
 
 
 def dynamic_feedback(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, v: float) -> float:
     """Physical input u = (s(x, xi) + v) / r(x) realizing the chain input v."""
-    r = r_of_x(cfg, x)
-    if abs(r) <= R_TOL:
-        raise SingularEmbeddingError(f"r(x) = {r:.3e} at x={np.asarray(x)}")
-    return (s_of_x_xi(cfg, x, xi) + float(v)) / r
+    x = np.asarray(x, dtype=float)
+    _, r, s, _, _ = _terms(cfg, x, np.asarray(xi, dtype=float))
+    return _feedback(r, s, float(v), x)
 
 
 @dataclass(frozen=True)
@@ -194,16 +217,19 @@ def transform_demos(
     (zero by default) driven by the recorded signals, interpolated linearly
     between samples; then z = Phi_z(x, xi) and v = r(x) u - s(x, xi) per
     sample.  A pre-flight scan raises if r(x) comes within tolerance of zero
-    anywhere along a demonstration.
+    anywhere along a demonstration.  Each step is one batched evaluation over
+    the whole recording; the forcing -L(x) u of the auxiliary dynamics is
+    tabulated once at the RK4 stage times (grid points and step midpoints).
     """
     n = cfg.n
     xi0 = np.zeros(n - 1) if xi0 is None else np.asarray(xi0, dtype=float)
     if xi0.shape != (n - 1,):
         raise ValueError(f"xi0 must have shape ({n - 1},)")
-    A = a_xi(cfg)
+    A = cfg.A_xi
     out = []
     for i, traj in enumerate(raw):
-        r_vals = np.array([r_of_x(cfg, x) for x in traj.states])
+        x, u = traj.states.T, traj.inputs
+        r_vals = r_of_x(cfg, x)
         k_bad = int(np.abs(r_vals).argmin())
         if abs(r_vals[k_bad]) <= R_TOL:
             raise SingularEmbeddingError(
@@ -212,19 +238,19 @@ def transform_demos(
                 time=float(traj.times[k_bad]),
             )
 
+        half = HalfGrid(traj.times)
+        x_half = half.interpolate(traj.states).T
+        gains = np.array([ev(x_half) for ev in cfg.plant.lie_g_lie_f_h[:-1]])
+        forcing = (-gains * half.interpolate(u)).T
+
         def xi_rhs(t, xi, _):
-            x_t = traj.state_at(t)
-            u_t = np.interp(t, traj.times, traj.inputs)
-            L = np.array([cfg.plant.lie_g_lie_f_h[k](x_t) for k in range(n - 1)])
-            return A @ xi - L * u_t, 0.0
+            return A @ xi + forcing[half.index(t)], 0.0
 
         _, xi, _ = rk4(xi_rhs, xi0, traj.t0, traj.times[-1], traj.dt)
 
-        z = np.empty((len(traj.times), n))
-        v = np.empty(len(traj.times))
-        for k in range(len(traj.times)):
-            z[k] = phi_z(cfg, traj.states[k], xi[k])
-            v[k] = r_vals[k] * traj.inputs[k] - s_of_x_xi(cfg, traj.states[k], xi[k])
+        cfg.plant.require_in_domain(x)
+        z, _, s, _, _ = _terms(cfg, x, xi.T)
+        z, v = z.T.copy(), r_vals * u - s
         out.append(EmbeddedDemonstration(times=traj.times.copy(), z=z, xi=xi, v=v))
     return out
 
@@ -293,23 +319,17 @@ def a_w_numeric(cfg: EmbeddingConfig, eps: float = 1e-5) -> np.ndarray:
     is a local linearization check, not a proof of the ISS condition.
     """
     n = cfg.n
-    A = a_xi(cfg)
 
     def drift(xi):
         x = invert_phi_z(cfg, np.zeros(n), xi)
-        r = r_of_x(cfg, x)
-        if abs(r) <= R_TOL:
-            raise SingularEmbeddingError(f"r(x) = {r:.3e} during linearization")
-        s = s_of_x_xi(cfg, x, xi)
-        L = np.array([cfg.plant.lie_g_lie_f_h[k](x) for k in range(n - 1)])
-        return A @ xi - L * (s / r)
+        return aux_rhs(cfg, x, xi, dynamic_feedback(cfg, x, xi, 0.0))
 
     J = np.empty((n - 1, n - 1))
     for j in range(n - 1):
         dxi = np.zeros(n - 1)
         dxi[j] = eps
         J[:, j] = (drift(dxi) - drift(-dxi)) / (2.0 * eps)
-    return J - A
+    return J - cfg.A_xi
 
 
 @dataclass(frozen=True)
@@ -335,9 +355,9 @@ def simulate_embedded_closed_loop(
 
     At each RK4 stage the chain state is read off as z = Phi_z(x, xi), the
     learned controller supplies v, and the dynamic feedback turns it into the
-    physical input u = (s + v) / r.  The controller is anchored at interval
-    starts from the committed chain state there; ctrl.T must be a whole
-    multiple of dt.
+    physical input u = (s + v) / r; every Lie derivative is evaluated once
+    per stage.  The controller is anchored at interval starts from the
+    committed chain state there; ctrl.T must be a whole multiple of dt.
     """
     if ctrl.m != 1:
         raise ValueError("the embedding pipeline drives a single-input plant")
@@ -350,9 +370,11 @@ def simulate_embedded_closed_loop(
 
     def rhs(tau, y, anchor):
         x, xi = y[:n], y[n:]
-        v = float(ctrl.eval_in_interval(anchor, min(tau, T), phi_z(cfg, x, xi))[0])
-        u = dynamic_feedback(cfg, x, xi, v)
-        return np.concatenate([plant.rhs(x, u), aux_rhs(cfg, x, xi, u)]), (v, u)
+        plant.require_in_domain(x)
+        z, r, s, a_xi_xi, gains = _terms(cfg, x, xi)
+        v = float(ctrl.eval_in_interval(anchor, min(tau, T), z)[0])
+        u = _feedback(r, s, v, x)
+        return np.concatenate([plant.rhs(x, u), a_xi_xi - gains * u]), (v, u)
 
     times, states, inputs = rk4(
         rhs, np.concatenate([x0, xi0]), 0.0, duration, dt, period=T,

@@ -48,27 +48,6 @@ def barycentric(vertices: np.ndarray, xi: np.ndarray) -> np.ndarray:
         raise DegenerateGeometryError(f"degenerate simplex: {V}") from exc
 
 
-def barycentric_map(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map (W, c) with theta(x) = W x + c for a fixed simplex.
-
-    Raises DegenerateGeometryError when the vertices are (nearly) affinely
-    dependent.
-    """
-    V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    n = V.shape[1]
-    if V.shape[0] != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} vertices in R^{n}, got {V.shape[0]}")
-    A = np.vstack([np.ones(n + 1), V.T])
-    try:
-        Ainv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateGeometryError(f"degenerate simplex: {V}") from exc
-    scale = max(1.0, float(np.abs(V).max()))
-    if np.linalg.cond(V[1:] - V[0]) > 1e12 * scale:
-        raise DegenerateGeometryError(f"nearly affinely dependent vertices: {V}")
-    return Ainv[:, 1:], Ainv[:, 0]
-
-
 def simplex_volume(vertices: np.ndarray) -> float:
     """n-volume |det[v_i - v_0]| / n! of a simplex."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -98,9 +77,23 @@ class Triangulation:
     c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        maps = [barycentric_map(self.vertices_of(j)) for j in range(len(self.simplices))]
-        object.__setattr__(self, "W", np.stack([W for W, _ in maps]))
-        object.__setattr__(self, "c", np.stack([c for _, c in maps]))
+        n = self.n
+        if any(len(s.vertex_indices) != n + 1 for s in self.simplices):
+            raise ValueError(f"every simplex needs n+1 = {n + 1} vertices in R^{n}")
+        V = self.points[[list(s.vertex_indices) for s in self.simplices]]  # (P, n+1, n)
+        # theta = A^{-1} (1, x) with A = [1 ... 1; v_0 ... v_n], for every simplex at once.
+        A = np.concatenate([np.ones((len(V), 1, n + 1)), np.swapaxes(V, 1, 2)], axis=1)
+        try:
+            Ainv = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            j = np.argmin(np.abs(np.linalg.det(A)))
+            raise DegenerateGeometryError(f"degenerate simplex: {V[j]}") from exc
+        scale = np.maximum(1.0, np.abs(V).max(axis=(1, 2)))
+        bad = np.flatnonzero(np.linalg.cond(V[:, 1:] - V[:, :1]) > 1e12 * scale)
+        if bad.size:
+            raise DegenerateGeometryError(f"nearly affinely dependent vertices: {V[bad[0]]}")
+        object.__setattr__(self, "W", np.ascontiguousarray(Ainv[:, :, 1:]))
+        object.__setattr__(self, "c", np.ascontiguousarray(Ainv[:, :, 0]))
 
     @property
     def n(self) -> int:

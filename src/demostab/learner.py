@@ -16,12 +16,21 @@ with zeta either frozen at the interval start (open-loop variant) or
 recomputed from the current state as zeta = Z(tau)^{-1} (z - z^{i_1}(tau))
 (closed-loop variant, the default).  When the base demonstration i_1 is the
 trivial one, the base terms vanish and these reduce to v = V(tau) Z^{-1} z.
+
+Within an interval the closed-loop law is affine in the state,
+
+    v(t) = K(tau) z + c(tau),   K = V Z^{-1},   c = v^{i_1} - K z^{i_1},
+
+so each basis tabulates K and c once, on the grid points and the step
+midpoints where RK4 evaluates it, and a step at the demonstration dt costs a
+lookup and a matrix-vector product instead of a linear solve.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,7 +39,7 @@ import numpy as np
 from .demos import DemonstrationSet, difference_matrices
 from .errors import AffineDependenceError
 from .plant import brunovsky_pair
-from .sim import Trajectory, interval_index, rk4
+from .sim import HalfGrid, Trajectory, interval_index, rk4
 
 # Reject bases whose Z(t) condition number exceeds this anywhere on the grid.
 COND_MAX = 1e12
@@ -92,13 +101,36 @@ class AffineBasis:
         except np.linalg.LinAlgError as exc:
             raise AffineDependenceError(f"Z(tau) singular at tau={tau}", time=tau) from exc
 
+    @cached_property
+    def _gains(self) -> tuple[HalfGrid, np.ndarray, np.ndarray]:
+        """K = V Z^{-1} and c = v_base - K z_base on the grid points and step midpoints.
+
+        At a midpoint Z, V and the base samples are the averages of the two
+        grid samples, as _interp forms them there.  Built on first use.
+        """
+        half = HalfGrid(self.times)
+        Z, V, zb, vb = map(half.interpolate, (self.Zs, self.Vs, self.z_base, self.v_base))
+        Zt = np.swapaxes(Z, 1, 2)
+        try:
+            K = np.swapaxes(np.linalg.solve(Zt, np.swapaxes(V, 1, 2)), 1, 2)
+        except np.linalg.LinAlgError as exc:
+            tau = float(half.times[np.argmin(np.abs(np.linalg.det(Zt)))])
+            raise AffineDependenceError(f"Z(tau) singular at tau={tau}", time=tau) from exc
+        c = vb - (K @ zb[:, :, None])[:, :, 0]
+        return half, K, c
+
     def value(self, tau: float, z: np.ndarray) -> np.ndarray:
-        """Controller value v = v_base(tau) + V(tau) zeta(tau, z)."""
-        Z, V, zb, vb = self._interp(tau)
+        """Controller value v = v_base(tau) + V(tau) zeta(tau, z); z is (n,) or (n, k).
+
+        At a grid point or step midpoint (within 1e-9 dt) this is K(tau) z +
+        c(tau) from the table; any other tau interpolates and solves.
+        """
         z = np.asarray(z, dtype=float)
-        rhs = z - (zb if z.ndim == 1 else zb[:, None])
-        zeta = np.linalg.solve(Z, rhs)
-        return (vb if z.ndim == 1 else vb[:, None]) + V @ zeta
+        half, K, c = self._gains
+        j = half.index(tau)
+        if j is None:
+            return self.value_from_zeta(tau, self.zeta(tau, z))
+        return K[j] @ z + (c[j] if z.ndim == 1 else c[j][:, None])
 
     def value_from_zeta(self, tau: float, zeta: np.ndarray) -> np.ndarray:
         _, V, _, vb = self._interp(tau)

@@ -51,6 +51,11 @@ def brunovsky_pair(n: int) -> BrunovskyPair:
 class PlantModel:
     """Single-input plant with closed-form Lie-derivative evaluators.
 
+    The evaluators (lie_f_h, lie_g_lie_f_h, domain_check) take the state on
+    the first axis: x shaped (n,) gives a scalar, and a batch x shaped (n, k),
+    one state per column, gives one value per column, shaped (k,).  The
+    embedding evaluates whole recordings in one call that way.
+
     Attributes:
         n: state dimension.
         f: drift vector field, maps (n,) -> (n,).
@@ -88,13 +93,29 @@ class PlantModel:
             )
 
     def require_in_domain(self, x: np.ndarray) -> None:
-        if not self.domain_check(np.asarray(x, dtype=float)):
-            raise DomainError(f"state {np.asarray(x)} is outside the domain of {self.name}")
+        """Raise DomainError unless x, shaped (n,) or (n, k), lies in the domain."""
+        x = np.asarray(x, dtype=float)
+        inside = self.domain_check(x)
+        if x.ndim == 1:
+            if not inside:
+                raise DomainError(f"state {x} is outside the domain of {self.name}")
+        elif not np.all(inside):
+            bad = x[:, int(np.argmin(np.broadcast_to(inside, x.shape[1:])))]
+            raise DomainError(f"state {bad} is outside the domain of {self.name}")
 
     def rhs(self, x: np.ndarray, u: float) -> np.ndarray:
         """Evaluate dx/dt = f(x) + g(x) u."""
         x = np.asarray(x, dtype=float)
         return self.f(x) + self.g(x) * float(u)
+
+
+def constant_evaluator(value: float) -> Callable[[np.ndarray], float]:
+    """Evaluator of a constant Lie derivative, broadcast over a batch of states."""
+    def evaluate(x):
+        batch = np.shape(x)[1:]
+        return np.full(batch, value) if batch else value
+
+    return evaluate
 
 
 def feedback_linearize(plant: PlantModel, x: np.ndarray) -> np.ndarray:
@@ -202,13 +223,8 @@ def chain_preset(n: int) -> PlantModel:
 
     def lie_f(k):
         if k < n:
-            return lambda x, k=k: float(x[k])
-        return lambda x: 0.0
-
-    def lie_g_lie_f(k):
-        if k < n - 1:
-            return lambda x: 0.0
-        return lambda x: 1.0
+            return lambda x, k=k: x[k]
+        return constant_evaluator(0.0)
 
     return PlantModel(
         n=n,
@@ -216,8 +232,8 @@ def chain_preset(n: int) -> PlantModel:
         g=g,
         h=lambda x: float(x[0]),
         lie_f_h=tuple(lie_f(k) for k in range(n + 1)),
-        lie_g_lie_f_h=tuple(lie_g_lie_f(k) for k in range(n)),
-        domain_check=lambda x: bool(np.all(np.isfinite(x))),
+        lie_g_lie_f_h=tuple(constant_evaluator(float(k == n - 1)) for k in range(n)),
+        domain_check=lambda x: np.isfinite(x).all(axis=0),
         relative_degree=n,
         inverse_phi=lambda z: np.asarray(z, dtype=float).copy(),
         name=f"chain{n}",

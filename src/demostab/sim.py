@@ -10,6 +10,7 @@ file outputs reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -88,6 +89,46 @@ def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return times
 
 
+class HalfGrid:
+    """The RK4 stage times of a grid: its points and step midpoints, interleaved.
+
+    times[2k] is the grid point t_k and times[2k+1] the midpoint t_k + h_k/2,
+    formed as rk4 forms its middle stages.  index(t) maps a stage time back to
+    its slot, so values tabulated on the slots can stand in for evaluations
+    at the stages.
+    """
+
+    def __init__(self, grid: np.ndarray):
+        grid = np.asarray(grid, dtype=float)
+        self.times = np.empty(2 * len(grid) - 1)
+        self.times[0::2] = grid
+        self.times[1::2] = grid[:-1] + 0.5 * (grid[1:] - grid[:-1])
+        dt = float(grid[1] - grid[0])
+        self._t0, self._half, self._tol = float(grid[0]), 0.5 * dt, 1e-9 * dt
+        self._last = len(self.times) - 1
+
+    def interpolate(self, samples: np.ndarray) -> np.ndarray:
+        """Grid samples (first axis) linearly interpolated onto the slots.
+
+        A midpoint gets the average of its step's two end samples.
+        """
+        samples = np.asarray(samples, dtype=float)
+        out = np.empty((len(self.times),) + samples.shape[1:])
+        out[0::2] = samples
+        out[1::2] = 0.5 * samples[:-1] + 0.5 * samples[1:]
+        return out
+
+    def index(self, t: float) -> Optional[int]:
+        """The slot j with |times[j] - t| <= 1e-9 dt, or None if t is not a stage time."""
+        last, at = self._last, self.times.item
+        j = round((t - self._t0) / self._half)
+        if 0 <= j <= last and abs(t - at(j)) <= self._tol:
+            return j
+        # A shortened final step moves its two slots off the uniform half grid.
+        for j in (last - 1, last):
+            if abs(t - at(j)) <= self._tol:
+                return j
+        return None
 
 
 def interval_index(t: float, T: float) -> tuple[int, float]:
@@ -96,7 +137,7 @@ def interval_index(t: float, T: float) -> tuple[int, float]:
     Right-continuous at interval boundaries: at exactly t = pT the new
     interval's formula applies.
     """
-    p = max(int(np.floor(t / T + _P_TOL)), 0)
+    p = max(math.floor(t / T + _P_TOL), 0)
     tau = min(max(t - p * T, 0.0), T)
     return p, tau
 
@@ -124,13 +165,14 @@ def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantMode
         ratio = period / dt
         if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(f"interval length {period} is not a whole multiple of dt={dt}")
-    last = len(times) - 1
+    grid = times.tolist()
+    last = len(grid) - 1
     y = np.asarray(y0, dtype=float)
-    states = np.empty((len(times),) + y.shape)
+    states = np.empty((len(grid),) + y.shape)
     states[0] = y
     inputs = None
     p_now = anchor = None
-    for k, t in enumerate(times):
+    for k, t in enumerate(grid):
         s = t
         if period is not None:
             p, s = interval_index(t, period)
@@ -142,12 +184,13 @@ def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantMode
         inputs[k] = u
         if k == last:
             break
-        h = times[k + 1] - t
-        k2, _ = rhs(s + 0.5 * h, y + 0.5 * h * k1, anchor)
-        k3, _ = rhs(s + 0.5 * h, y + 0.5 * h * k2, anchor)
+        t_next = grid[k + 1]
+        h = t_next - t
+        half = 0.5 * h
+        k2, _ = rhs(s + half, y + half * k1, anchor)
+        k3, _ = rhs(s + half, y + half * k2, anchor)
         k4, _ = rhs(s + h, y + h * k3, anchor)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_next = float(times[k + 1])
         # A non-finite entry makes the squared norm NaN or inf, failing the test too.
         if not float(np.vdot(y, y)) <= DIVERGENCE_NORM**2:
             raise DivergenceError(f"state diverged at t={t_next:.6f}", time=t_next)

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from .demos import Demonstration, DemonstrationSet
 from .embed import EmbeddingConfig
 from .learner import simulate_chain_batch
-from .plant import ExpertController, PlantModel, lqr_gain
+from .plant import ExpertController, PlantModel, constant_evaluator, lqr_gain
 from .sim import time_grid
 
 # ---------------------------------------------------------------------------
@@ -199,6 +199,9 @@ def flat_quad_demo_set(T: float = 2.0, dt: float = 1e-3,
 BALL_BEAM_B = 0.7143
 BALL_BEAM_G = 9.81
 BALL_BEAM_W = (1.0, 3.0, 3.0)
+# Default LQR weights of the ball-beam expert: diagonal of Q, and R.
+BALL_BEAM_Q = (0.2, 0.5, 1.0, 2.0)
+BALL_BEAM_R = 0.1
 # Initial conditions of the recorded expert runs (plus the trivial solution).
 BALL_BEAM_ICS = (
     (1.0, 0.0, 0.0, 0.0),
@@ -227,18 +230,18 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
         return np.array([0.0, 0.0, 0.0, 1.0])
 
     lie_f_h = (
-        lambda x: float(x[0]),
-        lambda x: float(x[1]),
-        lambda x: b * (x[0] * x[3] ** 2 - g * math.sin(x[2])),
-        lambda x: b * (x[1] * x[3] ** 2 - g * x[3] * math.cos(x[2])),
-        lambda x: b * b * x[3] ** 2 * (x[0] * x[3] ** 2 - g * math.sin(x[2]))
-        + b * g * x[3] ** 2 * math.sin(x[2]),
+        lambda x: x[0],
+        lambda x: x[1],
+        lambda x: b * (x[0] * x[3] ** 2 - g * np.sin(x[2])),
+        lambda x: b * (x[1] * x[3] ** 2 - g * x[3] * np.cos(x[2])),
+        lambda x: b * b * x[3] ** 2 * (x[0] * x[3] ** 2 - g * np.sin(x[2]))
+        + b * g * x[3] ** 2 * np.sin(x[2]),
     )
     lie_g_lie_f_h = (
-        lambda x: 0.0,
-        lambda x: 0.0,
+        constant_evaluator(0.0),
+        constant_evaluator(0.0),
         lambda x: 2.0 * b * x[0] * x[3],
-        lambda x: 2.0 * b * x[1] * x[3] - b * g * math.cos(x[2]),
+        lambda x: 2.0 * b * x[1] * x[3] - b * g * np.cos(x[2]),
     )
     return PlantModel(
         n=4,
@@ -247,7 +250,7 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
         h=lambda x: float(x[0]),
         lie_f_h=lie_f_h,
         lie_g_lie_f_h=lie_g_lie_f_h,
-        domain_check=lambda x: bool(np.all(np.isfinite(x)) and abs(x[2]) < math.pi / 2),
+        domain_check=lambda x: np.isfinite(x).all(axis=0) & (np.abs(x[2]) < math.pi / 2),
         relative_degree=None,
         name="ball_beam",
     )
@@ -266,7 +269,7 @@ def ball_beam_preset(
 def ball_beam_expert(
     plant: PlantModel,
     Q: Optional[np.ndarray] = None,
-    R: float = 0.1,
+    R: float = BALL_BEAM_R,
 ) -> ExpertController:
     """Synthetic smooth expert: LQR on the origin linearization.
 
@@ -287,7 +290,7 @@ def ball_beam_expert(
     )
     B_lin = np.array([[0.0], [0.0], [0.0], [1.0]])
     if Q is None:
-        Q = np.diag([0.2, 0.5, 1.0, 2.0])
+        Q = np.diag(BALL_BEAM_Q)
     K = lqr_gain(A_lin, B_lin, Q, np.atleast_2d(float(R)))[0]
 
     def kappa(x: np.ndarray) -> float:

@@ -353,3 +353,58 @@ def directional_derivative(func, field, x, eps=1e-6):
     x = np.asarray(x, dtype=float)
     v = np.asarray(field(x), dtype=float)
     return (func(x + eps * v) - func(x - eps * v)) / (2.0 * eps)
+
+
+# ---------------------------------------------------------------------------
+# The embedding transform of one recording, sample by sample.
+# ---------------------------------------------------------------------------
+
+
+def transform_demo_per_sample(plant, w, times, states, inputs, xi0):
+    """(z, xi, v) of one recorded (x, u) run in the chain coordinates of the embedding.
+
+    Every quantity comes from the plant's scalar evaluators at one state at a
+    time.  The auxiliary dynamics dxi/dt = A_xi xi - [L_g L_f^{k-1} h(x)]_k u,
+    A_xi the companion matrix of w, are integrated by classical RK4 on the
+    recording grid, with x and u interpolated linearly at every stage; then
+    z_k = L_f^{k-1} h + xi_k (k < n), z_n = L_f^{n-1} h - w . xi and
+    v = r u - s with r = L_g L_f^{n-1} h + sum_j w_j L_g L_f^{j-1} h and
+    s = -L_f^n h + sum_{j <= n-2} w_j xi_{j+1} - w_{n-1} (w . xi).
+    """
+    n = plant.n
+    w = np.asarray(w, dtype=float)
+    A_xi = np.zeros((n - 1, n - 1))
+    A_xi[np.arange(n - 2), np.arange(1, n - 1)] = 1.0
+    A_xi[-1] = -w
+
+    def recorded(t):
+        i = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
+        a = (t - times[i]) / (times[i + 1] - times[i])
+        return ((1.0 - a) * states[i] + a * states[i + 1],
+                (1.0 - a) * inputs[i] + a * inputs[i + 1])
+
+    def xi_dot(t, xi):
+        x, u = recorded(t)
+        gains = np.array([plant.lie_g_lie_f_h[k](x) for k in range(n - 1)])
+        return A_xi @ xi - gains * u
+
+    xis = [np.asarray(xi0, dtype=float)]
+    for k in range(len(times) - 1):
+        t, h, xi = times[k], times[k + 1] - times[k], xis[-1]
+        k1 = xi_dot(t, xi)
+        k2 = xi_dot(t + h / 2, xi + h / 2 * k1)
+        k3 = xi_dot(t + h / 2, xi + h / 2 * k2)
+        k4 = xi_dot(t + h, xi + h * k3)
+        xis.append(xi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    z = np.empty((len(times), n))
+    v = np.empty(len(times))
+    for k, (x, xi, u) in enumerate(zip(states, xis, inputs)):
+        for j in range(n - 1):
+            z[k, j] = plant.lie_f_h[j](x) + xi[j]
+        z[k, n - 1] = plant.lie_f_h[n - 1](x) - sum(w[j] * xi[j] for j in range(n - 1))
+        r = plant.lie_g_lie_f_h[n - 1](x) + sum(w[j] * plant.lie_g_lie_f_h[j](x)
+                                                for j in range(n - 1))
+        s = (-plant.lie_f_h[n](x) + sum(w[j] * xi[j + 1] for j in range(n - 2))
+             - w[n - 2] * sum(w[j] * xi[j] for j in range(n - 1)))
+        v[k] = r * u - s
+    return z, np.array(xis), v

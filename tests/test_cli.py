@@ -105,8 +105,17 @@ def test_non_numeric_horizon_is_usage_error(tmp_path, capsys):
     {"track": {"duration": "abc"}},
     {"track": {"axis": "x"}},
     {"initial_conditions": [[1.0], [0.0, 1.0]]},
+    {"t_tilde_grid": 5},
+    {"simulate": "abc"},
+    {"simulate": {"x0": [0.5, 0.5, 0.5], "duration": 8.0}},
+    {"expert": {"Q": "abc"}},
+    {"expert": {"Q": [1.0, 2.0, 3.0]}},
+    {"expert": {"Q": [1.0, -2.0]}},
+    {"initial_conditions": 5},
 ], ids=["t_tilde_grid", "simulate.duration", "track.f", "track.duration", "track.axis",
-        "ragged_initial_conditions"])
+        "ragged_initial_conditions", "t_tilde_grid_not_a_list", "simulate_not_an_object",
+        "simulate.x0_length", "expert.Q", "expert.Q_shape", "expert.Q_indefinite",
+        "initial_conditions_not_a_list"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "config.json", **overrides)
     assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -124,6 +133,21 @@ def test_demo_start_outside_domain_exit_divergence(tmp_path, capsys):
     assert main(["demos", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DIVERGENCE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "outside the domain" in err[0]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_demo_start_outside_domain_names_the_start(tmp_path, capsys, jobs):
+    # The failing configured start is named on the same single line, also
+    # when the recording ran in a worker process.
+    config = {"preset": "ball_beam", "T": 1.0, "dt": 0.01,
+              "initial_conditions": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                     [0.0, 0.0, 1.6, 0.0], [0.0, 0.0, 0.0, 1.0]]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["demos", "--config", str(cfg), "--out", str(tmp_path), "--jobs", jobs])
+    assert code == EXIT_DIVERGENCE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "recording from x0=[0.  0.  1.6 0. ] failed" in err[0]
 
 
 def test_multi_pipeline_writes_per_simplex_certificate(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import routh_stable
+from oracles import routh_stable, transform_demo_per_sample
 
 from demostab.embed import (
     EmbeddingConfig,
@@ -317,3 +317,22 @@ def test_embedded_set_certificate(ball_beam_fixture):
 
     cert = certificate(build_basis(ball_beam_fixture["set"]))
     assert cert.verdict
+
+
+def test_transform_matches_per_sample_formulas():
+    # The last step of a 1.0005 s recording at dt = 1e-3 is shortened to 0.5 ms.
+    from demostab.demos import record_expert
+    from demostab.systems import ball_beam_expert
+
+    plant, cfg = ball_beam_preset()
+    raw = record_expert(plant, ball_beam_expert(plant),
+                        [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 10.0])],
+                        T=1.0005, dt=1e-3)
+    assert raw[0].times[-1] - raw[0].times[-2] < 0.75e-3
+    xi0 = np.array([0.1, -0.2, 0.05])
+    for traj, emb in zip(raw, transform_demos(cfg, raw, xi0)):
+        z, xi, v = transform_demo_per_sample(plant, cfg.w, traj.times, traj.states,
+                                             traj.inputs, xi0)
+        for got, want in ((emb.z, z), (emb.xi, xi), (emb.v, v)):
+            assert got.shape == want.shape
+            assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))

@@ -325,3 +325,15 @@ def test_project_to_hull_next_to_face_boundaries(args, pick, eps):
     assert ((pts - xi_star) @ (xi - xi_star)).max() <= 1e-9 * scale * scale
     best, _ = project_to_hull_brute_force(pts, xi)
     assert np.linalg.norm(xi - xi_star) <= np.linalg.norm(xi - best) + 1e-12 * scale
+
+
+def test_user_triangulation_rejects_flat_simplices():
+    # A degenerate simplex anywhere in the list is named, whether it is
+    # exactly flat or flat up to a condition number above 1e12.
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [1.0, 1e-13]])
+    with pytest.raises(DegenerateGeometryError, match="degenerate simplex"):
+        triangulation_from_simplices(pts, [(0, 1, 2), (0, 1, 3)])
+    with pytest.raises(DegenerateGeometryError, match="nearly affinely dependent"):
+        triangulation_from_simplices(pts, [(0, 1, 2), (0, 3, 4)])
+    with pytest.raises(ValueError, match="n\\+1 = 3 vertices"):
+        triangulation_from_simplices(pts, [(0, 1, 2), (0, 1)])

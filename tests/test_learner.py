@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import analytic_double_int_set
@@ -9,12 +10,14 @@ from oracles import DOUBLE_INT_K, double_int_flow
 
 from demostab.errors import AffineDependenceError
 from demostab.learner import (
+    AffineBasis,
     LearnedController,
     build_basis,
     controller_from_dict,
     controller_to_dict,
     simulate_chain_closed_loop,
 )
+from demostab.multi import MultiController
 from demostab.sim import integrate
 
 
@@ -187,3 +190,76 @@ def test_vector_input_controller(quad_set):
     # Replay: a demonstration start returns that demonstration's input.
     z0 = quad_set.demos[3].z[0]
     assert_allclose(ctrl(0.0, z0), quad_set.demos[3].v[0], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Tabulated gains K(tau), c(tau) against the interpolate-and-solve law
+# ---------------------------------------------------------------------------
+
+# A grid with a whole number of steps, and one whose last step is shortened.
+_SETS = {"uniform": analytic_double_int_set(T=2.0, dt=1e-3),
+         "shortened": analytic_double_int_set(T=1.0005, dt=1e-3)}
+_MULTI = MultiController(analytic_double_int_set(
+    T=1.0, dt=1e-2, starts=[np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                            np.array([1.0, 1.0]), np.array([-1.0, 0.5])]))
+
+
+def interpolate_and_solve(basis, tau, z):
+    """The law as evaluated before tabulation: v_base + V Z^{-1} (z - z_base)."""
+    Z, V, zb, vb = basis._interp(tau)
+    col = (lambda a: a) if z.ndim == 1 else (lambda a: a[:, None])
+    return col(vb) + V @ np.linalg.solve(Z, z - col(zb))
+
+
+@st.composite
+def stage_time(draw, times):
+    """A grid point, a step midpoint as RK4 forms it, or a time off both."""
+    i = draw(st.integers(0, len(times) - 2))
+    h = times[i + 1] - times[i]
+    kind = draw(st.sampled_from(["grid", "mid", "off"]))
+    if kind == "grid":
+        return float(times[i + draw(st.integers(0, 1))])
+    if kind == "mid":
+        return float(times[i] + 0.5 * h)
+    return float(times[i] + draw(st.sampled_from([0.1, 0.3, 0.7, 0.9])) * h)
+
+
+states = st.integers(0, 3).flatmap(
+    lambda k: st.lists(st.floats(-5.0, 5.0), min_size=2 * max(k, 1), max_size=2 * max(k, 1))
+    .map(lambda v, k=k: np.array(v).reshape(2, k) if k else np.array(v)))
+
+
+@given(data=st.data(), which=st.sampled_from(sorted(_SETS)), z=states)
+def test_tabulated_value_matches_interpolate_and_solve(data, which, z):
+    dset = _SETS[which]
+    ctrl = LearnedController(build_basis(dset), A=dset.A, B=dset.B)
+    tau = data.draw(stage_time(ctrl.basis.times))
+    expected = interpolate_and_solve(ctrl.basis, tau, z)
+    got = ctrl.eval_in_interval(None, tau, z)
+    assert got.shape == expected.shape
+    scale = max(1.0, float(np.abs(expected).max()), float(np.abs(z).max()))
+    assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
+
+
+@given(data=st.data(), z=states)
+def test_tabulated_multi_value_matches_interpolate_and_solve(data, z):
+    tau = data.draw(stage_time(_MULTI.dset.grid))
+    anchor = _MULTI.begin_interval(z)
+    got = _MULTI.eval_in_interval(anchor, tau, z)
+    cols = z[:, None] if z.ndim == 1 else z
+    expected = np.column_stack([interpolate_and_solve(_MULTI.bases[j], tau, cols[:, k])
+                                for k, j in enumerate(anchor[0])])
+    scale = max(1.0, float(np.abs(expected).max()), float(np.abs(z).max()))
+    assert_allclose(got, expected[:, 0] if z.ndim == 1 else expected, rtol=0,
+                    atol=1e-12 * scale)
+
+
+def test_singular_midpoint_raises_with_time():
+    # Z = I and -I at the two grid points: their average at the midpoint is 0.
+    times = np.array([0.0, 0.5, 1.0])
+    Zs = np.stack([np.eye(2), -np.eye(2), np.eye(2)])
+    basis = AffineBasis(index_set=(0, 1, 2), times=times, Zs=Zs, Vs=np.zeros((3, 1, 2)),
+                        z_base=np.zeros((3, 2)), v_base=np.zeros((3, 1)))
+    with pytest.raises(AffineDependenceError) as err:
+        basis.value(0.0, np.ones(2))
+    assert err.value.time == 0.25

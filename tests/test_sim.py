@@ -11,7 +11,7 @@ from oracles import DOUBLE_INT_ACL, double_int_flow, matrix_exp_series
 from demostab.errors import DivergenceError
 from demostab.learner import LearnedController, build_basis, simulate_chain_closed_loop
 from demostab.plant import chain_preset
-from demostab.sim import integrate, rk4, simulate_closed_loop, time_grid
+from demostab.sim import HalfGrid, integrate, rk4, simulate_closed_loop, time_grid
 
 
 def test_chain_equilibrium_stays_constant():
@@ -135,3 +135,18 @@ def test_trajectory_state_interpolation():
     assert_allclose(traj.state_at(0.55)[0], 0.55, atol=1e-12)
     with pytest.raises(ValueError):
         traj.state_at(1.5)
+
+
+def test_half_grid_maps_rk4_stage_times_to_slots():
+    for grid in (time_grid(0.0, 2.0, 1e-3), time_grid(0.0, 1.0005, 1e-3),
+                 time_grid(0.3, 1.0, 0.07)):
+        half = HalfGrid(grid)
+        assert [half.index(t) for t in half.times] == list(range(len(half.times)))
+        for k, t in enumerate(grid[:-1].tolist()):
+            h = grid[k + 1] - t
+            assert half.index(t + 0.5 * h) == 2 * k + 1
+            assert half.index(t + h) == 2 * k + 2
+        dt = grid[1] - grid[0]
+        assert half.index(grid[0] + 0.25 * dt) is None
+        assert half.index(grid[-1] + 0.5 * dt) is None
+        assert half.index(grid[0] - 0.5 * dt) is None

@@ -10,6 +10,7 @@ from demostab.certify import certificate
 from demostab.demos import to_zv
 from demostab.errors import NotFeedbackLinearizableError
 from demostab.learner import LearnedController, build_basis
+from demostab.plant import chain_preset
 from demostab.systems import (
     BALL_BEAM_B,
     BALL_BEAM_G,
@@ -154,3 +155,22 @@ def test_tracking_starts_from_initial_error():
 def test_figure_eight_rejects_bad_frequency():
     with pytest.raises(ValueError):
         figure_eight(0.0)
+
+
+@pytest.mark.parametrize("plant", [ball_beam_preset()[0], chain_preset(1), chain_preset(3)],
+                         ids=["ball_beam", "chain1", "chain3"])
+def test_batched_evaluators_match_per_state_calls(plant):
+    # Evaluators take the state on the first axis: one column per state.
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.2, 1.2, size=(plant.n, 7))
+    X[:, 5] = np.nan
+    if plant.n == 4:
+        X[2, 6] = 1.6  # beam angle past pi/2
+    evaluators = list(plant.lie_f_h) + list(plant.lie_g_lie_f_h)
+    for ev in evaluators:
+        batched = ev(X[:, :5])
+        assert np.shape(batched) == (5,)
+        assert_allclose(batched, [ev(X[:, j]) for j in range(5)], rtol=1e-15, atol=0)
+    inside = plant.domain_check(X)
+    assert inside.shape == (7,)
+    assert list(inside) == [bool(plant.domain_check(X[:, j])) for j in range(7)]
