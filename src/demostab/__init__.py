@@ -26,7 +26,6 @@ from .demos import (
 from .embed import (
     EmbeddingConfig,
     a_w_numeric,
-    a_xi,
     aux_rhs,
     dynamic_feedback,
     hurwitz,

@@ -5,9 +5,9 @@ JSON into the output directory.  Runs are reproducible bit for bit: fixed-step
 integration, deterministic tie-breaks, and no randomness anywhere in the
 pipeline.
 
-Exit codes: 0 success, 1 usage, 2 validation failure, 3 certification failure,
-4 divergence or a state outside the plant domain.  Every failure prints one
-line to standard error.
+Exit codes: 0 success, 1 usage (also a file that cannot be read or written),
+2 validation failure, 3 certification failure, 4 divergence or a state outside
+the plant domain.  Every failure prints one line to standard error.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from . import demos as demos_mod
 from . import embed as embed_mod
 from . import systems
 from .errors import AffineDependenceError, DivergenceError, DomainError, SingularEmbeddingError
+from .files import write_csv, write_json
 from .learner import LearnedController, build_basis, load_controller, save_controller, \
     simulate_chain_closed_loop
 from .multi import MultiController
@@ -172,27 +173,6 @@ class RunConfig:
         return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
-    lines = [",".join(header)]
-    for k in range(rows):
-        lines.append(",".join(_fmt(col[k]) for col in columns))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_columns_json(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    payload = {name: [float(v) for v in col] for name, col in zip(header, columns)}
-    _write_json(path, payload)
-
-
 def _trajectory_tables(traj: Trajectory, state_prefix: str = "z"):
     # Chain presets are in normal form (a = 0, b = 1), so the physical input
     # u equals the chain input v; both columns are emitted per the file contract.
@@ -303,12 +283,12 @@ def cmd_demos(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
             "T": dset.T,
             "dt": dset.dt,
             "demos": [
-                {"z": e.z.tolist(), "xi": e.xi.tolist(), "v": e.v.tolist()} for e in embedded
+                {"z": e.z, "xi": e.xi, "v": e.v} for e in embedded
             ],
         }
-        _write_json(out / "embedded_demos.json", payload)
+        write_json(out / "embedded_demos.json", payload)
     report = demos_mod.validate_affine_independence(dset)
-    _write_json(
+    write_json(
         out / "validation.json",
         {
             "passed": report.passed,
@@ -347,7 +327,7 @@ def cmd_learn(cfg: RunConfig, out: Path) -> int:
         return EXIT_VALIDATION
     cert = certify_mod.certificate(ctrl)
     save_controller(ctrl, out / "controller.json")
-    _write_json(out / "certificate.json", cert.to_dict())
+    write_json(out / "certificate.json", cert.to_dict())
     if not cert.verdict:
         grid = cfg.t_tilde_grid or [cfg.T / 8, cfg.T / 4, cfg.T / 2, cfg.T]
         grid = [t for t in grid if t <= dset.T + 1e-9]
@@ -368,7 +348,7 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
         return EXIT_USAGE
     ctrl = load_controller(ctrl_path)
     cert = certify_mod.certificate(ctrl)
-    _write_json(out / "certificate.json", cert.to_dict())
+    write_json(out / "certificate.json", cert.to_dict())
     print(f"certify: verdict {'pass' if cert.verdict else 'fail'} "
           f"(max norm {1 - cert.margin:.4f})")
     return EXIT_OK if cert.verdict else EXIT_CERTIFICATION
@@ -409,21 +389,16 @@ def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:
                       + [f"xi{k + 1}" for k in range(q)] + ["v", "u"])
             cols = ([traj.times] + [traj.x[:, k] for k in range(n)]
                     + [traj.xi[:, k] for k in range(q)] + [traj.v, traj.u])
-            _write_csv(out / "trajectory.csv", header, cols)
-            _write_columns_json(out / "trajectory.json", header, cols)
             norms = np.linalg.norm(traj.x, axis=1)
-            times = traj.times
         else:
             z0 = _vector("simulate.x0", cfg.simulate.get("x0", np.zeros(ctrl.n)), ctrl.n)
             traj = simulate_chain_closed_loop(ctrl, z0, duration, cfg.dt)
             header, cols = _trajectory_tables(traj)
-            _write_csv(out / "trajectory.csv", header, cols)
-            _write_columns_json(out / "trajectory.json", header, cols)
             norms = np.linalg.norm(traj.states, axis=1)
-            times = traj.times
     except (DivergenceError, DomainError, SingularEmbeddingError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    write_csv(out / "trajectory.csv", header, cols, out / "trajectory.json")
 
     steps_per_T = int(round(cfg.T / cfg.dt))
     samples = norms[:: steps_per_T]
@@ -431,16 +406,16 @@ def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:
         samples[p + 1] / samples[p] if samples[p] > 0 else 0.0
         for p in range(len(samples) - 1)
     ]
-    _write_json(
+    write_json(
         out / "summary.json",
         {
             "final_norm": float(norms[-1]),
-            "final_time": float(times[-1]),
+            "final_time": float(traj.times[-1]),
             "decay_ratio_per_period": ratios,
             "min_norm": float(norms.min()),
         },
     )
-    print(f"simulate: final state norm {norms[-1]:.3e} at t={times[-1]}")
+    print(f"simulate: final state norm {norms[-1]:.3e} at t={traj.times[-1]}")
     return EXIT_OK
 
 
@@ -478,12 +453,12 @@ def cmd_track(cfg: RunConfig, out: Path, force: bool = False) -> int:
             + [res.z_ref[:, k] for k in range(n)]
             + [res.v[:, j] for j in range(m)] + [res.u[:, j] for j in range(m)]
             + [res.error_norm])
-    _write_csv(out / "tracking.csv", header, cols)
+    write_csv(out / "tracking.csv", header, cols)
 
     period = 1.0 / f
     first = res.error_norm[res.times <= period]
     after = res.error_norm[res.times > period]
-    _write_json(
+    write_json(
         out / "tracking_summary.json",
         {
             "max_error_first_period": float(first.max()),
@@ -554,6 +529,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"usage error: bad config JSON: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # reading the config, creating --out, writing outputs
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotFeedbackLinearizableError
+from .files import write_csv, write_json
 from .plant import ExpertController, PlantModel, brunovsky_pair, feedback_linearize
 from .sim import Trajectory, simulate_closed_loop, time_grid
 
@@ -258,8 +259,8 @@ def validate_affine_independence(
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  JSON round-trips are lossless: python floats serialize with
-# repr, the shortest string that reproduces the exact double.
+# Serialization.  Round trips are lossless: the writers in files.py give every
+# float as its repr, the shortest string that reproduces the exact double.
 # ---------------------------------------------------------------------------
 
 
@@ -272,15 +273,15 @@ def demo_set_to_dict(dset: DemonstrationSet) -> dict:
         "dt": dset.dt,
         "demos": [
             {
-                "z": d.z.tolist(),
-                "v": d.v[:, 0].tolist() if dset.m == 1 else d.v.tolist(),
+                "z": d.z,
+                "v": d.v[:, 0] if dset.m == 1 else d.v,
             }
             for d in dset.demos
         ],
     }
     if dset.m != 1:
-        out["A"] = dset.A.tolist()
-        out["B"] = dset.B.tolist()
+        out["A"] = dset.A
+        out["B"] = dset.B
     return out
 
 
@@ -300,7 +301,7 @@ def demo_set_from_dict(data: dict) -> DemonstrationSet:
 
 
 def save_demo_set(dset: DemonstrationSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(demo_set_to_dict(dset), indent=1, sort_keys=True))
+    write_json(path, demo_set_to_dict(dset))
 
 
 def load_demo_set(path: str | Path) -> DemonstrationSet:
@@ -311,14 +312,8 @@ def save_demo_csv(demo: Demonstration, path: str | Path) -> None:
     """One demonstration as CSV with header t,z1..zn,v (or v1..vm)."""
     n, m = demo.n, demo.m
     vcols = ["v"] if m == 1 else [f"v{j + 1}" for j in range(m)]
-    header = ",".join(["t"] + [f"z{k + 1}" for k in range(n)] + vcols)
-    lines = [header]
-    for k in range(len(demo.times)):
-        row = [repr(float(demo.times[k]))]
-        row += [repr(float(x)) for x in demo.z[k]]
-        row += [repr(float(x)) for x in demo.v[k]]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["t"] + [f"z{k + 1}" for k in range(n)] + vcols
+    write_csv(path, header, [demo.times, *demo.z.T, *demo.v.T])
 
 
 def load_demo_csv(path: str | Path) -> Demonstration:

@@ -135,11 +135,6 @@ class ExtendedState:
             raise ValueError("extended state must be finite")
 
 
-def a_xi(cfg: EmbeddingConfig) -> np.ndarray:
-    """Companion matrix of the auxiliary dynamics (condition A1 checks this)."""
-    return cfg.A_xi
-
-
 # The functions below take x shaped (n,) with xi (n-1,), or a batch of states
 # as columns, x (n, k) with xi (n-1, k).
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from .demos import DemonstrationSet, difference_matrices
 from .errors import AffineDependenceError
+from .files import write_json
 from .plant import brunovsky_pair
 from .sim import HalfGrid, Trajectory, interval_index, rk4
 
@@ -313,13 +314,13 @@ def controller_to_dict(ctrl: LearnedController) -> dict:
         "n": b.n,
         "m": b.m,
         "I": list(b.index_set),
-        "grid": b.times.tolist(),
-        "Zs": b.Zs.tolist(),
-        "Vs": b.Vs.tolist(),
-        "z_base": b.z_base.tolist(),
-        "v_base": b.v_base.tolist(),
-        "A": ctrl.A.tolist(),
-        "B": ctrl.B.tolist(),
+        "grid": b.times,
+        "Zs": b.Zs,
+        "Vs": b.Vs,
+        "z_base": b.z_base,
+        "v_base": b.v_base,
+        "A": ctrl.A,
+        "B": ctrl.B,
     }
 
 
@@ -349,7 +350,7 @@ def save_controller(ctrl, path: str | Path) -> None:
         payload = multi_controller_to_dict(ctrl)
     else:
         payload = controller_to_dict(ctrl)
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
+    write_json(path, payload)
 
 
 def load_controller(path: str | Path):

@@ -7,6 +7,7 @@ implementations it checks.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 
@@ -408,3 +409,31 @@ def transform_demo_per_sample(plant, w, times, states, inputs, xi0):
              - w[n - 2] * sum(w[j] * xi[j] for j in range(n - 1)))
         v[k] = r * u - s
     return z, np.array(xis), v
+
+
+# ---------------------------------------------------------------------------
+# The output writers as they were before chunked formatting: every array as
+# nested Python lists through the stdlib JSON encoder, and one repr per cell.
+# ---------------------------------------------------------------------------
+
+
+def json_text(payload) -> str:
+    """``json.dumps(payload, indent=1, sort_keys=True)`` with each ndarray as ``tolist()``."""
+    def plain(x):
+        if isinstance(x, np.ndarray):
+            return x.tolist()
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [plain(v) for v in x]
+        return x
+
+    return json.dumps(plain(payload), indent=1, sort_keys=True)
+
+
+def csv_text(header, columns) -> str:
+    """A header line, then one row per sample with ``repr(float(x))`` per cell."""
+    lines = [",".join(header)]
+    for k in range(len(columns[0])):
+        lines.append(",".join(repr(float(col[k])) for col in columns))
+    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from demostab.certify import (
     monodromy_from_integral,
 )
 from demostab.cli import EXIT_OK, main
-from demostab.embed import a_xi, charpoly, dynamic_feedback, simulate_embedded_closed_loop
+from demostab.embed import charpoly, dynamic_feedback, simulate_embedded_closed_loop
 from demostab.geometry import delaunay
 from demostab.learner import LearnedController, build_basis
 from demostab.multi import MultiController
@@ -226,7 +226,7 @@ def test_criterion_08_embedding_roundtrip(ball_beam_fixture):
 
     # A_xi eigenvalues are -1 (triple): the characteristic polynomial is
     # exactly (s + 1)^3.
-    coeffs = charpoly(a_xi(cfg))
+    coeffs = charpoly(cfg.A_xi)
     eig_ok = np.max(np.abs(coeffs - np.array([1.0, 3.0, 3.0, 1.0]))) <= 1e-9
     _report(8, chain_ok and u_ok and eig_ok,
             f"chain defect {worst_defect:.2e} (O(dt^2)); u recovery {worst_u:.2e} "

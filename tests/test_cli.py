@@ -98,6 +98,23 @@ def test_non_numeric_horizon_is_usage_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("usage error:")
 
 
+@pytest.mark.parametrize("case", ["out_is_a_file", "config_is_a_directory",
+                                  "output_path_is_a_directory"])
+def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
+    cfg = write_config(tmp_path / "config.json")
+    out = tmp_path / "out"
+    if case == "out_is_a_file":
+        out.write_text("")
+    elif case == "config_is_a_directory":
+        cfg = tmp_path / "cfgdir"
+        cfg.mkdir()
+    else:
+        (out / "demo_set.json").mkdir(parents=True)
+    assert main(["demos", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
 @pytest.mark.parametrize("overrides", [
     {"t_tilde_grid": [1.0, "x"]},
     {"simulate": {"x0": [0.5, 0.5], "duration": "abc"}},

@@ -12,7 +12,6 @@ from demostab.embed import (
     EmbeddingConfig,
     ExtendedState,
     a_w_numeric,
-    a_xi,
     aux_rhs,
     charpoly,
     companion_from_coeffs,
@@ -38,13 +37,13 @@ def bb_cfg():
 
 
 def test_a_xi_companion_structure(bb_cfg):
-    A = a_xi(bb_cfg)
+    A = bb_cfg.A_xi
     assert_allclose(A, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -3.0, -3.0]])
 
 
 def test_a_xi_charpoly_is_cubed_binomial(bb_cfg):
     # (s + 1)^3: coefficients 1, 3, 3, 1, so the eigenvalues are -1 (triple).
-    assert_allclose(charpoly(a_xi(bb_cfg)), [1.0, 3.0, 3.0, 1.0], atol=1e-12)
+    assert_allclose(charpoly(bb_cfg.A_xi), [1.0, 3.0, 3.0, 1.0], atol=1e-12)
 
 
 def test_hurwitz_first_order_cases():
@@ -148,7 +147,7 @@ def test_small_w_reduces_r_to_plain_decoupling():
 
 def test_aux_rhs_unforced_is_companion(bb_cfg):
     xi = np.array([0.2, -0.4, 0.9])
-    assert_allclose(aux_rhs(bb_cfg, np.zeros(4), xi, 0.0), a_xi(bb_cfg) @ xi, atol=1e-14)
+    assert_allclose(aux_rhs(bb_cfg, np.zeros(4), xi, 0.0), bb_cfg.A_xi @ xi, atol=1e-14)
     assert_allclose(aux_rhs(bb_cfg, np.zeros(4), np.zeros(3), 0.0), 0.0, atol=0)
 
 
@@ -256,7 +255,7 @@ def test_a_w_ball_beam_rows_and_surrogate(bb_cfg):
     Aw = a_w_numeric(bb_cfg)
     # L_g h = L_g L_f h = 0, so the first two rows vanish.
     assert np.max(np.abs(Aw[:2])) < 1e-8
-    assert hurwitz(a_xi(bb_cfg) + Aw)
+    assert hurwitz(bb_cfg.A_xi + Aw)
 
 
 def test_a_w_step_size_robustness(bb_cfg):

@@ -156,10 +156,12 @@ def test_duplicate_demonstrations_rejected():
 
 def test_serialization_bit_exact(double_int_set, tmp_path):
     ctrl = LearnedController(build_basis(double_int_set))
-    data = controller_to_dict(ctrl)
     import json
 
-    rebuilt = controller_from_dict(json.loads(json.dumps(data)))
+    from demostab.files import write_json
+
+    write_json(tmp_path / "controller.json", controller_to_dict(ctrl))
+    rebuilt = controller_from_dict(json.loads((tmp_path / "controller.json").read_text()))
     rng = np.random.default_rng(1)
     for _ in range(20):
         t = float(rng.uniform(0.0, 4.0))
