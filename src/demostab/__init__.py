@@ -62,7 +62,7 @@ from .learner import (
     save_controller,
     simulate_chain_closed_loop,
 )
-from .multi import MultiController, per_simplex_monodromy, select_index_set
+from .multi import MultiController, select_index_set
 from .plant import (
     BrunovskyPair,
     ExpertController,

@@ -24,6 +24,13 @@ Within an interval the closed-loop law is affine in the state,
 so each basis tabulates K and c once, on the grid points and the step
 midpoints where RK4 evaluates it, and a step at the demonstration dt costs a
 lookup and a matrix-vector product instead of a linear solve.
+
+The same affinity makes an RK4 step of the learned chain loop
+z' = (A + B K) z + B c at the demonstration dt an affine map.  A basis
+composes those maps into an interval propagator (Pi_i, psi_i), and the chain
+simulator moves a whole batch through an interval with
+z(pT + t_i) = Pi_i z(pT) + psi_i.  The open-loop law, with zeta frozen, is
+affine in (z, zeta) and gets the same construction on the stacked state.
 """
 
 from __future__ import annotations
@@ -40,10 +47,34 @@ from .demos import DemonstrationSet, difference_matrices
 from .errors import AffineDependenceError
 from .files import write_json
 from .plant import brunovsky_pair
-from .sim import HalfGrid, Trajectory, interval_index, rk4
+from .sim import (
+    HalfGrid,
+    Trajectory,
+    affine_interval_maps,
+    check_divergence,
+    interval_index,
+    rk4,
+    time_grid,
+)
 
 # Reject bases whose Z(t) condition number exceeds this anywhere on the grid.
 COND_MAX = 1e12
+
+
+@dataclass(frozen=True)
+class IntervalPropagator:
+    """The learned chain loop of one basis over an interval, on its grid.
+
+    Grid state i of an interval is P[i] @ x + psi[i], where x is the state
+    z(pT) at the interval start for the closed-loop law and the stack
+    (z(pT), zeta) for the open-loop law.  The input applied there is
+    G[i] @ y + g[i], with y the grid state (closed loop) or zeta (open loop).
+    """
+
+    P: np.ndarray  # (N+1, n, d)
+    psi: np.ndarray  # (N+1, n)
+    G: np.ndarray  # (N+1, m, n)
+    g: np.ndarray  # (N+1, m)
 
 
 @dataclass(frozen=True)
@@ -102,12 +133,11 @@ class AffineBasis:
         except np.linalg.LinAlgError as exc:
             raise AffineDependenceError(f"Z(tau) singular at tau={tau}", time=tau) from exc
 
-    @cached_property
-    def _gains(self) -> tuple[HalfGrid, np.ndarray, np.ndarray]:
+    def _gain_table(self) -> tuple[HalfGrid, np.ndarray, np.ndarray]:
         """K = V Z^{-1} and c = v_base - K z_base on the grid points and step midpoints.
 
         At a midpoint Z, V and the base samples are the averages of the two
-        grid samples, as _interp forms them there.  Built on first use.
+        grid samples, as _interp forms them there.
         """
         half = HalfGrid(self.times)
         Z, V, zb, vb = map(half.interpolate, (self.Zs, self.Vs, self.z_base, self.v_base))
@@ -119,6 +149,34 @@ class AffineBasis:
             raise AffineDependenceError(f"Z(tau) singular at tau={tau}", time=tau) from exc
         c = vb - (K @ zb[:, :, None])[:, :, 0]
         return half, K, c
+
+    # The table value() reads, built on first use.
+    _gains = cached_property(_gain_table)
+
+    def propagator(self, A: np.ndarray, B: np.ndarray, open_loop: bool = False
+                   ) -> IntervalPropagator:
+        """Interval propagator of dz/dt = A z + B v under this basis's law.
+
+        The stage flows come from the K/c table (closed loop) or from V and
+        v_base on the same slots (open loop, zeta frozen as an extra state
+        with zero derivative).  Neither table is kept on the basis.
+        """
+        n, m = self.n, self.m
+        if open_loop:
+            # y = (z, zeta): dy/dt = [[A, 0], [0, 0]] y + [B; 0] ([0, V] y + v_base).
+            half = HalfGrid(self.times)
+            K = np.concatenate([np.zeros((len(half.times), m, n)), half.interpolate(self.Vs)],
+                               axis=2)
+            c = half.interpolate(self.v_base)
+            A = np.block([[A, np.zeros((n, n))], [np.zeros((n, 2 * n))]])
+            B = np.vstack([B, np.zeros((n, m))])
+            G, g = self.Vs, self.v_base
+        else:
+            _, K, c = self._gain_table()
+            G, g = K[0::2], c[0::2]
+        Pi, psi = affine_interval_maps(A, B, K, c, float(self.times[1] - self.times[0]))
+        return IntervalPropagator(P=np.ascontiguousarray(Pi[:, :n]),
+                                  psi=np.ascontiguousarray(psi[:, :n]), G=G, g=g)
 
     def value(self, tau: float, z: np.ndarray) -> np.ndarray:
         """Controller value v = v_base(tau) + V(tau) zeta(tau, z); z is (n,) or (n, k).
@@ -196,7 +254,9 @@ class IntervalController:
     holds for the whole interval, and eval_in_interval(anchor, tau, z) is a
     pure function of its arguments.  Calling the controller evaluates the
     law at absolute time t with its interval anchored at z itself, so a
-    call never depends on earlier ones.
+    call never depends on earlier ones.  interval_groups(anchor) splits a
+    batch by the basis each column follows, with the column's frozen
+    coefficients under the open-loop law.
     """
 
     def __call__(self, t: float, z: np.ndarray):
@@ -246,6 +306,10 @@ class LearnedController(IntervalController):
     def m(self) -> int:
         return self.basis.m
 
+    @property
+    def bases(self) -> tuple[AffineBasis, ...]:
+        return (self.basis,)
+
     def begin_interval(self, z: np.ndarray) -> Optional[np.ndarray]:
         """Anchor of an interval starting at z: zeta(0, z) for the open-loop law."""
         if self.feedback_mode == "open_loop":
@@ -256,6 +320,10 @@ class LearnedController(IntervalController):
         if self.feedback_mode == "open_loop":
             return self.basis.value_from_zeta(tau, anchor)
         return self.basis.value(tau, z)
+
+    def interval_groups(self, anchor):
+        """(basis, columns, frozen zeta or None) for the batch of an interval."""
+        return [(self.basis, slice(None), anchor)]
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +345,76 @@ def simulate_chain_batch(
     use the interval-p matrices; ctrl.T must be a whole multiple of dt.
     Returns (times, states, inputs) with states shaped (G, n, k) and inputs
     (G, m, k).
+
+    At the demonstration dt on a grid without a shortened final step, each
+    interval is one application of the bases' propagators to the batch,
+    which is RK4 up to rounding.  Otherwise the RK4 driver steps the loop.
+    Only the last propagator built is kept, and only for this call:
+    consecutive groups that follow the same basis share it, so a
+    single-basis controller builds one per call.
     """
-    A, B, T = ctrl.A, ctrl.B, ctrl.T
     z = np.asarray(z0, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
+    times = time_grid(0.0, duration, dt)
+    N = _tabulated_steps(ctrl, times, dt)
+    if N is None:
+        return _simulate_chain_rk4(ctrl, z, duration, dt)
+
+    S = len(times) - 1
+    states = np.empty((S + 1,) + z.shape)
+    inputs = np.empty((S + 1, ctrl.m, z.shape[1]))
+    states[0] = z
+    start = 0
+    table_basis = prop = None
+    while True:
+        anchor = ctrl.begin_interval(states[start])
+        end = min(start + N, S)
+        span = end - start
+        # The last grid point takes its input from the interval it lies in,
+        # re-anchored there if it starts one, as rk4 records it.
+        rec = span + 1 if span < N else span
+        with np.errstate(over="ignore", invalid="ignore"):
+            for basis, cols, zeta in ctrl.interval_groups(anchor):
+                if basis is not table_basis:
+                    prop = None  # released before the next is built: one table at a time
+                    prop = basis.propagator(ctrl.A, ctrl.B, open_loop=zeta is not None)
+                    table_basis = basis
+                x = states[start][:, cols]
+                if zeta is not None:
+                    x = np.vstack([x, zeta])
+                states[start + 1:end + 1, :, cols] = (prop.P[1:span + 1] @ x
+                                                      + prop.psi[1:span + 1, :, None])
+                y = states[start:start + rec][:, :, cols] if zeta is None else zeta
+                inputs[start:start + rec, :, cols] = prop.G[:rec] @ y + prop.g[:rec, :, None]
+        check_divergence(states[start + 1:end + 1], times[start + 1:end + 1])
+        if span < N:
+            return times, states, inputs
+        start = end
+
+
+def _tabulated_steps(ctrl, times: np.ndarray, dt: float) -> Optional[int]:
+    """Steps per interval if the propagators reproduce the RK4 grid, else None.
+
+    That needs T a whole multiple of dt, every basis sampled at dt (a basis
+    sampled at another step has no table for this grid), and no shortened
+    final step.
+    """
+    ratio = ctrl.T / dt
+    N = round(ratio)
+    if N < 1 or abs(ratio - N) > 1e-9:
+        return None
+    if abs(times[-1] - times[-2] - dt) > 1e-9 * dt:
+        return None
+    for b in ctrl.bases:
+        if len(b.times) != N + 1 or abs(b.times[1] - b.times[0] - dt) > 1e-9 * dt:
+            return None
+    return N
+
+
+def _simulate_chain_rk4(ctrl, z: np.ndarray, duration: float, dt: float):
+    """simulate_chain_batch through the RK4 driver, one stage at a time."""
+    A, B, T = ctrl.A, ctrl.B, ctrl.T
 
     def rhs(tau, zz, anchor):
         v = ctrl.eval_in_interval(anchor, min(tau, T), zz)

@@ -119,6 +119,13 @@ class MultiController(IntervalController):
                 out[:, sel] = basis.value(tau, cols[:, sel])
         return out[:, 0] if squeeze else out
 
+    def interval_groups(self, anchor):
+        """(basis, columns, frozen zeta or None) per simplex chosen in the anchor."""
+        js, zetas = anchor
+        for j in np.unique(js):
+            sel = np.flatnonzero(js == j)
+            yield self.bases[j], sel, None if zetas is None else zetas[:, sel]
+
 
 def select_index_set(ctrl: MultiController, z_pT: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     """Index set and affine coefficients used for an interval starting at z_pT.
@@ -133,11 +140,6 @@ def select_index_set(ctrl: MultiController, z_pT: np.ndarray) -> tuple[tuple[int
     idx = ctrl.tri.simplices[j].vertex_indices
     theta = barycentric(ctrl.tri.points[list(idx)], z_pT)
     return idx, theta
-
-
-def per_simplex_monodromy(ctrl: MultiController, T: Optional[float] = None) -> list[np.ndarray]:
-    """Interval maps Psi_j(T) = Z_j(T) Z_j(0)^{-1}, one per simplex."""
-    return [basis.monodromy(T) for basis in ctrl.bases]
 
 
 def multi_controller_to_dict(ctrl: MultiController) -> dict:

@@ -24,6 +24,8 @@ DIVERGENCE_NORM = 1e6
 MAX_STEPS = int(1e8)
 # Tolerance used when assigning a time to its interval index p = floor(t / T).
 _P_TOL = 1e-9
+# Steps whose RK4 stage matrices affine_interval_maps holds at once.
+_MAP_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,55 @@ class HalfGrid:
             if abs(t - at(j)) <= self._tol:
                 return j
         return None
+
+
+def affine_interval_maps(A: np.ndarray, B: np.ndarray, K: np.ndarray, c: np.ndarray,
+                         h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative RK4 maps of dy/ds = (A + B K(s)) y + B c(s) on a uniform grid.
+
+    K (2N+1, m, d) and c (2N+1, m) hold the gains on the HalfGrid slots of
+    a grid with step h.  An RK4 step of this affine flow is an affine map
+    y -> Phi_i y + phi_i: the four stages run on the homogeneous identity,
+    where [[A + B K, B c], [0, 0]] acts on [[L, l], [0, 1]], a chunk of steps
+    at a time.  A doubling scan then composes the steps in log2(N) batched
+    products.  Returns Pi (N+1, d, d) and psi (N+1, d) with
+    y(t_i) = Pi_i y(t_0) + psi_i, Pi_0 = I and psi_0 = 0.
+    """
+    d, N = A.shape[0], (len(K) - 1) // 2
+    eye = np.eye(d + 1)
+    C = np.empty((N + 1, d + 1, d + 1))
+    C[0] = eye
+    for lo in range(0, N, _MAP_CHUNK):
+        hi = min(lo + _MAP_CHUNK, N)
+        F = np.zeros((2 * (hi - lo) + 1, d + 1, d + 1))
+        F[:, :d, :d] = B @ K[2 * lo:2 * hi + 1] + A
+        F[:, :d, d] = c[2 * lo:2 * hi + 1] @ B.T
+        k1, F1, F2 = F[0:-1:2], F[1::2], F[2::2]
+        k2 = F1 @ (eye + (0.5 * h) * k1)
+        k3 = F1 @ (eye + (0.5 * h) * k2)
+        k4 = F2 @ (eye + h * k3)
+        C[lo + 1:hi + 1] = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # After the pass with shift s, C[i] holds the product of steps i-1 down to
+    # max(i - 2s, 0); the right-hand side is formed before it is stored.
+    shift = 1
+    while shift < N:
+        C[shift + 1:] = C[shift + 1:] @ C[1:N + 1 - shift]
+        shift *= 2
+    return C[:, :d, :d], C[:, :d, d]
+
+
+def check_divergence(states: np.ndarray, times: np.ndarray) -> None:
+    """rk4's post-step test on a block of grid states (time on the first axis).
+
+    Raises DivergenceError at the first time whose state is non-finite or has
+    a norm above DIVERGENCE_NORM.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("gij,gij->g", states, states)
+    bad = np.flatnonzero(~(sq <= DIVERGENCE_NORM**2))
+    if bad.size:
+        t = float(times[bad[0]])
+        raise DivergenceError(f"state diverged at t={t:.6f}", time=t)
 
 
 def interval_index(t: float, T: float) -> tuple[int, float]:

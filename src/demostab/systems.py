@@ -34,7 +34,8 @@ class Reference:
 
     z_of_t returns the stacked reference state (successive derivatives of the
     tracked output); v_of_t returns the next derivative, which feeds forward
-    into the tracking law.
+    into the tracking law.  Both take a scalar time, giving an (n,) or (m,)
+    array, or an array of G times, giving one row per time.
     """
 
     z_of_t: Callable[[float], np.ndarray]
@@ -56,16 +57,17 @@ def figure_eight(f: float) -> Reference:
     a = 4.0 * math.pi * f
     b = 2.0 * math.pi * f
 
-    def z_of_t(t: float) -> np.ndarray:
-        p = np.array([math.sin(a * t), math.sin(b * t), 0.1 * math.sin(b * t) + 0.7])
-        dp = np.array([a * math.cos(a * t), b * math.cos(b * t), 0.1 * b * math.cos(b * t)])
-        ddp = np.array([-a * a * math.sin(a * t), -b * b * math.sin(b * t),
-                        -0.1 * b * b * math.sin(b * t)])
-        return np.concatenate([p, dp, ddp])
+    def z_of_t(t):
+        t = np.asarray(t, dtype=float)
+        sa, sb, ca, cb = np.sin(a * t), np.sin(b * t), np.cos(a * t), np.cos(b * t)
+        return np.stack([sa, sb, 0.1 * sb + 0.7,
+                         a * ca, b * cb, 0.1 * b * cb,
+                         -a * a * sa, -b * b * sb, -0.1 * b * b * sb], axis=-1)
 
-    def v_of_t(t: float) -> np.ndarray:
-        return np.array([-a ** 3 * math.cos(a * t), -b ** 3 * math.cos(b * t),
-                         -0.1 * b ** 3 * math.cos(b * t)])
+    def v_of_t(t):
+        t = np.asarray(t, dtype=float)
+        ca, cb = np.cos(a * t), np.cos(b * t)
+        return np.stack([-a ** 3 * ca, -b ** 3 * cb, -0.1 * b ** 3 * cb], axis=-1)
 
     return Reference(z_of_t=z_of_t, v_of_t=v_of_t, n=9, m=3,
                      description=f"figure eight at {f} Hz")
@@ -75,12 +77,11 @@ def figure_eight_axis(f: float, axis: int = 0) -> Reference:
     """Single-axis slice of the figure-of-eight (a 3-state chain reference)."""
     ref = figure_eight(f)
 
-    def z_of_t(t: float) -> np.ndarray:
-        z = ref.z_of_t(t)
-        return z[[axis, 3 + axis, 6 + axis]]
+    def z_of_t(t):
+        return ref.z_of_t(t)[..., [axis, 3 + axis, 6 + axis]]
 
-    def v_of_t(t: float) -> np.ndarray:
-        return ref.v_of_t(t)[[axis]]
+    def v_of_t(t):
+        return ref.v_of_t(t)[..., [axis]]
 
     return Reference(z_of_t=z_of_t, v_of_t=v_of_t, n=3, m=1,
                      description=f"figure eight axis {axis} at {f} Hz")
@@ -90,8 +91,8 @@ def setpoint(z_fixed: np.ndarray, m: int = 1) -> Reference:
     """Constant reference with zero feedforward (plain stabilization target)."""
     z_fixed = np.asarray(z_fixed, dtype=float)
     return Reference(
-        z_of_t=lambda t: z_fixed.copy(),
-        v_of_t=lambda t: np.zeros(m),
+        z_of_t=lambda t: np.tile(z_fixed, np.shape(t) + (1,)),
+        v_of_t=lambda t: np.zeros(np.shape(t) + (m,)),
         n=len(z_fixed),
         m=m,
         description="setpoint",
@@ -124,21 +125,24 @@ class TrackingResult:
 
 
 def simulate_tracking(ctrl, ref: Reference, z0: np.ndarray, duration: float, dt: float,
-                      b_of_z: Callable[[np.ndarray], float] = lambda z: 1.0) -> TrackingResult:
+                      b_of_z: Callable[[np.ndarray], np.ndarray | float] = lambda z: 1.0
+                      ) -> TrackingResult:
     """Closed-loop trajectory under the tracking law.
 
     Because the reference satisfies the same chain dynamics with input v_ref,
     the tracking error obeys the plain stabilization loop; the error system is
-    integrated with interval anchoring and the reference added back.
+    integrated with interval anchoring and the reference added back.  The
+    reference and b_of_z are evaluated once on the whole grid: unlike the
+    b_of_z of track(), which gets one (n,) state, this one takes the states
+    as columns, (n, G), and returns one value per column or a scalar.
     """
     e0 = np.asarray(z0, dtype=float) - ref.z_of_t(0.0)
     times, e_states, e_inputs = simulate_chain_batch(ctrl, e0, duration, dt)
     e_states, e_inputs = e_states[:, :, 0], e_inputs[:, :, 0]
-    z_ref = np.stack([ref.z_of_t(t) for t in times])
-    v_ref = np.stack([ref.v_of_t(t) for t in times])
+    z_ref = ref.z_of_t(times)
     z = e_states + z_ref
-    b_vals = np.array([float(b_of_z(zk)) for zk in z])
-    u = (v_ref + e_inputs) / b_vals[:, None]
+    b_vals = np.broadcast_to(np.asarray(b_of_z(z.T), dtype=float), times.shape)
+    u = (ref.v_of_t(times) + e_inputs) / b_vals[:, None]
     return TrackingResult(
         times=times,
         z=z,

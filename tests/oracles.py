@@ -437,3 +437,35 @@ def csv_text(header, columns) -> str:
     for k in range(len(columns[0])):
         lines.append(",".join(repr(float(col[k])) for col in columns))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Learned chain loops stepped stage by stage, and the per-simplex interval
+# maps, for comparison with the tabulated interval propagators.
+# ---------------------------------------------------------------------------
+
+
+def chain_rk4(ctrl, z0, duration: float, dt: float):
+    """(times, states, inputs) of the learned chain loop through the RK4 driver.
+
+    Every stage evaluates the controller, anchored per interval as
+    simulate_chain_batch anchors it.
+    """
+    from demostab.sim import rk4
+
+    z = np.asarray(z0, dtype=float)
+    if z.ndim == 1:
+        z = z[:, None]
+    A, B, T = ctrl.A, ctrl.B, ctrl.T
+
+    def rhs(tau, zz, anchor):
+        v = ctrl.eval_in_interval(anchor, min(tau, T), zz)
+        return A @ zz + B @ v, v
+
+    return rk4(rhs, z, 0.0, duration, dt, period=T,
+               begin=lambda t, zz: ctrl.begin_interval(zz))
+
+
+def per_simplex_monodromy(ctrl, T=None) -> list[np.ndarray]:
+    """Interval maps Psi_j(T) = Z_j(T) Z_j(0)^{-1}, one per simplex."""
+    return [basis.monodromy(T) for basis in ctrl.bases]

@@ -258,6 +258,29 @@ def test_quadrotor_track_pipeline(tmp_path):
     assert summary["max_error_first_period"] > 0.0
 
 
+def readme_config(preset: str) -> dict:
+    """The README's JSON configuration block for a preset."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in text.split("```json\n")[1:]]
+    return next(c for c in map(json.loads, blocks) if c.get("preset") == preset)
+
+
+def test_readme_quadrotor_simulate_decays(tmp_path):
+    # The README start is off the equilibrium, so the simulate stage shows
+    # the certified decay instead of integrating zero.
+    config = readme_config("flat_quad_3d")
+    config["simulate"]["duration"] = 3 * config["T"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    for stage in ("demos", "learn", "simulate"):
+        assert main([stage, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    x0_norm = sum(x * x for x in config["simulate"]["x0"]) ** 0.5
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert 0.0 < summary["final_norm"] < x0_norm
+    assert len(summary["decay_ratio_per_period"]) == 3
+    assert all(r < 1.0 for r in summary["decay_ratio_per_period"])
+
+
 def test_ball_beam_demo_file_count(tmp_path):
     config = {"preset": "ball_beam", "T": 1.0, "dt": 0.01}
     cfg = tmp_path / "config.json"

@@ -3,15 +3,11 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from oracles import double_int_flow
+from oracles import double_int_flow, per_simplex_monodromy
 
 from demostab.geometry import pl_interpolate
 from demostab.learner import LearnedController, build_basis, simulate_chain_closed_loop
-from demostab.multi import (
-    MultiController,
-    per_simplex_monodromy,
-    select_index_set,
-)
+from demostab.multi import MultiController, select_index_set
 
 
 def test_single_simplex_matches_single_controller(double_int_set):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import DOUBLE_INT_ACL, double_int_flow, matrix_exp_series
@@ -11,7 +12,14 @@ from oracles import DOUBLE_INT_ACL, double_int_flow, matrix_exp_series
 from demostab.errors import DivergenceError
 from demostab.learner import LearnedController, build_basis, simulate_chain_closed_loop
 from demostab.plant import chain_preset
-from demostab.sim import HalfGrid, integrate, rk4, simulate_closed_loop, time_grid
+from demostab.sim import (
+    HalfGrid,
+    integrate,
+    interval_index,
+    rk4,
+    simulate_closed_loop,
+    time_grid,
+)
 
 
 def test_chain_equilibrium_stays_constant():
@@ -150,3 +158,14 @@ def test_half_grid_maps_rk4_stage_times_to_slots():
         assert half.index(grid[0] + 0.25 * dt) is None
         assert half.index(grid[-1] + 0.5 * dt) is None
         assert half.index(grid[0] - 0.5 * dt) is None
+
+
+@given(T=st.floats(1e-3, 100.0), p=st.integers(0, 10_000), back=st.floats(1e-6, 1.0))
+def test_interval_index_is_right_continuous(T, p, back):
+    # At t = pT the new interval starts with tau = 0; just before it the
+    # previous interval runs up to its end.
+    assert interval_index(p * T, T) == (p, 0.0)
+    if p > 0:
+        q, tau = interval_index(p * T - back * T, T)
+        assert q == p - 1
+        assert abs(tau - (1.0 - back) * T) <= 1e-9 * T * (p + 1)

@@ -13,6 +13,7 @@ from demostab.learner import LearnedController, build_basis
 from demostab.plant import chain_preset
 from demostab.systems import (
     BALL_BEAM_B,
+    Reference,
     BALL_BEAM_G,
     BALL_BEAM_W,
     ball_beam_preset,
@@ -150,6 +151,23 @@ def test_tracking_starts_from_initial_error():
     res = simulate_tracking(ctrl, ref, np.zeros(9), duration=1.0, dt=1e-2)
     assert_allclose(res.error_norm[0], np.linalg.norm(ref.z_of_t(0.0)), atol=1e-12)
     assert_allclose(res.z[0], 0.0, atol=1e-12)
+
+
+def test_tracking_inputs_match_track(double_int_ctrl):
+    # simulate_tracking calls b_of_z once on the grid states as columns;
+    # its inputs are track()'s, which calls it on one state at a time.
+    ref = Reference(z_of_t=lambda t: np.stack([np.sin(t), np.cos(t)], axis=-1),
+                    v_of_t=lambda t: -np.sin(t)[..., None], n=2, m=1, description="circle")
+
+    def b_of_z(z):
+        return 2.0 + np.tanh(z[0])
+
+    res = simulate_tracking(double_int_ctrl, ref, np.array([0.5, -0.3]), duration=5.0,
+                            dt=1e-3, b_of_z=b_of_z)
+    for k in range(0, len(res.times), 250):
+        u = track(double_int_ctrl, ref, b_of_z, res.times[k], res.z[k])
+        assert_allclose(res.u[k, 0], u, rtol=1e-12, atol=1e-14)
+    assert np.ptp(b_of_z(res.z.T)) > 0.1
 
 
 def test_figure_eight_rejects_bad_frequency():
