@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -48,11 +49,14 @@ class _UsageError(Exception):
     pass
 
 
-def _number(what: str, value) -> float:
+def _number(what: str, value, positive: bool = False) -> float:
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"{what} must be a number, got {value!r}") from exc
+    if positive and not 0.0 < x < math.inf:
+        raise _UsageError(f"{what} must be a positive number, got {value!r}")
+    return x
 
 
 def _vector(what: str, value, n: int) -> np.ndarray:
@@ -99,20 +103,18 @@ class RunConfig:
         try:
             self.preset = data["preset"]
             self.kind = _preset_kind(self.preset)
-            self.T = float(data["T"])
-            self.dt = float(data["dt"])
+            self.T = _number("T", data["T"], positive=True)
+            self.dt = _number("dt", data["dt"], positive=True)
         except KeyError as exc:
             raise _UsageError(f"config missing required key: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"T and dt must be numbers: {exc}") from exc
-        if self.T <= 0 or self.dt <= 0:
-            raise _UsageError("T and dt must be positive")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise _UsageError(f"T={self.T} must be an integer multiple of dt={self.dt}")
         self.preset_params = _section(data, "preset_params")
         self.expert_params = _section(data, "expert")
-        self.multi = bool(data.get("multi", False))
+        self.multi = data.get("multi", False)
+        if not isinstance(self.multi, bool):
+            raise _UsageError(f"multi must be true or false, got {self.multi!r}")
         self.feedback = data.get("feedback", "closed_loop")
         if self.feedback not in ("closed_loop", "open_loop"):
             raise _UsageError(f"feedback must be closed_loop or open_loop, got {self.feedback!r}")
@@ -120,22 +122,26 @@ class RunConfig:
         if not isinstance(grid, list):
             raise _UsageError(f"t_tilde_grid must be a list of numbers, got {grid!r}")
         self.t_tilde_grid = [_number("t_tilde_grid entry", t) for t in grid]
+        if not all(t >= 0.0 for t in self.t_tilde_grid):
+            raise _UsageError(f"t_tilde_grid entries must not be negative, got {grid!r}")
         self.simulate = _section(data, "simulate")
         if "duration" in self.simulate:
-            self.simulate["duration"] = _number("simulate.duration", self.simulate["duration"])
+            self.simulate["duration"] = _number("simulate.duration", self.simulate["duration"],
+                                                positive=True)
         self.track = _section(data, "track")
         for key in ("f", "duration"):
             if key in self.track:
-                self.track[key] = _number(f"track.{key}", self.track[key])
-        if self.track.get("f", 0.1) <= 0:
-            raise _UsageError("track.f must be positive")
+                self.track[key] = _number(f"track.{key}", self.track[key], positive=True)
         if self.track.get("axis", 0) not in (0, 1, 2):
             raise _UsageError(f"track.axis must be 0, 1 or 2, got {self.track['axis']!r}")
-        ics = data.get("initial_conditions", "default")
-        self.initial_conditions = ics
+        self.initial_conditions = data.get("initial_conditions", "default")
+        if self.kind == _FLAT3D_KIND and self.initial_conditions != "default":
+            raise _UsageError("flat_quad_3d records from its fixed unit-vector starts: "
+                              "initial_conditions must be \"default\", "
+                              f"got {self.initial_conditions!r}")
 
     def expert_QR(self, default_Q: np.ndarray, default_R: float) -> tuple[np.ndarray, float]:
-        """Expert LQR weights: Q (a diagonal or a full n x n matrix) and scalar R."""
+        """Expert LQR weights: Q (a diagonal or a full n x n matrix, SPD) and scalar R > 0."""
         n = len(default_Q)
         Q = self.expert_params.get("Q")
         if Q is None:
@@ -150,8 +156,12 @@ class RunConfig:
             if Q.shape != (n, n):
                 raise _UsageError(f"expert.Q must be {n} diagonal entries or {n}x{n}, "
                                   f"got shape {Q.shape}")
+            if not (np.all(np.isfinite(Q)) and np.allclose(Q, Q.T)
+                    and np.all(np.linalg.eigvalsh(Q) > 0)):
+                raise _UsageError(f"expert.Q must be symmetric positive definite, "
+                                  f"got {Q.tolist()}")
         R = self.expert_params.get("R")
-        R = default_R if R is None else _number("expert.R", R)
+        R = default_R if R is None else _number("expert.R", R, positive=True)
         return Q, R
 
     def ics(self, default: list) -> list:
@@ -211,6 +221,8 @@ def _record_one(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _record_parallel(worker, argses, jobs: int) -> list[Trajectory]:
+    # The pool starts all its workers at the first submit: no more than there are runs.
+    jobs = min(jobs, len(argses))
     if jobs <= 1:
         results = [worker(a) for a in argses]
     else:
@@ -223,9 +235,7 @@ def _build_demo_set(cfg: RunConfig, jobs: int = 1):
     """Returns (DemonstrationSet, embedded demos or None)."""
     if cfg.kind == _FLAT3D_KIND:
         Q, R = cfg.expert_QR(40.0 * np.eye(9), 1.0)
-        q = float(Q[0, 0])
-        dset = systems.flat_quad_demo_set(T=cfg.T, dt=cfg.dt, q=q, r=R)
-        return dset, None
+        return systems.flat_quad_demo_set(T=cfg.T, dt=cfg.dt, q=Q, r=R), None
 
     if cfg.kind == _CHAIN_KIND:
         plant = _chain_plant(cfg.preset)
@@ -237,10 +247,6 @@ def _build_demo_set(cfg: RunConfig, jobs: int = 1):
         ics = cfg.ics([np.asarray(ic) for ic in systems.BALL_BEAM_ICS])
         xi0 = _vector("preset_params.xi0", cfg.preset_params.get("xi0", np.zeros(plant.n - 1)),
                       plant.n - 1)
-    try:
-        _plant_and_expert(cfg.preset, cfg.preset_params, Q, R)
-    except ValueError as exc:
-        raise _UsageError(f"expert: {exc}") from exc
     argses = [(cfg.preset, cfg.preset_params, Q, R, ic, cfg.T, cfg.dt)
               for ic in [np.zeros(plant.n)] + ics]
     raw = _record_parallel(_record_one, argses, jobs)
@@ -277,14 +283,13 @@ def cmd_demos(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
     for i, demo in enumerate(dset.demos):
         demos_mod.save_demo_csv(demo, out / f"demo_{i:02d}.csv")
     if embedded is not None:
+        # z and v are in demo_set.json and the demo CSVs; only xi is new here.
         payload = {
             "n": dset.n,
             "w": list(_embedding_of(cfg)[1].w),
             "T": dset.T,
             "dt": dset.dt,
-            "demos": [
-                {"z": e.z, "xi": e.xi, "v": e.v} for e in embedded
-            ],
+            "demos": [{"xi": e.xi} for e in embedded],
         }
         write_json(out / "embedded_demos.json", payload)
     report = demos_mod.validate_affine_independence(dset)

@@ -62,20 +62,6 @@ class Demonstration:
         return bool(np.all(self.z == 0.0) and np.all(self.v == 0.0))
 
 
-def eval_demo(demo: Demonstration, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (z, v) at time t by linear interpolation; exact at grid points."""
-    t = float(t)
-    lo, hi = demo.times[0], demo.times[-1]
-    if t < lo - 1e-12 or t > hi + 1e-12:
-        raise ValueError(f"time {t} outside the demonstration range [{lo}, {hi}]")
-    i = int(np.clip(np.searchsorted(demo.times, t, side="right") - 1, 0, len(demo.times) - 2))
-    w = (t - demo.times[i]) / (demo.times[i + 1] - demo.times[i])
-    w = min(max(w, 0.0), 1.0)
-    z = (1.0 - w) * demo.z[i] + w * demo.z[i + 1]
-    v = (1.0 - w) * demo.v[i] + w * demo.v[i + 1]
-    return z, v
-
-
 @dataclass(frozen=True)
 class DemonstrationSet:
     """M demonstrations on a common grid, plus the chain pair (A, B) they solve.
@@ -314,11 +300,3 @@ def save_demo_csv(demo: Demonstration, path: str | Path) -> None:
     vcols = ["v"] if m == 1 else [f"v{j + 1}" for j in range(m)]
     header = ["t"] + [f"z{k + 1}" for k in range(n)] + vcols
     write_csv(path, header, [demo.times, *demo.z.T, *demo.v.T])
-
-
-def load_demo_csv(path: str | Path) -> Demonstration:
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    n = sum(1 for c in header if c.startswith("z"))
-    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    return Demonstration(times=rows[:, 0], z=rows[:, 1 : 1 + n], v=rows[:, 1 + n :])

@@ -121,20 +121,6 @@ class EmbeddingConfig:
         return self.plant.n
 
 
-@dataclass(frozen=True)
-class ExtendedState:
-    """Plant state x paired with the auxiliary state xi."""
-
-    x: np.ndarray
-    xi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.xi))):
-            raise ValueError("extended state must be finite")
-
-
 # The functions below take x shaped (n,) with xi (n-1,), or a batch of states
 # as columns, x (n, k) with xi (n-1, k).
 
@@ -159,11 +145,6 @@ def phi_z(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     cfg.plant.require_in_domain(x)
     return _terms(cfg, x, np.asarray(xi, dtype=float))[0]
-
-
-def phi(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full coordinate change (z, xi) = Phi(x, xi); xi passes through."""
-    return phi_z(cfg, x, xi), np.asarray(xi, dtype=float).copy()
 
 
 def r_of_x(cfg: EmbeddingConfig, x: np.ndarray):

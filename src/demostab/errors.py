@@ -6,7 +6,15 @@ class DomainError(ValueError):
 
 
 class SingularDecouplingError(ArithmeticError):
-    """Decoupling term b(z) = L_g L_f^{n-1} h(x) is numerically zero."""
+    """Decoupling term b(z) = L_g L_f^{n-1} h(x) is numerically zero.
+
+    Attributes:
+        time: simulation time of the singular state, if there is one.
+    """
+
+    def __init__(self, message, time=None):
+        super().__init__(message)
+        self.time = time
 
 
 class NotFeedbackLinearizableError(ValueError):

@@ -13,7 +13,6 @@ the variational-inequality certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -46,13 +45,6 @@ def barycentric(vertices: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise DegenerateGeometryError(f"degenerate simplex: {V}") from exc
-
-
-def simplex_volume(vertices: np.ndarray) -> float:
-    """n-volume |det[v_i - v_0]| / n! of a simplex."""
-    V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    n = V.shape[1]
-    return abs(float(np.linalg.det(V[1:] - V[0]))) / float(math.factorial(n))
 
 
 @dataclass(frozen=True)
@@ -98,9 +90,6 @@ class Triangulation:
     @property
     def n(self) -> int:
         return self.points.shape[1]
-
-    def vertices_of(self, j: int) -> np.ndarray:
-        return self.points[list(self.simplices[j].vertex_indices)]
 
     def worst_coordinates(self, xi: np.ndarray) -> np.ndarray:
         """Smallest barycentric coordinate of xi in each simplex, shape (P,)."""

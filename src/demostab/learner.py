@@ -100,10 +100,6 @@ class AffineBasis:
     def T(self) -> float:
         return float(self.times[-1])
 
-    @property
-    def base(self) -> int:
-        return self.index_set[0]
-
     def _interp(self, tau: float):
         """Entry-wise linear interpolation of Z, V and the base samples at tau."""
         T = self.times[-1]

@@ -60,24 +60,20 @@ class PlantModel:
         n: state dimension.
         f: drift vector field, maps (n,) -> (n,).
         g: input vector field, maps (n,) -> (n,).
-        h: scalar output map with h(0) = 0.
-        lie_f_h: evaluators for L_f^k h, k = 0..n (n + 1 callables).
+        lie_f_h: evaluators for L_f^k h, k = 0..n (n + 1 callables); the
+            output is h = L_f^0 h, with h(0) = 0.
         lie_g_lie_f_h: evaluators for L_g L_f^k h, k = 0..n-1 (n callables).
         domain_check: predicate for membership in the open set U.
         relative_degree: n for feedback-linearizable presets, None otherwise.
-        inverse_phi: inverse of the linearizing coordinate change, if closed
-            form is available (used only by tests).
     """
 
     n: int
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
-    h: Callable[[np.ndarray], float]
     lie_f_h: Sequence[Callable[[np.ndarray], float]]
     lie_g_lie_f_h: Sequence[Callable[[np.ndarray], float]]
     domain_check: Callable[[np.ndarray], bool] = field(default=lambda x: True)
     relative_degree: Optional[int] = None
-    inverse_phi: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "plant"
 
     def __post_init__(self):
@@ -230,11 +226,9 @@ def chain_preset(n: int) -> PlantModel:
         n=n,
         f=f,
         g=g,
-        h=lambda x: float(x[0]),
         lie_f_h=tuple(lie_f(k) for k in range(n + 1)),
         lie_g_lie_f_h=tuple(constant_evaluator(float(k == n - 1)) for k in range(n)),
         domain_check=lambda x: np.isfinite(x).all(axis=0),
         relative_degree=n,
-        inverse_phi=lambda z: np.asarray(z, dtype=float).copy(),
         name=f"chain{n}",
     )

@@ -56,22 +56,6 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
-
-    def state_at(self, t: float) -> np.ndarray:
-        """Linear interpolation of the state at time t within the grid."""
-        t = float(t)
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            raise ValueError(f"time {t} outside trajectory range "
-                             f"[{self.times[0]}, {self.times[-1]}]")
-        i = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                        0, len(self.times) - 2))
-        w = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
-        w = min(max(w, 0.0), 1.0)
-        return (1.0 - w) * self.states[i] + w * self.states[i + 1]
-
 
 def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     """Grid t0 + k*dt, with the last point snapped exactly to t1."""
@@ -253,58 +237,24 @@ def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantMode
     return times, states, inputs
 
 
-def integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    t0: float,
-    t1: float,
-    dt: float,
-) -> Trajectory:
-    """Classical RK4 solution of dx/dt = rhs(t, x) on a fixed grid.
-
-    Raises DivergenceError (carrying the offending time) if the state becomes
-    non-finite or its norm exceeds the runaway bound.  Inputs are all zero.
-    """
-    times, states, inputs = rk4(lambda t, x, _: (rhs(t, x), 0.0), x0, t0, t1, dt)
-    return Trajectory(times=times, states=states, inputs=inputs)
-
-
 def simulate_closed_loop(
     plant: PlantModel,
     controller: Callable[[float, np.ndarray], float],
     x0: np.ndarray,
     duration: float,
     dt: float,
-    hold: Optional[float] = None,
 ) -> Trajectory:
     """Simulate dx/dt = f(x) + g(x) u under u = controller(t, x).
 
-    Without hold, the controller is evaluated at every RK4 stage, i.e. the
-    loop is closed continuously up to the integration error; a learned
-    controller (one with begin_interval) is anchored once per interval at the
-    committed state there, as in the chain simulator.  With hold, the input
-    is sampled once per hold window and kept constant across it (emulated
-    sampled-data control); hold must be a whole multiple of dt.  Inputs are
-    recorded per grid point as the value in effect on [t_k, t_k+dt).
+    The controller is evaluated at every RK4 stage, i.e. the loop is closed
+    continuously up to the integration error.  inputs[k] is the input at t_k.
     """
     x0 = np.asarray(x0, dtype=float)
     plant.require_in_domain(x0)
-    period = begin = None
-    if hold is not None:
-        period, begin = hold, lambda t, x: float(controller(t, x))
 
-        def rhs(t, x, u):
-            return plant.rhs(x, u), u
-    elif hasattr(controller, "begin_interval"):
-        period, begin = controller.T, lambda t, x: controller.begin_interval(x)
+    def rhs(t, x, _):
+        u = float(controller(t, x))
+        return plant.rhs(x, u), u
 
-        def rhs(tau, x, anchor):
-            u = float(controller.eval_in_interval(anchor, min(tau, period), x)[0])
-            return plant.rhs(x, u), u
-    else:
-        def rhs(t, x, _):
-            u = float(controller(t, x))
-            return plant.rhs(x, u), u
-
-    times, states, inputs = rk4(rhs, x0, 0.0, duration, dt, period, begin, domain=plant)
+    times, states, inputs = rk4(rhs, x0, 0.0, duration, dt, domain=plant)
     return Trajectory(times=times, states=states, inputs=inputs)

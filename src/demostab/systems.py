@@ -19,8 +19,9 @@ from scipy.linalg import expm
 
 from .demos import Demonstration, DemonstrationSet
 from .embed import EmbeddingConfig
+from .errors import SingularDecouplingError
 from .learner import simulate_chain_batch
-from .plant import ExpertController, PlantModel, constant_evaluator, lqr_gain
+from .plant import DECOUPLING_TOL, ExpertController, PlantModel, constant_evaluator, lqr_gain
 from .sim import time_grid
 
 # ---------------------------------------------------------------------------
@@ -87,33 +88,6 @@ def figure_eight_axis(f: float, axis: int = 0) -> Reference:
                      description=f"figure eight axis {axis} at {f} Hz")
 
 
-def setpoint(z_fixed: np.ndarray, m: int = 1) -> Reference:
-    """Constant reference with zero feedforward (plain stabilization target)."""
-    z_fixed = np.asarray(z_fixed, dtype=float)
-    return Reference(
-        z_of_t=lambda t: np.tile(z_fixed, np.shape(t) + (1,)),
-        v_of_t=lambda t: np.zeros(np.shape(t) + (m,)),
-        n=len(z_fixed),
-        m=m,
-        description="setpoint",
-    )
-
-
-def track(ctrl, ref: Reference, b_of_z: Callable[[np.ndarray], float], t: float, z: np.ndarray):
-    """Tracking input u = (v_ref(t) + kappa_hat(t, z - z_ref(t))) / b(z)."""
-    from .errors import SingularDecouplingError
-
-    z = np.asarray(z, dtype=float)
-    e = z - ref.z_of_t(t)
-    v = ctrl(t, e)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    b = float(b_of_z(z))
-    if abs(b) < 1e-9:
-        raise SingularDecouplingError(f"b(z) = {b:.3e} at z={z}")
-    u = (ref.v_of_t(t) + v) / b
-    return float(u[0]) if ref.m == 1 else u
-
-
 @dataclass(frozen=True)
 class TrackingResult:
     times: np.ndarray
@@ -131,10 +105,12 @@ def simulate_tracking(ctrl, ref: Reference, z0: np.ndarray, duration: float, dt:
 
     Because the reference satisfies the same chain dynamics with input v_ref,
     the tracking error obeys the plain stabilization loop; the error system is
-    integrated with interval anchoring and the reference added back.  The
-    reference and b_of_z are evaluated once on the whole grid: unlike the
-    b_of_z of track(), which gets one (n,) state, this one takes the states
-    as columns, (n, G), and returns one value per column or a scalar.
+    integrated with interval anchoring and the reference added back, and the
+    input is u = (v_ref(t) + kappa_hat(t, z - z_ref(t))) / b(z).  The
+    reference and b_of_z are evaluated once on the whole grid: b_of_z takes
+    the states as columns, (n, G), and returns one value per column or a
+    scalar.  A |b| below DECOUPLING_TOL raises SingularDecouplingError at
+    the first such grid time.
     """
     e0 = np.asarray(z0, dtype=float) - ref.z_of_t(0.0)
     times, e_states, e_inputs = simulate_chain_batch(ctrl, e0, duration, dt)
@@ -142,6 +118,11 @@ def simulate_tracking(ctrl, ref: Reference, z0: np.ndarray, duration: float, dt:
     z_ref = ref.z_of_t(times)
     z = e_states + z_ref
     b_vals = np.broadcast_to(np.asarray(b_of_z(z.T), dtype=float), times.shape)
+    singular = np.flatnonzero(~(np.abs(b_vals) >= DECOUPLING_TOL))
+    if singular.size:
+        k = singular[0]
+        raise SingularDecouplingError(f"b(z) = {b_vals[k]:.3e} at t={times[k]:.6f}",
+                                      time=float(times[k]))
     u = (ref.v_of_t(times) + e_inputs) / b_vals[:, None]
     return TrackingResult(
         times=times,
@@ -166,18 +147,23 @@ def flat_quad_pair() -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def flat_quad_gain(q: float = 40.0, r: float = 1.0) -> np.ndarray:
-    """LQR jerk gain (3 x 9) of the synthetic quadrotor expert."""
+def flat_quad_gain(q=40.0, r=1.0) -> np.ndarray:
+    """LQR jerk gain (3 x 9) of the synthetic quadrotor expert.
+
+    q is the state weight, a scalar (times I) or a 9 x 9 matrix; r is the
+    input weight, a scalar (times I) or a 3 x 3 matrix.
+    """
     A, B = flat_quad_pair()
-    return lqr_gain(A, B, q * np.eye(9), r * np.eye(3))
+    return lqr_gain(A, B, q * np.eye(9) if np.ndim(q) == 0 else q,
+                    r * np.eye(3) if np.ndim(r) == 0 else r)
 
 
-def flat_quad_demo_set(T: float = 2.0, dt: float = 1e-3,
-                       q: float = 40.0, r: float = 1.0) -> DemonstrationSet:
+def flat_quad_demo_set(T: float = 2.0, dt: float = 1e-3, q=40.0, r=1.0) -> DemonstrationSet:
     """Expert demonstrations from the nine unit-vector starts plus the trivial one.
 
-    The flat model is linear, so the closed loop is propagated exactly with
-    the matrix exponential of one grid step.
+    The weights q and r are those of flat_quad_gain.  The flat model is
+    linear, so the closed loop is propagated exactly with the matrix
+    exponential of one grid step.
     """
     A, B = flat_quad_pair()
     K = flat_quad_gain(q, r)
@@ -251,7 +237,6 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
         n=4,
         f=f,
         g=g_field,
-        h=lambda x: float(x[0]),
         lie_f_h=lie_f_h,
         lie_g_lie_f_h=lie_g_lie_f_h,
         domain_check=lambda x: np.isfinite(x).all(axis=0) & (np.abs(x[2]) < math.pi / 2),

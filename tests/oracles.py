@@ -469,3 +469,60 @@ def chain_rk4(ctrl, z0, duration: float, dt: float):
 def per_simplex_monodromy(ctrl, T=None) -> list[np.ndarray]:
     """Interval maps Psi_j(T) = Z_j(T) Z_j(0)^{-1}, one per simplex."""
     return [basis.monodromy(T) for basis in ctrl.bases]
+
+
+# ---------------------------------------------------------------------------
+# Small helpers the pipeline does not need: a plain ODE solve through the RK4
+# driver, the demo CSV reader, simplex volumes, and the tracking law at one
+# state.
+# ---------------------------------------------------------------------------
+
+
+def integrate(rhs, x0, t0: float, t1: float, dt: float):
+    """Trajectory of dx/dt = rhs(t, x) through the RK4 driver; inputs are all zero.
+
+    The driver's divergence guard applies: DivergenceError carries the time.
+    """
+    from demostab.sim import Trajectory, rk4
+
+    times, states, inputs = rk4(lambda t, x, _: (rhs(t, x), 0.0), x0, t0, t1, dt)
+    return Trajectory(times=times, states=states, inputs=inputs)
+
+
+def load_demo_csv(path):
+    """A demonstration CSV (header t, z1..zn, v or v1..vm) read back as a Demonstration."""
+    from demostab.demos import Demonstration
+
+    lines = open(path).read().strip().splitlines()
+    n = sum(1 for c in lines[0].split(",") if c.startswith("z"))
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    return Demonstration(times=rows[:, 0], z=rows[:, 1:1 + n], v=rows[:, 1 + n:])
+
+
+def vertices_of(tri, j: int) -> np.ndarray:
+    """Vertex coordinates of simplex j of a triangulation, one row per vertex."""
+    return tri.points[list(tri.simplices[j].vertex_indices)]
+
+
+def simplex_volume(vertices: np.ndarray) -> float:
+    """n-volume |det[v_i - v_0]| / n! of a simplex."""
+    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    return abs(float(np.linalg.det(V[1:] - V[0]))) / math.factorial(V.shape[1])
+
+
+def setpoint(z_fixed, m: int = 1):
+    """Constant reference with zero feedforward (plain stabilization target)."""
+    from demostab.systems import Reference
+
+    z_fixed = np.asarray(z_fixed, dtype=float)
+    return Reference(z_of_t=lambda t: np.tile(z_fixed, np.shape(t) + (1,)),
+                     v_of_t=lambda t: np.zeros(np.shape(t) + (m,)),
+                     n=len(z_fixed), m=m, description="setpoint")
+
+
+def track(ctrl, ref, b_of_z, t: float, z):
+    """Tracking input u = (v_ref(t) + kappa_hat(t, z - z_ref(t))) / b(z) at one state."""
+    z = np.asarray(z, dtype=float)
+    v = np.atleast_1d(np.asarray(ctrl(t, z - ref.z_of_t(t)), dtype=float))
+    u = (ref.v_of_t(t) + v) / float(b_of_z(z))
+    return float(u[0]) if ref.m == 1 else u

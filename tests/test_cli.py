@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from demostab import cli
 from demostab.cli import (
     EXIT_CERTIFICATION,
     EXIT_DIVERGENCE,
@@ -129,10 +130,19 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
     {"expert": {"Q": [1.0, 2.0, 3.0]}},
     {"expert": {"Q": [1.0, -2.0]}},
     {"initial_conditions": 5},
+    {"simulate": {"x0": [0.5, 0.5], "duration": 0.0}},
+    {"track": {"duration": -20.0}},
+    {"T": 0.5, "expert": {"Q": [100.0, 0.01], "R": 1.0}, "t_tilde_grid": [-0.25, 0.5]},
+    {"preset": "flat_quad_3d", "expert": {"Q": [-40.0] + [1.0] * 8}},
+    {"preset": "flat_quad_3d", "expert": {}, "initial_conditions": [[1, 2]],
+     "simulate": {"duration": 1.0}},
+    {"multi": "no"},
 ], ids=["t_tilde_grid", "simulate.duration", "track.f", "track.duration", "track.axis",
         "ragged_initial_conditions", "t_tilde_grid_not_a_list", "simulate_not_an_object",
         "simulate.x0_length", "expert.Q", "expert.Q_shape", "expert.Q_indefinite",
-        "initial_conditions_not_a_list"])
+        "initial_conditions_not_a_list", "simulate.duration_not_positive",
+        "track.duration_not_positive", "t_tilde_grid_negative", "flat_quad_3d.Q_indefinite",
+        "flat_quad_3d.initial_conditions", "multi_not_a_bool"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "config.json", **overrides)
     assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -199,6 +209,32 @@ def test_jobs_option_matches_serial(tmp_path):
     assert main(["demos", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
     assert main(["demos", "--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == EXIT_OK
     assert (out1 / "demo_set.json").read_bytes() == (out2 / "demo_set.json").read_bytes()
+
+
+def test_jobs_capped_at_the_number_of_recordings(tmp_path, monkeypatch):
+    # A process pool starts all of its workers at the first submit, so it
+    # gets no more workers than there are expert runs.  The stand-in pool
+    # records its size and runs the recordings in this process.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    cfg = write_config(tmp_path / "config.json", T=1.0)
+    code = main(["demos", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "64"])
+    assert code == EXIT_OK
+    assert sizes == [3]  # the trivial run and the two default starts
 
 
 def test_jobs_option_ball_beam_matches_serial(tmp_path):
@@ -306,6 +342,22 @@ def test_flat_quad_axis_preset_is_three_chain(tmp_path):
     assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     dset = json.loads((tmp_path / "demo_set.json").read_text())
     assert dset["n"] == 3 and dset["M"] == 4
+
+
+def test_flat_quad_expert_weights_are_used(tmp_path):
+    # The whole expert Q reaches the quadrotor's LQR gain: 40 I is the
+    # default, and changing a weight other than the first changes the demos.
+    def demo_set_bytes(name, **overrides):
+        config = {"preset": "flat_quad_3d", "T": 0.5, "dt": 0.01, **overrides}
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["demos", "--config", str(cfg), "--out", str(tmp_path / name)]) == EXIT_OK
+        return (tmp_path / name / "demo_set.json").read_bytes()
+
+    default = demo_set_bytes("default")
+    assert demo_set_bytes("diagonal", expert={"Q": [40.0] * 9, "R": 1.0}) == default
+    assert demo_set_bytes("first_only", expert={"Q": [40.0] + [1.0] * 8}) != default
+    assert demo_set_bytes("input_weight", expert={"R": 2.0}) != default
 
 
 def test_certify_subcommand(tmp_path):

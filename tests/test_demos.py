@@ -5,14 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import analytic_double_int_set
+from oracles import load_demo_csv
 
 from demostab.demos import (
     Demonstration,
     DemonstrationSet,
     demo_set_from_dict,
     demo_set_to_dict,
-    eval_demo,
-    load_demo_csv,
     load_demo_set,
     record_expert,
     save_demo_csv,
@@ -84,31 +83,6 @@ def test_demo_set_requires_trivial_and_count():
     trivial = Demonstration(times=grid, z=np.zeros_like(z), v=np.zeros(len(grid)))
     with pytest.raises(ValueError, match="n\\+1"):
         DemonstrationSet(demos=(trivial, nontrivial), A=pair.A, B=pair.B)
-
-
-def test_eval_demo_grid_points_exact(double_int_set):
-    demo = double_int_set.demos[1]
-    k = 137
-    z, v = eval_demo(demo, demo.times[k])
-    assert np.array_equal(z, demo.z[k])
-    assert np.array_equal(v, demo.v[k])
-
-
-def test_eval_demo_trivial_zero(double_int_set):
-    z, v = eval_demo(double_int_set.demos[0], 0.777)
-    assert np.all(z == 0.0) and np.all(v == 0.0)
-
-
-def test_eval_demo_linear_reproduction():
-    grid = time_grid(0.0, 1.0, 0.1)
-    demo = Demonstration(times=grid, z=grid[:, None], v=np.ones(len(grid)))
-    z, _ = eval_demo(demo, 0.05)
-    assert_allclose(z[0], 0.05, atol=1e-15)
-
-
-def test_eval_demo_range_error(double_int_set):
-    with pytest.raises(ValueError):
-        eval_demo(double_int_set.demos[0], 2.5)
 
 
 def test_validation_identity_starts(double_int_set):

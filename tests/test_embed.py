@@ -10,7 +10,6 @@ from oracles import routh_stable, transform_demo_per_sample
 
 from demostab.embed import (
     EmbeddingConfig,
-    ExtendedState,
     a_w_numeric,
     aux_rhs,
     charpoly,
@@ -18,7 +17,6 @@ from demostab.embed import (
     dynamic_feedback,
     hurwitz,
     invert_phi_z,
-    phi,
     phi_z,
     r_of_x,
     s_of_x_xi,
@@ -74,8 +72,8 @@ def test_config_rejects_wrong_length():
 
 
 def test_phi_at_origin(bb_cfg):
-    z, xi = phi(bb_cfg, np.zeros(4), np.zeros(3))
-    assert np.all(z == 0.0) and np.all(xi == 0.0)
+    z = phi_z(bb_cfg, np.zeros(4), np.zeros(3))
+    assert np.all(z == 0.0)
 
 
 def test_phi_zero_xi_gives_plain_coordinates(bb_cfg):
@@ -262,11 +260,6 @@ def test_a_w_step_size_robustness(bb_cfg):
     mats = [a_w_numeric(bb_cfg, eps=e) for e in (1e-4, 1e-5, 1e-6)]
     for other in mats[1:]:
         assert np.max(np.abs(other - mats[0])) < 1e-3
-
-
-def test_extended_state_validation():
-    with pytest.raises(ValueError):
-        ExtendedState(x=np.array([np.nan, 0.0]), xi=np.zeros(1))
 
 
 def test_embedded_closed_loop_zero_stays_zero(ball_beam_fixture):

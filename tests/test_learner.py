@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import analytic_double_int_set
-from oracles import DOUBLE_INT_K, double_int_flow
+from oracles import DOUBLE_INT_K, double_int_flow, integrate
 
 from demostab.errors import AffineDependenceError
 from demostab.learner import (
@@ -18,7 +18,6 @@ from demostab.learner import (
     simulate_chain_closed_loop,
 )
 from demostab.multi import MultiController
-from demostab.sim import integrate
 
 
 def test_basis_matrices_at_zero(double_int_set):

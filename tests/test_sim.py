@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import DOUBLE_INT_ACL, double_int_flow, matrix_exp_series
+from oracles import DOUBLE_INT_ACL, chain_rk4, double_int_flow, integrate, matrix_exp_series
 
 from demostab.errors import DivergenceError
 from demostab.learner import LearnedController, build_basis, simulate_chain_closed_loop
 from demostab.plant import chain_preset
 from demostab.sim import (
     HalfGrid,
-    integrate,
+    Trajectory,
     interval_index,
     rk4,
     simulate_closed_loop,
@@ -72,26 +72,6 @@ def test_zero_controller_at_origin_stays_zero():
     assert np.all(traj.inputs == 0.0)
 
 
-def test_hold_window_approximates_continuous_mode():
-    # Sampled-and-held control converges to the continuous loop as the hold
-    # window shrinks; at hold = dt the stage evaluations still differ, so the
-    # agreement is O(dt), not bitwise.
-    plant = chain_preset(2)
-    ctrl = lambda t, z: -z[0] - 2.0 * z[1]
-    x0 = np.array([1.0, 0.0])
-    cont = simulate_closed_loop(plant, ctrl, x0, 2.0, 1e-3)
-    held = simulate_closed_loop(plant, ctrl, x0, 2.0, 1e-3, hold=1e-3)
-    coarse = simulate_closed_loop(plant, ctrl, x0, 2.0, 1e-3, hold=1e-2)
-    assert np.max(np.abs(held.states - cont.states)) < 1e-3
-    assert np.max(np.abs(held.states - cont.states)) < np.max(np.abs(coarse.states - cont.states))
-
-
-def test_hold_must_divide_grid():
-    plant = chain_preset(2)
-    with pytest.raises(ValueError):
-        simulate_closed_loop(plant, lambda t, z: 0.0, np.zeros(2), 1.0, 1e-3, hold=2.5e-3)
-
-
 def test_driver_rejects_interval_off_the_grid():
     rhs = lambda s, x, anchor: (-x, 0.0)
     for period in (2.5e-3, 0.0, 1e-12):
@@ -100,13 +80,14 @@ def test_driver_rejects_interval_off_the_grid():
 
 
 def test_interval_controller_anchored_at_committed_state(double_int_set):
-    # The generic simulator anchors a learned controller once per interval,
-    # at the committed state, exactly like the chain simulator.  Anchoring
-    # at the RK4 predictor state at t = (p+1)T instead puts it ~2e-9 off.
+    # The RK4 driver anchors a learned controller once per interval, at the
+    # committed state, exactly like the chain simulator.  Anchoring at the
+    # RK4 predictor state at t = (p+1)T instead puts it ~2e-9 off.
     ctrl = LearnedController(build_basis(double_int_set), feedback_mode="open_loop")
     z0 = np.array([0.4, -0.2])
     chain = simulate_chain_closed_loop(ctrl, z0, 6.0, 1e-2)
-    generic = simulate_closed_loop(chain_preset(2), ctrl, z0, 6.0, 1e-2)
+    times, states, inputs = chain_rk4(ctrl, z0, 6.0, 1e-2)
+    generic = Trajectory(times=times, states=states[:, :, 0], inputs=inputs[:, 0, 0])
     assert np.max(np.abs(generic.states - chain.states)) < 1e-12
     assert np.max(np.abs(generic.inputs - chain.inputs)) < 1e-12
 
@@ -136,13 +117,6 @@ def test_chain_drift_is_exact_polynomial():
     assert_allclose(traj.states[:, 0], a + b * t + 0.5 * c * t**2, atol=1e-12)
     assert_allclose(traj.states[:, 1], b + c * t, atol=1e-12)
     assert_allclose(traj.states[:, 2], c, atol=1e-12)
-
-
-def test_trajectory_state_interpolation():
-    traj = integrate(lambda t, x: np.array([1.0]), np.array([0.0]), 0.0, 1.0, 0.1)
-    assert_allclose(traj.state_at(0.55)[0], 0.55, atol=1e-12)
-    with pytest.raises(ValueError):
-        traj.state_at(1.5)
 
 
 def test_half_grid_maps_rk4_stage_times_to_slots():

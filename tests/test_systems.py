@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import setpoint, track
+
 from demostab.certify import certificate
 from demostab.demos import to_zv
-from demostab.errors import NotFeedbackLinearizableError
+from demostab.errors import NotFeedbackLinearizableError, SingularDecouplingError
 from demostab.learner import LearnedController, build_basis
 from demostab.plant import chain_preset
 from demostab.systems import (
@@ -21,9 +23,7 @@ from demostab.systems import (
     figure_eight_axis,
     flat_quad_demo_set,
     flat_quad_pair,
-    setpoint,
     simulate_tracking,
-    track,
 )
 
 
@@ -168,6 +168,20 @@ def test_tracking_inputs_match_track(double_int_ctrl):
         u = track(double_int_ctrl, ref, b_of_z, res.times[k], res.z[k])
         assert_allclose(res.u[k, 0], u, rtol=1e-12, atol=1e-14)
     assert np.ptp(b_of_z(res.z.T)) > 0.1
+
+
+def test_tracking_rejects_singular_decoupling(double_int_ctrl):
+    # b(z) = max(z_1, 0) vanishes once z_1 turns negative (near t = 1/3 from
+    # this start): the first such grid time is named, nothing is divided by 0.
+    ref = setpoint(np.zeros(2))
+    z0 = np.array([0.5, -2.0])
+    free = simulate_tracking(double_int_ctrl, ref, z0, duration=2.0, dt=1e-3)
+    k = np.flatnonzero(free.z[:, 0] <= 0.0)[0]
+    assert 0.2 < free.times[k] < 0.5
+    with pytest.raises(SingularDecouplingError, match=f"t={free.times[k]:.6f}") as err:
+        simulate_tracking(double_int_ctrl, ref, z0, duration=2.0, dt=1e-3,
+                          b_of_z=lambda z: np.maximum(z[0], 0.0))
+    assert err.value.time == free.times[k]
 
 
 def test_figure_eight_rejects_bad_frequency():
