@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .demos import DemonstrationSet
-from .learner import AffineBasis, LearnedController, build_basis, simulate_chain_batch
+from .learner import AffineBasis, build_basis, simulate_chain_batch
 
 
 def expm_nilpotent(A: np.ndarray, t: float) -> np.ndarray:
@@ -124,16 +124,13 @@ class MonodromyCertificate:
 
 
 def _bases_of(obj) -> list[AffineBasis]:
-    from .multi import MultiController
-
+    """The bases of a basis, a demonstration set, or a controller (its ``bases``)."""
     if isinstance(obj, AffineBasis):
         return [obj]
-    if isinstance(obj, LearnedController):
-        return [obj.basis]
-    if isinstance(obj, MultiController):
-        return list(obj.bases)
     if isinstance(obj, DemonstrationSet):
         return [build_basis(obj)]
+    if hasattr(obj, "bases"):
+        return list(obj.bases)
     raise TypeError(f"cannot extract demonstration bases from {type(obj).__name__}")
 
 

@@ -1,9 +1,10 @@
 """Batch front end: demos -> validate -> learn -> certify -> simulate/track.
 
 Configuration is a single JSON document; every stage writes plot-ready CSV and
-JSON into the output directory.  Runs are reproducible bit for bit: fixed-step
-integration, deterministic tie-breaks, and no randomness anywhere in the
-pipeline.
+JSON into the output directory.  The demos stage records all expert runs of a
+preset as one batch on their shared grid.  Runs are reproducible bit for bit:
+fixed-step integration, deterministic tie-breaks, and no randomness anywhere
+in the pipeline.
 
 Exit codes: 0 success, 1 usage (also a file that cannot be read or written),
 2 validation failure, 3 certification failure, 4 divergence or a state outside
@@ -16,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -32,7 +32,7 @@ from .learner import LearnedController, build_basis, load_controller, save_contr
     simulate_chain_closed_loop
 from .multi import MultiController
 from .plant import chain_preset, expert_lqr
-from .sim import Trajectory
+from .sim import MAX_STEPS, Trajectory
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,9 +99,13 @@ class RunConfig:
     """Validated view of the JSON configuration document."""
 
     def __init__(self, data: dict):
+        if not isinstance(data, dict):
+            raise _UsageError(f"the config must be a JSON object, got {data!r}")
         self.data = data
         try:
             self.preset = data["preset"]
+            if not isinstance(self.preset, str):
+                raise _UsageError(f"preset must be a string, got {self.preset!r}")
             self.kind = _preset_kind(self.preset)
             self.T = _number("T", data["T"], positive=True)
             self.dt = _number("dt", data["dt"], positive=True)
@@ -125,15 +129,19 @@ class RunConfig:
         if not all(t >= 0.0 for t in self.t_tilde_grid):
             raise _UsageError(f"t_tilde_grid entries must not be negative, got {grid!r}")
         self.simulate = _section(data, "simulate")
-        if "duration" in self.simulate:
-            self.simulate["duration"] = _number("simulate.duration", self.simulate["duration"],
-                                                positive=True)
+        self.simulate_duration = _number("simulate.duration",
+                                         self.simulate.get("duration", 5.0 * self.T), positive=True)
         self.track = _section(data, "track")
-        for key in ("f", "duration"):
-            if key in self.track:
-                self.track[key] = _number(f"track.{key}", self.track[key], positive=True)
+        self.track_f = _number("track.f", self.track.get("f", 0.1), positive=True)
+        self.track_duration = _number("track.duration",
+                                      self.track.get("duration", 2.0 / self.track_f), positive=True)
         if self.track.get("axis", 0) not in (0, 1, 2):
             raise _UsageError(f"track.axis must be 0, 1 or 2, got {self.track['axis']!r}")
+        for what, span in (("T", self.T), ("simulate.duration", self.simulate_duration),
+                           ("track.duration", self.track_duration)):
+            if span / self.dt > MAX_STEPS:
+                raise _UsageError(f"{what} / dt = {span / self.dt:.3g} steps exceed the "
+                                  f"{MAX_STEPS:.0e} step budget")
         self.initial_conditions = data.get("initial_conditions", "default")
         if self.kind == _FLAT3D_KIND and self.initial_conditions != "default":
             raise _UsageError("flat_quad_3d records from its fixed unit-vector starts: "
@@ -199,39 +207,11 @@ def _trajectory_tables(traj: Trajectory, state_prefix: str = "z"):
 
 
 # ---------------------------------------------------------------------------
-# Demo recording (optionally fanned out over a process pool)
+# Demo recording
 # ---------------------------------------------------------------------------
 
 
-def _plant_and_expert(preset: str, params: dict, Q: np.ndarray, R: float):
-    if preset == "ball_beam":
-        plant = systems.ball_beam_plant(params.get("b_bar", systems.BALL_BEAM_B),
-                                        params.get("g_bar", systems.BALL_BEAM_G))
-        return plant, systems.ball_beam_expert(plant, Q=Q, R=R)
-    plant = _chain_plant(preset)
-    return plant, expert_lqr(plant, Q, R)
-
-
-def _record_one(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One expert run; module level and fed plain data, so a process pool can run it."""
-    preset, params, Q, R, x0, T, dt = args
-    plant, expert = _plant_and_expert(preset, params, Q, R)
-    traj = demos_mod.record_run(plant, expert, x0, T, dt)
-    return traj.times, traj.states, traj.inputs
-
-
-def _record_parallel(worker, argses, jobs: int) -> list[Trajectory]:
-    # The pool starts all its workers at the first submit: no more than there are runs.
-    jobs = min(jobs, len(argses))
-    if jobs <= 1:
-        results = [worker(a) for a in argses]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, argses))
-    return [Trajectory(times=t, states=s, inputs=u) for t, s, u in results]
-
-
-def _build_demo_set(cfg: RunConfig, jobs: int = 1):
+def _build_demo_set(cfg: RunConfig):
     """Returns (DemonstrationSet, embedded demos or None)."""
     if cfg.kind == _FLAT3D_KIND:
         Q, R = cfg.expert_QR(40.0 * np.eye(9), 1.0)
@@ -239,17 +219,16 @@ def _build_demo_set(cfg: RunConfig, jobs: int = 1):
 
     if cfg.kind == _CHAIN_KIND:
         plant = _chain_plant(cfg.preset)
-        Q, R = cfg.expert_QR(np.eye(plant.n), 1.0)
+        expert = expert_lqr(plant, *cfg.expert_QR(np.eye(plant.n), 1.0))
         ics = cfg.ics(list(np.eye(plant.n)))
     else:
         plant, emb_cfg = _embedding_of(cfg)
         Q, R = cfg.expert_QR(np.diag(systems.BALL_BEAM_Q), systems.BALL_BEAM_R)
+        expert = systems.ball_beam_expert(plant, Q=Q, R=R)
         ics = cfg.ics([np.asarray(ic) for ic in systems.BALL_BEAM_ICS])
         xi0 = _vector("preset_params.xi0", cfg.preset_params.get("xi0", np.zeros(plant.n - 1)),
                       plant.n - 1)
-    argses = [(cfg.preset, cfg.preset_params, Q, R, ic, cfg.T, cfg.dt)
-              for ic in [np.zeros(plant.n)] + ics]
-    raw = _record_parallel(_record_one, argses, jobs)
+    raw = demos_mod.record_expert(plant, expert, ics, cfg.T, cfg.dt)
     if cfg.kind == _CHAIN_KIND:
         return demos_mod.to_zv(plant, raw), None
     embedded = embed_mod.transform_demos(emb_cfg, raw, xi0)
@@ -272,9 +251,9 @@ def _embedding_of(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def cmd_demos(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
+def cmd_demos(cfg: RunConfig, out: Path) -> int:
     try:
-        dset, embedded = _build_demo_set(cfg, jobs)
+        dset, embedded = _build_demo_set(cfg)
     except (DivergenceError, DomainError) as exc:
         notes = "".join(f"; {note}" for note in getattr(exc, "__notes__", []))
         print(f"demos: recording failed: {exc}{notes}", file=sys.stderr)
@@ -378,7 +357,6 @@ def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:
     if failed is not None:
         return failed
     ctrl = load_controller(out / "controller.json")
-    duration = float(cfg.simulate.get("duration", 5.0 * cfg.T))
 
     try:
         if cfg.kind == _EMBED_KIND:
@@ -387,7 +365,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:
             x0 = _vector("simulate.x0", cfg.simulate.get("x0", [6.0, 0.0, 0.345, 0.0]), n)
             xi0 = _vector("simulate.xi0", cfg.simulate.get("xi0", np.zeros(n - 1)), n - 1)
             traj = embed_mod.simulate_embedded_closed_loop(
-                emb_cfg, ctrl, x0, xi0, duration, cfg.dt
+                emb_cfg, ctrl, x0, xi0, cfg.simulate_duration, cfg.dt
             )
             n, q = traj.x.shape[1], traj.xi.shape[1]
             header = (["t"] + [f"x{k + 1}" for k in range(n)]
@@ -397,7 +375,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:
             norms = np.linalg.norm(traj.x, axis=1)
         else:
             z0 = _vector("simulate.x0", cfg.simulate.get("x0", np.zeros(ctrl.n)), ctrl.n)
-            traj = simulate_chain_closed_loop(ctrl, z0, duration, cfg.dt)
+            traj = simulate_chain_closed_loop(ctrl, z0, cfg.simulate_duration, cfg.dt)
             header, cols = _trajectory_tables(traj)
             norms = np.linalg.norm(traj.states, axis=1)
     except (DivergenceError, DomainError, SingularEmbeddingError) as exc:
@@ -433,8 +411,7 @@ def cmd_track(cfg: RunConfig, out: Path, force: bool = False) -> int:
     if failed is not None:
         return failed
     ctrl = load_controller(out / "controller.json")
-    f = float(cfg.track.get("f", 0.1))
-    duration = float(cfg.track.get("duration", 2.0 / f))
+    f, duration = cfg.track_f, cfg.track_duration
     if cfg.kind == _FLAT3D_KIND:
         ref = systems.figure_eight(f)
     else:
@@ -476,9 +453,9 @@ def cmd_track(cfg: RunConfig, out: Path, force: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_all(cfg: RunConfig, out: Path, jobs: int = 1, force: bool = False) -> int:
-    for stage in (lambda: cmd_demos(cfg, out, jobs), lambda: cmd_learn(cfg, out)):
-        code = stage()
+def cmd_all(cfg: RunConfig, out: Path, force: bool = False) -> int:
+    for stage in (cmd_demos, cmd_learn):
+        code = stage(cfg, out)
         if code != EXIT_OK:
             return code
     code = cmd_simulate(cfg, out, force)
@@ -506,8 +483,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         choices=["demos", "learn", "certify", "simulate", "track", "all"])
     parser.add_argument("--config", required=True, help="path to the JSON configuration")
     parser.add_argument("--out", default=None, help="output directory (default: config's dir)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for independent simulations")
     parser.add_argument("--force", action="store_true",
                         help="simulate/track even if the certificate failed")
     try:
@@ -519,7 +494,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         out = Path(args.out) if args.out else config_path.parent
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "demos":
-            return cmd_demos(cfg, out, args.jobs)
+            return cmd_demos(cfg, out)
         if args.command == "learn":
             return cmd_learn(cfg, out)
         if args.command == "certify":
@@ -528,7 +503,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_simulate(cfg, out, args.force)
         if args.command == "track":
             return cmd_track(cfg, out, args.force)
-        return cmd_all(cfg, out, args.jobs, args.force)
+        return cmd_all(cfg, out, args.force)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

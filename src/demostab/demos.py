@@ -128,19 +128,6 @@ class DemonstrationSet:
         return np.stack([d.z[0] for d in self.demos])
 
 
-def record_run(
-    plant: PlantModel, expert: ExpertController, x0: np.ndarray, T: float, dt: float
-) -> Trajectory:
-    """One closed-loop expert run from x0; a failure carries a note naming x0."""
-    x0 = np.asarray(x0, dtype=float)
-    u_of_x = expert.state_feedback(plant)
-    try:
-        return simulate_closed_loop(plant, lambda t, x: u_of_x(x), x0, T, dt)
-    except Exception as exc:
-        exc.add_note(f"recording from x0={x0} failed")
-        raise
-
-
 def record_expert(
     plant: PlantModel,
     expert: ExpertController,
@@ -151,17 +138,29 @@ def record_expert(
     """Record closed-loop expert trajectories from each initial condition.
 
     The trivial solution (from x0 = 0) is always included as the first entry,
-    so the result has len(x0s) + 1 trajectories.
+    so the result has len(x0s) + 1 trajectories.  All runs share one grid and
+    are integrated as one batch, one start per column; an error that names
+    the failing column gets a note naming its start.
     """
-    return [record_run(plant, expert, x0, T, dt) for x0 in [np.zeros(plant.n), *x0s]]
+    starts = np.column_stack([np.zeros(plant.n), *x0s])
+    u_of_x = expert.state_feedback(plant)
+    try:
+        batch = simulate_closed_loop(plant, lambda t, x: u_of_x(x), starts, T, dt)
+    except Exception as exc:
+        if getattr(exc, "column", None) is not None:
+            exc.add_note(f"recording from x0={starts[:, exc.column]} failed")
+        raise
+    return [Trajectory(times=batch.times, states=batch.states[:, :, j], inputs=batch.inputs[:, j])
+            for j in range(starts.shape[1])]
 
 
 def to_zv(plant: PlantModel, raw: Sequence[Trajectory]) -> DemonstrationSet:
     """Transform recorded (x, u) trajectories into chain coordinates.
 
     Applies z = [h, L_f h, ..., L_f^{n-1} h](x) and
-    v = L_f^n h(x) + L_g L_f^{n-1} h(x) u per sample.  Rejects plants without
-    relative degree n; those go through the embedding pipeline instead.
+    v = L_f^n h(x) + L_g L_f^{n-1} h(x) u, each evaluated once on a whole
+    recording.  Rejects plants without relative degree n; those go through
+    the embedding pipeline instead.
     """
     if plant.relative_degree != plant.n:
         raise NotFeedbackLinearizableError(
@@ -170,15 +169,14 @@ def to_zv(plant: PlantModel, raw: Sequence[Trajectory]) -> DemonstrationSet:
         )
     demos = []
     for i, traj in enumerate(raw):
-        z = np.empty_like(traj.states)
-        v = np.empty(len(traj.times))
-        for k, x in enumerate(traj.states):
-            try:
-                z[k] = feedback_linearize(plant, x)
-                v[k] = plant.lie_f_h[plant.n](x) + plant.lie_g_lie_f_h[plant.n - 1](x) * traj.inputs[k]
-            except Exception as exc:
-                exc.add_note(f"demonstration {i}, sample {k}")
-                raise
+        x = traj.states.T
+        try:
+            z = feedback_linearize(plant, x).T
+            v = plant.lie_f_h[plant.n](x) + plant.lie_g_lie_f_h[plant.n - 1](x) * traj.inputs
+        except Exception as exc:
+            sample = getattr(exc, "column", None)
+            exc.add_note(f"demonstration {i}" + ("" if sample is None else f", sample {sample}"))
+            raise
         demos.append(Demonstration(times=traj.times, z=z, v=v))
     pair = brunovsky_pair(plant.n)
     return DemonstrationSet(demos=tuple(demos), A=pair.A, B=pair.B)

@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import SingularEmbeddingError
-from .plant import PlantModel
+from .demos import Demonstration, DemonstrationSet
+from .plant import PlantModel, brunovsky_pair
 from .sim import HalfGrid, Trajectory, rk4
 
 # |r(x)| at or below this is a singular embedding.
@@ -148,9 +149,10 @@ def phi_z(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def r_of_x(cfg: EmbeddingConfig, x: np.ndarray):
-    """Input coefficient r(x) of the embedded chain's top equation."""
-    x = np.asarray(x, dtype=float)
-    return _terms(cfg, x, np.zeros((cfg.n - 1,) + x.shape[1:]))[1]
+    """Input coefficient r(x) of the embedded chain's top equation, for x shaped (n, ...)."""
+    x, n = np.asarray(x, dtype=float), cfg.n
+    lg = np.array([ev(x) for ev in cfg.plant.lie_g_lie_f_h])
+    return np.tensordot(cfg.q_map[n, n + 1:2 * n + 1], lg, axes=1)
 
 
 def s_of_x_xi(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray):
@@ -189,53 +191,60 @@ def transform_demos(
 ) -> list[EmbeddedDemonstration]:
     """Transform recorded (x, u) demonstrations into chain coordinates.
 
-    For each demonstration the auxiliary dynamics are integrated from xi0
-    (zero by default) driven by the recorded signals, interpolated linearly
-    between samples; then z = Phi_z(x, xi) and v = r(x) u - s(x, xi) per
-    sample.  A pre-flight scan raises if r(x) comes within tolerance of zero
-    anywhere along a demonstration.  Each step is one batched evaluation over
-    the whole recording; the forcing -L(x) u of the auxiliary dynamics is
-    tabulated once at the RK4 stage times (grid points and step midpoints).
+    The auxiliary dynamics are integrated from xi0 (zero by default) driven
+    by the recorded signals, interpolated linearly between samples; then
+    z = Phi_z(x, xi) and v = r(x) u - s(x, xi) per sample.  A pre-flight scan
+    raises if r(x) comes within tolerance of zero anywhere along a
+    demonstration.  The recordings must share one grid, and the k of them
+    are integrated together: one r-scan over every sample, the forcing
+    -L(x) u of the auxiliary dynamics tabulated once at the RK4 stage times
+    (grid points and step midpoints), and one rk4 call on xi shaped
+    (n-1, k), one recording per column.  z and v are then evaluated one
+    recording at a time, which keeps the temporaries of one recording's size.
     """
-    n = cfg.n
+    n, k = cfg.n, len(raw)
     xi0 = np.zeros(n - 1) if xi0 is None else np.asarray(xi0, dtype=float)
     if xi0.shape != (n - 1,):
         raise ValueError(f"xi0 must have shape ({n - 1},)")
-    A = cfg.A_xi
-    out = []
-    for i, traj in enumerate(raw):
-        x, u = traj.states.T, traj.inputs
-        r_vals = r_of_x(cfg, x)
-        k_bad = int(np.abs(r_vals).argmin())
-        if abs(r_vals[k_bad]) <= R_TOL:
+    grid = raw[0].times
+    if not all(np.array_equal(traj.times, grid) for traj in raw):
+        raise ValueError("the recordings do not share one time grid")
+    states = np.stack([traj.states for traj in raw], axis=2)  # (N, n, k)
+    u = np.stack([traj.inputs for traj in raw], axis=1)  # (N, k)
+    r_vals = r_of_x(cfg, states.transpose(1, 0, 2))
+    for i, r in enumerate(r_vals.T):
+        j = int(np.abs(r).argmin())
+        if abs(r[j]) <= R_TOL:
             raise SingularEmbeddingError(
-                f"r(x) = {r_vals[k_bad]:.3e} along demonstration {i} "
-                f"at t={traj.times[k_bad]:.6f}",
-                time=float(traj.times[k_bad]),
+                f"r(x) = {r[j]:.3e} along demonstration {i} at t={grid[j]:.6f}",
+                time=float(grid[j]),
             )
 
-        half = HalfGrid(traj.times)
-        x_half = half.interpolate(traj.states).T
-        gains = np.array([ev(x_half) for ev in cfg.plant.lie_g_lie_f_h[:-1]])
-        forcing = (-gains * half.interpolate(u)).T
+    half = HalfGrid(grid)
+    x_half = half.interpolate(states).transpose(1, 0, 2)
+    forcing = np.array([ev(x_half) for ev in cfg.plant.lie_g_lie_f_h[:-1]])
+    forcing *= -half.interpolate(u)
+    forcing = forcing.transpose(1, 0, 2)  # (2N-1, n-1, k)
+    A = cfg.A_xi
 
-        def xi_rhs(t, xi, _):
-            return A @ xi + forcing[half.index(t)], 0.0
+    def xi_rhs(t, xi, _):
+        return A @ xi + forcing[half.index(t)], 0.0
 
-        _, xi, _ = rk4(xi_rhs, xi0, traj.t0, traj.times[-1], traj.dt)
+    _, xi, _ = rk4(xi_rhs, np.repeat(xi0[:, None], k, axis=1), grid[0], grid[-1], grid[1] - grid[0])
+    del x_half, forcing  # k recordings' stage tables: not held through the pass below
 
+    out = []
+    for i in range(k):
+        x = states[:, :, i].T
         cfg.plant.require_in_domain(x)
-        z, _, s, _, _ = _terms(cfg, x, xi.T)
-        z, v = z.T.copy(), r_vals * u - s
-        out.append(EmbeddedDemonstration(times=traj.times.copy(), z=z, xi=xi, v=v))
+        z, _, s, _, _ = _terms(cfg, x, xi[:, :, i].T)
+        out.append(EmbeddedDemonstration(times=grid.copy(), z=z.T.copy(), xi=xi[:, :, i],
+                                         v=r_vals[:, i] * u[:, i] - s))
     return out
 
 
-def embedded_to_demo_set(embedded: Sequence[EmbeddedDemonstration]):
+def embedded_to_demo_set(embedded: Sequence[EmbeddedDemonstration]) -> DemonstrationSet:
     """Forget the xi component: the (z, v) parts form a chain demonstration set."""
-    from .demos import Demonstration, DemonstrationSet
-    from .plant import brunovsky_pair
-
     demos = tuple(Demonstration(times=e.times, z=e.z, v=e.v) for e in embedded)
     pair = brunovsky_pair(demos[0].z.shape[1])
     return DemonstrationSet(demos=demos, A=pair.A, B=pair.B)
@@ -339,9 +348,7 @@ def simulate_embedded_closed_loop(
         raise ValueError("the embedding pipeline drives a single-input plant")
     plant = cfg.plant
     n = plant.n
-    x0 = np.asarray(x0, dtype=float)
     xi0 = np.zeros(n - 1) if xi0 is None else np.asarray(xi0, dtype=float)
-    plant.require_in_domain(x0)
     T = ctrl.T
 
     def rhs(tau, y, anchor):

@@ -51,15 +51,15 @@ def brunovsky_pair(n: int) -> BrunovskyPair:
 class PlantModel:
     """Single-input plant with closed-form Lie-derivative evaluators.
 
-    The evaluators (lie_f_h, lie_g_lie_f_h, domain_check) take the state on
-    the first axis: x shaped (n,) gives a scalar, and a batch x shaped (n, k),
-    one state per column, gives one value per column, shaped (k,).  The
-    embedding evaluates whole recordings in one call that way.
+    Every field and evaluator takes the state on the first axis: x shaped
+    (n,), or a batch x shaped (n, k) with one state per column.  The vector
+    fields give (n,) or (n, k), the evaluators (lie_f_h, lie_g_lie_f_h,
+    domain_check) a scalar or one value per column, shaped (k,).
 
     Attributes:
         n: state dimension.
-        f: drift vector field, maps (n,) -> (n,).
-        g: input vector field, maps (n,) -> (n,).
+        f: drift vector field.
+        g: input vector field.
         lie_f_h: evaluators for L_f^k h, k = 0..n (n + 1 callables); the
             output is h = L_f^0 h, with h(0) = 0.
         lie_g_lie_f_h: evaluators for L_g L_f^k h, k = 0..n-1 (n callables).
@@ -96,13 +96,21 @@ class PlantModel:
             if not inside:
                 raise DomainError(f"state {x} is outside the domain of {self.name}")
         elif not np.all(inside):
-            bad = x[:, int(np.argmin(np.broadcast_to(inside, x.shape[1:])))]
-            raise DomainError(f"state {bad} is outside the domain of {self.name}")
+            column = int(np.argmin(np.broadcast_to(inside, x.shape[1:])))
+            raise DomainError(f"state {x[:, column]} is outside the domain of {self.name}",
+                              column=column)
 
-    def rhs(self, x: np.ndarray, u: float) -> np.ndarray:
-        """Evaluate dx/dt = f(x) + g(x) u."""
+    def rhs(self, x: np.ndarray, u) -> np.ndarray:
+        """Evaluate dx/dt = f(x) + g(x) u; a batch x (n, k) takes u shaped (k,)."""
         x = np.asarray(x, dtype=float)
-        return self.f(x) + self.g(x) * float(u)
+        return self.f(x) + self.g(x) * u
+
+
+def last_unit_field(x: np.ndarray) -> np.ndarray:
+    """Input field g(x) = e_n: the input drives the last state, one column per state."""
+    e = np.zeros(x.shape)
+    e[-1] = 1.0
+    return e
 
 
 def constant_evaluator(value: float) -> Callable[[np.ndarray], float]:
@@ -115,7 +123,7 @@ def constant_evaluator(value: float) -> Callable[[np.ndarray], float]:
 
 
 def feedback_linearize(plant: PlantModel, x: np.ndarray) -> np.ndarray:
-    """Map a state to linearizing coordinates z_k = L_f^{k-1} h(x), k = 1..n."""
+    """Map a state, or a batch (n, k), to linearizing coordinates z_k = L_f^{k-1} h(x)."""
     x = np.asarray(x, dtype=float)
     plant.require_in_domain(x)
     return np.array([plant.lie_f_h[k](x) for k in range(plant.n)], dtype=float)
@@ -125,26 +133,27 @@ def linearizing_input(plant: PlantModel, x: np.ndarray, v: float) -> float:
     """Physical input realizing the chain input v at state x.
 
     Computes u = (v - L_f^n h(x)) / (L_g L_f^{n-1} h(x)), the feedback that
-    renders the output dynamics a chain of n integrators driven by v.
+    renders the output dynamics a chain of n integrators driven by v; a
+    batch x (n, k) takes v shaped (k,).
     """
     x = np.asarray(x, dtype=float)
     plant.require_in_domain(x)
     b = plant.lie_g_lie_f_h[plant.n - 1](x)
-    if abs(b) < DECOUPLING_TOL:
-        raise SingularDecouplingError(
-            f"decoupling term {b:.3e} below tolerance at x={x} for {plant.name}"
-        )
+    if np.any(np.abs(b) < DECOUPLING_TOL):
+        bad = x if x.ndim == 1 else x[:, np.argmin(np.abs(b))]
+        raise SingularDecouplingError(f"decoupling term |b| = {np.min(np.abs(b)):.3e} below "
+                                      f"tolerance at x={bad} for {plant.name}")
     a = plant.lie_f_h[plant.n](x)
-    return (float(v) - a) / b
+    return (v - a) / b
 
 
 @dataclass(frozen=True)
 class ExpertController:
     """Smooth state feedback used to generate demonstrations.
 
-    kappa maps a state to a scalar input; coords records whether that state is
-    the physical x or the linearizing z.  Stabilizing experts satisfy
-    kappa(0) = 0.
+    kappa maps a state to a scalar input, or a batch of states (n, k) to one
+    input per column; coords records whether that state is the physical x or
+    the linearizing z.  Stabilizing experts satisfy kappa(0) = 0.
     """
 
     kappa: Callable[[np.ndarray], float]
@@ -156,9 +165,9 @@ class ExpertController:
             raise ValueError(f"coords must be 'x' or 'z', got {self.coords!r}")
 
     def state_feedback(self, plant: PlantModel) -> Callable[[np.ndarray], float]:
-        """Return the expert as a map from plant state x to physical input u."""
+        """Return the expert as a map from plant state x, (n,) or (n, k), to input u."""
         if self.coords == "x":
-            return lambda x: float(self.kappa(np.asarray(x, dtype=float)))
+            return lambda x: self.kappa(np.asarray(x, dtype=float))
         return lambda x: linearizing_input(
             plant, x, self.kappa(feedback_linearize(plant, x))
         )
@@ -194,8 +203,8 @@ def expert_lqr(plant: PlantModel, Q: np.ndarray, R: float | np.ndarray) -> Exper
     K = lqr_gain(pair.A, pair.B, Q, np.atleast_2d(np.asarray(R, dtype=float)))
     K = K[0]
 
-    def kappa(z: np.ndarray) -> float:
-        return float(-K @ np.asarray(z, dtype=float))
+    def kappa(z: np.ndarray):
+        return -K @ np.asarray(z, dtype=float)
 
     return ExpertController(
         kappa=kappa, coords="z", description=f"lqr expert K={np.array2string(K)}"
@@ -208,14 +217,9 @@ def chain_preset(n: int) -> PlantModel:
         raise ValueError(f"chain length must be >= 1, got {n}")
 
     def f(x):
-        dx = np.zeros(n)
+        dx = np.zeros(x.shape)
         dx[:-1] = x[1:]
         return dx
-
-    def g(x):
-        e = np.zeros(n)
-        e[-1] = 1.0
-        return e
 
     def lie_f(k):
         if k < n:
@@ -225,7 +229,7 @@ def chain_preset(n: int) -> PlantModel:
     return PlantModel(
         n=n,
         f=f,
-        g=g,
+        g=last_unit_field,
         lie_f_h=tuple(lie_f(k) for k in range(n + 1)),
         lie_g_lie_f_h=tuple(constant_evaluator(float(k == n - 1)) for k in range(n)),
         domain_check=lambda x: np.isfinite(x).all(axis=0),

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, DomainError
 from .plant import PlantModel
 
 # Abort integration once the state norm passes this bound.
@@ -34,6 +34,7 @@ class Trajectory:
 
     times, states and inputs have the same leading length; states is
     (N, n) and inputs is (N,) for scalar-input systems or (N, m) otherwise.
+    A batch of k runs on one grid has states (N, n, k) and inputs (N, k).
     The grid is uniform with step dt except possibly for a shortened final
     interval.
     """
@@ -47,14 +48,6 @@ class Trajectory:
             raise ValueError("times, states and inputs must have equal length")
         if len(self.times) < 2:
             raise ValueError("a trajectory needs at least two samples")
-
-    @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
 
 def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
@@ -192,8 +185,10 @@ def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantMode
 
     After every step the state must be finite with norm at most
     DIVERGENCE_NORM and, if a plant is given as domain, its first plant.n
-    entries must lie in the plant's domain; otherwise DivergenceError
-    carries the time of the offending grid point.
+    entries must lie in the plant's domain, at t0 too; otherwise
+    DivergenceError carries the time of the offending grid point.  A state
+    y shaped (d, k) is a batch of k columns: the norm test is on the whole
+    batch, the domain test on every column, and the error names a column.
     """
     times = time_grid(t0, t1, dt)
     if period is not None:
@@ -208,6 +203,11 @@ def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantMode
     inputs = None
     p_now = anchor = None
     for k, t in enumerate(grid):
+        if domain is not None:
+            try:
+                domain.require_in_domain(y[: domain.n])
+            except DomainError as exc:
+                raise DivergenceError(f"{exc} at t={t:.6f}", time=t, column=exc.column) from exc
         s = t
         if period is not None:
             p, s = interval_index(t, period)
@@ -228,11 +228,9 @@ def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantMode
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # A non-finite entry makes the squared norm NaN or inf, failing the test too.
         if not float(np.vdot(y, y)) <= DIVERGENCE_NORM**2:
-            raise DivergenceError(f"state diverged at t={t_next:.6f}", time=t_next)
-        if domain is not None and not domain.domain_check(y[: domain.n]):
-            raise DivergenceError(
-                f"state left the domain of {domain.name} at t={t_next:.6f}", time=t_next
-            )
+            sq = np.nan_to_num(np.einsum("i...,i...->...", y, y), nan=np.inf)
+            raise DivergenceError(f"state diverged at t={t_next:.6f}", time=t_next,
+                                  column=None if y.ndim == 1 else int(np.argmax(sq)))
         states[k + 1] = y
     return times, states, inputs
 
@@ -248,12 +246,10 @@ def simulate_closed_loop(
 
     The controller is evaluated at every RK4 stage, i.e. the loop is closed
     continuously up to the integration error.  inputs[k] is the input at t_k.
+    x0 shaped (n, k) runs k starts as one batch, one input per column.
     """
-    x0 = np.asarray(x0, dtype=float)
-    plant.require_in_domain(x0)
-
     def rhs(t, x, _):
-        u = float(controller(t, x))
+        u = controller(t, x)
         return plant.rhs(x, u), u
 
     times, states, inputs = rk4(rhs, x0, 0.0, duration, dt, domain=plant)

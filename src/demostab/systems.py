@@ -21,7 +21,8 @@ from .demos import Demonstration, DemonstrationSet
 from .embed import EmbeddingConfig
 from .errors import SingularDecouplingError
 from .learner import simulate_chain_batch
-from .plant import DECOUPLING_TOL, ExpertController, PlantModel, constant_evaluator, lqr_gain
+from .plant import (DECOUPLING_TOL, ExpertController, PlantModel, constant_evaluator,
+                    last_unit_field, lqr_gain)
 from .sim import time_grid
 
 # ---------------------------------------------------------------------------
@@ -214,10 +215,11 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
     b, g = float(b_bar), float(g_bar)
 
     def f(x):
-        return np.array([x[1], b * (x[0] * x[3] ** 2 - g * math.sin(x[2])), x[3], 0.0])
-
-    def g_field(x):
-        return np.array([0.0, 0.0, 0.0, 1.0])
+        dx = np.zeros(x.shape)
+        dx[0] = x[1]
+        dx[1] = b * (x[0] * x[3] ** 2 - g * np.sin(x[2]))
+        dx[2] = x[3]
+        return dx
 
     lie_f_h = (
         lambda x: x[0],
@@ -236,7 +238,7 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
     return PlantModel(
         n=4,
         f=f,
-        g=g_field,
+        g=last_unit_field,
         lie_f_h=lie_f_h,
         lie_g_lie_f_h=lie_g_lie_f_h,
         domain_check=lambda x: np.isfinite(x).all(axis=0) & (np.abs(x[2]) < math.pi / 2),
@@ -282,8 +284,8 @@ def ball_beam_expert(
         Q = np.diag(BALL_BEAM_Q)
     K = lqr_gain(A_lin, B_lin, Q, np.atleast_2d(float(R)))[0]
 
-    def kappa(x: np.ndarray) -> float:
-        return float(-K @ np.asarray(x, dtype=float))
+    def kappa(x: np.ndarray):
+        return -K @ np.asarray(x, dtype=float)
 
     return ExpertController(kappa=kappa, coords="x",
                             description=f"ball-beam lqr expert K={np.array2string(K)}")

@@ -357,6 +357,29 @@ def directional_derivative(func, field, x, eps=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# Expert recording one start at a time.
+# ---------------------------------------------------------------------------
+
+
+def record_one(plant, expert, x0, T: float, dt: float):
+    """One closed-loop expert run from x0: one rk4 call, a scalar input per stage.
+
+    This is expert recording as it ran before all starts were batched: the
+    plant's vector fields see one state (n,) and the input is cast to float.
+    """
+    from demostab.sim import Trajectory, rk4
+
+    u_of_x = expert.state_feedback(plant)
+
+    def rhs(t, x, _):
+        u = float(u_of_x(x))
+        return plant.rhs(x, u), u
+
+    times, states, inputs = rk4(rhs, np.asarray(x0, dtype=float), 0.0, T, dt, domain=plant)
+    return Trajectory(times=times, states=states, inputs=inputs)
+
+
+# ---------------------------------------------------------------------------
 # The embedding transform of one recording, sample by sample.
 # ---------------------------------------------------------------------------
 

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from demostab import cli
 from demostab.cli import (
     EXIT_CERTIFICATION,
     EXIT_DIVERGENCE,
@@ -137,14 +136,36 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
     {"preset": "flat_quad_3d", "expert": {}, "initial_conditions": [[1, 2]],
      "simulate": {"duration": 1.0}},
     {"multi": "no"},
+    # Over the step budget (sim.MAX_STEPS = 1e8 steps of dt = 0.01): caught
+    # before any stage allocates a grid, also for the default durations 5T
+    # and 2/f.
+    {"simulate": {"x0": [0.5, 0.5], "duration": 1e9}},
+    {"T": 1e7},
+    {"T": 3e5, "simulate": {"x0": [0.5, 0.5]}},
+    {"track": {"f": 1e-9}},
+    {"preset": 5},
+    {"preset": None},
+    {"preset": ["chain2"]},
 ], ids=["t_tilde_grid", "simulate.duration", "track.f", "track.duration", "track.axis",
         "ragged_initial_conditions", "t_tilde_grid_not_a_list", "simulate_not_an_object",
         "simulate.x0_length", "expert.Q", "expert.Q_shape", "expert.Q_indefinite",
         "initial_conditions_not_a_list", "simulate.duration_not_positive",
         "track.duration_not_positive", "t_tilde_grid_negative", "flat_quad_3d.Q_indefinite",
-        "flat_quad_3d.initial_conditions", "multi_not_a_bool"])
+        "flat_quad_3d.initial_conditions", "multi_not_a_bool", "simulate.duration_over_budget",
+        "T_over_budget", "simulate.default_duration_over_budget", "track.f_over_budget",
+        "preset_is_a_number", "preset_is_null", "preset_is_a_list"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "config.json", **overrides)
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+@pytest.mark.parametrize("document", [["a"], 5, None, "chain2"],
+                         ids=["list", "number", "null", "string"])
+def test_config_not_an_object_is_usage_error(tmp_path, capsys, document):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(document))
     assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
@@ -162,16 +183,15 @@ def test_demo_start_outside_domain_exit_divergence(tmp_path, capsys):
     assert len(err) == 1 and "outside the domain" in err[0]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_demo_start_outside_domain_names_the_start(tmp_path, capsys, jobs):
-    # The failing configured start is named on the same single line, also
-    # when the recording ran in a worker process.
+def test_demo_start_outside_domain_names_the_start(tmp_path, capsys):
+    # The failing configured start, the third one (column 3 of the recorded
+    # batch, after the trivial run), is named on the same single line.
     config = {"preset": "ball_beam", "T": 1.0, "dt": 0.01,
               "initial_conditions": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                                      [0.0, 0.0, 1.6, 0.0], [0.0, 0.0, 0.0, 1.0]]}
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    code = main(["demos", "--config", str(cfg), "--out", str(tmp_path), "--jobs", jobs])
+    code = main(["demos", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_DIVERGENCE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "recording from x0=[0.  0.  1.6 0. ] failed" in err[0]
@@ -201,55 +221,6 @@ def test_determinism_byte_identical(tmp_path):
     assert files_a == files_b and files_a
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-
-
-def test_jobs_option_matches_serial(tmp_path):
-    cfg = write_config(tmp_path / "config.json", T=1.0)
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["demos", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
-    assert main(["demos", "--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == EXIT_OK
-    assert (out1 / "demo_set.json").read_bytes() == (out2 / "demo_set.json").read_bytes()
-
-
-def test_jobs_capped_at_the_number_of_recordings(tmp_path, monkeypatch):
-    # A process pool starts all of its workers at the first submit, so it
-    # gets no more workers than there are expert runs.  The stand-in pool
-    # records its size and runs the recordings in this process.
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    cfg = write_config(tmp_path / "config.json", T=1.0)
-    code = main(["demos", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "64"])
-    assert code == EXIT_OK
-    assert sizes == [3]  # the trivial run and the two default starts
-
-
-def test_jobs_option_ball_beam_matches_serial(tmp_path):
-    config = {"preset": "ball_beam", "T": 1.0, "dt": 0.01}
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(config))
-    outs = (tmp_path / "serial", tmp_path / "parallel")
-    codes = [
-        main(["demos", "--config", str(cfg), "--out", str(outs[0])]),
-        main(["demos", "--config", str(cfg), "--out", str(outs[1]), "--jobs", "3"]),
-    ]
-    assert codes[0] == codes[1]
-    assert (outs[0] / "demo_set.json").read_bytes() == (outs[1] / "demo_set.json").read_bytes()
-    assert (outs[0] / "embedded_demos.json").read_bytes() \
-        == (outs[1] / "embedded_demos.json").read_bytes()
 
 
 def test_ball_beam_divergence_exit(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import analytic_double_int_set
-from oracles import load_demo_csv
+from oracles import load_demo_csv, record_one
 
 from demostab.demos import (
     Demonstration,
@@ -19,10 +19,10 @@ from demostab.demos import (
     to_zv,
     validate_affine_independence,
 )
-from demostab.errors import DivergenceError, NotFeedbackLinearizableError
+from demostab.errors import DivergenceError, DomainError, NotFeedbackLinearizableError
 from demostab.plant import brunovsky_pair, chain_preset, expert_lqr
-from demostab.sim import time_grid
-from demostab.systems import ball_beam_expert, ball_beam_plant
+from demostab.sim import Trajectory, time_grid
+from demostab.systems import BALL_BEAM_ICS, ball_beam_expert, ball_beam_plant
 
 
 def test_record_count_and_trivial_first():
@@ -51,6 +51,63 @@ def test_recording_divergence_keeps_time():
                       T=8.0, dt=1e-3)
     assert err.value.time == pytest.approx(0.009)
     assert any("x0=" in note for note in err.value.__notes__)
+
+
+@pytest.mark.parametrize("case", ["chain2", "chain3_k_equals_n", "ball_beam"])
+def test_batched_recording_matches_single_start_runs(case):
+    T, dt = 2.0, 1e-2
+    if case == "chain2":
+        plant = chain_preset(2)
+        expert = expert_lqr(plant, np.diag([1.0, 2.0]), 1.0)
+        starts = list(np.eye(2))
+    elif case == "chain3_k_equals_n":
+        # Two starts and the trivial run make a batch of k = n = 3 columns,
+        # where an input field that returned one (n,) vector for the whole
+        # batch would broadcast g(x) * u into a wrong result without an error.
+        plant = chain_preset(3)
+        expert = expert_lqr(plant, np.eye(3), 1.0)
+        starts = [np.array([1.0, -0.5, 0.2]), np.array([0.0, 1.0, 0.0])]
+    else:
+        plant = ball_beam_plant()
+        expert = ball_beam_expert(plant)
+        starts = [np.asarray(ic) for ic in BALL_BEAM_ICS]
+        dt = 1e-3
+    batch = record_expert(plant, expert, starts, T, dt)
+    assert len(batch) == len(starts) + 1
+    for got, x0 in zip(batch, [np.zeros(plant.n), *starts]):
+        want = record_one(plant, expert, x0, T, dt)
+        assert np.array_equal(got.times, want.times)
+        for a, b in ((got.states, want.states), (got.inputs, want.inputs)):
+            assert a.shape == b.shape
+            assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
+
+
+@pytest.mark.parametrize("bad, time", [((0.0, 0.0, 1.6, 0.0), 0.0),
+                                       ((0.0, 0.0, 0.0, 200.0), 0.009)],
+                         ids=["outside_at_t0", "leaves_later"])
+def test_failing_start_in_a_batch_is_named(bad, time):
+    # The third of five starts fails; it is column 3 of the batch, after the
+    # trivial run, and the error keeps the time at which it failed.
+    plant = ball_beam_plant()
+    starts = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]), np.array(bad),
+              np.array([0.0, 0.0, 0.1, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])]
+    with pytest.raises(DivergenceError) as err:
+        record_expert(plant, ball_beam_expert(plant), starts, T=8.0, dt=1e-3)
+    assert err.value.column == 3
+    assert err.value.time == pytest.approx(time, abs=1e-12)
+    assert f"recording from x0={starts[2]} failed" in err.value.__notes__
+
+
+def test_to_zv_note_names_the_demonstration_and_sample():
+    plant = chain_preset(2)
+    grid = time_grid(0.0, 1.0, 0.1)
+    states = np.zeros((len(grid), 2))
+    states[4, 1] = np.nan
+    good = Trajectory(times=grid, states=np.zeros((len(grid), 2)), inputs=np.zeros(len(grid)))
+    bad = Trajectory(times=grid, states=states, inputs=np.zeros(len(grid)))
+    with pytest.raises(DomainError) as err:
+        to_zv(plant, [good, bad])
+    assert err.value.__notes__ == ["demonstration 1, sample 4"]
 
 
 def test_to_zv_chain_is_identity_on_samples(chain2_recorded):

@@ -26,6 +26,7 @@ from demostab.embed import (
 from demostab.errors import SingularEmbeddingError
 from demostab.learner import LearnedController, build_basis
 from demostab.plant import chain_preset
+from demostab.sim import Trajectory
 from demostab.systems import BALL_BEAM_B, BALL_BEAM_G, ball_beam_preset
 
 
@@ -311,8 +312,18 @@ def test_embedded_set_certificate(ball_beam_fixture):
     assert cert.verdict
 
 
+def test_transform_rejects_recordings_on_different_grids(ball_beam_fixture):
+    raw = ball_beam_fixture["raw"]
+    short = Trajectory(times=raw[1].times[:-1], states=raw[1].states[:-1],
+                       inputs=raw[1].inputs[:-1])
+    with pytest.raises(ValueError, match="one time grid"):
+        transform_demos(ball_beam_fixture["cfg"], [raw[0], short])
+
+
 def test_transform_matches_per_sample_formulas():
     # The last step of a 1.0005 s recording at dt = 1e-3 is shortened to 0.5 ms.
+    # The three recordings (the trivial one first) are transformed as one
+    # batch and compared one by one with the sample-by-sample oracle.
     from demostab.demos import record_expert
     from demostab.systems import ball_beam_expert
 
