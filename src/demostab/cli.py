@@ -7,8 +7,9 @@ fixed-step integration, deterministic tie-breaks, and no randomness anywhere
 in the pipeline.
 
 Exit codes: 0 success, 1 usage (also a file that cannot be read or written),
-2 validation failure, 3 certification failure, 4 divergence or a state outside
-the plant domain.  Every failure prints one line to standard error.
+2 validation failure, 3 certification failure, 4 divergence, a state outside
+the plant domain or a singular embedding.  Every failure prints one line to
+standard error.
 """
 
 from __future__ import annotations
@@ -254,9 +255,10 @@ def _embedding_of(cfg: RunConfig):
 def cmd_demos(cfg: RunConfig, out: Path) -> int:
     try:
         dset, embedded = _build_demo_set(cfg)
-    except (DivergenceError, DomainError) as exc:
+    except (DivergenceError, DomainError, SingularEmbeddingError) as exc:
         notes = "".join(f"; {note}" for note in getattr(exc, "__notes__", []))
-        print(f"demos: recording failed: {exc}{notes}", file=sys.stderr)
+        stage = "transform" if isinstance(exc, SingularEmbeddingError) else "recording"
+        print(f"demos: {stage} failed: {exc}{notes}", file=sys.stderr)
         return EXIT_DIVERGENCE
     demos_mod.save_demo_set(dset, out / "demo_set.json")
     for i, demo in enumerate(dset.demos):

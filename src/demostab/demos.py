@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotFeedbackLinearizableError
 from .files import write_csv, write_json
-from .plant import ExpertController, PlantModel, brunovsky_pair, feedback_linearize
+from .plant import ExpertController, PlantModel, brunovsky_pair
 from .sim import Trajectory, simulate_closed_loop, time_grid
 
 # Scale-invariant rank test: pass iff min sigma_n(Z(t)) > RANK_TOL * max sigma_1.
@@ -158,7 +158,7 @@ def to_zv(plant: PlantModel, raw: Sequence[Trajectory]) -> DemonstrationSet:
     """Transform recorded (x, u) trajectories into chain coordinates.
 
     Applies z = [h, L_f h, ..., L_f^{n-1} h](x) and
-    v = L_f^n h(x) + L_g L_f^{n-1} h(x) u, each evaluated once on a whole
+    v = L_f^n h(x) + L_g L_f^{n-1} h(x) u, from one plant.lie call on a whole
     recording.  Rejects plants without relative degree n; those go through
     the embedding pipeline instead.
     """
@@ -167,17 +167,18 @@ def to_zv(plant: PlantModel, raw: Sequence[Trajectory]) -> DemonstrationSet:
             f"{plant.name} does not have relative degree n={plant.n}; "
             "use the integrator-chain embedding"
         )
-    demos = []
+    n, demos = plant.n, []
     for i, traj in enumerate(raw):
         x = traj.states.T
         try:
-            z = feedback_linearize(plant, x).T
-            v = plant.lie_f_h[plant.n](x) + plant.lie_g_lie_f_h[plant.n - 1](x) * traj.inputs
+            plant.require_in_domain(x)
+            lie = plant.lie(x)
         except Exception as exc:
             sample = getattr(exc, "column", None)
             exc.add_note(f"demonstration {i}" + ("" if sample is None else f", sample {sample}"))
             raise
-        demos.append(Demonstration(times=traj.times, z=z, v=v))
+        demos.append(Demonstration(times=traj.times, z=lie[:n].T,
+                                   v=lie[n] + lie[2 * n] * traj.inputs))
     pair = brunovsky_pair(plant.n)
     return DemonstrationSet(demos=tuple(demos), A=pair.A, B=pair.B)
 

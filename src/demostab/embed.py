@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SingularEmbeddingError
+from .errors import DomainError, SingularEmbeddingError
 from .demos import Demonstration, DemonstrationSet
 from .plant import PlantModel, brunovsky_pair
 from .sim import HalfGrid, Trajectory, rk4
@@ -78,21 +78,23 @@ class EmbeddingConfig:
 
     Construction enforces that the companion matrix built from w is Hurwitz
     (the unforced auxiliary dynamics must decay on their own) and keeps that
-    matrix, read-only, as A_xi.  Every term of the embedding is linear in
-    q = (lf, lg, xi), where lf = [L_f^k h]_{k=0..n} and lg = [L_g L_f^k h]_{k=0..n-1}:
+    matrix, read-only, as A_xi.  Every term of the embedding at a state is
+    linear in p = (f(x), g(x), lf, lg, xi), where (lf, lg) = plant.lie(x),
+    lf = [L_f^k h]_{k=0..n} and lg = [L_g L_f^k h]_{k=0..n-1}:
 
         z = lf[:n] + [I; -w] xi,   r = lg[n-1] + w . lg[:n-1],
         s = -lf[n] + (A_xi^T w) . xi,
 
-    and the auxiliary dynamics need A_xi xi and lg[:n-1].  The rows of
-    q_map, built here, stack those five terms, so one product q_map @ q
+    and the extended state y = (x, xi) moves as dy/dt = drift + gain u with
+    drift = [f; A_xi xi] and gain = [g; -lg[:n-1]].  The rows of stage_map,
+    built here, stack z, r, s, drift and gain, so one product stage_map @ p
     gives all of them.
     """
 
     plant: PlantModel
     w: tuple[float, ...]
     A_xi: np.ndarray = field(init=False, repr=False, compare=False)
-    q_map: np.ndarray = field(init=False, repr=False, compare=False)
+    stage_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(float(v) for v in self.w))
@@ -103,17 +105,20 @@ class EmbeddingConfig:
         if not hurwitz(A):
             raise ValueError(f"companion matrix of w={self.w} is not Hurwitz")
         w = np.array(self.w)
-        # Columns: lf in 0..n, lg in n+1..2n, xi in 2n+1..3n-1.
-        xi = slice(2 * n + 1, 3 * n)
-        M = np.zeros((3 * n, 3 * n))
-        M[:n, :n] = np.eye(n)                       # z
+        # Columns: f in 0..n-1, g in n..2n-1, lf in 2n..3n, lg in 3n+1..4n,
+        # xi in 4n+1..5n-1.  Rows: z, r, s, drift, gain.
+        lf, lg, xi = 2 * n, 3 * n + 1, slice(4 * n + 1, 5 * n)
+        M = np.zeros((5 * n, 5 * n))
+        M[:n, lf:lf + n] = np.eye(n)                      # z
         M[:n, xi] = np.vstack([np.eye(n - 1), -w])
-        M[n, n + 1:2 * n + 1] = np.append(w, 1.0)   # r
-        M[n + 1, n] = -1.0                          # s
+        M[n, lg:lg + n] = np.append(w, 1.0)               # r
+        M[n + 1, lf + n] = -1.0                           # s
         M[n + 1, xi] = A.T @ w
-        M[n + 2:2 * n + 1, xi] = A                  # A_xi xi
-        M[2 * n + 1:, n + 1:2 * n] = np.eye(n - 1)  # lg[:n-1]
-        for name, value in (("A_xi", A), ("q_map", M)):
+        M[n + 2:2 * n + 2, :n] = np.eye(n)                # drift: f
+        M[2 * n + 2:3 * n + 1, xi] = A                    # drift: A_xi xi
+        M[3 * n + 1:4 * n + 1, n:2 * n] = np.eye(n)       # gain: g
+        M[4 * n + 1:, lg:lg + n - 1] = -np.eye(n - 1)     # gain: -lg[:n-1]
+        for name, value in (("A_xi", A), ("stage_map", M)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -126,52 +131,46 @@ class EmbeddingConfig:
 # as columns, x (n, k) with xi (n-1, k).
 
 
-def _terms(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray):
-    """(z, r, s, A_xi xi, lg[:n-1]) at (x, xi), evaluating each Lie derivative once."""
-    plant, n = cfg.plant, cfg.n
-    q = np.array([ev(x) for ev in plant.lie_f_h] + [ev(x) for ev in plant.lie_g_lie_f_h]
-                 + list(xi))
-    out = cfg.q_map @ q
-    return out[:n], out[n], out[n + 1], out[n + 2:2 * n + 1], out[2 * n + 1:]
+def _stage(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Rows z (:n), r (n), s (n+1), drift (n+2:3n+1), gain (3n+1:) at (x, xi)."""
+    plant, x = cfg.plant, np.asarray(x, dtype=float)
+    return cfg.stage_map @ np.concatenate([plant.f(x), plant.g(x), plant.lie(x), xi])
 
 
-def _feedback(r, s, v, x) -> float:
+def _feedback(r, s, v, x, time=None) -> float:
     if abs(r) <= R_TOL:
-        raise SingularEmbeddingError(f"r(x) = {r:.3e} at x={np.asarray(x)}")
+        at = "" if time is None else f" at t={time:.6f}"
+        raise SingularEmbeddingError(f"r(x) = {r:.3e} at x={np.asarray(x)}{at}", time=time)
     return float((s + v) / r)
 
 
 def phi_z(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Chain coordinates of the extended state (one column per state of a batch)."""
-    x = np.asarray(x, dtype=float)
     cfg.plant.require_in_domain(x)
-    return _terms(cfg, x, np.asarray(xi, dtype=float))[0]
+    return _stage(cfg, x, xi)[:cfg.n]
 
 
 def r_of_x(cfg: EmbeddingConfig, x: np.ndarray):
     """Input coefficient r(x) of the embedded chain's top equation, for x shaped (n, ...)."""
     x, n = np.asarray(x, dtype=float), cfg.n
-    lg = np.array([ev(x) for ev in cfg.plant.lie_g_lie_f_h])
-    return np.tensordot(cfg.q_map[n, n + 1:2 * n + 1], lg, axes=1)
+    return np.tensordot(cfg.stage_map[n, 3 * n + 1:4 * n + 1], cfg.plant.lie(x)[n + 1:], axes=1)
 
 
 def s_of_x_xi(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray):
     """Drift term s(x, xi), chosen so that dz_n/dt = -s + r u."""
-    return _terms(cfg, np.asarray(x, dtype=float), np.asarray(xi, dtype=float))[2]
+    return _stage(cfg, x, xi)[cfg.n + 1]
 
 
 def aux_rhs(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, u) -> np.ndarray:
     """Auxiliary dynamics dxi/dt = A_xi xi - [L_g L_f^{k-1} h(x)]_k u."""
-    _, _, _, a_xi_xi, gains = _terms(cfg, np.asarray(x, dtype=float),
-                                     np.asarray(xi, dtype=float))
-    return a_xi_xi - gains * u
+    out, n = _stage(cfg, x, xi), cfg.n
+    return out[2 * n + 2:3 * n + 1] + out[4 * n + 1:] * u
 
 
 def dynamic_feedback(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, v: float) -> float:
     """Physical input u = (s(x, xi) + v) / r(x) realizing the chain input v."""
-    x = np.asarray(x, dtype=float)
-    _, r, s, _, _ = _terms(cfg, x, np.asarray(xi, dtype=float))
-    return _feedback(r, s, float(v), x)
+    out, n = _stage(cfg, x, xi), cfg.n
+    return _feedback(out[n], out[n + 1], float(v), x)
 
 
 @dataclass(frozen=True)
@@ -194,13 +193,14 @@ def transform_demos(
     The auxiliary dynamics are integrated from xi0 (zero by default) driven
     by the recorded signals, interpolated linearly between samples; then
     z = Phi_z(x, xi) and v = r(x) u - s(x, xi) per sample.  A pre-flight scan
-    raises if r(x) comes within tolerance of zero anywhere along a
-    demonstration.  The recordings must share one grid, and the k of them
-    are integrated together: one r-scan over every sample, the forcing
-    -L(x) u of the auxiliary dynamics tabulated once at the RK4 stage times
-    (grid points and step midpoints), and one rk4 call on xi shaped
-    (n-1, k), one recording per column.  z and v are then evaluated one
-    recording at a time, which keeps the temporaries of one recording's size.
+    raises if r(x) comes within tolerance of zero at a grid sample of a
+    demonstration; it checks the samples only, so r changing sign between
+    two samples passes unseen.  The recordings must share one grid, and the
+    k of them are integrated together: the forcing -L(x) u of the auxiliary
+    dynamics is tabulated once at the RK4 stage times (grid points and step
+    midpoints), and one rk4 call moves xi shaped (n-1, k), one recording per
+    column.  r, the forcing table, z and v read plant.lie one recording at a
+    time, which keeps its 2n+1 rows of temporaries at one recording's size.
     """
     n, k = cfg.n, len(raw)
     xi0 = np.zeros(n - 1) if xi0 is None else np.asarray(xi0, dtype=float)
@@ -211,7 +211,7 @@ def transform_demos(
         raise ValueError("the recordings do not share one time grid")
     states = np.stack([traj.states for traj in raw], axis=2)  # (N, n, k)
     u = np.stack([traj.inputs for traj in raw], axis=1)  # (N, k)
-    r_vals = r_of_x(cfg, states.transpose(1, 0, 2))
+    r_vals = np.column_stack([r_of_x(cfg, states[:, :, i].T) for i in range(k)])
     for i, r in enumerate(r_vals.T):
         j = int(np.abs(r).argmin())
         if abs(r[j]) <= R_TOL:
@@ -221,10 +221,11 @@ def transform_demos(
             )
 
     half = HalfGrid(grid)
-    x_half = half.interpolate(states).transpose(1, 0, 2)
-    forcing = np.array([ev(x_half) for ev in cfg.plant.lie_g_lie_f_h[:-1]])
-    forcing *= -half.interpolate(u)
-    forcing = forcing.transpose(1, 0, 2)  # (2N-1, n-1, k)
+    x_half = half.interpolate(states)
+    forcing = np.empty((len(half.times), n - 1, k))
+    for i in range(k):  # one recording's Lie table at a time
+        forcing[:, :, i] = cfg.plant.lie(x_half[:, :, i].T)[n + 1:2 * n].T
+    forcing *= -half.interpolate(u)[:, None, :]
     A = cfg.A_xi
 
     def xi_rhs(t, xi, _):
@@ -237,9 +238,9 @@ def transform_demos(
     for i in range(k):
         x = states[:, :, i].T
         cfg.plant.require_in_domain(x)
-        z, _, s, _, _ = _terms(cfg, x, xi[:, :, i].T)
-        out.append(EmbeddedDemonstration(times=grid.copy(), z=z.T.copy(), xi=xi[:, :, i],
-                                         v=r_vals[:, i] * u[:, i] - s))
+        terms = _stage(cfg, x, xi[:, :, i].T)
+        out.append(EmbeddedDemonstration(times=grid.copy(), z=terms[:n].T.copy(), xi=xi[:, :, i],
+                                         v=r_vals[:, i] * u[:, i] - terms[n + 1]))
     return out
 
 
@@ -340,28 +341,35 @@ def simulate_embedded_closed_loop(
 
     At each RK4 stage the chain state is read off as z = Phi_z(x, xi), the
     learned controller supplies v, and the dynamic feedback turns it into the
-    physical input u = (s + v) / r; every Lie derivative is evaluated once
-    per stage.  The controller is anchored at interval starts from the
-    committed chain state there; ctrl.T must be a whole multiple of dt.
+    physical input u = (s + v) / r.  A stage is one call of each plant
+    evaluator and one stage_map product.  The controller is anchored at
+    interval starts from the committed chain state there; ctrl.T must be a
+    whole multiple of dt.  A stage outside the domain (DomainError) or with
+    |r| <= R_TOL (SingularEmbeddingError) fails with its absolute time.
     """
     if ctrl.m != 1:
         raise ValueError("the embedding pipeline drives a single-input plant")
     plant = cfg.plant
     n = plant.n
+    f, g, lie, inside, M = plant.f, plant.g, plant.lie, plant.domain_check, cfg.stage_map
     xi0 = np.zeros(n - 1) if xi0 is None else np.asarray(xi0, dtype=float)
     T = ctrl.T
 
     def rhs(tau, y, anchor):
-        x, xi = y[:n], y[n:]
-        plant.require_in_domain(x)
-        z, r, s, a_xi_xi, gains = _terms(cfg, x, xi)
-        v = float(ctrl.eval_in_interval(anchor, min(tau, T), z)[0])
-        u = _feedback(r, s, v, x)
-        return np.concatenate([plant.rhs(x, u), a_xi_xi - gains * u]), (v, u)
+        start, base = anchor
+        x = y[:n]
+        if not inside(x):
+            t = start + tau
+            raise DomainError(f"state {x} is outside the domain of {plant.name} at t={t:.6f}",
+                              time=t)
+        out = M @ np.concatenate([f(x), g(x), lie(x), y[n:]])
+        v = float(ctrl.eval_in_interval(base, min(tau, T), out[:n])[0])
+        u = _feedback(out[n], out[n + 1], v, x, start + tau)
+        return out[n + 2:3 * n + 1] + out[3 * n + 1:] * u, (v, u)
 
     times, states, inputs = rk4(
         rhs, np.concatenate([x0, xi0]), 0.0, duration, dt, period=T,
-        begin=lambda t, y: ctrl.begin_interval(phi_z(cfg, y[:n], y[n:])), domain=plant,
+        begin=lambda t, y: (t, ctrl.begin_interval(phi_z(cfg, y[:n], y[n:]))), domain=plant,
     )
     return EmbeddedTrajectory(times=times, x=states[:, :n], xi=states[:, n:],
                               v=inputs[:, 0], u=inputs[:, 1])

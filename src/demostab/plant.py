@@ -2,7 +2,7 @@
 
 A plant is a single-input control-affine system  dx/dt = f(x) + g(x) u  with a
 scalar output h.  Instead of differentiating symbolically, each preset carries
-hand-coded closed-form evaluators for the iterated Lie derivatives L_f^k h and
+one hand-coded closed-form evaluator of the iterated Lie derivatives L_f^k h and
 L_g L_f^k h; these are all the quantities the coordinate change and the
 decoupling feedback need.
 """
@@ -10,7 +10,7 @@ decoupling feedback need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_continuous_are
@@ -49,20 +49,18 @@ def brunovsky_pair(n: int) -> BrunovskyPair:
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Single-input plant with closed-form Lie-derivative evaluators.
+    """Single-input plant with one closed-form Lie-derivative evaluator.
 
     Every field and evaluator takes the state on the first axis: x shaped
     (n,), or a batch x shaped (n, k) with one state per column.  The vector
-    fields give (n,) or (n, k), the evaluators (lie_f_h, lie_g_lie_f_h,
-    domain_check) a scalar or one value per column, shaped (k,).
+    fields give (n,) or (n, k), domain_check a bool or one per column.
 
     Attributes:
         n: state dimension.
         f: drift vector field.
         g: input vector field.
-        lie_f_h: evaluators for L_f^k h, k = 0..n (n + 1 callables); the
-            output is h = L_f^0 h, with h(0) = 0.
-        lie_g_lie_f_h: evaluators for L_g L_f^k h, k = 0..n-1 (n callables).
+        lie: the stack [L_f^k h, k = 0..n; L_g L_f^k h, k = 0..n-1], shaped
+            (2n + 1,) or (2n + 1, k); the output is h = L_f^0 h, with h(0) = 0.
         domain_check: predicate for membership in the open set U.
         relative_degree: n for feedback-linearizable presets, None otherwise.
     """
@@ -70,8 +68,7 @@ class PlantModel:
     n: int
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
-    lie_f_h: Sequence[Callable[[np.ndarray], float]]
-    lie_g_lie_f_h: Sequence[Callable[[np.ndarray], float]]
+    lie: Callable[[np.ndarray], np.ndarray]
     domain_check: Callable[[np.ndarray], bool] = field(default=lambda x: True)
     relative_degree: Optional[int] = None
     name: str = "plant"
@@ -79,14 +76,6 @@ class PlantModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"state dimension must be >= 1, got {self.n}")
-        if len(self.lie_f_h) != self.n + 1:
-            raise ValueError(
-                f"need {self.n + 1} evaluators L_f^k h (k=0..n), got {len(self.lie_f_h)}"
-            )
-        if len(self.lie_g_lie_f_h) != self.n:
-            raise ValueError(
-                f"need {self.n} evaluators L_g L_f^k h (k=0..n-1), got {len(self.lie_g_lie_f_h)}"
-            )
 
     def require_in_domain(self, x: np.ndarray) -> None:
         """Raise DomainError unless x, shaped (n,) or (n, k), lies in the domain."""
@@ -113,20 +102,11 @@ def last_unit_field(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def constant_evaluator(value: float) -> Callable[[np.ndarray], float]:
-    """Evaluator of a constant Lie derivative, broadcast over a batch of states."""
-    def evaluate(x):
-        batch = np.shape(x)[1:]
-        return np.full(batch, value) if batch else value
-
-    return evaluate
-
-
 def feedback_linearize(plant: PlantModel, x: np.ndarray) -> np.ndarray:
     """Map a state, or a batch (n, k), to linearizing coordinates z_k = L_f^{k-1} h(x)."""
     x = np.asarray(x, dtype=float)
     plant.require_in_domain(x)
-    return np.array([plant.lie_f_h[k](x) for k in range(plant.n)], dtype=float)
+    return plant.lie(x)[:plant.n]
 
 
 def linearizing_input(plant: PlantModel, x: np.ndarray, v: float) -> float:
@@ -138,12 +118,12 @@ def linearizing_input(plant: PlantModel, x: np.ndarray, v: float) -> float:
     """
     x = np.asarray(x, dtype=float)
     plant.require_in_domain(x)
-    b = plant.lie_g_lie_f_h[plant.n - 1](x)
+    lie = plant.lie(x)
+    a, b = lie[plant.n], lie[2 * plant.n]
     if np.any(np.abs(b) < DECOUPLING_TOL):
         bad = x if x.ndim == 1 else x[:, np.argmin(np.abs(b))]
         raise SingularDecouplingError(f"decoupling term |b| = {np.min(np.abs(b)):.3e} below "
                                       f"tolerance at x={bad} for {plant.name}")
-    a = plant.lie_f_h[plant.n](x)
     return (v - a) / b
 
 
@@ -221,17 +201,18 @@ def chain_preset(n: int) -> PlantModel:
         dx[:-1] = x[1:]
         return dx
 
-    def lie_f(k):
-        if k < n:
-            return lambda x, k=k: x[k]
-        return constant_evaluator(0.0)
+    def lie(x):
+        # L_f^k h = x_k for k < n, L_f^n h = 0; only L_g L_f^{n-1} h = 1 is nonzero.
+        out = np.zeros((2 * n + 1,) + x.shape[1:])
+        out[:n] = x
+        out[2 * n] = 1.0
+        return out
 
     return PlantModel(
         n=n,
         f=f,
         g=last_unit_field,
-        lie_f_h=tuple(lie_f(k) for k in range(n + 1)),
-        lie_g_lie_f_h=tuple(constant_evaluator(float(k == n - 1)) for k in range(n)),
+        lie=lie,
         domain_check=lambda x: np.isfinite(x).all(axis=0),
         relative_degree=n,
         name=f"chain{n}",

@@ -145,18 +145,26 @@ def affine_interval_maps(A: np.ndarray, B: np.ndarray, K: np.ndarray, c: np.ndar
     return C[:, :d, :d], C[:, :d, d]
 
 
-def check_divergence(states: np.ndarray, times: np.ndarray) -> None:
-    """rk4's post-step test on a block of grid states (time on the first axis).
+def _largest_column(y: np.ndarray) -> int:
+    """The column of a batch y (d, k) with the largest or a non-finite squared norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("i...,i...->...", y, y)
+    return int(np.argmax(np.nan_to_num(sq, nan=np.inf)))
 
-    Raises DivergenceError at the first time whose state is non-finite or has
-    a norm above DIVERGENCE_NORM.
+
+def check_divergence(states: np.ndarray, times: np.ndarray) -> None:
+    """rk4's post-step test on a block of batched grid states (G, d, k).
+
+    Raises DivergenceError at the first time whose batch is non-finite or has
+    a norm above DIVERGENCE_NORM, naming the column as rk4 does.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("gij,gij->g", states, states)
     bad = np.flatnonzero(~(sq <= DIVERGENCE_NORM**2))
     if bad.size:
         t = float(times[bad[0]])
-        raise DivergenceError(f"state diverged at t={t:.6f}", time=t)
+        raise DivergenceError(f"state diverged at t={t:.6f}", time=t,
+                              column=_largest_column(states[bad[0]]))
 
 
 def interval_index(t: float, T: float) -> tuple[int, float]:
@@ -228,9 +236,8 @@ def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantMode
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # A non-finite entry makes the squared norm NaN or inf, failing the test too.
         if not float(np.vdot(y, y)) <= DIVERGENCE_NORM**2:
-            sq = np.nan_to_num(np.einsum("i...,i...->...", y, y), nan=np.inf)
             raise DivergenceError(f"state diverged at t={t_next:.6f}", time=t_next,
-                                  column=None if y.ndim == 1 else int(np.argmax(sq)))
+                                  column=None if y.ndim == 1 else _largest_column(y))
         states[k + 1] = y
     return times, states, inputs
 

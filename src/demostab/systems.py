@@ -21,8 +21,7 @@ from .demos import Demonstration, DemonstrationSet
 from .embed import EmbeddingConfig
 from .errors import SingularDecouplingError
 from .learner import simulate_chain_batch
-from .plant import (DECOUPLING_TOL, ExpertController, PlantModel, constant_evaluator,
-                    last_unit_field, lqr_gain)
+from .plant import DECOUPLING_TOL, ExpertController, PlantModel, last_unit_field, lqr_gain
 from .sim import time_grid
 
 # ---------------------------------------------------------------------------
@@ -221,26 +220,26 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
         dx[2] = x[3]
         return dx
 
-    lie_f_h = (
-        lambda x: x[0],
-        lambda x: x[1],
-        lambda x: b * (x[0] * x[3] ** 2 - g * np.sin(x[2])),
-        lambda x: b * (x[1] * x[3] ** 2 - g * x[3] * np.cos(x[2])),
-        lambda x: b * b * x[3] ** 2 * (x[0] * x[3] ** 2 - g * np.sin(x[2]))
-        + b * g * x[3] ** 2 * np.sin(x[2]),
-    )
-    lie_g_lie_f_h = (
-        constant_evaluator(0.0),
-        constant_evaluator(0.0),
-        lambda x: 2.0 * b * x[0] * x[3],
-        lambda x: 2.0 * b * x[1] * x[3] - b * g * np.cos(x[2]),
-    )
+    def lie(x):
+        x0, x1, phi, om = x
+        s, c, om2 = np.sin(phi), np.cos(phi), om ** 2
+        a = x0 * om2 - g * s
+        out = np.empty((9,) + x.shape[1:])
+        out[0] = x0                                   # L_f^k h, k = 0..4
+        out[1] = x1
+        out[2] = b * a
+        out[3] = b * (x1 * om2 - g * om * c)
+        out[4] = b * b * om2 * a + b * g * om2 * s
+        out[5:7] = 0.0                                # L_g L_f^k h, k = 0..3
+        out[7] = 2.0 * b * x0 * om
+        out[8] = 2.0 * b * x1 * om - b * g * c
+        return out
+
     return PlantModel(
         n=4,
         f=f,
         g=last_unit_field,
-        lie_f_h=lie_f_h,
-        lie_g_lie_f_h=lie_g_lie_f_h,
+        lie=lie,
         domain_check=lambda x: np.isfinite(x).all(axis=0) & (np.abs(x[2]) < math.pi / 2),
         relative_degree=None,
         name="ball_beam",
@@ -270,7 +269,7 @@ def ball_beam_expert(
     controller, which amplifies the demonstrations affinely, stays inside the
     beam-angle domain from far-out starts as well.
     """
-    bg = -plant.lie_g_lie_f_h[3](np.zeros(4))  # L_g L_f^3 h(0) = -b*g
+    bg = -plant.lie(np.zeros(4))[8]  # L_g L_f^3 h(0) = -b*g
     A_lin = np.array(
         [
             [0.0, 1.0, 0.0, 0.0],

@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from demostab.errors import DegenerateGeometryError
+from demostab.sim import time_grid
 
 # ---------------------------------------------------------------------------
 # Double-integrator LQR fixture: A = [[0,1],[0,0]], B = [0,1]^T, K = [1,2].
@@ -384,22 +385,79 @@ def record_one(plant, expert, x0, T: float, dt: float):
 # ---------------------------------------------------------------------------
 
 
-def transform_demo_per_sample(plant, w, times, states, inputs, xi0):
-    """(z, xi, v) of one recorded (x, u) run in the chain coordinates of the embedding.
+def embedding_terms(plant, w, x, xi):
+    """(z, r, s) of the embedding at one state, term by term from the rows of plant.lie.
 
-    Every quantity comes from the plant's scalar evaluators at one state at a
-    time.  The auxiliary dynamics dxi/dt = A_xi xi - [L_g L_f^{k-1} h(x)]_k u,
-    A_xi the companion matrix of w, are integrated by classical RK4 on the
-    recording grid, with x and u interpolated linearly at every stage; then
-    z_k = L_f^{k-1} h + xi_k (k < n), z_n = L_f^{n-1} h - w . xi and
-    v = r u - s with r = L_g L_f^{n-1} h + sum_j w_j L_g L_f^{j-1} h and
+    z_k = L_f^{k-1} h + xi_k (k < n), z_n = L_f^{n-1} h - w . xi,
+    r = L_g L_f^{n-1} h + sum_j w_j L_g L_f^{j-1} h and
     s = -L_f^n h + sum_{j <= n-2} w_j xi_{j+1} - w_{n-1} (w . xi).
     """
     n = plant.n
+    lie = plant.lie(x)
+    lf, lg = lie[:n + 1], lie[n + 1:]
+    z = np.empty(n)
+    for j in range(n - 1):
+        z[j] = lf[j] + xi[j]
+    z[n - 1] = lf[n - 1] - sum(w[j] * xi[j] for j in range(n - 1))
+    r = lg[n - 1] + sum(w[j] * lg[j] for j in range(n - 1))
+    s = (-lf[n] + sum(w[j] * xi[j + 1] for j in range(n - 2))
+         - w[n - 2] * sum(w[j] * xi[j] for j in range(n - 1)))
+    return z, r, s
+
+
+def aux_dot(plant, w, x, xi, u):
+    """dxi/dt = A_xi xi - [L_g L_f^{k-1} h(x)]_k u at one state, A_xi the companion of w."""
+    n = plant.n
+    lg = plant.lie(x)[n + 1:]
+    out = np.empty(n - 1)
+    for j in range(n - 2):
+        out[j] = xi[j + 1] - lg[j] * u
+    out[n - 2] = -sum(w[j] * xi[j] for j in range(n - 1)) - lg[n - 2] * u
+    return out
+
+
+def embedded_interval_rk4(plant, w, ctrl, x0, xi0, dt):
+    """The first interval [0, ctrl.T] of the embedded closed loop, stage by stage.
+
+    Every stage evaluates the extended rhs term by term: z, r and s from
+    embedding_terms, v from the controller anchored at the start,
+    u = (s + v) / r, then (plant.rhs(x, u), aux_dot(x, xi, u)).  Classical
+    RK4 on time_grid(0, T, dt); returns the grid states (N+1, 2n-1).
+    """
+    n = plant.n
+
+    def rhs(tau, y):
+        x, xi = y[:n], y[n:]
+        z, r, s = embedding_terms(plant, w, x, xi)
+        v = float(ctrl.eval_in_interval(anchor, min(tau, ctrl.T), z)[0])
+        u = (s + v) / r
+        return np.concatenate([plant.rhs(x, u), aux_dot(plant, w, x, xi, u)])
+
+    y = np.concatenate([x0, xi0]).astype(float)
+    anchor = ctrl.begin_interval(embedding_terms(plant, w, y[:n], y[n:])[0])
+    times = time_grid(0.0, ctrl.T, dt)
+    states = [y]
+    for t, t_next in zip(times[:-1], times[1:]):
+        h = t_next - t
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + h / 2 * k1)
+        k3 = rhs(t + h / 2, y + h / 2 * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(y)
+    return np.array(states)
+
+
+def transform_demo_per_sample(plant, w, times, states, inputs, xi0):
+    """(z, xi, v) of one recorded (x, u) run in the chain coordinates of the embedding.
+
+    Every quantity comes from the rows of plant.lie at one state at a time.
+    The auxiliary dynamics (aux_dot) are integrated by classical RK4 on the
+    recording grid, with x and u interpolated linearly at every stage; then
+    z, r and s come from embedding_terms and v = r u - s.
+    """
+    n = plant.n
     w = np.asarray(w, dtype=float)
-    A_xi = np.zeros((n - 1, n - 1))
-    A_xi[np.arange(n - 2), np.arange(1, n - 1)] = 1.0
-    A_xi[-1] = -w
 
     def recorded(t):
         i = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
@@ -409,8 +467,7 @@ def transform_demo_per_sample(plant, w, times, states, inputs, xi0):
 
     def xi_dot(t, xi):
         x, u = recorded(t)
-        gains = np.array([plant.lie_g_lie_f_h[k](x) for k in range(n - 1)])
-        return A_xi @ xi - gains * u
+        return aux_dot(plant, w, x, xi, u)
 
     xis = [np.asarray(xi0, dtype=float)]
     for k in range(len(times) - 1):
@@ -423,13 +480,7 @@ def transform_demo_per_sample(plant, w, times, states, inputs, xi0):
     z = np.empty((len(times), n))
     v = np.empty(len(times))
     for k, (x, xi, u) in enumerate(zip(states, xis, inputs)):
-        for j in range(n - 1):
-            z[k, j] = plant.lie_f_h[j](x) + xi[j]
-        z[k, n - 1] = plant.lie_f_h[n - 1](x) - sum(w[j] * xi[j] for j in range(n - 1))
-        r = plant.lie_g_lie_f_h[n - 1](x) + sum(w[j] * plant.lie_g_lie_f_h[j](x)
-                                                for j in range(n - 1))
-        s = (-plant.lie_f_h[n](x) + sum(w[j] * xi[j + 1] for j in range(n - 2))
-             - w[n - 2] * sum(w[j] * xi[j] for j in range(n - 1)))
+        z[k], r, s = embedding_terms(plant, w, x, xi)
         v[k] = r * u - s
     return z, np.array(xis), v
 

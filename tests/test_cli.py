@@ -197,6 +197,22 @@ def test_demo_start_outside_domain_names_the_start(tmp_path, capsys):
     assert len(err) == 1 and "recording from x0=[0.  0.  1.6 0. ] failed" in err[0]
 
 
+def test_demo_singular_embedding_is_one_line(tmp_path, capsys):
+    # r(x) = 2 b x2 x4 - b g cos x3 + 2 w3 b x1 x4 vanishes at the first
+    # configured start (6 * 1.635 = g): the transform fails, not the recording.
+    config = {"preset": "ball_beam", "T": 1.0, "dt": 0.01,
+              "initial_conditions": [[1.635, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0],
+                                     [0, 0, 0.3, 0]]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["demos", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DIVERGENCE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("demos: transform failed: r(x) = ")
+    assert "along demonstration 1 at t=0.000000" in err[0]
+    assert not (tmp_path / "demo_set.json").exists()
+
+
 def test_multi_pipeline_writes_per_simplex_certificate(tmp_path):
     cfg = write_config(
         tmp_path / "config.json",

@@ -1,14 +1,18 @@
 """Integrator-chain embedding: coordinate change, auxiliary dynamics, transforms."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import routh_stable, transform_demo_per_sample
+from oracles import (aux_dot, embedded_interval_rk4, embedding_terms, routh_stable,
+                     transform_demo_per_sample)
 
 from demostab.embed import (
+    R_TOL,
     EmbeddingConfig,
     a_w_numeric,
     aux_rhs,
@@ -23,7 +27,7 @@ from demostab.embed import (
     simulate_embedded_closed_loop,
     transform_demos,
 )
-from demostab.errors import SingularEmbeddingError
+from demostab.errors import DomainError, SingularEmbeddingError
 from demostab.learner import LearnedController, build_basis
 from demostab.plant import chain_preset
 from demostab.sim import Trajectory
@@ -81,7 +85,7 @@ def test_phi_zero_xi_gives_plain_coordinates(bb_cfg):
     x = np.array([0.4, -0.3, 0.2, 0.6])
     z = phi_z(bb_cfg, x, np.zeros(3))
     plant = bb_cfg.plant
-    expected = [plant.lie_f_h[k](x) for k in range(4)]
+    expected = plant.lie(x)[:4]
     assert_allclose(z, expected, atol=1e-14)
 
 
@@ -141,7 +145,7 @@ def test_small_w_reduces_r_to_plain_decoupling():
     a = 1e-4
     cfg = EmbeddingConfig(plant=plant, w=(a**3, 3 * a**2, 3 * a))
     x = np.array([0.3, -0.2, 0.1, 0.8])
-    assert_allclose(r_of_x(cfg, x), plant.lie_g_lie_f_h[3](x), rtol=1e-3)
+    assert_allclose(r_of_x(cfg, x), plant.lie(x)[8], rtol=1e-3)  # L_g L_f^3 h
 
 
 def test_aux_rhs_unforced_is_companion(bb_cfg):
@@ -339,3 +343,112 @@ def test_transform_matches_per_sample_formulas():
         for got, want in ((emb.z, z), (emb.xi, xi), (emb.v, v)):
             assert got.shape == want.shape
             assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+# The stage map against the term-by-term oracle, one state or a batch (n, k).
+STAGE_CONFIGS = {"ball_beam": ball_beam_preset()[1],
+                 "chain3": EmbeddingConfig(plant=chain_preset(3), w=(2.0, 3.0))}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_CONFIGS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([None, 1, 5]))
+def test_stage_map_matches_term_by_term_oracle(name, seed, k):
+    cfg = STAGE_CONFIGS[name]
+    plant, n = cfg.plant, cfg.n
+    rng = np.random.default_rng(seed)
+    shape = () if k is None else (k,)
+    x = rng.uniform(-2.0, 2.0, (n,) + shape)
+    x[2] = rng.uniform(-1.5, 1.5, shape)  # inside the ball-beam domain |phi| < pi/2
+    xi = rng.uniform(-2.0, 2.0, (n - 1,) + shape)
+    v = rng.uniform(-5.0, 5.0, shape)
+    out = cfg.stage_map @ np.concatenate([plant.f(x), plant.g(x), plant.lie(x), xi])
+    z, r, s = out[:n], out[n], out[n + 1]
+    u = (s + v) / r
+    dy = out[n + 2:3 * n + 1] + out[3 * n + 1:] * u
+    columns = [(x, xi, u)] if k is None else [(x[:, j], xi[:, j], u[j]) for j in range(k)]
+    for j, (xj, xij, uj) in enumerate(columns):
+        at = () if k is None else (slice(None), j)
+        z_want, r_want, s_want = embedding_terms(plant, cfg.w, xj, xij)
+        dy_want = np.concatenate([plant.rhs(xj, uj), aux_dot(plant, cfg.w, xj, xij, uj)])
+        scale = max(1.0, np.abs(z_want).max(), abs(r_want), abs(s_want))
+        assert_allclose(z[at], z_want, rtol=0, atol=1e-12 * scale)
+        assert_allclose(r[at[1:]], r_want, rtol=0, atol=1e-12 * scale)
+        assert_allclose(s[at[1:]], s_want, rtol=0, atol=1e-12 * scale)
+        assert_allclose(dy[at], dy_want, rtol=0, atol=1e-12 * max(1.0, np.abs(dy_want).max()))
+    # The module's accessors read the same map.
+    assert_allclose(phi_z(cfg, x, xi), z, rtol=0, atol=0)
+    assert_allclose(r_of_x(cfg, x), r, rtol=0, atol=0)
+    assert_allclose(s_of_x_xi(cfg, x, xi), s, rtol=0, atol=0)
+    assert_allclose(aux_rhs(cfg, x, xi, u), dy[n:], rtol=0, atol=0)
+    if k is None and abs(r) > R_TOL:
+        assert dynamic_feedback(cfg, x, xi, v) == u
+
+
+def test_readme_loop_interval_matches_term_by_term_rhs(ball_beam_fixture):
+    # One 8 s interval from the README simulate start: the stage-map loop
+    # against the extended rhs evaluated term by term and stepped by the oracle.
+    cfg, eset = ball_beam_fixture["cfg"], ball_beam_fixture["set"]
+    ctrl = LearnedController(build_basis(eset), A=eset.A, B=eset.B)
+    x0, xi0 = np.array([6.0, 0.0, 0.345, 0.0]), np.zeros(3)
+    traj = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=ctrl.T, dt=1e-3)
+    want = embedded_interval_rk4(cfg.plant, cfg.w, ctrl, x0, xi0, 1e-3)
+    got = np.hstack([traj.x, traj.xi])
+    assert got.shape == want.shape == (8001, 7)
+    assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+class _ZeroController:
+    """Chain input v = 0 on intervals of length T."""
+
+    m = 1
+
+    def __init__(self, T):
+        self.T = T
+
+    def begin_interval(self, z):
+        return None
+
+    def eval_in_interval(self, anchor, tau, z):
+        return np.zeros(1)
+
+
+def test_stage_outside_the_domain_carries_its_time(ball_beam_fixture):
+    # The start passes the driver's check at t = 0; dphi/dt = omega = 1 takes
+    # the beam angle past pi/2 at the first midpoint stage.
+    x0 = np.array([0.0, 0.0, math.pi / 2 - 1e-6, 1.0])
+    ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
+    with pytest.raises(DomainError) as err:
+        simulate_embedded_closed_loop(ball_beam_fixture["cfg"], ctrl, x0, np.zeros(3),
+                                      duration=1.0, dt=1e-3)
+    assert err.value.time == pytest.approx(5e-4, rel=0, abs=1e-15)
+    assert "at t=0.000500" in str(err.value)
+
+
+def _unit_speed_chain2(**changes):
+    # chain2 embedded with w = (1,): under v = 0 from x = (0, 1), xi = 0 the
+    # input u = (s + v) / r stays 0, so x_1 = t, x_2 = 1 and xi = 0.
+    return EmbeddingConfig(plant=dataclasses.replace(chain_preset(2), **changes), w=(1.0,))
+
+
+def test_stage_failures_carry_the_absolute_time():
+    # Intervals of 2 ms: the failures fall in interval 5, which starts at 0.010.
+    ctrl, x0 = _ZeroController(2e-3), np.array([0.0, 1.0])
+    # x_1 < 0.0104 holds at the grid point 0.010 and fails at its midpoint stage.
+    cfg = _unit_speed_chain2(domain_check=lambda x: np.isfinite(x).all(axis=0) & (x[0] < 0.0104))
+    with pytest.raises(DomainError) as err:
+        simulate_embedded_closed_loop(cfg, ctrl, x0, np.zeros(1), duration=0.02, dt=1e-3)
+    assert err.value.time == pytest.approx(0.0105, rel=0, abs=1e-12)
+
+    # r = L_g L_f h + w L_g h, with L_g L_f h replaced by 1 - 100 x_1, vanishes
+    # at the grid point 0.010, the first stage of interval 5.
+    def lie(x):
+        out = chain_preset(2).lie(x)
+        out[4] = 1.0 - 100.0 * x[0]
+        return out
+
+    with pytest.raises(SingularEmbeddingError) as err:
+        simulate_embedded_closed_loop(_unit_speed_chain2(lie=lie), ctrl, x0, np.zeros(1),
+                                      duration=0.02, dt=1e-3)
+    assert err.value.time == pytest.approx(0.010, rel=0, abs=1e-12)
+    assert "at t=0.010000" in str(err.value)

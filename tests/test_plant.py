@@ -73,8 +73,7 @@ def scaled_double_integrator() -> PlantModel:
         n=2,
         f=lambda x: np.array([x[1], 0.0]),
         g=lambda x: np.array([0.0, 2.0]),
-        lie_f_h=(lambda x: float(x[0]), lambda x: float(x[1]), lambda x: 0.0),
-        lie_g_lie_f_h=(lambda x: 0.0, lambda x: 2.0),
+        lie=lambda x: np.array([x[0], x[1], 0.0, 0.0, 2.0]),  # L_f^k h; L_g L_f^k h
         relative_degree=2,
         name="scaled_double_integrator",
     )
@@ -90,8 +89,7 @@ def test_linearizing_input_singular_decoupling():
         n=1,
         f=lambda x: np.zeros(1),
         g=lambda x: np.array([float(x[0])]),  # vanishes at the origin
-        lie_f_h=(lambda x: float(x[0]), lambda x: 0.0),
-        lie_g_lie_f_h=(lambda x: float(x[0]),),
+        lie=lambda x: np.array([x[0], 0.0, x[0]]),  # h, L_f h; L_g h
         name="degenerate",
     )
     with pytest.raises(SingularDecouplingError):
@@ -142,19 +140,21 @@ def test_lie_derivatives_match_finite_differences(make_plant):
         x = rng.uniform(-0.8, 0.8, size=plant.n)
         if not plant.domain_check(x):
             continue
+        lie = plant.lie(x)
+        assert lie.shape == (2 * plant.n + 1,)
         # L_f^{k+1} h is the derivative of L_f^k h along f.
         for k in range(plant.n):
-            fd = directional_derivative(plant.lie_f_h[k], plant.f, x)
-            assert_allclose(fd, plant.lie_f_h[k + 1](x), rtol=1e-6, atol=1e-6)
-        # L_g L_f^k h is the derivative of L_f^k h along g.
+            fd = directional_derivative(lambda y, k=k: plant.lie(y)[k], plant.f, x)
+            assert_allclose(fd, lie[k + 1], rtol=1e-6, atol=1e-6)
+        # L_g L_f^k h (row n+1+k) is the derivative of L_f^k h along g.
         for k in range(plant.n):
-            fd = directional_derivative(plant.lie_f_h[k], plant.g, x)
-            assert_allclose(fd, plant.lie_g_lie_f_h[k](x), rtol=1e-6, atol=1e-6)
+            fd = directional_derivative(lambda y, k=k: plant.lie(y)[k], plant.g, x)
+            assert_allclose(fd, lie[plant.n + 1 + k], rtol=1e-6, atol=1e-6)
 
 
 def test_preset_outputs_vanish_at_origin():
     for plant in (chain_preset(2), chain_preset(3), ball_beam_plant()):
-        assert plant.lie_f_h[0](np.zeros(plant.n)) == 0.0
+        assert plant.lie(np.zeros(plant.n))[0] == 0.0
 
 
 def test_chain_inverse_phi_roundtrip():

@@ -15,6 +15,7 @@ from demostab.plant import chain_preset
 from demostab.sim import (
     HalfGrid,
     Trajectory,
+    check_divergence,
     interval_index,
     rk4,
     simulate_closed_loop,
@@ -96,6 +97,26 @@ def test_divergence_reports_time():
     with pytest.raises(DivergenceError) as err:
         integrate(lambda t, x: x**3, np.array([2.0]), 0.0, 5.0, 1e-3)
     assert err.value.time is not None and 0.0 < err.value.time < 5.0
+
+
+def test_check_divergence_names_the_column_as_rk4_does():
+    # A (G, 4, 2) block: column 1 passes the norm bound at times[3] while
+    # column 0 stays small; later, column 0 turns non-finite.
+    times = np.linspace(0.0, 0.5, 6)
+    states = np.full((6, 4, 2), 0.5)
+    states[3:, 0, 1] = 2e6
+    states[5, 2, 0] = np.nan
+    with pytest.raises(DivergenceError) as err:
+        check_divergence(states, times)
+    assert (err.value.time, err.value.column) == (times[3], 1)
+    states[2, 1, 0] = np.inf
+    with pytest.raises(DivergenceError) as err:
+        check_divergence(states, times)
+    assert (err.value.time, err.value.column) == (times[2], 0)
+    # rk4 names the same column for the same batch, one step in.
+    with pytest.raises(DivergenceError) as err:
+        rk4(lambda t, y, _: ((states[3] - states[0]) / 0.1, 0.0), states[0], 0.0, 0.5, 0.1)
+    assert (err.value.time, err.value.column) == (0.1, 1)
 
 
 def test_domain_exit_raises():

@@ -198,11 +198,11 @@ def test_batched_evaluators_match_per_state_calls(plant):
     X[:, 5] = np.nan
     if plant.n == 4:
         X[2, 6] = 1.6  # beam angle past pi/2
-    evaluators = list(plant.lie_f_h) + list(plant.lie_g_lie_f_h)
-    for ev in evaluators:
-        batched = ev(X[:, :5])
+    lie = plant.lie(X[:, :5])
+    assert lie.shape == (2 * plant.n + 1, 5)
+    for row, batched in enumerate(lie):
         assert np.shape(batched) == (5,)
-        assert_allclose(batched, [ev(X[:, j]) for j in range(5)], rtol=1e-15, atol=0)
+        assert_allclose(batched, [plant.lie(X[:, j])[row] for j in range(5)], rtol=1e-15, atol=0)
     inside = plant.domain_check(X)
     assert inside.shape == (7,)
     assert list(inside) == [bool(plant.domain_check(X[:, j])) for j in range(7)]
