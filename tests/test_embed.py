@@ -414,7 +414,7 @@ class _ZeroController:
 
 
 def test_stage_outside_the_domain_carries_its_time(ball_beam_fixture):
-    # The start passes the driver's check at t = 0; dphi/dt = omega = 1 takes
+    # The start passes rk4's grid-point domain guard at t = 0; dphi/dt = omega = 1 takes
     # the beam angle past pi/2 at the first midpoint stage.
     x0 = np.array([0.0, 0.0, math.pi / 2 - 1e-6, 1.0])
     ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
