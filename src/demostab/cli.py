@@ -1,8 +1,9 @@
 """Batch front end: demos -> validate -> learn -> certify -> simulate/track.
 
-Configuration is a single JSON document; every stage writes plot-ready CSV and
-JSON into the output directory.  The demos stage records all expert runs of a
-preset as one batch on their shared grid.  Runs are reproducible bit for bit:
+Configuration is a single JSON document naming a preset; PRESETS states each
+preset's facts once, and every stage writes plot-ready CSV and JSON into the
+output directory.  The demos stage records all expert runs of a preset as one
+batch on their shared grid.  Runs are reproducible bit for bit:
 fixed-step integration, deterministic tie-breaks, and no randomness anywhere
 in the pipeline.
 
@@ -17,9 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,17 +36,13 @@ from .learner import LearnedController, build_basis, load_controller, save_contr
     simulate_chain_closed_loop
 from .multi import MultiController
 from .plant import chain_preset, expert_lqr
-from .sim import MAX_STEPS, Trajectory
+from .sim import MAX_STEPS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_CERTIFICATION = 3
 EXIT_DIVERGENCE = 4
-
-_CHAIN_KIND = "chain"
-_EMBED_KIND = "embedded"
-_FLAT3D_KIND = "flat3d"
 
 
 class _UsageError(Exception):
@@ -77,37 +76,117 @@ def _section(data: dict, key: str) -> dict:
     return dict(value)
 
 
-def _preset_kind(name: str) -> str:
-    if name.startswith("chain") or name == "flat_quad_axis":
-        return _CHAIN_KIND
-    if name == "ball_beam":
-        return _EMBED_KIND
-    if name == "flat_quad_3d":
-        return _FLAT3D_KIND
-    raise _UsageError(f"unknown preset {name!r}")
+# ---------------------------------------------------------------------------
+# Presets
+# ---------------------------------------------------------------------------
 
 
-def _chain_plant(name: str):
-    if name == "flat_quad_axis":
-        return chain_preset(3)
-    try:
-        return chain_preset(int(name.removeprefix("chain")))
-    except ValueError as exc:
-        raise _UsageError(f"unknown preset {name!r}") from exc
+@dataclass(frozen=True)
+class Preset:
+    """Everything the stages need to know about one preset, each fact stated once.
+
+    plant(preset_params) builds the plant and its integrator-chain embedding,
+    or None for a plant whose demonstrations reach chain form by feedback
+    linearization; flat_quad_3d has neither, because systems.flat_quad_demo_set
+    records it from fixed starts (starts None).  expert(plant, Q, R) is the
+    expert u = expert(x) for the LQR weights Q (default: the diagonal entries
+    given here) and R.  starts are the default recorded starts, x0 the
+    default simulate start, simulate(cfg, ctrl, x0) the closed loop of the
+    simulate stage, returning (times, CSV header, CSV columns, state norms),
+    and reference(f, axis) the track reference, or None for no tracking.
+    """
+
+    Q: tuple
+    R: float
+    x0: tuple
+    simulate: Callable
+    plant: Callable = lambda params: (None, None)
+    expert: Optional[Callable] = None
+    starts: Optional[tuple | np.ndarray] = None
+    reference: Optional[Callable] = None
+
+
+def _simulate_chain(cfg: RunConfig, ctrl, z0: np.ndarray):
+    traj = simulate_chain_closed_loop(ctrl, z0, cfg.simulate_duration, cfg.dt)
+    # Chain presets are in normal form (a = 0, b = 1), so the physical input
+    # u equals the chain input v; both columns are emitted per the file contract.
+    n = traj.states.shape[1]
+    header = ["t"] + [f"z{k + 1}" for k in range(n)]
+    cols = [traj.times] + [traj.states[:, k] for k in range(n)]
+    u = np.atleast_2d(traj.inputs.T).T
+    m = u.shape[1]
+    header += ["v", "u"] if m == 1 else (
+        [f"v{j + 1}" for j in range(m)] + [f"u{j + 1}" for j in range(m)])
+    cols += [u[:, j] for j in range(m)] + [u[:, j] for j in range(m)]
+    return traj.times, header, cols, np.linalg.norm(traj.states, axis=1)
+
+
+def _simulate_embedded(cfg: RunConfig, ctrl, x0: np.ndarray):
+    n = cfg.embedding.n
+    xi0 = _vector("simulate.xi0", cfg.simulate.get("xi0", np.zeros(n - 1)), n - 1)
+    traj = embed_mod.simulate_embedded_closed_loop(
+        cfg.embedding, ctrl, x0, xi0, cfg.simulate_duration, cfg.dt
+    )
+    header = (["t"] + [f"x{k + 1}" for k in range(n)]
+              + [f"xi{k + 1}" for k in range(n - 1)] + ["v", "u"])
+    cols = ([traj.times] + [traj.x[:, k] for k in range(n)]
+            + [traj.xi[:, k] for k in range(n - 1)] + [traj.v, traj.u])
+    return traj.times, header, cols, np.linalg.norm(traj.x, axis=1)
+
+
+def _chain(n: int) -> Preset:
+    """chain<n>: unit-vector starts; the 3-chain tracks one axis of the figure eight."""
+    unit = np.eye(n)
+    unit.flags.writeable = False
+    return Preset(plant=lambda params: (chain_preset(n), None), expert=expert_lqr,
+                  Q=(1.0,) * n, R=1.0, starts=unit, x0=(0.0,) * n, simulate=_simulate_chain,
+                  reference=systems.figure_eight_axis if n == 3 else None)
+
+
+PRESETS = {
+    "flat_quad_axis": _chain(3),
+    "flat_quad_3d": Preset(Q=(40.0,) * 9, R=1.0, x0=(0.0,) * 9, simulate=_simulate_chain,
+                           reference=lambda f, axis: systems.figure_eight(f)),
+    # The expert's weights keep the recorded runs from the default starts
+    # inside |phi| < pi/2 (the omega = 10 start is the binding one) while
+    # leaving the position response gentle enough that the learned
+    # controller, which amplifies the demonstrations affinely, stays inside
+    # the beam-angle domain from far-out starts as well.
+    "ball_beam": Preset(
+        plant=lambda params: systems.ball_beam_preset(
+            **{key: params[key] for key in ("b_bar", "g_bar", "w") if key in params}),
+        expert=systems.ball_beam_expert, Q=(0.2, 0.5, 1.0, 2.0), R=0.1,
+        starts=((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                (0.0, 0.0, math.pi / 8.0, 0.0), (0.0, 0.0, 0.0, 10.0)),
+        x0=(6.0, 0.0, 0.345, 0.0), simulate=_simulate_embedded),
+}
+
+
+def _preset(name) -> Preset:
+    """The PRESETS entry, or chain<N> for a positive integer N in plain digits."""
+    if not isinstance(name, str):
+        raise _UsageError(f"preset must be a string, got {name!r}")
+    chain = re.fullmatch(r"chain([0-9]+)", name)
+    if chain and int(chain[1]) > 0:
+        return _chain(int(chain[1]))
+    if name not in PRESETS:
+        raise _UsageError(f"unknown preset {name!r}")
+    return PRESETS[name]
 
 
 class RunConfig:
-    """Validated view of the JSON configuration document."""
+    """Validated view of the JSON configuration document.
+
+    The preset's plant and embedding are built here, once per run.
+    """
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise _UsageError(f"the config must be a JSON object, got {data!r}")
         self.data = data
         try:
-            self.preset = data["preset"]
-            if not isinstance(self.preset, str):
-                raise _UsageError(f"preset must be a string, got {self.preset!r}")
-            self.kind = _preset_kind(self.preset)
+            self.name = data["preset"]
+            self.preset = _preset(self.name)
             self.T = _number("T", data["T"], positive=True)
             self.dt = _number("dt", data["dt"], positive=True)
         except KeyError as exc:
@@ -116,6 +195,10 @@ class RunConfig:
         if abs(steps - round(steps)) > 1e-9:
             raise _UsageError(f"T={self.T} must be an integer multiple of dt={self.dt}")
         self.preset_params = _section(data, "preset_params")
+        try:
+            self.plant, self.embedding = self.preset.plant(self.preset_params)
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(f"preset_params: {exc}") from exc
         self.expert_params = _section(data, "expert")
         self.multi = data.get("multi", False)
         if not isinstance(self.multi, bool):
@@ -136,44 +219,45 @@ class RunConfig:
         self.track_f = _number("track.f", self.track.get("f", 0.1), positive=True)
         self.track_duration = _number("track.duration",
                                       self.track.get("duration", 2.0 / self.track_f), positive=True)
-        if self.track.get("axis", 0) not in (0, 1, 2):
-            raise _UsageError(f"track.axis must be 0, 1 or 2, got {self.track['axis']!r}")
+        self.track_axis = self.track.get("axis", 0)
+        if type(self.track_axis) is not int or self.track_axis not in (0, 1, 2):
+            raise _UsageError(f"track.axis must be the integer 0, 1 or 2, got {self.track_axis!r}")
         for what, span in (("T", self.T), ("simulate.duration", self.simulate_duration),
                            ("track.duration", self.track_duration)):
             if span / self.dt > MAX_STEPS:
                 raise _UsageError(f"{what} / dt = {span / self.dt:.3g} steps exceed the "
                                   f"{MAX_STEPS:.0e} step budget")
         self.initial_conditions = data.get("initial_conditions", "default")
-        if self.kind == _FLAT3D_KIND and self.initial_conditions != "default":
-            raise _UsageError("flat_quad_3d records from its fixed unit-vector starts: "
+        if self.preset.starts is None and self.initial_conditions != "default":
+            raise _UsageError(f"{self.name} records from its fixed unit-vector starts: "
                               "initial_conditions must be \"default\", "
                               f"got {self.initial_conditions!r}")
 
-    def expert_QR(self, default_Q: np.ndarray, default_R: float) -> tuple[np.ndarray, float]:
-        """Expert LQR weights: Q (a diagonal or a full n x n matrix, SPD) and scalar R > 0."""
-        n = len(default_Q)
-        Q = self.expert_params.get("Q")
-        if Q is None:
-            Q = default_Q
-        else:
-            try:
-                Q = np.asarray(Q, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise _UsageError(f"expert.Q must be numbers, got {Q!r}") from exc
-            if Q.ndim == 1:
-                Q = np.diag(Q)
-            if Q.shape != (n, n):
-                raise _UsageError(f"expert.Q must be {n} diagonal entries or {n}x{n}, "
-                                  f"got shape {Q.shape}")
-            if not (np.all(np.isfinite(Q)) and np.allclose(Q, Q.T)
-                    and np.all(np.linalg.eigvalsh(Q) > 0)):
-                raise _UsageError(f"expert.Q must be symmetric positive definite, "
-                                  f"got {Q.tolist()}")
-        R = self.expert_params.get("R")
-        R = default_R if R is None else _number("expert.R", R, positive=True)
-        return Q, R
+    def expert_QR(self) -> tuple[np.ndarray, float]:
+        """Expert LQR weights: Q (a diagonal or a full n x n matrix, SPD) and scalar R > 0.
 
-    def ics(self, default: list) -> list:
+        A weight the config leaves out is the preset's default.
+        """
+        n = len(self.preset.Q)
+        Q = self.expert_params.get("Q")
+        try:
+            Q = np.asarray(self.preset.Q if Q is None else Q, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(f"expert.Q must be numbers, got {Q!r}") from exc
+        if Q.ndim == 1:
+            Q = np.diag(Q)
+        if Q.shape != (n, n):
+            raise _UsageError(f"expert.Q must be {n} diagonal entries or {n}x{n}, "
+                              f"got shape {Q.shape}")
+        if not (np.all(np.isfinite(Q)) and np.allclose(Q, Q.T)
+                and np.all(np.linalg.eigvalsh(Q) > 0)):
+            raise _UsageError(f"expert.Q must be symmetric positive definite, "
+                              f"got {Q.tolist()}")
+        R = self.expert_params.get("R")
+        return Q, _number("expert.R", self.preset.R if R is None else R, positive=True)
+
+    def ics(self) -> list:
+        default = self.preset.starts
         if self.initial_conditions == "default":
             return [np.asarray(ic, dtype=float) for ic in default]
         if not isinstance(self.initial_conditions, list):
@@ -192,21 +276,6 @@ class RunConfig:
         return out
 
 
-def _trajectory_tables(traj: Trajectory, state_prefix: str = "z"):
-    # Chain presets are in normal form (a = 0, b = 1), so the physical input
-    # u equals the chain input v; both columns are emitted per the file contract.
-    n = traj.states.shape[1]
-    header = ["t"] + [f"{state_prefix}{k + 1}" for k in range(n)]
-    cols = [traj.times] + [traj.states[:, k] for k in range(n)]
-    u = np.atleast_2d(traj.inputs.T).T
-    m = u.shape[1]
-    vcols = ["v", "u"] if m == 1 else (
-        [f"v{j + 1}" for j in range(m)] + [f"u{j + 1}" for j in range(m)])
-    header += vcols
-    cols += [u[:, j] for j in range(m)] + [u[:, j] for j in range(m)]
-    return header, cols
-
-
 # ---------------------------------------------------------------------------
 # Demo recording
 # ---------------------------------------------------------------------------
@@ -214,37 +283,18 @@ def _trajectory_tables(traj: Trajectory, state_prefix: str = "z"):
 
 def _build_demo_set(cfg: RunConfig):
     """Returns (DemonstrationSet, embedded demos or None)."""
-    if cfg.kind == _FLAT3D_KIND:
-        Q, R = cfg.expert_QR(40.0 * np.eye(9), 1.0)
-        return systems.flat_quad_demo_set(T=cfg.T, dt=cfg.dt, q=Q, r=R), None
-
-    if cfg.kind == _CHAIN_KIND:
-        plant = _chain_plant(cfg.preset)
-        expert = expert_lqr(plant, *cfg.expert_QR(np.eye(plant.n), 1.0))
-        ics = cfg.ics(list(np.eye(plant.n)))
-    else:
-        plant, emb_cfg = _embedding_of(cfg)
-        Q, R = cfg.expert_QR(np.diag(systems.BALL_BEAM_Q), systems.BALL_BEAM_R)
-        expert = systems.ball_beam_expert(plant, Q=Q, R=R)
-        ics = cfg.ics([np.asarray(ic) for ic in systems.BALL_BEAM_ICS])
-        xi0 = _vector("preset_params.xi0", cfg.preset_params.get("xi0", np.zeros(plant.n - 1)),
-                      plant.n - 1)
-    raw = demos_mod.record_expert(plant, expert, ics, cfg.T, cfg.dt)
-    if cfg.kind == _CHAIN_KIND:
+    Q, R = cfg.expert_QR()
+    if cfg.preset.starts is None:
+        return systems.flat_quad_demo_set(cfg.T, cfg.dt, Q, R), None
+    plant, emb = cfg.plant, cfg.embedding
+    if emb is not None:
+        xi0 = _vector("preset_params.xi0", cfg.preset_params.get("xi0", np.zeros(emb.n - 1)),
+                      emb.n - 1)
+    raw = demos_mod.record_expert(plant, cfg.preset.expert(plant, Q, R), cfg.ics(), cfg.T, cfg.dt)
+    if emb is None:
         return demos_mod.to_zv(plant, raw), None
-    embedded = embed_mod.transform_demos(emb_cfg, raw, xi0)
+    embedded = embed_mod.transform_demos(emb, raw, xi0)
     return embed_mod.embedded_to_demo_set(embedded), embedded
-
-
-def _embedding_of(cfg: RunConfig):
-    """(plant, embedding) of the ball-beam preset with the configured parameters."""
-    params = cfg.preset_params
-    try:
-        return systems.ball_beam_preset(params.get("b_bar", systems.BALL_BEAM_B),
-                                        params.get("g_bar", systems.BALL_BEAM_G),
-                                        params.get("w", systems.BALL_BEAM_W))
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"preset_params: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +317,7 @@ def cmd_demos(cfg: RunConfig, out: Path) -> int:
         # z and v are in demo_set.json and the demo CSVs; only xi is new here.
         payload = {
             "n": dset.n,
-            "w": list(_embedding_of(cfg)[1].w),
+            "w": list(cfg.embedding.w),
             "T": dset.T,
             "dt": dset.dt,
             "demos": [{"xi": e.xi} for e in embedded],
@@ -354,32 +404,23 @@ def _check_certificate(out: Path, force: bool, stage: str) -> Optional[int]:
     return None
 
 
+def _load_controller(cfg: RunConfig, out: Path):
+    ctrl = load_controller(out / "controller.json")
+    n = len(cfg.preset.x0)
+    if ctrl.n != n:
+        raise _UsageError(f"{out / 'controller.json'} holds an n = {ctrl.n} controller, "
+                          f"but preset {cfg.name} has n = {n}")
+    return ctrl
+
+
 def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:
     failed = _check_certificate(out, force, "simulate")
     if failed is not None:
         return failed
-    ctrl = load_controller(out / "controller.json")
-
+    ctrl = _load_controller(cfg, out)
+    x0 = _vector("simulate.x0", cfg.simulate.get("x0", cfg.preset.x0), len(cfg.preset.x0))
     try:
-        if cfg.kind == _EMBED_KIND:
-            _, emb_cfg = _embedding_of(cfg)
-            n = emb_cfg.n
-            x0 = _vector("simulate.x0", cfg.simulate.get("x0", [6.0, 0.0, 0.345, 0.0]), n)
-            xi0 = _vector("simulate.xi0", cfg.simulate.get("xi0", np.zeros(n - 1)), n - 1)
-            traj = embed_mod.simulate_embedded_closed_loop(
-                emb_cfg, ctrl, x0, xi0, cfg.simulate_duration, cfg.dt
-            )
-            n, q = traj.x.shape[1], traj.xi.shape[1]
-            header = (["t"] + [f"x{k + 1}" for k in range(n)]
-                      + [f"xi{k + 1}" for k in range(q)] + ["v", "u"])
-            cols = ([traj.times] + [traj.x[:, k] for k in range(n)]
-                    + [traj.xi[:, k] for k in range(q)] + [traj.v, traj.u])
-            norms = np.linalg.norm(traj.x, axis=1)
-        else:
-            z0 = _vector("simulate.x0", cfg.simulate.get("x0", np.zeros(ctrl.n)), ctrl.n)
-            traj = simulate_chain_closed_loop(ctrl, z0, cfg.simulate_duration, cfg.dt)
-            header, cols = _trajectory_tables(traj)
-            norms = np.linalg.norm(traj.states, axis=1)
+        times, header, cols, norms = cfg.preset.simulate(cfg, ctrl, x0)
     except (DivergenceError, DomainError, SingularEmbeddingError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -395,33 +436,26 @@ def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:
         out / "summary.json",
         {
             "final_norm": float(norms[-1]),
-            "final_time": float(traj.times[-1]),
+            "final_time": float(times[-1]),
             "decay_ratio_per_period": ratios,
             "min_norm": float(norms.min()),
         },
     )
-    print(f"simulate: final state norm {norms[-1]:.3e} at t={traj.times[-1]}")
+    print(f"simulate: final state norm {norms[-1]:.3e} at t={times[-1]}")
     return EXIT_OK
 
 
 def cmd_track(cfg: RunConfig, out: Path, force: bool = False) -> int:
-    if cfg.kind == _EMBED_KIND:
-        print("track: reference tracking is wired for the chain presets only",
-              file=sys.stderr)
+    if cfg.preset.reference is None:
+        print(f"track: the {cfg.name} preset has no tracking reference", file=sys.stderr)
         return EXIT_USAGE
     failed = _check_certificate(out, force, "track")
     if failed is not None:
         return failed
-    ctrl = load_controller(out / "controller.json")
+    ctrl = _load_controller(cfg, out)
     f, duration = cfg.track_f, cfg.track_duration
-    if cfg.kind == _FLAT3D_KIND:
-        ref = systems.figure_eight(f)
-    else:
-        ref = systems.figure_eight_axis(f, int(cfg.track.get("axis", 0)))
-        if ctrl.n != 3:
-            print("track: the axis reference needs a 3-state chain", file=sys.stderr)
-            return EXIT_USAGE
-    z0 = _vector("track.z0", cfg.track.get("z0", np.zeros(ctrl.n)), ctrl.n)
+    ref = cfg.preset.reference(f, cfg.track_axis)
+    z0 = _vector("track.z0", cfg.track.get("z0", np.zeros(ref.n)), ref.n)
 
     try:
         res = systems.simulate_tracking(ctrl, ref, z0, duration, cfg.dt)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import NotFeedbackLinearizableError
 from .files import write_csv, write_json
-from .plant import ExpertController, PlantModel, brunovsky_pair
+from .plant import PlantModel, brunovsky_pair
 from .sim import Trajectory, simulate_closed_loop, time_grid
 
 # Scale-invariant rank test: pass iff min sigma_n(Z(t)) > RANK_TOL * max sigma_1.
@@ -130,12 +130,12 @@ class DemonstrationSet:
 
 def record_expert(
     plant: PlantModel,
-    expert: ExpertController,
+    expert: Callable[[np.ndarray], np.ndarray],
     x0s: Sequence[np.ndarray],
     T: float,
     dt: float,
 ) -> list[Trajectory]:
-    """Record closed-loop expert trajectories from each initial condition.
+    """Record closed-loop expert trajectories u = expert(x) from each initial condition.
 
     The trivial solution (from x0 = 0) is always included as the first entry,
     so the result has len(x0s) + 1 trajectories.  All runs share one grid and
@@ -143,9 +143,8 @@ def record_expert(
     the failing column gets a note naming its start.
     """
     starts = np.column_stack([np.zeros(plant.n), *x0s])
-    u_of_x = expert.state_feedback(plant)
     try:
-        batch = simulate_closed_loop(plant, lambda t, x: u_of_x(x), starts, T, dt)
+        batch = simulate_closed_loop(plant, lambda t, x: expert(x), starts, T, dt)
     except Exception as exc:
         if getattr(exc, "column", None) is not None:
             exc.add_note(f"recording from x0={starts[:, exc.column]} failed")

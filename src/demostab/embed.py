@@ -58,18 +58,9 @@ def charpoly(M: np.ndarray) -> np.ndarray:
 
 
 def hurwitz(M: np.ndarray) -> bool:
-    """True iff every eigenvalue real part is below -1e-9.
-
-    Roots come from the characteristic polynomial for sizes up to 8 (the
-    matrices here are tiny companions); larger matrices fall back to the
-    standard eigensolver.
-    """
+    """True iff every eigenvalue real part is below -1e-9."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] <= 8:
-        roots = np.roots(charpoly(M))
-    else:
-        roots = np.linalg.eigvals(M)
-    return bool(np.all(roots.real < -1e-9))
+    return bool(np.all(np.linalg.eigvals(M).real < -1e-9))
 
 
 @dataclass(frozen=True)

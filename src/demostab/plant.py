@@ -127,32 +127,6 @@ def linearizing_input(plant: PlantModel, x: np.ndarray, v: float) -> float:
     return (v - a) / b
 
 
-@dataclass(frozen=True)
-class ExpertController:
-    """Smooth state feedback used to generate demonstrations.
-
-    kappa maps a state to a scalar input, or a batch of states (n, k) to one
-    input per column; coords records whether that state is the physical x or
-    the linearizing z.  Stabilizing experts satisfy kappa(0) = 0.
-    """
-
-    kappa: Callable[[np.ndarray], float]
-    coords: str = "x"
-    description: str = "expert"
-
-    def __post_init__(self):
-        if self.coords not in ("x", "z"):
-            raise ValueError(f"coords must be 'x' or 'z', got {self.coords!r}")
-
-    def state_feedback(self, plant: PlantModel) -> Callable[[np.ndarray], float]:
-        """Return the expert as a map from plant state x, (n,) or (n, k), to input u."""
-        if self.coords == "x":
-            return lambda x: self.kappa(np.asarray(x, dtype=float))
-        return lambda x: linearizing_input(
-            plant, x, self.kappa(feedback_linearize(plant, x))
-        )
-
-
 def lqr_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Infinite-horizon LQR gain K, shaped (m, n), for dx/dt = Ax + Bu."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -172,23 +146,18 @@ def lqr_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.n
     return np.linalg.solve(R, B.T @ P)
 
 
-def expert_lqr(plant: PlantModel, Q: np.ndarray, R: float | np.ndarray) -> ExpertController:
+def expert_lqr(plant: PlantModel, Q: np.ndarray,
+               R: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Synthetic smooth expert: LQR in the linearizing coordinates.
 
     The gain K solves the algebraic Riccati equation for the Brunovsky pair of
-    the plant's chain, so the expert is kappa(z) = -K z; composed with
-    linearizing_input it is a smooth stabilizing state feedback.
+    the plant's chain.  The expert is u = expert(x): the chain input -K z(x),
+    passed through linearizing_input, a smooth stabilizing state feedback of
+    x shaped (n,) or of a batch (n, k).
     """
     pair = brunovsky_pair(plant.n)
-    K = lqr_gain(pair.A, pair.B, Q, np.atleast_2d(np.asarray(R, dtype=float)))
-    K = K[0]
-
-    def kappa(z: np.ndarray):
-        return -K @ np.asarray(z, dtype=float)
-
-    return ExpertController(
-        kappa=kappa, coords="z", description=f"lqr expert K={np.array2string(K)}"
-    )
+    K = lqr_gain(pair.A, pair.B, Q, np.atleast_2d(np.asarray(R, dtype=float)))[0]
+    return lambda x: linearizing_input(plant, x, -K @ feedback_linearize(plant, x))
 
 
 def chain_preset(n: int) -> PlantModel:

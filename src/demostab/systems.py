@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -21,7 +21,7 @@ from .demos import Demonstration, DemonstrationSet
 from .embed import EmbeddingConfig
 from .errors import SingularDecouplingError
 from .learner import simulate_chain_batch
-from .plant import DECOUPLING_TOL, ExpertController, PlantModel, last_unit_field, lqr_gain
+from .plant import DECOUPLING_TOL, PlantModel, last_unit_field, lqr_gain
 from .sim import time_grid
 
 # ---------------------------------------------------------------------------
@@ -147,26 +147,16 @@ def flat_quad_pair() -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def flat_quad_gain(q=40.0, r=1.0) -> np.ndarray:
-    """LQR jerk gain (3 x 9) of the synthetic quadrotor expert.
-
-    q is the state weight, a scalar (times I) or a 9 x 9 matrix; r is the
-    input weight, a scalar (times I) or a 3 x 3 matrix.
-    """
-    A, B = flat_quad_pair()
-    return lqr_gain(A, B, q * np.eye(9) if np.ndim(q) == 0 else q,
-                    r * np.eye(3) if np.ndim(r) == 0 else r)
-
-
-def flat_quad_demo_set(T: float = 2.0, dt: float = 1e-3, q=40.0, r=1.0) -> DemonstrationSet:
+def flat_quad_demo_set(T: float, dt: float, Q: np.ndarray, R: float) -> DemonstrationSet:
     """Expert demonstrations from the nine unit-vector starts plus the trivial one.
 
-    The weights q and r are those of flat_quad_gain.  The flat model is
-    linear, so the closed loop is propagated exactly with the matrix
-    exponential of one grid step.
+    The synthetic quadrotor expert is the LQR jerk gain (3 x 9) for the state
+    weight Q (9 x 9) and the input weight R times the 3 x 3 identity.  The
+    flat model is linear, so the closed loop is propagated exactly with the
+    matrix exponential of one grid step.
     """
     A, B = flat_quad_pair()
-    K = flat_quad_gain(q, r)
+    K = lqr_gain(A, B, Q, R * np.eye(3))
     A_cl = A - B @ K
     grid = time_grid(0.0, T, dt)
     E = expm(A_cl * dt)
@@ -189,16 +179,6 @@ def flat_quad_demo_set(T: float = 2.0, dt: float = 1e-3, q=40.0, r=1.0) -> Demon
 BALL_BEAM_B = 0.7143
 BALL_BEAM_G = 9.81
 BALL_BEAM_W = (1.0, 3.0, 3.0)
-# Default LQR weights of the ball-beam expert: diagonal of Q, and R.
-BALL_BEAM_Q = (0.2, 0.5, 1.0, 2.0)
-BALL_BEAM_R = 0.1
-# Initial conditions of the recorded expert runs (plus the trivial solution).
-BALL_BEAM_ICS = (
-    (1.0, 0.0, 0.0, 0.0),
-    (0.0, 1.0, 0.0, 0.0),
-    (0.0, 0.0, math.pi / 8.0, 0.0),
-    (0.0, 0.0, 0.0, 10.0),
-)
 
 
 def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> PlantModel:
@@ -256,18 +236,12 @@ def ball_beam_preset(
     return plant, EmbeddingConfig(plant=plant, w=tuple(w))
 
 
-def ball_beam_expert(
-    plant: PlantModel,
-    Q: Optional[np.ndarray] = None,
-    R: float = BALL_BEAM_R,
-) -> ExpertController:
-    """Synthetic smooth expert: LQR on the origin linearization.
+def ball_beam_expert(plant: PlantModel, Q: np.ndarray,
+                     R: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Synthetic smooth expert u = expert(x) = -K x: LQR on the origin linearization.
 
-    The default weights keep the recorded runs from the benchmark initial
-    conditions inside |phi| < pi/2 (the omega = 10 start is the binding one)
-    while leaving the position response gentle enough that the learned
-    controller, which amplifies the demonstrations affinely, stays inside the
-    beam-angle domain from far-out starts as well.
+    K is the LQR gain for the state weight Q (4 x 4) and the input weight R;
+    x is a state (4,) or a batch (4, k).
     """
     bg = -plant.lie(np.zeros(4))[8]  # L_g L_f^3 h(0) = -b*g
     A_lin = np.array(
@@ -279,12 +253,5 @@ def ball_beam_expert(
         ]
     )
     B_lin = np.array([[0.0], [0.0], [0.0], [1.0]])
-    if Q is None:
-        Q = np.diag(BALL_BEAM_Q)
     K = lqr_gain(A_lin, B_lin, Q, np.atleast_2d(float(R)))[0]
-
-    def kappa(x: np.ndarray):
-        return -K @ np.asarray(x, dtype=float)
-
-    return ExpertController(kappa=kappa, coords="x",
-                            description=f"ball-beam lqr expert K={np.array2string(K)}")
+    return lambda x: -K @ np.asarray(x, dtype=float)

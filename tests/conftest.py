@@ -20,17 +20,13 @@ settings.load_profile("deterministic")
 
 from oracles import DOUBLE_INT_K, double_int_flow
 
+from demostab.cli import PRESETS
 from demostab.demos import Demonstration, DemonstrationSet, record_expert
 from demostab.embed import embedded_to_demo_set, transform_demos
 from demostab.learner import LearnedController, build_basis
 from demostab.plant import brunovsky_pair, chain_preset
 from demostab.sim import time_grid
-from demostab.systems import (
-    BALL_BEAM_ICS,
-    ball_beam_expert,
-    ball_beam_preset,
-    flat_quad_demo_set,
-)
+from demostab.systems import ball_beam_expert, ball_beam_preset, flat_quad_demo_set
 
 
 def analytic_double_int_set(T: float = 2.0, dt: float = 1e-3,
@@ -84,8 +80,9 @@ def chain2_recorded() -> DemonstrationSet:
 def ball_beam_fixture():
     """Full ball-and-beam pipeline at the benchmark parameters (cached)."""
     plant, cfg = ball_beam_preset()
-    expert = ball_beam_expert(plant)
-    raw = record_expert(plant, expert, [np.asarray(ic) for ic in BALL_BEAM_ICS],
+    preset = PRESETS["ball_beam"]
+    expert = ball_beam_expert(plant, np.diag(preset.Q), preset.R)
+    raw = record_expert(plant, expert, [np.asarray(ic) for ic in preset.starts],
                         T=8.0, dt=1e-3)
     embedded = transform_demos(cfg, raw)
     eset = embedded_to_demo_set(embedded)
@@ -94,4 +91,4 @@ def ball_beam_fixture():
 
 @pytest.fixture(scope="session")
 def quad_set() -> DemonstrationSet:
-    return flat_quad_demo_set(T=2.0, dt=1e-3)
+    return flat_quad_demo_set(T=2.0, dt=1e-3, Q=40.0 * np.eye(9), R=1.0)

@@ -370,10 +370,8 @@ def record_one(plant, expert, x0, T: float, dt: float):
     """
     from demostab.sim import Trajectory, rk4
 
-    u_of_x = expert.state_feedback(plant)
-
     def rhs(t, x, _):
-        u = float(u_of_x(x))
+        u = float(expert(x))
         return plant.rhs(x, u), u
 
     times, states, inputs = rk4(rhs, np.asarray(x0, dtype=float), 0.0, T, dt, domain=plant)

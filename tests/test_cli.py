@@ -146,6 +146,12 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
     {"preset": 5},
     {"preset": None},
     {"preset": ["chain2"]},
+    # chain<N> takes a positive integer N in plain digits only: int() would
+    # read these three as chain20, chain2 and chain2.
+    {"preset": "chain2_0", "expert": {}},
+    {"preset": "chain 2", "expert": {}},
+    {"preset": "chain+2", "expert": {}},
+    {"track": {"axis": True}},
 ], ids=["t_tilde_grid", "simulate.duration", "track.f", "track.duration", "track.axis",
         "ragged_initial_conditions", "t_tilde_grid_not_a_list", "simulate_not_an_object",
         "simulate.x0_length", "expert.Q", "expert.Q_shape", "expert.Q_indefinite",
@@ -153,7 +159,8 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
         "track.duration_not_positive", "t_tilde_grid_negative", "flat_quad_3d.Q_indefinite",
         "flat_quad_3d.initial_conditions", "multi_not_a_bool", "simulate.duration_over_budget",
         "T_over_budget", "simulate.default_duration_over_budget", "track.f_over_budget",
-        "preset_is_a_number", "preset_is_null", "preset_is_a_list"])
+        "preset_is_a_number", "preset_is_null", "preset_is_a_list", "preset_chain2_0",
+        "preset_chain_space_2", "preset_chain_plus_2", "track.axis_is_a_bool"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "config.json", **overrides)
     assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -169,6 +176,31 @@ def test_config_not_an_object_is_usage_error(tmp_path, capsys, document):
     assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+@pytest.mark.parametrize("preset", ["ball_beam", "chain2"])
+def test_track_without_reference_is_one_line(tmp_path, capsys, preset):
+    # Neither preset has a tracking reference (chain2 is no 3-state axis
+    # chain): track refuses from the preset alone, before it looks for a
+    # certificate or a controller.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": preset, "T": 1.0, "dt": 0.01, "track": {"f": 0.1}}))
+    assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "no tracking reference" in err[0]
+
+
+@pytest.mark.parametrize("stage", ["simulate", "track"])
+def test_controller_of_another_size_is_usage_error(tmp_path, capsys, stage):
+    # A chain2 controller in the output directory, read by a 3-state preset.
+    cfg = write_config(tmp_path / "config.json", T=2.0)
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    other = write_config(tmp_path / "axis.json", preset="flat_quad_axis", expert={},
+                         simulate={"duration": 2.0}, track={"f": 0.1, "duration": 2.0})
+    assert main([stage, "--config", str(other), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:") and "n = 2" in err[0]
 
 
 def test_demo_start_outside_domain_exit_divergence(tmp_path, capsys):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import analytic_double_int_set
 from oracles import load_demo_csv, record_one
 
+from demostab.cli import PRESETS
 from demostab.demos import (
     Demonstration,
     DemonstrationSet,
@@ -22,7 +23,13 @@ from demostab.demos import (
 from demostab.errors import DivergenceError, DomainError, NotFeedbackLinearizableError
 from demostab.plant import brunovsky_pair, chain_preset, expert_lqr
 from demostab.sim import Trajectory, time_grid
-from demostab.systems import BALL_BEAM_ICS, ball_beam_expert, ball_beam_plant
+from demostab.systems import ball_beam_expert, ball_beam_plant
+
+BALL_BEAM = PRESETS["ball_beam"]
+
+
+def ball_beam_default_expert(plant):
+    return ball_beam_expert(plant, np.diag(BALL_BEAM.Q), BALL_BEAM.R)
 
 
 def test_record_count_and_trivial_first():
@@ -47,8 +54,8 @@ def test_recording_divergence_keeps_time():
     # error keeps its time and gains a note naming the start.
     plant = ball_beam_plant()
     with pytest.raises(DivergenceError) as err:
-        record_expert(plant, ball_beam_expert(plant), [np.array([0.0, 0.0, 0.0, 200.0])],
-                      T=8.0, dt=1e-3)
+        record_expert(plant, ball_beam_default_expert(plant),
+                      [np.array([0.0, 0.0, 0.0, 200.0])], T=8.0, dt=1e-3)
     assert err.value.time == pytest.approx(0.009)
     assert any("x0=" in note for note in err.value.__notes__)
 
@@ -69,8 +76,8 @@ def test_batched_recording_matches_single_start_runs(case):
         starts = [np.array([1.0, -0.5, 0.2]), np.array([0.0, 1.0, 0.0])]
     else:
         plant = ball_beam_plant()
-        expert = ball_beam_expert(plant)
-        starts = [np.asarray(ic) for ic in BALL_BEAM_ICS]
+        expert = ball_beam_default_expert(plant)
+        starts = [np.asarray(ic) for ic in BALL_BEAM.starts]
         dt = 1e-3
     batch = record_expert(plant, expert, starts, T, dt)
     assert len(batch) == len(starts) + 1
@@ -92,7 +99,7 @@ def test_failing_start_in_a_batch_is_named(bad, time):
     starts = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]), np.array(bad),
               np.array([0.0, 0.0, 0.1, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])]
     with pytest.raises(DivergenceError) as err:
-        record_expert(plant, ball_beam_expert(plant), starts, T=8.0, dt=1e-3)
+        record_expert(plant, ball_beam_default_expert(plant), starts, T=8.0, dt=1e-3)
     assert err.value.column == 3
     assert err.value.time == pytest.approx(time, abs=1e-12)
     assert f"recording from x0={starts[2]} failed" in err.value.__notes__

@@ -221,10 +221,12 @@ def test_transformed_demos_satisfy_chain_dynamics(ball_beam_fixture):
 def test_chain_defect_shrinks_at_second_order():
     # Recording at half the step should cut the finite-difference defect ~4x.
     from demostab.demos import record_expert
+    from demostab.cli import PRESETS
     from demostab.systems import ball_beam_expert
 
     plant, cfg = ball_beam_preset()
-    expert = ball_beam_expert(plant)
+    preset = PRESETS["ball_beam"]
+    expert = ball_beam_expert(plant, np.diag(preset.Q), preset.R)
 
     def worst_defect(dt):
         raw = record_expert(plant, expert, [np.array([1.0, 0.0, 0.0, 0.0])], T=1.0, dt=dt)
@@ -329,10 +331,12 @@ def test_transform_matches_per_sample_formulas():
     # The three recordings (the trivial one first) are transformed as one
     # batch and compared one by one with the sample-by-sample oracle.
     from demostab.demos import record_expert
+    from demostab.cli import PRESETS
     from demostab.systems import ball_beam_expert
 
     plant, cfg = ball_beam_preset()
-    raw = record_expert(plant, ball_beam_expert(plant),
+    preset = PRESETS["ball_beam"]
+    raw = record_expert(plant, ball_beam_expert(plant, np.diag(preset.Q), preset.R),
                         [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 10.0])],
                         T=1.0005, dt=1e-3)
     assert raw[0].times[-1] - raw[0].times[-2] < 0.75e-3

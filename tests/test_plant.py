@@ -106,14 +106,14 @@ def test_expert_lqr_known_gain_n2():
     # For Q = I, R = 1 the Riccati equation solves by hand to K = [1, sqrt(3)].
     plant = chain_preset(2)
     expert = expert_lqr(plant, np.eye(2), 1.0)
-    assert_allclose(-expert.kappa(np.array([1.0, 0.0])), 1.0, atol=1e-9)
-    assert_allclose(-expert.kappa(np.array([0.0, 1.0])), math.sqrt(3.0), atol=1e-9)
+    assert_allclose(-expert(np.array([1.0, 0.0])), 1.0, atol=1e-9)
+    assert_allclose(-expert(np.array([0.0, 1.0])), math.sqrt(3.0), atol=1e-9)
 
 
 def test_expert_lqr_known_gain_n1():
     plant = chain_preset(1)
     expert = expert_lqr(plant, np.eye(1), 1.0)
-    assert_allclose(-expert.kappa(np.array([1.0])), 1.0, atol=1e-10)
+    assert_allclose(-expert(np.array([1.0])), 1.0, atol=1e-10)
 
 
 def test_expert_lqr_closed_loop_eigenvalues_stable():
@@ -176,11 +176,10 @@ def test_chain_relative_degree_flags():
 def test_expert_lqr_closed_loop_settles(n):
     plant = chain_preset(n)
     expert = expert_lqr(plant, np.eye(n), 1.0)
-    u_of_x = expert.state_feedback(plant)
     rng = np.random.default_rng(n)
     x0 = rng.normal(size=n)
     x0 /= max(1.0, np.linalg.norm(x0))
-    traj = simulate_closed_loop(plant, lambda t, x: u_of_x(x), x0, 15.0, 1e-2)
+    traj = simulate_closed_loop(plant, lambda t, x: expert(x), x0, 15.0, 1e-2)
     norms = np.linalg.norm(traj.states, axis=1)
     assert norms[-1] < 1e-3
     # Decreasing envelope: sampled norms shrink across quarters of the run.

@@ -145,7 +145,7 @@ def test_axis_tracking_error_decays():
 
 
 def test_tracking_starts_from_initial_error():
-    ctrl_set = flat_quad_demo_set(T=2.0, dt=1e-2)
+    ctrl_set = flat_quad_demo_set(T=2.0, dt=1e-2, Q=40.0 * np.eye(9), R=1.0)
     ctrl = LearnedController(build_basis(ctrl_set), A=ctrl_set.A, B=ctrl_set.B)
     ref = figure_eight(0.1)
     res = simulate_tracking(ctrl, ref, np.zeros(9), duration=1.0, dt=1e-2)
