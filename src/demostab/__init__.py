@@ -38,7 +38,6 @@ from .learner import (
     save_controller,
     simulate_chain_closed_loop,
 )
-from .multi import MultiController
 from .plant import PlantModel, chain_preset, expert_lqr
 from .systems import (
     ball_beam_expert,
@@ -49,3 +48,13 @@ from .systems import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # MultiController is loaded on first use: multi imports geometry, which
+    # loads scipy.optimize and scipy.spatial, and only multi runs need them.
+    if name == "MultiController":
+        from .multi import MultiController
+
+        return MultiController
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,6 @@ from .errors import AffineDependenceError, DivergenceError, DomainError, Singula
 from .files import write_csv, write_json
 from .learner import LearnedController, build_basis, load_controller, save_controller, \
     simulate_chain_closed_loop
-from .multi import MultiController
 from .plant import chain_preset, expert_lqr
 from .sim import MAX_STEPS
 
@@ -345,6 +344,9 @@ def cmd_demos(cfg: RunConfig, out: Path) -> int:
 
 def _learn_controller(cfg: RunConfig, dset):
     if cfg.multi:
+        # Loaded here only: multi brings in geometry's scipy.optimize and scipy.spatial.
+        from .multi import MultiController
+
         return MultiController(dset, feedback_mode=cfg.feedback)
     basis = build_basis(dset)
     return LearnedController(basis, A=dset.A, B=dset.B, feedback_mode=cfg.feedback)

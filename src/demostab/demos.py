@@ -8,7 +8,6 @@ matrices so the learned controller vanishes exactly at the origin.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -16,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NotFeedbackLinearizableError
-from .files import write_csv, write_json
+from .files import read_json, write_csv, write_json
 from .plant import PlantModel, brunovsky_pair
 from .sim import Trajectory, simulate_closed_loop, time_grid
 
@@ -157,9 +156,9 @@ def to_zv(plant: PlantModel, raw: Sequence[Trajectory]) -> DemonstrationSet:
     """Transform recorded (x, u) trajectories into chain coordinates.
 
     Applies z = [h, L_f h, ..., L_f^{n-1} h](x) and
-    v = L_f^n h(x) + L_g L_f^{n-1} h(x) u, from one plant.lie call on a whole
-    recording.  Rejects plants without relative degree n; those go through
-    the embedding pipeline instead.
+    v = L_f^n h(x) + L_g L_f^{n-1} h(x) u, from one plant.terms call on a
+    whole recording.  Rejects plants without relative degree n; those go
+    through the embedding pipeline instead.
     """
     if plant.relative_degree != plant.n:
         raise NotFeedbackLinearizableError(
@@ -171,13 +170,13 @@ def to_zv(plant: PlantModel, raw: Sequence[Trajectory]) -> DemonstrationSet:
         x = traj.states.T
         try:
             plant.require_in_domain(x)
-            lie = plant.lie(x)
+            terms = plant.terms(x)
         except Exception as exc:
             sample = getattr(exc, "column", None)
             exc.add_note(f"demonstration {i}" + ("" if sample is None else f", sample {sample}"))
             raise
-        demos.append(Demonstration(times=traj.times, z=lie[:n].T,
-                                   v=lie[n] + lie[2 * n] * traj.inputs))
+        demos.append(Demonstration(times=traj.times, z=terms[2 * n:3 * n].T,
+                                   v=terms[3 * n] + terms[4 * n] * traj.inputs))
     pair = brunovsky_pair(plant.n)
     return DemonstrationSet(demos=tuple(demos), A=pair.A, B=pair.B)
 
@@ -289,7 +288,7 @@ def save_demo_set(dset: DemonstrationSet, path: str | Path) -> None:
 
 
 def load_demo_set(path: str | Path) -> DemonstrationSet:
-    return demo_set_from_dict(json.loads(Path(path).read_text()))
+    return demo_set_from_dict(read_json(path))
 
 
 def save_demo_csv(demo: Demonstration, path: str | Path) -> None:

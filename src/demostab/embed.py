@@ -29,7 +29,8 @@ import numpy as np
 from .errors import DomainError, SingularEmbeddingError
 from .demos import Demonstration, DemonstrationSet
 from .plant import PlantModel, brunovsky_pair
-from .sim import HalfGrid, Trajectory, rk4
+from .learner import tabulated_steps
+from .sim import HalfGrid, Trajectory, rk4, time_grid
 
 # |r(x)| at or below this is a singular embedding.
 R_TOL = 1e-6
@@ -42,19 +43,6 @@ def companion_from_coeffs(w: Sequence[float]) -> np.ndarray:
     A = np.diag(np.ones(k - 1), 1) if k > 1 else np.zeros((1, 1))
     A[-1, :] = -w
     return A
-
-
-def charpoly(M: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients via Faddeev-LeVerrier."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    k = M.shape[0]
-    coeffs = np.empty(k + 1)
-    coeffs[0] = 1.0
-    N = np.zeros_like(M)
-    for i in range(1, k + 1):
-        N = M @ N + coeffs[i - 1] * np.eye(k)
-        coeffs[i] = -np.trace(M @ N) / i
-    return coeffs
 
 
 def hurwitz(M: np.ndarray) -> bool:
@@ -70,7 +58,7 @@ class EmbeddingConfig:
     Construction enforces that the companion matrix built from w is Hurwitz
     (the unforced auxiliary dynamics must decay on their own) and keeps that
     matrix, read-only, as A_xi.  Every term of the embedding at a state is
-    linear in p = (f(x), g(x), lf, lg, xi), where (lf, lg) = plant.lie(x),
+    linear in p = (plant.terms(x), xi) = (f, g, lf, lg, xi), where
     lf = [L_f^k h]_{k=0..n} and lg = [L_g L_f^k h]_{k=0..n-1}:
 
         z = lf[:n] + [I; -w] xi,   r = lg[n-1] + w . lg[:n-1],
@@ -124,8 +112,7 @@ class EmbeddingConfig:
 
 def _stage(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Rows z (:n), r (n), s (n+1), drift (n+2:3n+1), gain (3n+1:) at (x, xi)."""
-    plant, x = cfg.plant, np.asarray(x, dtype=float)
-    return cfg.stage_map @ np.concatenate([plant.f(x), plant.g(x), plant.lie(x), xi])
+    return cfg.stage_map @ np.concatenate([cfg.plant.terms(np.asarray(x, dtype=float)), xi])
 
 
 def _feedback(r, s, v, x, time=None) -> float:
@@ -144,7 +131,8 @@ def phi_z(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
 def r_of_x(cfg: EmbeddingConfig, x: np.ndarray):
     """Input coefficient r(x) of the embedded chain's top equation, for x shaped (n, ...)."""
     x, n = np.asarray(x, dtype=float), cfg.n
-    return np.tensordot(cfg.stage_map[n, 3 * n + 1:4 * n + 1], cfg.plant.lie(x)[n + 1:], axes=1)
+    return np.tensordot(cfg.stage_map[n, 3 * n + 1:4 * n + 1],
+                        cfg.plant.terms(x)[3 * n + 1:], axes=1)
 
 
 def s_of_x_xi(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray):
@@ -190,8 +178,8 @@ def transform_demos(
     k of them are integrated together: the forcing -L(x) u of the auxiliary
     dynamics is tabulated once at the RK4 stage times (grid points and step
     midpoints), and one rk4 call moves xi shaped (n-1, k), one recording per
-    column.  r, the forcing table, z and v read plant.lie one recording at a
-    time, which keeps its 2n+1 rows of temporaries at one recording's size.
+    column.  r, the forcing table, z and v read plant.terms one recording at
+    a time, which keeps its 4n+1 rows of temporaries at one recording's size.
     """
     n, k = cfg.n, len(raw)
     xi0 = np.zeros(n - 1) if xi0 is None else np.asarray(xi0, dtype=float)
@@ -215,7 +203,7 @@ def transform_demos(
     x_half = half.interpolate(states)
     forcing = np.empty((len(half.times), n - 1, k))
     for i in range(k):  # one recording's Lie table at a time
-        forcing[:, :, i] = cfg.plant.lie(x_half[:, :, i].T)[n + 1:2 * n].T
+        forcing[:, :, i] = cfg.plant.terms(x_half[:, :, i].T)[3 * n + 1:4 * n].T
     forcing *= -half.interpolate(u)[:, None, :]
     A = cfg.A_xi
 
@@ -332,35 +320,57 @@ def simulate_embedded_closed_loop(
 
     At each RK4 stage the chain state is read off as z = Phi_z(x, xi), the
     learned controller supplies v, and the dynamic feedback turns it into the
-    physical input u = (s + v) / r.  A stage is one call of each plant
-    evaluator and one stage_map product.  The controller is anchored at
-    interval starts from the committed chain state there; ctrl.T must be a
-    whole multiple of dt.  A stage outside the domain (DomainError) or with
-    |r| <= R_TOL (SingularEmbeddingError) fails with its absolute time.
+    physical input u = (s + v) / r.  A stage is one domain test, one
+    plant.terms call and one stage_map product; the committed grid states
+    are tested by their first stage, so rk4 runs without its grid-point
+    domain guard.  The controller is anchored at interval starts from the
+    committed chain state there, evaluated the same way, and read through
+    interval_groups(anchor): a closed-loop basis sampled at dt reads its K/c
+    table at slot round(2 tau / dt), an open-loop one V zeta + v_base, and a
+    basis without a table for this grid (another dt, or a shortened final
+    step) evaluates value(tau, z).  ctrl.T must be a whole multiple of dt.  A
+    stage outside the domain (DomainError) or with |r| <= R_TOL
+    (SingularEmbeddingError) fails with its absolute time.
     """
     if ctrl.m != 1:
         raise ValueError("the embedding pipeline drives a single-input plant")
     plant = cfg.plant
     n = plant.n
-    f, g, lie, inside, M = plant.f, plant.g, plant.lie, plant.domain_check, cfg.stage_map
+    terms, inside, M = plant.terms, plant.domain_check, cfg.stage_map
     xi0 = np.zeros(n - 1) if xi0 is None else np.asarray(xi0, dtype=float)
     T = ctrl.T
+    # Whether the bases' K/c tables hold every stage time of this grid.
+    tables = tabulated_steps(ctrl, time_grid(0.0, duration, dt), dt) is not None
 
-    def rhs(tau, y, anchor):
-        start, base = anchor
+    def stage(t, y):
         x = y[:n]
         if not inside(x):
-            t = start + tau
             raise DomainError(f"state {x} is outside the domain of {plant.name} at t={t:.6f}",
                               time=t)
-        out = M @ np.concatenate([f(x), g(x), lie(x), y[n:]])
-        v = float(ctrl.eval_in_interval(base, min(tau, T), out[:n])[0])
-        u = _feedback(out[n], out[n + 1], v, x, start + tau)
+        return M @ np.concatenate([terms(x), y[n:]])
+
+    def begin(t, y):
+        (basis, _, zeta), = ctrl.interval_groups(ctrl.begin_interval(stage(t, y)[:n]))
+        return t, basis, zeta, basis.gains[1:] if tables and zeta is None else None
+
+    def rhs(tau, y, anchor):
+        start, basis, zeta, table = anchor
+        t = start + tau
+        out = stage(t, y)
+        z, tau = out[:n], min(tau, T)
+        if table is not None:
+            K, c = table
+            j = round(2.0 * tau / dt)
+            v = K[j] @ z + c[j]
+        elif zeta is None:
+            v = basis.value(tau, z)
+        else:
+            v = basis.value_from_zeta(tau, zeta)
+        v = v.item(0)
+        u = _feedback(out[n], out[n + 1], v, y[:n], t)
         return out[n + 2:3 * n + 1] + out[3 * n + 1:] * u, (v, u)
 
-    times, states, inputs = rk4(
-        rhs, np.concatenate([x0, xi0]), 0.0, duration, dt, period=T,
-        begin=lambda t, y: (t, ctrl.begin_interval(phi_z(cfg, y[:n], y[n:]))), domain=plant,
-    )
+    times, states, inputs = rk4(rhs, np.concatenate([x0, xi0]), 0.0, duration, dt, period=T,
+                                begin=begin)
     return EmbeddedTrajectory(times=times, x=states[:, :n], xi=states[:, n:],
                               v=inputs[:, 0], u=inputs[:, 1])

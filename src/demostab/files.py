@@ -1,13 +1,15 @@
-"""Output files: JSON and CSV written in bounded chunks of rows, floats formatted in C.
+"""Files: JSON and CSV written in bounded chunks of rows, floats formatted in C.
 
 The bytes are those of ``json.dumps(payload, indent=1, sort_keys=True)`` with
 arrays as nested lists, and of a CSV with ``repr(float(x))`` per cell.  A chunk
 is formatted by ``repr(chunk.tolist())``, which calls ``float.__repr__`` per
 number as ``json`` does, and its separators are rewritten with ``str.replace``.
+JSON is read back with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -88,3 +90,21 @@ def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray],
                 f.write(("," if i else "{") + f"\n {json.dumps(name)}: ")
                 f.write("[\n  " + ",\n  ".join(frags) + "\n ]" if frags else "[]")
             f.write("\n}")
+
+
+def read_json(path: str | Path):
+    """The JSON document in path, decoded with the cyclic garbage collector paused.
+
+    The decoded lists hold numbers, strings and lists, so they form no
+    cycles: a collection while they are built frees nothing, but it walks
+    every live object and promotes the lists towards the oldest generation,
+    whose growth then triggers full collections later in the run.
+    """
+    text = Path(path).read_text()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()

@@ -35,7 +35,6 @@ affine in (z, zeta) and gets the same construction on the stacked state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -45,7 +44,7 @@ import numpy as np
 
 from .demos import DemonstrationSet, difference_matrices
 from .errors import AffineDependenceError
-from .files import write_json
+from .files import read_json, write_json
 from .plant import brunovsky_pair
 from .sim import (
     HalfGrid,
@@ -146,8 +145,8 @@ class AffineBasis:
         c = vb - (K @ zb[:, :, None])[:, :, 0]
         return half, K, c
 
-    # The table value() reads, built on first use.
-    _gains = cached_property(_gain_table)
+    # The table value() and the embedded closed loop read, built on first use.
+    gains = cached_property(_gain_table)
 
     def propagator(self, A: np.ndarray, B: np.ndarray, open_loop: bool = False
                    ) -> IntervalPropagator:
@@ -181,7 +180,7 @@ class AffineBasis:
         c(tau) from the table; any other tau interpolates and solves.
         """
         z = np.asarray(z, dtype=float)
-        half, K, c = self._gains
+        half, K, c = self.gains
         j = half.index(tau)
         if j is None:
             return self.value_from_zeta(tau, self.zeta(tau, z))
@@ -353,7 +352,7 @@ def simulate_chain_batch(
     if z.ndim == 1:
         z = z[:, None]
     times = time_grid(0.0, duration, dt)
-    N = _tabulated_steps(ctrl, times, dt)
+    N = tabulated_steps(ctrl, times, dt)
     if N is None:
         return _simulate_chain_rk4(ctrl, z, duration, dt)
 
@@ -389,7 +388,7 @@ def simulate_chain_batch(
         start = end
 
 
-def _tabulated_steps(ctrl, times: np.ndarray, dt: float) -> Optional[int]:
+def tabulated_steps(ctrl, times: np.ndarray, dt: float) -> Optional[int]:
     """Steps per interval if the propagators reproduce the RK4 grid, else None.
 
     That needs T a whole multiple of dt, every basis sampled at dt (a basis
@@ -473,9 +472,9 @@ def controller_from_dict(data: dict) -> LearnedController:
 
 
 def save_controller(ctrl, path: str | Path) -> None:
-    from .multi import MultiController, multi_controller_to_dict
+    if ctrl.mode == "multi":
+        from .multi import multi_controller_to_dict
 
-    if isinstance(ctrl, MultiController):
         payload = multi_controller_to_dict(ctrl)
     else:
         payload = controller_to_dict(ctrl)
@@ -483,7 +482,7 @@ def save_controller(ctrl, path: str | Path) -> None:
 
 
 def load_controller(path: str | Path):
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     if data["mode"] == "multi":
         from .multi import multi_controller_from_dict
 

@@ -2,9 +2,9 @@
 
 A plant is a single-input control-affine system  dx/dt = f(x) + g(x) u  with a
 scalar output h.  Instead of differentiating symbolically, each preset carries
-one hand-coded closed-form evaluator of the iterated Lie derivatives L_f^k h and
-L_g L_f^k h; these are all the quantities the coordinate change and the
-decoupling feedback need.
+one hand-coded closed-form evaluator that stacks f, g and the iterated Lie
+derivatives L_f^k h and L_g L_f^k h; these are all the quantities the
+coordinate change, the decoupling feedback and the embedding need.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def brunovsky_pair(n: int) -> BrunovskyPair:
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Single-input plant with one closed-form Lie-derivative evaluator.
+    """Single-input plant with one closed-form evaluator of its stacked terms.
 
     Every field and evaluator takes the state on the first axis: x shaped
     (n,), or a batch x shaped (n, k) with one state per column.  The vector
@@ -59,8 +59,12 @@ class PlantModel:
         n: state dimension.
         f: drift vector field.
         g: input vector field.
-        lie: the stack [L_f^k h, k = 0..n; L_g L_f^k h, k = 0..n-1], shaped
-            (2n + 1,) or (2n + 1, k); the output is h = L_f^0 h, with h(0) = 0.
+        terms: the stack [f; g; L_f^k h, k = 0..n; L_g L_f^k h, k = 0..n-1],
+            shaped (4n + 1,) or (4n + 1, k): f in rows :n, g in n:2n, the
+            output h = L_f^0 h (with h(0) = 0) in row 2n, L_f^k h in row
+            2n + k and L_g L_f^k h in row 3n + 1 + k.  Its f and g rows equal
+            f(x) and g(x) bit for bit; f and g stay separate because the
+            plant's own rhs needs nothing else.
         domain_check: predicate for membership in the open set U.
         relative_degree: n for feedback-linearizable presets, None otherwise.
     """
@@ -68,7 +72,7 @@ class PlantModel:
     n: int
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
-    lie: Callable[[np.ndarray], np.ndarray]
+    terms: Callable[[np.ndarray], np.ndarray]
     domain_check: Callable[[np.ndarray], bool] = field(default=lambda x: True)
     relative_degree: Optional[int] = None
     name: str = "plant"
@@ -106,7 +110,8 @@ def feedback_linearize(plant: PlantModel, x: np.ndarray) -> np.ndarray:
     """Map a state, or a batch (n, k), to linearizing coordinates z_k = L_f^{k-1} h(x)."""
     x = np.asarray(x, dtype=float)
     plant.require_in_domain(x)
-    return plant.lie(x)[:plant.n]
+    n = plant.n
+    return plant.terms(x)[2 * n:3 * n]
 
 
 def linearizing_input(plant: PlantModel, x: np.ndarray, v: float) -> float:
@@ -118,8 +123,13 @@ def linearizing_input(plant: PlantModel, x: np.ndarray, v: float) -> float:
     """
     x = np.asarray(x, dtype=float)
     plant.require_in_domain(x)
-    lie = plant.lie(x)
-    a, b = lie[plant.n], lie[2 * plant.n]
+    return _decouple(plant, x, plant.terms(x), v)
+
+
+def _decouple(plant: PlantModel, x: np.ndarray, terms: np.ndarray, v):
+    """(v - L_f^n h) / L_g L_f^{n-1} h from the stacked terms at x."""
+    n = plant.n
+    a, b = terms[3 * n], terms[4 * n]
     if np.any(np.abs(b) < DECOUPLING_TOL):
         bad = x if x.ndim == 1 else x[:, np.argmin(np.abs(b))]
         raise SingularDecouplingError(f"decoupling term |b| = {np.min(np.abs(b)):.3e} below "
@@ -152,12 +162,22 @@ def expert_lqr(plant: PlantModel, Q: np.ndarray,
 
     The gain K solves the algebraic Riccati equation for the Brunovsky pair of
     the plant's chain.  The expert is u = expert(x): the chain input -K z(x),
-    passed through linearizing_input, a smooth stabilizing state feedback of
-    x shaped (n,) or of a batch (n, k).
+    passed through the linearizing input, a smooth stabilizing state feedback
+    of x shaped (n,) or of a batch (n, k).  A call tests the domain once and
+    reads z, L_f^n h and L_g L_f^{n-1} h from one terms evaluation; it equals
+    linearizing_input(plant, x, -K @ feedback_linearize(plant, x)) bit for bit.
     """
-    pair = brunovsky_pair(plant.n)
+    n = plant.n
+    pair = brunovsky_pair(n)
     K = lqr_gain(pair.A, pair.B, Q, np.atleast_2d(np.asarray(R, dtype=float)))[0]
-    return lambda x: linearizing_input(plant, x, -K @ feedback_linearize(plant, x))
+
+    def expert(x):
+        x = np.asarray(x, dtype=float)
+        plant.require_in_domain(x)
+        terms = plant.terms(x)
+        return _decouple(plant, x, terms, -K @ terms[2 * n:3 * n])
+
+    return expert
 
 
 def chain_preset(n: int) -> PlantModel:
@@ -170,18 +190,21 @@ def chain_preset(n: int) -> PlantModel:
         dx[:-1] = x[1:]
         return dx
 
-    def lie(x):
-        # L_f^k h = x_k for k < n, L_f^n h = 0; only L_g L_f^{n-1} h = 1 is nonzero.
-        out = np.zeros((2 * n + 1,) + x.shape[1:])
-        out[:n] = x
-        out[2 * n] = 1.0
+    def terms(x):
+        # f = (x_2, .., x_n, 0) and g = e_n; L_f^k h = x_{k+1} for k < n and
+        # L_f^n h = 0; of the L_g L_f^k h only L_g L_f^{n-1} h = 1 is nonzero.
+        out = np.zeros((4 * n + 1,) + x.shape[1:])
+        out[:n - 1] = x[1:]
+        out[2 * n - 1] = 1.0
+        out[2 * n:3 * n] = x
+        out[4 * n] = 1.0
         return out
 
     return PlantModel(
         n=n,
         f=f,
         g=last_unit_field,
-        lie=lie,
+        terms=terms,
         domain_check=lambda x: np.isfinite(x).all(axis=0),
         relative_degree=n,
         name=f"chain{n}",

@@ -200,26 +200,29 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
         dx[2] = x[3]
         return dx
 
-    def lie(x):
+    def terms(x):
         x0, x1, phi, om = x
         s, c, om2 = np.sin(phi), np.cos(phi), om ** 2
         a = x0 * om2 - g * s
-        out = np.empty((9,) + x.shape[1:])
-        out[0] = x0                                   # L_f^k h, k = 0..4
-        out[1] = x1
-        out[2] = b * a
-        out[3] = b * (x1 * om2 - g * om * c)
-        out[4] = b * b * om2 * a + b * g * om2 * s
-        out[5:7] = 0.0                                # L_g L_f^k h, k = 0..3
-        out[7] = 2.0 * b * x0 * om
-        out[8] = 2.0 * b * x1 * om - b * g * c
+        out = np.zeros((17,) + x.shape[1:])
+        out[0] = x1                                   # f; ddr = b a = L_f^2 h
+        out[1] = b * a
+        out[2] = om
+        out[7] = 1.0                                  # g = e_4
+        out[8] = x0                                   # L_f^k h, k = 0..4
+        out[9] = x1
+        out[10] = out[1]
+        out[11] = b * (x1 * om2 - g * om * c)
+        out[12] = b * b * om2 * a + b * g * om2 * s
+        out[15] = 2.0 * b * x0 * om                   # L_g L_f^k h, k = 0..3 (k < 2: 0)
+        out[16] = 2.0 * b * x1 * om - b * g * c
         return out
 
     return PlantModel(
         n=4,
         f=f,
         g=last_unit_field,
-        lie=lie,
+        terms=terms,
         domain_check=lambda x: np.isfinite(x).all(axis=0) & (np.abs(x[2]) < math.pi / 2),
         relative_degree=None,
         name="ball_beam",
@@ -243,7 +246,7 @@ def ball_beam_expert(plant: PlantModel, Q: np.ndarray,
     K is the LQR gain for the state weight Q (4 x 4) and the input weight R;
     x is a state (4,) or a batch (4, k).
     """
-    bg = -plant.lie(np.zeros(4))[8]  # L_g L_f^3 h(0) = -b*g
+    bg = -plant.terms(np.zeros(4))[16]  # L_g L_f^3 h(0) = -b*g
     A_lin = np.array(
         [
             [0.0, 1.0, 0.0, 0.0],

@@ -345,9 +345,50 @@ def routh_stable(coeffs) -> bool:
     raise ValueError("Routh table implemented for degree <= 4 only")
 
 
+def charpoly(M: np.ndarray) -> np.ndarray:
+    """Monic characteristic polynomial coefficients via Faddeev-LeVerrier."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    k = M.shape[0]
+    coeffs = np.empty(k + 1)
+    coeffs[0] = 1.0
+    N = np.zeros_like(M)
+    for i in range(1, k + 1):
+        N = M @ N + coeffs[i - 1] * np.eye(k)
+        coeffs[i] = -np.trace(M @ N) / i
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
-# Finite-difference Lie derivatives.
+# Lie derivatives: by finite differences, and the closed-form stacks
+# [L_f^k h, k = 0..n; L_g L_f^k h, k = 0..n-1] of the presets, written apart
+# from the f and g rows that PlantModel.terms stacks in front of them.
 # ---------------------------------------------------------------------------
+
+
+def ball_beam_lie(x, b, g):
+    """The ball-beam Lie stack (9 rows), one column per state of a batch (4, k)."""
+    x0, x1, phi, om = x
+    s, c, om2 = np.sin(phi), np.cos(phi), om ** 2
+    a = x0 * om2 - g * s
+    out = np.empty((9,) + x.shape[1:])
+    out[0] = x0
+    out[1] = x1
+    out[2] = b * a
+    out[3] = b * (x1 * om2 - g * om * c)
+    out[4] = b * b * om2 * a + b * g * om2 * s
+    out[5:7] = 0.0
+    out[7] = 2.0 * b * x0 * om
+    out[8] = 2.0 * b * x1 * om - b * g * c
+    return out
+
+
+def chain_lie(x):
+    """The n-chain Lie stack: L_f^k h = x_{k+1}, L_f^n h = 0, L_g L_f^{n-1} h = 1."""
+    n = x.shape[0]
+    out = np.zeros((2 * n + 1,) + x.shape[1:])
+    out[:n] = x
+    out[2 * n] = 1.0
+    return out
 
 
 def directional_derivative(func, field, x, eps=1e-6):
@@ -384,14 +425,14 @@ def record_one(plant, expert, x0, T: float, dt: float):
 
 
 def embedding_terms(plant, w, x, xi):
-    """(z, r, s) of the embedding at one state, term by term from the rows of plant.lie.
+    """(z, r, s) of the embedding at one state, term by term from plant.terms' Lie rows.
 
     z_k = L_f^{k-1} h + xi_k (k < n), z_n = L_f^{n-1} h - w . xi,
     r = L_g L_f^{n-1} h + sum_j w_j L_g L_f^{j-1} h and
     s = -L_f^n h + sum_{j <= n-2} w_j xi_{j+1} - w_{n-1} (w . xi).
     """
     n = plant.n
-    lie = plant.lie(x)
+    lie = plant.terms(x)[2 * n:]
     lf, lg = lie[:n + 1], lie[n + 1:]
     z = np.empty(n)
     for j in range(n - 1):
@@ -406,7 +447,7 @@ def embedding_terms(plant, w, x, xi):
 def aux_dot(plant, w, x, xi, u):
     """dxi/dt = A_xi xi - [L_g L_f^{k-1} h(x)]_k u at one state, A_xi the companion of w."""
     n = plant.n
-    lg = plant.lie(x)[n + 1:]
+    lg = plant.terms(x)[3 * n + 1:]
     out = np.empty(n - 1)
     for j in range(n - 2):
         out[j] = xi[j + 1] - lg[j] * u
@@ -449,7 +490,7 @@ def embedded_interval_rk4(plant, w, ctrl, x0, xi0, dt):
 def transform_demo_per_sample(plant, w, times, states, inputs, xi0):
     """(z, xi, v) of one recorded (x, u) run in the chain coordinates of the embedding.
 
-    Every quantity comes from the rows of plant.lie at one state at a time.
+    Every quantity comes from the Lie rows of plant.terms at one state at a time.
     The auxiliary dynamics (aux_dot) are integrated by classical RK4 on the
     recording grid, with x and u interpolated linearly at every stage; then
     z, r and s come from embedding_terms and v = r u - s.

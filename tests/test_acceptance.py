@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     double_int_flow,
     empty_circumsphere_violations,
+    charpoly,
     enumerate_triangulations_2d,
     max_interp_error_2d,
     spectral_norm,
@@ -25,7 +26,7 @@ from demostab.certify import (
     monodromy_from_integral,
 )
 from demostab.cli import EXIT_OK, main
-from demostab.embed import charpoly, dynamic_feedback, simulate_embedded_closed_loop
+from demostab.embed import dynamic_feedback, simulate_embedded_closed_loop
 from demostab.geometry import delaunay
 from demostab.learner import LearnedController, build_basis
 from demostab.multi import MultiController

@@ -1,6 +1,9 @@
 """Batch pipeline: subcommands, exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -291,6 +294,52 @@ def test_ball_beam_divergence_exit(tmp_path):
     # domain and must report divergence.
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
                  "--force"]) == EXIT_DIVERGENCE
+
+
+def test_ball_beam_start_outside_the_domain_is_one_line(tmp_path, capsys):
+    # The committed state at t = 0 leaves the domain (|phi| >= pi/2): the
+    # line rk4's grid-point guard wrote, now from the anchor read.
+    config = {
+        "preset": "ball_beam",
+        "T": 2.0,
+        "dt": 0.005,
+        "t_tilde_grid": [1.0, 2.0],
+        "simulate": {"x0": [0.0, 0.0, 2.0, 0.0], "duration": 4.0},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["demos", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["learn", "--config", str(cfg), "--out", str(tmp_path)]) \
+        == EXIT_CERTIFICATION
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                 "--force"]) == EXIT_DIVERGENCE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["simulate: state [0. 0. 2. 0.] is outside the domain of ball_beam "
+                   "at t=0.000000"]
+
+
+@pytest.mark.parametrize("module", ["demostab", "demostab.cli"])
+def test_import_leaves_the_multi_geometry_unloaded(module):
+    # scipy.optimize and scipy.spatial serve multi controllers only; a fresh
+    # interpreter loads them on the first use of MultiController.
+    import demostab
+
+    code = f"""
+import sys
+import {module}
+assert "scipy.optimize" not in sys.modules and "scipy.spatial" not in sys.modules, [
+    m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules]
+from demostab import MultiController
+from demostab.multi import MultiController as direct
+assert MultiController is direct and "scipy.spatial" in sys.modules
+"""
+    src = str(Path(demostab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_quadrotor_track_pipeline(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import (aux_dot, embedded_interval_rk4, embedding_terms, routh_stable,
+from oracles import (aux_dot, charpoly, embedded_interval_rk4, embedding_terms, routh_stable,
                      transform_demo_per_sample)
 
 from demostab.embed import (
@@ -16,7 +16,6 @@ from demostab.embed import (
     EmbeddingConfig,
     a_w_numeric,
     aux_rhs,
-    charpoly,
     companion_from_coeffs,
     dynamic_feedback,
     hurwitz,
@@ -28,9 +27,9 @@ from demostab.embed import (
     transform_demos,
 )
 from demostab.errors import DomainError, SingularEmbeddingError
-from demostab.learner import LearnedController, build_basis
+from demostab.learner import AffineBasis, LearnedController, build_basis
 from demostab.plant import chain_preset
-from demostab.sim import Trajectory
+from demostab.sim import Trajectory, time_grid
 from demostab.systems import BALL_BEAM_B, BALL_BEAM_G, ball_beam_preset
 
 
@@ -85,7 +84,7 @@ def test_phi_zero_xi_gives_plain_coordinates(bb_cfg):
     x = np.array([0.4, -0.3, 0.2, 0.6])
     z = phi_z(bb_cfg, x, np.zeros(3))
     plant = bb_cfg.plant
-    expected = plant.lie(x)[:4]
+    expected = plant.terms(x)[8:12]  # L_f^k h, k = 0..3
     assert_allclose(z, expected, atol=1e-14)
 
 
@@ -145,7 +144,7 @@ def test_small_w_reduces_r_to_plain_decoupling():
     a = 1e-4
     cfg = EmbeddingConfig(plant=plant, w=(a**3, 3 * a**2, 3 * a))
     x = np.array([0.3, -0.2, 0.1, 0.8])
-    assert_allclose(r_of_x(cfg, x), plant.lie(x)[8], rtol=1e-3)  # L_g L_f^3 h
+    assert_allclose(r_of_x(cfg, x), plant.terms(x)[16], rtol=1e-3)  # L_g L_f^3 h
 
 
 def test_aux_rhs_unforced_is_companion(bb_cfg):
@@ -278,31 +277,26 @@ def test_embedded_closed_loop_zero_stays_zero(ball_beam_fixture):
     assert np.all(traj.v == 0.0) and np.all(traj.u == 0.0)
 
 
-class _ReplayController:
-    """Feeds back a recorded chain input (for the round-trip check)."""
+def _replay_controller(times, v, n):
+    """Learned controller that replays the chain input v(tau) on each interval.
 
-    def __init__(self, times, v, A, B):
-        self.times = times
-        self.v = v
-        self.T = float(times[-1])
-        self.A, self.B = A, B
-        self.m = 1
-
-    def begin_interval(self, z):
-        return None
-
-    def eval_in_interval(self, anchor, tau, z):
-        return np.array([np.interp(tau, self.times, self.v)])
+    Its basis has Z = I and V = 0, so K = 0 and c = v_base: the law is
+    v(tau) whatever the state, read from the K/c table like any basis.
+    """
+    G = len(times)
+    basis = AffineBasis(index_set=tuple(range(n + 1)), times=np.asarray(times, dtype=float),
+                        Zs=np.repeat(np.eye(n)[None], G, axis=0), Vs=np.zeros((G, 1, n)),
+                        z_base=np.zeros((G, n)), v_base=np.asarray(v, dtype=float)[:, None])
+    return LearnedController(basis)
 
 
 def test_embedded_replay_reproduces_demonstration(ball_beam_fixture):
     # Feeding the transformed v^i back through the dynamic feedback from the
     # same start reproduces the recorded x^i.
     cfg = ball_beam_fixture["cfg"]
-    eset = ball_beam_fixture["set"]
     raw = ball_beam_fixture["raw"][1]
     emb = ball_beam_fixture["embedded"][1]
-    ctrl = _ReplayController(emb.times, emb.v, eset.A, eset.B)
+    ctrl = _replay_controller(emb.times, emb.v, 4)
     traj = simulate_embedded_closed_loop(cfg, ctrl, raw.states[0], np.zeros(3),
                                          duration=2.0, dt=1e-3)
     # Tolerance reflects the O(dt^2) interpolation of the replayed input.
@@ -366,7 +360,7 @@ def test_stage_map_matches_term_by_term_oracle(name, seed, k):
     x[2] = rng.uniform(-1.5, 1.5, shape)  # inside the ball-beam domain |phi| < pi/2
     xi = rng.uniform(-2.0, 2.0, (n - 1,) + shape)
     v = rng.uniform(-5.0, 5.0, shape)
-    out = cfg.stage_map @ np.concatenate([plant.f(x), plant.g(x), plant.lie(x), xi])
+    out = cfg.stage_map @ np.concatenate([plant.terms(x), xi])
     z, r, s = out[:n], out[n], out[n + 1]
     u = (s + v) / r
     dy = out[n + 2:3 * n + 1] + out[3 * n + 1:] * u
@@ -402,19 +396,41 @@ def test_readme_loop_interval_matches_term_by_term_rhs(ball_beam_fixture):
     assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-class _ZeroController:
-    """Chain input v = 0 on intervals of length T."""
+def test_table_slot_read_matches_value_bit_for_bit(ball_beam_fixture):
+    # A run of 0.5005 s ends in a shortened step, so no K/c table covers its
+    # grid and every stage calls basis.value(tau, z), which finds its slot by
+    # HalfGrid.index: up to 0.5 s it equals the run that reads the slots directly.
+    cfg, ctrl = ball_beam_fixture["cfg"], LearnedController(build_basis(ball_beam_fixture["set"]))
+    x0, xi0 = np.array([6.0, 0.0, 0.345, 0.0]), np.zeros(3)
+    table = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5, dt=1e-3)
+    value = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5005, dt=1e-3)
+    assert len(table.times) == 501 and len(value.times) == 502
+    for got, want in ((table.x, value.x), (table.xi, value.xi), (table.v, value.v),
+                      (table.u, value.u)):
+        assert np.array_equal(got, want[:501])
 
-    m = 1
 
-    def __init__(self, T):
-        self.T = T
+@pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
+def test_multi_controller_group_drives_the_loop_as_its_basis(ball_beam_fixture, mode):
+    # n+1 demonstrations triangulate into one simplex: the multi controller's
+    # one group is the single-basis controller's basis.
+    from demostab.multi import MultiController
 
-    def begin_interval(self, z):
-        return None
+    cfg, eset = ball_beam_fixture["cfg"], ball_beam_fixture["set"]
+    multi = MultiController(eset, feedback_mode=mode)
+    assert multi.P == 1
+    x0, xi0 = np.array([6.0, 0.0, 0.345, 0.0]), np.zeros(3)
+    runs = [simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=1.0, dt=1e-3)
+            for ctrl in (LearnedController(build_basis(eset), feedback_mode=mode), multi)]
+    for name in ("x", "xi", "v", "u"):
+        want, got = (getattr(run, name) for run in runs)
+        assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
-    def eval_in_interval(self, anchor, tau, z):
-        return np.zeros(1)
+
+def _zero_controller(T, dt, n=2):
+    """Chain input v = 0 on intervals of length T, tabulated at dt."""
+    times = time_grid(0.0, T, dt)
+    return _replay_controller(times, np.zeros(len(times)), n)
 
 
 def test_stage_outside_the_domain_carries_its_time(ball_beam_fixture):
@@ -437,22 +453,85 @@ def _unit_speed_chain2(**changes):
 
 def test_stage_failures_carry_the_absolute_time():
     # Intervals of 2 ms: the failures fall in interval 5, which starts at 0.010.
-    ctrl, x0 = _ZeroController(2e-3), np.array([0.0, 1.0])
+    ctrl, x0 = _zero_controller(2e-3, 1e-3), np.array([0.0, 1.0])
     # x_1 < 0.0104 holds at the grid point 0.010 and fails at its midpoint stage.
     cfg = _unit_speed_chain2(domain_check=lambda x: np.isfinite(x).all(axis=0) & (x[0] < 0.0104))
     with pytest.raises(DomainError) as err:
         simulate_embedded_closed_loop(cfg, ctrl, x0, np.zeros(1), duration=0.02, dt=1e-3)
     assert err.value.time == pytest.approx(0.0105, rel=0, abs=1e-12)
 
-    # r = L_g L_f h + w L_g h, with L_g L_f h replaced by 1 - 100 x_1, vanishes
-    # at the grid point 0.010, the first stage of interval 5.
-    def lie(x):
-        out = chain_preset(2).lie(x)
-        out[4] = 1.0 - 100.0 * x[0]
+    # r = L_g L_f h + w L_g h, with L_g L_f h (row 8 of the chain2 terms)
+    # replaced by 1 - 100 x_1, vanishes at the grid point 0.010, the first
+    # stage of interval 5.
+    def terms(x):
+        out = chain_preset(2).terms(x)
+        out[8] = 1.0 - 100.0 * x[0]
         return out
 
     with pytest.raises(SingularEmbeddingError) as err:
-        simulate_embedded_closed_loop(_unit_speed_chain2(lie=lie), ctrl, x0, np.zeros(1),
+        simulate_embedded_closed_loop(_unit_speed_chain2(terms=terms), ctrl, x0, np.zeros(1),
                                       duration=0.02, dt=1e-3)
     assert err.value.time == pytest.approx(0.010, rel=0, abs=1e-12)
     assert "at t=0.010000" in str(err.value)
+
+
+def _recording_chain2(seen, bound=np.inf):
+    """The unit-speed chain2 embedding with x_1 < bound as its domain.
+
+    Every state the domain test sees is appended to seen, and every terms
+    call appends None.
+    """
+    base = chain_preset(2)
+
+    def inside(x):
+        seen.append(np.array(x))
+        return bool(np.isfinite(x).all() and x[0] < bound)
+
+    def terms(x):
+        seen.append(None)
+        return base.terms(x)
+
+    return _unit_speed_chain2(domain_check=inside, terms=terms)
+
+
+def test_embedded_loop_tests_each_stage_and_anchor_state_once():
+    # 20 steps in intervals of 2 steps: 4 stages per step and one at the last
+    # grid point, plus the anchor read at the 11 grid points that start an
+    # interval (0.020 among them), each one domain test and one terms call.
+    # rk4 adds no grid-point test of its own.
+    seen = []
+    traj = simulate_embedded_closed_loop(_recording_chain2(seen), _zero_controller(2e-3, 1e-3),
+                                         np.array([0.0, 1.0]), np.zeros(1), duration=0.02,
+                                         dt=1e-3)
+    steps, starts = len(traj.times) - 1, len(range(0, 21, 2))
+    tests = [x for x in seen if x is not None]
+    assert len(tests) == len(seen) - len(tests) == 4 * steps + 1 + starts
+    # Pairs: every domain test is followed by the terms call of the same stage.
+    assert all(a is not None and b is None for a, b in zip(seen[0::2], seen[1::2]))
+
+
+# With v(tau) = 50 - 1000 tau falling through each 0.1 s interval, an RK4
+# step of x_1' = x_2, x_2' = v ends beyond every one of its stage states, by
+# h^2 (v(tau) - v(tau + h/2)) / 6: a bound between the two is first crossed
+# by a committed grid state.
+@pytest.mark.parametrize("k", [15, 20], ids=["inside an interval", "interval start"])
+def test_committed_state_outside_the_domain_fails_at_its_grid_time(k):
+    dt, T = 0.01, 0.1
+    times = time_grid(0.0, T, dt)
+    ctrl = _replay_controller(times, 50.0 - 1000.0 * times, 2)
+    x0, xi0 = np.array([0.0, 1.0]), np.zeros(1)
+    seen = []
+    free = simulate_embedded_closed_loop(_recording_chain2(seen), ctrl, x0, xi0, duration=0.3,
+                                         dt=dt)
+    tests = [x for x in seen if x is not None]
+    first = next(i for i, x in enumerate(tests) if np.array_equal(x, free.x[k]))
+    before = max(x[0] for x in tests[:first])
+    assert before < free.x[k, 0]
+    bound = 0.5 * (before + free.x[k, 0])
+    with pytest.raises(DomainError) as err:
+        simulate_embedded_closed_loop(_recording_chain2([], bound), ctrl, x0, xi0, duration=0.3,
+                                      dt=dt)
+    t = free.times[k]
+    assert err.value.time == pytest.approx(t, rel=0, abs=1e-12)
+    # The line rk4's grid-point guard wrote for this state.
+    assert str(err.value) == f"state {free.x[k]} is outside the domain of chain2 at t={t:.6f}"

@@ -1,5 +1,7 @@
 """Output files: the chunked writers against the plain ones, and lossless round trips."""
 
+import gc
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -11,7 +13,7 @@ from oracles import csv_text, json_text
 
 from demostab.demos import Demonstration, DemonstrationSet, load_demo_set, save_demo_set
 from demostab.errors import AffineDependenceError, DegenerateGeometryError
-from demostab.files import CHUNK_ROWS, write_csv, write_json
+from demostab.files import CHUNK_ROWS, read_json, write_csv, write_json
 from demostab.learner import LearnedController, build_basis, load_controller, save_controller
 from demostab.multi import MultiController
 from demostab.plant import brunovsky_pair
@@ -143,6 +145,25 @@ def control_values_agree(ctrl, other, dset, seed):
     for t in times:
         z = 3.0 * scale * rng.standard_normal(dset.n)
         assert np.array_equal(ctrl(float(t), z), other(float(t), z))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_json_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled):
+    # The decode runs with the cyclic collector off; afterwards it is on or off
+    # as the caller left it.
+    path = tmp_path / "doc.json"
+    write_json(path, {"a": np.arange(6.0).reshape(3, 2), "b": "text"})
+    seen, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled()) or loads(text))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        doc = read_json(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+    assert doc == {"a": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], "b": "text"}
 
 
 @given(dset=demo_sets())

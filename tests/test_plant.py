@@ -1,12 +1,14 @@
-"""Plant models, Lie-derivative evaluators, linearizing feedback and LQR experts."""
+"""Plant models, stacked-term evaluators, linearizing feedback and LQR experts."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import directional_derivative
+from oracles import ball_beam_lie, chain_lie, directional_derivative
 
 from demostab.errors import DomainError, SingularDecouplingError
 from demostab.plant import (
@@ -19,7 +21,7 @@ from demostab.plant import (
     lqr_gain,
 )
 from demostab.sim import simulate_closed_loop
-from demostab.systems import ball_beam_plant
+from demostab.systems import BALL_BEAM_B, BALL_BEAM_G, ball_beam_plant
 
 
 def test_brunovsky_pair_n2():
@@ -73,7 +75,8 @@ def scaled_double_integrator() -> PlantModel:
         n=2,
         f=lambda x: np.array([x[1], 0.0]),
         g=lambda x: np.array([0.0, 2.0]),
-        lie=lambda x: np.array([x[0], x[1], 0.0, 0.0, 2.0]),  # L_f^k h; L_g L_f^k h
+        # f; g; L_f^k h; L_g L_f^k h
+        terms=lambda x: np.array([x[1], 0.0, 0.0, 2.0, x[0], x[1], 0.0, 0.0, 2.0]),
         relative_degree=2,
         name="scaled_double_integrator",
     )
@@ -89,7 +92,7 @@ def test_linearizing_input_singular_decoupling():
         n=1,
         f=lambda x: np.zeros(1),
         g=lambda x: np.array([float(x[0])]),  # vanishes at the origin
-        lie=lambda x: np.array([x[0], 0.0, x[0]]),  # h, L_f h; L_g h
+        terms=lambda x: np.array([0.0, x[0], x[0], 0.0, x[0]]),  # f; g; h, L_f h; L_g h
         name="degenerate",
     )
     with pytest.raises(SingularDecouplingError):
@@ -140,21 +143,23 @@ def test_lie_derivatives_match_finite_differences(make_plant):
         x = rng.uniform(-0.8, 0.8, size=plant.n)
         if not plant.domain_check(x):
             continue
-        lie = plant.lie(x)
-        assert lie.shape == (2 * plant.n + 1,)
+        n = plant.n
+        terms = plant.terms(x)
+        assert terms.shape == (4 * n + 1,)
+        lie = terms[2 * n:]
         # L_f^{k+1} h is the derivative of L_f^k h along f.
-        for k in range(plant.n):
-            fd = directional_derivative(lambda y, k=k: plant.lie(y)[k], plant.f, x)
+        for k in range(n):
+            fd = directional_derivative(lambda y, k=k: plant.terms(y)[2 * n + k], plant.f, x)
             assert_allclose(fd, lie[k + 1], rtol=1e-6, atol=1e-6)
-        # L_g L_f^k h (row n+1+k) is the derivative of L_f^k h along g.
-        for k in range(plant.n):
-            fd = directional_derivative(lambda y, k=k: plant.lie(y)[k], plant.g, x)
-            assert_allclose(fd, lie[plant.n + 1 + k], rtol=1e-6, atol=1e-6)
+        # L_g L_f^k h (row n+1+k of the Lie rows) is the derivative of L_f^k h along g.
+        for k in range(n):
+            fd = directional_derivative(lambda y, k=k: plant.terms(y)[2 * n + k], plant.g, x)
+            assert_allclose(fd, lie[n + 1 + k], rtol=1e-6, atol=1e-6)
 
 
 def test_preset_outputs_vanish_at_origin():
     for plant in (chain_preset(2), chain_preset(3), ball_beam_plant()):
-        assert plant.lie(np.zeros(plant.n))[0] == 0.0
+        assert plant.terms(np.zeros(plant.n))[2 * plant.n] == 0.0
 
 
 def test_chain_inverse_phi_roundtrip():
@@ -185,3 +190,56 @@ def test_expert_lqr_closed_loop_settles(n):
     # Decreasing envelope: sampled norms shrink across quarters of the run.
     quarter = len(norms) // 4
     assert norms[quarter] < norms[0] and norms[2 * quarter] < norms[quarter]
+
+
+# Each preset's terms against plant.f, plant.g and the Lie stack it wrote
+# before f and g joined it, bit for bit, on one state or a batch (n, k).
+TERMS_PRESETS = {
+    "ball_beam": (ball_beam_plant(), lambda x: ball_beam_lie(x, BALL_BEAM_B, BALL_BEAM_G)),
+    "ball_beam_b2_g3": (ball_beam_plant(2.0, 3.0), lambda x: ball_beam_lie(x, 2.0, 3.0)),
+    **{f"chain{n}": (chain_preset(n), chain_lie) for n in (1, 2, 3, 4, 6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TERMS_PRESETS))
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([None, 1, 5]))
+def test_terms_stack_f_g_and_the_lie_rows(name, seed, k):
+    plant, lie = TERMS_PRESETS[name]
+    n = plant.n
+    shape = (n,) if k is None else (n, k)
+    x = np.random.default_rng(seed).uniform(-3.0, 3.0, shape)
+    terms = plant.terms(x)
+    assert terms.shape == (4 * n + 1,) + shape[1:]
+    for rows, want in ((terms[:n], plant.f(x)), (terms[n:2 * n], plant.g(x)),
+                       (terms[2 * n:], lie(x))):
+        assert rows.shape == want.shape
+        assert rows.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("k", [None, 16])
+def test_expert_lqr_is_one_domain_test_and_one_terms_call(k):
+    # The expert equals the composition through feedback_linearize and
+    # linearizing_input bit for bit, with half their evaluations.
+    calls = {"domain": 0, "terms": 0}
+    base = chain_preset(4)
+
+    def counted(key, fn):
+        def wrapper(x):
+            calls[key] += 1
+            return fn(x)
+        return wrapper
+
+    plant = dataclasses.replace(base, domain_check=counted("domain", base.domain_check),
+                                terms=counted("terms", base.terms))
+    Q, R = np.diag([1.0, 2.0, 3.0, 4.0]), 0.5
+    expert = expert_lqr(plant, Q, R)
+    pair = brunovsky_pair(4)
+    K = lqr_gain(pair.A, pair.B, Q, np.array([[R]]))[0]
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(4,) if k is None else (4, k))
+    u = expert(x)
+    assert calls == {"domain": 1, "terms": 1}
+    want = linearizing_input(base, x, -K @ feedback_linearize(base, x))
+    assert np.shape(u) == np.shape(want)
+    assert np.asarray(u).tobytes() == np.asarray(want).tobytes()

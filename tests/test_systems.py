@@ -198,11 +198,12 @@ def test_batched_evaluators_match_per_state_calls(plant):
     X[:, 5] = np.nan
     if plant.n == 4:
         X[2, 6] = 1.6  # beam angle past pi/2
-    lie = plant.lie(X[:, :5])
-    assert lie.shape == (2 * plant.n + 1, 5)
-    for row, batched in enumerate(lie):
+    terms = plant.terms(X[:, :5])
+    assert terms.shape == (4 * plant.n + 1, 5)
+    for row, batched in enumerate(terms):
         assert np.shape(batched) == (5,)
-        assert_allclose(batched, [plant.lie(X[:, j])[row] for j in range(5)], rtol=1e-15, atol=0)
+        assert_allclose(batched, [plant.terms(X[:, j])[row] for j in range(5)],
+                        rtol=1e-15, atol=0)
     inside = plant.domain_check(X)
     assert inside.shape == (7,)
     assert list(inside) == [bool(plant.domain_check(X[:, j])) for j in range(7)]
