@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .demos import DemonstrationSet
-from .learner import AffineBasis, build_basis, simulate_chain_batch
+from .learner import AffineBasis, build_basis, interval_grid, simulate_chain_batch
 
 
 def expm_nilpotent(A: np.ndarray, t: float) -> np.ndarray:
@@ -201,13 +201,11 @@ def contraction_check(
     the report, not raised.  The per-interval defect against Psi z(pT) is only
     checked for single-simplex controllers, where Psi is unique.
     """
+    _, steps_per_T, _ = interval_grid(ctrl, p_max * ctrl.T, dt)
     cert = certificate(ctrl)
     z0 = np.asarray(z0, dtype=float)
     Z0 = z0[:, None] if z0.ndim == 1 else z0
-    T = ctrl.T
-    times, states, _ = simulate_chain_batch(ctrl, Z0, p_max * T, dt)
-
-    steps_per_T = int(round(T / dt))
+    _, states, _ = simulate_chain_batch(ctrl, Z0, p_max * ctrl.T, dt)
     idx = np.arange(p_max + 1) * steps_per_T
     samples = states[idx]  # (p_max + 1, n, k)
     norms = np.linalg.norm(samples, axis=1)

@@ -16,7 +16,6 @@ standard error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -31,7 +30,7 @@ from . import demos as demos_mod
 from . import embed as embed_mod
 from . import systems
 from .errors import AffineDependenceError, DivergenceError, DomainError, SingularEmbeddingError
-from .files import write_csv, write_json
+from .files import read_json, write_csv, write_json
 from .learner import LearnedController, build_basis, load_controller, save_controller, \
     simulate_chain_closed_loop
 from .plant import chain_preset, expert_lqr
@@ -66,6 +65,14 @@ def _vector(what: str, value, n: int) -> np.ndarray:
     if x.shape != (n,):
         raise _UsageError(f"{what} must have {n} entries, got {value!r}")
     return x
+
+
+def _read(path: Path, load: Callable = read_json):
+    """load(path); a file that does not decode or hold what load expects is a usage error."""
+    try:
+        return load(path)
+    except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise _UsageError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _section(data: dict, key: str) -> dict:
@@ -357,7 +364,7 @@ def cmd_learn(cfg: RunConfig, out: Path) -> int:
     if not demo_path.exists():
         print(f"learn: no demo set at {demo_path}; run the demos stage first", file=sys.stderr)
         return EXIT_USAGE
-    dset = demos_mod.load_demo_set(demo_path)
+    dset = _read(demo_path, demos_mod.load_demo_set)
     try:
         ctrl = _learn_controller(cfg, dset)
     except AffineDependenceError as exc:
@@ -384,7 +391,7 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
     if not ctrl_path.exists():
         print(f"certify: no controller at {ctrl_path}; run the learn stage first", file=sys.stderr)
         return EXIT_USAGE
-    ctrl = load_controller(ctrl_path)
+    ctrl = _read(ctrl_path, load_controller)
     cert = certify_mod.certificate(ctrl)
     write_json(out / "certificate.json", cert.to_dict())
     print(f"certify: verdict {'pass' if cert.verdict else 'fail'} "
@@ -398,20 +405,23 @@ def _check_certificate(out: Path, force: bool, stage: str) -> Optional[int]:
         print(f"{stage}: no certificate at {cert_path}; run the learn stage first",
               file=sys.stderr)
         return EXIT_USAGE
-    cert = json.loads(cert_path.read_text())
-    if cert["verdict"] != "pass" and not force:
-        print(f"{stage}: certificate verdict is {cert['verdict']!r}; "
+    verdict = _read(cert_path, lambda path: read_json(path)["verdict"])
+    if verdict != "pass" and not force:
+        print(f"{stage}: certificate verdict is {verdict!r}; "
               "pass --force to simulate anyway", file=sys.stderr)
         return EXIT_CERTIFICATION
     return None
 
 
 def _load_controller(cfg: RunConfig, out: Path):
-    ctrl = load_controller(out / "controller.json")
-    n = len(cfg.preset.x0)
-    if ctrl.n != n:
-        raise _UsageError(f"{out / 'controller.json'} holds an n = {ctrl.n} controller, "
-                          f"but preset {cfg.name} has n = {n}")
+    """The controller in out, which must have the preset's n and the config's T and dt."""
+    path = out / "controller.json"
+    ctrl = _read(path, load_controller)
+    for key, learned, given in (("n", ctrl.n, len(cfg.preset.x0)), ("T", ctrl.T, cfg.T),
+                                ("dt", ctrl.dt, cfg.dt)):
+        if abs(learned - given) > 1e-9 * given:
+            raise _UsageError(f"{path} holds a controller with {key} = {learned}, "
+                              f"but the {cfg.name} config has {key} = {given}")
     return ctrl
 
 
@@ -528,7 +538,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         config_path = Path(args.config)
         if not config_path.exists():
             raise _UsageError(f"config file not found: {config_path}")
-        cfg = RunConfig(json.loads(config_path.read_text()))
+        cfg = RunConfig(_read(config_path))
         out = Path(args.out) if args.out else config_path.parent
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "demos":
@@ -544,9 +554,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return cmd_all(cfg, out, args.force)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"usage error: bad config JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # reading the config, creating --out, writing outputs
         print(f"usage error: {exc}", file=sys.stderr)

@@ -29,8 +29,8 @@ import numpy as np
 from .errors import DomainError, SingularEmbeddingError
 from .demos import Demonstration, DemonstrationSet
 from .plant import PlantModel, brunovsky_pair
-from .learner import tabulated_steps
-from .sim import HalfGrid, Trajectory, rk4, time_grid
+from .learner import interval_grid
+from .sim import HalfGrid, Trajectory, rk4
 
 # |r(x)| at or below this is a singular embedding.
 R_TOL = 1e-6
@@ -325,12 +325,12 @@ def simulate_embedded_closed_loop(
     are tested by their first stage, so rk4 runs without its grid-point
     domain guard.  The controller is anchored at interval starts from the
     committed chain state there, evaluated the same way, and read through
-    interval_groups(anchor): a closed-loop basis sampled at dt reads its K/c
-    table at slot round(2 tau / dt), an open-loop one V zeta + v_base, and a
-    basis without a table for this grid (another dt, or a shortened final
-    step) evaluates value(tau, z).  ctrl.T must be a whole multiple of dt.  A
-    stage outside the domain (DomainError) or with |r| <= R_TOL
-    (SingularEmbeddingError) fails with its absolute time.
+    interval_groups(anchor): a closed-loop basis reads its K/c table at slot
+    round(2 tau / dt), or value(tau, z) on a grid that ends in a shortened
+    step, and an open-loop one V zeta + v_base.  dt must be the
+    demonstration dt (interval_grid).  A stage outside the domain
+    (DomainError) or with |r| <= R_TOL (SingularEmbeddingError) fails with
+    its absolute time.
     """
     if ctrl.m != 1:
         raise ValueError("the embedding pipeline drives a single-input plant")
@@ -340,7 +340,7 @@ def simulate_embedded_closed_loop(
     xi0 = np.zeros(n - 1) if xi0 is None else np.asarray(xi0, dtype=float)
     T = ctrl.T
     # Whether the bases' K/c tables hold every stage time of this grid.
-    tables = tabulated_steps(ctrl, time_grid(0.0, duration, dt), dt) is not None
+    tables = not interval_grid(ctrl, duration, dt)[2]
 
     def stage(t, y):
         x = y[:n]

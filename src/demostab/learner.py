@@ -254,6 +254,11 @@ class IntervalController:
     coefficients under the open-loop law.
     """
 
+    @property
+    def dt(self) -> float:
+        """The step the demonstrations, and so every basis, were sampled at."""
+        return float(self.bases[0].times[1] - self.bases[0].times[0])
+
     def __call__(self, t: float, z: np.ndarray):
         z = np.asarray(z, dtype=float)
         _, tau = interval_index(t, self.T)
@@ -326,39 +331,33 @@ class LearnedController(IntervalController):
 # ---------------------------------------------------------------------------
 
 
-def simulate_chain_batch(
-    ctrl,
-    z0: np.ndarray,
-    duration: float,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def simulate_chain_batch(ctrl, z0: np.ndarray, duration: float, dt: float
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate dz/dt = A z + B kappa_hat(t, z) for a batch of initial states.
 
-    z0 is (n,) or (n, k).  The controller is anchored at every interval
-    start from the committed state there, and RK4 stage times are resolved
-    against the interval of the enclosing step, so stages at exactly (p+1)T
-    use the interval-p matrices; ctrl.T must be a whole multiple of dt.
-    Returns (times, states, inputs) with states shaped (G, n, k) and inputs
-    (G, m, k).
+    z0 is (n,) or (n, k); dt must be the demonstration dt (interval_grid).
+    The controller is anchored at every interval start from the committed
+    state there, and RK4 stage times are resolved against the interval of
+    the enclosing step, so stages at exactly (p+1)T use the interval-p
+    matrices.  Returns (times, states, inputs) with states shaped (G, n, k)
+    and inputs (G, m, k).
 
-    At the demonstration dt on a grid without a shortened final step, each
-    interval is one application of the bases' propagators to the batch,
-    which is RK4 up to rounding.  Otherwise the RK4 driver steps the loop.
-    Only the last propagator built is kept, and only for this call:
-    consecutive groups that follow the same basis share it, so a
-    single-basis controller builds one per call.
+    Each interval is one application of the bases' propagators to the
+    batch, which is RK4 up to rounding.  A grid that ends in a shortened
+    step takes that step alone through rk4, reading the law at its stage
+    times under the anchor of the interval it lies in.  Only the last
+    propagator built is kept, and only for this call: consecutive groups
+    that follow the same basis share it, so a single-basis controller
+    builds one per call.
     """
     z = np.asarray(z0, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
-    times = time_grid(0.0, duration, dt)
-    N = tabulated_steps(ctrl, times, dt)
-    if N is None:
-        return _simulate_chain_rk4(ctrl, z, duration, dt)
+    times, N, short = interval_grid(ctrl, duration, dt)
+    S = len(times) - 1 - short  # the steps the propagators take
 
-    S = len(times) - 1
-    states = np.empty((S + 1,) + z.shape)
-    inputs = np.empty((S + 1, ctrl.m, z.shape[1]))
+    states = np.empty((len(times),) + z.shape)
+    inputs = np.empty((len(times), ctrl.m, z.shape[1]))
     states[0] = z
     start = 0
     table_basis = prop = None
@@ -384,39 +383,35 @@ def simulate_chain_batch(
                 inputs[start:start + rec, :, cols] = prop.G[:rec] @ y + prop.g[:rec, :, None]
         check_divergence(states[start + 1:end + 1], times[start + 1:end + 1])
         if span < N:
-            return times, states, inputs
+            break
         start = end
+    if short:
+        def rhs(tau, zz, anchor):
+            v = ctrl.eval_in_interval(anchor, min(tau, ctrl.T), zz)
+            return ctrl.A @ zz + ctrl.B @ v, v
+
+        # The step keeps its interval's anchor; a last point on a boundary re-anchors.
+        _, states[S:], inputs[S:] = rk4(
+            rhs, states[S], times[S], times[-1], dt, period=ctrl.T,
+            begin=lambda t, zz: anchor if t == times[S] else ctrl.begin_interval(zz))
+    return times, states, inputs
 
 
-def tabulated_steps(ctrl, times: np.ndarray, dt: float) -> Optional[int]:
-    """Steps per interval if the propagators reproduce the RK4 grid, else None.
+def interval_grid(ctrl, duration: float, dt: float) -> tuple[np.ndarray, int, bool]:
+    """(time_grid(0, duration, dt), steps per interval, whether it ends in a shortened step).
 
-    That needs T a whole multiple of dt, every basis sampled at dt (a basis
-    sampled at another step has no table for this grid), and no shortened
-    final step.
+    Raises ValueError unless ctrl.T is a whole multiple of dt and dt is the
+    demonstration dt: the bases' propagators and K/c tables hold that grid only.
     """
     ratio = ctrl.T / dt
     N = round(ratio)
     if N < 1 or abs(ratio - N) > 1e-9:
-        return None
-    if abs(times[-1] - times[-2] - dt) > 1e-9 * dt:
-        return None
-    for b in ctrl.bases:
-        if len(b.times) != N + 1 or abs(b.times[1] - b.times[0] - dt) > 1e-9 * dt:
-            return None
-    return N
-
-
-def _simulate_chain_rk4(ctrl, z: np.ndarray, duration: float, dt: float):
-    """simulate_chain_batch through the RK4 driver, one stage at a time."""
-    A, B, T = ctrl.A, ctrl.B, ctrl.T
-
-    def rhs(tau, zz, anchor):
-        v = ctrl.eval_in_interval(anchor, min(tau, T), zz)
-        return A @ zz + B @ v, v
-
-    return rk4(rhs, z, 0.0, duration, dt, period=T,
-               begin=lambda t, zz: ctrl.begin_interval(zz))
+        raise ValueError(f"interval length {ctrl.T} is not a whole multiple of dt={dt}")
+    if abs(ctrl.dt - dt) > 1e-9 * dt:
+        raise ValueError(f"dt={dt} is not the demonstration dt={ctrl.dt} "
+                         "the controller was learned at")
+    times = time_grid(0.0, duration, dt)
+    return times, N, bool(abs(times[-1] - times[-2] - dt) > 1e-9 * dt)
 
 
 def simulate_chain_closed_loop(ctrl, z0: np.ndarray, duration: float, dt: float) -> Trajectory:

@@ -1,11 +1,11 @@
 """Fixed-step RK4 integration and closed-loop simulation.
 
-Every integration in the package runs through one driver, rk4, which owns
+Every stage-by-stage integration runs through one driver, rk4, which owns
 the grid, the per-interval anchoring of learned controllers and the
-post-step divergence and domain guard.  All grids are deterministic: the
-step dt is fixed and the final step is shortened, if necessary, to land
-exactly on the requested end time.  That keeps demonstration alignment and
-file outputs reproducible bit for bit.
+post-step divergence and domain guard.  The learned chain loops move whole
+intervals through affine_interval_maps, RK4 steps composed in closed form.
+Grids are deterministic, so outputs reproduce bit for bit: the step dt is
+fixed and the final step shortened, if need be, to land on the end time.
 """
 
 from __future__ import annotations

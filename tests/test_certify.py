@@ -140,7 +140,7 @@ def test_find_T_tilde_rejects_out_of_range(double_int_set):
 
 
 def test_contraction_zero_start(double_int_ctrl):
-    report = contraction_check(double_int_ctrl, np.zeros(2), p_max=3, dt=1e-2)
+    report = contraction_check(double_int_ctrl, np.zeros(2), p_max=3, dt=1e-3)
     assert report.passed
     assert np.all(report.sampled_norms == 0.0)
 

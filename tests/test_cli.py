@@ -206,6 +206,60 @@ def test_controller_of_another_size_is_usage_error(tmp_path, capsys, stage):
     assert len(err) == 1 and err[0].startswith("usage error:") and "n = 2" in err[0]
 
 
+# Weights under which a 3-chain certifies at T = 2.
+AXIS_EXPERT = {"Q": [40.0, 40.0, 40.0], "R": 1.0}
+
+
+@pytest.mark.parametrize("stage", ["simulate", "track"])
+@pytest.mark.parametrize("T, dt, named", [(2.1, 0.003, "T = 2.0"), (2.0, 0.002, "dt = 0.001")],
+                         ids=["other_T_and_dt", "other_dt"])
+def test_controller_of_another_grid_is_usage_error(tmp_path, capsys, stage, T, dt, named):
+    # A chain3 controller learned at T = 2, dt = 1e-3, read under a config
+    # with another horizon or step: refused, naming the learned and the
+    # configured value, instead of failing in (or silently leaving) the
+    # controller's grid.
+    learned = write_config(tmp_path / "config.json", preset="chain3", expert=AXIS_EXPERT,
+                           T=2.0, dt=1e-3)
+    for step in ("demos", "learn"):
+        assert main([step, "--config", str(learned), "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    other = write_config(tmp_path / "other.json", preset="chain3", expert=AXIS_EXPERT, T=T, dt=dt,
+                         simulate={"x0": [0.5, 0.5, 0.0], "duration": 4.2},
+                         track={"f": 0.5, "duration": 4.2})
+    assert main([stage, "--config", str(other), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    key = named.split()[0]
+    assert named in err[0] and f"{key} = {T if key == 'T' else dt}" in err[0]
+
+
+@pytest.mark.parametrize("name, text, stage", [
+    ("demo_set.json", "{", "learn"),
+    ("demo_set.json", '{"n": 2}', "learn"),
+    ("controller.json", "[1, 2", "certify"),
+    ("controller.json", "{}", "simulate"),
+    ("certificate.json", "not json", "simulate"),
+    ("certificate.json", "{}", "track"),
+    ("certificate.json", "[]", "simulate"),
+    ("config.json", "{", "demos"),
+], ids=["demo_set_undecodable", "demo_set_missing_key", "controller_undecodable",
+        "controller_missing_key", "certificate_undecodable", "certificate_missing_key",
+        "certificate_not_an_object", "config_undecodable"])
+def test_unreadable_stage_file_is_usage_error(tmp_path, capsys, name, text, stage):
+    # A stage file (or the config) that does not decode, lacks a key or is
+    # no JSON object: one usage line naming that file.
+    cfg = write_config(tmp_path / "config.json", preset="chain3", expert=AXIS_EXPERT, T=2.0,
+                       simulate={"x0": [0.5, 0.5, 0.0], "duration": 2.0},
+                       track={"f": 0.5, "duration": 2.0})
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    (tmp_path / name).write_text(text)
+    assert main([stage, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert str(tmp_path / name) in err[0]
+
+
 def test_demo_start_outside_domain_exit_divergence(tmp_path, capsys):
     # |phi| >= pi/2 is outside the ball-beam domain: one line, exit 4.
     config = {"preset": "ball_beam", "T": 1.0, "dt": 0.01,

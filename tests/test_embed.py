@@ -271,7 +271,7 @@ def test_a_w_step_size_robustness(bb_cfg):
 def test_embedded_closed_loop_zero_stays_zero(ball_beam_fixture):
     ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
     traj = simulate_embedded_closed_loop(
-        ball_beam_fixture["cfg"], ctrl, np.zeros(4), np.zeros(3), duration=1.0, dt=1e-2
+        ball_beam_fixture["cfg"], ctrl, np.zeros(4), np.zeros(3), duration=1.0, dt=1e-3
     )
     assert np.all(traj.x == 0.0) and np.all(traj.xi == 0.0)
     assert np.all(traj.v == 0.0) and np.all(traj.u == 0.0)

@@ -109,8 +109,8 @@ def test_switched_contraction(multi_point_set):
     for _ in range(5):
         w = rng.dirichlet(np.ones(multi_point_set.M))
         z0 = w @ points
-        traj = simulate_chain_closed_loop(ctrl, z0, 10 * ctrl.T, 1e-2)
-        steps = int(round(ctrl.T / 1e-2))
+        traj = simulate_chain_closed_loop(ctrl, z0, 10 * ctrl.T, 1e-3)
+        steps = int(round(ctrl.T / 1e-3))
         samples = np.linalg.norm(traj.states[::steps], axis=1)
         bound = samples[0] * max_norm ** np.arange(len(samples)) * (1.0 + 1e-3)
         assert np.all(samples <= bound + 1e-12)

@@ -16,7 +16,9 @@ from numpy.testing import assert_allclose
 from conftest import analytic_double_int_set
 from oracles import chain_rk4
 
+from demostab.certify import contraction_check
 from demostab.demos import Demonstration, DemonstrationSet
+from demostab.embed import simulate_embedded_closed_loop
 from demostab.errors import DivergenceError
 from demostab.learner import AffineBasis, LearnedController, build_basis, simulate_chain_batch
 from demostab.multi import MultiController
@@ -92,9 +94,12 @@ def assert_same_run(got, ref):
 
 chains = st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(n, 2))))
 seeds = st.integers(0, 2**32 - 1)
-# Whole intervals plus a remainder; a zero remainder ends on a boundary.
-durations = st.tuples(st.integers(0, 2), st.integers(0, N - 1)).map(
-    lambda pr: (pr[0] * N + (pr[1] or N)) * DT)
+# Whole intervals plus a remainder of whole steps (zero ends on a boundary)
+# and, half the time, a fraction of DT that the grid takes as a shortened
+# final step.
+durations = st.tuples(st.integers(0, 2), st.integers(0, N - 1),
+                      st.one_of(st.just(0.0), st.floats(0.01, 0.99))).map(
+    lambda prf: (prf[0] * N + (prf[1] or N) + prf[2]) * DT)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -199,20 +204,27 @@ def test_single_basis_is_tabulated_once_per_run(double_int_ctrl, monkeypatch):
     assert builds == [double_int_ctrl.basis]
 
 
-@pytest.mark.parametrize("dt, duration", [(2e-2, 4.5), (5e-3, 2.5), (1e-2, 2.005)],
-                         ids=["coarser_dt", "finer_dt", "shortened_final_step"])
-def test_fallback_is_the_rk4_path(dt, duration):
-    # Off the demonstration dt, or with a shortened final step, the
-    # simulator steps the loop through RK4: the same bits as the driver.
+@pytest.mark.parametrize("dt, bb_dt, duration", [(2e-2, 2e-3, 4.5), (5e-3, 5e-4, 2.5)],
+                         ids=["coarser_dt", "finer_dt"])
+def test_off_the_demonstration_dt_is_refused(dt, bb_dt, duration, ball_beam_fixture):
+    # The propagators and K/c tables hold the demonstration grid only: the
+    # chain simulator, the embedded loop and contraction_check refuse any
+    # other dt, naming both.
     dset = analytic_double_int_set(T=1.0, dt=1e-2)
     z0 = np.array([[0.5, -1.0], [0.5, 0.3]])
     ctrls = [LearnedController(build_basis(dset), feedback_mode=mode) for mode in MODES]
     ctrls.append(MultiController(dset))
+    both = rf"dt={dt} .* dt=0\.01 "
     for ctrl in ctrls:
-        got = simulate_chain_batch(ctrl, z0, duration, dt)
-        ref = chain_rk4(ctrl, z0, duration, dt)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match=both):
+            simulate_chain_batch(ctrl, z0, duration, dt)
+        with pytest.raises(ValueError, match=both):
+            contraction_check(ctrl, z0, p_max=2, dt=dt)
+    # The ball-beam controller is learned at dt = 1e-3.
+    ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
+    with pytest.raises(ValueError, match=rf"dt={bb_dt} .* dt=0\.001 "):
+        simulate_embedded_closed_loop(ball_beam_fixture["cfg"], ctrl, np.zeros(4), np.zeros(3),
+                                      duration=duration, dt=bb_dt)
 
 
 def test_horizon_off_the_grid_still_raises(double_int_ctrl):

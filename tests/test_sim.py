@@ -86,8 +86,8 @@ def test_interval_controller_anchored_at_committed_state(double_int_set):
     # RK4 predictor state at t = (p+1)T instead puts it ~2e-9 off.
     ctrl = LearnedController(build_basis(double_int_set), feedback_mode="open_loop")
     z0 = np.array([0.4, -0.2])
-    chain = simulate_chain_closed_loop(ctrl, z0, 6.0, 1e-2)
-    times, states, inputs = chain_rk4(ctrl, z0, 6.0, 1e-2)
+    chain = simulate_chain_closed_loop(ctrl, z0, 6.0, 1e-3)
+    times, states, inputs = chain_rk4(ctrl, z0, 6.0, 1e-3)
     generic = Trajectory(times=times, states=states[:, :, 0], inputs=inputs[:, 0, 0])
     assert np.max(np.abs(generic.states - chain.states)) < 1e-12
     assert np.max(np.abs(generic.inputs - chain.inputs)) < 1e-12
