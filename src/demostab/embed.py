@@ -327,8 +327,9 @@ def simulate_embedded_closed_loop(
     committed chain state there, evaluated the same way, and read through
     interval_groups(anchor): a closed-loop basis reads its K/c table at slot
     round(2 tau / dt), or value(tau, z) on a grid that ends in a shortened
-    step, and an open-loop one V zeta + v_base.  dt must be the
-    demonstration dt (interval_grid).  A stage outside the domain
+    step, and an open-loop one V zeta + v_base.  v (with the table's offset
+    c), r and s are read as Python floats and passed to _feedback.  dt must
+    be the demonstration dt (interval_grid).  A stage outside the domain
     (DomainError) or with |r| <= R_TOL (SingularEmbeddingError) fails with
     its absolute time.
     """
@@ -351,7 +352,10 @@ def simulate_embedded_closed_loop(
 
     def begin(t, y):
         (basis, _, zeta), = ctrl.interval_groups(ctrl.begin_interval(stage(t, y)[:n]))
-        return t, basis, zeta, basis.gains[1:] if tables and zeta is None else None
+        if not tables or zeta is not None:
+            return t, basis, zeta, None
+        _, K, c = basis.gains
+        return t, basis, zeta, (K, c[:, 0].tolist())
 
     def rhs(tau, y, anchor):
         start, basis, zeta, table = anchor
@@ -361,13 +365,13 @@ def simulate_embedded_closed_loop(
         if table is not None:
             K, c = table
             j = round(2.0 * tau / dt)
-            v = K[j] @ z + c[j]
+            v = (K[j] @ z).item(0) + c[j]
         elif zeta is None:
-            v = basis.value(tau, z)
+            v = basis.value(tau, z).item(0)
         else:
-            v = basis.value_from_zeta(tau, zeta)
-        v = v.item(0)
-        u = _feedback(out[n], out[n + 1], v, y[:n], t)
+            v = basis.value_from_zeta(tau, zeta).item(0)
+        r, s = out[n:n + 2].tolist()
+        u = _feedback(r, s, v, y[:n], t)
         return out[n + 2:3 * n + 1] + out[3 * n + 1:] * u, (v, u)
 
     times, states, inputs = rk4(rhs, np.concatenate([x0, xi0]), 0.0, duration, dt, period=T,

@@ -340,7 +340,8 @@ def simulate_chain_batch(ctrl, z0: np.ndarray, duration: float, dt: float
     state there, and RK4 stage times are resolved against the interval of
     the enclosing step, so stages at exactly (p+1)T use the interval-p
     matrices.  Returns (times, states, inputs) with states shaped (G, n, k)
-    and inputs (G, m, k).
+    and inputs (G, m, k).  Every grid state, z0 at t = 0 included, takes
+    rk4's divergence test.
 
     Each interval is one application of the bases' propagators to the
     batch, which is RK4 up to rounding.  A grid that ends in a shortened
@@ -359,6 +360,7 @@ def simulate_chain_batch(ctrl, z0: np.ndarray, duration: float, dt: float
     states = np.empty((len(times),) + z.shape)
     inputs = np.empty((len(times), ctrl.m, z.shape[1]))
     states[0] = z
+    check_divergence(states[:1], times[:1])
     start = 0
     table_basis = prop = None
     while True:

@@ -54,6 +54,11 @@ class PlantModel:
     Every field and evaluator takes the state on the first axis: x shaped
     (n,), or a batch x shaped (n, k) with one state per column.  The vector
     fields give (n,) or (n, k), domain_check a bool or one per column.
+    An evaluator gives the same bits for one state as for that state taken
+    as a column of a batch, and never raises on non-finite input; a single
+    state may therefore be evaluated on Python floats, where NumPy would
+    only add dispatch overhead, as the ball-beam's terms and domain_check
+    are.
 
     Attributes:
         n: state dimension.

@@ -2,7 +2,7 @@
 
 Every stage-by-stage integration runs through one driver, rk4, which owns
 the grid, the per-interval anchoring of learned controllers and the
-post-step divergence and domain guard.  The learned chain loops move whole
+grid-point divergence and domain guard.  The learned chain loops move whole
 intervals through affine_interval_maps, RK4 steps composed in closed form.
 Grids are deterministic, so outputs reproduce bit for bit: the step dt is
 fixed and the final step shortened, if need be, to land on the end time.
@@ -153,7 +153,7 @@ def _largest_column(y: np.ndarray) -> int:
 
 
 def check_divergence(states: np.ndarray, times: np.ndarray) -> None:
-    """rk4's post-step test on a block of batched grid states (G, d, k).
+    """rk4's divergence test on a block of batched grid states (G, d, k).
 
     Raises DivergenceError at the first time whose batch is non-finite or has
     a norm above DIVERGENCE_NORM, naming the column as rk4 does.
@@ -167,15 +167,20 @@ def check_divergence(states: np.ndarray, times: np.ndarray) -> None:
                               column=_largest_column(states[bad[0]]))
 
 
-def interval_index(t: float, T: float) -> tuple[int, float]:
+def interval_index(t: float | np.ndarray, T: float):
     """Split t >= 0 into the interval index p and the offset tau in [0, T].
 
     Right-continuous at interval boundaries: at exactly t = pT the new
-    interval's formula applies.
+    interval's formula applies.  A float t gives (int, float); an array of
+    times gives arrays of p and tau, each entry the float call's: the same
+    formula on NumPy's floor, maximum and minimum.
     """
-    p = max(math.floor(t / T + _P_TOL), 0)
-    tau = min(max(t - p * T, 0.0), T)
-    return p, tau
+    batch = isinstance(t, np.ndarray)
+    floor, maximum, minimum = ((np.floor, np.maximum, np.minimum) if batch
+                               else (math.floor, max, min))
+    p = maximum(floor(t / T + _P_TOL), 0)
+    tau = minimum(maximum(t - p * T, 0.0), T)
+    return (p.astype(int), tau) if batch else (p, tau)
 
 
 def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantModel] = None):
@@ -189,14 +194,16 @@ def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantMode
     tau_k + c h from the start of the step's interval, so a step ending at
     (p+1)T stays in interval p, and at each interval's first grid point
     begin(t_k, y_k) turns the committed state into the anchor that rhs
-    receives for the whole interval.
+    receives for the whole interval.  The grid is split into (p, tau) by
+    one array call of interval_index.
 
-    After every step the state must be finite with norm at most
+    Every grid state, y0 at t0 included, must be finite with norm at most
     DIVERGENCE_NORM and, if a plant is given as domain, its first plant.n
-    entries must lie in the plant's domain, at t0 too; otherwise
-    DivergenceError carries the time of the offending grid point.  A state
-    y shaped (d, k) is a batch of k columns: the norm test is on the whole
-    batch, the domain test on every column, and the error names a column.
+    entries must lie in the plant's domain (tested in that order);
+    otherwise DivergenceError carries the time of the offending grid point.
+    A state y shaped (d, k) is a batch of k columns: the norm test is on the
+    whole batch, the domain test on every column, and the error names a
+    column.
     """
     times = time_grid(t0, t1, dt)
     if period is not None:
@@ -205,40 +212,41 @@ def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantMode
             raise ValueError(f"interval length {period} is not a whole multiple of dt={dt}")
     grid = times.tolist()
     last = len(grid) - 1
+    if period is None:
+        offsets, starts = grid, ()
+    else:
+        # Stage offsets from the interval start, and the grid indices that start an interval.
+        p, tau = interval_index(times, period)
+        offsets, starts = tau.tolist(), set(np.flatnonzero(np.diff(p, prepend=-1)).tolist())
     y = np.asarray(y0, dtype=float)
     states = np.empty((len(grid),) + y.shape)
-    states[0] = y
-    inputs = None
-    p_now = anchor = None
+    inputs = anchor = None
     for k, t in enumerate(grid):
+        # A non-finite entry makes the squared norm NaN or inf, failing the test too.
+        if not float(np.vdot(y, y)) <= DIVERGENCE_NORM**2:
+            raise DivergenceError(f"state diverged at t={t:.6f}", time=t,
+                                  column=None if y.ndim == 1 else _largest_column(y))
+        states[k] = y
         if domain is not None:
             try:
                 domain.require_in_domain(y[: domain.n])
             except DomainError as exc:
                 raise DivergenceError(f"{exc} at t={t:.6f}", time=t, column=exc.column) from exc
-        s = t
-        if period is not None:
-            p, s = interval_index(t, period)
-            if p != p_now:
-                p_now, anchor = p, begin(t, y)
+        if k in starts:
+            anchor = begin(t, y)
+        s = offsets[k]
         k1, u = rhs(s, y, anchor)
         if inputs is None:
             inputs = np.empty((len(times),) + np.shape(u))
         inputs[k] = u
         if k == last:
             break
-        t_next = grid[k + 1]
-        h = t_next - t
+        h = grid[k + 1] - t
         half = 0.5 * h
         k2, _ = rhs(s + half, y + half * k1, anchor)
         k3, _ = rhs(s + half, y + half * k2, anchor)
         k4, _ = rhs(s + h, y + h * k3, anchor)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # A non-finite entry makes the squared norm NaN or inf, failing the test too.
-        if not float(np.vdot(y, y)) <= DIVERGENCE_NORM**2:
-            raise DivergenceError(f"state diverged at t={t_next:.6f}", time=t_next,
-                                  column=None if y.ndim == 1 else _largest_column(y))
-        states[k + 1] = y
     return times, states, inputs
 
 

@@ -196,34 +196,52 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
     def f(x):
         dx = np.zeros(x.shape)
         dx[0] = x[1]
-        dx[1] = b * (x[0] * x[3] ** 2 - g * np.sin(x[2]))
+        dx[1] = b * (x[0] * (x[3] * x[3]) - g * np.sin(x[2]))  # omega^2 as terms forms it
         dx[2] = x[3]
         return dx
 
-    def terms(x):
-        x0, x1, phi, om = x
-        s, c, om2 = np.sin(phi), np.cos(phi), om ** 2
+    # terms and domain_check write each formula once over the state rows:
+    # Python floats for one state, which spares the NumPy dispatch, or NumPy
+    # rows for a batch, with sin, cos, isfinite and the constant rows of the
+    # same kind, so that a state gets the bits of its batch column.  omega^2
+    # is om * om, the product NumPy forms for a row's om ** 2; a float's
+    # om ** 2 calls pow, which can round one ulp off and raises OverflowError
+    # past 1e154.
+
+    def rows(x0, x1, phi, om, sin, cos, zero, one):
+        s, c, om2 = sin(phi), cos(phi), om * om
         a = x0 * om2 - g * s
-        out = np.zeros((17,) + x.shape[1:])
-        out[0] = x1                                   # f; ddr = b a = L_f^2 h
-        out[1] = b * a
-        out[2] = om
-        out[7] = 1.0                                  # g = e_4
-        out[8] = x0                                   # L_f^k h, k = 0..4
-        out[9] = x1
-        out[10] = out[1]
-        out[11] = b * (x1 * om2 - g * om * c)
-        out[12] = b * b * om2 * a + b * g * om2 * s
-        out[15] = 2.0 * b * x0 * om                   # L_g L_f^k h, k = 0..3 (k < 2: 0)
-        out[16] = 2.0 * b * x1 * om - b * g * c
-        return out
+        ddr = b * a                                       # f_2 = L_f^2 h
+        return [x1, ddr, om, zero,                        # f
+                zero, zero, zero, one,                    # g = e_4
+                x0, x1, ddr, b * (x1 * om2 - g * om * c),  # L_f^k h, k = 0..4
+                b * b * om2 * a + b * g * om2 * s,
+                zero, zero, 2.0 * b * x0 * om,            # L_g L_f^k h, k = 0..3 (k < 2: 0)
+                2.0 * b * x1 * om - b * g * c]
+
+    def terms(x):
+        if x.ndim == 1:
+            x0, x1, phi, om = x.tolist()
+            if math.isfinite(phi):  # math.sin and math.cos raise on an infinite angle
+                return np.array(rows(x0, x1, phi, om, math.sin, math.cos, 0.0, 1.0))
+            return terms(x[:, None])[:, 0]
+        shape = x.shape[1:]
+        return np.array(rows(*x, np.sin, np.cos, np.zeros(shape), np.ones(shape)))
+
+    def inside(x0, x1, phi, om, isfinite):
+        return isfinite(x0) & isfinite(x1) & isfinite(om) & (abs(phi) < math.pi / 2)
+
+    def domain_check(x):
+        if x.ndim == 1:
+            return inside(*x.tolist(), math.isfinite)
+        return inside(*x, np.isfinite)
 
     return PlantModel(
         n=4,
         f=f,
         g=last_unit_field,
         terms=terms,
-        domain_check=lambda x: np.isfinite(x).all(axis=0) & (np.abs(x[2]) < math.pi / 2),
+        domain_check=domain_check,
         relative_degree=None,
         name="ball_beam",
     )

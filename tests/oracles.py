@@ -368,7 +368,9 @@ def charpoly(M: np.ndarray) -> np.ndarray:
 def ball_beam_lie(x, b, g):
     """The ball-beam Lie stack (9 rows), one column per state of a batch (4, k)."""
     x0, x1, phi, om = x
-    s, c, om2 = np.sin(phi), np.cos(phi), om ** 2
+    # om * om: on one state (n,) om ** 2 is a NumPy scalar power, which calls
+    # pow and can round differently from the square a batch row takes.
+    s, c, om2 = np.sin(phi), np.cos(phi), om * om
     a = x0 * om2 - g * s
     out = np.empty((9,) + x.shape[1:])
     out[0] = x0

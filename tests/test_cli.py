@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -371,6 +372,30 @@ def test_ball_beam_start_outside_the_domain_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["simulate: state [0. 0. 2. 0.] is outside the domain of ball_beam "
                    "at t=0.000000"]
+
+
+def test_ball_beam_start_past_the_divergence_bound_is_one_line(tmp_path, capsys):
+    # A start past the norm bound fails at t = 0 as any committed state
+    # does, before a stage evaluates it: one line, no warning, exit 4.
+    config = {
+        "preset": "ball_beam",
+        "T": 2.0,
+        "dt": 0.005,
+        "t_tilde_grid": [1.0, 2.0],
+        "simulate": {"x0": [6.0, 0.0, 0.345, 1e200], "duration": 4.0},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["demos", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["learn", "--config", str(cfg), "--out", str(tmp_path)]) \
+        == EXIT_CERTIFICATION
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--force"]) == EXIT_DIVERGENCE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["simulate: state diverged at t=0.000000"]
 
 
 @pytest.mark.parametrize("module", ["demostab", "demostab.cli"])

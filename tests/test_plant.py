@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import ball_beam_lie, chain_lie, directional_derivative
@@ -215,6 +215,37 @@ def test_terms_stack_f_g_and_the_lie_rows(name, seed, k):
                        (terms[2 * n:], lie(x))):
         assert rows.shape == want.shape
         assert rows.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# Entries a state may hold: beyond the float range of om ** 2, non-finite,
+# and beam angles one ulp either side of the domain's edge at +-pi/2.
+EDGE_ENTRIES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1.3e154, -1e200]),
+    st.sampled_from([s * np.nextafter(math.pi / 2, e) for s in (1.0, -1.0)
+                     for e in (0.0, math.pi / 2, 4.0)]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(TERMS_PRESETS))
+@settings(max_examples=60)
+@given(columns=st.lists(st.lists(EDGE_ENTRIES, min_size=6, max_size=6), min_size=1, max_size=4))
+# omega = 2.759: pow(2.759, 2) rounds one ulp below 2.759 * 2.759.
+@example(columns=[[6.0, 0.0, 0.345, 2.759, -4.536, 0.0], [-1.0, 2.0, -0.3, -2.759, 0.5, 1.0]])
+@example(columns=[[6.0, 0.0, 0.345, 1e200, 0.0, 0.0]])
+def test_a_state_is_its_column_of_a_batch(name, columns):
+    # terms, f and domain_check of one state give the bytes of that state
+    # taken as a column of a batch, and raise nothing the batch does not.
+    plant = TERMS_PRESETS[name][0]
+    X = np.array(columns)[:, :plant.n].T
+    with np.errstate(all="ignore"):
+        batch = [plant.terms(X), plant.f(X), plant.domain_check(X)]
+        for j in range(X.shape[1]):
+            x = X[:, j].copy()
+            for evaluator, batched in zip((plant.terms, plant.f, plant.domain_check), batch):
+                single = np.asarray(evaluator(x))
+                assert single.shape == batched.shape[:-1]
+                assert single.tobytes() == batched[..., j].tobytes()
 
 
 @pytest.mark.parametrize("k", [None, 16])

@@ -10,7 +10,12 @@ from numpy.testing import assert_allclose
 from oracles import DOUBLE_INT_ACL, chain_rk4, double_int_flow, integrate, matrix_exp_series
 
 from demostab.errors import DivergenceError
-from demostab.learner import LearnedController, build_basis, simulate_chain_closed_loop
+from demostab.learner import (
+    LearnedController,
+    build_basis,
+    simulate_chain_batch,
+    simulate_chain_closed_loop,
+)
 from demostab.plant import chain_preset
 from demostab.sim import (
     HalfGrid,
@@ -119,6 +124,29 @@ def test_check_divergence_names_the_column_as_rk4_does():
     assert (err.value.time, err.value.column) == (0.1, 1)
 
 
+@pytest.mark.parametrize("y0, column", [(np.array([3e6, 0.0]), None),
+                                       (np.array([[0.5, np.nan], [0.5, 0.0]]), 1)],
+                         ids=["past_the_bound", "non_finite_column"])
+def test_start_is_held_to_the_divergence_bound(y0, column):
+    # y0 takes the test of every committed state, before rhs sees it.
+    def rhs(t, y, _):
+        raise AssertionError("rhs called on a start past the bound")
+
+    with pytest.raises(DivergenceError, match=r"state diverged at t=0\.250000") as err:
+        rk4(rhs, y0, 0.25, 1.0, 0.05)
+    assert (err.value.time, err.value.column) == (0.25, column)
+
+
+def test_chain_start_is_held_to_the_divergence_bound(double_int_ctrl):
+    z0 = np.array([[0.5, 1e200], [0.5, 0.0]])
+    with pytest.raises(DivergenceError, match=r"state diverged at t=0\.000000") as err:
+        simulate_chain_closed_loop(double_int_ctrl, z0[:, 1], 4.0, 1e-3)
+    assert err.value.time == 0.0
+    with pytest.raises(DivergenceError) as err:
+        simulate_chain_batch(double_int_ctrl, z0, 4.0, 1e-3)
+    assert (err.value.time, err.value.column) == (0.0, 1)
+
+
 def test_domain_exit_raises():
     from demostab.systems import ball_beam_plant
 
@@ -153,6 +181,30 @@ def test_half_grid_maps_rk4_stage_times_to_slots():
         assert half.index(grid[0] + 0.25 * dt) is None
         assert half.index(grid[-1] + 0.5 * dt) is None
         assert half.index(grid[0] - 0.5 * dt) is None
+
+
+@given(dt=st.sampled_from([1e-3, 2.5e-3, 0.01, 0.1, 0.25, 1.0 / 3.0, 0.7]),
+       steps=st.integers(1, 40), intervals=st.integers(0, 6), extra=st.integers(0, 40),
+       frac=st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+def test_interval_index_of_a_grid_is_the_float_call_at_every_point(dt, steps, intervals,
+                                                                    extra, frac):
+    # T = steps * dt; the duration runs whole intervals plus whole steps, and
+    # for frac > 0 a shortened final step.
+    T = steps * dt
+    times = time_grid(0.0, intervals * T + (extra + frac) * dt or dt, dt)
+    p, tau = interval_index(times, T)
+    assert p.shape == tau.shape == times.shape and p.dtype.kind == "i"
+    for k, t in enumerate(times.tolist()):
+        q, s = interval_index(t, T)
+        assert (type(q), type(s)) == (int, float)
+        assert (int(p[k]), tau[k].tobytes()) == (q, np.float64(s).tobytes())
+    # Grid points at pT start interval p, right-continuous, with tau = 0
+    # where the point is pT exactly (every one on the binary dt = 0.25).
+    full = len(times) - (frac > 0)
+    assert p[:full].tolist() == [k // steps for k in range(full)]
+    exact = times[:full:steps] == p[:full:steps] * T
+    assert not tau[:full:steps][exact].any()
+    assert exact.all() or dt != 0.25
 
 
 @given(T=st.floats(1e-3, 100.0), p=st.integers(0, 10_000), back=st.floats(1e-6, 1.0))

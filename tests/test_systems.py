@@ -192,18 +192,18 @@ def test_figure_eight_rejects_bad_frequency():
 @pytest.mark.parametrize("plant", [ball_beam_preset()[0], chain_preset(1), chain_preset(3)],
                          ids=["ball_beam", "chain1", "chain3"])
 def test_batched_evaluators_match_per_state_calls(plant):
-    # Evaluators take the state on the first axis: one column per state.
+    # Evaluators take the state on the first axis: one column per state, and
+    # a state gives the same bits as its column of a batch.
     rng = np.random.default_rng(3)
     X = rng.uniform(-1.2, 1.2, size=(plant.n, 7))
     X[:, 5] = np.nan
     if plant.n == 4:
         X[2, 6] = 1.6  # beam angle past pi/2
-    terms = plant.terms(X[:, :5])
-    assert terms.shape == (4 * plant.n + 1, 5)
-    for row, batched in enumerate(terms):
-        assert np.shape(batched) == (5,)
-        assert_allclose(batched, [plant.terms(X[:, j])[row] for j in range(5)],
-                        rtol=1e-15, atol=0)
+    for evaluator, rows in ((plant.terms, 4 * plant.n + 1), (plant.f, plant.n)):
+        batched = evaluator(X)
+        assert batched.shape == (rows, 7)
+        for j in range(7):
+            assert evaluator(X[:, j]).tobytes() == batched[:, j].tobytes()
     inside = plant.domain_check(X)
     assert inside.shape == (7,)
     assert list(inside) == [bool(plant.domain_check(X[:, j])) for j in range(7)]
