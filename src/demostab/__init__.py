@@ -18,7 +18,6 @@ from .demos import (
 )
 from .embed import (
     EmbeddingConfig,
-    embedded_to_demo_set,
     simulate_embedded_closed_loop,
     transform_demos,
 )

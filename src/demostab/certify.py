@@ -18,6 +18,11 @@ import numpy as np
 from .demos import DemonstrationSet
 from .learner import AffineBasis, build_basis, interval_grid, simulate_chain_batch
 
+# contraction_check: relative slack on the certified bound ||Psi||^p ||z(0)||, and the
+# largest per-interval defect ||z((p+1)T) - Psi z(pT)|| it accepts.
+CONTRACTION_SLACK = 1e-3
+STEP_TOL = 1e-4
+
 
 def expm_nilpotent(A: np.ndarray, t: float) -> np.ndarray:
     """Matrix exponential of a nilpotent matrix as its finite power series."""
@@ -192,8 +197,6 @@ def contraction_check(
     z0: np.ndarray,
     p_max: int = 10,
     dt: float = 1e-3,
-    slack: float = 1e-3,
-    step_tol: float = 1e-4,
 ) -> ContractionReport:
     """Simulate p_max intervals and compare z(pT) with the certified decay.
 
@@ -210,7 +213,7 @@ def contraction_check(
     samples = states[idx]  # (p_max + 1, n, k)
     norms = np.linalg.norm(samples, axis=1)
     powers = cert.max_norm ** np.arange(p_max + 1)
-    bounds = np.outer(powers, norms[0]) * (1.0 + slack)
+    bounds = np.outer(powers, norms[0]) * (1.0 + CONTRACTION_SLACK)
     bound_ok = bool(np.all(norms <= bounds + 1e-12))
 
     step_defect = 0.0
@@ -219,7 +222,7 @@ def contraction_check(
         Psi = cert.per_simplex[0].Psi
         pred = np.einsum("ij,pjk->pik", Psi, samples[:-1])
         step_defect = float(np.linalg.norm(samples[1:] - pred, axis=1).max())
-        step_ok = bool(step_defect <= step_tol)
+        step_ok = bool(step_defect <= STEP_TOL)
     return ContractionReport(
         max_norm=cert.max_norm,
         sampled_norms=norms,

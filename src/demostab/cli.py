@@ -3,9 +3,12 @@
 Configuration is a single JSON document naming a preset; PRESETS states each
 preset's facts once, and every stage writes plot-ready CSV and JSON into the
 output directory.  The demos stage records all expert runs of a preset as one
-batch on their shared grid.  Runs are reproducible bit for bit:
-fixed-step integration, deterministic tie-breaks, and no randomness anywhere
-in the pipeline.
+batch on their shared grid and writes the demonstration block straight from
+it.  Runs are reproducible bit for bit on one machine with one BLAS thread
+count: fixed-step integration, deterministic tie-breaks, and no randomness
+anywhere in the pipeline.  Matrix products on whole recordings may round
+differently under another thread count (the README ball-beam demo files
+differ between OPENBLAS_NUM_THREADS=1 and 2).
 
 Exit codes: 0 success, 1 usage (also a file that cannot be read or written),
 2 validation failure, 3 certification failure, 4 divergence, a state outside
@@ -159,8 +162,7 @@ PRESETS = {
     # controller, which amplifies the demonstrations affinely, stays inside
     # the beam-angle domain from far-out starts as well.
     "ball_beam": Preset(
-        plant=lambda params: systems.ball_beam_preset(
-            **{key: params[key] for key in ("b_bar", "g_bar", "w") if key in params}),
+        plant=lambda params: systems.ball_beam_preset(**params),
         expert=systems.ball_beam_expert, Q=(0.2, 0.5, 1.0, 2.0), R=0.1,
         starts=((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
                 (0.0, 0.0, math.pi / 8.0, 0.0), (0.0, 0.0, 0.0, 10.0)),
@@ -200,9 +202,8 @@ class RunConfig:
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise _UsageError(f"T={self.T} must be an integer multiple of dt={self.dt}")
-        self.preset_params = _section(data, "preset_params")
         try:
-            self.plant, self.embedding = self.preset.plant(self.preset_params)
+            self.plant, self.embedding = self.preset.plant(_section(data, "preset_params"))
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"preset_params: {exc}") from exc
         self.expert_params = _section(data, "expert")
@@ -233,11 +234,7 @@ class RunConfig:
             if span / self.dt > MAX_STEPS:
                 raise _UsageError(f"{what} / dt = {span / self.dt:.3g} steps exceed the "
                                   f"{MAX_STEPS:.0e} step budget")
-        self.initial_conditions = data.get("initial_conditions", "default")
-        if self.preset.starts is None and self.initial_conditions != "default":
-            raise _UsageError(f"{self.name} records from its fixed unit-vector starts: "
-                              "initial_conditions must be \"default\", "
-                              f"got {self.initial_conditions!r}")
+        self.starts = self._starts(data.get("initial_conditions", "default"))
 
     def expert_QR(self) -> tuple[np.ndarray, float]:
         """Expert LQR weights: Q (a diagonal or a full n x n matrix, SPD) and scalar R > 0.
@@ -262,16 +259,29 @@ class RunConfig:
         R = self.expert_params.get("R")
         return Q, _number("expert.R", self.preset.R if R is None else R, positive=True)
 
-    def ics(self) -> list:
+    def _starts(self, given) -> list:
+        """The recorded starts: the preset's, or the config's list of at least n states.
+
+        With the trivial run recorded first, n starts give the n+1
+        demonstrations a controller needs.
+        """
         default = self.preset.starts
-        if self.initial_conditions == "default":
+        if default is None:
+            if given != "default":
+                raise _UsageError(f"{self.name} records from its fixed unit-vector starts: "
+                                  f"initial_conditions must be \"default\", got {given!r}")
+            return []
+        if given == "default":
             return [np.asarray(ic, dtype=float) for ic in default]
-        if not isinstance(self.initial_conditions, list):
+        if not isinstance(given, list):
             raise _UsageError("initial_conditions must be \"default\" or a list of states, "
-                              f"got {self.initial_conditions!r}")
+                              f"got {given!r}")
         n = len(default[0])
+        if len(given) < n:
+            raise _UsageError(f"initial_conditions must list at least n = {n} starts for "
+                              f"{self.name}, got {len(given)}")
         out = []
-        for k, ic in enumerate(self.initial_conditions):
+        for k, ic in enumerate(given):
             try:
                 x = np.asarray(ic, dtype=float)
             except (TypeError, ValueError) as exc:
@@ -288,19 +298,16 @@ class RunConfig:
 
 
 def _build_demo_set(cfg: RunConfig):
-    """Returns (DemonstrationSet, embedded demos or None)."""
+    """Returns (DemonstrationSet, the embedding's xi (N, n-1, M) or None)."""
     Q, R = cfg.expert_QR()
     if cfg.preset.starts is None:
         return systems.flat_quad_demo_set(cfg.T, cfg.dt, Q, R), None
-    plant, emb = cfg.plant, cfg.embedding
-    if emb is not None:
-        xi0 = _vector("preset_params.xi0", cfg.preset_params.get("xi0", np.zeros(emb.n - 1)),
-                      emb.n - 1)
-    raw = demos_mod.record_expert(plant, cfg.preset.expert(plant, Q, R), cfg.ics(), cfg.T, cfg.dt)
-    if emb is None:
-        return demos_mod.to_zv(plant, raw), None
-    embedded = embed_mod.transform_demos(emb, raw, xi0)
-    return embed_mod.embedded_to_demo_set(embedded), embedded
+    plant = cfg.plant
+    batch = demos_mod.record_expert(plant, cfg.preset.expert(plant, Q, R), cfg.starts, cfg.T,
+                                    cfg.dt)
+    if cfg.embedding is None:
+        return demos_mod.to_zv(plant, batch), None
+    return embed_mod.transform_demos(cfg.embedding, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -310,23 +317,23 @@ def _build_demo_set(cfg: RunConfig):
 
 def cmd_demos(cfg: RunConfig, out: Path) -> int:
     try:
-        dset, embedded = _build_demo_set(cfg)
+        dset, xi = _build_demo_set(cfg)
     except (DivergenceError, DomainError, SingularEmbeddingError) as exc:
         notes = "".join(f"; {note}" for note in getattr(exc, "__notes__", []))
         stage = "transform" if isinstance(exc, SingularEmbeddingError) else "recording"
         print(f"demos: {stage} failed: {exc}{notes}", file=sys.stderr)
         return EXIT_DIVERGENCE
     demos_mod.save_demo_set(dset, out / "demo_set.json")
-    for i, demo in enumerate(dset.demos):
-        demos_mod.save_demo_csv(demo, out / f"demo_{i:02d}.csv")
-    if embedded is not None:
+    for i in range(dset.M):
+        demos_mod.save_demo_csv(dset, out / f"demo_{i:02d}.csv", i)
+    if xi is not None:
         # z and v are in demo_set.json and the demo CSVs; only xi is new here.
         payload = {
             "n": dset.n,
             "w": list(cfg.embedding.w),
             "T": dset.T,
             "dt": dset.dt,
-            "demos": [{"xi": e.xi} for e in embedded],
+            "demos": [{"xi": xi[:, :, i]} for i in range(dset.M)],
         }
         write_json(out / "embedded_demos.json", payload)
     report = demos_mod.validate_affine_independence(dset)

@@ -1,9 +1,10 @@
 """Recording expert demonstrations and transforming them to chain coordinates.
 
-A demonstration set holds M >= n+1 sampled trajectories of the chain
-dz/dt = Az + Bv on a common uniform grid over [0, T].  The first demonstration
-is always the trivial one (identically zero); it anchors the difference
-matrices so the learned controller vanishes exactly at the origin.
+A demonstration set is one block: M >= n+1 sampled trajectories of the chain
+dz/dt = Az + Bv on a common uniform grid over [0, T], demonstration i in
+column i.  Column 0 is always the trivial demonstration (identically zero);
+it anchors the difference matrices so the learned controller vanishes
+exactly at the origin.
 """
 
 from __future__ import annotations
@@ -24,30 +25,47 @@ RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class Demonstration:
-    """One (z, v) trajectory sampled on a uniform grid over [0, T]."""
+class DemonstrationSet:
+    """M demonstrations as one block on a common grid, plus the chain pair (A, B) they solve.
 
-    times: np.ndarray
+    grid is (G,), z is (G, n, M) and v is (G, m, M) (or (G, M) for one
+    input), demonstration i in column i.  The invariants are checked once
+    over the block: M >= n+1, at least two finite samples, column 0 the
+    trivial (identically zero) solution, A (n, n) and B (n, m).  For
+    single-input plants (A, B) is the Brunovsky pair of size n; the
+    flat-quadrotor set uses the stacked three-chain pair with m = 3.
+    """
+
+    grid: np.ndarray
     z: np.ndarray
     v: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "z", np.atleast_2d(np.asarray(self.z, dtype=float)))
-        v = np.asarray(self.v, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        object.__setattr__(self, "v", v)
-        if len(self.times) != len(self.z) or len(self.times) != len(self.v):
+        grid, z, v, A, B = (np.asarray(a, dtype=float)
+                            for a in (self.grid, self.z, self.v, self.A, self.B))
+        if v.ndim == 2:
+            v = v[:, None, :]
+        if B.ndim == 1:
+            B = B[:, None]
+        for name, value in (("grid", grid), ("z", z), ("v", v), ("A", A), ("B", B)):
+            object.__setattr__(self, name, value)
+        if grid.ndim != 1 or z.ndim != 3 or v.ndim != 3 or z.shape[2] != v.shape[2]:
+            raise ValueError(f"a demonstration block needs grid (G,), z (G, n, M) and "
+                             f"v (G, m, M), got {grid.shape}, {z.shape} and {v.shape}")
+        if not len(grid) == len(z) == len(v):
             raise ValueError("grid, z and v must have equal length")
-        if len(self.times) < 2:
+        if len(grid) < 2:
             raise ValueError("a demonstration needs at least two samples")
-        if not (np.all(np.isfinite(self.z)) and np.all(np.isfinite(self.v))):
+        if self.M < self.n + 1:
+            raise ValueError(f"need at least n+1 = {self.n + 1} demonstrations, got {self.M}")
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
             raise ValueError("demonstration samples must be finite")
-
-    @property
-    def T(self) -> float:
-        return float(self.times[-1] - self.times[0])
+        if np.any(z[:, :, 0]) or np.any(v[:, :, 0]):
+            raise ValueError("demonstration 0 must be the trivial (identically zero) solution")
+        if A.shape != (self.n, self.n) or B.shape != (self.n, self.m):
+            raise ValueError("chain matrices (A, B) do not match the demonstration shape")
 
     @property
     def n(self) -> int:
@@ -57,66 +75,13 @@ class Demonstration:
     def m(self) -> int:
         return self.v.shape[1]
 
-    def is_trivial(self) -> bool:
-        return bool(np.all(self.z == 0.0) and np.all(self.v == 0.0))
-
-
-@dataclass(frozen=True)
-class DemonstrationSet:
-    """M demonstrations on a common grid, plus the chain pair (A, B) they solve.
-
-    Invariants: M >= n+1, all grids identical, and demos[0] is the trivial
-    solution.  For single-input plants (A, B) is the Brunovsky pair of size n;
-    the flat-quadrotor fixture uses the stacked three-chain pair with m = 3.
-    """
-
-    demos: tuple[Demonstration, ...]
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "demos", tuple(self.demos))
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim == 1:
-            B = B[:, None]
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        if not self.demos:
-            raise ValueError("empty demonstration set")
-        n = self.demos[0].n
-        if len(self.demos) < n + 1:
-            raise ValueError(f"need at least n+1 = {n + 1} demonstrations, got {len(self.demos)}")
-        grid = self.demos[0].times
-        for i, d in enumerate(self.demos):
-            if d.n != n or d.m != self.demos[0].m:
-                raise ValueError(f"demonstration {i} has inconsistent dimensions")
-            if len(d.times) != len(grid) or not np.array_equal(d.times, grid):
-                raise ValueError(f"demonstration {i} is not on the common grid")
-        if not self.demos[0].is_trivial():
-            raise ValueError("demos[0] must be the trivial (identically zero) solution")
-        if A.shape != (n, n) or B.shape[0] != n or B.shape[1] != self.demos[0].m:
-            raise ValueError("chain matrices (A, B) do not match the demonstration shape")
-
-    @property
-    def n(self) -> int:
-        return self.demos[0].n
-
-    @property
-    def m(self) -> int:
-        return self.demos[0].m
-
     @property
     def M(self) -> int:
-        return len(self.demos)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.demos[0].times
+        return self.z.shape[2]
 
     @property
     def T(self) -> float:
-        return self.demos[0].T
+        return float(self.grid[-1] - self.grid[0])
 
     @property
     def dt(self) -> float:
@@ -124,7 +89,7 @@ class DemonstrationSet:
 
     def z0_points(self) -> np.ndarray:
         """Initial states z^i(0), shaped (M, n); the point set triangulated for M > n+1."""
-        return np.stack([d.z[0] for d in self.demos])
+        return self.z[0].T
 
 
 def record_expert(
@@ -133,41 +98,41 @@ def record_expert(
     x0s: Sequence[np.ndarray],
     T: float,
     dt: float,
-) -> list[Trajectory]:
-    """Record closed-loop expert trajectories u = expert(x) from each initial condition.
+) -> Trajectory:
+    """Record closed-loop expert runs u = expert(x) from each initial condition.
 
-    The trivial solution (from x0 = 0) is always included as the first entry,
-    so the result has len(x0s) + 1 trajectories.  All runs share one grid and
-    are integrated as one batch, one start per column; an error that names
-    the failing column gets a note naming its start.
+    The runs share one grid and are integrated as one batch: states
+    (N, n, k) and inputs (N, k), one start per column, with the trivial
+    run (from x0 = 0) first, so k = len(x0s) + 1.  An error that names the
+    failing column gets a note naming its start.
     """
     starts = np.column_stack([np.zeros(plant.n), *x0s])
     try:
-        batch = simulate_closed_loop(plant, lambda t, x: expert(x), starts, T, dt)
+        return simulate_closed_loop(plant, lambda t, x: expert(x), starts, T, dt)
     except Exception as exc:
         if getattr(exc, "column", None) is not None:
             exc.add_note(f"recording from x0={starts[:, exc.column]} failed")
         raise
-    return [Trajectory(times=batch.times, states=batch.states[:, :, j], inputs=batch.inputs[:, j])
-            for j in range(starts.shape[1])]
 
 
-def to_zv(plant: PlantModel, raw: Sequence[Trajectory]) -> DemonstrationSet:
-    """Transform recorded (x, u) trajectories into chain coordinates.
+def to_zv(plant: PlantModel, batch: Trajectory) -> DemonstrationSet:
+    """Transform a recorded batch of (x, u) runs into chain coordinates.
 
     Applies z = [h, L_f h, ..., L_f^{n-1} h](x) and
-    v = L_f^n h(x) + L_g L_f^{n-1} h(x) u, from one plant.terms call on a
-    whole recording.  Rejects plants without relative degree n; those go
-    through the embedding pipeline instead.
+    v = L_f^n h(x) + L_g L_f^{n-1} h(x) u, from one plant.terms call per
+    recording, written into the block column by column so that one
+    recording's table of terms is alive at a time.  Rejects plants without
+    relative degree n; those go through the embedding pipeline instead.
     """
     if plant.relative_degree != plant.n:
         raise NotFeedbackLinearizableError(
             f"{plant.name} does not have relative degree n={plant.n}; "
             "use the integrator-chain embedding"
         )
-    n, demos = plant.n, []
-    for i, traj in enumerate(raw):
-        x = traj.states.T
+    n, (N, _, k) = plant.n, batch.states.shape
+    z, v = np.empty((N, n, k)), np.empty((N, k))
+    for i in range(k):
+        x = batch.states[:, :, i].T
         try:
             plant.require_in_domain(x)
             terms = plant.terms(x)
@@ -175,10 +140,10 @@ def to_zv(plant: PlantModel, raw: Sequence[Trajectory]) -> DemonstrationSet:
             sample = getattr(exc, "column", None)
             exc.add_note(f"demonstration {i}" + ("" if sample is None else f", sample {sample}"))
             raise
-        demos.append(Demonstration(times=traj.times, z=terms[2 * n:3 * n].T,
-                                   v=terms[3 * n] + terms[4 * n] * traj.inputs))
-    pair = brunovsky_pair(plant.n)
-    return DemonstrationSet(demos=tuple(demos), A=pair.A, B=pair.B)
+        z[:, :, i] = terms[2 * n:3 * n].T
+        v[:, i] = terms[3 * n] + terms[4 * n] * batch.inputs[:, i]
+    pair = brunovsky_pair(n)
+    return DemonstrationSet(grid=batch.times, z=z, v=v, A=pair.A, B=pair.B)
 
 
 @dataclass(frozen=True)
@@ -207,10 +172,10 @@ def difference_matrices(
         raise ValueError(f"index set must have n+1 = {n + 1} entries, got {len(I)}")
     if len(set(I)) != len(I):
         raise ValueError(f"index set has repeated entries: {I}")
-    base = dset.demos[I[0]]
-    Zs = np.stack([dset.demos[i].z - base.z for i in I[1:]], axis=2)
-    Vs = np.stack([dset.demos[i].v - base.v for i in I[1:]], axis=2)
-    return Zs, Vs, base.z.copy(), base.v.copy()
+    z_base, v_base = dset.z[:, :, I[0]], dset.v[:, :, I[0]]
+    Zs = np.stack([dset.z[:, :, i] - z_base for i in I[1:]], axis=2)
+    Vs = np.stack([dset.v[:, :, i] - v_base for i in I[1:]], axis=2)
+    return Zs, Vs, z_base.copy(), v_base.copy()
 
 
 def validate_affine_independence(
@@ -256,10 +221,10 @@ def demo_set_to_dict(dset: DemonstrationSet) -> dict:
         "dt": dset.dt,
         "demos": [
             {
-                "z": d.z,
-                "v": d.v[:, 0] if dset.m == 1 else d.v,
+                "z": dset.z[:, :, i],
+                "v": dset.v[:, 0, i] if dset.m == 1 else dset.v[:, :, i],
             }
-            for d in dset.demos
+            for i in range(dset.M)
         ],
     }
     if dset.m != 1:
@@ -269,18 +234,16 @@ def demo_set_to_dict(dset: DemonstrationSet) -> dict:
 
 
 def demo_set_from_dict(data: dict) -> DemonstrationSet:
-    n = int(data["n"])
-    grid = time_grid(0.0, float(data["T"]), float(data["dt"]))
-    demos = tuple(
-        Demonstration(times=grid, z=np.array(d["z"], dtype=float), v=np.array(d["v"], dtype=float))
-        for d in data["demos"]
-    )
+    """The set of a demo_set_to_dict document; its demonstrations become the block's columns."""
+    z = np.array([d["z"] for d in data["demos"]], dtype=float)  # (M, G, n)
+    v = np.array([d["v"] for d in data["demos"]], dtype=float)  # (M, G) or (M, G, m)
     if "A" in data:
         A, B = np.array(data["A"], dtype=float), np.array(data["B"], dtype=float)
     else:
-        pair = brunovsky_pair(n)
+        pair = brunovsky_pair(int(data["n"]))
         A, B = pair.A, pair.B
-    return DemonstrationSet(demos=demos, A=A, B=B)
+    return DemonstrationSet(grid=time_grid(0.0, float(data["T"]), float(data["dt"])),
+                            z=np.moveaxis(z, 0, -1), v=np.moveaxis(v, 0, -1), A=A, B=B)
 
 
 def save_demo_set(dset: DemonstrationSet, path: str | Path) -> None:
@@ -291,9 +254,9 @@ def load_demo_set(path: str | Path) -> DemonstrationSet:
     return demo_set_from_dict(read_json(path))
 
 
-def save_demo_csv(demo: Demonstration, path: str | Path) -> None:
-    """One demonstration as CSV with header t,z1..zn,v (or v1..vm)."""
-    n, m = demo.n, demo.m
+def save_demo_csv(dset: DemonstrationSet, path: str | Path, i: int) -> None:
+    """Demonstration i as CSV with header t,z1..zn,v (or v1..vm)."""
+    n, m = dset.n, dset.m
     vcols = ["v"] if m == 1 else [f"v{j + 1}" for j in range(m)]
     header = ["t"] + [f"z{k + 1}" for k in range(n)] + vcols
-    write_csv(path, header, [demo.times, *demo.z.T, *demo.v.T])
+    write_csv(path, header, [dset.grid, *dset.z[:, :, i].T, *dset.v[:, :, i].T])

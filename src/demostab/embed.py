@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, SingularEmbeddingError
-from .demos import Demonstration, DemonstrationSet
+from .demos import DemonstrationSet
 from .plant import PlantModel, brunovsky_pair
 from .learner import interval_grid
 from .sim import HalfGrid, Trajectory, rk4
@@ -152,44 +152,29 @@ def dynamic_feedback(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, v: flo
     return _feedback(out[n], out[n + 1], float(v), x)
 
 
-@dataclass(frozen=True)
-class EmbeddedDemonstration:
-    """Transformed demonstration (z, xi, v) on the recording grid."""
+def transform_demos(cfg: EmbeddingConfig,
+                    batch: Trajectory) -> tuple[DemonstrationSet, np.ndarray]:
+    """Transform a recorded batch of (x, u) runs into chain coordinates.
 
-    times: np.ndarray
-    z: np.ndarray
-    xi: np.ndarray
-    v: np.ndarray
-
-
-def transform_demos(
-    cfg: EmbeddingConfig,
-    raw: Sequence[Trajectory],
-    xi0: Optional[np.ndarray] = None,
-) -> list[EmbeddedDemonstration]:
-    """Transform recorded (x, u) demonstrations into chain coordinates.
-
-    The auxiliary dynamics are integrated from xi0 (zero by default) driven
-    by the recorded signals, interpolated linearly between samples; then
-    z = Phi_z(x, xi) and v = r(x) u - s(x, xi) per sample.  A pre-flight scan
-    raises if r(x) comes within tolerance of zero at a grid sample of a
-    demonstration; it checks the samples only, so r changing sign between
-    two samples passes unseen.  The recordings must share one grid, and the
-    k of them are integrated together: the forcing -L(x) u of the auxiliary
-    dynamics is tabulated once at the RK4 stage times (grid points and step
-    midpoints), and one rk4 call moves xi shaped (n-1, k), one recording per
-    column.  r, the forcing table, z and v read plant.terms one recording at
-    a time, which keeps its 4n+1 rows of temporaries at one recording's size.
+    batch holds k recordings on one grid, states (N, n, k) and inputs
+    (N, k), as record_expert returns them.  The auxiliary dynamics are
+    integrated from xi = 0, which keeps the trivial recording at z = 0 as
+    the set's column 0 must be, driven by the recorded signals,
+    interpolated linearly between samples; then z = Phi_z(x, xi) and
+    v = r(x) u - s(x, xi) per sample.  Returns the chain demonstration set,
+    recording i in column i, and the auxiliary states xi shaped (N, n-1, k).
+    A pre-flight scan raises if r(x) comes within tolerance of zero at a
+    grid sample of a demonstration; it checks the samples only, so r
+    changing sign between two samples passes unseen.  The forcing -L(x) u
+    of the auxiliary dynamics is tabulated once at the RK4 stage times
+    (grid points and step midpoints), and one rk4 call moves xi shaped
+    (n-1, k), one recording per column.  r, the forcing table, z and v read
+    plant.terms one recording at a time, which keeps its 4n+1 rows of
+    temporaries at one recording's size.
     """
-    n, k = cfg.n, len(raw)
-    xi0 = np.zeros(n - 1) if xi0 is None else np.asarray(xi0, dtype=float)
-    if xi0.shape != (n - 1,):
-        raise ValueError(f"xi0 must have shape ({n - 1},)")
-    grid = raw[0].times
-    if not all(np.array_equal(traj.times, grid) for traj in raw):
-        raise ValueError("the recordings do not share one time grid")
-    states = np.stack([traj.states for traj in raw], axis=2)  # (N, n, k)
-    u = np.stack([traj.inputs for traj in raw], axis=1)  # (N, k)
+    n = cfg.n
+    grid, states, u = batch.times, batch.states, batch.inputs  # (N,), (N, n, k), (N, k)
+    k = states.shape[2]
     r_vals = np.column_stack([r_of_x(cfg, states[:, :, i].T) for i in range(k)])
     for i, r in enumerate(r_vals.T):
         j = int(np.abs(r).argmin())
@@ -210,24 +195,18 @@ def transform_demos(
     def xi_rhs(t, xi, _):
         return A @ xi + forcing[half.index(t)], 0.0
 
-    _, xi, _ = rk4(xi_rhs, np.repeat(xi0[:, None], k, axis=1), grid[0], grid[-1], grid[1] - grid[0])
+    _, xi, _ = rk4(xi_rhs, np.zeros((n - 1, k)), grid[0], grid[-1], grid[1] - grid[0])
     del x_half, forcing  # k recordings' stage tables: not held through the pass below
 
-    out = []
+    z, v = np.empty(states.shape), np.empty(u.shape)
     for i in range(k):
         x = states[:, :, i].T
         cfg.plant.require_in_domain(x)
         terms = _stage(cfg, x, xi[:, :, i].T)
-        out.append(EmbeddedDemonstration(times=grid.copy(), z=terms[:n].T.copy(), xi=xi[:, :, i],
-                                         v=r_vals[:, i] * u[:, i] - terms[n + 1]))
-    return out
-
-
-def embedded_to_demo_set(embedded: Sequence[EmbeddedDemonstration]) -> DemonstrationSet:
-    """Forget the xi component: the (z, v) parts form a chain demonstration set."""
-    demos = tuple(Demonstration(times=e.times, z=e.z, v=e.v) for e in embedded)
-    pair = brunovsky_pair(demos[0].z.shape[1])
-    return DemonstrationSet(demos=demos, A=pair.A, B=pair.B)
+        z[:, :, i] = terms[:n].T
+        v[:, i] = r_vals[:, i] * u[:, i] - terms[n + 1]
+    pair = brunovsky_pair(n)
+    return DemonstrationSet(grid=grid, z=z, v=v, A=pair.A, B=pair.B), xi
 
 
 def invert_phi_z(

@@ -17,11 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .demos import Demonstration, DemonstrationSet
+from .demos import DemonstrationSet
 from .embed import EmbeddingConfig
-from .errors import SingularDecouplingError
 from .learner import simulate_chain_batch
-from .plant import DECOUPLING_TOL, PlantModel, last_unit_field, lqr_gain
+from .plant import PlantModel, last_unit_field, lqr_gain
 from .sim import time_grid
 
 # ---------------------------------------------------------------------------
@@ -98,39 +97,28 @@ class TrackingResult:
     u: np.ndarray
 
 
-def simulate_tracking(ctrl, ref: Reference, z0: np.ndarray, duration: float, dt: float,
-                      b_of_z: Callable[[np.ndarray], np.ndarray | float] = lambda z: 1.0
-                      ) -> TrackingResult:
+def simulate_tracking(ctrl, ref: Reference, z0: np.ndarray, duration: float,
+                      dt: float) -> TrackingResult:
     """Closed-loop trajectory under the tracking law.
 
     Because the reference satisfies the same chain dynamics with input v_ref,
     the tracking error obeys the plain stabilization loop; the error system is
     integrated with interval anchoring and the reference added back, and the
-    input is u = (v_ref(t) + kappa_hat(t, z - z_ref(t))) / b(z).  The
-    reference and b_of_z are evaluated once on the whole grid: b_of_z takes
-    the states as columns, (n, G), and returns one value per column or a
-    scalar.  A |b| below DECOUPLING_TOL raises SingularDecouplingError at
-    the first such grid time.
+    input is u = v_ref(t) + kappa_hat(t, z - z_ref(t)) (the flat model's
+    decoupling term b is 1).  The reference is evaluated once on the whole
+    grid.
     """
     e0 = np.asarray(z0, dtype=float) - ref.z_of_t(0.0)
     times, e_states, e_inputs = simulate_chain_batch(ctrl, e0, duration, dt)
     e_states, e_inputs = e_states[:, :, 0], e_inputs[:, :, 0]
     z_ref = ref.z_of_t(times)
-    z = e_states + z_ref
-    b_vals = np.broadcast_to(np.asarray(b_of_z(z.T), dtype=float), times.shape)
-    singular = np.flatnonzero(~(np.abs(b_vals) >= DECOUPLING_TOL))
-    if singular.size:
-        k = singular[0]
-        raise SingularDecouplingError(f"b(z) = {b_vals[k]:.3e} at t={times[k]:.6f}",
-                                      time=float(times[k]))
-    u = (ref.v_of_t(times) + e_inputs) / b_vals[:, None]
     return TrackingResult(
         times=times,
-        z=z,
+        z=e_states + z_ref,
         z_ref=z_ref,
         error_norm=np.linalg.norm(e_states, axis=1),
         v=e_inputs,
-        u=u,
+        u=ref.v_of_t(times) + e_inputs,
     )
 
 
@@ -165,11 +153,8 @@ def flat_quad_demo_set(T: float, dt: float, Q: np.ndarray, R: float) -> Demonstr
     states[0] = starts
     for k in range(1, len(grid)):
         states[k] = E @ states[k - 1]
-    vs = -np.einsum("ij,gjk->gik", K, states)
-    demos = tuple(
-        Demonstration(times=grid, z=states[:, :, i], v=vs[:, :, i]) for i in range(10)
-    )
-    return DemonstrationSet(demos=demos, A=A, B=B)
+    return DemonstrationSet(grid=grid, z=states, v=-np.einsum("ij,gjk->gik", K, states),
+                            A=A, B=B)
 
 
 # ---------------------------------------------------------------------------

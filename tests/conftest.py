@@ -21,8 +21,8 @@ settings.load_profile("deterministic")
 from oracles import DOUBLE_INT_K, double_int_flow
 
 from demostab.cli import PRESETS
-from demostab.demos import Demonstration, DemonstrationSet, record_expert
-from demostab.embed import embedded_to_demo_set, transform_demos
+from demostab.demos import DemonstrationSet, record_expert
+from demostab.embed import transform_demos
 from demostab.learner import LearnedController, build_basis
 from demostab.plant import brunovsky_pair, chain_preset
 from demostab.sim import time_grid
@@ -35,13 +35,10 @@ def analytic_double_int_set(T: float = 2.0, dt: float = 1e-3,
     grid = time_grid(0.0, T, dt)
     if starts is None:
         starts = [np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    demos = []
-    for z0 in starts:
-        z = np.stack([double_int_flow(t) @ z0 for t in grid])
-        v = -(z @ DOUBLE_INT_K)
-        demos.append(Demonstration(times=grid, z=z, v=v))
+    z = np.stack([double_int_flow(t) for t in grid]) @ np.column_stack(starts)  # (G, 2, M)
     pair = brunovsky_pair(2)
-    return DemonstrationSet(demos=tuple(demos), A=pair.A, B=pair.B)
+    return DemonstrationSet(grid=grid, z=z, v=-np.einsum("j,gjk->gk", DOUBLE_INT_K, z),
+                            A=pair.A, B=pair.B)
 
 
 @pytest.fixture(scope="session")
@@ -84,9 +81,8 @@ def ball_beam_fixture():
     expert = ball_beam_expert(plant, np.diag(preset.Q), preset.R)
     raw = record_expert(plant, expert, [np.asarray(ic) for ic in preset.starts],
                         T=8.0, dt=1e-3)
-    embedded = transform_demos(cfg, raw)
-    eset = embedded_to_demo_set(embedded)
-    return {"plant": plant, "cfg": cfg, "raw": raw, "embedded": embedded, "set": eset}
+    eset, xi = transform_demos(cfg, raw)
+    return {"plant": plant, "cfg": cfg, "raw": raw, "xi": xi, "set": eset}
 
 
 @pytest.fixture(scope="session")

@@ -605,13 +605,11 @@ def integrate(rhs, x0, t0: float, t1: float, dt: float):
 
 
 def load_demo_csv(path):
-    """A demonstration CSV (header t, z1..zn, v or v1..vm) read back as a Demonstration."""
-    from demostab.demos import Demonstration
-
+    """A demonstration CSV (header t, z1..zn, v or v1..vm) read back as (t, z, v)."""
     lines = open(path).read().strip().splitlines()
     n = sum(1 for c in lines[0].split(",") if c.startswith("z"))
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    return Demonstration(times=rows[:, 0], z=rows[:, 1:1 + n], v=rows[:, 1 + n:])
+    return rows[:, 0], rows[:, 1:1 + n], rows[:, 1 + n:]
 
 
 def vertices_of(tri, j: int) -> np.ndarray:
@@ -635,9 +633,9 @@ def setpoint(z_fixed, m: int = 1):
                      n=len(z_fixed), m=m, description="setpoint")
 
 
-def track(ctrl, ref, b_of_z, t: float, z):
-    """Tracking input u = (v_ref(t) + kappa_hat(t, z - z_ref(t))) / b(z) at one state."""
+def track(ctrl, ref, t: float, z):
+    """Tracking input u = v_ref(t) + kappa_hat(t, z - z_ref(t)) at one state."""
     z = np.asarray(z, dtype=float)
     v = np.atleast_1d(np.asarray(ctrl(t, z - ref.z_of_t(t)), dtype=float))
-    u = (ref.v_of_t(t) + v) / float(b_of_z(z))
+    u = ref.v_of_t(t) + v
     return float(u[0]) if ref.m == 1 else u

@@ -206,23 +206,24 @@ def test_criterion_08_embedding_roundtrip(ball_beam_fixture):
     cfg = ball_beam_fixture["cfg"]
     # Chain-dynamics defect of the transformed demonstrations, O(dt^2).
     worst_defect = 0.0
-    for emb in ball_beam_fixture["embedded"]:
-        dt = emb.times[1] - emb.times[0]
-        scale = max(1.0, np.abs(emb.z).max(), np.abs(emb.v).max())
-        dz = (emb.z[2:] - emb.z[:-2]) / (2.0 * dt)
+    eset, xi, raw = ball_beam_fixture["set"], ball_beam_fixture["xi"], ball_beam_fixture["raw"]
+    for i in range(eset.M):
+        z, v = eset.z[:, :, i], eset.v[:, 0, i]
+        scale = max(1.0, np.abs(z).max(), np.abs(v).max())
+        dz = (z[2:] - z[:-2]) / (2.0 * eset.dt)
         defect = max(
-            float(np.max(np.abs(dz[:, :3] - emb.z[1:-1, 1:]))),
-            float(np.max(np.abs(dz[:, 3] - emb.v[1:-1]))),
+            float(np.max(np.abs(dz[:, :3] - z[1:-1, 1:]))),
+            float(np.max(np.abs(dz[:, 3] - v[1:-1]))),
         )
         worst_defect = max(worst_defect, defect / scale)
     chain_ok = worst_defect <= 5e-4  # dt = 1e-3: comfortably O(dt^2)
 
     # Input recovery through the dynamic feedback.
     worst_u = 0.0
-    for raw, emb in zip(ball_beam_fixture["raw"], ball_beam_fixture["embedded"]):
+    for i in range(eset.M):
         for k in range(0, len(raw.times), 100):
-            u_rec = dynamic_feedback(cfg, raw.states[k], emb.xi[k], emb.v[k])
-            worst_u = max(worst_u, abs(u_rec - raw.inputs[k]))
+            u_rec = dynamic_feedback(cfg, raw.states[k, :, i], xi[k, :, i], eset.v[k, 0, i])
+            worst_u = max(worst_u, abs(u_rec - raw.inputs[k, i]))
     u_ok = worst_u <= 1e-6
 
     # A_xi eigenvalues are -1 (triple): the characteristic polynomial is

@@ -16,7 +16,7 @@ from demostab.certify import (
     find_T_tilde,
     monodromy_from_integral,
 )
-from demostab.demos import Demonstration, DemonstrationSet
+from demostab.demos import DemonstrationSet
 from demostab.learner import LearnedController, build_basis
 from demostab.multi import MultiController
 from demostab.plant import brunovsky_pair
@@ -57,12 +57,9 @@ def test_integral_with_zero_inputs_is_exponential():
     # Drift-only demonstrations of the chain: v = 0, z(t) = e^{At} z0.
     grid = time_grid(0.0, 1.0, 1e-3)
     pair = brunovsky_pair(2)
-    eAt = [expm_nilpotent(pair.A, t) for t in grid]
-    demos = [Demonstration(times=grid, z=np.zeros((len(grid), 2)), v=np.zeros(len(grid)))]
-    for z0 in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        z = np.stack([E @ z0 for E in eAt])
-        demos.append(Demonstration(times=grid, z=z, v=np.zeros(len(grid))))
-    dset = DemonstrationSet(demos=tuple(demos), A=pair.A, B=pair.B)
+    starts = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # the origin, e_1 and e_2
+    z = np.stack([expm_nilpotent(pair.A, t) @ starts for t in grid])
+    dset = DemonstrationSet(grid=grid, z=z, v=np.zeros((len(grid), 3)), A=pair.A, B=pair.B)
     basis = build_basis(dset)
     Psi = monodromy_from_integral(basis, pair.A, pair.B, 1.0)
     assert_allclose(Psi, expm_nilpotent(pair.A, 1.0), atol=1e-12)
@@ -80,10 +77,9 @@ def test_integral_scalar_case_by_hand():
     # n = 1 with v(t) = -z(t), z(t) = e^{-t}: Psi(T) = e^{-T}.
     grid = time_grid(0.0, 1.0, 1e-4)
     pair = brunovsky_pair(1)
-    trivial = Demonstration(times=grid, z=np.zeros((len(grid), 1)), v=np.zeros(len(grid)))
-    z = np.exp(-grid)[:, None]
-    demo = Demonstration(times=grid, z=z, v=-z[:, 0])
-    dset = DemonstrationSet(demos=(trivial, demo), A=pair.A, B=pair.B)
+    z = np.zeros((len(grid), 1, 2))
+    z[:, 0, 1] = np.exp(-grid)
+    dset = DemonstrationSet(grid=grid, z=z, v=-z[:, 0], A=pair.A, B=pair.B)
     basis = build_basis(dset)
     assert_allclose(basis.monodromy(1.0), [[math.exp(-1.0)]], atol=1e-9)
     assert_allclose(monodromy_from_integral(basis, pair.A, pair.B, 1.0),
@@ -120,12 +116,9 @@ def test_find_T_tilde_unstable_expert_returns_none():
     A_cl = np.array([[0.0, 1.0], [1.0, 0.0]])
     grid = time_grid(0.0, 2.0, 1e-3)
     pair = brunovsky_pair(2)
-    demos = [Demonstration(times=grid, z=np.zeros((len(grid), 2)), v=np.zeros(len(grid)))]
-    for z0 in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        z = np.stack([matrix_exp_series(A_cl, t) @ z0 for t in grid[::10]])
-        zfull = np.stack([matrix_exp_series(A_cl, t) @ z0 for t in grid])
-        demos.append(Demonstration(times=grid, z=zfull, v=zfull[:, 0]))
-    dset = DemonstrationSet(demos=tuple(demos), A=pair.A, B=pair.B)
+    starts = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # the origin, e_1 and e_2
+    z = np.stack([matrix_exp_series(A_cl, t) @ starts for t in grid])
+    dset = DemonstrationSet(grid=grid, z=z, v=z[:, 0], A=pair.A, B=pair.B)
     assert find_T_tilde(dset, [0.5, 1.0, 2.0]) is None
 
 

@@ -55,6 +55,23 @@ def test_duplicate_initial_conditions_exit_validation(tmp_path):
     assert main(["demos", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("preset, starts", [
+    ("chain3", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    ("ball_beam", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.1, 0.0]]),
+], ids=["chain3_two_starts", "ball_beam_three_starts"])
+def test_too_few_starts_is_usage_error(tmp_path, capsys, preset, starts):
+    # n starts and the trivial run make the n+1 demonstrations a controller
+    # needs; fewer are refused with the config, naming n and the count given.
+    cfg = write_config(tmp_path / "config.json", preset=preset, expert={},
+                       initial_conditions=starts)
+    assert main(["demos", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    n = len(starts[0])
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert f"n = {n}" in err[0] and f"got {len(starts)}" in err[0]
+    assert not (tmp_path / "demo_set.json").exists()
+
+
 def test_failed_certificate_exit_and_suggestion(tmp_path, capsys):
     # A stiff, lightly damped expert overshoots: ||Psi(0.5)|| ~ 1.4 > 1, so a
     # half-second horizon cannot certify and the exit message reports the
@@ -156,6 +173,8 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
     {"preset": "chain 2", "expert": {}},
     {"preset": "chain+2", "expert": {}},
     {"track": {"axis": True}},
+    # A nonzero xi0 would move the trivial demonstration off z = 0.
+    {"preset": "ball_beam", "expert": {}, "preset_params": {"xi0": [0.1, 0.0, 0.0]}},
 ], ids=["t_tilde_grid", "simulate.duration", "track.f", "track.duration", "track.axis",
         "ragged_initial_conditions", "t_tilde_grid_not_a_list", "simulate_not_an_object",
         "simulate.x0_length", "expert.Q", "expert.Q_shape", "expert.Q_indefinite",
@@ -164,7 +183,8 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
         "flat_quad_3d.initial_conditions", "multi_not_a_bool", "simulate.duration_over_budget",
         "T_over_budget", "simulate.default_duration_over_budget", "track.f_over_budget",
         "preset_is_a_number", "preset_is_null", "preset_is_a_list", "preset_chain2_0",
-        "preset_chain_space_2", "preset_chain_plus_2", "track.axis_is_a_bool"])
+        "preset_chain_space_2", "preset_chain_plus_2", "track.axis_is_a_bool",
+        "ball_beam.preset_params.xi0"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "config.json", **overrides)
     assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -234,21 +254,37 @@ def test_controller_of_another_grid_is_usage_error(tmp_path, capsys, stage, T, d
     assert named in err[0] and f"{key} = {T if key == 'T' else dt}" in err[0]
 
 
+def _chain3_demo_set(*lengths_and_starts, first=(0.0, 0.0, 0.0)) -> str:
+    """A chain3 demo_set.json on the grid 0, 0.01, 0.02; each demonstration holds
+    its start for the given number of samples, the first one held at first."""
+    demos = [{"z": [list(first)] * 3, "v": [0.0] * 3}]
+    demos += [{"z": [list(z0)] * length, "v": [0.0] * length}
+              for length, z0 in lengths_and_starts]
+    return json.dumps({"n": 3, "m": 1, "M": len(demos), "T": 0.02, "dt": 0.01, "demos": demos})
+
+
 @pytest.mark.parametrize("name, text, stage", [
     ("demo_set.json", "{", "learn"),
     ("demo_set.json", '{"n": 2}', "learn"),
+    ("demo_set.json", _chain3_demo_set((3, (1, 0, 0)), (2, (0, 1, 0)), (3, (0, 0, 1))), "learn"),
+    ("demo_set.json", _chain3_demo_set((3, (1, 0, 0)), (3, (0, 1, 0)), (3, (0, 0, 1)),
+                                       first=(0.0, 0.0, 1e-9)), "learn"),
+    ("demo_set.json", _chain3_demo_set((3, (1, 0, 0)), (3, (0, 1, 0))), "learn"),
     ("controller.json", "[1, 2", "certify"),
     ("controller.json", "{}", "simulate"),
     ("certificate.json", "not json", "simulate"),
     ("certificate.json", "{}", "track"),
     ("certificate.json", "[]", "simulate"),
     ("config.json", "{", "demos"),
-], ids=["demo_set_undecodable", "demo_set_missing_key", "controller_undecodable",
+], ids=["demo_set_undecodable", "demo_set_missing_key", "demo_set_unequal_lengths",
+        "demo_set_first_not_zero", "demo_set_too_few", "controller_undecodable",
         "controller_missing_key", "certificate_undecodable", "certificate_missing_key",
         "certificate_not_an_object", "config_undecodable"])
 def test_unreadable_stage_file_is_usage_error(tmp_path, capsys, name, text, stage):
-    # A stage file (or the config) that does not decode, lacks a key or is
-    # no JSON object: one usage line naming that file.
+    # A stage file (or the config) that does not decode, lacks a key, is no
+    # JSON object or holds a demonstration set that breaks its invariants
+    # (demonstrations of unequal length, a first one that is not zero, fewer
+    # than n+1): one usage line naming that file.
     cfg = write_config(tmp_path / "config.json", preset="chain3", expert=AXIS_EXPERT, T=2.0,
                        simulate={"x0": [0.5, 0.5, 0.0], "duration": 2.0},
                        track={"f": 0.5, "duration": 2.0})

@@ -9,7 +9,6 @@ from oracles import load_demo_csv, record_one
 
 from demostab.cli import PRESETS
 from demostab.demos import (
-    Demonstration,
     DemonstrationSet,
     demo_set_from_dict,
     demo_set_to_dict,
@@ -37,16 +36,16 @@ def test_record_count_and_trivial_first():
     expert = expert_lqr(plant, np.eye(2), 1.0)
     raw = record_expert(plant, expert, [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
                         T=2.0, dt=1e-2)
-    assert len(raw) == 3
-    assert np.all(raw[0].states == 0.0) and np.all(raw[0].inputs == 0.0)
+    assert raw.states.shape == (len(raw.times), 2, 3) and raw.inputs.shape == (len(raw.times), 3)
+    assert np.all(raw.states[:, :, 0] == 0.0) and np.all(raw.inputs[:, 0] == 0.0)
 
 
 def test_record_from_origin_equals_trivial():
     plant = chain_preset(2)
     expert = expert_lqr(plant, np.eye(2), 1.0)
     raw = record_expert(plant, expert, [np.zeros(2)], T=1.0, dt=1e-2)
-    assert np.array_equal(raw[0].states, raw[1].states)
-    assert np.array_equal(raw[0].inputs, raw[1].inputs)
+    assert np.array_equal(raw.states[:, :, 0], raw.states[:, :, 1])
+    assert np.array_equal(raw.inputs[:, 0], raw.inputs[:, 1])
 
 
 def test_recording_divergence_keeps_time():
@@ -80,11 +79,11 @@ def test_batched_recording_matches_single_start_runs(case):
         starts = [np.asarray(ic) for ic in BALL_BEAM.starts]
         dt = 1e-3
     batch = record_expert(plant, expert, starts, T, dt)
-    assert len(batch) == len(starts) + 1
-    for got, x0 in zip(batch, [np.zeros(plant.n), *starts]):
+    assert batch.states.shape[2] == len(starts) + 1
+    for i, x0 in enumerate([np.zeros(plant.n), *starts]):
         want = record_one(plant, expert, x0, T, dt)
-        assert np.array_equal(got.times, want.times)
-        for a, b in ((got.states, want.states), (got.inputs, want.inputs)):
+        assert np.array_equal(batch.times, want.times)
+        for a, b in ((batch.states[:, :, i], want.states), (batch.inputs[:, i], want.inputs)):
             assert a.shape == b.shape
             assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
 
@@ -108,12 +107,11 @@ def test_failing_start_in_a_batch_is_named(bad, time):
 def test_to_zv_note_names_the_demonstration_and_sample():
     plant = chain_preset(2)
     grid = time_grid(0.0, 1.0, 0.1)
-    states = np.zeros((len(grid), 2))
-    states[4, 1] = np.nan
-    good = Trajectory(times=grid, states=np.zeros((len(grid), 2)), inputs=np.zeros(len(grid)))
-    bad = Trajectory(times=grid, states=states, inputs=np.zeros(len(grid)))
+    states = np.zeros((len(grid), 2, 2))
+    states[4, 1, 1] = np.nan
+    batch = Trajectory(times=grid, states=states, inputs=np.zeros((len(grid), 2)))
     with pytest.raises(DomainError) as err:
-        to_zv(plant, [good, bad])
+        to_zv(plant, batch)
     assert err.value.__notes__ == ["demonstration 1, sample 4"]
 
 
@@ -122,9 +120,9 @@ def test_to_zv_chain_is_identity_on_samples(chain2_recorded):
     expert = expert_lqr(plant, np.diag([1.0, 2.0]), 1.0)
     raw = record_expert(plant, expert, [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
                         T=2.0, dt=1e-3)
-    for demo, traj in zip(chain2_recorded.demos, raw):
-        assert np.array_equal(demo.z, traj.states)
-        assert np.array_equal(demo.v[:, 0], traj.inputs)
+    assert np.array_equal(chain2_recorded.grid, raw.times)
+    assert np.array_equal(chain2_recorded.z, raw.states)
+    assert np.array_equal(chain2_recorded.v[:, 0], raw.inputs)
 
 
 def test_to_zv_rejects_ball_beam():
@@ -132,21 +130,54 @@ def test_to_zv_rejects_ball_beam():
     grid = time_grid(0.0, 1.0, 1e-2)
     from demostab.sim import Trajectory
 
-    traj = Trajectory(times=grid, states=np.zeros((len(grid), 4)), inputs=np.zeros(len(grid)))
+    batch = Trajectory(times=grid, states=np.zeros((len(grid), 4, 1)),
+                       inputs=np.zeros((len(grid), 1)))
     with pytest.raises(NotFeedbackLinearizableError):
-        to_zv(plant, [traj])
+        to_zv(plant, batch)
 
 
 def test_demo_set_requires_trivial_and_count():
     grid = time_grid(0.0, 1.0, 0.1)
     pair = brunovsky_pair(2)
-    z = np.ones((len(grid), 2))
-    nontrivial = Demonstration(times=grid, z=z, v=np.ones(len(grid)))
+    G = len(grid)
+    z, v = np.ones((G, 2, 3)), np.ones((G, 3))
     with pytest.raises(ValueError, match="trivial"):
-        DemonstrationSet(demos=(nontrivial, nontrivial, nontrivial), A=pair.A, B=pair.B)
-    trivial = Demonstration(times=grid, z=np.zeros_like(z), v=np.zeros(len(grid)))
+        DemonstrationSet(grid=grid, z=z, v=v, A=pair.A, B=pair.B)
+    z[:, :, 0], v[:, 0] = 0.0, 0.0
+    z[3, 1, 0] = -0.0  # a negative zero is still zero
+    DemonstrationSet(grid=grid, z=z, v=v, A=pair.A, B=pair.B)
+    v[5, 0] = 1e-300  # so is no input but zero
+    with pytest.raises(ValueError, match="trivial"):
+        DemonstrationSet(grid=grid, z=z, v=v, A=pair.A, B=pair.B)
     with pytest.raises(ValueError, match="n\\+1"):
-        DemonstrationSet(demos=(trivial, nontrivial), A=pair.A, B=pair.B)
+        DemonstrationSet(grid=grid, z=z[:, :, :2], v=v[:, :2], A=pair.A, B=pair.B)
+
+
+@pytest.mark.parametrize("case", ["grid_length", "one_sample", "non_finite", "A_shape",
+                                  "B_shape", "z_not_a_block", "columns_differ"])
+def test_demo_set_checks_the_block(case):
+    # The invariants hold over the whole block, checked once at construction.
+    pair = brunovsky_pair(2)
+    block = {"grid": time_grid(0.0, 1.0, 0.1), "z": np.zeros((11, 2, 3)),
+             "v": np.zeros((11, 1, 3)), "A": pair.A, "B": pair.B}
+    block["z"][:, 0, 1], block["z"][:, 1, 2] = 1.0, 1.0
+    assert DemonstrationSet(**block).M == 3
+    if case == "grid_length":
+        block["grid"] = block["grid"][:-1]
+    elif case == "one_sample":
+        block.update(grid=block["grid"][:1], z=block["z"][:1], v=block["v"][:1])
+    elif case == "non_finite":
+        block["v"][7, 0, 2] = np.inf
+    elif case == "A_shape":
+        block["A"] = np.eye(3)
+    elif case == "B_shape":
+        block["B"] = np.ones((2, 2))
+    elif case == "z_not_a_block":
+        block["z"] = block["z"][:, :, 0]
+    else:
+        block["v"] = block["v"][:, :, :2]
+    with pytest.raises(ValueError):
+        DemonstrationSet(**block)
 
 
 def test_validation_identity_starts(double_int_set):
@@ -178,28 +209,25 @@ def test_validation_min_sigma_matches_flow_oracle(double_int_set):
 
 def test_inputs_match_expert_along_demos(chain2_recorded):
     # v^i(t) = kappa(z^i(t)) at grid points: recompute the LQR law.
-    for demo in chain2_recorded.demos:
-        expected = -(demo.z @ np.array([1.0, 2.0]))
-        assert_allclose(demo.v[:, 0], expected, atol=1e-6)
+    expected = -np.einsum("j,gjk->gk", np.array([1.0, 2.0]), chain2_recorded.z)
+    assert_allclose(chain2_recorded.v[:, 0], expected, atol=1e-6)
 
 
 def test_demos_satisfy_chain_dynamics(chain2_recorded):
     # Central differences: dz_k/dt = z_{k+1} and dz_n/dt = v, O(dt^2).
-    for demo in chain2_recorded.demos:
-        dt = demo.times[1] - demo.times[0]
-        dz = (demo.z[2:] - demo.z[:-2]) / (2.0 * dt)
-        assert np.max(np.abs(dz[:, 0] - demo.z[1:-1, 1])) < 1e-4
-        assert np.max(np.abs(dz[:, 1] - demo.v[1:-1, 0])) < 1e-4
+    z, v = chain2_recorded.z, chain2_recorded.v
+    dz = (z[2:] - z[:-2]) / (2.0 * chain2_recorded.dt)
+    assert np.max(np.abs(dz[:, 0] - z[1:-1, 1])) < 1e-4
+    assert np.max(np.abs(dz[:, 1] - v[1:-1, 0])) < 1e-4
 
 
 def test_json_roundtrip_lossless(tmp_path, double_int_set):
     path = tmp_path / "set.json"
     save_demo_set(double_int_set, path)
     loaded = load_demo_set(path)
-    for a, b in zip(double_int_set.demos, loaded.demos):
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.v, b.v)
-        assert np.array_equal(a.times, b.times)
+    assert np.array_equal(double_int_set.z, loaded.z)
+    assert np.array_equal(double_int_set.v, loaded.v)
+    assert np.array_equal(double_int_set.grid, loaded.grid)
 
 
 def test_json_roundtrip_vector_inputs(tmp_path, quad_set):
@@ -208,19 +236,17 @@ def test_json_roundtrip_vector_inputs(tmp_path, quad_set):
     loaded = load_demo_set(path)
     assert loaded.m == 3
     assert np.array_equal(loaded.A, quad_set.A)
-    for a, b in zip(quad_set.demos, loaded.demos):
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.v, b.v)
+    assert np.array_equal(quad_set.z, loaded.z)
+    assert np.array_equal(quad_set.v, loaded.v)
 
 
 def test_csv_roundtrip_lossless(tmp_path, double_int_set):
-    demo = double_int_set.demos[1]
     path = tmp_path / "demo.csv"
-    save_demo_csv(demo, path)
-    loaded = load_demo_csv(path)
-    assert np.array_equal(loaded.z, demo.z)
-    assert np.array_equal(loaded.v, demo.v)
-    assert np.array_equal(loaded.times, demo.times)
+    save_demo_csv(double_int_set, path, 1)
+    times, z, v = load_demo_csv(path)
+    assert np.array_equal(z, double_int_set.z[:, :, 1])
+    assert np.array_equal(v, double_int_set.v[:, :, 1])
+    assert np.array_equal(times, double_int_set.grid)
 
 
 def test_dict_roundtrip_single_input(double_int_set):
@@ -229,4 +255,5 @@ def test_dict_roundtrip_single_input(double_int_set):
     # m = 1 stores v as a flat list per the file contract.
     assert isinstance(data["demos"][0]["v"][0], float)
     rebuilt = demo_set_from_dict(data)
-    assert np.array_equal(rebuilt.demos[1].z, double_int_set.demos[1].z)
+    assert np.array_equal(rebuilt.z, double_int_set.z)
+    assert np.array_equal(rebuilt.v, double_int_set.v)

@@ -29,7 +29,7 @@ from demostab.embed import (
 from demostab.errors import DomainError, SingularEmbeddingError
 from demostab.learner import AffineBasis, LearnedController, build_basis
 from demostab.plant import chain_preset
-from demostab.sim import Trajectory, time_grid
+from demostab.sim import time_grid
 from demostab.systems import BALL_BEAM_B, BALL_BEAM_G, ball_beam_preset
 
 
@@ -192,27 +192,31 @@ def test_dynamic_feedback_singular(bb_cfg):
 
 
 def test_transform_trivial_demo(ball_beam_fixture):
-    emb = ball_beam_fixture["embedded"][0]
-    assert np.all(emb.z == 0.0) and np.all(emb.xi == 0.0) and np.all(emb.v == 0.0)
+    eset, xi = ball_beam_fixture["set"], ball_beam_fixture["xi"]
+    assert xi.shape == (len(eset.grid), 3, eset.M)
+    assert np.all(eset.z[:, :, 0] == 0.0) and np.all(xi[:, :, 0] == 0.0)
+    assert np.all(eset.v[:, :, 0] == 0.0)
 
 
 def test_transform_recovers_input(ball_beam_fixture):
     # v = r u - s inverts algebraically: u = (s + v) / r.
-    cfg = ball_beam_fixture["cfg"]
-    for raw, emb in zip(ball_beam_fixture["raw"], ball_beam_fixture["embedded"]):
+    cfg, raw = ball_beam_fixture["cfg"], ball_beam_fixture["raw"]
+    eset, xi = ball_beam_fixture["set"], ball_beam_fixture["xi"]
+    for i in range(eset.M):
         for k in range(0, len(raw.times), 500):
-            u_rec = dynamic_feedback(cfg, raw.states[k], emb.xi[k], emb.v[k])
-            assert abs(u_rec - raw.inputs[k]) < 1e-6
+            u_rec = dynamic_feedback(cfg, raw.states[k, :, i], xi[k, :, i], eset.v[k, 0, i])
+            assert abs(u_rec - raw.inputs[k, i]) < 1e-6
 
 
 def test_transformed_demos_satisfy_chain_dynamics(ball_beam_fixture):
     # Central differences: dz_k/dt = z_{k+1}, dz_n/dt = v, within O(dt^2).
-    for emb in ball_beam_fixture["embedded"]:
-        dt = emb.times[1] - emb.times[0]
-        scale = max(1.0, np.abs(emb.z).max(), np.abs(emb.v).max())
-        dz = (emb.z[2:] - emb.z[:-2]) / (2.0 * dt)
-        defect = np.max(np.abs(dz[:, :3] - emb.z[1:-1, 1:]))
-        defect_top = np.max(np.abs(dz[:, 3] - emb.v[1:-1]))
+    eset = ball_beam_fixture["set"]
+    for i in range(eset.M):
+        z, v = eset.z[:, :, i], eset.v[:, 0, i]
+        scale = max(1.0, np.abs(z).max(), np.abs(v).max())
+        dz = (z[2:] - z[:-2]) / (2.0 * eset.dt)
+        defect = np.max(np.abs(dz[:, :3] - z[1:-1, 1:]))
+        defect_top = np.max(np.abs(dz[:, 3] - v[1:-1]))
         assert defect < 5e-4 * scale
         assert defect_top < 5e-4 * scale
 
@@ -228,10 +232,13 @@ def test_chain_defect_shrinks_at_second_order():
     expert = ball_beam_expert(plant, np.diag(preset.Q), preset.R)
 
     def worst_defect(dt):
-        raw = record_expert(plant, expert, [np.array([1.0, 0.0, 0.0, 0.0])], T=1.0, dt=dt)
-        emb = transform_demos(cfg, raw)[1]
-        dz = (emb.z[2:] - emb.z[:-2]) / (2.0 * dt)
-        return float(np.max(np.abs(dz[:, 3] - emb.v[1:-1])))
+        # The preset's starts make a set; the defect is read off (1, 0, 0, 0).
+        raw = record_expert(plant, expert, [np.asarray(ic) for ic in preset.starts], T=1.0,
+                            dt=dt)
+        eset, _ = transform_demos(cfg, raw)
+        z, v = eset.z[:, :, 1], eset.v[:, 0, 1]
+        dz = (z[2:] - z[:-2]) / (2.0 * dt)
+        return float(np.max(np.abs(dz[:, 3] - v[1:-1])))
 
     ratio = worst_defect(2e-3) / worst_defect(1e-3)
     assert 3.0 < ratio < 5.0
@@ -293,16 +300,15 @@ def _replay_controller(times, v, n):
 def test_embedded_replay_reproduces_demonstration(ball_beam_fixture):
     # Feeding the transformed v^i back through the dynamic feedback from the
     # same start reproduces the recorded x^i.
-    cfg = ball_beam_fixture["cfg"]
-    raw = ball_beam_fixture["raw"][1]
-    emb = ball_beam_fixture["embedded"][1]
-    ctrl = _replay_controller(emb.times, emb.v, 4)
-    traj = simulate_embedded_closed_loop(cfg, ctrl, raw.states[0], np.zeros(3),
+    cfg, states = ball_beam_fixture["cfg"], ball_beam_fixture["raw"].states[:, :, 1]
+    eset, xi = ball_beam_fixture["set"], ball_beam_fixture["xi"][:, :, 1]
+    ctrl = _replay_controller(eset.grid, eset.v[:, 0, 1], 4)
+    traj = simulate_embedded_closed_loop(cfg, ctrl, states[0], np.zeros(3),
                                          duration=2.0, dt=1e-3)
     # Tolerance reflects the O(dt^2) interpolation of the replayed input.
     k = len(traj.times) - 1
-    assert_allclose(traj.x[k], raw.states[k], atol=5e-5)
-    assert_allclose(traj.xi[k], emb.xi[k], atol=5e-5)
+    assert_allclose(traj.x[k], states[k], atol=5e-5)
+    assert_allclose(traj.xi[k], xi[k], atol=5e-5)
 
 
 def test_embedded_set_certificate(ball_beam_fixture):
@@ -312,17 +318,9 @@ def test_embedded_set_certificate(ball_beam_fixture):
     assert cert.verdict
 
 
-def test_transform_rejects_recordings_on_different_grids(ball_beam_fixture):
-    raw = ball_beam_fixture["raw"]
-    short = Trajectory(times=raw[1].times[:-1], states=raw[1].states[:-1],
-                       inputs=raw[1].inputs[:-1])
-    with pytest.raises(ValueError, match="one time grid"):
-        transform_demos(ball_beam_fixture["cfg"], [raw[0], short])
-
-
 def test_transform_matches_per_sample_formulas():
     # The last step of a 1.0005 s recording at dt = 1e-3 is shortened to 0.5 ms.
-    # The three recordings (the trivial one first) are transformed as one
+    # The five recordings (the trivial one first) are transformed as one
     # batch and compared one by one with the sample-by-sample oracle.
     from demostab.demos import record_expert
     from demostab.cli import PRESETS
@@ -331,14 +329,16 @@ def test_transform_matches_per_sample_formulas():
     plant, cfg = ball_beam_preset()
     preset = PRESETS["ball_beam"]
     raw = record_expert(plant, ball_beam_expert(plant, np.diag(preset.Q), preset.R),
-                        [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 10.0])],
+                        [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 10.0]),
+                         np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.3, 0.0])],
                         T=1.0005, dt=1e-3)
-    assert raw[0].times[-1] - raw[0].times[-2] < 0.75e-3
-    xi0 = np.array([0.1, -0.2, 0.05])
-    for traj, emb in zip(raw, transform_demos(cfg, raw, xi0)):
-        z, xi, v = transform_demo_per_sample(plant, cfg.w, traj.times, traj.states,
-                                             traj.inputs, xi0)
-        for got, want in ((emb.z, z), (emb.xi, xi), (emb.v, v)):
+    assert raw.times[-1] - raw.times[-2] < 0.75e-3
+    eset, xis = transform_demos(cfg, raw)
+    assert np.array_equal(eset.grid, raw.times)
+    for i in range(eset.M):
+        z, xi, v = transform_demo_per_sample(plant, cfg.w, raw.times, raw.states[:, :, i],
+                                             raw.inputs[:, i], np.zeros(3))
+        for got, want in ((eset.z[:, :, i], z), (xis[:, :, i], xi), (eset.v[:, 0, i], v)):
             assert got.shape == want.shape
             assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 

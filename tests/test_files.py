@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from oracles import csv_text, json_text
 
-from demostab.demos import Demonstration, DemonstrationSet, load_demo_set, save_demo_set
+from demostab.demos import DemonstrationSet, load_demo_set, save_demo_set
 from demostab.errors import AffineDependenceError, DegenerateGeometryError
 from demostab.files import CHUNK_ROWS, read_json, write_csv, write_json
 from demostab.learner import LearnedController, build_basis, load_controller, save_controller
@@ -116,16 +116,16 @@ def demo_sets(draw, n_dims=st.integers(1, 3), extra=st.integers(0, 3)):
     grid = time_grid(0.0, draw(st.floats(2.0, 30.0)) * dt, dt)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-6, 6))
-    demos = [Demonstration(times=grid, z=np.zeros((len(grid), n)), v=np.zeros((len(grid), m)))]
-    for _ in range(n + draw(extra)):
-        demos.append(Demonstration(times=grid, z=scale * rng.standard_normal((len(grid), n)),
-                                   v=scale * rng.standard_normal((len(grid), m))))
+    M = n + 1 + draw(extra)
+    z = scale * rng.standard_normal((len(grid), n, M))
+    v = scale * rng.standard_normal((len(grid), m, M))
+    z[:, :, 0], v[:, :, 0] = 0.0, 0.0  # the trivial demonstration
     if m == 1:
         pair = brunovsky_pair(n)
         A, B = pair.A, pair.B
     else:
         A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
-    return DemonstrationSet(demos=tuple(demos), A=A, B=B)
+    return DemonstrationSet(grid=grid, z=z, v=v, A=A, B=B)
 
 
 def reloaded(save, load, obj):
@@ -170,9 +170,8 @@ def test_read_json_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, e
 def test_demo_set_round_trip(dset):
     back = reloaded(save_demo_set, load_demo_set, dset)
     assert np.array_equal(back.A, dset.A) and np.array_equal(back.B, dset.B)
-    for a, b in zip(dset.demos, back.demos, strict=True):
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.z, b.z) and np.array_equal(a.v, b.v)
+    assert np.array_equal(back.grid, dset.grid)
+    assert np.array_equal(back.z, dset.z) and np.array_equal(back.v, dset.v)
 
 
 @given(dset=demo_sets(extra=st.just(0)), mode=st.sampled_from(["closed_loop", "open_loop"]),
@@ -202,7 +201,6 @@ def test_multi_controller_round_trip(dset, mode, seed):
     back = reloaded(save_controller, load_controller, ctrl)
     assert [s.vertex_indices for s in back.tri.simplices] \
         == [s.vertex_indices for s in ctrl.tri.simplices]
-    for a, b in zip(ctrl.dset.demos, back.dset.demos, strict=True):
-        assert np.array_equal(a.z, b.z) and np.array_equal(a.v, b.v)
+    assert np.array_equal(ctrl.dset.z, back.dset.z) and np.array_equal(ctrl.dset.v, back.dset.v)
     control_values_agree(ctrl, back, dset, seed)
 

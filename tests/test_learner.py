@@ -77,8 +77,8 @@ def test_open_loop_affine_combination_value(open_ctrl):
 
 def test_closed_loop_on_demonstration(double_int_set, double_int_ctrl):
     tau = 0.9
-    z = double_int_set.demos[2].z[900]
-    expected = double_int_set.demos[2].v[900, 0]
+    z = double_int_set.z[900, :, 2]
+    expected = double_int_set.v[900, 0, 2]
     assert_allclose(double_int_ctrl(tau, z), expected, atol=1e-10)
 
 
@@ -105,7 +105,7 @@ def test_reconstruct_unit_coefficients(double_int_set):
     tau = 1.2
     k = 1200
     assert_allclose(basis.reconstruct(tau, np.array([1.0, 0.0])),
-                    double_int_set.demos[1].z[k], atol=1e-12)
+                    double_int_set.z[k, :, 1], atol=1e-12)
     assert_allclose(basis.reconstruct(tau, np.zeros(2)), 0.0, atol=1e-15)
 
 
@@ -189,8 +189,8 @@ def test_vector_input_controller(quad_set):
     assert v.shape == (3,)
     assert_allclose(v, 0.0, atol=1e-15)
     # Replay: a demonstration start returns that demonstration's input.
-    z0 = quad_set.demos[3].z[0]
-    assert_allclose(ctrl(0.0, z0), quad_set.demos[3].v[0], atol=1e-9)
+    z0 = quad_set.z[0, :, 3]
+    assert_allclose(ctrl(0.0, z0), quad_set.v[0, :, 3], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

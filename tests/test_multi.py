@@ -24,7 +24,7 @@ def test_single_simplex_matches_single_controller(double_int_set):
 def test_select_index_set_vertex(multi_point_set):
     ctrl = MultiController(multi_point_set)
     for j in range(multi_point_set.M):
-        z0 = multi_point_set.demos[j].z[0]
+        z0 = multi_point_set.z[0, :, j]
         idx, theta = select_index_set(ctrl, z0)
         assert j in idx
         assert_allclose(theta[idx.index(j)], 1.0, atol=1e-9)
@@ -54,11 +54,11 @@ def test_demonstration_replay(multi_point_set):
     k = 700
     tau = multi_point_set.grid[k]
     for j in range(multi_point_set.M):
-        z = multi_point_set.demos[j].z[k]
-        idx, _ = select_index_set(ctrl, multi_point_set.demos[j].z[0])
-        anchor = ctrl.begin_interval(multi_point_set.demos[j].z[0])
+        z = multi_point_set.z[k, :, j]
+        idx, _ = select_index_set(ctrl, multi_point_set.z[0, :, j])
+        anchor = ctrl.begin_interval(multi_point_set.z[0, :, j])
         got = ctrl.eval_in_interval(anchor, tau, z)[0]
-        assert_allclose(got, multi_point_set.demos[j].v[k, 0], atol=1e-9)
+        assert_allclose(got, multi_point_set.v[k, 0, j], atol=1e-9)
 
 
 def test_interior_value_matches_pl_interpolant(multi_point_set):
@@ -66,7 +66,7 @@ def test_interior_value_matches_pl_interpolant(multi_point_set):
     # interpolant of the initial inputs over the initial states.
     ctrl = MultiController(multi_point_set)
     points = multi_point_set.z0_points()
-    values = np.array([d.v[0, 0] for d in multi_point_set.demos])
+    values = multi_point_set.v[0, 0]
     rng = np.random.default_rng(21)
     for _ in range(30):
         w = rng.dirichlet(np.ones(multi_point_set.M))

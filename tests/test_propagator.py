@@ -17,7 +17,7 @@ from conftest import analytic_double_int_set
 from oracles import chain_rk4
 
 from demostab.certify import contraction_check
-from demostab.demos import Demonstration, DemonstrationSet
+from demostab.demos import DemonstrationSet
 from demostab.embed import simulate_embedded_closed_loop
 from demostab.errors import DivergenceError
 from demostab.learner import AffineBasis, LearnedController, build_basis, simulate_chain_batch
@@ -64,12 +64,7 @@ def random_chain_set(seed: int, n: int, m: int, starts: np.ndarray, rate: float 
         return A @ Z - B @ (gain(t) @ Z), 0.0
 
     times, states, _ = rk4(rhs, np.hstack([np.zeros((n, 1)), starts]), 0.0, T, DT)
-    demos = tuple(
-        Demonstration(times=times, z=states[:, :, i],
-                      v=-(gain(times) @ states[:, :, i, None])[:, :, 0])
-        for i in range(starts.shape[1] + 1)
-    )
-    return DemonstrationSet(demos=demos, A=A, B=B)
+    return DemonstrationSet(grid=times, z=states, v=-(gain(times) @ states), A=A, B=B)
 
 
 def off_origin_basis(dset: DemonstrationSet):

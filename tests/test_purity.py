@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
-from demostab.demos import Demonstration, DemonstrationSet
+from demostab.demos import DemonstrationSet
 from demostab.learner import LearnedController, build_basis
 from demostab.multi import MultiController
 from demostab.plant import brunovsky_pair
@@ -22,16 +22,17 @@ def mixed_expert_set() -> DemonstrationSet:
     grid = time_grid(0.0, 2.0, 1e-2)
     starts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 0.5)]
     gains = [(1.0, 2.0), (1.0, 2.0), (2.0, 3.0), (4.0, 1.0), (0.5, 1.5)]
-    demos = []
+    zs, vs = [], []
     for z0, K in zip(starts, gains):
         K = np.array([K])
         step = expm((pair.A - pair.B @ K) * 1e-2)
         z = [np.array(z0)]
         for _ in grid[1:]:
             z.append(step @ z[-1])
-        z = np.array(z)
-        demos.append(Demonstration(times=grid, z=z, v=-(z @ K.T)))
-    return DemonstrationSet(demos=tuple(demos), A=pair.A, B=pair.B)
+        zs.append(np.array(z))
+        vs.append(-(zs[-1] @ K.T))
+    return DemonstrationSet(grid=grid, z=np.stack(zs, axis=2), v=np.stack(vs, axis=2),
+                            A=pair.A, B=pair.B)
 
 
 DSET = mixed_expert_set()

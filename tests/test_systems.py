@@ -10,7 +10,7 @@ from oracles import setpoint, track
 
 from demostab.certify import certificate
 from demostab.demos import to_zv
-from demostab.errors import NotFeedbackLinearizableError, SingularDecouplingError
+from demostab.errors import NotFeedbackLinearizableError
 from demostab.learner import LearnedController, build_basis
 from demostab.plant import chain_preset
 from demostab.systems import (
@@ -62,7 +62,7 @@ def test_track_zero_error_is_feedforward(quad_set):
     ctrl = LearnedController(build_basis(quad_set), A=quad_set.A, B=quad_set.B)
     ref = figure_eight(0.1)
     t = 1.23
-    u = track(ctrl, ref, lambda z: 1.0, t, ref.z_of_t(t))
+    u = track(ctrl, ref, t, ref.z_of_t(t))
     assert_allclose(u, ref.v_of_t(t), atol=0)
 
 
@@ -72,7 +72,7 @@ def test_track_zero_reference_is_plain_stabilization(double_int_ctrl):
     for _ in range(20):
         t = float(rng.uniform(0.0, 4.0))
         z = rng.normal(size=2)
-        assert track(double_int_ctrl, ref, lambda z: 1.0, t, z) == double_int_ctrl(t, z)
+        assert track(double_int_ctrl, ref, t, z) == double_int_ctrl(t, z)
 
 
 def test_ball_beam_preset_defaults():
@@ -89,10 +89,10 @@ def test_ball_beam_rejected_by_chain_pipeline():
     from demostab.sim import Trajectory, time_grid
 
     grid = time_grid(0.0, 0.1, 1e-2)
-    traj = Trajectory(times=grid, states=np.zeros((len(grid), 4)),
-                      inputs=np.zeros(len(grid)))
+    batch = Trajectory(times=grid, states=np.zeros((len(grid), 4, 1)),
+                       inputs=np.zeros((len(grid), 1)))
     with pytest.raises(NotFeedbackLinearizableError):
-        to_zv(plant, [traj])
+        to_zv(plant, batch)
 
 
 def test_flat_quad_pair_shapes():
@@ -107,17 +107,16 @@ def test_flat_quad_pair_shapes():
 
 def test_flat_quad_demo_set_counts(quad_set):
     assert quad_set.M == 10 and quad_set.n == 9 and quad_set.m == 3
-    assert quad_set.demos[0].is_trivial()
+    assert not quad_set.z[:, :, 0].any() and not quad_set.v[:, :, 0].any()
     starts = quad_set.z0_points()
     assert_allclose(starts[1:], np.eye(9), atol=0)
 
 
 def test_flat_quad_demos_follow_chain(quad_set):
-    demo = quad_set.demos[4]
-    dt = demo.times[1] - demo.times[0]
-    dz = (demo.z[2:] - demo.z[:-2]) / (2.0 * dt)
-    assert np.max(np.abs(dz[:, :6] - demo.z[1:-1, 3:])) < 1e-4
-    assert np.max(np.abs(dz[:, 6:] - demo.v[1:-1])) < 1e-4
+    z, v = quad_set.z[:, :, 4], quad_set.v[:, :, 4]
+    dz = (z[2:] - z[:-2]) / (2.0 * quad_set.dt)
+    assert np.max(np.abs(dz[:, :6] - z[1:-1, 3:])) < 1e-4
+    assert np.max(np.abs(dz[:, 6:] - v[1:-1])) < 1e-4
 
 
 def test_flat_quad_certificate(quad_set):
@@ -154,34 +153,15 @@ def test_tracking_starts_from_initial_error():
 
 
 def test_tracking_inputs_match_track(double_int_ctrl):
-    # simulate_tracking calls b_of_z once on the grid states as columns;
-    # its inputs are track()'s, which calls it on one state at a time.
+    # simulate_tracking evaluates the reference once on the whole grid; its
+    # inputs are track()'s, which evaluates it at one time.
     ref = Reference(z_of_t=lambda t: np.stack([np.sin(t), np.cos(t)], axis=-1),
                     v_of_t=lambda t: -np.sin(t)[..., None], n=2, m=1, description="circle")
-
-    def b_of_z(z):
-        return 2.0 + np.tanh(z[0])
-
     res = simulate_tracking(double_int_ctrl, ref, np.array([0.5, -0.3]), duration=5.0,
-                            dt=1e-3, b_of_z=b_of_z)
+                            dt=1e-3)
     for k in range(0, len(res.times), 250):
-        u = track(double_int_ctrl, ref, b_of_z, res.times[k], res.z[k])
+        u = track(double_int_ctrl, ref, res.times[k], res.z[k])
         assert_allclose(res.u[k, 0], u, rtol=1e-12, atol=1e-14)
-    assert np.ptp(b_of_z(res.z.T)) > 0.1
-
-
-def test_tracking_rejects_singular_decoupling(double_int_ctrl):
-    # b(z) = max(z_1, 0) vanishes once z_1 turns negative (near t = 1/3 from
-    # this start): the first such grid time is named, nothing is divided by 0.
-    ref = setpoint(np.zeros(2))
-    z0 = np.array([0.5, -2.0])
-    free = simulate_tracking(double_int_ctrl, ref, z0, duration=2.0, dt=1e-3)
-    k = np.flatnonzero(free.z[:, 0] <= 0.0)[0]
-    assert 0.2 < free.times[k] < 0.5
-    with pytest.raises(SingularDecouplingError, match=f"t={free.times[k]:.6f}") as err:
-        simulate_tracking(double_int_ctrl, ref, z0, duration=2.0, dt=1e-3,
-                          b_of_z=lambda z: np.maximum(z[0], 0.0))
-    assert err.value.time == free.times[k]
 
 
 def test_figure_eight_rejects_bad_frequency():
