@@ -234,9 +234,20 @@ def demo_set_to_dict(dset: DemonstrationSet) -> dict:
 
 
 def demo_set_from_dict(data: dict) -> DemonstrationSet:
-    """The set of a demo_set_to_dict document; its demonstrations become the block's columns."""
-    z = np.array([d["z"] for d in data["demos"]], dtype=float)  # (M, G, n)
-    v = np.array([d["v"] for d in data["demos"]], dtype=float)  # (M, G) or (M, G, m)
+    """The set of a demo_set_to_dict document; its demonstrations become the block's columns.
+
+    Raises ValueError naming the demonstration whose z or v sample count
+    differs from demonstration 0's.
+    """
+    demos = data["demos"]
+    G = len(demos[0]["z"])
+    for i, d in enumerate(demos):
+        for key in ("z", "v"):
+            if len(d[key]) != G:
+                raise ValueError(f"{key} of demonstration {i} has {len(d[key])} samples, "
+                                 f"z of demonstration 0 has {G}")
+    z = np.array([d["z"] for d in demos], dtype=float)  # (M, G, n)
+    v = np.array([d["v"] for d in demos], dtype=float)  # (M, G) or (M, G, m)
     if "A" in data:
         A, B = np.array(data["A"], dtype=float), np.array(data["B"], dtype=float)
     else:

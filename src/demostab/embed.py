@@ -16,7 +16,9 @@ which fixes
 
 Demonstrations of the original plant are transformed by integrating the
 auxiliary dynamics along the recorded (x, u) and re-reading the inputs as
-v = r u - s; the chain learner then applies unchanged.
+v = r u - s; the chain learner then applies unchanged.  The learned chain
+input drives the extended system one interval at a time, one rk4 call per
+interval, anchored as the chain simulator anchors it.
 """
 
 from __future__ import annotations
@@ -163,27 +165,20 @@ def transform_demos(cfg: EmbeddingConfig,
     interpolated linearly between samples; then z = Phi_z(x, xi) and
     v = r(x) u - s(x, xi) per sample.  Returns the chain demonstration set,
     recording i in column i, and the auxiliary states xi shaped (N, n-1, k).
-    A pre-flight scan raises if r(x) comes within tolerance of zero at a
-    grid sample of a demonstration; it checks the samples only, so r
-    changing sign between two samples passes unseen.  The forcing -L(x) u
-    of the auxiliary dynamics is tabulated once at the RK4 stage times
-    (grid points and step midpoints), and one rk4 call moves xi shaped
-    (n-1, k), one recording per column.  r, the forcing table, z and v read
-    plant.terms one recording at a time, which keeps its 4n+1 rows of
+    The forcing -L(x) u of the auxiliary dynamics is tabulated once at the
+    RK4 stage times (grid points and step midpoints), and one rk4 call on
+    the recording grid moves xi shaped (n-1, k), one recording per column.
+    Then each recording takes one pass: the domain test of its samples, one
+    plant.terms call, r(x) from it as r_of_x forms it, a scan that raises
+    if r comes within tolerance of zero at a sample (it checks the samples
+    only, so r changing sign between two samples passes unseen), and z and
+    s from the stage map on the same terms.  The forcing table, r, z and v
+    read plant.terms one recording at a time, which keeps its 4n+1 rows of
     temporaries at one recording's size.
     """
     n = cfg.n
     grid, states, u = batch.times, batch.states, batch.inputs  # (N,), (N, n, k), (N, k)
     k = states.shape[2]
-    r_vals = np.column_stack([r_of_x(cfg, states[:, :, i].T) for i in range(k)])
-    for i, r in enumerate(r_vals.T):
-        j = int(np.abs(r).argmin())
-        if abs(r[j]) <= R_TOL:
-            raise SingularEmbeddingError(
-                f"r(x) = {r[j]:.3e} along demonstration {i} at t={grid[j]:.6f}",
-                time=float(grid[j]),
-            )
-
     half = HalfGrid(grid)
     x_half = half.interpolate(states)
     forcing = np.empty((len(half.times), n - 1, k))
@@ -192,19 +187,28 @@ def transform_demos(cfg: EmbeddingConfig,
     forcing *= -half.interpolate(u)[:, None, :]
     A = cfg.A_xi
 
-    def xi_rhs(t, xi, _):
+    def xi_rhs(t, xi):
         return A @ xi + forcing[half.index(t)], 0.0
 
-    _, xi, _ = rk4(xi_rhs, np.zeros((n - 1, k)), grid[0], grid[-1], grid[1] - grid[0])
+    xi, _ = rk4(xi_rhs, np.zeros((n - 1, k)), grid)
     del x_half, forcing  # k recordings' stage tables: not held through the pass below
 
     z, v = np.empty(states.shape), np.empty(u.shape)
+    r_row = cfg.stage_map[n, 3 * n + 1:4 * n + 1]
     for i in range(k):
         x = states[:, :, i].T
         cfg.plant.require_in_domain(x)
-        terms = _stage(cfg, x, xi[:, :, i].T)
-        z[:, :, i] = terms[:n].T
-        v[:, i] = r_vals[:, i] * u[:, i] - terms[n + 1]
+        p = np.concatenate([cfg.plant.terms(x), xi[:, :, i].T])
+        r = np.tensordot(r_row, p[3 * n + 1:4 * n + 1], axes=1)
+        j = int(np.abs(r).argmin())
+        if abs(r[j]) <= R_TOL:
+            raise SingularEmbeddingError(
+                f"r(x) = {r[j]:.3e} along demonstration {i} at t={grid[j]:.6f}",
+                time=float(grid[j]),
+            )
+        out = cfg.stage_map @ p
+        z[:, :, i] = out[:n].T
+        v[:, i] = r * u[:, i] - out[n + 1]
     pair = brunovsky_pair(n)
     return DemonstrationSet(grid=grid, z=z, v=v, A=pair.A, B=pair.B), xi
 
@@ -302,15 +306,17 @@ def simulate_embedded_closed_loop(
     physical input u = (s + v) / r.  A stage is one domain test, one
     plant.terms call and one stage_map product; the committed grid states
     are tested by their first stage, so rk4 runs without its grid-point
-    domain guard.  The controller is anchored at interval starts from the
-    committed chain state there, evaluated the same way, and read through
-    interval_groups(anchor): a closed-loop basis reads its K/c table at slot
-    round(2 tau / dt), or value(tau, z) on a grid that ends in a shortened
-    step, and an open-loop one V zeta + v_base.  v (with the table's offset
-    c), r and s are read as Python floats and passed to _feedback.  dt must
-    be the demonstration dt (interval_grid).  A stage outside the domain
-    (DomainError) or with |r| <= R_TOL (SingularEmbeddingError) fails with
-    its absolute time.
+    domain guard.  Each interval of interval_grid is one rk4 call; the
+    anchor is read off the chain state of the interval's first stage, after
+    rk4's divergence test of that point, and the later of two intervals
+    re-reads their shared boundary point's input.  The controller is read
+    through interval_groups(anchor): a closed-loop basis reads its K/c table
+    at slot round(2 tau / dt), or value(tau, z) in the interval that holds
+    a shortened final step, and an open-loop one V zeta + v_base.  v (with
+    the table's offset c), r and s are read as Python floats and passed to
+    _feedback.  dt must be the demonstration dt (interval_grid).  A stage
+    outside the domain (DomainError) or with |r| <= R_TOL
+    (SingularEmbeddingError) fails with its absolute time.
     """
     if ctrl.m != 1:
         raise ValueError("the embedding pipeline drives a single-input plant")
@@ -319,28 +325,27 @@ def simulate_embedded_closed_loop(
     terms, inside, M = plant.terms, plant.domain_check, cfg.stage_map
     xi0 = np.zeros(n - 1) if xi0 is None else np.asarray(xi0, dtype=float)
     T = ctrl.T
-    # Whether the bases' K/c tables hold every stage time of this grid.
-    tables = not interval_grid(ctrl, duration, dt)[2]
+    times, N, short = interval_grid(ctrl, duration, dt)
+    last = len(times) - 1
+    anchor = None  # (start, basis, zeta, K/c table or None) of the running interval
 
-    def stage(t, y):
+    def rhs(t, y):
+        nonlocal anchor
         x = y[:n]
         if not inside(x):
             raise DomainError(f"state {x} is outside the domain of {plant.name} at t={t:.6f}",
                               time=t)
-        return M @ np.concatenate([terms(x), y[n:]])
-
-    def begin(t, y):
-        (basis, _, zeta), = ctrl.interval_groups(ctrl.begin_interval(stage(t, y)[:n]))
-        if not tables or zeta is not None:
-            return t, basis, zeta, None
-        _, K, c = basis.gains
-        return t, basis, zeta, (K, c[:, 0].tolist())
-
-    def rhs(tau, y, anchor):
+        out = M @ np.concatenate([terms(x), y[n:]])
+        z = out[:n]
+        if anchor is None:  # the interval's first stage: its start
+            (basis, _, zeta), = ctrl.interval_groups(ctrl.begin_interval(z))
+            table = None
+            if tables and zeta is None:
+                _, K, c = basis.gains
+                table = K, c[:, 0].tolist()
+            anchor = t, basis, zeta, table
         start, basis, zeta, table = anchor
-        t = start + tau
-        out = stage(t, y)
-        z, tau = out[:n], min(tau, T)
+        tau = min(t - start, T)
         if table is not None:
             K, c = table
             j = round(2.0 * tau / dt)
@@ -350,10 +355,16 @@ def simulate_embedded_closed_loop(
         else:
             v = basis.value_from_zeta(tau, zeta).item(0)
         r, s = out[n:n + 2].tolist()
-        u = _feedback(r, s, v, y[:n], t)
+        u = _feedback(r, s, v, x, t)
         return out[n + 2:3 * n + 1] + out[3 * n + 1:] * u, (v, u)
 
-    times, states, inputs = rk4(rhs, np.concatenate([x0, xi0]), 0.0, duration, dt, period=T,
-                                begin=begin)
+    states = np.empty((len(times), 2 * n - 1))
+    inputs = np.empty((len(times), 2))
+    states[0] = np.concatenate([x0, xi0])
+    for lo in range(0, last + (not short), N):
+        hi = min(lo + N, last)
+        # The K/c tables hold the interval's stage times unless it holds a shortened step.
+        anchor, tables = None, not (short and hi == last)
+        states[lo:hi + 1], inputs[lo:hi + 1] = rk4(rhs, states[lo], times[lo:hi + 1])
     return EmbeddedTrajectory(times=times, x=states[:, :n], xi=states[:, n:],
                               v=inputs[:, 0], u=inputs[:, 1])

@@ -31,6 +31,12 @@ composes those maps into an interval propagator (Pi_i, psi_i), and the chain
 simulator moves a whole batch through an interval with
 z(pT + t_i) = Pi_i z(pT) + psi_i.  The open-loop law, with zeta frozen, is
 affine in (z, zeta) and gets the same construction on the stacked state.
+
+Both learned-loop simulators, the chain simulator here and the embedded
+loop, anchor in one loop over the intervals of interval_grid: interval p
+starts at grid index pN (N = T/dt), neighbouring intervals share their
+boundary point, the later one re-reading its input under its own anchor,
+and a last point on a boundary starts a zero-step interval.
 """
 
 from __future__ import annotations
@@ -336,66 +342,59 @@ def simulate_chain_batch(ctrl, z0: np.ndarray, duration: float, dt: float
     """Integrate dz/dt = A z + B kappa_hat(t, z) for a batch of initial states.
 
     z0 is (n,) or (n, k); dt must be the demonstration dt (interval_grid).
-    The controller is anchored at every interval start from the committed
-    state there, and RK4 stage times are resolved against the interval of
-    the enclosing step, so stages at exactly (p+1)T use the interval-p
-    matrices.  Returns (times, states, inputs) with states shaped (G, n, k)
-    and inputs (G, m, k).  Every grid state, z0 at t = 0 included, takes
-    rk4's divergence test.
+    Returns (times, states, inputs) with states shaped (G, n, k) and inputs
+    (G, m, k).  Every grid state, z0 at t = 0 included, takes rk4's
+    divergence test.
 
-    Each interval is one application of the bases' propagators to the
-    batch, which is RK4 up to rounding.  A grid that ends in a shortened
-    step takes that step alone through rk4, reading the law at its stage
-    times under the anchor of the interval it lies in.  Only the last
-    propagator built is kept, and only for this call: consecutive groups
-    that follow the same basis share it, so a single-basis controller
-    builds one per call.
+    Interval p runs from grid index pN (N = T/dt) and is anchored at the
+    committed state there; each is one application of the bases'
+    propagators to the batch, which is RK4 up to rounding.  Neighbouring
+    intervals share their boundary point, whose input the later one
+    re-reads under its own anchor, and a last point on a boundary starts a
+    zero-step interval.  A grid that ends in a shortened step takes that
+    step alone through rk4, reading the law at tau = t - t_pN under the
+    anchor of the last interval.  Only the last propagator built is kept,
+    and only for this call: consecutive groups that follow the same basis
+    share it, so a single-basis controller builds one per call.
     """
     z = np.asarray(z0, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
     times, N, short = interval_grid(ctrl, duration, dt)
-    S = len(times) - 1 - short  # the steps the propagators take
+    last = len(times) - 1
+    S = last - short  # the last grid point the propagators reach
 
     states = np.empty((len(times),) + z.shape)
     inputs = np.empty((len(times), ctrl.m, z.shape[1]))
     states[0] = z
     check_divergence(states[:1], times[:1])
-    start = 0
     table_basis = prop = None
-    while True:
-        anchor = ctrl.begin_interval(states[start])
-        end = min(start + N, S)
-        span = end - start
-        # The last grid point takes its input from the interval it lies in,
-        # re-anchored there if it starts one, as rk4 records it.
-        rec = span + 1 if span < N else span
+    for lo in range(0, last + (not short), N):
+        anchor = ctrl.begin_interval(states[lo])
+        hi = min(lo + N, S)
+        span = hi - lo
         with np.errstate(over="ignore", invalid="ignore"):
             for basis, cols, zeta in ctrl.interval_groups(anchor):
                 if basis is not table_basis:
                     prop = None  # released before the next is built: one table at a time
                     prop = basis.propagator(ctrl.A, ctrl.B, open_loop=zeta is not None)
                     table_basis = basis
-                x = states[start][:, cols]
+                x = states[lo][:, cols]
                 if zeta is not None:
                     x = np.vstack([x, zeta])
-                states[start + 1:end + 1, :, cols] = (prop.P[1:span + 1] @ x
-                                                      + prop.psi[1:span + 1, :, None])
-                y = states[start:start + rec][:, :, cols] if zeta is None else zeta
-                inputs[start:start + rec, :, cols] = prop.G[:rec] @ y + prop.g[:rec, :, None]
-        check_divergence(states[start + 1:end + 1], times[start + 1:end + 1])
-        if span < N:
-            break
-        start = end
+                states[lo + 1:hi + 1, :, cols] = (prop.P[1:span + 1] @ x
+                                                  + prop.psi[1:span + 1, :, None])
+                y = states[lo:hi + 1][:, :, cols] if zeta is None else zeta
+                inputs[lo:hi + 1, :, cols] = prop.G[:span + 1] @ y + prop.g[:span + 1, :, None]
+        check_divergence(states[lo + 1:hi + 1], times[lo + 1:hi + 1])
     if short:
-        def rhs(tau, zz, anchor):
-            v = ctrl.eval_in_interval(anchor, min(tau, ctrl.T), zz)
+        start = float(times[lo])
+
+        def rhs(t, zz):
+            v = ctrl.eval_in_interval(anchor, min(t - start, ctrl.T), zz)
             return ctrl.A @ zz + ctrl.B @ v, v
 
-        # The step keeps its interval's anchor; a last point on a boundary re-anchors.
-        _, states[S:], inputs[S:] = rk4(
-            rhs, states[S], times[S], times[-1], dt, period=ctrl.T,
-            begin=lambda t, zz: anchor if t == times[S] else ctrl.begin_interval(zz))
+        states[S:], inputs[S:] = rk4(rhs, states[S], times[S:])
     return times, states, inputs
 
 

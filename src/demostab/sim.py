@@ -1,8 +1,9 @@
 """Fixed-step RK4 integration and closed-loop simulation.
 
-Every stage-by-stage integration runs through one driver, rk4, which owns
-the grid, the per-interval anchoring of learned controllers and the
-grid-point divergence and domain guard.  The learned chain loops move whole
+Every stage-by-stage integration runs through one stepper, rk4, which steps
+the grid it is given and owns the grid-point divergence and domain guard.
+The learned loops anchor their controllers per interval themselves, one rk4
+call or one propagator application per interval; the chain loops move whole
 intervals through affine_interval_maps, RK4 steps composed in closed form.
 Grids are deterministic, so outputs reproduce bit for bit: the step dt is
 fixed and the final step shortened, if need be, to land on the end time.
@@ -167,60 +168,37 @@ def check_divergence(states: np.ndarray, times: np.ndarray) -> None:
                               column=_largest_column(states[bad[0]]))
 
 
-def interval_index(t: float | np.ndarray, T: float):
+def interval_index(t: float, T: float) -> tuple[int, float]:
     """Split t >= 0 into the interval index p and the offset tau in [0, T].
 
     Right-continuous at interval boundaries: at exactly t = pT the new
-    interval's formula applies.  A float t gives (int, float); an array of
-    times gives arrays of p and tau, each entry the float call's: the same
-    formula on NumPy's floor, maximum and minimum.
+    interval's formula applies.
     """
-    batch = isinstance(t, np.ndarray)
-    floor, maximum, minimum = ((np.floor, np.maximum, np.minimum) if batch
-                               else (math.floor, max, min))
-    p = maximum(floor(t / T + _P_TOL), 0)
-    tau = minimum(maximum(t - p * T, 0.0), T)
-    return (p.astype(int), tau) if batch else (p, tau)
+    p = max(math.floor(t / T + _P_TOL), 0)
+    return p, min(max(t - p * T, 0.0), T)
 
 
-def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantModel] = None):
-    """Classical RK4 on time_grid(t0, t1, dt); returns (times, states, inputs).
+def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
+    """Classical RK4 over the grid times; returns (states, inputs).
 
-    rhs(s, y, anchor) returns (dy/dt, u): the derivative and the input it
-    applied.  inputs[k] is the input of the first stage at t_k (one extra
-    call supplies it at the last grid point).  Without a period the stage
-    time s is absolute, t_k + c h.  With a period T, which must be a whole
-    multiple of dt, time splits into intervals [pT, (p+1)T): s is the offset
-    tau_k + c h from the start of the step's interval, so a step ending at
-    (p+1)T stays in interval p, and at each interval's first grid point
-    begin(t_k, y_k) turns the committed state into the anchor that rhs
-    receives for the whole interval.  The grid is split into (p, tau) by
-    one array call of interval_index.
+    rhs(t, y) returns (dy/dt, u): the derivative and the input it applied
+    at the absolute stage time t = t_k + c h.  inputs[k] is the input of
+    the first stage at t_k (one extra call supplies it at the last grid
+    point, so a one-point grid costs one call).
 
-    Every grid state, y0 at t0 included, must be finite with norm at most
-    DIVERGENCE_NORM and, if a plant is given as domain, its first plant.n
-    entries must lie in the plant's domain (tested in that order);
+    Every grid state, y0 at times[0] included, must be finite with norm at
+    most DIVERGENCE_NORM and, if a plant is given as domain, its first
+    plant.n entries must lie in the plant's domain (tested in that order);
     otherwise DivergenceError carries the time of the offending grid point.
     A state y shaped (d, k) is a batch of k columns: the norm test is on the
     whole batch, the domain test on every column, and the error names a
     column.
     """
-    times = time_grid(t0, t1, dt)
-    if period is not None:
-        ratio = period / dt
-        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(f"interval length {period} is not a whole multiple of dt={dt}")
     grid = times.tolist()
     last = len(grid) - 1
-    if period is None:
-        offsets, starts = grid, ()
-    else:
-        # Stage offsets from the interval start, and the grid indices that start an interval.
-        p, tau = interval_index(times, period)
-        offsets, starts = tau.tolist(), set(np.flatnonzero(np.diff(p, prepend=-1)).tolist())
     y = np.asarray(y0, dtype=float)
     states = np.empty((len(grid),) + y.shape)
-    inputs = anchor = None
+    inputs = None
     for k, t in enumerate(grid):
         # A non-finite entry makes the squared norm NaN or inf, failing the test too.
         if not float(np.vdot(y, y)) <= DIVERGENCE_NORM**2:
@@ -232,10 +210,7 @@ def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantMode
                 domain.require_in_domain(y[: domain.n])
             except DomainError as exc:
                 raise DivergenceError(f"{exc} at t={t:.6f}", time=t, column=exc.column) from exc
-        if k in starts:
-            anchor = begin(t, y)
-        s = offsets[k]
-        k1, u = rhs(s, y, anchor)
+        k1, u = rhs(t, y)
         if inputs is None:
             inputs = np.empty((len(times),) + np.shape(u))
         inputs[k] = u
@@ -243,11 +218,11 @@ def rk4(rhs, y0, t0, t1, dt, period=None, begin=None, domain: Optional[PlantMode
             break
         h = grid[k + 1] - t
         half = 0.5 * h
-        k2, _ = rhs(s + half, y + half * k1, anchor)
-        k3, _ = rhs(s + half, y + half * k2, anchor)
-        k4, _ = rhs(s + h, y + h * k3, anchor)
+        k2, _ = rhs(t + half, y + half * k1)
+        k3, _ = rhs(t + half, y + half * k2)
+        k4, _ = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return times, states, inputs
+    return states, inputs
 
 
 def simulate_closed_loop(
@@ -263,9 +238,10 @@ def simulate_closed_loop(
     continuously up to the integration error.  inputs[k] is the input at t_k.
     x0 shaped (n, k) runs k starts as one batch, one input per column.
     """
-    def rhs(t, x, _):
+    def rhs(t, x):
         u = controller(t, x)
         return plant.rhs(x, u), u
 
-    times, states, inputs = rk4(rhs, x0, 0.0, duration, dt, domain=plant)
+    times = time_grid(0.0, duration, dt)
+    states, inputs = rk4(rhs, x0, times, domain=plant)
     return Trajectory(times=times, states=states, inputs=inputs)

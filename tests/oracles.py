@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from demostab.errors import DegenerateGeometryError
-from demostab.sim import time_grid
+from demostab.sim import interval_index, time_grid
 
 # ---------------------------------------------------------------------------
 # Double-integrator LQR fixture: A = [[0,1],[0,0]], B = [0,1]^T, K = [1,2].
@@ -413,11 +413,12 @@ def record_one(plant, expert, x0, T: float, dt: float):
     """
     from demostab.sim import Trajectory, rk4
 
-    def rhs(t, x, _):
+    def rhs(t, x):
         u = float(expert(x))
         return plant.rhs(x, u), u
 
-    times, states, inputs = rk4(rhs, np.asarray(x0, dtype=float), 0.0, T, dt, domain=plant)
+    times = time_grid(0.0, T, dt)
+    states, inputs = rk4(rhs, np.asarray(x0, dtype=float), times, domain=plant)
     return Trajectory(times=times, states=states, inputs=inputs)
 
 
@@ -457,36 +458,52 @@ def aux_dot(plant, w, x, xi, u):
     return out
 
 
-def embedded_interval_rk4(plant, w, ctrl, x0, xi0, dt):
-    """The first interval [0, ctrl.T] of the embedded closed loop, stage by stage.
+def _interval_starts(times, T: float) -> list[int]:
+    """Grid indices whose interval_index differs from the previous point's."""
+    p = [interval_index(t, T)[0] for t in times.tolist()]
+    return [k for k in range(len(p)) if k == 0 or p[k] != p[k - 1]]
+
+
+def embedded_rk4(plant, w, ctrl, x0, xi0, duration: float, dt: float):
+    """The embedded closed loop on time_grid(0, duration, dt), stage by stage.
 
     Every stage evaluates the extended rhs term by term: z, r and s from
-    embedding_terms, v from the controller anchored at the start,
-    u = (s + v) / r, then (plant.rhs(x, u), aux_dot(x, xi, u)).  Classical
-    RK4 on time_grid(0, T, dt); returns the grid states (N+1, 2n-1).
+    embedding_terms, v from the controller under its interval's anchor,
+    u = (s + v) / r, then (plant.rhs(x, u), aux_dot(x, xi, u)).  Each
+    interval start (_interval_starts) anchors the controller at the chain
+    state committed there, and every stage up to the next start reads it
+    at tau = t - t_start.  Classical RK4; returns the grid states
+    (G, 2n-1) and the inputs v (G,) and u (G,) of each point's first stage.
     """
-    n = plant.n
+    n, T = plant.n, ctrl.T
+    times = time_grid(0.0, duration, dt)
+    starts = set(_interval_starts(times, T))
 
-    def rhs(tau, y):
+    def rhs(t, y):
         x, xi = y[:n], y[n:]
         z, r, s = embedding_terms(plant, w, x, xi)
-        v = float(ctrl.eval_in_interval(anchor, min(tau, ctrl.T), z)[0])
+        v = float(ctrl.eval_in_interval(anchor, min(t - start, T), z)[0])
         u = (s + v) / r
-        return np.concatenate([plant.rhs(x, u), aux_dot(plant, w, x, xi, u)])
+        return np.concatenate([plant.rhs(x, u), aux_dot(plant, w, x, xi, u)]), v, u
 
     y = np.concatenate([x0, xi0]).astype(float)
-    anchor = ctrl.begin_interval(embedding_terms(plant, w, y[:n], y[n:])[0])
-    times = time_grid(0.0, ctrl.T, dt)
-    states = [y]
-    for t, t_next in zip(times[:-1], times[1:]):
-        h = t_next - t
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    grid = times.tolist()
+    states, vs, us = [], [], []
+    for k, t in enumerate(grid):
+        if k in starts:
+            anchor, start = ctrl.begin_interval(embedding_terms(plant, w, y[:n], y[n:])[0]), t
+        k1, v, u = rhs(t, y)
         states.append(y)
-    return np.array(states)
+        vs.append(v)
+        us.append(u)
+        if k == len(grid) - 1:
+            break
+        h = grid[k + 1] - t
+        k2 = rhs(t + h / 2, y + h / 2 * k1)[0]
+        k3 = rhs(t + h / 2, y + h / 2 * k2)[0]
+        k4 = rhs(t + h, y + h * k3)[0]
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return np.array(states), np.array(vs), np.array(us)
 
 
 def transform_demo_per_sample(plant, w, times, states, inputs, xi0):
@@ -561,10 +578,12 @@ def csv_text(header, columns) -> str:
 
 
 def chain_rk4(ctrl, z0, duration: float, dt: float):
-    """(times, states, inputs) of the learned chain loop through the RK4 driver.
+    """(times, states, inputs) of the learned chain loop, one rk4 call per interval.
 
-    Every stage evaluates the controller, anchored per interval as
-    simulate_chain_batch anchors it.
+    Each interval start (_interval_starts) anchors the controller at the
+    state committed there, and rk4 steps the grid up to the next start,
+    evaluating the controller at every stage with tau = t - t_start; the
+    next interval re-reads the input at the start it shares.
     """
     from demostab.sim import rk4
 
@@ -572,13 +591,21 @@ def chain_rk4(ctrl, z0, duration: float, dt: float):
     if z.ndim == 1:
         z = z[:, None]
     A, B, T = ctrl.A, ctrl.B, ctrl.T
+    times = time_grid(0.0, duration, dt)
 
-    def rhs(tau, zz, anchor):
-        v = ctrl.eval_in_interval(anchor, min(tau, T), zz)
+    def rhs(t, zz):
+        v = ctrl.eval_in_interval(anchor, min(t - start, T), zz)
         return A @ zz + B @ v, v
 
-    return rk4(rhs, z, 0.0, duration, dt, period=T,
-               begin=lambda t, zz: ctrl.begin_interval(zz))
+    starts = _interval_starts(times, T)
+    states, inputs = np.empty((len(times),) + z.shape), None
+    for lo, hi in zip(starts, starts[1:] + [len(times) - 1]):
+        anchor, start = ctrl.begin_interval(z), float(times[lo])
+        block, u = rk4(rhs, z, times[lo:hi + 1])
+        if inputs is None:
+            inputs = np.empty((len(times),) + u.shape[1:])
+        states[lo:hi + 1], inputs[lo:hi + 1], z = block, u, block[-1]
+    return times, states, inputs
 
 
 def per_simplex_monodromy(ctrl, T=None) -> list[np.ndarray]:
@@ -600,7 +627,8 @@ def integrate(rhs, x0, t0: float, t1: float, dt: float):
     """
     from demostab.sim import Trajectory, rk4
 
-    times, states, inputs = rk4(lambda t, x, _: (rhs(t, x), 0.0), x0, t0, t1, dt)
+    times = time_grid(t0, t1, dt)
+    states, inputs = rk4(lambda t, x: (rhs(t, x), 0.0), x0, times)
     return Trajectory(times=times, states=states, inputs=inputs)
 
 

@@ -263,28 +263,30 @@ def _chain3_demo_set(*lengths_and_starts, first=(0.0, 0.0, 0.0)) -> str:
     return json.dumps({"n": 3, "m": 1, "M": len(demos), "T": 0.02, "dt": 0.01, "demos": demos})
 
 
-@pytest.mark.parametrize("name, text, stage", [
-    ("demo_set.json", "{", "learn"),
-    ("demo_set.json", '{"n": 2}', "learn"),
-    ("demo_set.json", _chain3_demo_set((3, (1, 0, 0)), (2, (0, 1, 0)), (3, (0, 0, 1))), "learn"),
+@pytest.mark.parametrize("name, text, stage, detail", [
+    ("demo_set.json", "{", "learn", ""),
+    ("demo_set.json", '{"n": 2}', "learn", ""),
+    ("demo_set.json", _chain3_demo_set((3, (1, 0, 0)), (2, (0, 1, 0)), (3, (0, 0, 1))), "learn",
+     "z of demonstration 2 has 2 samples, z of demonstration 0 has 3"),
     ("demo_set.json", _chain3_demo_set((3, (1, 0, 0)), (3, (0, 1, 0)), (3, (0, 0, 1)),
-                                       first=(0.0, 0.0, 1e-9)), "learn"),
-    ("demo_set.json", _chain3_demo_set((3, (1, 0, 0)), (3, (0, 1, 0))), "learn"),
-    ("controller.json", "[1, 2", "certify"),
-    ("controller.json", "{}", "simulate"),
-    ("certificate.json", "not json", "simulate"),
-    ("certificate.json", "{}", "track"),
-    ("certificate.json", "[]", "simulate"),
-    ("config.json", "{", "demos"),
+                                       first=(0.0, 0.0, 1e-9)), "learn", ""),
+    ("demo_set.json", _chain3_demo_set((3, (1, 0, 0)), (3, (0, 1, 0))), "learn", ""),
+    ("controller.json", "[1, 2", "certify", ""),
+    ("controller.json", "{}", "simulate", ""),
+    ("certificate.json", "not json", "simulate", ""),
+    ("certificate.json", "{}", "track", ""),
+    ("certificate.json", "[]", "simulate", ""),
+    ("config.json", "{", "demos", ""),
 ], ids=["demo_set_undecodable", "demo_set_missing_key", "demo_set_unequal_lengths",
         "demo_set_first_not_zero", "demo_set_too_few", "controller_undecodable",
         "controller_missing_key", "certificate_undecodable", "certificate_missing_key",
         "certificate_not_an_object", "config_undecodable"])
-def test_unreadable_stage_file_is_usage_error(tmp_path, capsys, name, text, stage):
+def test_unreadable_stage_file_is_usage_error(tmp_path, capsys, name, text, stage, detail):
     # A stage file (or the config) that does not decode, lacks a key, is no
     # JSON object or holds a demonstration set that breaks its invariants
     # (demonstrations of unequal length, a first one that is not zero, fewer
-    # than n+1): one usage line naming that file.
+    # than n+1): one usage line naming that file, and for unequal lengths
+    # the demonstration and both sample counts.
     cfg = write_config(tmp_path / "config.json", preset="chain3", expert=AXIS_EXPERT, T=2.0,
                        simulate={"x0": [0.5, 0.5, 0.0], "duration": 2.0},
                        track={"f": 0.5, "duration": 2.0})
@@ -294,7 +296,7 @@ def test_unreadable_stage_file_is_usage_error(tmp_path, capsys, name, text, stag
     assert main([stage, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
-    assert str(tmp_path / name) in err[0]
+    assert str(tmp_path / name) in err[0] and detail in err[0]
 
 
 def test_demo_start_outside_domain_exit_divergence(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import (aux_dot, charpoly, embedded_interval_rk4, embedding_terms, routh_stable,
+from oracles import (aux_dot, charpoly, embedded_rk4, embedding_terms, routh_stable,
                      transform_demo_per_sample)
 
 from demostab.embed import (
@@ -390,16 +390,48 @@ def test_readme_loop_interval_matches_term_by_term_rhs(ball_beam_fixture):
     ctrl = LearnedController(build_basis(eset), A=eset.A, B=eset.B)
     x0, xi0 = np.array([6.0, 0.0, 0.345, 0.0]), np.zeros(3)
     traj = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=ctrl.T, dt=1e-3)
-    want = embedded_interval_rk4(cfg.plant, cfg.w, ctrl, x0, xi0, 1e-3)
+    want, _, _ = embedded_rk4(cfg.plant, cfg.w, ctrl, x0, xi0, ctrl.T, 1e-3)
     got = np.hstack([traj.x, traj.xi])
     assert got.shape == want.shape == (8001, 7)
     assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
+def _varying_chain2_controller(mode):
+    """A chain2 controller on intervals of 0.05 s at dt = 0.01 whose law varies with tau.
+
+    Z, V and both base terms are smooth in tau, so K(tau), c(tau) and the
+    open-loop replay change within each interval and a misplaced anchor shows.
+    """
+    t = time_grid(0.0, 0.05, 0.01)
+    Zs = (np.array([[1.0, 0.3], [-0.2, 1.0]])
+          + np.multiply.outer(t, np.diag([1.0, 0.5])))
+    basis = AffineBasis(index_set=(0, 1, 2), times=t, Zs=Zs,
+                        Vs=np.stack([-1.0 - 10.0 * t, -2.0 + 20.0 * t], -1)[:, None, :],
+                        z_base=np.stack([0.1 * t, np.full_like(t, -0.2)], -1),
+                        v_base=np.sin(40.0 * t)[:, None])
+    return LearnedController(basis, feedback_mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
+@pytest.mark.parametrize("duration", [0.15, 0.175], ids=["on_a_boundary", "shortened_step"])
+def test_whole_run_matches_the_term_by_term_oracle(mode, duration):
+    # Three intervals of the unit-speed chain2 embedding, ending on the
+    # boundary 3T (a zero-step interval re-anchors there) or 2.5 dt later
+    # in a shortened step, against the oracle's own interval loop.
+    cfg, ctrl = _unit_speed_chain2(), _varying_chain2_controller(mode)
+    x0, xi0 = np.array([0.4, -0.3]), np.array([0.2])
+    traj = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=duration, dt=0.01)
+    states, v, u = embedded_rk4(cfg.plant, cfg.w, ctrl, x0, xi0, duration, 0.01)
+    assert len(traj.times) == len(states) == (16 if duration == 0.15 else 19)
+    for got, want in ((np.hstack([traj.x, traj.xi]), states), (traj.v, v), (traj.u, u)):
+        assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_table_slot_read_matches_value_bit_for_bit(ball_beam_fixture):
-    # A run of 0.5005 s ends in a shortened step, so no K/c table covers its
-    # grid and every stage calls basis.value(tau, z), which finds its slot by
-    # HalfGrid.index: up to 0.5 s it equals the run that reads the slots directly.
+    # A run of 0.5005 s is one interval that ends in a shortened step, so no
+    # K/c table covers it and every stage calls basis.value(tau, z), which
+    # finds its slot by HalfGrid.index: up to 0.5 s it equals the run that
+    # reads the slots directly.
     cfg, ctrl = ball_beam_fixture["cfg"], LearnedController(build_basis(ball_beam_fixture["set"]))
     x0, xi0 = np.array([6.0, 0.0, 0.345, 0.0]), np.zeros(3)
     table = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5, dt=1e-3)
@@ -495,17 +527,18 @@ def _recording_chain2(seen, bound=np.inf):
 
 
 def test_embedded_loop_tests_each_stage_and_anchor_state_once():
-    # 20 steps in intervals of 2 steps: 4 stages per step and one at the last
-    # grid point, plus the anchor read at the 11 grid points that start an
-    # interval (0.020 among them), each one domain test and one terms call.
-    # rk4 adds no grid-point test of its own.
+    # 20 steps in intervals of 2 steps: 4 stages per step, and each of the
+    # 11 intervals (the zero-step one at 0.020 among them) adds one stage at
+    # its last grid point, each one domain test and one terms call.  The
+    # anchor is read off an interval's first stage, and rk4 adds no
+    # grid-point test of its own.
     seen = []
     traj = simulate_embedded_closed_loop(_recording_chain2(seen), _zero_controller(2e-3, 1e-3),
                                          np.array([0.0, 1.0]), np.zeros(1), duration=0.02,
                                          dt=1e-3)
-    steps, starts = len(traj.times) - 1, len(range(0, 21, 2))
+    steps, intervals = len(traj.times) - 1, len(range(0, 21, 2))
     tests = [x for x in seen if x is not None]
-    assert len(tests) == len(seen) - len(tests) == 4 * steps + 1 + starts
+    assert len(tests) == len(seen) - len(tests) == 4 * steps + intervals == 91
     # Pairs: every domain test is followed by the terms call of the same stage.
     assert all(a is not None and b is None for a, b in zip(seen[0::2], seen[1::2]))
 

@@ -23,7 +23,7 @@ from demostab.errors import DivergenceError
 from demostab.learner import AffineBasis, LearnedController, build_basis, simulate_chain_batch
 from demostab.multi import MultiController
 from demostab.plant import lqr_gain
-from demostab.sim import rk4
+from demostab.sim import rk4, time_grid
 
 T, DT = 0.5, 0.01
 N = round(T / DT)
@@ -60,10 +60,11 @@ def random_chain_set(seed: int, n: int, m: int, starts: np.ndarray, rate: float 
     def gain(t):
         return K + np.multiply.outer(t, K1)
 
-    def rhs(t, Z, _):
+    def rhs(t, Z):
         return A @ Z - B @ (gain(t) @ Z), 0.0
 
-    times, states, _ = rk4(rhs, np.hstack([np.zeros((n, 1)), starts]), 0.0, T, DT)
+    times = time_grid(0.0, T, DT)
+    states, _ = rk4(rhs, np.hstack([np.zeros((n, 1)), starts]), times)
     return DemonstrationSet(grid=times, z=states, v=-(gain(times) @ states), A=A, B=B)
 
 

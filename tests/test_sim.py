@@ -78,17 +78,11 @@ def test_zero_controller_at_origin_stays_zero():
     assert np.all(traj.inputs == 0.0)
 
 
-def test_driver_rejects_interval_off_the_grid():
-    rhs = lambda s, x, anchor: (-x, 0.0)
-    for period in (2.5e-3, 0.0, 1e-12):
-        with pytest.raises(ValueError, match="whole multiple"):
-            rk4(rhs, np.ones(1), 0.0, 1.0, 1e-3, period=period, begin=lambda t, x: None)
-
-
 def test_interval_controller_anchored_at_committed_state(double_int_set):
-    # The RK4 driver anchors a learned controller once per interval, at the
-    # committed state, exactly like the chain simulator.  Anchoring at the
-    # RK4 predictor state at t = (p+1)T instead puts it ~2e-9 off.
+    # The stage-by-stage reference anchors a learned controller once per
+    # interval, at the committed state, exactly like the chain simulator.
+    # Anchoring at the RK4 predictor state at t = (p+1)T instead puts it
+    # ~2e-9 off.
     ctrl = LearnedController(build_basis(double_int_set), feedback_mode="open_loop")
     z0 = np.array([0.4, -0.2])
     chain = simulate_chain_closed_loop(ctrl, z0, 6.0, 1e-3)
@@ -120,7 +114,8 @@ def test_check_divergence_names_the_column_as_rk4_does():
     assert (err.value.time, err.value.column) == (times[2], 0)
     # rk4 names the same column for the same batch, one step in.
     with pytest.raises(DivergenceError) as err:
-        rk4(lambda t, y, _: ((states[3] - states[0]) / 0.1, 0.0), states[0], 0.0, 0.5, 0.1)
+        rk4(lambda t, y: ((states[3] - states[0]) / 0.1, 0.0), states[0],
+            time_grid(0.0, 0.5, 0.1))
     assert (err.value.time, err.value.column) == (0.1, 1)
 
 
@@ -129,11 +124,11 @@ def test_check_divergence_names_the_column_as_rk4_does():
                          ids=["past_the_bound", "non_finite_column"])
 def test_start_is_held_to_the_divergence_bound(y0, column):
     # y0 takes the test of every committed state, before rhs sees it.
-    def rhs(t, y, _):
+    def rhs(t, y):
         raise AssertionError("rhs called on a start past the bound")
 
     with pytest.raises(DivergenceError, match=r"state diverged at t=0\.250000") as err:
-        rk4(rhs, y0, 0.25, 1.0, 0.05)
+        rk4(rhs, y0, time_grid(0.25, 1.0, 0.05))
     assert (err.value.time, err.value.column) == (0.25, column)
 
 
@@ -192,12 +187,10 @@ def test_interval_index_of_a_grid_is_the_float_call_at_every_point(dt, steps, in
     # for frac > 0 a shortened final step.
     T = steps * dt
     times = time_grid(0.0, intervals * T + (extra + frac) * dt or dt, dt)
-    p, tau = interval_index(times, T)
+    calls = [interval_index(t, T) for t in times.tolist()]
+    assert all((type(q), type(s)) == (int, float) for q, s in calls)
+    p, tau = (np.array(col) for col in zip(*calls))
     assert p.shape == tau.shape == times.shape and p.dtype.kind == "i"
-    for k, t in enumerate(times.tolist()):
-        q, s = interval_index(t, T)
-        assert (type(q), type(s)) == (int, float)
-        assert (int(p[k]), tau[k].tobytes()) == (q, np.float64(s).tobytes())
     # Grid points at pT start interval p, right-continuous, with tau = 0
     # where the point is pT exactly (every one on the binary dt = 0.25).
     full = len(times) - (frac > 0)
