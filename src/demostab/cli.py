@@ -34,7 +34,7 @@ from . import embed as embed_mod
 from . import systems
 from .errors import AffineDependenceError, DivergenceError, DomainError, SingularEmbeddingError
 from .files import read_json, write_csv, write_json
-from .learner import LearnedController, build_basis, load_controller, save_controller, \
+from .learner import learn_controller, load_controller, save_controller, \
     simulate_chain_closed_loop
 from .plant import chain_preset, expert_lqr
 from .sim import MAX_STEPS
@@ -217,8 +217,9 @@ class RunConfig:
         if not isinstance(grid, list):
             raise _UsageError(f"t_tilde_grid must be a list of numbers, got {grid!r}")
         self.t_tilde_grid = [_number("t_tilde_grid entry", t) for t in grid]
-        if not all(t >= 0.0 for t in self.t_tilde_grid):
-            raise _UsageError(f"t_tilde_grid entries must not be negative, got {grid!r}")
+        if not all(0.0 <= t <= self.T for t in self.t_tilde_grid):
+            raise _UsageError(f"t_tilde_grid entries must lie in [0, T] with T = {self.T}, "
+                              f"got {grid!r}")
         self.simulate = _section(data, "simulate")
         self.simulate_duration = _number("simulate.duration",
                                          self.simulate.get("duration", 5.0 * self.T), positive=True)
@@ -356,24 +357,15 @@ def cmd_demos(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _learn_controller(cfg: RunConfig, dset):
-    if cfg.multi:
-        # Loaded here only: multi brings in geometry's scipy.optimize and scipy.spatial.
-        from .multi import MultiController
-
-        return MultiController(dset, feedback_mode=cfg.feedback)
-    basis = build_basis(dset)
-    return LearnedController(basis, A=dset.A, B=dset.B, feedback_mode=cfg.feedback)
-
-
 def cmd_learn(cfg: RunConfig, out: Path) -> int:
     demo_path = out / "demo_set.json"
     if not demo_path.exists():
         print(f"learn: no demo set at {demo_path}; run the demos stage first", file=sys.stderr)
         return EXIT_USAGE
-    dset = _read(demo_path, demos_mod.load_demo_set)
+    dset, sha256 = _read(demo_path, demos_mod.read_demo_set)
+    _check_grid(cfg, demo_path, "demonstration set", dset)
     try:
-        ctrl = _learn_controller(cfg, dset)
+        ctrl = learn_controller(dset, sha256, cfg.multi, cfg.feedback)
     except AffineDependenceError as exc:
         print(f"learn: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -382,7 +374,6 @@ def cmd_learn(cfg: RunConfig, out: Path) -> int:
     write_json(out / "certificate.json", cert.to_dict())
     if not cert.verdict:
         grid = cfg.t_tilde_grid or [cfg.T / 8, cfg.T / 4, cfg.T / 2, cfg.T]
-        grid = [t for t in grid if t <= dset.T + 1e-9]
         suggestion = certify_mod.find_T_tilde(ctrl, grid)
         hint = (f"; smallest passing horizon on the search grid: {suggestion}"
                 if suggestion is not None else "; no passing horizon on the search grid")
@@ -420,16 +411,20 @@ def _check_certificate(out: Path, force: bool, stage: str) -> Optional[int]:
     return None
 
 
-def _load_controller(cfg: RunConfig, out: Path):
-    """The controller in out, which must have the preset's n and the config's T and dt."""
-    path = out / "controller.json"
-    ctrl = _read(path, load_controller)
-    for key, learned, given in (("n", ctrl.n, len(cfg.preset.x0)), ("T", ctrl.T, cfg.T),
-                                ("dt", ctrl.dt, cfg.dt)):
+def _check_grid(cfg: RunConfig, path: Path, what: str, obj):
+    """obj, the demonstration set or controller read from path; a usage error unless it has
+    the preset's n and the config's T and dt."""
+    for key, learned, given in (("n", obj.n, len(cfg.preset.x0)), ("T", obj.T, cfg.T),
+                                ("dt", obj.dt, cfg.dt)):
         if abs(learned - given) > 1e-9 * given:
-            raise _UsageError(f"{path} holds a controller with {key} = {learned}, "
+            raise _UsageError(f"{path} holds a {what} with {key} = {learned}, "
                               f"but the {cfg.name} config has {key} = {given}")
-    return ctrl
+    return obj
+
+
+def _load_controller(cfg: RunConfig, out: Path):
+    path = out / "controller.json"
+    return _check_grid(cfg, path, "controller", _read(path, load_controller))
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:

@@ -9,6 +9,7 @@ exactly at the origin.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -16,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NotFeedbackLinearizableError
-from .files import read_json, write_csv, write_json
+from .files import decode_json, write_csv, write_json
 from .plant import PlantModel, brunovsky_pair
 from .sim import Trajectory, simulate_closed_loop, time_grid
 
@@ -262,7 +263,24 @@ def save_demo_set(dset: DemonstrationSet, path: str | Path) -> None:
 
 
 def load_demo_set(path: str | Path) -> DemonstrationSet:
-    return demo_set_from_dict(read_json(path))
+    return read_demo_set(path)[0]
+
+
+def read_demo_set(path: str | Path, sha256: Optional[str] = None
+                  ) -> tuple[DemonstrationSet, str]:
+    """The set in path and the SHA-256 hex digest of the bytes it was decoded from, read once.
+
+    Given the digest sha256 that a controller recorded, raises ValueError
+    before decoding if the file's is another.
+    """
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if sha256 is not None and digest != sha256:
+        raise ValueError(f"{path} is not the demonstration set the controller was learned "
+                         "from (its SHA-256 differs); run the learn stage again")
+    text = data.decode()
+    del data  # the bytes are not held while the decoded lists are built
+    return demo_set_from_dict(decode_json(text)), digest
 
 
 def save_demo_csv(dset: DemonstrationSet, path: str | Path, i: int) -> None:

@@ -137,11 +137,6 @@ def r_of_x(cfg: EmbeddingConfig, x: np.ndarray):
                         cfg.plant.terms(x)[3 * n + 1:], axes=1)
 
 
-def s_of_x_xi(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray):
-    """Drift term s(x, xi), chosen so that dz_n/dt = -s + r u."""
-    return _stage(cfg, x, xi)[cfg.n + 1]
-
-
 def aux_rhs(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, u) -> np.ndarray:
     """Auxiliary dynamics dxi/dt = A_xi xi - [L_g L_f^{k-1} h(x)]_k u."""
     out, n = _stage(cfg, x, xi), cfg.n

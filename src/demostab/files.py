@@ -93,14 +93,18 @@ def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray],
 
 
 def read_json(path: str | Path):
-    """The JSON document in path, decoded with the cyclic garbage collector paused.
+    """The JSON document in path, decoded by decode_json."""
+    return decode_json(Path(path).read_text())
+
+
+def decode_json(text: str):
+    """The JSON document in text, decoded with the cyclic garbage collector paused.
 
     The decoded lists hold numbers, strings and lists, so they form no
     cycles: a collection while they are built frees nothing, but it walks
     every live object and promotes the lists towards the oldest generation,
     whose growth then triggers full collections later in the run.
     """
-    text = Path(path).read_text()
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -29,24 +29,6 @@ LOCATE_TOL = 1e-9
 SUM_WEIGHT = 1e3
 
 
-def barycentric(vertices: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Affine coordinates theta with sum(theta) = 1 and sum theta_i v_i = xi.
-
-    Coordinates may be negative when xi lies outside the simplex; that affine
-    extension is exactly what the out-of-hull controller branch uses.
-    """
-    V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    n = V.shape[1]
-    if V.shape[0] != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} vertices in R^{n}, got {V.shape[0]}")
-    A = np.vstack([np.ones(n + 1), V.T])
-    b = np.concatenate([[1.0], np.asarray(xi, dtype=float)])
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateGeometryError(f"degenerate simplex: {V}") from exc
-
-
 @dataclass(frozen=True)
 class Simplex:
     """An n-simplex referenced by vertex indices into a shared point list."""
@@ -193,17 +175,3 @@ def project_to_hull(points: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.
         current = np.maximum(theta, 0.0)
         in_face[j] = True
     raise RuntimeError(f"projection of {xi} did not converge to a certified face")
-
-
-def pl_interpolate(
-    points: np.ndarray, values: np.ndarray, tri: Triangulation, x: np.ndarray
-) -> np.ndarray:
-    """Piecewise-linear interpolant based on the triangulation, evaluated at x."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.asarray(values, dtype=float)
-    j = locate(tri, x)
-    if j is None:
-        raise ValueError(f"{np.asarray(x)} is outside the convex hull")
-    idx = list(tri.simplices[j].vertex_indices)
-    theta = barycentric(points[idx], x)
-    return theta @ values[idx]

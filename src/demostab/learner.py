@@ -37,6 +37,11 @@ loop, anchor in one loop over the intervals of interval_grid: interval p
 starts at grid index pN (N = T/dt), neighbouring intervals share their
 boundary point, the later one re-reading its input under its own anchor,
 and a last point on a boundary starts a zero-step interval.
+
+A learned controller is fixed by its demonstrations and the index sets
+chosen from them, so the controller file records only those choices and the
+SHA-256 of the demo_set.json beside it; loading it learns the controller
+again from that set with learn_controller, the builder the learn stage uses.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .demos import DemonstrationSet, difference_matrices
+from .demos import DemonstrationSet, difference_matrices, read_demo_set
 from .errors import AffineDependenceError
 from .files import read_json, write_json
 from .plant import brunovsky_pair
@@ -197,12 +202,6 @@ class AffineBasis:
         zeta = np.asarray(zeta, dtype=float)
         return (vb if zeta.ndim == 1 else vb[:, None]) + V @ zeta
 
-    def reconstruct(self, tau: float, zeta: np.ndarray) -> np.ndarray:
-        """Predicted closed-loop state z(tau) = z_base(tau) + Z(tau) zeta."""
-        Z, _, zb, _ = self._interp(tau)
-        zeta = np.asarray(zeta, dtype=float)
-        return (zb if zeta.ndim == 1 else zb[:, None]) + Z @ zeta
-
     def monodromy(self, T: Optional[float] = None) -> np.ndarray:
         """Interval map Psi(T) = Z(T) Z(0)^{-1}; exactly the identity at T = 0."""
         T = self.T if T is None else float(T)
@@ -259,6 +258,10 @@ class IntervalController:
     batch by the basis each column follows, with the column's frozen
     coefficients under the open-loop law.
     """
+
+    # SHA-256 of the demo_set.json the controller was learned from; set by
+    # learn_controller, written by save_controller.
+    demo_set_sha256: Optional[str] = None
 
     @property
     def dt(self) -> float:
@@ -425,62 +428,70 @@ def simulate_chain_closed_loop(ctrl, z0: np.ndarray, duration: float, dt: float)
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Learning, and the controller file
 # ---------------------------------------------------------------------------
 
 
-def controller_to_dict(ctrl: LearnedController) -> dict:
-    b = ctrl.basis
-    return {
-        "mode": "single",
-        "feedback_mode": ctrl.feedback_mode,
-        "T": b.T,
-        "n": b.n,
-        "m": b.m,
-        "I": list(b.index_set),
-        "grid": b.times,
-        "Zs": b.Zs,
-        "Vs": b.Vs,
-        "z_base": b.z_base,
-        "v_base": b.v_base,
-        "A": ctrl.A,
-        "B": ctrl.B,
-    }
+def learn_controller(dset: DemonstrationSet, sha256: str, multi: bool = False,
+                     feedback_mode: str = "closed_loop",
+                     index_sets: Optional[Sequence[Sequence[int]]] = None,
+                     kind: str = "delaunay") -> IntervalController:
+    """The controller learned from dset, the set in a demo_set.json whose SHA-256 is sha256.
 
+    A single-basis controller is built on index_sets[0], by default
+    demonstrations 0..n.  With multi there is one basis per simplex of a
+    triangulation of the starts Z(0): the index sets index_sets under the
+    label kind, as a controller file records them, or by default the
+    Delaunay triangulation.  Raises AffineDependenceError as build_basis does.
+    """
+    if multi:
+        # Loaded here only: multi brings in geometry's scipy.optimize and scipy.spatial.
+        from .geometry import triangulation_from_simplices
+        from .multi import MultiController
 
-def controller_from_dict(data: dict) -> LearnedController:
-    if data["mode"] != "single":
-        raise ValueError(f"not a single-basis controller file: mode={data['mode']!r}")
-    basis = AffineBasis(
-        index_set=tuple(data["I"]),
-        times=np.array(data["grid"], dtype=float),
-        Zs=np.array(data["Zs"], dtype=float),
-        Vs=np.array(data["Vs"], dtype=float),
-        z_base=np.array(data["z_base"], dtype=float),
-        v_base=np.array(data["v_base"], dtype=float),
-    )
-    return LearnedController(
-        basis,
-        A=np.array(data["A"], dtype=float),
-        B=np.array(data["B"], dtype=float),
-        feedback_mode=data["feedback_mode"],
-    )
-
-
-def save_controller(ctrl, path: str | Path) -> None:
-    if ctrl.mode == "multi":
-        from .multi import multi_controller_to_dict
-
-        payload = multi_controller_to_dict(ctrl)
+        tri = (None if index_sets is None
+               else triangulation_from_simplices(dset.z0_points(), index_sets, kind=kind))
+        ctrl = MultiController(dset, tri=tri, feedback_mode=feedback_mode)
     else:
-        payload = controller_to_dict(ctrl)
-    write_json(path, payload)
+        basis = build_basis(dset, None if index_sets is None else index_sets[0])
+        ctrl = LearnedController(basis, A=dset.A, B=dset.B, feedback_mode=feedback_mode)
+    ctrl.demo_set_sha256 = sha256
+    return ctrl
 
 
-def load_controller(path: str | Path):
-    data = read_json(path)
-    if data["mode"] == "multi":
-        from .multi import multi_controller_from_dict
+def save_controller(ctrl: IntervalController, path: str | Path) -> None:
+    """Write how ctrl was learned, which holds no float array and no path.
 
-        return multi_controller_from_dict(data)
-    return controller_from_dict(data)
+    The keys are mode, feedback_mode, T, dt, n, m, the index set I (single)
+    or the simplices and their kind (multi), and demo_set_sha256, the digest
+    of the demo_set.json ctrl was learned from, which belongs beside path.
+    """
+    if ctrl.demo_set_sha256 is None:
+        raise ValueError("the controller was not learned from a demo_set.json "
+                         "(build it with learn_controller)")
+    record = {"mode": ctrl.mode, "feedback_mode": ctrl.feedback_mode, "T": ctrl.T,
+              "dt": ctrl.dt, "n": ctrl.n, "m": ctrl.m, "demo_set_sha256": ctrl.demo_set_sha256}
+    if ctrl.mode == "multi":
+        record["kind"] = ctrl.tri.kind
+        record["simplices"] = [list(s.vertex_indices) for s in ctrl.tri.simplices]
+    else:
+        record["I"] = list(ctrl.basis.index_set)
+    write_json(path, record)
+
+
+def load_controller(path: str | Path) -> IntervalController:
+    """The controller a save_controller file records, learned again from the demo_set.json
+    beside it.
+
+    Raises ValueError, as read_demo_set does, if that file's SHA-256 is not
+    the recorded one.
+    """
+    path = Path(path)
+    record = read_json(path)
+    if record["mode"] not in ("single", "multi"):
+        raise ValueError(f"unknown controller mode {record['mode']!r}")
+    dset, sha256 = read_demo_set(path.with_name("demo_set.json"), record["demo_set_sha256"])
+    if record["mode"] == "multi":
+        return learn_controller(dset, sha256, True, record["feedback_mode"],
+                                record["simplices"], record["kind"])
+    return learn_controller(dset, sha256, False, record["feedback_mode"], [record["I"]])

@@ -5,7 +5,8 @@ the best worst-case interpolation error among triangulations).  At each
 interval start the simplex containing z(pT) picks the index set of n+1
 demonstrations used for that whole interval; states outside the hull are
 handled by projecting onto the hull and extending the projection simplex's
-coordinates affinely.
+coordinates affinely.  learner.learn_controller builds this controller, and
+the controller file records its simplices, not its demonstrations.
 """
 
 from __future__ import annotations
@@ -14,16 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .demos import DemonstrationSet, demo_set_from_dict, demo_set_to_dict
-from .geometry import (
-    LOCATE_TOL,
-    Triangulation,
-    barycentric,
-    delaunay,
-    locate,
-    project_to_hull,
-    triangulation_from_simplices,
-)
+from .demos import DemonstrationSet
+from .geometry import LOCATE_TOL, Triangulation, delaunay, locate, project_to_hull
 from .learner import AffineBasis, IntervalController, build_basis
 
 
@@ -125,37 +118,3 @@ class MultiController(IntervalController):
         for j in np.unique(js):
             sel = np.flatnonzero(js == j)
             yield self.bases[j], sel, None if zetas is None else zetas[:, sel]
-
-
-def select_index_set(ctrl: MultiController, z_pT: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Index set and affine coefficients used for an interval starting at z_pT.
-
-    Inside the hull the coefficients are the barycentric coordinates of the
-    containing Delaunay simplex (all >= 0); outside, the simplex of the
-    Euclidean projection is used and z_pT is expressed as an affine
-    combination of its vertices, so coefficients may be negative.
-    """
-    z_pT = np.asarray(z_pT, dtype=float)
-    j = ctrl._select_simplex(z_pT)
-    idx = ctrl.tri.simplices[j].vertex_indices
-    theta = barycentric(ctrl.tri.points[list(idx)], z_pT)
-    return idx, theta
-
-
-def multi_controller_to_dict(ctrl: MultiController) -> dict:
-    return {
-        "mode": "multi",
-        "feedback_mode": ctrl.feedback_mode,
-        "T": ctrl.T,
-        "n": ctrl.n,
-        "m": ctrl.m,
-        "kind": ctrl.tri.kind,
-        "simplices": [list(s.vertex_indices) for s in ctrl.tri.simplices],
-        "demo_set": demo_set_to_dict(ctrl.dset),
-    }
-
-
-def multi_controller_from_dict(data: dict) -> MultiController:
-    dset = demo_set_from_dict(data["demo_set"])
-    tri = triangulation_from_simplices(dset.z0_points(), data["simplices"], kind=data["kind"])
-    return MultiController(dset, tri=tri, feedback_mode=data["feedback_mode"])

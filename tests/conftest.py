@@ -21,9 +21,9 @@ settings.load_profile("deterministic")
 from oracles import DOUBLE_INT_K, double_int_flow
 
 from demostab.cli import PRESETS
-from demostab.demos import DemonstrationSet, record_expert
+from demostab.demos import DemonstrationSet, read_demo_set, record_expert, save_demo_set
 from demostab.embed import transform_demos
-from demostab.learner import LearnedController, build_basis
+from demostab.learner import LearnedController, build_basis, save_controller
 from demostab.plant import brunovsky_pair, chain_preset
 from demostab.sim import time_grid
 from demostab.systems import ball_beam_expert, ball_beam_preset, flat_quad_demo_set
@@ -39,6 +39,17 @@ def analytic_double_int_set(T: float = 2.0, dt: float = 1e-3,
     pair = brunovsky_pair(2)
     return DemonstrationSet(grid=grid, z=z, v=-np.einsum("j,gjk->gk", DOUBLE_INT_K, z),
                             A=pair.A, B=pair.B)
+
+
+def save_learned(ctrl, dset: DemonstrationSet, path: Path) -> None:
+    """ctrl saved as path beside dset, the set it was learned from, as demo_set.json.
+
+    ctrl takes the digest of that file, as learn_controller gives it.
+    """
+    demo_path = path.with_name("demo_set.json")
+    save_demo_set(dset, demo_path)
+    ctrl.demo_set_sha256 = read_demo_set(demo_path)[1]
+    save_controller(ctrl, path)
 
 
 @pytest.fixture(scope="session")

@@ -614,6 +614,74 @@ def per_simplex_monodromy(ctrl, T=None) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Queries no pipeline stage makes: the state an affine combination predicts,
+# barycentric coordinates, the multi controller's index set for an interval,
+# the piecewise-linear interpolant and the embedding's drift term s(x, xi).
+# ---------------------------------------------------------------------------
+
+
+def reconstruct(basis, tau: float, zeta):
+    """Predicted closed-loop state z(tau) = z_base(tau) + Z(tau) zeta of an AffineBasis.
+
+    Z and z_base are interpolated linearly between the basis's grid samples;
+    zeta may be (n,) or a batch (n, k).
+    """
+    times = basis.times
+    k = min(max(int(np.searchsorted(times, tau, side="right")) - 1, 0), len(times) - 2)
+    w = (tau - times[k]) / (times[k + 1] - times[k])
+    Z = (1.0 - w) * basis.Zs[k] + w * basis.Zs[k + 1]
+    zb = (1.0 - w) * basis.z_base[k] + w * basis.z_base[k + 1]
+    zeta = np.asarray(zeta, dtype=float)
+    return (zb if zeta.ndim == 1 else zb[:, None]) + Z @ zeta
+
+
+def barycentric(vertices, xi) -> np.ndarray:
+    """Affine coordinates theta with sum(theta) = 1 and sum theta_i v_i = xi.
+
+    Coordinates are negative for xi outside the simplex: the affine extension.
+    """
+    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    n = V.shape[1]
+    if V.shape[0] != n + 1:
+        raise ValueError(f"need n+1 = {n + 1} vertices in R^{n}, got {V.shape[0]}")
+    A = np.vstack([np.ones(n + 1), V.T])
+    try:
+        return np.linalg.solve(A, np.concatenate([[1.0], np.asarray(xi, dtype=float)]))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateGeometryError(f"degenerate simplex: {V}") from exc
+
+
+def select_index_set(ctrl, z_pT):
+    """Index set and affine coefficients a MultiController uses for an interval from z_pT.
+
+    Inside the hull the coefficients are the barycentric coordinates of the
+    containing simplex (all >= 0); outside, z_pT is an affine combination of
+    the vertices of the projection's simplex, so coefficients may be negative.
+    """
+    z_pT = np.asarray(z_pT, dtype=float)
+    idx = ctrl.tri.simplices[ctrl._select_simplex(z_pT)].vertex_indices
+    return idx, barycentric(ctrl.tri.points[list(idx)], z_pT)
+
+
+def pl_interpolate(points, values, tri, x):
+    """Piecewise-linear interpolant of values at points on a Triangulation, evaluated at x."""
+    from demostab.geometry import locate
+
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    j = locate(tri, x)
+    if j is None:
+        raise ValueError(f"{np.asarray(x)} is outside the convex hull")
+    idx = list(tri.simplices[j].vertex_indices)
+    return barycentric(points[idx], x) @ np.asarray(values, dtype=float)[idx]
+
+
+def s_of_x_xi(cfg, x, xi):
+    """Drift term s(x, xi) of an EmbeddingConfig, chosen so that dz_n/dt = -s + r u."""
+    terms = cfg.plant.terms(np.asarray(x, dtype=float))
+    return (cfg.stage_map @ np.concatenate([terms, xi]))[cfg.n + 1]
+
+
+# ---------------------------------------------------------------------------
 # Small helpers the pipeline does not need: a plain ODE solve through the RK4
 # driver, the demo CSV reader, simplex volumes, and the tracking law at one
 # state.

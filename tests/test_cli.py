@@ -1,5 +1,6 @@
 """Batch pipeline: subcommands, exit codes, file outputs, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from demostab.cli import (
     EXIT_VALIDATION,
     main,
 )
+from demostab.files import write_json
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -175,6 +177,8 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
     {"track": {"axis": True}},
     # A nonzero xi0 would move the trivial demonstration off z = 0.
     {"preset": "ball_beam", "expert": {}, "preset_params": {"xi0": [0.1, 0.0, 0.0]}},
+    # T = 1: a horizon past the demonstrations could never be searched.
+    {"t_tilde_grid": [0.5, 2.0]},
 ], ids=["t_tilde_grid", "simulate.duration", "track.f", "track.duration", "track.axis",
         "ragged_initial_conditions", "t_tilde_grid_not_a_list", "simulate_not_an_object",
         "simulate.x0_length", "expert.Q", "expert.Q_shape", "expert.Q_indefinite",
@@ -184,7 +188,7 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
         "T_over_budget", "simulate.default_duration_over_budget", "track.f_over_budget",
         "preset_is_a_number", "preset_is_null", "preset_is_a_list", "preset_chain2_0",
         "preset_chain_space_2", "preset_chain_plus_2", "track.axis_is_a_bool",
-        "ball_beam.preset_params.xi0"])
+        "ball_beam.preset_params.xi0", "t_tilde_grid_above_T"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "config.json", **overrides)
     assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -231,14 +235,15 @@ def test_controller_of_another_size_is_usage_error(tmp_path, capsys, stage):
 AXIS_EXPERT = {"Q": [40.0, 40.0, 40.0], "R": 1.0}
 
 
-@pytest.mark.parametrize("stage", ["simulate", "track"])
+@pytest.mark.parametrize("stage", ["learn", "simulate", "track"])
 @pytest.mark.parametrize("T, dt, named", [(2.1, 0.003, "T = 2.0"), (2.0, 0.002, "dt = 0.001")],
                          ids=["other_T_and_dt", "other_dt"])
 def test_controller_of_another_grid_is_usage_error(tmp_path, capsys, stage, T, dt, named):
     # A chain3 controller learned at T = 2, dt = 1e-3, read under a config
     # with another horizon or step: refused, naming the learned and the
     # configured value, instead of failing in (or silently leaving) the
-    # controller's grid.
+    # controller's grid.  learn refuses the demonstration set of that grid
+    # the same way.
     learned = write_config(tmp_path / "config.json", preset="chain3", expert=AXIS_EXPERT,
                            T=2.0, dt=1e-3)
     for step in ("demos", "learn"):
@@ -252,6 +257,16 @@ def test_controller_of_another_grid_is_usage_error(tmp_path, capsys, stage, T, d
     assert len(err) == 1 and err[0].startswith("usage error:")
     key = named.split()[0]
     assert named in err[0] and f"{key} = {T if key == 'T' else dt}" in err[0]
+
+
+def _chain3_run(tmp_path, capsys) -> Path:
+    """A certified chain3 run in tmp_path, with simulate and track settings; its config."""
+    cfg = write_config(tmp_path / "config.json", preset="chain3", expert=AXIS_EXPERT, T=2.0,
+                       simulate={"x0": [0.5, 0.5, 0.0], "duration": 2.0},
+                       track={"f": 0.5, "duration": 2.0})
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    return cfg
 
 
 def _chain3_demo_set(*lengths_and_starts, first=(0.0, 0.0, 0.0)) -> str:
@@ -273,30 +288,81 @@ def _chain3_demo_set(*lengths_and_starts, first=(0.0, 0.0, 0.0)) -> str:
     ("demo_set.json", _chain3_demo_set((3, (1, 0, 0)), (3, (0, 1, 0))), "learn", ""),
     ("controller.json", "[1, 2", "certify", ""),
     ("controller.json", "{}", "simulate", ""),
+    ("controller.json", json.dumps({"mode": "single", "feedback_mode": "closed_loop", "T": 2.0,
+                                    "dt": 0.01, "n": 3, "m": 1, "I": [0, 1, 2, 3],
+                                    "demo_set_sha256": "0" * 64}), "simulate",
+     "demo_set.json is not the demonstration set"),
     ("certificate.json", "not json", "simulate", ""),
     ("certificate.json", "{}", "track", ""),
     ("certificate.json", "[]", "simulate", ""),
     ("config.json", "{", "demos", ""),
 ], ids=["demo_set_undecodable", "demo_set_missing_key", "demo_set_unequal_lengths",
         "demo_set_first_not_zero", "demo_set_too_few", "controller_undecodable",
-        "controller_missing_key", "certificate_undecodable", "certificate_missing_key",
-        "certificate_not_an_object", "config_undecodable"])
+        "controller_missing_key", "controller_digest_mismatch", "certificate_undecodable",
+        "certificate_missing_key", "certificate_not_an_object", "config_undecodable"])
 def test_unreadable_stage_file_is_usage_error(tmp_path, capsys, name, text, stage, detail):
     # A stage file (or the config) that does not decode, lacks a key, is no
     # JSON object or holds a demonstration set that breaks its invariants
     # (demonstrations of unequal length, a first one that is not zero, fewer
-    # than n+1): one usage line naming that file, and for unequal lengths
-    # the demonstration and both sample counts.
-    cfg = write_config(tmp_path / "config.json", preset="chain3", expert=AXIS_EXPERT, T=2.0,
-                       simulate={"x0": [0.5, 0.5, 0.0], "duration": 2.0},
-                       track={"f": 0.5, "duration": 2.0})
-    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
-    capsys.readouterr()
+    # than n+1), or a controller whose digest is not its demo_set.json's: one
+    # usage line naming that file, and for unequal lengths the demonstration
+    # and both sample counts.
+    cfg = _chain3_run(tmp_path, capsys)
     (tmp_path / name).write_text(text)
     assert main([stage, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
     assert str(tmp_path / name) in err[0] and detail in err[0]
+
+
+def test_controller_file_names_its_demo_set(tmp_path, capsys):
+    # controller.json records how the controller was learned, with no float
+    # array and no path; the set itself stays in demo_set.json.
+    _chain3_run(tmp_path, capsys)
+    record = json.loads((tmp_path / "controller.json").read_text())
+    assert record == {"mode": "single", "feedback_mode": "closed_loop", "T": 2.0, "dt": 0.01,
+                      "n": 3, "m": 1, "I": [0, 1, 2, 3],
+                      "demo_set_sha256": hashlib.sha256(
+                          (tmp_path / "demo_set.json").read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("stage", ["certify", "simulate", "track"])
+def test_demo_set_edited_after_learn_is_refused(tmp_path, capsys, stage):
+    # One v sample of demonstration 1 changed after learn: the controller no
+    # longer names this set, so every stage that loads it refuses with one
+    # line naming both files.
+    cfg = _chain3_run(tmp_path, capsys)
+    demo_path = tmp_path / "demo_set.json"
+    data = json.loads(demo_path.read_text())
+    data["demos"][1]["v"][5] += 1e-3
+    write_json(demo_path, data)
+    assert main([stage, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert str(demo_path) in err[0] and str(tmp_path / "controller.json") in err[0]
+
+
+def test_demos_rerun_without_learn_is_refused(tmp_path, capsys):
+    # New starts recorded over the set a controller was learned from, and no
+    # learn stage after them: simulate refuses the stale controller.
+    cfg = write_config(tmp_path / "config.json", T=2.0)
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    other = write_config(tmp_path / "other.json", T=2.0,
+                         initial_conditions=[[1.0, 0.5], [-0.5, 1.0]])
+    assert main(["demos", "--config", str(other), "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(other), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "is not the demonstration set" in err[0]
+
+
+def test_controller_without_its_demo_set_is_one_line(tmp_path, capsys):
+    cfg = _chain3_run(tmp_path, capsys)
+    (tmp_path / "demo_set.json").unlink()
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert str(tmp_path / "demo_set.json") in err[0]
 
 
 def test_demo_start_outside_domain_exit_divergence(tmp_path, capsys):
@@ -352,7 +418,9 @@ def test_multi_pipeline_writes_per_simplex_certificate(tmp_path):
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert len(cert["per_simplex"]) >= 2
     ctrl = json.loads((tmp_path / "controller.json").read_text())
-    assert ctrl["mode"] == "multi"
+    assert ctrl["mode"] == "multi" and "demo_set" not in ctrl
+    assert set(ctrl) == {"mode", "feedback_mode", "T", "dt", "n", "m", "kind", "simplices",
+                         "demo_set_sha256"}
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (aux_dot, charpoly, embedded_rk4, embedding_terms, routh_stable,
-                     transform_demo_per_sample)
+                     s_of_x_xi, transform_demo_per_sample)
 
 from demostab.embed import (
     R_TOL,
@@ -22,7 +22,6 @@ from demostab.embed import (
     invert_phi_z,
     phi_z,
     r_of_x,
-    s_of_x_xi,
     simulate_embedded_closed_loop,
     transform_demos,
 )

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from conftest import save_learned
 from oracles import csv_text, json_text
 
 from demostab.demos import DemonstrationSet, load_demo_set, save_demo_set
 from demostab.errors import AffineDependenceError, DegenerateGeometryError
 from demostab.files import CHUNK_ROWS, read_json, write_csv, write_json
-from demostab.learner import LearnedController, build_basis, load_controller, save_controller
+from demostab.learner import LearnedController, build_basis, load_controller
 from demostab.multi import MultiController
 from demostab.plant import brunovsky_pair
 from demostab.sim import time_grid
@@ -182,7 +183,7 @@ def test_single_controller_round_trip(dset, mode, seed):
     except AffineDependenceError:
         assume(False)
     ctrl = LearnedController(basis, A=dset.A, B=dset.B, feedback_mode=mode)
-    back = reloaded(save_controller, load_controller, ctrl)
+    back = reloaded(lambda c, path: save_learned(c, dset, path), load_controller, ctrl)
     for name in ("times", "Zs", "Vs", "z_base", "v_base"):
         assert np.array_equal(getattr(back.basis, name), getattr(basis, name)), name
     assert back.basis.index_set == basis.index_set and back.feedback_mode == mode
@@ -198,7 +199,7 @@ def test_multi_controller_round_trip(dset, mode, seed):
         ctrl = MultiController(dset, feedback_mode=mode)
     except (AffineDependenceError, DegenerateGeometryError):
         assume(False)
-    back = reloaded(save_controller, load_controller, ctrl)
+    back = reloaded(lambda c, path: save_learned(c, dset, path), load_controller, ctrl)
     assert [s.vertex_indices for s in back.tri.simplices] \
         == [s.vertex_indices for s in ctrl.tri.simplices]
     assert np.array_equal(ctrl.dset.z, back.dset.z) and np.array_equal(ctrl.dset.v, back.dset.v)

@@ -8,12 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
+    barycentric,
     circumsphere,
     delaunay_brute_force,
     empty_circumsphere_violations,
     enumerate_triangulations_2d,
     hull_area_2d,
     max_interp_error_2d,
+    pl_interpolate,
     project_to_hull_brute_force,
     simplex_volume,
     vertices_of,
@@ -21,10 +23,8 @@ from oracles import (
 
 from demostab.errors import DegenerateGeometryError
 from demostab.geometry import (
-    barycentric,
     delaunay,
     locate,
-    pl_interpolate,
     project_to_hull,
     triangulation_from_simplices,
 )

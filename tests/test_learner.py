@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import analytic_double_int_set
-from oracles import DOUBLE_INT_K, double_int_flow, integrate
+from conftest import analytic_double_int_set, save_learned
+from oracles import DOUBLE_INT_K, double_int_flow, integrate, reconstruct
 
 from demostab.errors import AffineDependenceError
 from demostab.learner import (
     AffineBasis,
     LearnedController,
     build_basis,
-    controller_from_dict,
-    controller_to_dict,
+    load_controller,
     simulate_chain_closed_loop,
 )
 from demostab.multi import MultiController
@@ -104,9 +103,9 @@ def test_reconstruct_unit_coefficients(double_int_set):
     basis = build_basis(double_int_set)
     tau = 1.2
     k = 1200
-    assert_allclose(basis.reconstruct(tau, np.array([1.0, 0.0])),
+    assert_allclose(reconstruct(basis, tau, np.array([1.0, 0.0])),
                     double_int_set.z[k, :, 1], atol=1e-12)
-    assert_allclose(basis.reconstruct(tau, np.zeros(2)), 0.0, atol=1e-15)
+    assert_allclose(reconstruct(basis, tau, np.zeros(2)), 0.0, atol=1e-15)
 
 
 def test_affine_combinations_are_valid_solutions(double_int_set):
@@ -122,9 +121,9 @@ def test_affine_combinations_are_valid_solutions(double_int_set):
         def rhs(t, z):
             return A @ z + B[:, 0] * basis.value_from_zeta(min(t, 2.0), z_coef)[0]
 
-        traj = integrate(rhs, basis.reconstruct(0.0, z_coef), 0.0, 2.0, 1e-3)
+        traj = integrate(rhs, reconstruct(basis, 0.0, z_coef), 0.0, 2.0, 1e-3)
         for k in range(0, len(traj.times), 200):
-            assert_allclose(traj.states[k], basis.reconstruct(traj.times[k], z_coef),
+            assert_allclose(traj.states[k], reconstruct(basis, traj.times[k], z_coef),
                             atol=1e-5)
 
 
@@ -155,12 +154,8 @@ def test_duplicate_demonstrations_rejected():
 
 def test_serialization_bit_exact(double_int_set, tmp_path):
     ctrl = LearnedController(build_basis(double_int_set))
-    import json
-
-    from demostab.files import write_json
-
-    write_json(tmp_path / "controller.json", controller_to_dict(ctrl))
-    rebuilt = controller_from_dict(json.loads((tmp_path / "controller.json").read_text()))
+    save_learned(ctrl, double_int_set, tmp_path / "controller.json")
+    rebuilt = load_controller(tmp_path / "controller.json")
     rng = np.random.default_rng(1)
     for _ in range(20):
         t = float(rng.uniform(0.0, 4.0))
@@ -172,11 +167,9 @@ def test_serialization_bit_exact(double_int_set, tmp_path):
 
 
 def test_save_load_controller_file(double_int_set, tmp_path):
-    from demostab.learner import load_controller, save_controller
-
     ctrl = LearnedController(build_basis(double_int_set))
     path = tmp_path / "controller.json"
-    save_controller(ctrl, path)
+    save_learned(ctrl, double_int_set, path)
     rebuilt = load_controller(path)
     z = np.array([0.3, 0.9])
     assert ctrl(1.234, z) == rebuilt(1.234, z)

@@ -3,11 +3,12 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from oracles import double_int_flow, per_simplex_monodromy
+from conftest import save_learned
+from oracles import double_int_flow, per_simplex_monodromy, pl_interpolate, select_index_set
 
-from demostab.geometry import pl_interpolate
-from demostab.learner import LearnedController, build_basis, simulate_chain_closed_loop
-from demostab.multi import MultiController, select_index_set
+from demostab.learner import LearnedController, build_basis, load_controller, \
+    simulate_chain_closed_loop
+from demostab.multi import MultiController
 
 
 def test_single_simplex_matches_single_controller(double_int_set):
@@ -146,11 +147,9 @@ def test_value_continuous_in_z_within_simplex(multi_point_set):
 
 
 def test_multi_serialization_roundtrip(multi_point_set, tmp_path):
-    from demostab.learner import load_controller, save_controller
-
     ctrl = MultiController(multi_point_set)
     path = tmp_path / "multi.json"
-    save_controller(ctrl, path)
+    save_learned(ctrl, multi_point_set, path)
     rebuilt = load_controller(path)
     assert rebuilt.P == ctrl.P
     rng = np.random.default_rng(2)

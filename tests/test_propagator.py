@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import analytic_double_int_set
-from oracles import chain_rk4
+from oracles import chain_rk4, reconstruct
 
 from demostab.certify import contraction_check
 from demostab.demos import DemonstrationSet
@@ -164,8 +164,8 @@ def test_affine_combinations_are_closed_loop_solutions(seed, nm):
     basis = off_origin_basis(dset)
     zeta = rng.uniform(-2.0, 2.0, n)
     ctrl = LearnedController(basis, A=dset.A, B=dset.B)
-    times, states, _ = simulate_chain_batch(ctrl, basis.reconstruct(0.0, zeta), T, DT)
-    expected = np.stack([basis.reconstruct(t, zeta) for t in times])
+    times, states, _ = simulate_chain_batch(ctrl, reconstruct(basis, 0.0, zeta), T, DT)
+    expected = np.stack([reconstruct(basis, t, zeta) for t in times])
     assert_allclose(states[:, :, 0], expected, rtol=0, atol=1e-9 * np.abs(expected).max())
 
 
