@@ -4,11 +4,10 @@ Configuration is a single JSON document naming a preset; PRESETS states each
 preset's facts once, and every stage writes plot-ready CSV and JSON into the
 output directory.  The demos stage records all expert runs of a preset as one
 batch on their shared grid and writes the demonstration block straight from
-it.  Runs are reproducible bit for bit on one machine with one BLAS thread
-count: fixed-step integration, deterministic tie-breaks, and no randomness
-anywhere in the pipeline.  Matrix products on whole recordings may round
-differently under another thread count (the README ball-beam demo files
-differ between OPENBLAS_NUM_THREADS=1 and 2).
+it.  Runs are reproducible bit for bit on one machine: fixed-step
+integration, deterministic tie-breaks, and no randomness anywhere in the
+pipeline.  The README configurations write the same bytes under any BLAS
+thread count.
 
 Exit codes: 0 success, 1 usage (also a file that cannot be read or written),
 2 validation failure, 3 certification failure, 4 divergence, a state outside

@@ -14,17 +14,21 @@ which fixes
     s(x, xi) = -L_f^n h + sum_{j<=n-2} w_j xi_{j+1}
                - w_{n-1} sum_i w_i xi_i.
 
-Demonstrations of the original plant are transformed by integrating the
-auxiliary dynamics along the recorded (x, u) and re-reading the inputs as
-v = r u - s; the chain learner then applies unchanged.  The learned chain
-input drives the extended system one interval at a time, one rk4 call per
-interval, anchored as the chain simulator anchors it.
+Each EmbeddingConfig writes these formulas out once, for its n and w, as
+one stage function of the rows of plant.terms and of xi; every quantity of
+the embedding is read off it, on Python floats for one state and on NumPy
+rows for a batch, with the same bits either way.  Demonstrations of the
+original plant are transformed by integrating the auxiliary dynamics along
+the recorded (x, u) and re-reading the inputs as v = r u - s; the chain
+learner then applies unchanged.  The learned chain input drives the
+extended system one interval at a time, one rk4 call per interval on
+floats, anchored as the chain simulator anchors it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +57,29 @@ def hurwitz(M: np.ndarray) -> bool:
     return bool(np.all(np.linalg.eigvals(M).real < -1e-9))
 
 
+def _stage_source(n: int, w: tuple[float, ...]) -> str:
+    """Source of the stage function of an embedding with n states and coefficients w."""
+    f, g = [f"f{i}" for i in range(n)], [f"g{i}" for i in range(n)]
+    lf, lg = [f"lf{k}" for k in range(n + 1)], [f"lg{k}" for k in range(n)]
+    xi = [f"xi{j}" for j in range(n - 1)]
+
+    def dot(coeffs, rows):  # left to right, one product per coefficient
+        return " + ".join(f"{c!r} * {row}" for c, row in zip(coeffs, rows))
+
+    shifted = f" + ({dot(w[:n - 2], xi[1:])})" if n > 2 else ""
+    return "\n".join([
+        "def stage(p, xi):",
+        f"    {', '.join(f + g + lf + lg)} = p",
+        f"    {', '.join(xi)}, = xi",
+        f"    wxi = {dot(w, xi)}",
+        f"    return ([{', '.join(f'{a} + {b}' for a, b in zip(lf, xi))}, {lf[n - 1]} - wxi],",
+        f"            {lg[n - 1]} + ({dot(w, lg)}),",
+        f"            -{lf[n]}{shifted} - {w[n - 2]!r} * wxi,",
+        f"            [{', '.join(f + xi[1:])}, -wxi],",
+        f"            [{', '.join(g + [f'-{row}' for row in lg[:n - 1]])}])",
+    ])
+
+
 @dataclass(frozen=True)
 class EmbeddingConfig:
     """Plant plus the w-coefficients of the auxiliary companion dynamics.
@@ -60,22 +87,29 @@ class EmbeddingConfig:
     Construction enforces that the companion matrix built from w is Hurwitz
     (the unforced auxiliary dynamics must decay on their own) and keeps that
     matrix, read-only, as A_xi.  Every term of the embedding at a state is
-    linear in p = (plant.terms(x), xi) = (f, g, lf, lg, xi), where
-    lf = [L_f^k h]_{k=0..n} and lg = [L_g L_f^k h]_{k=0..n-1}:
+    read off the rows of p = plant.terms(x) = (f, g, lf, lg), where
+    lf = [L_f^k h]_{k=0..n} and lg = [L_g L_f^k h]_{k=0..n-1}, and of xi:
 
-        z = lf[:n] + [I; -w] xi,   r = lg[n-1] + w . lg[:n-1],
-        s = -lf[n] + (A_xi^T w) . xi,
+        z_k = lf_k + xi_k (k < n-1),   z_{n-1} = lf_{n-1} - w . xi,
+        r = lg_{n-1} + w . lg[:n-1],
+        s = -lf_n + w[:n-2] . xi[1:] - w_{n-2} (w . xi),
 
     and the extended state y = (x, xi) moves as dy/dt = drift + gain u with
-    drift = [f; A_xi xi] and gain = [g; -lg[:n-1]].  The rows of stage_map,
-    built here, stack z, r, s, drift and gain, so one product stage_map @ p
-    gives all of them.
+    drift = [f; A_xi xi] = [f; xi[1:]; -w . xi] and gain = [g; -lg[:n-1]].
+    Construction writes these formulas out once for this n and w, with w as
+    constants, into one function stage(p, xi) -> (z, r, s, drift, gain),
+    whose z, drift and gain are lists of rows.  Every dot product is summed
+    left to right and w . xi is formed once.  Its rows are Python floats for
+    one state (p and xi as lists) or NumPy rows for a batch (p (4n+1, k),
+    xi (n-1, k)); both take the same operations in the same order, so a
+    state gets the bits of its batch column, and no product goes through
+    BLAS.
     """
 
     plant: PlantModel
     w: tuple[float, ...]
     A_xi: np.ndarray = field(init=False, repr=False, compare=False)
-    stage_map: np.ndarray = field(init=False, repr=False, compare=False)
+    stage: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(float(v) for v in self.w))
@@ -85,23 +119,11 @@ class EmbeddingConfig:
         A = companion_from_coeffs(self.w)
         if not hurwitz(A):
             raise ValueError(f"companion matrix of w={self.w} is not Hurwitz")
-        w = np.array(self.w)
-        # Columns: f in 0..n-1, g in n..2n-1, lf in 2n..3n, lg in 3n+1..4n,
-        # xi in 4n+1..5n-1.  Rows: z, r, s, drift, gain.
-        lf, lg, xi = 2 * n, 3 * n + 1, slice(4 * n + 1, 5 * n)
-        M = np.zeros((5 * n, 5 * n))
-        M[:n, lf:lf + n] = np.eye(n)                      # z
-        M[:n, xi] = np.vstack([np.eye(n - 1), -w])
-        M[n, lg:lg + n] = np.append(w, 1.0)               # r
-        M[n + 1, lf + n] = -1.0                           # s
-        M[n + 1, xi] = A.T @ w
-        M[n + 2:2 * n + 2, :n] = np.eye(n)                # drift: f
-        M[2 * n + 2:3 * n + 1, xi] = A                    # drift: A_xi xi
-        M[3 * n + 1:4 * n + 1, n:2 * n] = np.eye(n)       # gain: g
-        M[4 * n + 1:, lg:lg + n - 1] = -np.eye(n - 1)     # gain: -lg[:n-1]
-        for name, value in (("A_xi", A), ("stage_map", M)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        A.flags.writeable = False
+        namespace: dict = {}
+        exec(_stage_source(n, self.w), namespace)
+        object.__setattr__(self, "A_xi", A)
+        object.__setattr__(self, "stage", namespace["stage"])
 
     @property
     def n(self) -> int:
@@ -112,9 +134,12 @@ class EmbeddingConfig:
 # as columns, x (n, k) with xi (n-1, k).
 
 
-def _stage(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Rows z (:n), r (n), s (n+1), drift (n+2:3n+1), gain (3n+1:) at (x, xi)."""
-    return cfg.stage_map @ np.concatenate([cfg.plant.terms(np.asarray(x, dtype=float)), xi])
+def _stage(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray):
+    """cfg.stage at (x, xi): on Python floats for one state, on NumPy rows for a batch."""
+    x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+    if x.ndim == 1:
+        return cfg.stage(cfg.plant.term_list(x), xi.tolist())
+    return cfg.stage(cfg.plant.terms(x), xi)
 
 
 def _feedback(r, s, v, x, time=None) -> float:
@@ -127,26 +152,25 @@ def _feedback(r, s, v, x, time=None) -> float:
 def phi_z(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Chain coordinates of the extended state (one column per state of a batch)."""
     cfg.plant.require_in_domain(x)
-    return _stage(cfg, x, xi)[:cfg.n]
+    return np.array(_stage(cfg, x, xi)[0])
 
 
 def r_of_x(cfg: EmbeddingConfig, x: np.ndarray):
-    """Input coefficient r(x) of the embedded chain's top equation, for x shaped (n, ...)."""
-    x, n = np.asarray(x, dtype=float), cfg.n
-    return np.tensordot(cfg.stage_map[n, 3 * n + 1:4 * n + 1],
-                        cfg.plant.terms(x)[3 * n + 1:], axes=1)
+    """Input coefficient r(x) of the embedded chain's top equation, for x shaped (n,) or (n, k)."""
+    x = np.asarray(x, dtype=float)
+    return _stage(cfg, x, np.zeros((cfg.n - 1,) + x.shape[1:]))[1]
 
 
 def aux_rhs(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, u) -> np.ndarray:
     """Auxiliary dynamics dxi/dt = A_xi xi - [L_g L_f^{k-1} h(x)]_k u."""
-    out, n = _stage(cfg, x, xi), cfg.n
-    return out[2 * n + 2:3 * n + 1] + out[4 * n + 1:] * u
+    _, _, _, drift, gain = _stage(cfg, x, xi)
+    return np.array([d + g * u for d, g in zip(drift[cfg.n:], gain[cfg.n:])])
 
 
 def dynamic_feedback(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, v: float) -> float:
     """Physical input u = (s(x, xi) + v) / r(x) realizing the chain input v."""
-    out, n = _stage(cfg, x, xi), cfg.n
-    return _feedback(out[n], out[n + 1], float(v), x)
+    _, r, s, _, _ = _stage(cfg, x, xi)
+    return _feedback(r, s, float(v), x)
 
 
 def transform_demos(cfg: EmbeddingConfig,
@@ -164,12 +188,13 @@ def transform_demos(cfg: EmbeddingConfig,
     RK4 stage times (grid points and step midpoints), and one rk4 call on
     the recording grid moves xi shaped (n-1, k), one recording per column.
     Then each recording takes one pass: the domain test of its samples, one
-    plant.terms call, r(x) from it as r_of_x forms it, a scan that raises
-    if r comes within tolerance of zero at a sample (it checks the samples
-    only, so r changing sign between two samples passes unseen), and z and
-    s from the stage map on the same terms.  The forcing table, r, z and v
-    read plant.terms one recording at a time, which keeps its 4n+1 rows of
-    temporaries at one recording's size.
+    plant.terms call, and z, r and s from cfg.stage on the rows of those
+    terms and of xi, as NumPy rows over the recording's samples, the same
+    formulas a single state takes on floats; a scan raises if r comes
+    within tolerance of zero at a sample (it checks the samples only, so r
+    changing sign between two samples passes unseen).  The forcing table,
+    r, z and v read plant.terms one recording at a time, which keeps its
+    4n+1 rows of temporaries at one recording's size.
     """
     n = cfg.n
     grid, states, u = batch.times, batch.states, batch.inputs  # (N,), (N, n, k), (N, k)
@@ -189,21 +214,19 @@ def transform_demos(cfg: EmbeddingConfig,
     del x_half, forcing  # k recordings' stage tables: not held through the pass below
 
     z, v = np.empty(states.shape), np.empty(u.shape)
-    r_row = cfg.stage_map[n, 3 * n + 1:4 * n + 1]
     for i in range(k):
         x = states[:, :, i].T
         cfg.plant.require_in_domain(x)
-        p = np.concatenate([cfg.plant.terms(x), xi[:, :, i].T])
-        r = np.tensordot(r_row, p[3 * n + 1:4 * n + 1], axes=1)
+        z_rows, r, s, _, _ = cfg.stage(cfg.plant.terms(x), xi[:, :, i].T)
         j = int(np.abs(r).argmin())
         if abs(r[j]) <= R_TOL:
             raise SingularEmbeddingError(
                 f"r(x) = {r[j]:.3e} along demonstration {i} at t={grid[j]:.6f}",
                 time=float(grid[j]),
             )
-        out = cfg.stage_map @ p
-        z[:, :, i] = out[:n].T
-        v[:, i] = r * u[:, i] - out[n + 1]
+        for row, value in enumerate(z_rows):
+            z[:, row, i] = value
+        v[:, i] = r * u[:, i] - s
     pair = brunovsky_pair(n)
     return DemonstrationSet(grid=grid, z=z, v=v, A=pair.A, B=pair.B), xi
 
@@ -296,20 +319,25 @@ def simulate_embedded_closed_loop(
 ) -> EmbeddedTrajectory:
     """Simulate the plant + auxiliary dynamics under the learned chain input.
 
-    At each RK4 stage the chain state is read off as z = Phi_z(x, xi), the
-    learned controller supplies v, and the dynamic feedback turns it into the
-    physical input u = (s + v) / r.  A stage is one domain test, one
-    plant.terms call and one stage_map product; the committed grid states
-    are tested by their first stage, so rk4 runs without its grid-point
-    domain guard.  Each interval of interval_grid is one rk4 call; the
-    anchor is read off the chain state of the interval's first stage, after
-    rk4's divergence test of that point, and the later of two intervals
-    re-reads their shared boundary point's input.  The controller is read
-    through interval_groups(anchor): a closed-loop basis reads its K/c table
-    at slot round(2 tau / dt), or value(tau, z) in the interval that holds
-    a shortened final step, and an open-loop one V zeta + v_base.  v (with
-    the table's offset c), r and s are read as Python floats and passed to
-    _feedback.  dt must be the demonstration dt (interval_grid).  A stage
+    x0 is one start shaped (n,) and xi0 one auxiliary state shaped (n-1,)
+    (zero if not given); any other shape is a ValueError.  At each RK4 stage
+    the chain state is read off as z = Phi_z(x, xi), the learned controller
+    supplies v, and the dynamic feedback turns it into the physical input
+    u = (s + v) / r.  rk4 steps the single state on Python floats, and a
+    stage stays on floats end to end: one domain test, the plant's terms as
+    a list of floats (plant.term_list), cfg.stage on them and on xi, one
+    gain-table read and drift + gain u, returned as a list.  The committed grid states are
+    tested by their first stage, so rk4 runs without its grid-point domain
+    guard.  Each interval of interval_grid is one rk4 call; the anchor is
+    read off the chain state of the interval's first stage, after rk4's
+    divergence test of that point, and the later of two intervals re-reads
+    their shared boundary point's input.  The controller is read through
+    interval_groups(anchor): an open-loop basis gives V zeta + v_base, and a
+    closed-loop one K(tau) z + c(tau) from its K/c table, taken as Python
+    floats once per basis and summed left to right, at slot
+    round(2 tau / dt), or at HalfGrid.index(tau) in the interval that holds
+    a shortened final step, whose last stages fall off the slots and read
+    value(tau, z).  dt must be the demonstration dt (interval_grid).  A stage
     outside the domain (DomainError) or with |r| <= R_TOL
     (SingularEmbeddingError) fails with its absolute time.
     """
@@ -317,12 +345,29 @@ def simulate_embedded_closed_loop(
         raise ValueError("the embedding pipeline drives a single-input plant")
     plant = cfg.plant
     n = plant.n
-    terms, inside, M = plant.terms, plant.domain_check, cfg.stage_map
+    x0 = np.asarray(x0, dtype=float)
     xi0 = np.zeros(n - 1) if xi0 is None else np.asarray(xi0, dtype=float)
+    for name, value, size in (("x0", x0, n), ("xi0", xi0, n - 1)):
+        if value.shape != (size,):
+            raise ValueError(f"{name} must be shaped ({size},), got {value.shape}")
+    term_list, inside, stage = plant.term_list, plant.domain_check, cfg.stage
     T = ctrl.T
     times, N, short = interval_grid(ctrl, duration, dt)
     last = len(times) - 1
-    anchor = None  # (start, basis, zeta, K/c table or None) of the running interval
+    anchor = None  # (start, basis, zeta, slot index or None, K rows, c) of the running interval
+    gain_rows = {}  # id(basis) -> (K rows, c) as Python floats
+
+    def begin(t, z):
+        """The anchor of an interval whose first stage is at t with chain state z."""
+        (basis, _, zeta), = ctrl.interval_groups(ctrl.begin_interval(np.array(z)))
+        if zeta is not None:
+            return t, basis, zeta, None, None, None
+        if id(basis) not in gain_rows:
+            _, K, c = basis.gains
+            gain_rows[id(basis)] = K[:, 0].tolist(), c[:, 0].tolist()
+        # Off the uniform slots only in an interval that holds a shortened step.
+        index = None if uniform else basis.gains[0].index
+        return (t, basis, zeta, index) + gain_rows[id(basis)]
 
     def rhs(t, y):
         nonlocal anchor
@@ -330,36 +375,33 @@ def simulate_embedded_closed_loop(
         if not inside(x):
             raise DomainError(f"state {x} is outside the domain of {plant.name} at t={t:.6f}",
                               time=t)
-        out = M @ np.concatenate([terms(x), y[n:]])
-        z = out[:n]
+        z, r, s, drift, gain = stage(term_list(x), y[n:].tolist())
         if anchor is None:  # the interval's first stage: its start
-            (basis, _, zeta), = ctrl.interval_groups(ctrl.begin_interval(z))
-            table = None
-            if tables and zeta is None:
-                _, K, c = basis.gains
-                table = K, c[:, 0].tolist()
-            anchor = t, basis, zeta, table
-        start, basis, zeta, table = anchor
+            anchor = begin(t, z)
+        start, basis, zeta, index, K, c = anchor
         tau = min(t - start, T)
-        if table is not None:
-            K, c = table
-            j = round(2.0 * tau / dt)
-            v = (K[j] @ z).item(0) + c[j]
-        elif zeta is None:
-            v = basis.value(tau, z).item(0)
-        else:
+        if zeta is not None:
             v = basis.value_from_zeta(tau, zeta).item(0)
-        r, s = out[n:n + 2].tolist()
+        else:
+            j = round(2.0 * tau / dt) if index is None else index(tau)
+            if j is None:
+                v = basis.value(tau, np.array(z)).item(0)
+            else:
+                Kj = K[j]
+                v = Kj[0] * z[0]
+                for i in range(1, n):  # K(tau) z, left to right
+                    v += Kj[i] * z[i]
+                v += c[j]
         u = _feedback(r, s, v, x, t)
-        return out[n + 2:3 * n + 1] + out[3 * n + 1:] * u, (v, u)
+        return [a + b * u for a, b in zip(drift, gain)], (v, u)
 
     states = np.empty((len(times), 2 * n - 1))
     inputs = np.empty((len(times), 2))
     states[0] = np.concatenate([x0, xi0])
     for lo in range(0, last + (not short), N):
         hi = min(lo + N, last)
-        # The K/c tables hold the interval's stage times unless it holds a shortened step.
-        anchor, tables = None, not (short and hi == last)
+        # The slots hold the interval's stage times unless it holds a shortened step.
+        anchor, uniform = None, not (short and hi == last)
         states[lo:hi + 1], inputs[lo:hi + 1] = rk4(rhs, states[lo], times[lo:hi + 1])
     return EmbeddedTrajectory(times=times, x=states[:, :n], xi=states[:, n:],
                               v=inputs[:, 0], u=inputs[:, 1])

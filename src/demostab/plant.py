@@ -72,6 +72,11 @@ class PlantModel:
             plant's own rhs needs nothing else.
         domain_check: predicate for membership in the open set U.
         relative_degree: n for feedback-linearizable presets, None otherwise.
+        float_terms: optional float path of terms: float_terms(x), x shaped
+            (n,), is terms(x) as a list of 4n+1 Python floats, bit for bit,
+            without building the array.  None means terms(x).tolist(), as
+            the term_list property reads it.  A plant that sets it replaces
+            it together with terms.
     """
 
     n: int
@@ -81,10 +86,16 @@ class PlantModel:
     domain_check: Callable[[np.ndarray], bool] = field(default=lambda x: True)
     relative_degree: Optional[int] = None
     name: str = "plant"
+    float_terms: Optional[Callable[[np.ndarray], list]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"state dimension must be >= 1, got {self.n}")
+
+    @property
+    def term_list(self) -> Callable[[np.ndarray], list]:
+        """term_list(x): the terms of one state (n,) as a list of Python floats."""
+        return self.float_terms or (lambda x: self.terms(x).tolist())
 
     def require_in_domain(self, x: np.ndarray) -> None:
         """Raise DomainError unless x, shaped (n,) or (n, k), lies in the domain."""

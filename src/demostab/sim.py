@@ -1,7 +1,9 @@
 """Fixed-step RK4 integration and closed-loop simulation.
 
 Every stage-by-stage integration runs through one stepper, rk4, which steps
-the grid it is given and owns the grid-point divergence and domain guard.
+the grid it is given and owns the grid-point divergence and domain guard;
+it steps a single state on Python floats and a batch on NumPy arrays, with
+the same step expressions on both.
 The learned loops anchor their controllers per interval themselves, one rk4
 call or one propagator application per interval; the chain loops move whole
 intervals through affine_interval_maps, RK4 steps composed in closed form.
@@ -22,6 +24,7 @@ from .plant import PlantModel
 
 # Abort integration once the state norm passes this bound.
 DIVERGENCE_NORM = 1e6
+_NORM_SQ = DIVERGENCE_NORM * DIVERGENCE_NORM
 MAX_STEPS = int(1e8)
 # Tolerance used when assigning a time to its interval index p = floor(t / T).
 _P_TOL = 1e-9
@@ -161,7 +164,7 @@ def check_divergence(states: np.ndarray, times: np.ndarray) -> None:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("gij,gij->g", states, states)
-    bad = np.flatnonzero(~(sq <= DIVERGENCE_NORM**2))
+    bad = np.flatnonzero(~(sq <= _NORM_SQ))
     if bad.size:
         t = float(times[bad[0]])
         raise DivergenceError(f"state diverged at t={t:.6f}", time=t,
@@ -178,6 +181,22 @@ def interval_index(t: float, T: float) -> tuple[int, float]:
     return p, min(max(t - p * T, 0.0), T)
 
 
+def _squared_norm(y: list) -> float:
+    """Sum of squares of a state's entries as Python floats, left to right.
+
+    Products, never pow: a float's ** raises OverflowError where * gives inf.
+    """
+    acc = 0.0
+    for a in y:
+        acc += a * a
+    return acc
+
+
+def _float_rows(k) -> list:
+    """An rhs derivative for a single state as a list of Python floats."""
+    return k.tolist() if isinstance(k, np.ndarray) else k
+
+
 def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
     """Classical RK4 over the grid times; returns (states, inputs).
 
@@ -186,42 +205,64 @@ def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
     the first stage at t_k (one extra call supplies it at the last grid
     point, so a one-point grid costs one call).
 
+    A single state y0 shaped (d,) is stepped on Python floats, entry by
+    entry, which spares the NumPy dispatch of d-sized arrays: rhs receives
+    each stage state as an ndarray and may return an ndarray or a sequence
+    of Python floats.  A batch y0 shaped (d, k), k columns, is stepped on
+    NumPy arrays.  Both paths write the same step expressions, so a state
+    gets the bits it would get as a column of a (d, 1) batch under an rhs
+    that acts column by column.
+
     Every grid state, y0 at times[0] included, must be finite with norm at
     most DIVERGENCE_NORM and, if a plant is given as domain, its first
     plant.n entries must lie in the plant's domain (tested in that order);
     otherwise DivergenceError carries the time of the offending grid point.
-    A state y shaped (d, k) is a batch of k columns: the norm test is on the
-    whole batch, the domain test on every column, and the error names a
-    column.
+    A single state's squared norm is summed left to right on floats; a
+    batch's norm test is on the whole batch, the domain test on every
+    column, and the error names a column.
     """
     grid = times.tolist()
     last = len(grid) - 1
-    y = np.asarray(y0, dtype=float)
-    states = np.empty((len(grid),) + y.shape)
+    y0 = np.asarray(y0, dtype=float)
+    single = y0.ndim == 1
+    y = y0.tolist() if single else y0
+    states = np.empty((len(grid),) + y0.shape)
     inputs = None
     for k, t in enumerate(grid):
+        y_arr = np.array(y) if single else y
         # A non-finite entry makes the squared norm NaN or inf, failing the test too.
-        if not float(np.vdot(y, y)) <= DIVERGENCE_NORM**2:
+        sq = _squared_norm(y) if single else float(np.vdot(y, y))
+        if not sq <= _NORM_SQ:
             raise DivergenceError(f"state diverged at t={t:.6f}", time=t,
-                                  column=None if y.ndim == 1 else _largest_column(y))
-        states[k] = y
+                                  column=None if single else _largest_column(y))
+        states[k] = y_arr
         if domain is not None:
             try:
-                domain.require_in_domain(y[: domain.n])
+                domain.require_in_domain(y_arr[: domain.n])
             except DomainError as exc:
                 raise DivergenceError(f"{exc} at t={t:.6f}", time=t, column=exc.column) from exc
-        k1, u = rhs(t, y)
+        k1, u = rhs(t, y_arr)
         if inputs is None:
             inputs = np.empty((len(times),) + np.shape(u))
         inputs[k] = u
         if k == last:
             break
         h = grid[k + 1] - t
-        half = 0.5 * h
-        k2, _ = rhs(t + half, y + half * k1)
-        k3, _ = rhs(t + half, y + half * k2)
-        k4, _ = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        half, h6 = 0.5 * h, h / 6.0
+        # The same expressions on both paths: entry by entry on floats, or on
+        # the batch array.
+        if single:
+            k1 = _float_rows(k1)
+            k2 = _float_rows(rhs(t + half, np.array([a + half * b for a, b in zip(y, k1)]))[0])
+            k3 = _float_rows(rhs(t + half, np.array([a + half * b for a, b in zip(y, k2)]))[0])
+            k4 = _float_rows(rhs(t + h, np.array([a + h * b for a, b in zip(y, k3)]))[0])
+            y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
+        else:
+            k2, _ = rhs(t + half, y + half * k1)
+            k3, _ = rhs(t + half, y + half * k2)
+            k4, _ = rhs(t + h, y + h * k3)
+            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return states, inputs
 
 

@@ -204,12 +204,15 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
                 zero, zero, 2.0 * b * x0 * om,            # L_g L_f^k h, k = 0..3 (k < 2: 0)
                 2.0 * b * x1 * om - b * g * c]
 
+    def float_terms(x):
+        x0, x1, phi, om = x.tolist()
+        if math.isfinite(phi):  # math.sin and math.cos raise on an infinite angle
+            return rows(x0, x1, phi, om, math.sin, math.cos, 0.0, 1.0)
+        return terms(x[:, None])[:, 0].tolist()
+
     def terms(x):
         if x.ndim == 1:
-            x0, x1, phi, om = x.tolist()
-            if math.isfinite(phi):  # math.sin and math.cos raise on an infinite angle
-                return np.array(rows(x0, x1, phi, om, math.sin, math.cos, 0.0, 1.0))
-            return terms(x[:, None])[:, 0]
+            return np.array(float_terms(x))
         shape = x.shape[1:]
         return np.array(rows(*x, np.sin, np.cos, np.zeros(shape), np.ones(shape)))
 
@@ -229,6 +232,7 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
         domain_check=domain_check,
         relative_degree=None,
         name="ball_beam",
+        float_terms=float_terms,
     )
 
 

@@ -675,10 +675,39 @@ def pl_interpolate(points, values, tri, x):
     return barycentric(points[idx], x) @ np.asarray(values, dtype=float)[idx]
 
 
+def stage_map(cfg) -> np.ndarray:
+    """The embedding's stage as one dense linear map of p = (plant.terms(x), xi).
+
+    Rows stack z (:n), r (n), s (n+1), drift (n+2:3n+1) and gain (3n+1:), so
+    stage_map(cfg) @ p gives all the terms of EmbeddingConfig's docstring in
+    one product: the reference the written-out cfg.stage is checked against.
+    """
+    n, w, A = cfg.n, np.array(cfg.w), cfg.A_xi
+    # Columns: f in 0..n-1, g in n..2n-1, lf in 2n..3n, lg in 3n+1..4n,
+    # xi in 4n+1..5n-1.
+    lf, lg, xi = 2 * n, 3 * n + 1, slice(4 * n + 1, 5 * n)
+    M = np.zeros((5 * n, 5 * n))
+    M[:n, lf:lf + n] = np.eye(n)                      # z
+    M[:n, xi] = np.vstack([np.eye(n - 1), -w])
+    M[n, lg:lg + n] = np.append(w, 1.0)               # r
+    M[n + 1, lf + n] = -1.0                           # s
+    M[n + 1, xi] = A.T @ w
+    M[n + 2:2 * n + 2, :n] = np.eye(n)                # drift: f
+    M[2 * n + 2:3 * n + 1, xi] = A                    # drift: A_xi xi
+    M[3 * n + 1:4 * n + 1, n:2 * n] = np.eye(n)       # gain: g
+    M[4 * n + 1:, lg:lg + n - 1] = -np.eye(n - 1)     # gain: -lg[:n-1]
+    return M
+
+
 def s_of_x_xi(cfg, x, xi):
-    """Drift term s(x, xi) of an EmbeddingConfig, chosen so that dz_n/dt = -s + r u."""
-    terms = cfg.plant.terms(np.asarray(x, dtype=float))
-    return (cfg.stage_map @ np.concatenate([terms, xi]))[cfg.n + 1]
+    """Drift term s(x, xi) of an EmbeddingConfig, chosen so that dz_n/dt = -s + r u.
+
+    Read off cfg.stage, the formula the dynamic feedback divides by, so that
+    v = -s cancels it exactly; stage_map checks that formula independently.
+    """
+    from demostab.embed import _stage
+
+    return _stage(cfg, x, xi)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (aux_dot, charpoly, embedded_rk4, embedding_terms, routh_stable,
-                     s_of_x_xi, transform_demo_per_sample)
+                     s_of_x_xi, stage_map, transform_demo_per_sample)
 
 from demostab.embed import (
     R_TOL,
@@ -342,27 +342,47 @@ def test_transform_matches_per_sample_formulas():
             assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
-# The stage map against the term-by-term oracle, one state or a batch (n, k).
+# The stage function against the term-by-term oracle and the dense stage map,
+# one state or a batch (n, k).  chain2 has one w: xi of length 1, no xi[1:]
+# drift rows and no shifted sum in s.
 STAGE_CONFIGS = {"ball_beam": ball_beam_preset()[1],
+                 "chain2": EmbeddingConfig(plant=chain_preset(2), w=(2.0,)),
                  "chain3": EmbeddingConfig(plant=chain_preset(3), w=(2.0, 3.0))}
+
+
+def _stage_values(stage_out) -> list[float]:
+    """z, r, s, drift and gain of one state's stage, flattened."""
+    z, r, s, drift, gain = stage_out
+    return [*z, r, s, *drift, *gain]
 
 
 @pytest.mark.parametrize("name", sorted(STAGE_CONFIGS))
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([None, 1, 5]))
-def test_stage_map_matches_term_by_term_oracle(name, seed, k):
+def test_stage_function_matches_term_by_term_oracle(name, seed, k):
     cfg = STAGE_CONFIGS[name]
     plant, n = cfg.plant, cfg.n
     rng = np.random.default_rng(seed)
     shape = () if k is None else (k,)
     x = rng.uniform(-2.0, 2.0, (n,) + shape)
-    x[2] = rng.uniform(-1.5, 1.5, shape)  # inside the ball-beam domain |phi| < pi/2
+    if name == "ball_beam":
+        x[2] = rng.uniform(-1.5, 1.5, shape)  # inside the domain |phi| < pi/2
     xi = rng.uniform(-2.0, 2.0, (n - 1,) + shape)
     v = rng.uniform(-5.0, 5.0, shape)
-    out = cfg.stage_map @ np.concatenate([plant.terms(x), xi])
-    z, r, s = out[:n], out[n], out[n + 1]
+    p = plant.terms(x)
+    if k is None:
+        out = cfg.stage(p.tolist(), xi.tolist())
+        assert all(type(q) is float for q in _stage_values(out))
+    else:
+        out = cfg.stage(p, xi)
+    z, r, s, drift, gain = map(np.array, out)
     u = (s + v) / r
-    dy = out[n + 2:3 * n + 1] + out[3 * n + 1:] * u
+    dy = drift + gain * u
+    # The dense map's one product gives the same terms.
+    M = stage_map(cfg) @ np.concatenate([p, xi])
+    for got, want in ((z, M[:n]), (r, M[n]), (s, M[n + 1]), (drift, M[n + 2:3 * n + 1]),
+                      (gain, M[3 * n + 1:])):
+        assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
     columns = [(x, xi, u)] if k is None else [(x[:, j], xi[:, j], u[j]) for j in range(k)]
     for j, (xj, xij, uj) in enumerate(columns):
         at = () if k is None else (slice(None), j)
@@ -373,17 +393,34 @@ def test_stage_map_matches_term_by_term_oracle(name, seed, k):
         assert_allclose(r[at[1:]], r_want, rtol=0, atol=1e-12 * scale)
         assert_allclose(s[at[1:]], s_want, rtol=0, atol=1e-12 * scale)
         assert_allclose(dy[at], dy_want, rtol=0, atol=1e-12 * max(1.0, np.abs(dy_want).max()))
-    # The module's accessors read the same map.
-    assert_allclose(phi_z(cfg, x, xi), z, rtol=0, atol=0)
-    assert_allclose(r_of_x(cfg, x), r, rtol=0, atol=0)
-    assert_allclose(s_of_x_xi(cfg, x, xi), s, rtol=0, atol=0)
-    assert_allclose(aux_rhs(cfg, x, xi, u), dy[n:], rtol=0, atol=0)
+        if k is not None:  # one state on floats: the bits of its batch column
+            single = cfg.stage(plant.terms(xj).tolist(), xij.tolist())
+            column = [*z[:, j], r[j], s[j], *drift[:, j], *gain[:, j]]
+            assert _stage_values(single) == column
+    # The module's accessors read the same function.
+    assert np.array_equal(phi_z(cfg, x, xi), z)
+    assert np.array_equal(r_of_x(cfg, x), r)
+    assert np.array_equal(s_of_x_xi(cfg, x, xi), s)
+    assert np.array_equal(aux_rhs(cfg, x, xi, u), dy[n:])
     if k is None and abs(r) > R_TOL:
         assert dynamic_feedback(cfg, x, xi, v) == u
 
 
+@pytest.mark.parametrize("x0, xi0, message", [
+    (np.zeros((4, 2)), None, r"x0 must be shaped \(4,\), got \(4, 2\)"),
+    (np.zeros(5), None, r"x0 must be shaped \(4,\), got \(5,\)"),
+    (np.zeros(4), np.zeros((3, 2)), r"xi0 must be shaped \(3,\), got \(3, 2\)"),
+    (np.zeros(4), np.zeros(4), r"xi0 must be shaped \(3,\), got \(4,\)"),
+], ids=["x0_batch", "x0_length", "xi0_batch", "xi0_length"])
+def test_embedded_loop_refuses_a_misshaped_start(ball_beam_fixture, x0, xi0, message):
+    ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
+    with pytest.raises(ValueError, match=message):
+        simulate_embedded_closed_loop(ball_beam_fixture["cfg"], ctrl, x0, xi0, duration=1.0,
+                                      dt=1e-3)
+
+
 def test_readme_loop_interval_matches_term_by_term_rhs(ball_beam_fixture):
-    # One 8 s interval from the README simulate start: the stage-map loop
+    # One 8 s interval from the README simulate start: the embedded loop
     # against the extended rhs evaluated term by term and stepped by the oracle.
     cfg, eset = ball_beam_fixture["cfg"], ball_beam_fixture["set"]
     ctrl = LearnedController(build_basis(eset), A=eset.A, B=eset.B)
@@ -427,10 +464,10 @@ def test_whole_run_matches_the_term_by_term_oracle(mode, duration):
 
 
 def test_table_slot_read_matches_value_bit_for_bit(ball_beam_fixture):
-    # A run of 0.5005 s is one interval that ends in a shortened step, so no
-    # K/c table covers it and every stage calls basis.value(tau, z), which
-    # finds its slot by HalfGrid.index: up to 0.5 s it equals the run that
-    # reads the slots directly.
+    # A run of 0.5005 s is one interval that ends in a shortened step, so
+    # every stage finds its slot by HalfGrid.index, and the shortened step's
+    # last stages, off the slots, call basis.value(tau, z): up to 0.5 s it
+    # equals the run that reads the slots at round(2 tau / dt).
     cfg, ctrl = ball_beam_fixture["cfg"], LearnedController(build_basis(ball_beam_fixture["set"]))
     x0, xi0 = np.array([6.0, 0.0, 0.345, 0.0]), np.zeros(3)
     table = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5, dt=1e-3)

@@ -248,6 +248,22 @@ def test_a_state_is_its_column_of_a_batch(name, columns):
                 assert single.tobytes() == batched[..., j].tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(TERMS_PRESETS))
+@settings(max_examples=60)
+@given(column=st.lists(EDGE_ENTRIES, min_size=6, max_size=6))
+@example(column=[6.0, 0.0, 0.345, 2.759, -4.536, 0.0])
+@example(column=[6.0, 0.0, math.inf, 1.0, 0.0, 0.0])
+def test_term_list_is_terms_as_floats(name, column):
+    # The float path (the ball-beam's float_terms, or terms(x).tolist())
+    # gives the bytes of terms(x), a non-finite angle included.
+    plant = TERMS_PRESETS[name][0]
+    x = np.array(column[:plant.n])
+    with np.errstate(all="ignore"):
+        got, want = plant.term_list(x), plant.terms(x)
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [None, 16])
 def test_expert_lqr_is_one_domain_test_and_one_terms_call(k):
     # The expert equals the composition through feedback_linearize and

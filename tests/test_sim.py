@@ -132,6 +132,66 @@ def test_start_is_held_to_the_divergence_bound(y0, column):
     assert (err.value.time, err.value.column) == (0.25, column)
 
 
+def _linear_rhs(t, y):
+    # Row by row, so a column of a batch takes the operations of one state.
+    return np.array([y[1], -2.0 * y[0] - 3.0 * y[1] + t]), y[0]
+
+
+def _cubic_rhs(t, x):
+    return x**3, 0.0
+
+
+@pytest.mark.parametrize("rhs, y0", [(_linear_rhs, [0.3, -0.2]), (_cubic_rhs, [2.0])],
+                         ids=["linear", "cubic"])
+def test_single_state_steps_to_the_bits_of_its_batch_column(rhs, y0):
+    # A 1-D state is stepped on Python floats, a (d, 1) batch on NumPy rows.
+    # x' = x^3 from 2 blows up at t = 1/8: up to 0.1 both paths step it, and
+    # to 5.0 both fail at one grid time.
+    y0 = np.array(y0)
+    times = time_grid(0.0, 0.1, 1e-3)
+    single, u_single = rk4(rhs, y0, times)
+    batch, u_batch = rk4(rhs, y0[:, None], times)
+    assert single.shape == batch.shape[:2] and u_single.shape == u_batch.shape[:1]
+    assert np.array_equal(single, batch[:, :, 0])
+    assert np.array_equal(u_single, u_batch.reshape(u_single.shape))
+    if rhs is _cubic_rhs:
+        errors = []
+        for start in (y0, y0[:, None]):
+            with pytest.raises(DivergenceError) as err:
+                rk4(rhs, start, time_grid(0.0, 5.0, 1e-3))
+            errors.append((err.value.time, err.value.column))
+        assert errors[0] == (errors[1][0], None) and errors[1][1] == 0
+        assert 0.1 < errors[0][0] < 0.2
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+def test_single_start_that_is_not_finite_or_overflows_fails_at_the_first_grid_time(value):
+    # 1e200 squares past the float range: the norm test multiplies, so it
+    # reads inf and fails, where a float's ** would raise OverflowError.
+    def rhs(t, y):
+        raise AssertionError("rhs called on a start past the bound")
+
+    with pytest.raises(DivergenceError, match=r"state diverged at t=0\.250000") as err:
+        rk4(rhs, np.array([0.5, value, 0.0]), time_grid(0.25, 1.0, 0.05))
+    assert (err.value.time, err.value.column) == (0.25, None)
+
+
+def test_single_state_norm_is_summed_left_to_right():
+    # 1e6 squared is the bound 1e12 exactly, and each 5e-3 squared is less
+    # than half an ulp of 1e12: summed left to right from 1e6 the squared
+    # norm stays on the bound, which passes.  A compensated sum, or the
+    # same entries with 1e6 last, end two ulps above it and fail.
+    def rhs(t, y):
+        return [0.0] * len(y), 0.0
+
+    times = time_grid(0.0, 0.2, 0.1)
+    states, _ = rk4(rhs, np.array([1e6] + [5e-3] * 10), times)
+    assert states.shape == (3, 11)
+    with pytest.raises(DivergenceError) as err:
+        rk4(rhs, np.array([5e-3] * 10 + [1e6]), times)
+    assert err.value.time == 0.0
+
+
 def test_chain_start_is_held_to_the_divergence_bound(double_int_ctrl):
     z0 = np.array([[0.5, 1e200], [0.5, 0.0]])
     with pytest.raises(DivergenceError, match=r"state diverged at t=0\.000000") as err:
