@@ -24,12 +24,16 @@ CONTRACTION_SLACK = 1e-3
 STEP_TOL = 1e-4
 
 
-def expm_nilpotent(A: np.ndarray, t: float) -> np.ndarray:
-    """Matrix exponential of a nilpotent matrix as its finite power series."""
+def expm_nilpotent(A: np.ndarray, t) -> np.ndarray:
+    """Matrix exponential of a nilpotent matrix as its finite power series.
+
+    t is one time, giving e^{At}, or an array of times, giving one e^{At}
+    per time, stacked along the leading axes.
+    """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    out = np.eye(n)
-    term = np.eye(n)
+    t = np.asarray(t, dtype=float)[..., None, None]
+    out = term = np.broadcast_to(np.eye(n), t.shape[:-2] + (n, n)).copy()
     for k in range(1, n + 1):
         term = term @ A * (t / k)
         if not term.any():
@@ -40,55 +44,53 @@ def expm_nilpotent(A: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def monodromy_from_integral(
-    basis: AffineBasis,
-    A: np.ndarray,
-    B: np.ndarray,
-    T: Optional[float] = None,
-) -> np.ndarray:
+def _quadrature_weights(nodes: np.ndarray) -> np.ndarray:
+    """Weights of composite Simpson over the leading run of equal step pairs, trapezoids after.
+
+    Step pairs are taken from the first node on; the first pair whose two
+    steps differ by more than 1e-12 relative, and every step after it, is
+    integrated by trapezoids, as is a last single step.
+    """
+    h = np.diff(nodes)
+    pairs = h[:len(h) // 2 * 2].reshape(-1, 2)
+    even = np.abs(pairs[:, 0] - pairs[:, 1]) <= 1e-12 * pairs.max(axis=1)
+    s = 2 * (len(even) if even.all() else int(even.argmin()))  # nodes 0..s take Simpson
+    w = np.zeros(len(nodes))
+    third = h[0:s:2] / 3.0
+    w[0:s:2] += third
+    w[1:s:2] += 4.0 * third
+    w[2:s + 1:2] += third
+    half = h[s:] / 2.0
+    w[s:-1] += half
+    w[s + 1:] += half
+    return w
+
+
+def monodromy_from_integral(basis: AffineBasis, A: np.ndarray, B: np.ndarray,
+                            T: Optional[float] = None) -> np.ndarray:
     """Psi(T) via the variation-of-constants integral on the demonstration grid.
 
     e^{At} for the chain matrix is the exact finite nilpotent series.  The
-    integral of e^{A(T-tau)} B V(tau) Z(0)^{-1} uses composite Simpson over
-    the uniform grid (falling back to a trapezoid on a leftover interval), so
-    the cross-check error is quadrature-dominated at O(dt^4) rather than the
-    O(dt^2) a plain trapezoid would give; large-amplitude demonstrations stay
-    within the 1e-3 agreement budget.
+    integrand e^{A(T-tau)} B V(tau) Z(0)^{-1} is formed at every grid node
+    up to T, and at T itself (from interpolated V) when T is off the grid,
+    as one batched product.  Composite Simpson over the uniform grid (falling
+    back to trapezoids on a leftover or uneven step) keeps the cross-check
+    error quadrature-dominated at O(dt^4) rather than the O(dt^2) a plain
+    trapezoid would give; large-amplitude demonstrations stay within the
+    1e-3 agreement budget.
     """
     A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
+    B = np.asarray(B, dtype=float).reshape(len(A), -1)
     T = basis.T if T is None else float(T)
     if T < 0 or T > basis.T + 1e-9:
         raise ValueError(f"T={T} outside the demonstration horizon [0, {basis.T}]")
-    Z0_inv = np.linalg.inv(basis.Zs[0])
-
-    times = basis.times
-    k_last = int(np.searchsorted(times, T + 1e-12)) - 1
-    k_last = max(k_last, 0)
-    nodes = list(times[: k_last + 1])
-    Vs = [basis.Vs[k] for k in range(k_last + 1)]
+    k_last = max(int(np.searchsorted(basis.times, T + 1e-12)) - 1, 0)
+    nodes, Vs = basis.times[:k_last + 1], basis.Vs[:k_last + 1]
     if T - nodes[-1] > 1e-12:
-        _, V_T, _, _ = basis._interp(T)
-        nodes.append(T)
-        Vs.append(V_T)
-
-    F = [expm_nilpotent(A, T - tau) @ B @ V @ Z0_inv for tau, V in zip(nodes, Vs)]
-    integral = np.zeros((A.shape[0], A.shape[0]))
-    k = 0
-    while k + 2 < len(nodes) + 1 and k + 2 <= len(nodes) - 1:
-        h1 = nodes[k + 1] - nodes[k]
-        h2 = nodes[k + 2] - nodes[k + 1]
-        if abs(h1 - h2) > 1e-12 * max(h1, h2):
-            break  # uneven tail: finish with trapezoids
-        integral = integral + (h1 / 3.0) * (F[k] + 4.0 * F[k + 1] + F[k + 2])
-        k += 2
-    while k + 1 <= len(nodes) - 1:
-        h = nodes[k + 1] - nodes[k]
-        integral = integral + 0.5 * h * (F[k] + F[k + 1])
-        k += 1
-    return expm_nilpotent(A, T) + integral
+        nodes = np.append(nodes, T)
+        Vs = np.concatenate([Vs, basis._interp(T)[1][None]])
+    F = expm_nilpotent(A, T - nodes) @ (B @ Vs @ np.linalg.inv(basis.Zs[0]))
+    return expm_nilpotent(A, T) + np.tensordot(_quadrature_weights(nodes), F, axes=1)
 
 
 @dataclass(frozen=True)
@@ -139,12 +141,12 @@ def _bases_of(obj) -> list[AffineBasis]:
     raise TypeError(f"cannot extract demonstration bases from {type(obj).__name__}")
 
 
-def certificate(obj, T: Optional[float] = None) -> MonodromyCertificate:
-    """Evaluate the monodromy norm certificate for a basis, controller or set."""
+def certificate(obj) -> MonodromyCertificate:
+    """Evaluate the monodromy norm certificate for a basis, controller or set at its own T."""
     bases = _bases_of(obj)
     per = []
     for b in bases:
-        Psi = b.monodromy(T)
+        Psi = b.monodromy()
         per.append(
             SimplexCertificate(
                 indices=b.index_set,
@@ -154,9 +156,8 @@ def certificate(obj, T: Optional[float] = None) -> MonodromyCertificate:
             )
         )
     max_norm = max(s.norm for s in per)
-    horizon = bases[0].T if T is None else float(T)
     return MonodromyCertificate(
-        T=horizon, per_simplex=tuple(per), verdict=bool(max_norm < 1.0), margin=1.0 - max_norm
+        T=bases[0].T, per_simplex=tuple(per), verdict=bool(max_norm < 1.0), margin=1.0 - max_norm
     )
 
 
@@ -196,19 +197,24 @@ def contraction_check(
     ctrl,
     z0: np.ndarray,
     p_max: int = 10,
-    dt: float = 1e-3,
+    dt: Optional[float] = None,
 ) -> ContractionReport:
     """Simulate p_max intervals and compare z(pT) with the certified decay.
 
-    z0 is one initial state (n,) or a batch (n, k).  A violation is flagged in
-    the report, not raised.  The per-interval defect against Psi z(pT) is only
-    checked for single-simplex controllers, where Psi is unique.
+    z0 is one initial state (n,) or a batch (n, k), simulated at the
+    controller's dt; a dt other than None or ctrl.dt is a ValueError.  A
+    violation is flagged in the report, not raised.  The per-interval defect
+    against Psi z(pT) is only checked for single-simplex controllers, where
+    Psi is unique.
     """
-    _, steps_per_T, _ = interval_grid(ctrl, p_max * ctrl.T, dt)
+    if dt is not None and abs(dt - ctrl.dt) > 1e-9 * ctrl.dt:
+        raise ValueError(f"dt={dt} is not the demonstration dt={ctrl.dt} "
+                         "the controller was learned at")
+    _, steps_per_T, _ = interval_grid(ctrl, p_max * ctrl.T)
     cert = certificate(ctrl)
     z0 = np.asarray(z0, dtype=float)
     Z0 = z0[:, None] if z0.ndim == 1 else z0
-    _, states, _ = simulate_chain_batch(ctrl, Z0, p_max * ctrl.T, dt)
+    _, states, _ = simulate_chain_batch(ctrl, Z0, p_max * ctrl.T)
     idx = np.arange(p_max + 1) * steps_per_T
     samples = states[idx]  # (p_max + 1, n, k)
     norms = np.linalg.norm(samples, axis=1)

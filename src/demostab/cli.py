@@ -77,11 +77,20 @@ def _read(path: Path, load: Callable = read_json):
         raise _UsageError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _section(data: dict, key: str) -> dict:
+def _known(what: str, data: dict, keys: tuple) -> dict:
+    """data; a key outside keys, which no stage would read, is a usage error."""
+    for key in data:
+        if key not in keys:
+            raise _UsageError(f"unknown key {key!r} in {what}; "
+                              f"known keys: {', '.join(keys) or 'none'}")
+    return data
+
+
+def _section(data: dict, key: str, keys: tuple) -> dict:
     value = data.get(key, {})
     if not isinstance(value, dict):
         raise _UsageError(f"{key} must be a JSON object, got {value!r}")
-    return dict(value)
+    return _known(key, dict(value), keys)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +105,8 @@ class Preset:
     plant(preset_params) builds the plant and its integrator-chain embedding,
     or None for a plant whose demonstrations reach chain form by feedback
     linearization; flat_quad_3d has neither, because systems.flat_quad_demo_set
-    records it from fixed starts (starts None).  expert(plant, Q, R) is the
+    records it from fixed starts (starts None).  params names the
+    preset_params keys plant reads.  expert(plant, Q, R) is the
     expert u = expert(x) for the LQR weights Q (default: the diagonal entries
     given here) and R.  starts are the default recorded starts, x0 the
     default simulate start, simulate(cfg, ctrl, x0) the closed loop of the
@@ -109,13 +119,14 @@ class Preset:
     x0: tuple
     simulate: Callable
     plant: Callable = lambda params: (None, None)
+    params: tuple = ()
     expert: Optional[Callable] = None
     starts: Optional[tuple | np.ndarray] = None
     reference: Optional[Callable] = None
 
 
 def _simulate_chain(cfg: RunConfig, ctrl, z0: np.ndarray):
-    traj = simulate_chain_closed_loop(ctrl, z0, cfg.simulate_duration, cfg.dt)
+    traj = simulate_chain_closed_loop(ctrl, z0, cfg.simulate_duration)
     # Chain presets are in normal form (a = 0, b = 1), so the physical input
     # u equals the chain input v; both columns are emitted per the file contract.
     n = traj.states.shape[1]
@@ -132,9 +143,8 @@ def _simulate_chain(cfg: RunConfig, ctrl, z0: np.ndarray):
 def _simulate_embedded(cfg: RunConfig, ctrl, x0: np.ndarray):
     n = cfg.embedding.n
     xi0 = _vector("simulate.xi0", cfg.simulate.get("xi0", np.zeros(n - 1)), n - 1)
-    traj = embed_mod.simulate_embedded_closed_loop(
-        cfg.embedding, ctrl, x0, xi0, cfg.simulate_duration, cfg.dt
-    )
+    traj = embed_mod.simulate_embedded_closed_loop(cfg.embedding, ctrl, x0, xi0,
+                                                   cfg.simulate_duration)
     header = (["t"] + [f"x{k + 1}" for k in range(n)]
               + [f"xi{k + 1}" for k in range(n - 1)] + ["v", "u"])
     cols = ([traj.times] + [traj.x[:, k] for k in range(n)]
@@ -161,7 +171,7 @@ PRESETS = {
     # controller, which amplifies the demonstrations affinely, stays inside
     # the beam-angle domain from far-out starts as well.
     "ball_beam": Preset(
-        plant=lambda params: systems.ball_beam_preset(**params),
+        plant=lambda params: systems.ball_beam_preset(**params), params=("b_bar", "g_bar", "w"),
         expert=systems.ball_beam_expert, Q=(0.2, 0.5, 1.0, 2.0), R=0.1,
         starts=((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
                 (0.0, 0.0, math.pi / 8.0, 0.0), (0.0, 0.0, 0.0, 10.0)),
@@ -181,6 +191,14 @@ def _preset(name) -> Preset:
     return PRESETS[name]
 
 
+# The keys each part of a config may hold; any other key is a usage error.
+CONFIG_KEYS = ("preset", "T", "dt", "preset_params", "expert", "initial_conditions", "multi",
+               "feedback", "t_tilde_grid", "simulate", "track")
+SIMULATE_KEYS = ("x0", "duration")  # and xi0, the auxiliary start, on an embedding
+TRACK_KEYS = ("f", "duration", "axis", "z0")
+EXPERT_KEYS = ("Q", "R")
+
+
 class RunConfig:
     """Validated view of the JSON configuration document.
 
@@ -190,7 +208,7 @@ class RunConfig:
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise _UsageError(f"the config must be a JSON object, got {data!r}")
-        self.data = data
+        _known("the config", data, CONFIG_KEYS)
         try:
             self.name = data["preset"]
             self.preset = _preset(self.name)
@@ -202,10 +220,11 @@ class RunConfig:
         if abs(steps - round(steps)) > 1e-9:
             raise _UsageError(f"T={self.T} must be an integer multiple of dt={self.dt}")
         try:
-            self.plant, self.embedding = self.preset.plant(_section(data, "preset_params"))
+            self.plant, self.embedding = self.preset.plant(
+                _section(data, "preset_params", self.preset.params))
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"preset_params: {exc}") from exc
-        self.expert_params = _section(data, "expert")
+        self.expert_params = _section(data, "expert", EXPERT_KEYS)
         self.multi = data.get("multi", False)
         if not isinstance(self.multi, bool):
             raise _UsageError(f"multi must be true or false, got {self.multi!r}")
@@ -219,10 +238,11 @@ class RunConfig:
         if not all(0.0 <= t <= self.T for t in self.t_tilde_grid):
             raise _UsageError(f"t_tilde_grid entries must lie in [0, T] with T = {self.T}, "
                               f"got {grid!r}")
-        self.simulate = _section(data, "simulate")
+        self.simulate = _section(data, "simulate",
+                                 SIMULATE_KEYS + ("xi0",) * (self.embedding is not None))
         self.simulate_duration = _number("simulate.duration",
                                          self.simulate.get("duration", 5.0 * self.T), positive=True)
-        self.track = _section(data, "track")
+        self.track = _section(data, "track", TRACK_KEYS)
         self.track_f = _number("track.f", self.track.get("f", 0.1), positive=True)
         self.track_duration = _number("track.duration",
                                       self.track.get("duration", 2.0 / self.track_f), positive=True)
@@ -471,7 +491,7 @@ def cmd_track(cfg: RunConfig, out: Path, force: bool = False) -> int:
     z0 = _vector("track.z0", cfg.track.get("z0", np.zeros(ref.n)), ref.n)
 
     try:
-        res = systems.simulate_tracking(ctrl, ref, z0, duration, cfg.dt)
+        res = systems.simulate_tracking(ctrl, ref, z0, duration)
     except DivergenceError as exc:
         print(f"track: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -315,7 +315,6 @@ def simulate_embedded_closed_loop(
     x0: np.ndarray,
     xi0: Optional[np.ndarray] = None,
     duration: float = 10.0,
-    dt: float = 1e-3,
 ) -> EmbeddedTrajectory:
     """Simulate the plant + auxiliary dynamics under the learned chain input.
 
@@ -337,7 +336,7 @@ def simulate_embedded_closed_loop(
     floats once per basis and summed left to right, at slot
     round(2 tau / dt), or at HalfGrid.index(tau) in the interval that holds
     a shortened final step, whose last stages fall off the slots and read
-    value(tau, z).  dt must be the demonstration dt (interval_grid).  A stage
+    value(tau, z); dt is ctrl.dt, the demonstration dt.  A stage
     outside the domain (DomainError) or with |r| <= R_TOL
     (SingularEmbeddingError) fails with its absolute time.
     """
@@ -351,8 +350,8 @@ def simulate_embedded_closed_loop(
         if value.shape != (size,):
             raise ValueError(f"{name} must be shaped ({size},), got {value.shape}")
     term_list, inside, stage = plant.term_list, plant.domain_check, cfg.stage
-    T = ctrl.T
-    times, N, short = interval_grid(ctrl, duration, dt)
+    T, dt = ctrl.T, ctrl.dt
+    times, N, short = interval_grid(ctrl, duration)
     last = len(times) - 1
     anchor = None  # (start, basis, zeta, slot index or None, K rows, c) of the running interval
     gain_rows = {}  # id(basis) -> (K rows, c) as Python floats

@@ -220,9 +220,7 @@ def build_basis(dset: DemonstrationSet, index_set: Optional[Sequence[int]] = Non
     if index_set is None:
         index_set = tuple(range(dset.n + 1))
     Zs, Vs, z_base, v_base = difference_matrices(dset, index_set)
-    sigmas = np.linalg.svd(Zs, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        conds = np.where(sigmas[:, -1] > 0.0, sigmas[:, 0] / sigmas[:, -1], np.inf)
+    conds = np.linalg.cond(Zs)  # inf where Z(t) is singular
     k_bad = int(conds.argmax())
     if not np.isfinite(conds[k_bad]):
         raise AffineDependenceError(
@@ -247,9 +245,11 @@ def build_basis(dset: DemonstrationSet, index_set: Optional[Sequence[int]] = Non
 
 
 class IntervalController:
-    """Call protocol shared by the learned controllers.
+    """Call protocol and state shared by the learned controllers.
 
-    The law is evaluated interval by interval: begin_interval(z) turns the
+    A controller holds its bases, the chain pair (A, B) with B as a matrix,
+    and the feedback_mode; n, m, T and dt are read off the first basis.  The
+    law is evaluated interval by interval: begin_interval(z) turns the
     state at an interval start into an anchor value, which the simulator
     holds for the whole interval, and eval_in_interval(anchor, tau, z) is a
     pure function of its arguments.  Calling the controller evaluates the
@@ -263,10 +263,18 @@ class IntervalController:
     # learn_controller, written by save_controller.
     demo_set_sha256: Optional[str] = None
 
-    @property
-    def dt(self) -> float:
-        """The step the demonstrations, and so every basis, were sampled at."""
-        return float(self.bases[0].times[1] - self.bases[0].times[0])
+    def __init__(self, bases: Sequence[AffineBasis], A: np.ndarray, B: np.ndarray,
+                 feedback_mode: str):
+        if feedback_mode not in ("closed_loop", "open_loop"):
+            raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
+        self.bases = tuple(bases)
+        self.feedback_mode = feedback_mode
+        self.A = np.asarray(A, dtype=float)
+        self.B = np.asarray(B, dtype=float).reshape(len(self.A), -1)
+        first = self.bases[0]
+        self.n, self.m, self.T = first.n, first.m, first.T
+        # The step the demonstrations, and so every basis, were sampled at.
+        self.dt = float(first.times[1] - first.times[0])
 
     def __call__(self, t: float, z: np.ndarray):
         z = np.asarray(z, dtype=float)
@@ -278,7 +286,7 @@ class IntervalController:
 
 
 class LearnedController(IntervalController):
-    """Single-basis learned controller kappa_hat(t, z).
+    """Single-basis learned controller kappa_hat(t, z), by default on the Brunovsky pair.
 
     feedback_mode selects the closed-loop variant (zeta recomputed from the
     current state, the default) or the open-loop variant (zeta frozen per
@@ -294,30 +302,11 @@ class LearnedController(IntervalController):
         B: Optional[np.ndarray] = None,
         feedback_mode: str = "closed_loop",
     ):
-        if feedback_mode not in ("closed_loop", "open_loop"):
-            raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
-        self.basis = basis
-        self.T = basis.T
-        self.feedback_mode = feedback_mode
         if A is None or B is None:
             pair = brunovsky_pair(basis.n)
             A, B = pair.A, pair.B
-        self.A = np.asarray(A, dtype=float)
-        self.B = np.asarray(B, dtype=float)
-        if self.B.ndim == 1:
-            self.B = self.B[:, None]
-
-    @property
-    def n(self) -> int:
-        return self.basis.n
-
-    @property
-    def m(self) -> int:
-        return self.basis.m
-
-    @property
-    def bases(self) -> tuple[AffineBasis, ...]:
-        return (self.basis,)
+        super().__init__((basis,), A, B, feedback_mode)
+        self.basis = basis
 
     def begin_interval(self, z: np.ndarray) -> Optional[np.ndarray]:
         """Anchor of an interval starting at z: zeta(0, z) for the open-loop law."""
@@ -340,16 +329,16 @@ class LearnedController(IntervalController):
 # ---------------------------------------------------------------------------
 
 
-def simulate_chain_batch(ctrl, z0: np.ndarray, duration: float, dt: float
+def simulate_chain_batch(ctrl, z0: np.ndarray, duration: float
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate dz/dt = A z + B kappa_hat(t, z) for a batch of initial states.
 
-    z0 is (n,) or (n, k); dt must be the demonstration dt (interval_grid).
+    z0 is (n,) or (n, k), stepped on interval_grid, at the controller's dt.
     Returns (times, states, inputs) with states shaped (G, n, k) and inputs
     (G, m, k).  Every grid state, z0 at t = 0 included, takes rk4's
     divergence test.
 
-    Interval p runs from grid index pN (N = T/dt) and is anchored at the
+    Interval p runs from grid index pN (N = T / ctrl.dt) and is anchored at the
     committed state there; each is one application of the bases'
     propagators to the batch, which is RK4 up to rounding.  Neighbouring
     intervals share their boundary point, whose input the later one
@@ -363,7 +352,7 @@ def simulate_chain_batch(ctrl, z0: np.ndarray, duration: float, dt: float
     z = np.asarray(z0, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
-    times, N, short = interval_grid(ctrl, duration, dt)
+    times, N, short = interval_grid(ctrl, duration)
     last = len(times) - 1
     S = last - short  # the last grid point the propagators reach
 
@@ -401,26 +390,24 @@ def simulate_chain_batch(ctrl, z0: np.ndarray, duration: float, dt: float
     return times, states, inputs
 
 
-def interval_grid(ctrl, duration: float, dt: float) -> tuple[np.ndarray, int, bool]:
-    """(time_grid(0, duration, dt), steps per interval, whether it ends in a shortened step).
+def interval_grid(ctrl, duration: float) -> tuple[np.ndarray, int, bool]:
+    """(time_grid(0, duration, ctrl.dt), steps per interval, whether it ends in a shortened step).
 
-    Raises ValueError unless ctrl.T is a whole multiple of dt and dt is the
-    demonstration dt: the bases' propagators and K/c tables hold that grid only.
+    ctrl.dt is the demonstration dt, the grid the bases' propagators and K/c
+    tables hold.  Raises ValueError unless ctrl.T is a whole multiple of it.
     """
+    dt = ctrl.dt
     ratio = ctrl.T / dt
     N = round(ratio)
     if N < 1 or abs(ratio - N) > 1e-9:
         raise ValueError(f"interval length {ctrl.T} is not a whole multiple of dt={dt}")
-    if abs(ctrl.dt - dt) > 1e-9 * dt:
-        raise ValueError(f"dt={dt} is not the demonstration dt={ctrl.dt} "
-                         "the controller was learned at")
     times = time_grid(0.0, duration, dt)
     return times, N, bool(abs(times[-1] - times[-2] - dt) > 1e-9 * dt)
 
 
-def simulate_chain_closed_loop(ctrl, z0: np.ndarray, duration: float, dt: float) -> Trajectory:
+def simulate_chain_closed_loop(ctrl, z0: np.ndarray, duration: float) -> Trajectory:
     """Single-trajectory wrapper around simulate_chain_batch."""
-    times, states, inputs = simulate_chain_batch(ctrl, z0, duration, dt)
+    times, states, inputs = simulate_chain_batch(ctrl, z0, duration)
     u = inputs[:, :, 0]
     if ctrl.m == 1:
         u = u[:, 0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .demos import DemonstrationSet
 from .geometry import LOCATE_TOL, Triangulation, delaunay, locate, project_to_hull
-from .learner import AffineBasis, IntervalController, build_basis
+from .learner import IntervalController, build_basis
 
 
 def _locate_nearest(tri: Triangulation, xi: np.ndarray) -> int:
@@ -45,31 +45,16 @@ class MultiController(IntervalController):
         tri: Optional[Triangulation] = None,
         feedback_mode: str = "closed_loop",
     ):
-        if feedback_mode not in ("closed_loop", "open_loop"):
-            raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
-        self.dset = dset
-        self.T = dset.T
-        self.A = dset.A
-        self.B = dset.B
-        self.feedback_mode = feedback_mode
         if tri is None:
             tri = delaunay(dset.z0_points())
         if tri.points.shape != (dset.M, dset.n) or not np.allclose(
             tri.points, dset.z0_points()
         ):
             raise ValueError("triangulation points must be the demonstration starts Z(0)")
+        super().__init__([build_basis(dset, s.vertex_indices) for s in tri.simplices],
+                         dset.A, dset.B, feedback_mode)
+        self.dset = dset
         self.tri = tri
-        self.bases: tuple[AffineBasis, ...] = tuple(
-            build_basis(dset, s.vertex_indices) for s in tri.simplices
-        )
-
-    @property
-    def n(self) -> int:
-        return self.dset.n
-
-    @property
-    def m(self) -> int:
-        return self.dset.m
 
     @property
     def P(self) -> int:

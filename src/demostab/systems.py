@@ -97,8 +97,7 @@ class TrackingResult:
     u: np.ndarray
 
 
-def simulate_tracking(ctrl, ref: Reference, z0: np.ndarray, duration: float,
-                      dt: float) -> TrackingResult:
+def simulate_tracking(ctrl, ref: Reference, z0: np.ndarray, duration: float) -> TrackingResult:
     """Closed-loop trajectory under the tracking law.
 
     Because the reference satisfies the same chain dynamics with input v_ref,
@@ -109,7 +108,7 @@ def simulate_tracking(ctrl, ref: Reference, z0: np.ndarray, duration: float,
     grid.
     """
     e0 = np.asarray(z0, dtype=float) - ref.z_of_t(0.0)
-    times, e_states, e_inputs = simulate_chain_batch(ctrl, e0, duration, dt)
+    times, e_states, e_inputs = simulate_chain_batch(ctrl, e0, duration)
     e_states, e_inputs = e_states[:, :, 0], e_inputs[:, :, 0]
     z_ref = ref.z_of_t(times)
     return TrackingResult(

@@ -608,6 +608,46 @@ def chain_rk4(ctrl, z0, duration: float, dt: float):
     return times, states, inputs
 
 
+def monodromy_integral_loop(basis, A, B, T=None) -> np.ndarray:
+    """Psi(T) = e^{AT} + int_0^T e^{A(T-tau)} B V(tau) Z(0)^{-1} dtau for a nilpotent A, node
+    by node.
+
+    The integrand is formed at each grid node up to T, and at T itself from
+    basis._interp when T is off the grid.  Composite Simpson runs over step
+    pairs from the first node while the two steps agree to 1e-12 relative;
+    trapezoids take every step after that.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if B.ndim == 1:
+        B = B[:, None]
+    T = basis.T if T is None else float(T)
+    Z0_inv = np.linalg.inv(basis.Zs[0])
+    times = basis.times
+    k_last = max(int(np.searchsorted(times, T + 1e-12)) - 1, 0)
+    nodes = list(times[: k_last + 1])
+    Vs = [basis.Vs[k] for k in range(k_last + 1)]
+    if T - nodes[-1] > 1e-12:
+        nodes.append(T)
+        Vs.append(basis._interp(T)[1])
+    terms = A.shape[0] + 1  # the whole series of a nilpotent n x n matrix
+    F = [matrix_exp_series(A, T - tau, terms) @ B @ V @ Z0_inv for tau, V in zip(nodes, Vs)]
+    integral = np.zeros((A.shape[0], A.shape[0]))
+    k = 0
+    while k + 2 <= len(nodes) - 1:
+        h1 = nodes[k + 1] - nodes[k]
+        h2 = nodes[k + 2] - nodes[k + 1]
+        if abs(h1 - h2) > 1e-12 * max(h1, h2):
+            break
+        integral = integral + (h1 / 3.0) * (F[k] + 4.0 * F[k + 1] + F[k + 2])
+        k += 2
+    while k + 1 <= len(nodes) - 1:
+        h = nodes[k + 1] - nodes[k]
+        integral = integral + 0.5 * h * (F[k] + F[k + 1])
+        k += 1
+    return matrix_exp_series(A, T, terms) + integral
+
+
 def per_simplex_monodromy(ctrl, T=None) -> list[np.ndarray]:
     """Interval maps Psi_j(T) = Z_j(T) Z_j(0)^{-1}, one per simplex."""
     return [basis.monodromy(T) for basis in ctrl.bases]

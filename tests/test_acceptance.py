@@ -126,7 +126,7 @@ def test_criterion_04_contraction(double_int_set, multi_point_set):
         points = dset.z0_points()
         weights = rng.dirichlet(np.ones(dset.M), size=20)
         Z0 = (weights @ points).T  # 20 states in conv Z(0)
-        report = contraction_check(ctrl, Z0, p_max=10, dt=1e-3)
+        report = contraction_check(ctrl, Z0, p_max=10)
         assert report.bound_ok, "sampled norms exceeded the geometric bound"
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(report.bounds > 0, report.sampled_norms / report.bounds, 0.0)
@@ -244,7 +244,7 @@ def test_criterion_09_benchmark_parameter_pipelines(ball_beam_fixture, quad_set)
     ctrl = LearnedController(build_basis(eset))
     traj = simulate_embedded_closed_loop(
         ball_beam_fixture["cfg"], ctrl, np.array([6.0, 0.0, 0.345, 0.0]),
-        duration=40.0, dt=1e-3,
+        duration=40.0,
     )
     norms = np.linalg.norm(traj.x, axis=1)
     reached = np.flatnonzero(norms < 1e-2)
@@ -256,7 +256,7 @@ def test_criterion_09_benchmark_parameter_pipelines(ball_beam_fixture, quad_set)
     quad_cert = certificate(build_basis(quad_set))
     quad_ok = quad_set.M == 10 and quad_cert.verdict
     qctrl = LearnedController(build_basis(quad_set), A=quad_set.A, B=quad_set.B)
-    res = simulate_tracking(qctrl, figure_eight(0.1), np.zeros(9), duration=20.0, dt=1e-3)
+    res = simulate_tracking(qctrl, figure_eight(0.1), np.zeros(9), duration=20.0)
     first = res.error_norm[res.times <= 10.0]
     second = res.error_norm[res.times > 10.0]
     track_ok = second.max() < 0.05 and second.max() < first.max()

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import analytic_double_int_set
-from oracles import double_int_flow, matrix_exp_series, spectral_norm
+from oracles import double_int_flow, matrix_exp_series, monodromy_integral_loop, spectral_norm
 
 from demostab.certify import (
     certificate,
@@ -91,6 +92,47 @@ def test_expm_nilpotent_matches_series():
     assert_allclose(expm_nilpotent(pair.A, 0.7), matrix_exp_series(pair.A, 0.7), atol=1e-12)
     with pytest.raises(ValueError):
         expm_nilpotent(np.eye(2), 1.0)
+    with pytest.raises(ValueError):
+        expm_nilpotent(np.eye(2), np.array([0.0, 1.0]))
+
+
+def _assert_matches_loop(basis, A, B, T):
+    # Relative to e^{AT}, the size of the terms: on the ball-beam set the
+    # integral cancels all but 2.4e-4 of it.
+    want = monodromy_integral_loop(basis, A, B, T)
+    got = monodromy_from_integral(basis, A, B, T)
+    scale = np.linalg.norm(expm_nilpotent(A, basis.T if T is None else T))
+    assert np.linalg.norm(got - want) <= 1e-13 * scale, T
+
+
+def test_batched_integral_matches_the_node_loop(double_int_set, chain2_recorded,
+                                                ball_beam_fixture, quad_set):
+    # The criterion-02 fixtures at their own T, at a grid T inside the
+    # horizon (an odd step count, so a trapezoid closes it) and at the
+    # off-grid T = 1.0005, whose last node comes from interpolated V.
+    for dset in (double_int_set, chain2_recorded, ball_beam_fixture["set"], quad_set):
+        basis = build_basis(dset)
+        for T in (None, 0.999, 1.0005):
+            _assert_matches_loop(basis, dset.A, dset.B, T)
+
+
+@pytest.mark.parametrize("steps", [1.0, 1.5, 2.0], ids=["2 nodes", "3 nodes uneven", "3 nodes"])
+def test_batched_integral_on_the_shortest_horizons(double_int_set, steps):
+    basis = build_basis(double_int_set)
+    _assert_matches_loop(basis, double_int_set.A, double_int_set.B, steps * double_int_set.dt)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_expm_nilpotent_on_an_array_of_times_is_per_time(n, data):
+    entries = st.floats(-3.0, 3.0, allow_nan=False)
+    A = np.triu(np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+                .reshape(n, n), 1)
+    times = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8)))
+    batch = expm_nilpotent(A, times)
+    assert batch.shape == (len(times), n, n)
+    for t, E in zip(times, batch):
+        assert_allclose(E, expm_nilpotent(A, t), rtol=1e-15, atol=1e-15 * np.abs(E).max())
 
 
 def test_certificate_fields(double_int_set):
@@ -133,14 +175,14 @@ def test_find_T_tilde_rejects_out_of_range(double_int_set):
 
 
 def test_contraction_zero_start(double_int_ctrl):
-    report = contraction_check(double_int_ctrl, np.zeros(2), p_max=3, dt=1e-3)
+    report = contraction_check(double_int_ctrl, np.zeros(2), p_max=3)
     assert report.passed
     assert np.all(report.sampled_norms == 0.0)
 
 
 def test_contraction_double_integrator(double_int_set):
     ctrl = LearnedController(build_basis(double_int_set))
-    report = contraction_check(ctrl, np.array([0.5, 0.5]), p_max=5, dt=1e-3)
+    report = contraction_check(ctrl, np.array([0.5, 0.5]), p_max=5)
     assert report.passed
     ratios = report.sampled_norms[1:, 0] / report.sampled_norms[:-1, 0]
     assert np.all(ratios <= PSI_2_NORM + 1e-3)
@@ -150,7 +192,7 @@ def test_contraction_double_integrator(double_int_set):
 def test_contraction_multi_linear_flow(multi_point_set):
     ctrl = MultiController(multi_point_set)
     z0 = np.array([0.4, 0.3])
-    report = contraction_check(ctrl, z0, p_max=4, dt=1e-3)
+    report = contraction_check(ctrl, z0, p_max=4)
     assert report.bound_ok
     # All demos share one linear flow, so z(pT) follows the flow power exactly.
     flow_T = double_int_flow(2.0)
@@ -160,11 +202,12 @@ def test_contraction_multi_linear_flow(multi_point_set):
         assert_allclose(report.sampled_norms[p, 0], np.linalg.norm(expected), atol=1e-4)
 
 
-def test_contraction_rejects_horizon_off_the_grid(double_int_ctrl):
-    # T = 2 is not a whole multiple of dt = 0.003, so z(pT) is no grid sample.
+def test_contraction_rejects_horizon_off_the_grid():
+    # T = 1.0005 is not a whole multiple of dt = 1e-3, so z(pT) is no grid sample.
+    ctrl = LearnedController(build_basis(analytic_double_int_set(T=1.0005)))
     for p_max in (2, 3):
         with pytest.raises(ValueError, match="whole multiple"):
-            contraction_check(double_int_ctrl, np.array([0.5, 0.5]), p_max=p_max, dt=0.003)
+            contraction_check(ctrl, np.array([0.5, 0.5]), p_max=p_max)
 
 
 def test_frobenius_bound_dominates(double_int_set):

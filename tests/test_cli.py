@@ -179,6 +179,16 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
     {"preset": "ball_beam", "expert": {}, "preset_params": {"xi0": [0.1, 0.0, 0.0]}},
     # T = 1: a horizon past the demonstrations could never be searched.
     {"t_tilde_grid": [0.5, 2.0]},
+    # A key no stage reads, which would otherwise leave its default in force.
+    {"feedbak": "open_loop"},
+    {"simulate": {"x0": [0.5, 0.5], "duraton": 30.0}},
+    {"simulate": {"x0": [0.5, 0.5], "xi0": [0.0]}},
+    {"track": {"freq": 0.1}},
+    {"expert": {"Q": [1.0, 2.0], "r": 1.0}},
+    {"preset_params": {"b_bar": 0.5}},
+    {"preset": "flat_quad_3d", "expert": {}, "initial_conditions": "default",
+     "preset_params": {"w": [1.0]}},
+    {"preset": "ball_beam", "expert": {}, "preset_params": {"b_barr": 0.5}},
 ], ids=["t_tilde_grid", "simulate.duration", "track.f", "track.duration", "track.axis",
         "ragged_initial_conditions", "t_tilde_grid_not_a_list", "simulate_not_an_object",
         "simulate.x0_length", "expert.Q", "expert.Q_shape", "expert.Q_indefinite",
@@ -188,12 +198,21 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
         "T_over_budget", "simulate.default_duration_over_budget", "track.f_over_budget",
         "preset_is_a_number", "preset_is_null", "preset_is_a_list", "preset_chain2_0",
         "preset_chain_space_2", "preset_chain_plus_2", "track.axis_is_a_bool",
-        "ball_beam.preset_params.xi0", "t_tilde_grid_above_T"])
+        "ball_beam.preset_params.xi0", "t_tilde_grid_above_T", "unknown_key",
+        "simulate.unknown_key", "chain2.simulate.xi0", "track.unknown_key", "expert.unknown_key",
+        "chain2.preset_params", "flat_quad_3d.preset_params", "ball_beam.preset_params.typo"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "config.json", **overrides)
     assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+def test_unknown_config_key_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json", simulate={"x0": [0.5, 0.5], "duraton": 30.0})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["usage error: unknown key 'duraton' in simulate; known keys: x0, duration"]
 
 
 @pytest.mark.parametrize("document", [["a"], 5, None, "chain2"],

@@ -277,8 +277,7 @@ def test_a_w_step_size_robustness(bb_cfg):
 def test_embedded_closed_loop_zero_stays_zero(ball_beam_fixture):
     ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
     traj = simulate_embedded_closed_loop(
-        ball_beam_fixture["cfg"], ctrl, np.zeros(4), np.zeros(3), duration=1.0, dt=1e-3
-    )
+        ball_beam_fixture["cfg"], ctrl, np.zeros(4), np.zeros(3), duration=1.0)
     assert np.all(traj.x == 0.0) and np.all(traj.xi == 0.0)
     assert np.all(traj.v == 0.0) and np.all(traj.u == 0.0)
 
@@ -303,7 +302,7 @@ def test_embedded_replay_reproduces_demonstration(ball_beam_fixture):
     eset, xi = ball_beam_fixture["set"], ball_beam_fixture["xi"][:, :, 1]
     ctrl = _replay_controller(eset.grid, eset.v[:, 0, 1], 4)
     traj = simulate_embedded_closed_loop(cfg, ctrl, states[0], np.zeros(3),
-                                         duration=2.0, dt=1e-3)
+                                         duration=2.0)
     # Tolerance reflects the O(dt^2) interpolation of the replayed input.
     k = len(traj.times) - 1
     assert_allclose(traj.x[k], states[k], atol=5e-5)
@@ -415,8 +414,7 @@ def test_stage_function_matches_term_by_term_oracle(name, seed, k):
 def test_embedded_loop_refuses_a_misshaped_start(ball_beam_fixture, x0, xi0, message):
     ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
     with pytest.raises(ValueError, match=message):
-        simulate_embedded_closed_loop(ball_beam_fixture["cfg"], ctrl, x0, xi0, duration=1.0,
-                                      dt=1e-3)
+        simulate_embedded_closed_loop(ball_beam_fixture["cfg"], ctrl, x0, xi0, duration=1.0)
 
 
 def test_readme_loop_interval_matches_term_by_term_rhs(ball_beam_fixture):
@@ -425,7 +423,7 @@ def test_readme_loop_interval_matches_term_by_term_rhs(ball_beam_fixture):
     cfg, eset = ball_beam_fixture["cfg"], ball_beam_fixture["set"]
     ctrl = LearnedController(build_basis(eset), A=eset.A, B=eset.B)
     x0, xi0 = np.array([6.0, 0.0, 0.345, 0.0]), np.zeros(3)
-    traj = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=ctrl.T, dt=1e-3)
+    traj = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=ctrl.T)
     want, _, _ = embedded_rk4(cfg.plant, cfg.w, ctrl, x0, xi0, ctrl.T, 1e-3)
     got = np.hstack([traj.x, traj.xi])
     assert got.shape == want.shape == (8001, 7)
@@ -456,7 +454,7 @@ def test_whole_run_matches_the_term_by_term_oracle(mode, duration):
     # in a shortened step, against the oracle's own interval loop.
     cfg, ctrl = _unit_speed_chain2(), _varying_chain2_controller(mode)
     x0, xi0 = np.array([0.4, -0.3]), np.array([0.2])
-    traj = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=duration, dt=0.01)
+    traj = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=duration)
     states, v, u = embedded_rk4(cfg.plant, cfg.w, ctrl, x0, xi0, duration, 0.01)
     assert len(traj.times) == len(states) == (16 if duration == 0.15 else 19)
     for got, want in ((np.hstack([traj.x, traj.xi]), states), (traj.v, v), (traj.u, u)):
@@ -470,8 +468,8 @@ def test_table_slot_read_matches_value_bit_for_bit(ball_beam_fixture):
     # equals the run that reads the slots at round(2 tau / dt).
     cfg, ctrl = ball_beam_fixture["cfg"], LearnedController(build_basis(ball_beam_fixture["set"]))
     x0, xi0 = np.array([6.0, 0.0, 0.345, 0.0]), np.zeros(3)
-    table = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5, dt=1e-3)
-    value = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5005, dt=1e-3)
+    table = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5)
+    value = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5005)
     assert len(table.times) == 501 and len(value.times) == 502
     for got, want in ((table.x, value.x), (table.xi, value.xi), (table.v, value.v),
                       (table.u, value.u)):
@@ -488,7 +486,7 @@ def test_multi_controller_group_drives_the_loop_as_its_basis(ball_beam_fixture, 
     multi = MultiController(eset, feedback_mode=mode)
     assert multi.P == 1
     x0, xi0 = np.array([6.0, 0.0, 0.345, 0.0]), np.zeros(3)
-    runs = [simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=1.0, dt=1e-3)
+    runs = [simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=1.0)
             for ctrl in (LearnedController(build_basis(eset), feedback_mode=mode), multi)]
     for name in ("x", "xi", "v", "u"):
         want, got = (getattr(run, name) for run in runs)
@@ -508,7 +506,7 @@ def test_stage_outside_the_domain_carries_its_time(ball_beam_fixture):
     ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
     with pytest.raises(DomainError) as err:
         simulate_embedded_closed_loop(ball_beam_fixture["cfg"], ctrl, x0, np.zeros(3),
-                                      duration=1.0, dt=1e-3)
+                                      duration=1.0)
     assert err.value.time == pytest.approx(5e-4, rel=0, abs=1e-15)
     assert "at t=0.000500" in str(err.value)
 
@@ -525,7 +523,7 @@ def test_stage_failures_carry_the_absolute_time():
     # x_1 < 0.0104 holds at the grid point 0.010 and fails at its midpoint stage.
     cfg = _unit_speed_chain2(domain_check=lambda x: np.isfinite(x).all(axis=0) & (x[0] < 0.0104))
     with pytest.raises(DomainError) as err:
-        simulate_embedded_closed_loop(cfg, ctrl, x0, np.zeros(1), duration=0.02, dt=1e-3)
+        simulate_embedded_closed_loop(cfg, ctrl, x0, np.zeros(1), duration=0.02)
     assert err.value.time == pytest.approx(0.0105, rel=0, abs=1e-12)
 
     # r = L_g L_f h + w L_g h, with L_g L_f h (row 8 of the chain2 terms)
@@ -538,7 +536,7 @@ def test_stage_failures_carry_the_absolute_time():
 
     with pytest.raises(SingularEmbeddingError) as err:
         simulate_embedded_closed_loop(_unit_speed_chain2(terms=terms), ctrl, x0, np.zeros(1),
-                                      duration=0.02, dt=1e-3)
+                                      duration=0.02)
     assert err.value.time == pytest.approx(0.010, rel=0, abs=1e-12)
     assert "at t=0.010000" in str(err.value)
 
@@ -570,8 +568,7 @@ def test_embedded_loop_tests_each_stage_and_anchor_state_once():
     # grid-point test of its own.
     seen = []
     traj = simulate_embedded_closed_loop(_recording_chain2(seen), _zero_controller(2e-3, 1e-3),
-                                         np.array([0.0, 1.0]), np.zeros(1), duration=0.02,
-                                         dt=1e-3)
+                                         np.array([0.0, 1.0]), np.zeros(1), duration=0.02)
     steps, intervals = len(traj.times) - 1, len(range(0, 21, 2))
     tests = [x for x in seen if x is not None]
     assert len(tests) == len(seen) - len(tests) == 4 * steps + intervals == 91
@@ -590,16 +587,14 @@ def test_committed_state_outside_the_domain_fails_at_its_grid_time(k):
     ctrl = _replay_controller(times, 50.0 - 1000.0 * times, 2)
     x0, xi0 = np.array([0.0, 1.0]), np.zeros(1)
     seen = []
-    free = simulate_embedded_closed_loop(_recording_chain2(seen), ctrl, x0, xi0, duration=0.3,
-                                         dt=dt)
+    free = simulate_embedded_closed_loop(_recording_chain2(seen), ctrl, x0, xi0, duration=0.3)
     tests = [x for x in seen if x is not None]
     first = next(i for i, x in enumerate(tests) if np.array_equal(x, free.x[k]))
     before = max(x[0] for x in tests[:first])
     assert before < free.x[k, 0]
     bound = 0.5 * (before + free.x[k, 0])
     with pytest.raises(DomainError) as err:
-        simulate_embedded_closed_loop(_recording_chain2([], bound), ctrl, x0, xi0, duration=0.3,
-                                      dt=dt)
+        simulate_embedded_closed_loop(_recording_chain2([], bound), ctrl, x0, xi0, duration=0.3)
     t = free.times[k]
     assert err.value.time == pytest.approx(t, rel=0, abs=1e-12)
     # The line rk4's grid-point guard wrote for this state.

@@ -89,7 +89,7 @@ def test_closed_loop_zero_preservation(double_int_ctrl):
 def test_open_equals_closed_along_disturbance_free_run(double_int_set):
     # Both controller forms apply the same input along the nominal closed loop.
     ctrl = LearnedController(build_basis(double_int_set))
-    traj = simulate_chain_closed_loop(ctrl, np.array([0.4, -0.2]), 2.0, 1e-3)
+    traj = simulate_chain_closed_loop(ctrl, np.array([0.4, -0.2]), 2.0)
     open_ctrl = LearnedController(build_basis(double_int_set), feedback_mode="open_loop")
     anchor = open_ctrl.begin_interval(traj.states[0])
     for k in range(0, len(traj.times), 250):
@@ -129,7 +129,7 @@ def test_affine_combinations_are_valid_solutions(double_int_set):
 
 def test_coefficient_constancy_in_closed_loop(double_int_set):
     ctrl = LearnedController(build_basis(double_int_set))
-    traj = simulate_chain_closed_loop(ctrl, np.array([0.5, 0.5]), 2.0, 1e-3)
+    traj = simulate_chain_closed_loop(ctrl, np.array([0.5, 0.5]), 2.0)
     zeta0 = ctrl.basis.zeta(0.0, traj.states[0])
     for k in range(0, len(traj.times) - 1, 100):
         zk = ctrl.basis.zeta(traj.times[k], traj.states[k])

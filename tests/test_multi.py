@@ -110,7 +110,7 @@ def test_switched_contraction(multi_point_set):
     for _ in range(5):
         w = rng.dirichlet(np.ones(multi_point_set.M))
         z0 = w @ points
-        traj = simulate_chain_closed_loop(ctrl, z0, 10 * ctrl.T, 1e-3)
+        traj = simulate_chain_closed_loop(ctrl, z0, 10 * ctrl.T)
         steps = int(round(ctrl.T / 1e-3))
         samples = np.linalg.norm(traj.states[::steps], axis=1)
         bound = samples[0] * max_norm ** np.arange(len(samples)) * (1.0 + 1e-3)
@@ -122,7 +122,7 @@ def test_anchored_coefficients_match_interval_start(multi_point_set):
     # interval-start coefficients along the nominal trajectory.
     ctrl = MultiController(multi_point_set)
     z0 = np.array([0.6, 0.4])
-    traj = simulate_chain_closed_loop(ctrl, z0, 2.0, 1e-3)
+    traj = simulate_chain_closed_loop(ctrl, z0, 2.0)
     js, _ = ctrl.begin_interval(z0)
     j = js[0]
     basis = ctrl.bases[j]

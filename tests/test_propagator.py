@@ -18,7 +18,6 @@ from oracles import chain_rk4, reconstruct
 
 from demostab.certify import contraction_check
 from demostab.demos import DemonstrationSet
-from demostab.embed import simulate_embedded_closed_loop
 from demostab.errors import DivergenceError
 from demostab.learner import AffineBasis, LearnedController, build_basis, simulate_chain_batch
 from demostab.multi import MultiController
@@ -107,7 +106,7 @@ def test_single_basis_matches_rk4(mode, seed, nm, duration):
     dset = random_chain_set(seed, n, m, simplex_starts(rng, n), rate=2.0)
     ctrl = LearnedController(off_origin_basis(dset), A=dset.A, B=dset.B, feedback_mode=mode)
     z0 = rng.uniform(-2.0, 2.0, (n, 3))
-    assert_same_run(simulate_chain_batch(ctrl, z0, duration, DT),
+    assert_same_run(simulate_chain_batch(ctrl, z0, duration),
                     chain_rk4(ctrl, z0, duration, DT))
 
 
@@ -121,7 +120,7 @@ def test_multi_matches_rk4(mode, seed, n, duration):
     ctrl = MultiController(dset, feedback_mode=mode)
     inside = starts @ rng.dirichlet(np.ones(n + 2), size=3).T
     z0 = np.hstack([inside, 3.0 * starts[:, :3]])
-    assert_same_run(simulate_chain_batch(ctrl, z0, duration, DT),
+    assert_same_run(simulate_chain_batch(ctrl, z0, duration),
                     chain_rk4(ctrl, z0, duration, DT))
 
 
@@ -148,7 +147,7 @@ def test_growing_loop_diverges_at_the_same_time(mode, seed, nm, growth):
     with pytest.raises(DivergenceError) as ref:
         chain_rk4(ctrl, z0, 8.0, DT)
     with pytest.raises(DivergenceError) as got:
-        simulate_chain_batch(ctrl, z0, 8.0, DT)
+        simulate_chain_batch(ctrl, z0, 8.0)
     assert got.value.time == ref.value.time
     assert str(got.value) == str(ref.value)
 
@@ -164,7 +163,7 @@ def test_affine_combinations_are_closed_loop_solutions(seed, nm):
     basis = off_origin_basis(dset)
     zeta = rng.uniform(-2.0, 2.0, n)
     ctrl = LearnedController(basis, A=dset.A, B=dset.B)
-    times, states, _ = simulate_chain_batch(ctrl, reconstruct(basis, 0.0, zeta), T, DT)
+    times, states, _ = simulate_chain_batch(ctrl, reconstruct(basis, 0.0, zeta), T)
     expected = np.stack([reconstruct(basis, t, zeta) for t in times])
     assert_allclose(states[:, :, 0], expected, rtol=0, atol=1e-9 * np.abs(expected).max())
 
@@ -173,7 +172,7 @@ def test_multi_reanchors_at_a_final_boundary(multi_point_set):
     # A run ending exactly at 2T selects a simplex again for its last input.
     ctrl = MultiController(multi_point_set)
     z0 = np.array([[0.9, -3.0, 0.2], [0.05, 2.0, 0.6]])
-    got = simulate_chain_batch(ctrl, z0, 2 * ctrl.T, 1e-3)
+    got = simulate_chain_batch(ctrl, z0, 2 * ctrl.T)
     ref = chain_rk4(ctrl, z0, 2 * ctrl.T, 1e-3)
     assert_same_run(got, ref)
 
@@ -183,7 +182,7 @@ def test_propagators_skip_stage_evaluations(double_int_ctrl, monkeypatch):
         raise AssertionError("stage evaluation on the tabulated path")
 
     monkeypatch.setattr(LearnedController, "eval_in_interval", fail)
-    simulate_chain_batch(double_int_ctrl, np.array([0.5, 0.5]), 5.0, 1e-3)
+    simulate_chain_batch(double_int_ctrl, np.array([0.5, 0.5]), 5.0)
 
 
 def test_single_basis_is_tabulated_once_per_run(double_int_ctrl, monkeypatch):
@@ -196,36 +195,47 @@ def test_single_basis_is_tabulated_once_per_run(double_int_ctrl, monkeypatch):
         return build(self, *args, **kwargs)
 
     monkeypatch.setattr(AffineBasis, "propagator", counted)
-    simulate_chain_batch(double_int_ctrl, np.array([0.5, 0.5]), 5.0, 1e-3)
+    simulate_chain_batch(double_int_ctrl, np.array([0.5, 0.5]), 5.0)
     assert builds == [double_int_ctrl.basis]
 
 
-@pytest.mark.parametrize("dt, bb_dt, duration", [(2e-2, 2e-3, 4.5), (5e-3, 5e-4, 2.5)],
-                         ids=["coarser_dt", "finer_dt"])
-def test_off_the_demonstration_dt_is_refused(dt, bb_dt, duration, ball_beam_fixture):
-    # The propagators and K/c tables hold the demonstration grid only: the
-    # chain simulator, the embedded loop and contraction_check refuse any
-    # other dt, naming both.
+def _learned_at_coarse_dt():
+    """Single (both laws) and multi controllers learned at dt = 0.01."""
     dset = analytic_double_int_set(T=1.0, dt=1e-2)
-    z0 = np.array([[0.5, -1.0], [0.5, 0.3]])
     ctrls = [LearnedController(build_basis(dset), feedback_mode=mode) for mode in MODES]
-    ctrls.append(MultiController(dset))
-    both = rf"dt={dt} .* dt=0\.01 "
-    for ctrl in ctrls:
-        with pytest.raises(ValueError, match=both):
-            simulate_chain_batch(ctrl, z0, duration, dt)
-        with pytest.raises(ValueError, match=both):
+    return ctrls + [MultiController(dset)]
+
+
+@pytest.mark.parametrize("dt", [2e-2, 5e-3], ids=["coarser_dt", "finer_dt"])
+def test_off_the_demonstration_dt_is_refused(dt):
+    # The propagators and K/c tables hold the demonstration grid only:
+    # contraction_check refuses any other dt, naming both.
+    z0 = np.array([[0.5, -1.0], [0.5, 0.3]])
+    for ctrl in _learned_at_coarse_dt():
+        with pytest.raises(ValueError, match=rf"dt={dt} .* dt=0\.01 "):
             contraction_check(ctrl, z0, p_max=2, dt=dt)
-    # The ball-beam controller is learned at dt = 1e-3.
-    ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
-    with pytest.raises(ValueError, match=rf"dt={bb_dt} .* dt=0\.001 "):
-        simulate_embedded_closed_loop(ball_beam_fixture["cfg"], ctrl, np.zeros(4), np.zeros(3),
-                                      duration=duration, dt=bb_dt)
 
 
-def test_horizon_off_the_grid_still_raises(double_int_ctrl):
+def test_contraction_check_runs_at_the_controller_dt():
+    # With no dt, contraction_check steps the controller's own grid, as the
+    # simulators do; 0.02 is refused with both dts named.
+    z0 = np.array([[0.5, -1.0], [0.5, 0.3]])
+    for ctrl in _learned_at_coarse_dt():
+        report = contraction_check(ctrl, z0, p_max=2)
+        assert report.passed
+        _, states, _ = simulate_chain_batch(ctrl, z0, 2 * ctrl.T)
+        assert np.array_equal(report.sampled_norms,
+                              np.linalg.norm(states[[0, 100, 200]], axis=1))
+        with pytest.raises(ValueError, match=r"dt=0\.02 .* dt=0\.01 "):
+            contraction_check(ctrl, z0, p_max=2, dt=0.02)
+
+
+def test_horizon_off_the_grid_still_raises():
+    # T = 1.0005 is no whole multiple of the demonstration dt = 1e-3.
+    dset = analytic_double_int_set(T=1.0005)
+    ctrl = LearnedController(build_basis(dset))
     with pytest.raises(ValueError, match="whole multiple"):
-        simulate_chain_batch(double_int_ctrl, np.array([0.5, 0.5]), 6.0, 0.003)
+        simulate_chain_batch(ctrl, np.array([0.5, 0.5]), 3.0)
 
 
 def test_quadrotor_interval_map_is_monodromy(quad_set):

@@ -85,7 +85,7 @@ def test_interval_controller_anchored_at_committed_state(double_int_set):
     # ~2e-9 off.
     ctrl = LearnedController(build_basis(double_int_set), feedback_mode="open_loop")
     z0 = np.array([0.4, -0.2])
-    chain = simulate_chain_closed_loop(ctrl, z0, 6.0, 1e-3)
+    chain = simulate_chain_closed_loop(ctrl, z0, 6.0)
     times, states, inputs = chain_rk4(ctrl, z0, 6.0, 1e-3)
     generic = Trajectory(times=times, states=states[:, :, 0], inputs=inputs[:, 0, 0])
     assert np.max(np.abs(generic.states - chain.states)) < 1e-12
@@ -195,10 +195,10 @@ def test_single_state_norm_is_summed_left_to_right():
 def test_chain_start_is_held_to_the_divergence_bound(double_int_ctrl):
     z0 = np.array([[0.5, 1e200], [0.5, 0.0]])
     with pytest.raises(DivergenceError, match=r"state diverged at t=0\.000000") as err:
-        simulate_chain_closed_loop(double_int_ctrl, z0[:, 1], 4.0, 1e-3)
+        simulate_chain_closed_loop(double_int_ctrl, z0[:, 1], 4.0)
     assert err.value.time == 0.0
     with pytest.raises(DivergenceError) as err:
-        simulate_chain_batch(double_int_ctrl, z0, 4.0, 1e-3)
+        simulate_chain_batch(double_int_ctrl, z0, 4.0)
     assert (err.value.time, err.value.column) == (0.0, 1)
 
 

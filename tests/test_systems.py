@@ -137,7 +137,7 @@ def test_axis_tracking_error_decays():
     ctrl = LearnedController(build_basis(dset))
     assert certificate(ctrl.basis).verdict
     ref = figure_eight_axis(0.1, axis=0)
-    res = simulate_tracking(ctrl, ref, np.zeros(3), duration=20.0, dt=1e-3)
+    res = simulate_tracking(ctrl, ref, np.zeros(3), duration=20.0)
     period = res.times <= 10.0
     assert res.error_norm[~period].max() < 0.05
     assert res.error_norm[~period].max() < res.error_norm[period].max()
@@ -147,7 +147,7 @@ def test_tracking_starts_from_initial_error():
     ctrl_set = flat_quad_demo_set(T=2.0, dt=1e-2, Q=40.0 * np.eye(9), R=1.0)
     ctrl = LearnedController(build_basis(ctrl_set), A=ctrl_set.A, B=ctrl_set.B)
     ref = figure_eight(0.1)
-    res = simulate_tracking(ctrl, ref, np.zeros(9), duration=1.0, dt=1e-2)
+    res = simulate_tracking(ctrl, ref, np.zeros(9), duration=1.0)
     assert_allclose(res.error_norm[0], np.linalg.norm(ref.z_of_t(0.0)), atol=1e-12)
     assert_allclose(res.z[0], 0.0, atol=1e-12)
 
@@ -157,8 +157,7 @@ def test_tracking_inputs_match_track(double_int_ctrl):
     # inputs are track()'s, which evaluates it at one time.
     ref = Reference(z_of_t=lambda t: np.stack([np.sin(t), np.cos(t)], axis=-1),
                     v_of_t=lambda t: -np.sin(t)[..., None], n=2, m=1, description="circle")
-    res = simulate_tracking(double_int_ctrl, ref, np.array([0.5, -0.3]), duration=5.0,
-                            dt=1e-3)
+    res = simulate_tracking(double_int_ctrl, ref, np.array([0.5, -0.3]), duration=5.0)
     for k in range(0, len(res.times), 250):
         u = track(double_int_ctrl, ref, res.times[k], res.z[k])
         assert_allclose(res.u[k, 0], u, rtol=1e-12, atol=1e-14)
