@@ -9,10 +9,18 @@ integration, deterministic tie-breaks, and no randomness anywhere in the
 pipeline.  The README configurations write the same bytes under any BLAS
 thread count.
 
-Exit codes: 0 success, 1 usage (also a file that cannot be read or written),
-2 validation failure, 3 certification failure, 4 divergence, a state outside
-the plant domain or a singular embedding.  Every failure prints one line to
-standard error.
+A stage reports success on standard output and raises on failure; main maps
+the exception to the exit code and prints one line, "usage error: ..." or
+"<stage>: ...", to standard error:
+
+    _UsageError, OSError (a file that cannot be read or written)   1
+    AffineDependenceError, DegenerateGeometryError                 2
+    _StageFailure (a certificate verdict, a missing stage file or
+        tracking reference, a failed validation report)            its code: 1, 2 or 3
+    DivergenceError, DomainError, SingularEmbeddingError           4
+
+Exit 0 is success, 1 usage, 2 validation failure, 3 certification failure and
+4 divergence, a state outside the plant domain or a singular embedding.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -31,7 +39,8 @@ from . import certify as certify_mod
 from . import demos as demos_mod
 from . import embed as embed_mod
 from . import systems
-from .errors import AffineDependenceError, DivergenceError, DomainError, SingularEmbeddingError
+from .errors import AffineDependenceError, DegenerateGeometryError, DivergenceError, DomainError, \
+    SingularEmbeddingError
 from .files import read_json, write_csv, write_json
 from .learner import learn_controller, load_controller, save_controller, \
     simulate_chain_closed_loop
@@ -47,6 +56,15 @@ EXIT_DIVERGENCE = 4
 
 class _UsageError(Exception):
     pass
+
+
+class _StageFailure(Exception):
+    """A stage's own failure (a certificate verdict, a missing input file or tracking
+    reference, a failed validation report), which ends the run with exit code ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _number(what: str, value, positive: bool = False) -> float:
@@ -335,14 +353,8 @@ def _build_demo_set(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def cmd_demos(cfg: RunConfig, out: Path) -> int:
-    try:
-        dset, xi = _build_demo_set(cfg)
-    except (DivergenceError, DomainError, SingularEmbeddingError) as exc:
-        notes = "".join(f"; {note}" for note in getattr(exc, "__notes__", []))
-        stage = "transform" if isinstance(exc, SingularEmbeddingError) else "recording"
-        print(f"demos: {stage} failed: {exc}{notes}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+def cmd_demos(cfg: RunConfig, out: Path) -> None:
+    dset, xi = _build_demo_set(cfg)
     demos_mod.save_demo_set(dset, out / "demo_set.json")
     for i in range(dset.M):
         demos_mod.save_demo_csv(dset, out / f"demo_{i:02d}.csv", i)
@@ -357,37 +369,18 @@ def cmd_demos(cfg: RunConfig, out: Path) -> int:
         }
         write_json(out / "embedded_demos.json", payload)
     report = demos_mod.validate_affine_independence(dset)
-    write_json(
-        out / "validation.json",
-        {
-            "passed": report.passed,
-            "min_sigma": report.min_sigma,
-            "argmin_time": report.argmin_time,
-            "max_sigma": report.max_sigma,
-            "max_condition": report.max_condition,
-            "tolerance": report.tolerance,
-        },
-    )
+    write_json(out / "validation.json", asdict(report))
     if not report.passed:
-        print(f"demos: affine-independence validation failed "
-              f"(min sigma {report.min_sigma:.3e} at t={report.argmin_time})", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _StageFailure(EXIT_VALIDATION, f"affine-independence validation failed "
+                            f"(min sigma {report.min_sigma:.3e} at t={report.argmin_time})")
     print(f"demos: wrote {dset.M} demonstrations to {out}")
-    return EXIT_OK
 
 
-def cmd_learn(cfg: RunConfig, out: Path) -> int:
-    demo_path = out / "demo_set.json"
-    if not demo_path.exists():
-        print(f"learn: no demo set at {demo_path}; run the demos stage first", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_learn(cfg: RunConfig, out: Path) -> None:
+    demo_path = _require(out / "demo_set.json", "demo set", "demos")
     dset, sha256 = _read(demo_path, demos_mod.read_demo_set)
     _check_grid(cfg, demo_path, "demonstration set", dset)
-    try:
-        ctrl = learn_controller(dset, sha256, cfg.multi, cfg.feedback)
-    except AffineDependenceError as exc:
-        print(f"learn: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    ctrl = learn_controller(dset, sha256, cfg.multi, cfg.feedback)
     cert = certify_mod.certificate(ctrl)
     save_controller(ctrl, out / "controller.json")
     write_json(out / "certificate.json", cert.to_dict())
@@ -396,38 +389,34 @@ def cmd_learn(cfg: RunConfig, out: Path) -> int:
         suggestion = certify_mod.find_T_tilde(ctrl, grid)
         hint = (f"; smallest passing horizon on the search grid: {suggestion}"
                 if suggestion is not None else "; no passing horizon on the search grid")
-        print(f"learn: certificate failed at T={cert.T} "
-              f"(max norm {1 - cert.margin:.4f}){hint}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+        raise _StageFailure(EXIT_CERTIFICATION, f"certificate failed at T={cert.T} "
+                            f"(max norm {1 - cert.margin:.4f}){hint}")
     print(f"learn: certificate passed (margin {cert.margin:.4f}); wrote controller to {out}")
-    return EXIT_OK
 
 
-def cmd_certify(cfg: RunConfig, out: Path) -> int:
-    ctrl_path = out / "controller.json"
-    if not ctrl_path.exists():
-        print(f"certify: no controller at {ctrl_path}; run the learn stage first", file=sys.stderr)
-        return EXIT_USAGE
-    ctrl = _read(ctrl_path, load_controller)
-    cert = certify_mod.certificate(ctrl)
+def cmd_certify(cfg: RunConfig, out: Path) -> None:
+    _require(out / "controller.json", "controller", "learn")
+    cert = certify_mod.certificate(_load_controller(cfg, out))
     write_json(out / "certificate.json", cert.to_dict())
-    print(f"certify: verdict {'pass' if cert.verdict else 'fail'} "
-          f"(max norm {1 - cert.margin:.4f})")
-    return EXIT_OK if cert.verdict else EXIT_CERTIFICATION
+    verdict = f"verdict {'pass' if cert.verdict else 'fail'} (max norm {1 - cert.margin:.4f})"
+    if not cert.verdict:
+        raise _StageFailure(EXIT_CERTIFICATION, verdict)
+    print(f"certify: {verdict}")
 
 
-def _check_certificate(out: Path, force: bool, stage: str) -> Optional[int]:
-    cert_path = out / "certificate.json"
-    if not cert_path.exists():
-        print(f"{stage}: no certificate at {cert_path}; run the learn stage first",
-              file=sys.stderr)
-        return EXIT_USAGE
+def _require(path: Path, what: str, stage: str) -> Path:
+    """path; a failure with exit 1 if it does not exist, naming the stage that writes it."""
+    if not path.exists():
+        raise _StageFailure(EXIT_USAGE, f"no {what} at {path}; run the {stage} stage first")
+    return path
+
+
+def _check_certificate(out: Path, force: bool) -> None:
+    cert_path = _require(out / "certificate.json", "certificate", "learn")
     verdict = _read(cert_path, lambda path: read_json(path)["verdict"])
     if verdict != "pass" and not force:
-        print(f"{stage}: certificate verdict is {verdict!r}; "
-              "pass --force to simulate anyway", file=sys.stderr)
-        return EXIT_CERTIFICATION
-    return None
+        raise _StageFailure(EXIT_CERTIFICATION, f"certificate verdict is {verdict!r}; "
+                            "pass --force to simulate anyway")
 
 
 def _check_grid(cfg: RunConfig, path: Path, what: str, obj):
@@ -446,17 +435,11 @@ def _load_controller(cfg: RunConfig, out: Path):
     return _check_grid(cfg, path, "controller", _read(path, load_controller))
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:
-    failed = _check_certificate(out, force, "simulate")
-    if failed is not None:
-        return failed
+def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> None:
+    _check_certificate(out, force)
     ctrl = _load_controller(cfg, out)
     x0 = _vector("simulate.x0", cfg.simulate.get("x0", cfg.preset.x0), len(cfg.preset.x0))
-    try:
-        times, header, cols, norms = cfg.preset.simulate(cfg, ctrl, x0)
-    except (DivergenceError, DomainError, SingularEmbeddingError) as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    times, header, cols, norms = cfg.preset.simulate(cfg, ctrl, x0)
     write_csv(out / "trajectory.csv", header, cols, out / "trajectory.json")
 
     steps_per_T = int(round(cfg.T / cfg.dt))
@@ -475,26 +458,17 @@ def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> int:
         },
     )
     print(f"simulate: final state norm {norms[-1]:.3e} at t={times[-1]}")
-    return EXIT_OK
 
 
-def cmd_track(cfg: RunConfig, out: Path, force: bool = False) -> int:
+def cmd_track(cfg: RunConfig, out: Path, force: bool = False) -> None:
     if cfg.preset.reference is None:
-        print(f"track: the {cfg.name} preset has no tracking reference", file=sys.stderr)
-        return EXIT_USAGE
-    failed = _check_certificate(out, force, "track")
-    if failed is not None:
-        return failed
+        raise _StageFailure(EXIT_USAGE, f"the {cfg.name} preset has no tracking reference")
+    _check_certificate(out, force)
     ctrl = _load_controller(cfg, out)
     f, duration = cfg.track_f, cfg.track_duration
     ref = cfg.preset.reference(f, cfg.track_axis)
     z0 = _vector("track.z0", cfg.track.get("z0", np.zeros(ref.n)), ref.n)
-
-    try:
-        res = systems.simulate_tracking(ctrl, ref, z0, duration)
-    except DivergenceError as exc:
-        print(f"track: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    res = systems.simulate_tracking(ctrl, ref, z0, duration)
 
     n, m = res.z.shape[1], res.v.shape[1]
     header = (["t"] + [f"z{k + 1}" for k in range(n)] + [f"zr{k + 1}" for k in range(n)]
@@ -519,20 +493,6 @@ def cmd_track(cfg: RunConfig, out: Path, force: bool = False) -> int:
         },
     )
     print(f"track: final error {res.error_norm[-1]:.3e} over {duration} s")
-    return EXIT_OK
-
-
-def cmd_all(cfg: RunConfig, out: Path, force: bool = False) -> int:
-    for stage in (cmd_demos, cmd_learn):
-        code = stage(cfg, out)
-        if code != EXIT_OK:
-            return code
-    code = cmd_simulate(cfg, out, force)
-    if code != EXIT_OK:
-        return code
-    if cfg.track:
-        return cmd_track(cfg, out, force)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +506,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _fail(who: str, exc: Exception, code: int) -> int:
+    """Print exc, with any notes, as the one standard-error line "who: message"; code."""
+    notes = "".join(f"; {note}" for note in getattr(exc, "__notes__", []))
+    print(f"{who}: {exc}{notes}", file=sys.stderr)
+    return code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _Parser(prog="demostab", description=__doc__)
+    parser = _Parser(prog="demostab", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command",
                         choices=["demos", "learn", "certify", "simulate", "track", "all"])
     parser.add_argument("--config", required=True, help="path to the JSON configuration")
     parser.add_argument("--out", default=None, help="output directory (default: config's dir)")
     parser.add_argument("--force", action="store_true",
                         help="simulate/track even if the certificate failed")
+    stage = parser.prog
     try:
         args = parser.parse_args(argv)
         config_path = Path(args.config)
@@ -562,23 +531,26 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = RunConfig(_read(config_path))
         out = Path(args.out) if args.out else config_path.parent
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "demos":
-            return cmd_demos(cfg, out)
-        if args.command == "learn":
-            return cmd_learn(cfg, out)
-        if args.command == "certify":
-            return cmd_certify(cfg, out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out, args.force)
-        if args.command == "track":
-            return cmd_track(cfg, out, args.force)
-        return cmd_all(cfg, out, args.force)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # reading the config, creating --out, writing outputs
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        stages = [args.command]
+        if args.command == "all":
+            stages = ["demos", "learn", "simulate"] + ["track"] * bool(cfg.track)
+        for stage in stages:
+            force = (args.force,) if stage in ("simulate", "track") else ()
+            # Looked up by name at each call, so that a rebound stage is the one run.
+            globals()[f"cmd_{stage}"](cfg, out, *force)
+    # The one map from a failure to its exit code.
+    except (_UsageError, OSError) as exc:  # OSError: the config, --out or an output file
+        return _fail("usage error", exc, EXIT_USAGE)
+    except _StageFailure as exc:
+        return _fail(stage, exc, exc.code)
+    except (AffineDependenceError, DegenerateGeometryError) as exc:
+        return _fail(stage, exc, EXIT_VALIDATION)
+    except (DivergenceError, DomainError, SingularEmbeddingError) as exc:
+        if stage == "demos":  # the expert's recording failed, or its embedding
+            stage += (": transform failed" if isinstance(exc, SingularEmbeddingError)
+                      else ": recording failed")
+        return _fail(stage, exc, EXIT_DIVERGENCE)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

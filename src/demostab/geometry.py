@@ -61,11 +61,12 @@ class Triangulation:
             Ainv = np.linalg.inv(A)
         except np.linalg.LinAlgError as exc:
             j = np.argmin(np.abs(np.linalg.det(A)))
-            raise DegenerateGeometryError(f"degenerate simplex: {V[j]}") from exc
+            raise DegenerateGeometryError(f"degenerate simplex: {V[j].tolist()}") from exc
         scale = np.maximum(1.0, np.abs(V).max(axis=(1, 2)))
         bad = np.flatnonzero(np.linalg.cond(V[:, 1:] - V[:, :1]) > 1e12 * scale)
         if bad.size:
-            raise DegenerateGeometryError(f"nearly affinely dependent vertices: {V[bad[0]]}")
+            raise DegenerateGeometryError(
+                f"nearly affinely dependent vertices: {V[bad[0]].tolist()}")
         object.__setattr__(self, "W", np.ascontiguousarray(Ainv[:, :, 1:]))
         object.__setattr__(self, "c", np.ascontiguousarray(Ainv[:, :, 0]))
 

@@ -57,6 +57,21 @@ def test_duplicate_initial_conditions_exit_validation(tmp_path):
     assert main(["demos", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("starts, message", [
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], "learn: points [3] coincide with other points"),
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-13]], "learn: nearly affinely dependent vertices: "
+                                              "[[0.0, 0.0], [1.0, 0.0], [1.0, 1e-13]]"),
+], ids=["repeated_start", "nearly_dependent_start"])
+def test_degenerate_multi_starts_exit_validation(tmp_path, capsys, starts, message):
+    # A multi controller triangulates the starts: a start that repeats
+    # another, or one 1e-13 off it, leaves no usable Delaunay simplex.  The
+    # demonstrations are recorded; learn refuses them with one line, exit 2.
+    cfg = write_config(tmp_path / "config.json", multi=True, initial_conditions=starts)
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "controller.json").exists()
+
+
 @pytest.mark.parametrize("preset, starts", [
     ("chain3", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
     ("ball_beam", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.1, 0.0]]),
@@ -99,6 +114,20 @@ def test_simulate_requires_certificate_pass_unless_forced(tmp_path):
         == EXIT_CERTIFICATION
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
                  "--force"]) == EXIT_OK
+
+
+def test_failed_certify_verdict_is_one_stderr_line(tmp_path, capsys):
+    # The certify stage on the controller that fails at T = 0.5: the verdict
+    # is the one line on standard error, and nothing goes to standard output.
+    cfg = write_config(tmp_path / "config.json", T=0.5,
+                       expert={"Q": [100.0, 0.01], "R": 1.0})
+    main(["demos", "--config", str(cfg), "--out", str(tmp_path)])
+    main(["learn", "--config", str(cfg), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) \
+        == EXIT_CERTIFICATION
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["certify: verdict fail (max norm 1.3976)"]
 
 
 def test_usage_errors(tmp_path):
@@ -237,7 +266,7 @@ def test_track_without_reference_is_one_line(tmp_path, capsys, preset):
     assert len(err) == 1 and "no tracking reference" in err[0]
 
 
-@pytest.mark.parametrize("stage", ["simulate", "track"])
+@pytest.mark.parametrize("stage", ["certify", "simulate", "track"])
 def test_controller_of_another_size_is_usage_error(tmp_path, capsys, stage):
     # A chain2 controller in the output directory, read by a 3-state preset.
     cfg = write_config(tmp_path / "config.json", T=2.0)
@@ -254,7 +283,7 @@ def test_controller_of_another_size_is_usage_error(tmp_path, capsys, stage):
 AXIS_EXPERT = {"Q": [40.0, 40.0, 40.0], "R": 1.0}
 
 
-@pytest.mark.parametrize("stage", ["learn", "simulate", "track"])
+@pytest.mark.parametrize("stage", ["learn", "certify", "simulate", "track"])
 @pytest.mark.parametrize("T, dt, named", [(2.1, 0.003, "T = 2.0"), (2.0, 0.002, "dt = 0.001")],
                          ids=["other_T_and_dt", "other_dt"])
 def test_controller_of_another_grid_is_usage_error(tmp_path, capsys, stage, T, dt, named):
@@ -632,8 +661,11 @@ def test_flat_quad_expert_weights_are_used(tmp_path):
     assert demo_set_bytes("input_weight", expert={"R": 2.0}) != default
 
 
-def test_certify_subcommand(tmp_path):
+def test_certify_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path / "config.json", T=2.0)
     main(["demos", "--config", str(cfg), "--out", str(tmp_path)])
     main(["learn", "--config", str(cfg), "--out", str(tmp_path)])
+    capsys.readouterr()
     assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == "certify: verdict pass (max norm 0.5733)\n" and err == ""
