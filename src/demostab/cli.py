@@ -368,7 +368,8 @@ def cmd_demos(cfg: RunConfig, out: Path) -> None:
             "demos": [{"xi": xi[:, :, i]} for i in range(dset.M)],
         }
         write_json(out / "embedded_demos.json", payload)
-    report = demos_mod.validate_affine_independence(dset)
+    # A multi controller triangulates all M starts: their differences must span.
+    report = demos_mod.validate_affine_independence(dset, range(dset.M) if cfg.multi else None)
     write_json(out / "validation.json", asdict(report))
     if not report.passed:
         raise _StageFailure(EXIT_VALIDATION, f"affine-independence validation failed "
@@ -395,7 +396,6 @@ def cmd_learn(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_certify(cfg: RunConfig, out: Path) -> None:
-    _require(out / "controller.json", "controller", "learn")
     cert = certify_mod.certificate(_load_controller(cfg, out))
     write_json(out / "certificate.json", cert.to_dict())
     verdict = f"verdict {'pass' if cert.verdict else 'fail'} (max norm {1 - cert.margin:.4f})"
@@ -431,7 +431,8 @@ def _check_grid(cfg: RunConfig, path: Path, what: str, obj):
 
 
 def _load_controller(cfg: RunConfig, out: Path):
-    path = out / "controller.json"
+    path = _require(out / "controller.json", "controller", "learn")
+    _require(out / "demo_set.json", "demo set", "demos")
     return _check_grid(cfg, path, "controller", _read(path, load_controller))
 
 

@@ -184,12 +184,19 @@ def validate_affine_independence(
 ) -> AffineIndependenceReport:
     """Check that {z^i(t)} for i in the index set stays affinely independent.
 
-    Report-only: computes min over the grid of sigma_n(Z_I(t)) and passes iff
-    it exceeds RANK_TOL times the largest singular value seen.
+    The index set holds n+1 distinct demonstrations, by default 0..n, or
+    more, as a multi controller's set of all M does; Z_I(t), of shape
+    n x (|I| - 1), must then keep rank n.  Report-only: computes min over the grid of
+    sigma_n(Z_I(t)) and passes iff it exceeds RANK_TOL times the largest
+    singular value seen.
     """
-    if index_set is None:
-        index_set = range(dset.n + 1)
-    Zs, _, _, _ = difference_matrices(dset, index_set)
+    I = list(range(dset.n + 1) if index_set is None else index_set)
+    if len(I) <= dset.n:
+        raise ValueError(f"index set must have at least n+1 = {dset.n + 1} entries, "
+                         f"got {len(I)}")
+    if len(set(I)) != len(I):
+        raise ValueError(f"index set has repeated entries: {I}")
+    Zs = dset.z[:, :, I[1:]] - dset.z[:, :, I[:1]]
     sigmas = np.linalg.svd(Zs, compute_uv=False)
     min_sigma = float(sigmas[:, -1].min())
     max_sigma = float(sigmas[:, 0].max())

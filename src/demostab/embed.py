@@ -138,7 +138,7 @@ def _stage(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray):
     """cfg.stage at (x, xi): on Python floats for one state, on NumPy rows for a batch."""
     x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
     if x.ndim == 1:
-        return cfg.stage(cfg.plant.term_list(x), xi.tolist())
+        return cfg.stage(cfg.plant.terms(x.tolist()), xi.tolist())
     return cfg.stage(cfg.plant.terms(x), xi)
 
 
@@ -322,23 +322,23 @@ def simulate_embedded_closed_loop(
     (zero if not given); any other shape is a ValueError.  At each RK4 stage
     the chain state is read off as z = Phi_z(x, xi), the learned controller
     supplies v, and the dynamic feedback turns it into the physical input
-    u = (s + v) / r.  rk4 steps the single state on Python floats, and a
-    stage stays on floats end to end: one domain test, the plant's terms as
-    a list of floats (plant.term_list), cfg.stage on them and on xi, one
-    gain-table read and drift + gain u, returned as a list.  The committed grid states are
+    u = (s + v) / r.  rk4 steps the single state as a list of Python
+    floats, and a stage stays on that list end to end: one domain test,
+    plant.terms and cfg.stage on the list's slices, one read of the law and
+    drift + gain u, returned as a list.  The committed grid states are
     tested by their first stage, so rk4 runs without its grid-point domain
     guard.  Each interval of interval_grid is one rk4 call; the anchor is
     read off the chain state of the interval's first stage, after rk4's
     divergence test of that point, and the later of two intervals re-reads
-    their shared boundary point's input.  The controller is read through
-    interval_groups(anchor): an open-loop basis gives V zeta + v_base, and a
-    closed-loop one K(tau) z + c(tau) from its K/c table, taken as Python
-    floats once per basis and summed left to right, at slot
-    round(2 tau / dt), or at HalfGrid.index(tau) in the interval that holds
-    a shortened final step, whose last stages fall off the slots and read
-    value(tau, z); dt is ctrl.dt, the demonstration dt.  A stage
-    outside the domain (DomainError) or with |r| <= R_TOL
-    (SingularEmbeddingError) fails with its absolute time.
+    their shared boundary point's input.  Both feedback modes read the law
+    v = G[j] y + g[j] of the basis interval_groups(anchor) names, from
+    basis.gains with y = z (closed loop) or basis.law(open_loop=True) with
+    y = zeta (open loop), taken as Python floats once per basis and summed
+    left to right, at slot round(2 tau / dt), dt = ctrl.dt, or at
+    HalfGrid.index(tau) in the interval that holds a shortened final step,
+    whose last stages fall off the slots and read basis.value or
+    basis.value_from_zeta.  A stage outside the domain (DomainError) or
+    with |r| <= R_TOL (SingularEmbeddingError) fails with its absolute time.
     """
     if ctrl.m != 1:
         raise ValueError("the embedding pipeline drives a single-input plant")
@@ -349,48 +349,45 @@ def simulate_embedded_closed_loop(
     for name, value, size in (("x0", x0, n), ("xi0", xi0, n - 1)):
         if value.shape != (size,):
             raise ValueError(f"{name} must be shaped ({size},), got {value.shape}")
-    term_list, inside, stage = plant.term_list, plant.domain_check, cfg.stage
+    terms, inside, stage = plant.terms, plant.domain_check, cfg.stage
     T, dt = ctrl.T, ctrl.dt
     times, N, short = interval_grid(ctrl, duration)
     last = len(times) - 1
-    anchor = None  # (start, basis, zeta, slot index or None, K rows, c) of the running interval
-    gain_rows = {}  # id(basis) -> (K rows, c) as Python floats
+    anchor = None  # (start, basis, zeta as floats or None, slot index or None, G rows, g)
+    laws = {}  # id(basis) -> (HalfGrid.index, G rows, g) as Python floats
 
     def begin(t, z):
         """The anchor of an interval whose first stage is at t with chain state z."""
         (basis, _, zeta), = ctrl.interval_groups(ctrl.begin_interval(np.array(z)))
-        if zeta is not None:
-            return t, basis, zeta, None, None, None
-        if id(basis) not in gain_rows:
-            _, K, c = basis.gains
-            gain_rows[id(basis)] = K[:, 0].tolist(), c[:, 0].tolist()
+        if id(basis) not in laws:
+            half, G, g = basis.gains if zeta is None else basis.law(open_loop=True)
+            laws[id(basis)] = half.index, G[:, 0].tolist(), g[:, 0].tolist()
+        index, G, g = laws[id(basis)]
+        zeta = None if zeta is None else np.ravel(zeta).tolist()
         # Off the uniform slots only in an interval that holds a shortened step.
-        index = None if uniform else basis.gains[0].index
-        return (t, basis, zeta, index) + gain_rows[id(basis)]
+        return t, basis, zeta, None if uniform else index, G, g
 
     def rhs(t, y):
         nonlocal anchor
         x = y[:n]
         if not inside(x):
-            raise DomainError(f"state {x} is outside the domain of {plant.name} at t={t:.6f}",
-                              time=t)
-        z, r, s, drift, gain = stage(term_list(x), y[n:].tolist())
+            raise DomainError(f"state {np.array(x)} is outside the domain of {plant.name} "
+                              f"at t={t:.6f}", time=t)
+        z, r, s, drift, gain = stage(terms(x), y[n:])
         if anchor is None:  # the interval's first stage: its start
             anchor = begin(t, z)
-        start, basis, zeta, index, K, c = anchor
+        start, basis, zeta, index, G, g = anchor
         tau = min(t - start, T)
-        if zeta is not None:
-            v = basis.value_from_zeta(tau, zeta).item(0)
+        j = round(2.0 * tau / dt) if index is None else index(tau)
+        if j is None:
+            v = (basis.value(tau, np.array(z)) if zeta is None
+                 else basis.value_from_zeta(tau, zeta)).item(0)
         else:
-            j = round(2.0 * tau / dt) if index is None else index(tau)
-            if j is None:
-                v = basis.value(tau, np.array(z)).item(0)
-            else:
-                Kj = K[j]
-                v = Kj[0] * z[0]
-                for i in range(1, n):  # K(tau) z, left to right
-                    v += Kj[i] * z[i]
-                v += c[j]
+            w, Gj = z if zeta is None else zeta, G[j]
+            v = Gj[0] * w[0]
+            for i in range(1, n):  # G(tau) y, left to right
+                v += Gj[i] * w[i]
+            v += g[j]
         u = _feedback(r, s, v, x, t)
         return [a + b * u for a, b in zip(drift, gain)], (v, u)
 

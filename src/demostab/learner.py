@@ -139,50 +139,49 @@ class AffineBasis:
         except np.linalg.LinAlgError as exc:
             raise AffineDependenceError(f"Z(tau) singular at tau={tau}", time=tau) from exc
 
-    def _gain_table(self) -> tuple[HalfGrid, np.ndarray, np.ndarray]:
-        """K = V Z^{-1} and c = v_base - K z_base on the grid points and step midpoints.
+    def law(self, open_loop: bool = False) -> tuple[HalfGrid, np.ndarray, np.ndarray]:
+        """The law on the grid points and step midpoints: (half, G, g), v = G[j] y + g[j].
 
-        At a midpoint Z, V and the base samples are the averages of the two
-        grid samples, as _interp forms them there.
+        Closed loop: G = K = V Z^{-1} and g = c = v_base - K z_base, with y
+        the chain state z.  Open loop: G = V and g = v_base, with y the
+        frozen zeta.  At a midpoint Z, V and the base samples are the
+        averages of the two grid samples, as _interp forms them there.
         """
         half = HalfGrid(self.times)
-        Z, V, zb, vb = map(half.interpolate, (self.Zs, self.Vs, self.z_base, self.v_base))
+        V, vb = half.interpolate(self.Vs), half.interpolate(self.v_base)
+        if open_loop:
+            return half, V, vb
+        Z, zb = half.interpolate(self.Zs), half.interpolate(self.z_base)
         Zt = np.swapaxes(Z, 1, 2)
         try:
             K = np.swapaxes(np.linalg.solve(Zt, np.swapaxes(V, 1, 2)), 1, 2)
         except np.linalg.LinAlgError as exc:
             tau = float(half.times[np.argmin(np.abs(np.linalg.det(Zt)))])
             raise AffineDependenceError(f"Z(tau) singular at tau={tau}", time=tau) from exc
-        c = vb - (K @ zb[:, :, None])[:, :, 0]
-        return half, K, c
+        return half, K, vb - (K @ zb[:, :, None])[:, :, 0]
 
-    # The table value() and the embedded closed loop read, built on first use.
-    gains = cached_property(_gain_table)
+    # The closed-loop table value() and the embedded loop read, built on first use.
+    gains = cached_property(law)
 
     def propagator(self, A: np.ndarray, B: np.ndarray, open_loop: bool = False
                    ) -> IntervalPropagator:
         """Interval propagator of dz/dt = A z + B v under this basis's law.
 
-        The stage flows come from the K/c table (closed loop) or from V and
-        v_base on the same slots (open loop, zeta frozen as an extra state
-        with zero derivative).  Neither table is kept on the basis.
+        The stage flows come from the slot table of law(open_loop), which
+        is not kept on the basis; the open-loop law holds zeta frozen as an
+        extra state with zero derivative.
         """
         n, m = self.n, self.m
+        _, G, g = self.law(open_loop)
+        K = G
         if open_loop:
             # y = (z, zeta): dy/dt = [[A, 0], [0, 0]] y + [B; 0] ([0, V] y + v_base).
-            half = HalfGrid(self.times)
-            K = np.concatenate([np.zeros((len(half.times), m, n)), half.interpolate(self.Vs)],
-                               axis=2)
-            c = half.interpolate(self.v_base)
+            K = np.concatenate([np.zeros((len(G), m, n)), G], axis=2)
             A = np.block([[A, np.zeros((n, n))], [np.zeros((n, 2 * n))]])
             B = np.vstack([B, np.zeros((n, m))])
-            G, g = self.Vs, self.v_base
-        else:
-            _, K, c = self._gain_table()
-            G, g = K[0::2], c[0::2]
-        Pi, psi = affine_interval_maps(A, B, K, c, float(self.times[1] - self.times[0]))
+        Pi, psi = affine_interval_maps(A, B, K, g, float(self.times[1] - self.times[0]))
         return IntervalPropagator(P=np.ascontiguousarray(Pi[:, :n]),
-                                  psi=np.ascontiguousarray(psi[:, :n]), G=G, g=g)
+                                  psi=np.ascontiguousarray(psi[:, :n]), G=G[0::2], g=g[0::2])
 
     def value(self, tau: float, z: np.ndarray) -> np.ndarray:
         """Controller value v = v_base(tau) + V(tau) zeta(tau, z); z is (n,) or (n, k).

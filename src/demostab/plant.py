@@ -54,29 +54,24 @@ class PlantModel:
     Every field and evaluator takes the state on the first axis: x shaped
     (n,), or a batch x shaped (n, k) with one state per column.  The vector
     fields give (n,) or (n, k), domain_check a bool or one per column.
-    An evaluator gives the same bits for one state as for that state taken
-    as a column of a batch, and never raises on non-finite input; a single
-    state may therefore be evaluated on Python floats, where NumPy would
-    only add dispatch overhead, as the ball-beam's terms and domain_check
-    are.
+    terms and domain_check also take one state as a list of Python floats,
+    which is how rk4 steps a single state, and give a list of floats or a
+    bool, without NumPy's dispatch.  An evaluator gives the same bits for
+    one state, as an array or a list, as for that state taken as a column
+    of a batch, and never raises on non-finite input.
 
     Attributes:
         n: state dimension.
         f: drift vector field.
         g: input vector field.
         terms: the stack [f; g; L_f^k h, k = 0..n; L_g L_f^k h, k = 0..n-1],
-            shaped (4n + 1,) or (4n + 1, k): f in rows :n, g in n:2n, the
-            output h = L_f^0 h (with h(0) = 0) in row 2n, L_f^k h in row
-            2n + k and L_g L_f^k h in row 3n + 1 + k.  Its f and g rows equal
-            f(x) and g(x) bit for bit; f and g stay separate because the
-            plant's own rhs needs nothing else.
+            shaped (4n + 1,) or (4n + 1, k), or a list of 4n + 1 floats: f
+            in rows :n, g in n:2n, the output h = L_f^0 h (with h(0) = 0) in
+            row 2n, L_f^k h in row 2n + k and L_g L_f^k h in row 3n + 1 + k.
+            Its f and g rows equal f(x) and g(x) bit for bit; f and g stay
+            separate because the plant's own rhs needs nothing else.
         domain_check: predicate for membership in the open set U.
         relative_degree: n for feedback-linearizable presets, None otherwise.
-        float_terms: optional float path of terms: float_terms(x), x shaped
-            (n,), is terms(x) as a list of 4n+1 Python floats, bit for bit,
-            without building the array.  None means terms(x).tolist(), as
-            the term_list property reads it.  A plant that sets it replaces
-            it together with terms.
     """
 
     n: int
@@ -86,16 +81,10 @@ class PlantModel:
     domain_check: Callable[[np.ndarray], bool] = field(default=lambda x: True)
     relative_degree: Optional[int] = None
     name: str = "plant"
-    float_terms: Optional[Callable[[np.ndarray], list]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"state dimension must be >= 1, got {self.n}")
-
-    @property
-    def term_list(self) -> Callable[[np.ndarray], list]:
-        """term_list(x): the terms of one state (n,) as a list of Python floats."""
-        return self.float_terms or (lambda x: self.terms(x).tolist())
 
     def require_in_domain(self, x: np.ndarray) -> None:
         """Raise DomainError unless x, shaped (n,) or (n, k), lies in the domain."""
@@ -209,6 +198,8 @@ def chain_preset(n: int) -> PlantModel:
     def terms(x):
         # f = (x_2, .., x_n, 0) and g = e_n; L_f^k h = x_{k+1} for k < n and
         # L_f^n h = 0; of the L_g L_f^k h only L_g L_f^{n-1} h = 1 is nonzero.
+        if isinstance(x, list):
+            return terms(np.array(x)).tolist()
         out = np.zeros((4 * n + 1,) + x.shape[1:])
         out[:n - 1] = x[1:]
         out[2 * n - 1] = 1.0

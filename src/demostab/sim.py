@@ -207,11 +207,12 @@ def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
 
     A single state y0 shaped (d,) is stepped on Python floats, entry by
     entry, which spares the NumPy dispatch of d-sized arrays: rhs receives
-    each stage state as an ndarray and may return an ndarray or a sequence
-    of Python floats.  A batch y0 shaped (d, k), k columns, is stepped on
-    NumPy arrays.  Both paths write the same step expressions, so a state
-    gets the bits it would get as a column of a (d, 1) batch under an rhs
-    that acts column by column.
+    each stage state as the list of floats rk4 steps, and may return a list
+    of floats or an ndarray.  A batch y0 shaped (d, k), k columns, is
+    stepped on NumPy arrays, and rhs receives each stage state as a (d, k)
+    array.  Both paths write the same step expressions, so a state gets the
+    bits it would get as a column of a (d, 1) batch under an rhs that acts
+    column by column.
 
     Every grid state, y0 at times[0] included, must be finite with norm at
     most DIVERGENCE_NORM and, if a plant is given as domain, its first
@@ -229,19 +230,18 @@ def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
     states = np.empty((len(grid),) + y0.shape)
     inputs = None
     for k, t in enumerate(grid):
-        y_arr = np.array(y) if single else y
         # A non-finite entry makes the squared norm NaN or inf, failing the test too.
         sq = _squared_norm(y) if single else float(np.vdot(y, y))
         if not sq <= _NORM_SQ:
             raise DivergenceError(f"state diverged at t={t:.6f}", time=t,
                                   column=None if single else _largest_column(y))
-        states[k] = y_arr
+        states[k] = y
         if domain is not None:
             try:
-                domain.require_in_domain(y_arr[: domain.n])
+                domain.require_in_domain(y[: domain.n])
             except DomainError as exc:
                 raise DivergenceError(f"{exc} at t={t:.6f}", time=t, column=exc.column) from exc
-        k1, u = rhs(t, y_arr)
+        k1, u = rhs(t, y)
         if inputs is None:
             inputs = np.empty((len(times),) + np.shape(u))
         inputs[k] = u
@@ -253,9 +253,9 @@ def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
         # the batch array.
         if single:
             k1 = _float_rows(k1)
-            k2 = _float_rows(rhs(t + half, np.array([a + half * b for a, b in zip(y, k1)]))[0])
-            k3 = _float_rows(rhs(t + half, np.array([a + half * b for a, b in zip(y, k2)]))[0])
-            k4 = _float_rows(rhs(t + h, np.array([a + h * b for a, b in zip(y, k3)]))[0])
+            k2 = _float_rows(rhs(t + half, [a + half * b for a, b in zip(y, k1)])[0])
+            k3 = _float_rows(rhs(t + half, [a + half * b for a, b in zip(y, k2)])[0])
+            k4 = _float_rows(rhs(t + h, [a + h * b for a, b in zip(y, k3)])[0])
             y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
         else:
@@ -277,7 +277,9 @@ def simulate_closed_loop(
 
     The controller is evaluated at every RK4 stage, i.e. the loop is closed
     continuously up to the integration error.  inputs[k] is the input at t_k.
-    x0 shaped (n, k) runs k starts as one batch, one input per column.
+    One start x0 (n,) reaches the controller as a list of floats, as rk4
+    steps it; x0 shaped (n, k) runs k starts as one batch, one input per
+    column.
     """
     def rhs(t, x):
         u = controller(t, x)

@@ -185,9 +185,10 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
         return dx
 
     # terms and domain_check write each formula once over the state rows:
-    # Python floats for one state, which spares the NumPy dispatch, or NumPy
-    # rows for a batch, with sin, cos, isfinite and the constant rows of the
-    # same kind, so that a state gets the bits of its batch column.  omega^2
+    # Python floats for one state, given as a list or an (n,) array, which
+    # spares the NumPy dispatch, or NumPy rows for a batch, with sin, cos,
+    # isfinite and the constant rows of the same kind, so that a state gets
+    # the bits of its batch column.  omega^2
     # is om * om, the product NumPy forms for a row's om ** 2; a float's
     # om ** 2 calls pow, which can round one ulp off and raises OverflowError
     # past 1e154.
@@ -203,25 +204,26 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
                 zero, zero, 2.0 * b * x0 * om,            # L_g L_f^k h, k = 0..3 (k < 2: 0)
                 2.0 * b * x1 * om - b * g * c]
 
-    def float_terms(x):
-        x0, x1, phi, om = x.tolist()
+    def terms(x):
+        if isinstance(x, np.ndarray):
+            if x.ndim == 1:
+                return np.array(terms(x.tolist()))
+            shape = x.shape[1:]
+            return np.array(rows(*x, np.sin, np.cos, np.zeros(shape), np.ones(shape)))
+        x0, x1, phi, om = x
         if math.isfinite(phi):  # math.sin and math.cos raise on an infinite angle
             return rows(x0, x1, phi, om, math.sin, math.cos, 0.0, 1.0)
-        return terms(x[:, None])[:, 0].tolist()
-
-    def terms(x):
-        if x.ndim == 1:
-            return np.array(float_terms(x))
-        shape = x.shape[1:]
-        return np.array(rows(*x, np.sin, np.cos, np.zeros(shape), np.ones(shape)))
+        return terms(np.array(x)[:, None])[:, 0].tolist()
 
     def inside(x0, x1, phi, om, isfinite):
         return isfinite(x0) & isfinite(x1) & isfinite(om) & (abs(phi) < math.pi / 2)
 
     def domain_check(x):
-        if x.ndim == 1:
-            return inside(*x.tolist(), math.isfinite)
-        return inside(*x, np.isfinite)
+        if isinstance(x, np.ndarray):
+            if x.ndim > 1:
+                return inside(*x, np.isfinite)
+            x = x.tolist()
+        return inside(*x, math.isfinite)
 
     return PlantModel(
         n=4,
@@ -231,7 +233,6 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
         domain_check=domain_check,
         relative_degree=None,
         name="ball_beam",
-        float_terms=float_terms,
     )
 
 

@@ -72,6 +72,20 @@ def test_degenerate_multi_starts_exit_validation(tmp_path, capsys, starts, messa
     assert not (tmp_path / "controller.json").exists()
 
 
+def test_multi_set_is_validated_over_all_its_demonstrations(tmp_path, capsys):
+    # Demonstrations 0..n of this set are affinely dependent: the starts
+    # (1, 0) and (2, 0) lie on a line through the trivial run's 0.  The
+    # multi controller triangulates all four starts into the simplices
+    # (0, 1, 3) and (1, 2, 3), which the validation of all M demonstrations
+    # accepts.
+    cfg = write_config(tmp_path / "config.json", expert={}, multi=True,
+                       initial_conditions=[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "validation.json").read_text())
+    assert report["passed"] and report["min_sigma"] > 0.2
+
+
 @pytest.mark.parametrize("preset, starts", [
     ("chain3", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
     ("ball_beam", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.1, 0.0]]),
@@ -404,13 +418,20 @@ def test_demos_rerun_without_learn_is_refused(tmp_path, capsys):
     assert len(err) == 1 and "is not the demonstration set" in err[0]
 
 
-def test_controller_without_its_demo_set_is_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("missing, what, writer", [("controller.json", "controller", "learn"),
+                                                   ("demo_set.json", "demo set", "demos")],
+                         ids=["no_controller", "no_demo_set"])
+@pytest.mark.parametrize("stage", ["certify", "simulate", "track"])
+def test_missing_stage_file_names_the_stage_that_writes_it(tmp_path, capsys, stage, missing,
+                                                           what, writer):
+    # Every stage that loads the controller needs controller.json and the
+    # demo_set.json it was learned from; without either it exits 1 with one
+    # line naming the stage that writes the file.
     cfg = _chain3_run(tmp_path, capsys)
-    (tmp_path / "demo_set.json").unlink()
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("usage error:")
-    assert str(tmp_path / "demo_set.json") in err[0]
+    (tmp_path / missing).unlink()
+    assert main([stage, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"{stage}: no {what} at {tmp_path / missing}; run the {writer} stage first"]
 
 
 def test_demo_start_outside_domain_exit_divergence(tmp_path, capsys):

@@ -197,6 +197,16 @@ def test_validation_duplicate_demos_fail():
     assert report.min_sigma == 0.0
 
 
+@pytest.mark.parametrize("index_set, message", [([0, 1], r"at least n\+1"),
+                                                ([0, 1, 2, 1], "repeated entries")],
+                         ids=["too_few", "repeated"])
+def test_validation_refuses_a_bad_index_set(double_int_set, index_set, message):
+    # A set of more than n+1 entries is allowed (a multi set is validated
+    # over all its demonstrations), but never one with a repeated entry.
+    with pytest.raises(ValueError, match=message):
+        validate_affine_independence(double_int_set, index_set)
+
+
 def test_validation_min_sigma_matches_flow_oracle(double_int_set):
     from oracles import double_int_flow
 

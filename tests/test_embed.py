@@ -477,6 +477,28 @@ def test_table_slot_read_matches_value_bit_for_bit(ball_beam_fixture):
 
 
 @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
+@pytest.mark.parametrize("duration, off_slot", [(0.15, 0), (0.175, 2)],
+                         ids=["on_a_boundary", "shortened_step"])
+def test_both_laws_are_read_off_the_slot_table(mode, duration, off_slot, monkeypatch):
+    # Both feedback modes read AffineBasis.law's slot table at every stage.
+    # Only the two middle stages of a shortened step (tau = 0.0225, between
+    # the slots 0.02 and 0.025) call value, which solves through
+    # value_from_zeta there, or value_from_zeta.
+    calls = []
+    for name in ("value", "value_from_zeta"):
+        def counted(self, *args, name=name, original=getattr(AffineBasis, name)):
+            calls.append(name)
+            return original(self, *args)
+
+        monkeypatch.setattr(AffineBasis, name, counted)
+    cfg, ctrl = _unit_speed_chain2(), _varying_chain2_controller(mode)
+    simulate_embedded_closed_loop(cfg, ctrl, np.array([0.4, -0.3]), np.array([0.2]),
+                                  duration=duration)
+    per_stage = {"closed_loop": ["value", "value_from_zeta"], "open_loop": ["value_from_zeta"]}
+    assert calls == per_stage[mode] * off_slot
+
+
+@pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
 def test_multi_controller_group_drives_the_loop_as_its_basis(ball_beam_fixture, mode):
     # n+1 demonstrations triangulate into one simplex: the multi controller's
     # one group is the single-basis controller's basis.

@@ -254,12 +254,12 @@ def test_a_state_is_its_column_of_a_batch(name, columns):
 @example(column=[6.0, 0.0, 0.345, 2.759, -4.536, 0.0])
 @example(column=[6.0, 0.0, math.inf, 1.0, 0.0, 0.0])
 def test_term_list_is_terms_as_floats(name, column):
-    # The float path (the ball-beam's float_terms, or terms(x).tolist())
-    # gives the bytes of terms(x), a non-finite angle included.
+    # terms of one state given as a list of floats is a list of floats with
+    # the bytes of that state's column of a batch, a non-finite angle included.
     plant = TERMS_PRESETS[name][0]
     x = np.array(column[:plant.n])
     with np.errstate(all="ignore"):
-        got, want = plant.term_list(x), plant.terms(x)
+        got, want = plant.terms(x.tolist()), plant.terms(x[:, None])[:, 0]
     assert type(got) is list and all(type(v) is float for v in got)
     assert np.array(got).tobytes() == want.tobytes()
 

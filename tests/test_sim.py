@@ -35,13 +35,13 @@ def test_chain_equilibrium_stays_constant():
 
 
 def test_exponential_decay_accuracy():
-    traj = integrate(lambda t, x: -x, np.array([1.0]), 0.0, 1.0, 1e-3)
+    traj = integrate(lambda t, x: -np.asarray(x), np.array([1.0]), 0.0, 1.0, 1e-3)
     assert abs(traj.states[-1, 0] - math.exp(-1.0)) < 1e-8
 
 
 def test_fourth_order_convergence():
     def err(dt):
-        traj = integrate(lambda t, x: -x, np.array([1.0]), 0.0, 1.0, dt)
+        traj = integrate(lambda t, x: -np.asarray(x), np.array([1.0]), 0.0, 1.0, dt)
         return abs(traj.states[-1, 0] - math.exp(-1.0))
 
     ratio = err(2e-2) / err(1e-2)
@@ -94,7 +94,7 @@ def test_interval_controller_anchored_at_committed_state(double_int_set):
 
 def test_divergence_reports_time():
     with pytest.raises(DivergenceError) as err:
-        integrate(lambda t, x: x**3, np.array([2.0]), 0.0, 5.0, 1e-3)
+        integrate(lambda t, x: np.asarray(x)**3, np.array([2.0]), 0.0, 5.0, 1e-3)
     assert err.value.time is not None and 0.0 < err.value.time < 5.0
 
 
@@ -138,7 +138,7 @@ def _linear_rhs(t, y):
 
 
 def _cubic_rhs(t, x):
-    return x**3, 0.0
+    return np.asarray(x)**3, 0.0
 
 
 @pytest.mark.parametrize("rhs, y0", [(_linear_rhs, [0.3, -0.2]), (_cubic_rhs, [2.0])],
@@ -162,6 +162,24 @@ def test_single_state_steps_to_the_bits_of_its_batch_column(rhs, y0):
             errors.append((err.value.time, err.value.column))
         assert errors[0] == (errors[1][0], None) and errors[1][1] == 0
         assert 0.1 < errors[0][0] < 0.2
+
+
+def test_rhs_receives_the_state_rk4_steps():
+    # A single state reaches rhs as the list of Python floats rk4 steps, a
+    # batch as its (d, k) array.
+    seen = []
+
+    def rhs(t, y):
+        seen.append(y)
+        return y, 0.0
+
+    times = time_grid(0.0, 0.3, 0.1)
+    rk4(rhs, np.array([0.5, -0.25]), times)
+    assert len(seen) == 13
+    assert all(type(y) is list and [type(a) for a in y] == [float, float] for y in seen)
+    seen.clear()
+    rk4(rhs, np.array([[0.5], [-0.25]]), times)
+    assert len(seen) == 13 and all(type(y) is np.ndarray and y.shape == (2, 1) for y in seen)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
