@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .demos import DemonstrationSet
-from .learner import AffineBasis, build_basis, interval_grid, simulate_chain_batch
+from .learner import AffineBasis, build_basis, simulate_chain_batch
+from .sim import whole_steps
 
 # contraction_check: relative slack on the certified bound ||Psi||^p ||z(0)||, and the
 # largest per-interval defect ||z((p+1)T) - Psi z(pT)|| it accepts.
@@ -210,12 +211,11 @@ def contraction_check(
     if dt is not None and abs(dt - ctrl.dt) > 1e-9 * ctrl.dt:
         raise ValueError(f"dt={dt} is not the demonstration dt={ctrl.dt} "
                          "the controller was learned at")
-    _, steps_per_T, _ = interval_grid(ctrl, p_max * ctrl.T)
     cert = certificate(ctrl)
     z0 = np.asarray(z0, dtype=float)
     Z0 = z0[:, None] if z0.ndim == 1 else z0
     _, states, _ = simulate_chain_batch(ctrl, Z0, p_max * ctrl.T)
-    idx = np.arange(p_max + 1) * steps_per_T
+    idx = np.arange(p_max + 1) * whole_steps(ctrl.T, ctrl.dt)
     samples = states[idx]  # (p_max + 1, n, k)
     norms = np.linalg.norm(samples, axis=1)
     powers = cert.max_norm ** np.arange(p_max + 1)

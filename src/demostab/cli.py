@@ -45,7 +45,7 @@ from .files import read_json, write_csv, write_json
 from .learner import learn_controller, load_controller, save_controller, \
     simulate_chain_closed_loop
 from .plant import chain_preset, expert_lqr
-from .sim import MAX_STEPS
+from .sim import MAX_STEPS, whole_steps
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,15 +127,16 @@ class Preset:
     preset_params keys plant reads.  expert(plant, Q, R) is the
     expert u = expert(x) for the LQR weights Q (default: the diagonal entries
     given here) and R.  starts are the default recorded starts, x0 the
-    default simulate start, simulate(cfg, ctrl, x0) the closed loop of the
-    simulate stage, returning (times, CSV header, CSV columns, state norms),
-    and reference(f, axis) the track reference, or None for no tracking.
+    default simulate start (None: the first recorded start), simulate(cfg,
+    ctrl, x0) the closed loop of the simulate stage, returning (times, CSV
+    header, CSV columns, state norms), and reference(f, axis) the track
+    reference, or None for no tracking.
     """
 
     Q: tuple
     R: float
-    x0: tuple
     simulate: Callable
+    x0: Optional[tuple] = None
     plant: Callable = lambda params: (None, None)
     params: tuple = ()
     expert: Optional[Callable] = None
@@ -171,11 +172,12 @@ def _simulate_embedded(cfg: RunConfig, ctrl, x0: np.ndarray):
 
 
 def _chain(n: int) -> Preset:
-    """chain<n>: unit-vector starts; the 3-chain tracks one axis of the figure eight."""
+    """chain<n>: unit-vector starts, simulated by default from the first recorded one;
+    the 3-chain tracks one axis of the figure eight."""
     unit = np.eye(n)
     unit.flags.writeable = False
     return Preset(plant=lambda params: (chain_preset(n), None), expert=expert_lqr,
-                  Q=(1.0,) * n, R=1.0, starts=unit, x0=(0.0,) * n, simulate=_simulate_chain,
+                  Q=(1.0,) * n, R=1.0, starts=unit, simulate=_simulate_chain,
                   reference=systems.figure_eight_axis if n == 3 else None)
 
 
@@ -234,9 +236,6 @@ class RunConfig:
             self.dt = _number("dt", data["dt"], positive=True)
         except KeyError as exc:
             raise _UsageError(f"config missing required key: {exc}") from exc
-        steps = self.T / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise _UsageError(f"T={self.T} must be an integer multiple of dt={self.dt}")
         try:
             self.plant, self.embedding = self.preset.plant(
                 _section(data, "preset_params", self.preset.params))
@@ -262,16 +261,23 @@ class RunConfig:
                                          self.simulate.get("duration", 5.0 * self.T), positive=True)
         self.track = _section(data, "track", TRACK_KEYS)
         self.track_f = _number("track.f", self.track.get("f", 0.1), positive=True)
-        self.track_duration = _number("track.duration",
-                                      self.track.get("duration", 2.0 / self.track_f), positive=True)
+        # Two periods by default, rounded up to whole steps; inf (f = 1e-320) is refused below.
+        periods = 2.0 / self.track_f
+        if periods / self.dt <= MAX_STEPS:
+            periods = math.ceil(periods / self.dt - 1e-9) * self.dt
+        self.track_duration = _number("track.duration", self.track.get("duration", periods),
+                                      positive=True)
         self.track_axis = self.track.get("axis", 0)
         if type(self.track_axis) is not int or self.track_axis not in (0, 1, 2):
             raise _UsageError(f"track.axis must be the integer 0, 1 or 2, got {self.track_axis!r}")
         for what, span in (("T", self.T), ("simulate.duration", self.simulate_duration),
                            ("track.duration", self.track_duration)):
-            if span / self.dt > MAX_STEPS:
-                raise _UsageError(f"{what} / dt = {span / self.dt:.3g} steps exceed the "
-                                  f"{MAX_STEPS:.0e} step budget")
+            try:
+                whole_steps(span, self.dt)
+            except ValueError as exc:
+                raise _UsageError(f"{what}: {exc}") from exc
+        if self.track and self.preset.reference is None:  # refused before any stage runs
+            raise _UsageError(f"track: the {self.name} preset has no tracking reference")
         self.starts = self._starts(data.get("initial_conditions", "default"))
 
     def expert_QR(self) -> tuple[np.ndarray, float]:
@@ -422,7 +428,7 @@ def _check_certificate(out: Path, force: bool) -> None:
 def _check_grid(cfg: RunConfig, path: Path, what: str, obj):
     """obj, the demonstration set or controller read from path; a usage error unless it has
     the preset's n and the config's T and dt."""
-    for key, learned, given in (("n", obj.n, len(cfg.preset.x0)), ("T", obj.T, cfg.T),
+    for key, learned, given in (("n", obj.n, len(cfg.preset.Q)), ("T", obj.T, cfg.T),
                                 ("dt", obj.dt, cfg.dt)):
         if abs(learned - given) > 1e-9 * given:
             raise _UsageError(f"{path} holds a {what} with {key} = {learned}, "
@@ -439,12 +445,12 @@ def _load_controller(cfg: RunConfig, out: Path):
 def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> None:
     _check_certificate(out, force)
     ctrl = _load_controller(cfg, out)
-    x0 = _vector("simulate.x0", cfg.simulate.get("x0", cfg.preset.x0), len(cfg.preset.x0))
+    x0 = cfg.starts[0] if cfg.preset.x0 is None else cfg.preset.x0
+    x0 = _vector("simulate.x0", cfg.simulate.get("x0", x0), len(cfg.preset.Q))
     times, header, cols, norms = cfg.preset.simulate(cfg, ctrl, x0)
     write_csv(out / "trajectory.csv", header, cols, out / "trajectory.json")
 
-    steps_per_T = int(round(cfg.T / cfg.dt))
-    samples = norms[:: steps_per_T]
+    samples = norms[:: whole_steps(cfg.T, cfg.dt)]
     ratios = [
         samples[p + 1] / samples[p] if samples[p] > 0 else 0.0
         for p in range(len(samples) - 1)

@@ -31,8 +31,9 @@ class DemonstrationSet:
 
     grid is (G,), z is (G, n, M) and v is (G, m, M) (or (G, M) for one
     input), demonstration i in column i.  The invariants are checked once
-    over the block: M >= n+1, at least two finite samples, column 0 the
-    trivial (identically zero) solution, A (n, n) and B (n, m).  For
+    over the block: M >= n+1, at least two finite samples on a uniform grid
+    (steps within 1e-9 dt), column 0 the trivial (identically zero)
+    solution, A (n, n) and B (n, m).  For
     single-input plants (A, B) is the Brunovsky pair of size n; the
     flat-quadrotor set uses the stacked three-chain pair with m = 3.
     """
@@ -59,6 +60,12 @@ class DemonstrationSet:
             raise ValueError("grid, z and v must have equal length")
         if len(grid) < 2:
             raise ValueError("a demonstration needs at least two samples")
+        steps = np.diff(grid)
+        uneven = np.flatnonzero(~((np.abs(steps - steps[0]) <= 1e-9 * steps[0]) & (steps > 0)))
+        if uneven.size:
+            k = uneven[0]
+            raise ValueError(f"the grid must be uniform and increasing: step {k} from "
+                             f"t={grid[k]} to t={grid[k + 1]} is {steps[k]}, not dt={steps[0]}")
         if self.M < self.n + 1:
             raise ValueError(f"need at least n+1 = {self.n + 1} demonstrations, got {self.M}")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):

@@ -334,11 +334,11 @@ def simulate_embedded_closed_loop(
     v = G[j] y + g[j] of the basis interval_groups(anchor) names, from
     basis.gains with y = z (closed loop) or basis.law(open_loop=True) with
     y = zeta (open loop), taken as Python floats once per basis and summed
-    left to right, at slot round(2 tau / dt), dt = ctrl.dt, or at
-    HalfGrid.index(tau) in the interval that holds a shortened final step,
-    whose last stages fall off the slots and read basis.value or
-    basis.value_from_zeta.  A stage outside the domain (DomainError) or
-    with |r| <= R_TOL (SingularEmbeddingError) fails with its absolute time.
+    left to right, at slot round(2 tau / dt), dt = ctrl.dt: interval_grid
+    refuses a duration that is no whole number of steps, so every stage of
+    every interval is on a slot.  A stage outside the domain (DomainError)
+    or with |r| <= R_TOL (SingularEmbeddingError) fails with its absolute
+    time.
     """
     if ctrl.m != 1:
         raise ValueError("the embedding pipeline drives a single-input plant")
@@ -351,21 +351,17 @@ def simulate_embedded_closed_loop(
             raise ValueError(f"{name} must be shaped ({size},), got {value.shape}")
     terms, inside, stage = plant.terms, plant.domain_check, cfg.stage
     T, dt = ctrl.T, ctrl.dt
-    times, N, short = interval_grid(ctrl, duration)
-    last = len(times) - 1
-    anchor = None  # (start, basis, zeta as floats or None, slot index or None, G rows, g)
-    laws = {}  # id(basis) -> (HalfGrid.index, G rows, g) as Python floats
+    times, N = interval_grid(ctrl, duration)
+    anchor = None  # (start, zeta as floats or None, G rows, g)
+    laws = {}  # id(basis) -> (G rows, g) as Python floats
 
     def begin(t, z):
         """The anchor of an interval whose first stage is at t with chain state z."""
         (basis, _, zeta), = ctrl.interval_groups(ctrl.begin_interval(np.array(z)))
         if id(basis) not in laws:
-            half, G, g = basis.gains if zeta is None else basis.law(open_loop=True)
-            laws[id(basis)] = half.index, G[:, 0].tolist(), g[:, 0].tolist()
-        index, G, g = laws[id(basis)]
-        zeta = None if zeta is None else np.ravel(zeta).tolist()
-        # Off the uniform slots only in an interval that holds a shortened step.
-        return t, basis, zeta, None if uniform else index, G, g
+            _, G, g = basis.gains if zeta is None else basis.law(open_loop=True)
+            laws[id(basis)] = G[:, 0].tolist(), g[:, 0].tolist()
+        return (t, None if zeta is None else np.ravel(zeta).tolist()) + laws[id(basis)]
 
     def rhs(t, y):
         nonlocal anchor
@@ -376,28 +372,22 @@ def simulate_embedded_closed_loop(
         z, r, s, drift, gain = stage(terms(x), y[n:])
         if anchor is None:  # the interval's first stage: its start
             anchor = begin(t, z)
-        start, basis, zeta, index, G, g = anchor
-        tau = min(t - start, T)
-        j = round(2.0 * tau / dt) if index is None else index(tau)
-        if j is None:
-            v = (basis.value(tau, np.array(z)) if zeta is None
-                 else basis.value_from_zeta(tau, zeta)).item(0)
-        else:
-            w, Gj = z if zeta is None else zeta, G[j]
-            v = Gj[0] * w[0]
-            for i in range(1, n):  # G(tau) y, left to right
-                v += Gj[i] * w[i]
-            v += g[j]
+        start, zeta, G, g = anchor
+        j = round(2.0 * min(t - start, T) / dt)
+        w, Gj = z if zeta is None else zeta, G[j]
+        v = Gj[0] * w[0]
+        for i in range(1, n):  # G(tau) y, left to right
+            v += Gj[i] * w[i]
+        v += g[j]
         u = _feedback(r, s, v, x, t)
         return [a + b * u for a, b in zip(drift, gain)], (v, u)
 
     states = np.empty((len(times), 2 * n - 1))
     inputs = np.empty((len(times), 2))
     states[0] = np.concatenate([x0, xi0])
-    for lo in range(0, last + (not short), N):
-        hi = min(lo + N, last)
-        # The slots hold the interval's stage times unless it holds a shortened step.
-        anchor, uniform = None, not (short and hi == last)
+    for lo in range(0, len(times), N):
+        hi = min(lo + N, len(times) - 1)
+        anchor = None
         states[lo:hi + 1], inputs[lo:hi + 1] = rk4(rhs, states[lo], times[lo:hi + 1])
     return EmbeddedTrajectory(times=times, x=states[:, :n], xi=states[:, n:],
                               v=inputs[:, 0], u=inputs[:, 1])

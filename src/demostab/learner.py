@@ -63,8 +63,8 @@ from .sim import (
     affine_interval_maps,
     check_divergence,
     interval_index,
-    rk4,
     time_grid,
+    whole_steps,
 )
 
 # Reject bases whose Z(t) condition number exceeds this anywhere on the grid.
@@ -332,37 +332,32 @@ def simulate_chain_batch(ctrl, z0: np.ndarray, duration: float
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate dz/dt = A z + B kappa_hat(t, z) for a batch of initial states.
 
-    z0 is (n,) or (n, k), stepped on interval_grid, at the controller's dt.
-    Returns (times, states, inputs) with states shaped (G, n, k) and inputs
-    (G, m, k).  Every grid state, z0 at t = 0 included, takes rk4's
-    divergence test.
+    z0 is (n,) or (n, k), stepped on interval_grid, at the controller's dt,
+    which refuses a duration of no whole number of steps.  Returns (times,
+    states, inputs) with states shaped (G, n, k) and inputs (G, m, k).
+    Every grid state, z0 at t = 0 included, takes rk4's divergence test.
 
     Interval p runs from grid index pN (N = T / ctrl.dt) and is anchored at the
     committed state there; each is one application of the bases'
     propagators to the batch, which is RK4 up to rounding.  Neighbouring
     intervals share their boundary point, whose input the later one
     re-reads under its own anchor, and a last point on a boundary starts a
-    zero-step interval.  A grid that ends in a shortened step takes that
-    step alone through rk4, reading the law at tau = t - t_pN under the
-    anchor of the last interval.  Only the last propagator built is kept,
-    and only for this call: consecutive groups that follow the same basis
-    share it, so a single-basis controller builds one per call.
+    zero-step interval.  Only the last propagator built is kept, and only
+    for this call: consecutive groups that follow the same basis share it,
+    so a single-basis controller builds one per call.
     """
     z = np.asarray(z0, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
-    times, N, short = interval_grid(ctrl, duration)
-    last = len(times) - 1
-    S = last - short  # the last grid point the propagators reach
-
+    times, N = interval_grid(ctrl, duration)
     states = np.empty((len(times),) + z.shape)
     inputs = np.empty((len(times), ctrl.m, z.shape[1]))
     states[0] = z
     check_divergence(states[:1], times[:1])
     table_basis = prop = None
-    for lo in range(0, last + (not short), N):
+    for lo in range(0, len(times), N):
         anchor = ctrl.begin_interval(states[lo])
-        hi = min(lo + N, S)
+        hi = min(lo + N, len(times) - 1)
         span = hi - lo
         with np.errstate(over="ignore", invalid="ignore"):
             for basis, cols, zeta in ctrl.interval_groups(anchor):
@@ -378,30 +373,17 @@ def simulate_chain_batch(ctrl, z0: np.ndarray, duration: float
                 y = states[lo:hi + 1][:, :, cols] if zeta is None else zeta
                 inputs[lo:hi + 1, :, cols] = prop.G[:span + 1] @ y + prop.g[:span + 1, :, None]
         check_divergence(states[lo + 1:hi + 1], times[lo + 1:hi + 1])
-    if short:
-        start = float(times[lo])
-
-        def rhs(t, zz):
-            v = ctrl.eval_in_interval(anchor, min(t - start, ctrl.T), zz)
-            return ctrl.A @ zz + ctrl.B @ v, v
-
-        states[S:], inputs[S:] = rk4(rhs, states[S], times[S:])
     return times, states, inputs
 
 
-def interval_grid(ctrl, duration: float) -> tuple[np.ndarray, int, bool]:
-    """(time_grid(0, duration, ctrl.dt), steps per interval, whether it ends in a shortened step).
+def interval_grid(ctrl, duration: float) -> tuple[np.ndarray, int]:
+    """(time_grid(0, duration, ctrl.dt), steps per interval N = T / ctrl.dt).
 
     ctrl.dt is the demonstration dt, the grid the bases' propagators and K/c
-    tables hold.  Raises ValueError unless ctrl.T is a whole multiple of it.
+    tables hold.  Raises ValueError, as whole_steps does, unless ctrl.T and
+    duration are whole multiples of it.
     """
-    dt = ctrl.dt
-    ratio = ctrl.T / dt
-    N = round(ratio)
-    if N < 1 or abs(ratio - N) > 1e-9:
-        raise ValueError(f"interval length {ctrl.T} is not a whole multiple of dt={dt}")
-    times = time_grid(0.0, duration, dt)
-    return times, N, bool(abs(times[-1] - times[-2] - dt) > 1e-9 * dt)
+    return time_grid(0.0, duration, ctrl.dt), whole_steps(ctrl.T, ctrl.dt)
 
 
 def simulate_chain_closed_loop(ctrl, z0: np.ndarray, duration: float) -> Trajectory:

@@ -7,8 +7,8 @@ the same step expressions on both.
 The learned loops anchor their controllers per interval themselves, one rk4
 call or one propagator application per interval; the chain loops move whole
 intervals through affine_interval_maps, RK4 steps composed in closed form.
-Grids are deterministic, so outputs reproduce bit for bit: the step dt is
-fixed and the final step shortened, if need be, to land on the end time.
+Grids are deterministic, so outputs reproduce bit for bit: every span a
+grid covers is a whole number of steps dt (whole_steps), so every step is dt.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ class Trajectory:
     times, states and inputs have the same leading length; states is
     (N, n) and inputs is (N,) for scalar-input systems or (N, m) otherwise.
     A batch of k runs on one grid has states (N, n, k) and inputs (N, k).
-    The grid is uniform with step dt except possibly for a shortened final
-    interval.
+    The grid is uniform with step dt, as time_grid builds it.
     """
 
     times: np.ndarray
@@ -54,31 +53,33 @@ class Trajectory:
             raise ValueError("a trajectory needs at least two samples")
 
 
-def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
-    """Grid t0 + k*dt, with the last point snapped exactly to t1."""
-    if dt <= 0.0:
+def whole_steps(span: float, dt: float) -> int:
+    """The N in [1, MAX_STEPS] with span/dt within 1e-9 of N; a ValueError if there is none."""
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if t1 <= t0:
-        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    span = t1 - t0
-    n_full = int(np.floor(span / dt + 1e-9))
-    if n_full > MAX_STEPS:
-        raise ValueError(f"{n_full} steps exceed the {MAX_STEPS:.0e} step budget")
-    times = t0 + dt * np.arange(n_full + 1)
-    if t1 - times[-1] > 1e-9 * max(1.0, abs(t1)):
-        times = np.append(times, t1)
-    else:
-        times[-1] = t1
+    ratio = span / dt
+    if not ratio <= MAX_STEPS + 0.5:  # also catches inf and nan before round()
+        raise ValueError(f"{span} / dt = {ratio:.3g} steps exceed the {MAX_STEPS:.0e} step budget")
+    N = round(ratio)
+    if N < 1 or abs(ratio - N) > 1e-9:
+        raise ValueError(f"{span} is not a whole multiple of dt={dt}")
+    return N
+
+
+def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
+    """Grid t0 + k*dt, k = 0..whole_steps(t1 - t0, dt), with the last point snapped to t1."""
+    times = t0 + dt * np.arange(whole_steps(t1 - t0, dt) + 1)
+    times[-1] = t1
     return times
 
 
 class HalfGrid:
-    """The RK4 stage times of a grid: its points and step midpoints, interleaved.
+    """The RK4 stage times of a uniform grid: its points and step midpoints, interleaved.
 
     times[2k] is the grid point t_k and times[2k+1] the midpoint t_k + h_k/2,
     formed as rk4 forms its middle stages.  index(t) maps a stage time back to
-    its slot, so values tabulated on the slots can stand in for evaluations
-    at the stages.
+    its slot, the nearest multiple of dt/2 past t_0, so values tabulated on
+    the slots can stand in for evaluations at the stages.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -88,7 +89,6 @@ class HalfGrid:
         self.times[1::2] = grid[:-1] + 0.5 * (grid[1:] - grid[:-1])
         dt = float(grid[1] - grid[0])
         self._t0, self._half, self._tol = float(grid[0]), 0.5 * dt, 1e-9 * dt
-        self._last = len(self.times) - 1
 
     def interpolate(self, samples: np.ndarray) -> np.ndarray:
         """Grid samples (first axis) linearly interpolated onto the slots.
@@ -103,14 +103,9 @@ class HalfGrid:
 
     def index(self, t: float) -> Optional[int]:
         """The slot j with |times[j] - t| <= 1e-9 dt, or None if t is not a stage time."""
-        last, at = self._last, self.times.item
         j = round((t - self._t0) / self._half)
-        if 0 <= j <= last and abs(t - at(j)) <= self._tol:
+        if 0 <= j < len(self.times) and abs(t - self.times.item(j)) <= self._tol:
             return j
-        # A shortened final step moves its two slots off the uniform half grid.
-        for j in (last - 1, last):
-            if abs(t - at(j)) <= self._tol:
-                return j
         return None
 
 

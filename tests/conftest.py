@@ -23,7 +23,7 @@ from oracles import DOUBLE_INT_K, double_int_flow
 from demostab.cli import PRESETS
 from demostab.demos import DemonstrationSet, read_demo_set, record_expert, save_demo_set
 from demostab.embed import transform_demos
-from demostab.learner import LearnedController, build_basis, save_controller
+from demostab.learner import AffineBasis, LearnedController, build_basis, save_controller
 from demostab.plant import brunovsky_pair, chain_preset
 from demostab.sim import time_grid
 from demostab.systems import ball_beam_expert, ball_beam_preset, flat_quad_demo_set
@@ -39,6 +39,19 @@ def analytic_double_int_set(T: float = 2.0, dt: float = 1e-3,
     pair = brunovsky_pair(2)
     return DemonstrationSet(grid=grid, z=z, v=-np.einsum("j,gjk->gk", DOUBLE_INT_K, z),
                             A=pair.A, B=pair.B)
+
+
+def off_grid_basis() -> AffineBasis:
+    """The double-integrator basis on [0, 1.0005] at dt = 1e-3, ending in a half step.
+
+    No DemonstrationSet holds such a grid, so the basis is built directly:
+    its T = 1.0005 is no whole multiple of its dt.
+    """
+    grid = np.append(1e-3 * np.arange(1001), 1.0005)
+    Zs = np.stack([double_int_flow(t) for t in grid])  # starts 0, e_1, e_2
+    return AffineBasis(index_set=(0, 1, 2), times=grid, Zs=Zs,
+                       Vs=-np.einsum("j,gjk->gk", DOUBLE_INT_K, Zs)[:, None, :],
+                       z_base=np.zeros((len(grid), 2)), v_base=np.zeros((len(grid), 1)))
 
 
 def save_learned(ctrl, dset: DemonstrationSet, path: Path) -> None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import analytic_double_int_set
+from conftest import analytic_double_int_set, off_grid_basis
 from oracles import double_int_flow, matrix_exp_series, monodromy_integral_loop, spectral_norm
 
 from demostab.certify import (
@@ -203,8 +203,12 @@ def test_contraction_multi_linear_flow(multi_point_set):
 
 
 def test_contraction_rejects_horizon_off_the_grid():
-    # T = 1.0005 is not a whole multiple of dt = 1e-3, so z(pT) is no grid sample.
-    ctrl = LearnedController(build_basis(analytic_double_int_set(T=1.0005)))
+    # T = 1.0005 is not a whole multiple of dt = 1e-3, so z(pT) is no grid
+    # sample: no demonstration set holds such a grid, and a basis built on
+    # one directly is refused.
+    with pytest.raises(ValueError, match="whole multiple"):
+        analytic_double_int_set(T=1.0005)
+    ctrl = LearnedController(off_grid_basis())
     for p_max in (2, 3):
         with pytest.raises(ValueError, match="whole multiple"):
             contraction_check(ctrl, np.array([0.5, 0.5]), p_max=p_max)

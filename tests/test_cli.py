@@ -16,6 +16,7 @@ from demostab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    RunConfig,
     main,
 )
 from demostab.files import write_json
@@ -278,6 +279,11 @@ def test_track_without_reference_is_one_line(tmp_path, capsys, preset):
     assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "no tracking reference" in err[0]
+    # all refuses the track section before any stage runs: no file is written.
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "all")]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "no tracking reference" in err[0]
+    assert not (tmp_path / "all" / "demo_set.json").exists()
 
 
 @pytest.mark.parametrize("stage", ["certify", "simulate", "track"])
@@ -621,6 +627,55 @@ def readme_config(preset: str) -> dict:
     text = (Path(__file__).parents[1] / "README.md").read_text()
     blocks = [b.split("```", 1)[0] for b in text.split("```json\n")[1:]]
     return next(c for c in map(json.loads, blocks) if c.get("preset") == preset)
+
+
+@pytest.mark.parametrize("preset, section, duration", [
+    ("ball_beam", "simulate", 40.0005),
+    ("flat_quad_3d", "track", 20.0005),
+], ids=["ball_beam.simulate", "flat_quad_3d.track"])
+def test_duration_off_the_grid_is_one_line(tmp_path, capsys, preset, section, duration):
+    # A duration that is no whole number of steps dt is refused before any
+    # stage runs, naming the duration and dt.
+    config = readme_config(preset)
+    config[section]["duration"] = duration
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"usage error: {section}.duration: {duration} is not a whole multiple "
+                   f"of dt=0.001"]
+    assert not (tmp_path / "demo_set.json").exists()
+
+
+@pytest.mark.parametrize("f, steps", [(0.3, 6667), (0.1, 20000), (0.25, 8000), (7.0, 286)])
+def test_default_track_duration_is_two_periods_in_whole_steps(f, steps):
+    # 2/f, rounded up to whole steps of dt = 1e-3 where it is not whole:
+    # 6.667 s for f = 0.3.
+    config = readme_config("flat_quad_3d")
+    config["track"] = {"f": f}
+    assert RunConfig(config).track_duration == steps * 1e-3
+
+
+def test_default_track_duration_of_a_vanishing_frequency_is_one_line(tmp_path, capsys):
+    # 2/f overflows to inf for f = 1e-320: refused with one line, no traceback.
+    cfg = write_config(tmp_path / "config.json", preset="flat_quad_axis", expert={},
+                       simulate={"duration": 2.0}, track={"f": 1e-320})
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: track.duration")
+
+
+def test_chain_simulate_starts_at_the_first_recorded_start(tmp_path, capsys):
+    # With no simulate section a chain preset simulates from its first
+    # recorded start, e_1, not from the equilibrium: the run decays.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": "chain2", "T": 1.0, "dt": 0.01}))
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].endswith("at t=5.0")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert rows[1].split(",")[:3] == ["0.0", "1.0", "0.0"]
+    assert 0.0 < summary["final_norm"] < 1.0
 
 
 def test_readme_quadrotor_simulate_decays(tmp_path):

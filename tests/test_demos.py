@@ -180,6 +180,26 @@ def test_demo_set_checks_the_block(case):
         DemonstrationSet(**block)
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, 0.1, 0.3, 0.4], r"step 1 from t=0\.1 to t=0\.3 is 0\.19999999999999998, not dt=0\.1"),
+    ([0.0, 0.1, 0.2 + 2e-10, 0.3], r"step 1 from t=0\.1 to t=0\.2000000002 "),
+    ([0.0, 0.0, 0.1, 0.2], r"step 0 from t=0\.0 to t=0\.0 is 0\.0"),
+    ([0.3, 0.2, 0.1, 0.0], r"step 0 from t=0\.3 to t=0\.2 "),
+], ids=["skipped_sample", "just_off", "repeated_time", "decreasing"])
+def test_demo_set_refuses_an_uneven_grid(grid, message):
+    # The grid is uniform to 1e-9 dt, as the slot tables and the interval
+    # loops read it; the first uneven step is named.
+    pair = brunovsky_pair(2)
+    z = np.zeros((4, 2, 3))
+    z[:, 0, 1], z[:, 1, 2] = 1.0, 1.0
+    with pytest.raises(ValueError, match="the grid must be uniform and increasing: " + message):
+        DemonstrationSet(grid=np.array(grid), z=z, v=np.zeros((4, 3)), A=pair.A, B=pair.B)
+    # A step within 1e-9 dt of the first is uniform.
+    even = DemonstrationSet(grid=np.array([0.0, 0.1, 0.2 + 5e-11, 0.3]), z=z,
+                            v=np.zeros((4, 3)), A=pair.A, B=pair.B)
+    assert even.dt == 0.1
+
+
 def test_validation_identity_starts(double_int_set):
     report = validate_affine_independence(double_int_set)
     assert report.passed

@@ -317,7 +317,6 @@ def test_embedded_set_certificate(ball_beam_fixture):
 
 
 def test_transform_matches_per_sample_formulas():
-    # The last step of a 1.0005 s recording at dt = 1e-3 is shortened to 0.5 ms.
     # The five recordings (the trivial one first) are transformed as one
     # batch and compared one by one with the sample-by-sample oracle.
     from demostab.demos import record_expert
@@ -329,8 +328,7 @@ def test_transform_matches_per_sample_formulas():
     raw = record_expert(plant, ball_beam_expert(plant, np.diag(preset.Q), preset.R),
                         [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 10.0]),
                          np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.3, 0.0])],
-                        T=1.0005, dt=1e-3)
-    assert raw.times[-1] - raw.times[-2] < 0.75e-3
+                        T=1.0, dt=1e-3)
     eset, xis = transform_demos(cfg, raw)
     assert np.array_equal(eset.grid, raw.times)
     for i in range(eset.M):
@@ -447,43 +445,51 @@ def _varying_chain2_controller(mode):
 
 
 @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
-@pytest.mark.parametrize("duration", [0.15, 0.175], ids=["on_a_boundary", "shortened_step"])
+@pytest.mark.parametrize("duration", [0.15, 0.17, 0.175],
+                         ids=["on_a_boundary", "inside_an_interval", "shortened_step"])
 def test_whole_run_matches_the_term_by_term_oracle(mode, duration):
     # Three intervals of the unit-speed chain2 embedding, ending on the
-    # boundary 3T (a zero-step interval re-anchors there) or 2.5 dt later
-    # in a shortened step, against the oracle's own interval loop.
+    # boundary 3T (a zero-step interval re-anchors there) or 2 dt later,
+    # against the oracle's own interval loop; 2.5 dt later, in a shortened
+    # step, is no whole number of steps and is refused.
     cfg, ctrl = _unit_speed_chain2(), _varying_chain2_controller(mode)
     x0, xi0 = np.array([0.4, -0.3]), np.array([0.2])
+    if duration == 0.175:
+        with pytest.raises(ValueError, match="whole multiple"):
+            simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=duration)
+        return
     traj = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=duration)
     states, v, u = embedded_rk4(cfg.plant, cfg.w, ctrl, x0, xi0, duration, 0.01)
-    assert len(traj.times) == len(states) == (16 if duration == 0.15 else 19)
+    assert len(traj.times) == len(states) == round(duration / 0.01) + 1
     for got, want in ((np.hstack([traj.x, traj.xi]), states), (traj.v, v), (traj.u, u)):
         assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_table_slot_read_matches_value_bit_for_bit(ball_beam_fixture):
-    # A run of 0.5005 s is one interval that ends in a shortened step, so
-    # every stage finds its slot by HalfGrid.index, and the shortened step's
-    # last stages, off the slots, call basis.value(tau, z): up to 0.5 s it
-    # equals the run that reads the slots at round(2 tau / dt).
+    # A run of 0.5005 s would end in a shortened step whose last stages,
+    # off the slots, read basis.value(tau, z): it is refused, and every run
+    # reads the slots at round(2 tau / dt), so a 0.5 s run is bit for bit
+    # the first 501 samples of a 1 s run.
     cfg, ctrl = ball_beam_fixture["cfg"], LearnedController(build_basis(ball_beam_fixture["set"]))
     x0, xi0 = np.array([6.0, 0.0, 0.345, 0.0]), np.zeros(3)
-    table = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5)
-    value = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5005)
-    assert len(table.times) == 501 and len(value.times) == 502
-    for got, want in ((table.x, value.x), (table.xi, value.xi), (table.v, value.v),
-                      (table.u, value.u)):
+    with pytest.raises(ValueError, match=r"0\.5005 is not a whole multiple of dt=0\.001"):
+        simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5005)
+    short = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=0.5)
+    long = simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=1.0)
+    assert len(short.times) == 501 and len(long.times) == 1001
+    for got, want in ((short.x, long.x), (short.xi, long.xi), (short.v, long.v),
+                      (short.u, long.u)):
         assert np.array_equal(got, want[:501])
 
 
 @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
-@pytest.mark.parametrize("duration, off_slot", [(0.15, 0), (0.175, 2)],
-                         ids=["on_a_boundary", "shortened_step"])
-def test_both_laws_are_read_off_the_slot_table(mode, duration, off_slot, monkeypatch):
-    # Both feedback modes read AffineBasis.law's slot table at every stage.
-    # Only the two middle stages of a shortened step (tau = 0.0225, between
-    # the slots 0.02 and 0.025) call value, which solves through
-    # value_from_zeta there, or value_from_zeta.
+@pytest.mark.parametrize("duration", [0.15, 0.17, 0.175],
+                         ids=["on_a_boundary", "inside_an_interval", "shortened_step"])
+def test_both_laws_are_read_off_the_slot_table(mode, duration, monkeypatch):
+    # Both feedback modes read AffineBasis.law's slot table at every stage,
+    # and neither calls value or value_from_zeta.  A shortened final step
+    # (0.175 s), whose middle stages would fall between two slots, is
+    # refused before any stage runs.
     calls = []
     for name in ("value", "value_from_zeta"):
         def counted(self, *args, name=name, original=getattr(AffineBasis, name)):
@@ -492,10 +498,13 @@ def test_both_laws_are_read_off_the_slot_table(mode, duration, off_slot, monkeyp
 
         monkeypatch.setattr(AffineBasis, name, counted)
     cfg, ctrl = _unit_speed_chain2(), _varying_chain2_controller(mode)
-    simulate_embedded_closed_loop(cfg, ctrl, np.array([0.4, -0.3]), np.array([0.2]),
-                                  duration=duration)
-    per_stage = {"closed_loop": ["value", "value_from_zeta"], "open_loop": ["value_from_zeta"]}
-    assert calls == per_stage[mode] * off_slot
+    x0, xi0 = np.array([0.4, -0.3]), np.array([0.2])
+    if duration == 0.175:
+        with pytest.raises(ValueError, match="whole multiple"):
+            simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=duration)
+    else:
+        simulate_embedded_closed_loop(cfg, ctrl, x0, xi0, duration=duration)
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])

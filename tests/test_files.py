@@ -114,7 +114,7 @@ def test_json_rejects_a_string_equal_to_the_placeholder(tmp_path):
 def demo_sets(draw, n_dims=st.integers(1, 3), extra=st.integers(0, 3)):
     n, m = draw(n_dims), draw(st.sampled_from([1, 2]))
     dt = draw(st.floats(1e-3, 0.25))
-    grid = time_grid(0.0, draw(st.floats(2.0, 30.0)) * dt, dt)
+    grid = time_grid(0.0, draw(st.integers(2, 30)) * dt, dt)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-6, 6))
     M = n + 1 + draw(extra)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import analytic_double_int_set
+from conftest import analytic_double_int_set, off_grid_basis
 from oracles import chain_rk4, reconstruct
 
 from demostab.certify import contraction_check
@@ -89,12 +89,9 @@ def assert_same_run(got, ref):
 
 chains = st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(n, 2))))
 seeds = st.integers(0, 2**32 - 1)
-# Whole intervals plus a remainder of whole steps (zero ends on a boundary)
-# and, half the time, a fraction of DT that the grid takes as a shortened
-# final step.
-durations = st.tuples(st.integers(0, 2), st.integers(0, N - 1),
-                      st.one_of(st.just(0.0), st.floats(0.01, 0.99))).map(
-    lambda prf: (prf[0] * N + (prf[1] or N) + prf[2]) * DT)
+# Whole intervals plus a remainder of whole steps (zero ends on a boundary).
+durations = st.tuples(st.integers(0, 2), st.integers(0, N - 1)).map(
+    lambda pr: (pr[0] * N + (pr[1] or N)) * DT)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -231,11 +228,22 @@ def test_contraction_check_runs_at_the_controller_dt():
 
 
 def test_horizon_off_the_grid_still_raises():
-    # T = 1.0005 is no whole multiple of the demonstration dt = 1e-3.
-    dset = analytic_double_int_set(T=1.0005)
-    ctrl = LearnedController(build_basis(dset))
+    # T = 1.0005 is no whole multiple of the demonstration dt = 1e-3: no
+    # demonstration set holds such a grid, and a basis built on one directly
+    # is refused by the simulator.
+    with pytest.raises(ValueError, match="whole multiple"):
+        analytic_double_int_set(T=1.0005)
+    ctrl = LearnedController(off_grid_basis())
     with pytest.raises(ValueError, match="whole multiple"):
         simulate_chain_batch(ctrl, np.array([0.5, 0.5]), 3.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_duration_off_the_grid_is_refused(mode, double_int_set):
+    # 3.0005 s is no whole number of steps of dt = 1e-3.
+    ctrl = LearnedController(build_basis(double_int_set), feedback_mode=mode)
+    with pytest.raises(ValueError, match=r"3\.0005 is not a whole multiple of dt=0\.001"):
+        simulate_chain_batch(ctrl, np.array([0.5, 0.5]), 3.0005)
 
 
 def test_quadrotor_interval_map_is_monodromy(quad_set):

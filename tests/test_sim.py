@@ -25,6 +25,7 @@ from demostab.sim import (
     rk4,
     simulate_closed_loop,
     time_grid,
+    whole_steps,
 )
 
 
@@ -56,9 +57,31 @@ def test_linear_system_matches_matrix_exponential():
 
 
 def test_grid_lands_exactly_on_t1():
-    grid = time_grid(0.0, 0.0105, 1e-3)
-    assert grid[-1] == 0.0105
-    assert len(grid) == 12  # ten full steps plus the shortened final one
+    # 3 * 0.1 is 0.30000000000000004: the last point is snapped to t1.
+    grid = time_grid(0.0, 0.3, 0.1)
+    assert grid[-1] == 0.3 and len(grid) == 4
+    assert grid[:-1].tolist() == (0.1 * np.arange(3)).tolist()
+    # 10.5 steps: no grid ends in a shortened step.
+    with pytest.raises(ValueError, match=r"0\.0105 is not a whole multiple of dt=0\.001"):
+        time_grid(0.0, 0.0105, 1e-3)
+
+
+@pytest.mark.parametrize("span, dt, steps", [(40.0, 1e-3, 40000), (0.3, 0.1, 3), (18.0, 0.01, 1800),
+                                             (2.0 / 3.0, 1.0 / 3.0, 2)])
+def test_whole_steps_counts_the_steps_of_a_span_on_the_grid(span, dt, steps):
+    assert whole_steps(span, dt) == steps and type(whole_steps(span, dt)) is int
+
+
+@pytest.mark.parametrize("span, dt, message", [
+    (0.0105, 1e-3, "whole multiple"),
+    (1.0 + 2e-9 * 1e-3, 1e-3, "whole multiple"),
+    (4e-4, 1e-3, "whole multiple"),
+    (1e7, 1e-2, "step budget"),
+    (1.0, 1e-320, "step budget"),
+], ids=["half_step", "just_off", "under_one_step", "over_budget", "overflow"])
+def test_whole_steps_refuses_a_span_off_the_grid(span, dt, message):
+    with pytest.raises(ValueError, match=message):
+        whole_steps(span, dt)
 
 
 def test_closed_loop_lqr_matches_closed_form():
@@ -242,7 +265,7 @@ def test_chain_drift_is_exact_polynomial():
 
 
 def test_half_grid_maps_rk4_stage_times_to_slots():
-    for grid in (time_grid(0.0, 2.0, 1e-3), time_grid(0.0, 1.0005, 1e-3),
+    for grid in (time_grid(0.0, 2.0, 1e-3), time_grid(0.0, 1.0, 1.0 / 3.0),
                  time_grid(0.3, 1.0, 0.07)):
         half = HalfGrid(grid)
         assert [half.index(t) for t in half.times] == list(range(len(half.times)))
@@ -257,24 +280,21 @@ def test_half_grid_maps_rk4_stage_times_to_slots():
 
 
 @given(dt=st.sampled_from([1e-3, 2.5e-3, 0.01, 0.1, 0.25, 1.0 / 3.0, 0.7]),
-       steps=st.integers(1, 40), intervals=st.integers(0, 6), extra=st.integers(0, 40),
-       frac=st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+       steps=st.integers(1, 40), intervals=st.integers(0, 6), extra=st.integers(0, 40))
 def test_interval_index_of_a_grid_is_the_float_call_at_every_point(dt, steps, intervals,
-                                                                    extra, frac):
-    # T = steps * dt; the duration runs whole intervals plus whole steps, and
-    # for frac > 0 a shortened final step.
+                                                                    extra):
+    # T = steps * dt; the duration runs whole intervals plus whole steps.
     T = steps * dt
-    times = time_grid(0.0, intervals * T + (extra + frac) * dt or dt, dt)
+    times = time_grid(0.0, intervals * T + extra * dt or dt, dt)
     calls = [interval_index(t, T) for t in times.tolist()]
     assert all((type(q), type(s)) == (int, float) for q, s in calls)
     p, tau = (np.array(col) for col in zip(*calls))
     assert p.shape == tau.shape == times.shape and p.dtype.kind == "i"
     # Grid points at pT start interval p, right-continuous, with tau = 0
     # where the point is pT exactly (every one on the binary dt = 0.25).
-    full = len(times) - (frac > 0)
-    assert p[:full].tolist() == [k // steps for k in range(full)]
-    exact = times[:full:steps] == p[:full:steps] * T
-    assert not tau[:full:steps][exact].any()
+    assert p.tolist() == [k // steps for k in range(len(times))]
+    exact = times[::steps] == p[::steps] * T
+    assert not tau[::steps][exact].any()
     assert exact.all() or dt != 0.25
 
 
