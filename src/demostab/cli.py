@@ -183,7 +183,9 @@ def _chain(n: int) -> Preset:
 
 PRESETS = {
     "flat_quad_axis": _chain(3),
-    "flat_quad_3d": Preset(Q=(40.0,) * 9, R=1.0, x0=(0.0,) * 9, simulate=_simulate_chain,
+    # Simulated by default from e_1, the first of the fixed starts it records.
+    "flat_quad_3d": Preset(Q=(40.0,) * 9, R=1.0, x0=(1.0,) + (0.0,) * 8,
+                           simulate=_simulate_chain,
                            reference=lambda f, axis: systems.figure_eight(f)),
     # The expert's weights keep the recorded runs from the default starts
     # inside |phi| < pi/2 (the omega = 10 start is the binding one) while

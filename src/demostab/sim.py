@@ -25,7 +25,10 @@ from .plant import PlantModel
 # Abort integration once the state norm passes this bound.
 DIVERGENCE_NORM = 1e6
 _NORM_SQ = DIVERGENCE_NORM * DIVERGENCE_NORM
-MAX_STEPS = int(1e8)
+# The step budget of whole_steps.  For a span written as k*dt in decimals,
+# span / dt lies within two ulps of k; up to k = 2^22 two ulps are below the
+# 1e-9 it allows; above 2^23 one ulp is not, so on-grid spans would be refused.
+MAX_STEPS = 2**22
 # Tolerance used when assigning a time to its interval index p = floor(t / T).
 _P_TOL = 1e-9
 # Steps whose RK4 stage matrices affine_interval_maps holds at once.
@@ -59,7 +62,7 @@ def whole_steps(span: float, dt: float) -> int:
         raise ValueError(f"dt must be positive, got {dt}")
     ratio = span / dt
     if not ratio <= MAX_STEPS + 0.5:  # also catches inf and nan before round()
-        raise ValueError(f"{span} / dt = {ratio:.3g} steps exceed the {MAX_STEPS:.0e} step budget")
+        raise ValueError(f"{span} / dt = {ratio:.3g} steps exceed the {MAX_STEPS} step budget")
     N = round(ratio)
     if N < 1 or abs(ratio - N) > 1e-9:
         raise ValueError(f"{span} is not a whole multiple of dt={dt}")

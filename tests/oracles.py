@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from demostab.errors import DegenerateGeometryError
+from demostab.errors import AffineDependenceError, DegenerateGeometryError
 from demostab.sim import interval_index, time_grid
 
 # ---------------------------------------------------------------------------
@@ -651,6 +651,34 @@ def monodromy_integral_loop(basis, A, B, T=None) -> np.ndarray:
 def per_simplex_monodromy(ctrl, T=None) -> list[np.ndarray]:
     """Interval maps Psi_j(T) = Z_j(T) Z_j(0)^{-1}, one per simplex."""
     return [basis.monodromy(T) for basis in ctrl.bases]
+
+
+# ---------------------------------------------------------------------------
+# The conditioning check of build_basis with no shortcut: an SVD per grid point.
+# ---------------------------------------------------------------------------
+
+
+def svd_condition_check(Zs, grid, index_set, cond_max: float = 1e12) -> None:
+    """The SVD-only conditioning check of build_basis, the reference for its fast path.
+
+    np.linalg.cond at every grid point: an inf condition number (a singular
+    Z(t)) or one above cond_max raises AffineDependenceError naming the
+    worst grid time; a NaN entry raises numpy's LinAlgError from the SVD.
+    """
+    conds = np.linalg.cond(Zs)
+    k_bad = int(conds.argmax())
+    if not np.isfinite(conds[k_bad]):
+        raise AffineDependenceError(
+            f"demonstrations {tuple(index_set)} affinely dependent at "
+            f"t={grid[k_bad]:.6f} (Z(t) singular)",
+            time=float(grid[k_bad]),
+        )
+    if conds[k_bad] > cond_max:
+        raise AffineDependenceError(
+            f"Z(t) condition number {conds[k_bad]:.3e} exceeds {cond_max:.0e} "
+            f"at t={grid[k_bad]:.6f}",
+            time=float(grid[k_bad]),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -203,12 +203,12 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
     {"preset": "flat_quad_3d", "expert": {}, "initial_conditions": [[1, 2]],
      "simulate": {"duration": 1.0}},
     {"multi": "no"},
-    # Over the step budget (sim.MAX_STEPS = 1e8 steps of dt = 0.01): caught
-    # before any stage allocates a grid, also for the default durations 5T
-    # and 2/f.
+    # Over the step budget (sim.MAX_STEPS = 2^22 = 4194304 steps of dt = 0.01):
+    # caught before any stage allocates a grid, also for the default durations
+    # 5T and 2/f.
     {"simulate": {"x0": [0.5, 0.5], "duration": 1e9}},
     {"T": 1e7},
-    {"T": 3e5, "simulate": {"x0": [0.5, 0.5]}},
+    {"T": 3e4, "simulate": {"x0": [0.5, 0.5]}},
     {"track": {"f": 1e-9}},
     {"preset": 5},
     {"preset": None},
@@ -408,6 +408,25 @@ def test_demo_set_edited_after_learn_is_refused(tmp_path, capsys, stage):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
     assert str(demo_path) in err[0] and str(tmp_path / "controller.json") in err[0]
+
+
+def test_controller_index_set_edited_after_learn_is_refused(tmp_path, capsys):
+    # The digest in controller.json covers demo_set.json, not the index set,
+    # so a load checks the edited set's conditioning again: demonstrations
+    # 0, 1 and 3 (starts 0, e_1 and 2 e_1) are collinear.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": "chain2", "T": 1.0, "dt": 0.01,
+                               "initial_conditions": [[1, 0], [0, 1], [2, 0]]}))
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    path = tmp_path / "controller.json"
+    record = json.loads(path.read_text())
+    assert record["I"] == [0, 1, 2]
+    record["I"] = [0, 1, 3]
+    write_json(path, record)
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "affinely dependent" in err[0]
 
 
 def test_demos_rerun_without_learn_is_refused(tmp_path, capsys):
@@ -675,6 +694,19 @@ def test_chain_simulate_starts_at_the_first_recorded_start(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary.json").read_text())
     rows = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert rows[1].split(",")[:3] == ["0.0", "1.0", "0.0"]
+    assert 0.0 < summary["final_norm"] < 1.0
+
+
+def test_quadrotor_simulate_starts_at_the_first_recorded_start(tmp_path):
+    # With no simulate.x0 the quadrotor simulates from e_1, the first of its
+    # fixed starts, not from the equilibrium: the run decays.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": "flat_quad_3d", "T": 2.0, "dt": 0.01,
+                               "simulate": {"duration": 6.0}}))
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert rows[1].split(",")[1:10] == ["1.0"] + ["0.0"] * 8
+    summary = json.loads((tmp_path / "summary.json").read_text())
     assert 0.0 < summary["final_norm"] < 1.0
 
 

@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import analytic_double_int_set, save_learned
-from oracles import DOUBLE_INT_K, double_int_flow, integrate, reconstruct
+from oracles import DOUBLE_INT_K, double_int_flow, integrate, reconstruct, svd_condition_check
 
+from demostab import learner
+from demostab.demos import DemonstrationSet
 from demostab.errors import AffineDependenceError
 from demostab.learner import (
     AffineBasis,
@@ -17,6 +19,7 @@ from demostab.learner import (
     simulate_chain_closed_loop,
 )
 from demostab.multi import MultiController
+from demostab.plant import brunovsky_pair
 
 
 def test_basis_matrices_at_zero(double_int_set):
@@ -255,3 +258,58 @@ def test_singular_midpoint_raises_with_time():
     with pytest.raises(AffineDependenceError) as err:
         basis.value(0.0, np.ones(2))
     assert err.value.time == 0.25
+
+
+@st.composite
+def z_stacks(draw):
+    """Stacks Z(t) of (G, n, n) that mix well-conditioned grid points with
+    columns scaled to condition numbers of about 1e10-1e14, exactly singular
+    points and NaN or inf entries."""
+    n, G = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Zs = rng.standard_normal((G, n, n)) + 3.0 * np.eye(n)
+    kinds = st.sampled_from(["plain", "scaled", "scaled", "scaled", "singular", "nan", "inf"])
+    for k in range(G):
+        kind = draw(kinds)
+        j, i = rng.integers(n, size=2)
+        if kind == "scaled":
+            Zs[k, :, j] *= 10.0 ** -draw(st.floats(10.0, 14.0))
+        elif kind == "singular":
+            Zs[k, :, j] = 0.0 if i == j else 2.0 * Zs[k, :, i]
+        elif kind == "nan":
+            Zs[k, i, j] = np.nan
+        elif kind == "inf":
+            Zs[k, i, j] = draw(st.sampled_from([np.inf, -np.inf]))
+    return Zs
+
+
+def _refusal(check):
+    try:
+        check()
+    except (AffineDependenceError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc), getattr(exc, "time", None)
+    return None
+
+
+@given(Zs=z_stacks())
+def test_build_basis_refuses_exactly_when_the_svd_check_does(Zs):
+    # build_basis reads Z(t) through difference_matrices; the stack is
+    # substituted there, so NaN and inf reach the check, which a
+    # DemonstrationSet's finite samples could not produce.
+    G, n, _ = Zs.shape
+    pair = brunovsky_pair(n)
+    dset = DemonstrationSet(grid=0.01 * np.arange(G), z=np.zeros((G, n, n + 1)),
+                            v=np.zeros((G, 1, n + 1)), A=pair.A, B=pair.B)
+    index_set = tuple(range(n + 1))
+    parts = (Zs, np.zeros((G, 1, n)), np.zeros((G, n)), np.zeros((G, 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "difference_matrices", lambda dset, I: parts)
+        got = _refusal(lambda: build_basis(dset, index_set))
+    assert got == _refusal(lambda: svd_condition_check(Zs, dset.grid, index_set))
+
+
+def test_well_conditioned_set_is_accepted_without_the_svd(double_int_set):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "cond", None)
+        basis = build_basis(double_int_set)
+    assert basis.index_set == (0, 1, 2)

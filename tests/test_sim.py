@@ -1,10 +1,11 @@
 """Fixed-step RK4 integrator and closed-loop simulation."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import DOUBLE_INT_ACL, chain_rk4, double_int_flow, integrate, matrix_exp_series
@@ -18,6 +19,7 @@ from demostab.learner import (
 )
 from demostab.plant import chain_preset
 from demostab.sim import (
+    MAX_STEPS,
     HalfGrid,
     Trajectory,
     check_divergence,
@@ -72,13 +74,25 @@ def test_whole_steps_counts_the_steps_of_a_span_on_the_grid(span, dt, steps):
     assert whole_steps(span, dt) == steps and type(whole_steps(span, dt)) is int
 
 
+@settings(max_examples=300)
+@given(k=st.integers(1, MAX_STEPS),
+       dt=st.sampled_from(["1e-3", "5e-4", "2e-3", "1e-2", "0.07", "0.1", "0.3"]))
+@example(k=MAX_STEPS, dt="1e-3")
+@example(k=MAX_STEPS - 1, dt="0.07")
+def test_whole_steps_accepts_every_span_on_the_grid_within_the_budget(k, dt):
+    # The span as a config writes it: the decimal k*dt, read as the nearest double.
+    assert whole_steps(float(Decimal(k) * Decimal(dt)), float(dt)) == k
+
+
 @pytest.mark.parametrize("span, dt, message", [
     (0.0105, 1e-3, "whole multiple"),
     (1.0 + 2e-9 * 1e-3, 1e-3, "whole multiple"),
     (4e-4, 1e-3, "whole multiple"),
     (1e7, 1e-2, "step budget"),
+    (float(Decimal(MAX_STEPS + 1) * Decimal("0.01")), 1e-2, "step budget"),
     (1.0, 1e-320, "step budget"),
-], ids=["half_step", "just_off", "under_one_step", "over_budget", "overflow"])
+], ids=["half_step", "just_off", "under_one_step", "over_budget", "one_step_over_budget",
+        "overflow"])
 def test_whole_steps_refuses_a_span_off_the_grid(span, dt, message):
     with pytest.raises(ValueError, match=message):
         whole_steps(span, dt)
