@@ -363,10 +363,16 @@ def _build_demo_set(cfg: RunConfig):
 
 def cmd_demos(cfg: RunConfig, out: Path) -> None:
     dset, xi = _build_demo_set(cfg)
-    demos_mod.save_demo_set(dset, out / "demo_set.json")
-    for i in range(dset.M):
-        demos_mod.save_demo_csv(dset, out / f"demo_{i:02d}.csv", i)
-    if xi is not None:
+    demos_mod.save_demo_set(dset, out / "demo_set.json",
+                            [out / f"demo_{i:02d}.csv" for i in range(dset.M)])
+    # A set recorded earlier into out may have had more demonstrations or an embedding.
+    for path in out.glob("demo_*.csv"):
+        index = re.fullmatch(r"demo_(\d+)\.csv", path.name, re.ASCII)
+        if index and path.name == f"demo_{int(index[1]):02d}.csv" and int(index[1]) >= dset.M:
+            path.unlink()
+    if xi is None:
+        (out / "embedded_demos.json").unlink(missing_ok=True)
+    else:
         # z and v are in demo_set.json and the demo CSVs; only xi is new here.
         payload = {
             "n": dset.n,

@@ -1,10 +1,14 @@
-"""Files: JSON and CSV written in bounded chunks of rows, floats formatted in C.
+"""Files: JSON and CSV written in bounded chunks of rows, each float formatted once, in C.
 
 The bytes are those of ``json.dumps(payload, indent=1, sort_keys=True)`` with
-arrays as nested lists, and of a CSV with ``repr(float(x))`` per cell.  A chunk
-is formatted by ``repr(chunk.tolist())``, which calls ``float.__repr__`` per
-number as ``json`` does, and its separators are rewritten with ``str.replace``.
-JSON is read back with the cyclic garbage collector paused.
+arrays as nested lists, and of a CSV with ``repr(float(x))`` per cell.  Every
+float goes through ``block_text``, the ``repr(block.tolist())`` of a block of
+at most CHUNK_ROWS rows, which calls ``float.__repr__`` per number as ``json``
+does; the writers only rewrite that text's brackets and separators, with
+``str.replace``, ``split`` and ``join``.  A file written from the same numbers
+as another (``trajectory.json`` with ``trajectory.csv``, the demo CSVs with
+``demo_set.json``) is cut from the same text.  JSON is read back with the
+cyclic garbage collector paused.
 """
 
 from __future__ import annotations
@@ -20,32 +24,67 @@ CHUNK_ROWS = 2048
 _MARK = "\x00array"  # an array's place in the JSON skeleton; json escapes the NUL
 
 
-def _write_array(f, a: np.ndarray, level: int) -> None:
+def block_text(block: np.ndarray) -> str:
+    """``repr(block.tolist())``: the text of every float of a block of at most CHUNK_ROWS rows."""
+    return repr(block.tolist())
+
+
+def block_texts(a: np.ndarray):
+    """The block_text of each block of CHUNK_ROWS rows of ``a``, in order."""
+    return (block_text(a[start:start + CHUNK_ROWS]) for start in range(0, len(a), CHUNK_ROWS))
+
+
+def row_texts(text: str) -> list[str]:
+    """The rows of a 1- or 2-D ``block_text`` as CSV text: "a,b" for a row [a, b], "a" for an
+    entry a of a 1-D block."""
+    if text.startswith("[["):
+        return text[2:-2].replace(", ", ",").split("],[")
+    return text[1:-1].split(", ")
+
+
+class JsonArray:
+    """The indent=1 JSON of a k-dimensional float array, opening bracket on a line indented by
+    ``level``: ``head``, then ``block`` of each block_text in order, then ``tail``."""
+
+    def __init__(self, k: int, level: int):
+        pad = ["\n" + " " * (level + depth) for depth in range(k + 1)]
+        self.k = k
+        self.head = "".join("[" + pad[i + 1] for i in range(k))
+        self.tail = "".join(pad[k - 1 - i] + "]" for i in range(k))
+        # The repr's separators "]]], [[[" .. ", ", j brackets closing and opening around the
+        # comma; a longer one contains the shorter ones, so it is rewritten first.
+        self.seps = [("]" * j + ", " + "[" * j,
+                      "".join(pad[k - 1 - i] + "]" for i in range(j)) + ","
+                      + "".join(pad[k - j + i] + "[" for i in range(j)) + pad[k])
+                     for j in range(k - 1, -1, -1)]
+
+    def block(self, text: str, first: bool) -> str:
+        """The JSON of the rows whose block_text is ``text``; after the first block, with the
+        separator of two rows in front."""
+        text = text[self.k:-self.k]
+        for old, new in self.seps:
+            text = text.replace(old, new)
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        return text if first else self.seps[0][1] + text
+
+
+def write_array(f, a: np.ndarray, level: int) -> None:
     """The indent=1 JSON of ``a``, its opening bracket on a line indented by ``level``."""
     if a.ndim == 0 or a.size == 0:
         f.write(json.dumps(a.tolist(), indent=1).replace("\n", "\n" + " " * level))
         return
-    k = a.ndim
-    pad = ["\n" + " " * (level + depth) for depth in range(k + 1)]
-    # The repr's separators "]]], [[[" .. ", ", j brackets closing and opening around the
-    # comma; a longer one contains the shorter ones, so it is rewritten first.
-    seps = [("]" * j + ", " + "[" * j,
-             "".join(pad[k - 1 - i] + "]" for i in range(j)) + ","
-             + "".join(pad[k - j + i] + "[" for i in range(j)) + pad[k])
-            for j in range(k - 1, -1, -1)]
-    f.write("".join("[" + pad[i + 1] for i in range(k)))
-    for start in range(0, len(a), CHUNK_ROWS):
-        if start:
-            f.write(seps[0][1])
-        text = repr(a[start:start + CHUNK_ROWS].tolist())[k:-k]
-        for old, new in seps:
-            text = text.replace(old, new)
-        f.write(text.replace("nan", "NaN").replace("inf", "Infinity"))
-    f.write("".join(pad[k - 1 - i] + "]" for i in range(k)))
+    layout = JsonArray(a.ndim, level)
+    f.write(layout.head)
+    f.writelines(layout.block(text, not b) for b, text in enumerate(block_texts(a)))
+    f.write(layout.tail)
 
 
-def write_json(path: str | Path, payload) -> None:
-    """``payload`` as indent=1, sorted-key JSON; ndarray leaves are streamed chunk by chunk."""
+def json_skeleton(payload) -> tuple[list[str], list[np.ndarray], list[int]]:
+    """The indent=1, sorted-key JSON of ``payload`` cut at its float ndarrays.
+
+    Returns (parts, arrays, levels): the document is parts[0], arrays[0] as JSON with its
+    opening bracket on a line indented by levels[0], parts[1], ..., parts[-1].
+    """
     arrays = []
 
     def hold(obj):
@@ -57,11 +96,17 @@ def write_json(path: str | Path, payload) -> None:
     parts = json.dumps(payload, indent=1, sort_keys=True, default=hold).split(json.dumps(_MARK))
     if len(parts) != len(arrays) + 1:
         raise ValueError("payload contains the array placeholder string")
+    lines = [part[part.rfind("\n") + 1:] for part in parts[:-1]]
+    return parts, arrays, [len(line) - len(line.lstrip(" ")) for line in lines]
+
+
+def write_json(path: str | Path, payload) -> None:
+    """``payload`` as indent=1, sorted-key JSON; ndarray leaves are streamed chunk by chunk."""
+    parts, arrays, levels = json_skeleton(payload)
     with open(path, "w") as f:
-        for part, a in zip(parts, arrays):
+        for part, a, level in zip(parts, arrays, levels):
             f.write(part)
-            line = part[part.rfind("\n") + 1:]
-            _write_array(f, a, len(line) - len(line.lstrip(" ")))
+            write_array(f, a, level)
         f.write(parts[-1])
 
 
@@ -77,7 +122,7 @@ def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray],
         f.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), CHUNK_ROWS):
             block = np.array([c[start:start + CHUNK_ROWS] for c in columns], dtype=float)
-            rows = repr(block.T.tolist())[2:-2].replace("], [", "\n").replace(", ", ",")
+            rows = block_text(block.T)[2:-2].replace("], [", "\n").replace(", ", ",")
             f.write(rows + "\n")
             if json_path is not None:
                 cells = rows.replace("nan", "NaN").replace("inf", "Infinity")

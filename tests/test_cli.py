@@ -735,6 +735,28 @@ def test_ball_beam_demo_file_count(tmp_path):
     assert len(list(tmp_path.glob("demo_*.csv"))) == 5
 
 
+def test_demos_rerun_removes_its_stale_files(tmp_path):
+    # A set of fewer demonstrations, or one without an embedding, recorded into
+    # the same directory leaves none of the earlier set's files behind; files
+    # that only look like its names stay.
+    out = tmp_path / "out"
+    beam = tmp_path / "beam.json"
+    beam.write_text(json.dumps({"preset": "ball_beam", "T": 1.0, "dt": 0.01}))
+    assert main(["demos", "--config", str(beam), "--out", str(out)]) == EXIT_OK
+    assert (out / "embedded_demos.json").exists()
+    bystanders = ["demo_003.csv", "demo_x.csv", "demo_07.txt", "demo_.csv"]
+    for name in bystanders:
+        (out / name).write_text("kept")
+    for starts in ([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-1.0, 0.3]], [[1.0, 0.0], [0.0, 1.0]]):
+        cfg = write_config(tmp_path / "config.json", initial_conditions=starts)
+        assert main(["demos", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert not (out / "embedded_demos.json").exists()
+        assert sorted(p.name for p in out.glob("demo_??.csv")) \
+            == [f"demo_{i:02d}.csv" for i in range(len(starts) + 1)]
+    assert json.loads((out / "demo_set.json").read_text())["M"] == 3
+    assert all((out / name).read_text() == "kept" for name in bystanders)
+
+
 def test_simulate_zero_state_stays_zero(tmp_path):
     cfg = write_config(tmp_path / "config.json", T=1.0,
                        simulate={"x0": [0.0, 0.0], "duration": 2.0})

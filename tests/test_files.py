@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import save_learned
 from oracles import csv_text, json_text
 
-from demostab.demos import DemonstrationSet, load_demo_set, save_demo_set
+from demostab.demos import (DemonstrationSet, demo_set_to_dict, load_demo_set, save_demo_csv,
+                            save_demo_set)
 from demostab.errors import AffineDependenceError, DegenerateGeometryError
 from demostab.files import CHUNK_ROWS, read_json, write_csv, write_json
 from demostab.learner import LearnedController, build_basis, load_controller
@@ -111,15 +113,21 @@ def test_json_rejects_a_string_equal_to_the_placeholder(tmp_path):
 
 
 @st.composite
-def demo_sets(draw, n_dims=st.integers(1, 3), extra=st.integers(0, 3)):
-    n, m = draw(n_dims), draw(st.sampled_from([1, 2]))
+def demo_sets(draw, n_dims=st.integers(1, 3), extra=st.integers(0, 3), steps=st.integers(2, 30),
+              ms=st.sampled_from([1, 2]), special=0.0):
+    """Sets of M = n + 1 + extra demonstrations over steps steps of dt; a fraction special of
+    the z and v samples (column 0 stays zero) are finite SPECIAL values."""
+    n, m = draw(n_dims), draw(ms)
     dt = draw(st.floats(1e-3, 0.25))
-    grid = time_grid(0.0, draw(st.integers(2, 30)) * dt, dt)
+    grid = time_grid(0.0, draw(steps) * dt, dt)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-6, 6))
     M = n + 1 + draw(extra)
     z = scale * rng.standard_normal((len(grid), n, M))
     v = scale * rng.standard_normal((len(grid), m, M))
+    for a in (z, v) if special else ():
+        cells = rng.random(a.shape) < special
+        a[cells] = rng.choice([x for x in SPECIAL if math.isfinite(x)], int(cells.sum()))
     z[:, :, 0], v[:, :, 0] = 0.0, 0.0  # the trivial demonstration
     if m == 1:
         pair = brunovsky_pair(n)
@@ -127,6 +135,56 @@ def demo_sets(draw, n_dims=st.integers(1, 3), extra=st.integers(0, 3)):
     else:
         A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
     return DemonstrationSet(grid=grid, z=z, v=v, A=A, B=B)
+
+
+def demo_csv_text(dset, i) -> str:
+    header = (["t"] + [f"z{k + 1}" for k in range(dset.n)]
+              + (["v"] if dset.m == 1 else [f"v{j + 1}" for j in range(dset.m)]))
+    return csv_text(header, [dset.grid, *dset.z[:, :, i].T, *dset.v[:, :, i].T])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+@settings(max_examples=4)
+@given(data=st.data())
+def test_demo_set_and_csvs_match_oracles(m, rows, data):
+    # One pass writes demo_set.json and the CSVs from the same formatted text;
+    # each file is the plain writers' text, as are a lone set and a lone CSV.
+    dset = data.draw(demo_sets(steps=st.just(rows - 1), ms=st.just(m), special=0.3))
+    with tempfile.TemporaryDirectory() as d:
+        set_path, csv_paths = Path(d) / "set.json", [Path(d) / f"{i}.csv" for i in range(dset.M)]
+        want = json_text(demo_set_to_dict(dset))
+        save_demo_set(dset, set_path, csv_paths)
+        assert_same_text(set_path.read_text(), want)
+        for i, path in enumerate(csv_paths):
+            assert_same_text(path.read_text(), demo_csv_text(dset, i))
+            path.unlink()
+        save_demo_set(dset, set_path)
+        assert_same_text(set_path.read_text(), want)
+        assert not any(path.exists() for path in csv_paths)
+        save_demo_csv(dset, csv_paths[-1], dset.M - 1)
+        assert_same_text(csv_paths[-1].read_text(), demo_csv_text(dset, dset.M - 1))
+
+
+def test_demo_writer_holds_one_demonstration(tmp_path):
+    # The writer's peak allocation does not grow with the number of
+    # demonstrations: it holds one demonstration's text, not the set's.
+    def peak(M):
+        rng = np.random.default_rng(M)
+        z, v = rng.standard_normal((8001, 4, M)), rng.standard_normal((8001, M))
+        z[:, :, 0], v[:, 0] = 0.0, 0.0
+        pair = brunovsky_pair(4)
+        dset = DemonstrationSet(grid=time_grid(0.0, 8.0, 1e-3), z=z, v=v, A=pair.A, B=pair.B)
+        tracemalloc.start()
+        try:
+            save_demo_set(dset, tmp_path / "set.json",
+                          [tmp_path / f"demo_{i:02d}.csv" for i in range(M)])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    five, ten = peak(5), peak(10)
+    assert ten <= 1.1 * five, (five, ten)
 
 
 def reloaded(save, load, obj):
