@@ -456,7 +456,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> None:
     x0 = cfg.starts[0] if cfg.preset.x0 is None else cfg.preset.x0
     x0 = _vector("simulate.x0", cfg.simulate.get("x0", x0), len(cfg.preset.Q))
     times, header, cols, norms = cfg.preset.simulate(cfg, ctrl, x0)
-    write_csv(out / "trajectory.csv", header, cols, out / "trajectory.json")
+    write_json(out / "trajectory.json", dict(zip(header, cols)),
+               [(out / "trajectory.csv", header, cols)])
 
     samples = norms[:: whole_steps(cfg.T, cfg.dt)]
     ratios = [

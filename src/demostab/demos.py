@@ -10,7 +10,6 @@ exactly at the origin.
 from __future__ import annotations
 
 import hashlib
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -18,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NotFeedbackLinearizableError
-from .files import JsonArray, block_texts, decode_json, json_skeleton, row_texts, write_array
+from .files import decode_json, write_csv, write_json
 from .plant import PlantModel, brunovsky_pair
 from .sim import Trajectory, simulate_closed_loop, time_grid
 
@@ -224,7 +223,8 @@ def validate_affine_independence(
 
 # ---------------------------------------------------------------------------
 # Serialization.  Round trips are lossless: the writers in files.py give every
-# float as its repr, the shortest string that reproduces the exact double.
+# float as its repr, the shortest string that reproduces the exact double; this
+# module only names the payload and the tables' columns.
 # ---------------------------------------------------------------------------
 
 
@@ -273,37 +273,11 @@ def demo_set_from_dict(data: dict) -> DemonstrationSet:
 
 def save_demo_set(dset: DemonstrationSet, path: str | Path,
                   csv_paths: Sequence[str | Path] = ()) -> None:
-    """The set as JSON at path and demonstration i as CSV at csv_paths[i], in one pass.
-
-    Every float is formatted once, a block of rows at a time: the JSON and the
-    CSV rows are both cut from that text, and the grid's is formatted once per
-    call.  A demonstration's v comes before its z in the JSON (sorted keys), so
-    the text of one demonstration's v is held until its z rows are written.
-    """
+    """The set as JSON at path and demonstration i as CSV at csv_paths[i], in one
+    write_json call: the CSVs are its tables, cut from the JSON's text."""
     doc = demo_set_to_dict(dset)
-    parts, arrays, levels = json_skeleton(doc)
-    first = len(arrays) - 2 * dset.M  # A and B, if the set has them, come before the demos
-    grid = list(block_texts(dset.grid)) if csv_paths else []
-    with open(path, "w") as f:
-        for part, a, level in zip(parts[:first], arrays[:first], levels[:first]):
-            f.write(part)
-            write_array(f, a, level)
-        for i, demo in enumerate(doc["demos"]):
-            j = first + 2 * i
-            v_json, z_json = JsonArray(demo["v"].ndim, levels[j]), JsonArray(2, levels[j + 1])
-            v_texts = list(block_texts(demo["v"]))
-            f.write(parts[j] + v_json.head)
-            f.writelines(v_json.block(text, not b) for b, text in enumerate(v_texts))
-            f.write(v_json.tail + parts[j + 1] + z_json.head)
-            with open(csv_paths[i], "w") if i < len(csv_paths) else nullcontext() as csv:
-                if csv is not None:
-                    csv.write(_csv_header(dset))
-                for b, z_text in enumerate(block_texts(demo["z"])):
-                    f.write(z_json.block(z_text, not b))
-                    if csv is not None:
-                        csv.write(_csv_rows(grid[b], z_text, v_texts[b]))
-            f.write(z_json.tail)
-        f.write(parts[-1])
+    write_json(path, doc, [(csv_path, *_csv_table(dset, demo))
+                           for csv_path, demo in zip(csv_paths, doc["demos"])])
 
 
 def load_demo_set(path: str | Path) -> DemonstrationSet:
@@ -329,20 +303,11 @@ def read_demo_set(path: str | Path, sha256: Optional[str] = None
 
 def save_demo_csv(dset: DemonstrationSet, path: str | Path, i: int) -> None:
     """Demonstration i as CSV with header t,z1..zn,v (or v1..vm); save_demo_set's rows."""
-    demo = _demo_dict(dset, i)
-    with open(path, "w") as f:
-        f.write(_csv_header(dset))
-        for texts in zip(block_texts(dset.grid), block_texts(demo["z"]),
-                         block_texts(demo["v"])):
-            f.write(_csv_rows(*texts))
+    write_csv(path, *_csv_table(dset, _demo_dict(dset, i)))
 
 
-def _csv_header(dset: DemonstrationSet) -> str:
+def _csv_table(dset: DemonstrationSet, demo: dict) -> tuple[list[str], list[np.ndarray]]:
+    """The CSV header and columns of a demonstration's _demo_dict: the grid, z and v."""
     vcols = ["v"] if dset.m == 1 else [f"v{j + 1}" for j in range(dset.m)]
-    return ",".join(["t"] + [f"z{k + 1}" for k in range(dset.n)] + vcols) + "\n"
-
-
-def _csv_rows(t_text: str, z_text: str, v_text: str) -> str:
-    """The CSV rows of one block from the block_text of its grid, z and v."""
-    return "\n".join(map(",".join, zip(row_texts(t_text), row_texts(z_text),
-                                       row_texts(v_text)))) + "\n"
+    return (["t"] + [f"z{k + 1}" for k in range(dset.n)] + vcols,
+            [dset.grid, demo["z"], demo["v"]])

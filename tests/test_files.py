@@ -85,21 +85,70 @@ def test_json_mixed_payload_matches_oracle(payload):
     assert_same_text(written(write_json, payload), json_text(payload))
 
 
+def csv_columns(columns):
+    """The CSV columns of 1- and 2-D columns: a 2-D column gives one per entry of its rows."""
+    return [col for c in columns for col in (c.T if c.ndim == 2 else [c])]
+
+
 @pytest.mark.parametrize("rows", ROWS)
 @settings(max_examples=10)
 @given(data=st.data())
 def test_csv_and_column_json_match_oracle(rows, data):
+    # 1- and 2-D columns; some of them in the JSON payload, one of those possibly under a
+    # second key as well; the table written twice, the second time with its columns reversed.
     n_cols = data.draw(st.integers(1, 4))
-    columns = [data.draw(float_arrays(st.just(rows), inner=st.just([]))) for _ in range(n_cols)]
+    inner = st.lists(st.integers(1, 3), max_size=1)
+    columns = [data.draw(float_arrays(st.just(rows), inner=inner)) for _ in range(n_cols)]
+    widths = [c.shape[1] if c.ndim == 2 else 1 for c in columns]
     header = data.draw(st.lists(st.text("tuvxz0123", min_size=1, max_size=3),
-                                min_size=n_cols, max_size=n_cols))
+                                min_size=sum(widths), max_size=sum(widths)))
+    names = [header[at:at + w] for at, w in zip(np.cumsum([0] + widths), widths)]
+    back_header = sum(names[::-1], [])
+    in_payload = data.draw(st.lists(st.booleans(), min_size=n_cols, max_size=n_cols))
+    payload = {f"c{j}": c for j, (c, given) in enumerate(zip(columns, in_payload)) if given}
+    if payload and data.draw(st.booleans()):
+        payload["d"] = next(iter(payload.values()))
     with tempfile.TemporaryDirectory() as d:
-        csv_path, json_path = Path(d) / "t.csv", Path(d) / "t.json"
-        write_csv(csv_path, header, columns, json_path)
-        assert_same_text(csv_path.read_text(), csv_text(header, columns))
-        assert_same_text(json_path.read_text(), json_text(dict(zip(header, columns))))
+        csv_path, back_path, json_path = Path(d) / "t.csv", Path(d) / "u.csv", Path(d) / "t.json"
+        write_json(json_path, payload, [(csv_path, header, columns),
+                                        (back_path, back_header, columns[::-1])])
+        assert_same_text(csv_path.read_text(), csv_text(header, csv_columns(columns)))
+        assert_same_text(back_path.read_text(), csv_text(back_header, csv_columns(columns[::-1])))
+        assert_same_text(json_path.read_text(), json_text(payload))
         write_csv(csv_path, header, columns)
-        assert_same_text(csv_path.read_text(), csv_text(header, columns))
+        assert_same_text(csv_path.read_text(), csv_text(header, csv_columns(columns)))
+
+
+@pytest.mark.parametrize("write", [
+    lambda d, header, columns: write_csv(d / "t.csv", header, columns),
+    lambda d, header, columns: write_json(d / "t.json", {"t": columns[0], "z": columns[1]},
+                                          [(d / "t.csv", header, columns)]),
+], ids=["write_csv", "write_json"])
+def test_ragged_columns_are_refused_before_any_file_is_opened(tmp_path, write):
+    grid = np.arange(5000.0)
+    with pytest.raises(ValueError, match="column 'b' has 4000 rows, column 'a' has 5000"):
+        write(tmp_path, ["a", "b"], [grid, np.arange(4000.0)])
+    with pytest.raises(ValueError, match="column 'z1' has 4999 rows, column 't' has 5000"):
+        write(tmp_path, ["t", "z1", "z2", "v"], [grid, np.zeros((4999, 2)), grid])
+    with pytest.raises(ValueError, match="3 header entries for 4 CSV columns"):
+        write(tmp_path, ["t", "z1", "v"], [grid, np.zeros((5000, 2)), grid])
+    assert not list(tmp_path.iterdir())
+
+
+def test_csv_writer_holds_one_block(tmp_path):
+    # The peak allocation of a 26-column table (as tracking.csv has) does not grow
+    # with its rows: the writer holds one block's text at a time.
+    def peak(rows):
+        columns = list(np.random.default_rng(rows).standard_normal((26, rows)))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", [f"c{j}" for j in range(26)], columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(4 * CHUNK_ROWS), peak(16 * CHUNK_ROWS)
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_json_rejects_a_string_equal_to_the_placeholder(tmp_path):
