@@ -19,8 +19,9 @@ one stage function of the rows of plant.terms and of xi; every quantity of
 the embedding is read off it, on Python floats for one state and on NumPy
 rows for a batch, with the same bits either way.  Demonstrations of the
 original plant are transformed by integrating the auxiliary dynamics along
-the recorded (x, u) and re-reading the inputs as v = r u - s; the chain
-learner then applies unchanged.  The learned chain input drives the
+the recorded (x, u), an affine flow in xi that affine_interval_maps moves,
+and re-reading the inputs as v = r u - s; the chain learner then applies
+unchanged.  The learned chain input drives the
 extended system one interval at a time, one rk4 call per interval on
 floats, anchored as the chain simulator anchors it.
 """
@@ -36,7 +37,7 @@ from .errors import DomainError, SingularEmbeddingError
 from .demos import DemonstrationSet
 from .plant import PlantModel, brunovsky_pair
 from .learner import interval_grid
-from .sim import HalfGrid, Trajectory, rk4
+from .sim import Trajectory, affine_interval_maps, check_divergence, half_slots, rk4
 
 # |r(x)| at or below this is a singular embedding.
 R_TOL = 1e-6
@@ -184,11 +185,13 @@ def transform_demos(cfg: EmbeddingConfig,
     interpolated linearly between samples; then z = Phi_z(x, xi) and
     v = r(x) u - s(x, xi) per sample.  Returns the chain demonstration set,
     recording i in column i, and the auxiliary states xi shaped (N, n-1, k).
-    The forcing -L(x) u of the auxiliary dynamics is tabulated once at the
-    RK4 stage times (grid points and step midpoints), and one rk4 call on
-    the recording grid moves xi shaped (n-1, k), one recording per column.
-    Then each recording takes one pass: the domain test of its samples, one
-    plant.terms call, and z, r and s from cfg.stage on the rows of those
+    Each recording's samples take the domain test (a DomainError gets the
+    note "demonstration i, sample j"), and its forcing -L(x) u of the
+    auxiliary dynamics is tabulated on the half_slots of the grid.  The flow
+    xi' = A_xi xi + forcing is affine, so one affine_interval_maps call, one
+    forcing column per recording, gives xi at every grid point; every grid
+    state takes rk4's divergence test.  Then each recording takes one pass:
+    one plant.terms call, and z, r and s from cfg.stage on the rows of those
     terms and of xi, as NumPy rows over the recording's samples, the same
     formulas a single state takes on floats; a scan raises if r comes
     within tolerance of zero at a sample (it checks the samples only, so r
@@ -199,25 +202,25 @@ def transform_demos(cfg: EmbeddingConfig,
     n = cfg.n
     grid, states, u = batch.times, batch.states, batch.inputs  # (N,), (N, n, k), (N, k)
     k = states.shape[2]
-    half = HalfGrid(grid)
-    x_half = half.interpolate(states)
-    forcing = np.empty((len(half.times), n - 1, k))
+    x_half = half_slots(states)
+    forcing = np.empty((len(x_half), n - 1, k))
     for i in range(k):  # one recording's Lie table at a time
+        try:
+            cfg.plant.require_in_domain(states[:, :, i].T)
+        except DomainError as exc:
+            exc.add_note(f"demonstration {i}, sample {exc.column}")
+            raise
         forcing[:, :, i] = cfg.plant.terms(x_half[:, :, i].T)[3 * n + 1:4 * n].T
-    forcing *= -half.interpolate(u)[:, None, :]
-    A = cfg.A_xi
-
-    def xi_rhs(t, xi):
-        return A @ xi + forcing[half.index(t)], 0.0
-
-    xi, _ = rk4(xi_rhs, np.zeros((n - 1, k)), grid)
+    forcing *= -half_slots(u)[:, None, :]
+    # A copy, not a view that would hold the maps.
+    xi = np.ascontiguousarray(affine_interval_maps(cfg.A_xi, np.eye(n - 1), None, forcing,
+                                                   float(grid[1] - grid[0]))[1])
     del x_half, forcing  # k recordings' stage tables: not held through the pass below
+    check_divergence(xi, grid)
 
     z, v = np.empty(states.shape), np.empty(u.shape)
     for i in range(k):
-        x = states[:, :, i].T
-        cfg.plant.require_in_domain(x)
-        z_rows, r, s, _, _ = cfg.stage(cfg.plant.terms(x), xi[:, :, i].T)
+        z_rows, r, s, _, _ = cfg.stage(cfg.plant.terms(states[:, :, i].T), xi[:, :, i].T)
         j = int(np.abs(r).argmin())
         if abs(r[j]) <= R_TOL:
             raise SingularEmbeddingError(
@@ -332,8 +335,8 @@ def simulate_embedded_closed_loop(
     divergence test of that point, and the later of two intervals re-reads
     their shared boundary point's input.  Both feedback modes read the law
     v = G[j] y + g[j] of the basis interval_groups(anchor) names, from
-    basis.gains with y = z (closed loop) or basis.law(open_loop=True) with
-    y = zeta (open loop), taken as Python floats once per basis and summed
+    basis.law(open_loop) with y = z (closed loop) or y = zeta (open loop),
+    taken as Python floats once per basis per run and summed
     left to right, at slot round(2 tau / dt), dt = ctrl.dt: interval_grid
     refuses a duration that is no whole number of steps, so every stage of
     every interval is on a slot.  A stage outside the domain (DomainError)
@@ -359,7 +362,7 @@ def simulate_embedded_closed_loop(
         """The anchor of an interval whose first stage is at t with chain state z."""
         (basis, _, zeta), = ctrl.interval_groups(ctrl.begin_interval(np.array(z)))
         if id(basis) not in laws:
-            _, G, g = basis.gains if zeta is None else basis.law(open_loop=True)
+            G, g = basis.law(open_loop=zeta is not None)
             laws[id(basis)] = G[:, 0].tolist(), g[:, 0].tolist()
         return (t, None if zeta is None else np.ravel(zeta).tolist()) + laws[id(basis)]
 

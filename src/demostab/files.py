@@ -48,13 +48,15 @@ def _csv_rows(texts) -> str:
 
 def _table_columns(header: list[str], columns) -> list[np.ndarray]:
     """``columns`` as float arrays; a ValueError, before any file is opened, unless they have
-    one header entry per CSV column (a 2-D column has one per entry of its rows) and equal
-    lengths."""
+    one header entry per CSV column (a 2-D column has one per entry of its rows, and at least
+    one entry) and equal lengths."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     at = np.cumsum([0] + [c.shape[1] if c.ndim == 2 else 1 for c in columns])
     if at[-1] != len(header):
         raise ValueError(f"{len(header)} header entries for {at[-1]} CSV columns")
     for c, k in zip(columns, at):
+        if c.ndim == 2 and c.shape[1] == 0:
+            raise ValueError(f"the 2-D column at header entry {k} of {header} has no entries")
         if len(c) != len(columns[0]):
             raise ValueError(f"column {header[k]!r} has {len(c)} rows, "
                              f"column {header[0]!r} has {len(columns[0])}")

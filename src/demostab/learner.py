@@ -22,15 +22,16 @@ Within an interval the closed-loop law is affine in the state,
     v(t) = K(tau) z + c(tau),   K = V Z^{-1},   c = v^{i_1} - K z^{i_1},
 
 so each basis tabulates K and c once, on the grid points and the step
-midpoints where RK4 evaluates it, and a step at the demonstration dt costs a
-lookup and a matrix-vector product instead of a linear solve.
+midpoints where RK4 evaluates it (the law), and the learned loops read the
+table instead of solving with Z(tau).
 
 The same affinity makes an RK4 step of the learned chain loop
 z' = (A + B K) z + B c at the demonstration dt an affine map.  A basis
 composes those maps into an interval propagator (Pi_i, psi_i), and the chain
 simulator moves a whole batch through an interval with
 z(pT + t_i) = Pi_i z(pT) + psi_i.  The open-loop law, with zeta frozen, is
-affine in (z, zeta) and gets the same construction on the stacked state.
+the free flow z' = A z forced by B V zeta + B v_base, so each column of V
+and v_base is one forcing of the same construction.
 
 Both learned-loop simulators, the chain simulator here and the embedded
 loop, anchor in one loop over the intervals of interval_grid: interval p
@@ -47,7 +48,6 @@ again from that set with learn_controller, the builder the learn stage uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -58,10 +58,10 @@ from .errors import AffineDependenceError
 from .files import read_json, write_json
 from .plant import brunovsky_pair
 from .sim import (
-    HalfGrid,
     Trajectory,
     affine_interval_maps,
     check_divergence,
+    half_slots,
     interval_index,
     time_grid,
     whole_steps,
@@ -139,62 +139,48 @@ class AffineBasis:
         except np.linalg.LinAlgError as exc:
             raise AffineDependenceError(f"Z(tau) singular at tau={tau}", time=tau) from exc
 
-    def law(self, open_loop: bool = False) -> tuple[HalfGrid, np.ndarray, np.ndarray]:
-        """The law on the grid points and step midpoints: (half, G, g), v = G[j] y + g[j].
+    def law(self, open_loop: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The law on the half_slots of the grid: (G, g), v = G[j] y + g[j] at slot j.
 
         Closed loop: G = K = V Z^{-1} and g = c = v_base - K z_base, with y
         the chain state z.  Open loop: G = V and g = v_base, with y the
         frozen zeta.  At a midpoint Z, V and the base samples are the
         averages of the two grid samples, as _interp forms them there.
         """
-        half = HalfGrid(self.times)
-        V, vb = half.interpolate(self.Vs), half.interpolate(self.v_base)
+        V, vb = half_slots(self.Vs), half_slots(self.v_base)
         if open_loop:
-            return half, V, vb
-        Z, zb = half.interpolate(self.Zs), half.interpolate(self.z_base)
+            return V, vb
+        Z, zb = half_slots(self.Zs), half_slots(self.z_base)
         Zt = np.swapaxes(Z, 1, 2)
         try:
             K = np.swapaxes(np.linalg.solve(Zt, np.swapaxes(V, 1, 2)), 1, 2)
         except np.linalg.LinAlgError as exc:
-            tau = float(half.times[np.argmin(np.abs(np.linalg.det(Zt)))])
+            tau = float(half_slots(self.times)[np.argmin(np.abs(np.linalg.det(Zt)))])
             raise AffineDependenceError(f"Z(tau) singular at tau={tau}", time=tau) from exc
-        return half, K, vb - (K @ zb[:, :, None])[:, :, 0]
-
-    # The closed-loop table value() and the embedded loop read, built on first use.
-    gains = cached_property(law)
+        return K, vb - (K @ zb[:, :, None])[:, :, 0]
 
     def propagator(self, A: np.ndarray, B: np.ndarray, open_loop: bool = False
                    ) -> IntervalPropagator:
         """Interval propagator of dz/dt = A z + B v under this basis's law.
 
-        The stage flows come from the slot table of law(open_loop), which
-        is not kept on the basis; the open-loop law holds zeta frozen as an
-        extra state with zero derivative.
+        The flows come from the slot table of law(open_loop), which is not
+        kept on the basis, through one affine_interval_maps call.  Closed
+        loop: feedback K and the one forcing c.  Open loop: no feedback, and
+        V's n columns and v_base are n+1 forcings; the responses to V's
+        columns are the columns of P that act on the frozen zeta, so
+        P = [Pi | psi_1 .. psi_n] and psi is the response to v_base.
         """
-        n, m = self.n, self.m
-        _, G, g = self.law(open_loop)
-        K = G
+        G, g = self.law(open_loop)
+        K, c = G, g[:, :, None]
         if open_loop:
-            # y = (z, zeta): dy/dt = [[A, 0], [0, 0]] y + [B; 0] ([0, V] y + v_base).
-            K = np.concatenate([np.zeros((len(G), m, n)), G], axis=2)
-            A = np.block([[A, np.zeros((n, n))], [np.zeros((n, 2 * n))]])
-            B = np.vstack([B, np.zeros((n, m))])
-        Pi, psi = affine_interval_maps(A, B, K, g, float(self.times[1] - self.times[0]))
-        return IntervalPropagator(P=np.ascontiguousarray(Pi[:, :n]),
-                                  psi=np.ascontiguousarray(psi[:, :n]), G=G[0::2], g=g[0::2])
+            K, c = None, np.concatenate([G, c], axis=2)
+        Pi, psi = affine_interval_maps(A, B, K, c, float(self.times[1] - self.times[0]))
+        return IntervalPropagator(P=np.concatenate([Pi, psi[:, :, :-1]], axis=2),
+                                  psi=np.ascontiguousarray(psi[:, :, -1]), G=G[0::2], g=g[0::2])
 
     def value(self, tau: float, z: np.ndarray) -> np.ndarray:
-        """Controller value v = v_base(tau) + V(tau) zeta(tau, z); z is (n,) or (n, k).
-
-        At a grid point or step midpoint (within 1e-9 dt) this is K(tau) z +
-        c(tau) from the table; any other tau interpolates and solves.
-        """
-        z = np.asarray(z, dtype=float)
-        half, K, c = self.gains
-        j = half.index(tau)
-        if j is None:
-            return self.value_from_zeta(tau, self.zeta(tau, z))
-        return K[j] @ z + (c[j] if z.ndim == 1 else c[j][:, None])
+        """Controller value v = v_base(tau) + V(tau) zeta(tau, z); z is (n,) or (n, k)."""
+        return self.value_from_zeta(tau, self.zeta(tau, z))
 
     def value_from_zeta(self, tau: float, zeta: np.ndarray) -> np.ndarray:
         _, V, _, vb = self._interp(tau)

@@ -1,12 +1,15 @@
 """Fixed-step RK4 integration and closed-loop simulation.
 
-Every stage-by-stage integration runs through one stepper, rk4, which steps
-the grid it is given and owns the grid-point divergence and domain guard;
-it steps a single state on Python floats and a batch on NumPy arrays, with
-the same step expressions on both.
+Two engines integrate on a grid, both classical RK4.  A nonlinear flow
+(expert recording, the embedded loop) runs stage by stage through rk4,
+which steps the grid it is given and owns the grid-point divergence and
+domain guard; it steps a single state on Python floats and a batch on NumPy
+arrays, with the same step expressions on both.  An affine flow (the
+auxiliary states of an embedding, the learned chain loops under either law)
+goes through affine_interval_maps, RK4 steps composed in closed form from
+coefficients tabulated on the half_slots of the grid.
 The learned loops anchor their controllers per interval themselves, one rk4
-call or one propagator application per interval; the chain loops move whole
-intervals through affine_interval_maps, RK4 steps composed in closed form.
+call or one propagator application per interval.
 Grids are deterministic, so outputs reproduce bit for bit: every span a
 grid covers is a whole number of steps dt (whole_steps), so every step is dt.
 """
@@ -76,63 +79,44 @@ def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return times
 
 
-class HalfGrid:
-    """The RK4 stage times of a uniform grid: its points and step midpoints, interleaved.
+def half_slots(samples: np.ndarray) -> np.ndarray:
+    """Grid samples (first axis) on the RK4 stage slots of their uniform grid.
 
-    times[2k] is the grid point t_k and times[2k+1] the midpoint t_k + h_k/2,
-    formed as rk4 forms its middle stages.  index(t) maps a stage time back to
-    its slot, the nearest multiple of dt/2 past t_0, so values tabulated on
-    the slots can stand in for evaluations at the stages.
+    Slot 2k holds sample k, at grid point t_k, and slot 2k+1 the average of
+    samples k and k+1, the linear interpolation at the step midpoint where
+    RK4 evaluates its middle stages.
     """
-
-    def __init__(self, grid: np.ndarray):
-        grid = np.asarray(grid, dtype=float)
-        self.times = np.empty(2 * len(grid) - 1)
-        self.times[0::2] = grid
-        self.times[1::2] = grid[:-1] + 0.5 * (grid[1:] - grid[:-1])
-        dt = float(grid[1] - grid[0])
-        self._t0, self._half, self._tol = float(grid[0]), 0.5 * dt, 1e-9 * dt
-
-    def interpolate(self, samples: np.ndarray) -> np.ndarray:
-        """Grid samples (first axis) linearly interpolated onto the slots.
-
-        A midpoint gets the average of its step's two end samples.
-        """
-        samples = np.asarray(samples, dtype=float)
-        out = np.empty((len(self.times),) + samples.shape[1:])
-        out[0::2] = samples
-        out[1::2] = 0.5 * samples[:-1] + 0.5 * samples[1:]
-        return out
-
-    def index(self, t: float) -> Optional[int]:
-        """The slot j with |times[j] - t| <= 1e-9 dt, or None if t is not a stage time."""
-        j = round((t - self._t0) / self._half)
-        if 0 <= j < len(self.times) and abs(t - self.times.item(j)) <= self._tol:
-            return j
-        return None
+    out = np.empty((2 * len(samples) - 1,) + samples.shape[1:])
+    out[0::2] = samples
+    out[1::2] = 0.5 * samples[:-1] + 0.5 * samples[1:]
+    return out
 
 
-def affine_interval_maps(A: np.ndarray, B: np.ndarray, K: np.ndarray, c: np.ndarray,
+def affine_interval_maps(A: np.ndarray, B: np.ndarray, K: Optional[np.ndarray], c: np.ndarray,
                          h: float) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative RK4 maps of dy/ds = (A + B K(s)) y + B c(s) on a uniform grid.
 
-    K (2N+1, m, d) and c (2N+1, m) hold the gains on the HalfGrid slots of
-    a grid with step h.  An RK4 step of this affine flow is an affine map
-    y -> Phi_i y + phi_i: the four stages run on the homogeneous identity,
-    where [[A + B K, B c], [0, 0]] acts on [[L, l], [0, 1]], a chunk of steps
-    at a time.  A doubling scan then composes the steps in log2(N) batched
-    products.  Returns Pi (N+1, d, d) and psi (N+1, d) with
-    y(t_i) = Pi_i y(t_0) + psi_i, Pi_0 = I and psi_0 = 0.
+    K (2N+1, m, d), or None for no feedback, and c (2N+1, m, k), k forcing
+    columns, are tabulated on the half_slots of a grid with step h.  An RK4
+    step of this affine flow is an affine map y -> Phi_i y + phi_i, one
+    column of phi_i per forcing: the four stages run on the homogeneous
+    identity, where [[A + B K, B c], [0, 0]] acts on [[L, l], [0, I]], a
+    chunk of steps at a time.  A doubling scan then composes the steps in
+    log2(N) batched products.  Returns Pi (N+1, d, d) and psi (N+1, d, k)
+    with y(t_i) = Pi_i y(t_0) + psi_i[:, j] under forcing j, Pi_0 = I and
+    psi_0 = 0.
     """
-    d, N = A.shape[0], (len(K) - 1) // 2
-    eye = np.eye(d + 1)
-    C = np.empty((N + 1, d + 1, d + 1))
+    (d, m), k, N = B.shape, c.shape[2], (len(c) - 1) // 2
+    eye = np.eye(d + k)
+    C = np.empty((N + 1, d + k, d + k))
     C[0] = eye
     for lo in range(0, N, _MAP_CHUNK):
         hi = min(lo + _MAP_CHUNK, N)
-        F = np.zeros((2 * (hi - lo) + 1, d + 1, d + 1))
-        F[:, :d, :d] = B @ K[2 * lo:2 * hi + 1] + A
-        F[:, :d, d] = c[2 * lo:2 * hi + 1] @ B.T
+        F = np.zeros((2 * (hi - lo) + 1, d + k, d + k))
+        F[:, :d, :d] = A if K is None else B @ K[2 * lo:2 * hi + 1] + A
+        # B c as one 2-D product, a row per slot and forcing: column j gets the bits of k = 1.
+        Bc = np.swapaxes(c[2 * lo:2 * hi + 1], 1, 2).reshape(-1, m) @ B.T
+        F[:, :d, d:] = np.swapaxes(Bc.reshape(len(F), k, d), 1, 2)
         k1, F1, F2 = F[0:-1:2], F[1::2], F[2::2]
         k2 = F1 @ (eye + (0.5 * h) * k1)
         k3 = F1 @ (eye + (0.5 * h) * k2)
@@ -144,7 +128,7 @@ def affine_interval_maps(A: np.ndarray, B: np.ndarray, K: np.ndarray, c: np.ndar
     while shift < N:
         C[shift + 1:] = C[shift + 1:] @ C[1:N + 1 - shift]
         shift *= 2
-    return C[:, :d, :d], C[:, :d, d]
+    return C[:, :d, :d], C[:, :d, d:]
 
 
 def _largest_column(y: np.ndarray) -> int:
@@ -196,7 +180,7 @@ def _float_rows(k) -> list:
 
 
 def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
-    """Classical RK4 over the grid times; returns (states, inputs).
+    """Classical RK4 over the grid times for a nonlinear flow; returns (states, inputs).
 
     rhs(t, y) returns (dy/dt, u): the derivative and the input it applied
     at the absolute stage time t = t_k + c h.  inputs[k] is the input of

@@ -543,6 +543,35 @@ def transform_demo_per_sample(plant, w, times, states, inputs, xi0):
     return z, np.array(xis), v
 
 
+def aux_states_rk4(cfg, batch):
+    """The auxiliary states xi (N, n-1, k) of a recorded batch, stepped stage by stage.
+
+    xi' = A_xi xi - [L_g L_f^j h(x)]_{j<n-1} u from xi = 0, with x and u
+    interpolated linearly between samples: the forcing is tabulated at the
+    grid points and step midpoints, and one batched rk4 call on the
+    recording grid reads it at slot round(2 (t - t_0) / dt) of each stage.
+    The stage-by-stage reference for the RK4 maps transform_demos composes.
+    """
+    from demostab.sim import rk4
+
+    n, grid = cfg.n, batch.times
+
+    def slots(a):
+        out = np.empty((2 * len(a) - 1,) + a.shape[1:])
+        out[0::2], out[1::2] = a, 0.5 * a[:-1] + 0.5 * a[1:]
+        return out
+
+    x, u = slots(batch.states), slots(batch.inputs)
+    forcing = np.stack([cfg.plant.terms(x[:, :, i].T)[3 * n + 1:4 * n].T * -u[:, None, i]
+                        for i in range(u.shape[1])], axis=2)
+    t0, half = float(grid[0]), 0.5 * float(grid[1] - grid[0])
+
+    def rhs(t, xi):
+        return cfg.A_xi @ xi + forcing[round((t - t0) / half)], 0.0
+
+    return rk4(rhs, np.zeros((n - 1, u.shape[1])), grid)[0]
+
+
 # ---------------------------------------------------------------------------
 # The output writers as they were before chunked formatting: every array as
 # nested Python lists through the stdlib JSON encoder, and one repr per cell.

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import (aux_dot, charpoly, embedded_rk4, embedding_terms, routh_stable,
-                     s_of_x_xi, stage_map, transform_demo_per_sample)
+from oracles import (aux_dot, aux_states_rk4, charpoly, embedded_rk4, embedding_terms,
+                     routh_stable, s_of_x_xi, stage_map, transform_demo_per_sample)
 
 from demostab.embed import (
     R_TOL,
@@ -195,6 +195,26 @@ def test_transform_trivial_demo(ball_beam_fixture):
     assert xi.shape == (len(eset.grid), 3, eset.M)
     assert np.all(eset.z[:, :, 0] == 0.0) and np.all(xi[:, :, 0] == 0.0)
     assert np.all(eset.v[:, :, 0] == 0.0)
+
+
+def test_aux_states_match_stage_by_stage_rk4(ball_beam_fixture):
+    # The composed RK4 maps against rk4 stepping xi stage by stage on the README
+    # ball-beam recording, relative to each column's largest magnitude.
+    got = ball_beam_fixture["xi"]
+    want = aux_states_rk4(ball_beam_fixture["cfg"], ball_beam_fixture["raw"])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
+
+
+def test_transform_domain_failure_names_demonstration_and_sample(ball_beam_fixture):
+    # The beam angle phi = 2.0 > pi/2 at sample 40 of recording 3.
+    raw = ball_beam_fixture["raw"]
+    states = raw.states.copy()
+    states[40, 2, 3] = 2.0
+    batch = dataclasses.replace(raw, states=states)
+    with pytest.raises(DomainError, match="outside the domain of ball_beam") as err:
+        transform_demos(ball_beam_fixture["cfg"], batch)
+    assert err.value.__notes__ == ["demonstration 3, sample 40"]
 
 
 def test_transform_recovers_input(ball_beam_fixture):

@@ -119,11 +119,14 @@ def test_csv_and_column_json_match_oracle(rows, data):
         assert_same_text(csv_path.read_text(), csv_text(header, csv_columns(columns)))
 
 
-@pytest.mark.parametrize("write", [
+both_writers = pytest.mark.parametrize("write", [
     lambda d, header, columns: write_csv(d / "t.csv", header, columns),
     lambda d, header, columns: write_json(d / "t.json", {"t": columns[0], "z": columns[1]},
                                           [(d / "t.csv", header, columns)]),
 ], ids=["write_csv", "write_json"])
+
+
+@both_writers
 def test_ragged_columns_are_refused_before_any_file_is_opened(tmp_path, write):
     grid = np.arange(5000.0)
     with pytest.raises(ValueError, match="column 'b' has 4000 rows, column 'a' has 5000"):
@@ -132,6 +135,17 @@ def test_ragged_columns_are_refused_before_any_file_is_opened(tmp_path, write):
         write(tmp_path, ["t", "z1", "z2", "v"], [grid, np.zeros((4999, 2)), grid])
     with pytest.raises(ValueError, match="3 header entries for 4 CSV columns"):
         write(tmp_path, ["t", "z1", "v"], [grid, np.zeros((5000, 2)), grid])
+    assert not list(tmp_path.iterdir())
+
+
+@both_writers
+def test_a_2d_column_with_no_entries_is_refused_before_any_file_is_opened(tmp_path, write):
+    # Its rows have no text: the two writers would join it differently, "0.0" or "0.0,".
+    grid = np.arange(3.0)
+    with pytest.raises(ValueError, match=r"column at header entry 1 of \['t'\] has no entries"):
+        write(tmp_path, ["t"], [grid, np.zeros((3, 0))])
+    with pytest.raises(ValueError, match=r"column at header entry 1 of \['t', 'v'\] has no"):
+        write(tmp_path, ["t", "v"], [grid, np.zeros((3, 0)), grid])
     assert not list(tmp_path.iterdir())
 
 

@@ -190,7 +190,8 @@ def test_vector_input_controller(quad_set):
 
 
 # ---------------------------------------------------------------------------
-# Tabulated gains K(tau), c(tau) against the interpolate-and-solve law
+# The law's table K(tau), c(tau) and the controllers' values against the
+# interpolate-and-solve law
 # ---------------------------------------------------------------------------
 
 _SET = analytic_double_int_set(T=2.0, dt=1e-3)
@@ -234,6 +235,12 @@ def test_tabulated_value_matches_interpolate_and_solve(data, z):
     assert got.shape == expected.shape
     scale = max(1.0, float(np.abs(expected).max()), float(np.abs(z).max()))
     assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
+    dt = dset.dt
+    j = round(2.0 * tau / dt)
+    if abs(tau - 0.5 * j * dt) <= 1e-9 * dt:  # a grid point or step midpoint: slot j of the law
+        K, c = ctrl.basis.law()
+        table = K[j] @ z + (c[j] if z.ndim == 1 else c[j][:, None])
+        assert_allclose(table, expected, rtol=0, atol=1e-12 * scale)
 
 
 @given(data=st.data(), z=states)
@@ -256,7 +263,7 @@ def test_singular_midpoint_raises_with_time():
     basis = AffineBasis(index_set=(0, 1, 2), times=times, Zs=Zs, Vs=np.zeros((3, 1, 2)),
                         z_base=np.zeros((3, 2)), v_base=np.zeros((3, 1)))
     with pytest.raises(AffineDependenceError) as err:
-        basis.value(0.0, np.ones(2))
+        basis.law()
     assert err.value.time == 0.25
 
 

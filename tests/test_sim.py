@@ -20,9 +20,10 @@ from demostab.learner import (
 from demostab.plant import chain_preset
 from demostab.sim import (
     MAX_STEPS,
-    HalfGrid,
     Trajectory,
+    affine_interval_maps,
     check_divergence,
+    half_slots,
     interval_index,
     rk4,
     simulate_closed_loop,
@@ -278,19 +279,59 @@ def test_chain_drift_is_exact_polynomial():
     assert_allclose(traj.states[:, 2], c, atol=1e-12)
 
 
-def test_half_grid_maps_rk4_stage_times_to_slots():
+def test_half_slots_interleave_samples_and_step_midpoints():
     for grid in (time_grid(0.0, 2.0, 1e-3), time_grid(0.0, 1.0, 1.0 / 3.0),
                  time_grid(0.3, 1.0, 0.07)):
-        half = HalfGrid(grid)
-        assert [half.index(t) for t in half.times] == list(range(len(half.times)))
-        for k, t in enumerate(grid[:-1].tolist()):
-            h = grid[k + 1] - t
-            assert half.index(t + 0.5 * h) == 2 * k + 1
-            assert half.index(t + h) == 2 * k + 2
-        dt = grid[1] - grid[0]
-        assert half.index(grid[0] + 0.25 * dt) is None
-        assert half.index(grid[-1] + 0.5 * dt) is None
-        assert half.index(grid[0] - 0.5 * dt) is None
+        slots = half_slots(grid)
+        assert slots.shape == (2 * len(grid) - 1,)
+        assert np.array_equal(slots[0::2], grid)
+        # Slot 2k+1 is where rk4 puts the middle stages of step k.
+        h = np.diff(grid)
+        assert_allclose(slots[1::2], grid[:-1] + 0.5 * h, rtol=0, atol=1e-9 * h[0])
+        # Samples of any shape are interpolated along their first axis.
+        samples = np.stack([grid, 1.0 - 2.0 * grid], axis=1)[:, :, None]
+        assert_allclose(half_slots(samples)[:, :, 0], np.stack([slots, 1.0 - 2.0 * slots], 1),
+                        rtol=0, atol=1e-15)
+
+
+def test_affine_maps_under_constant_forcing_match_the_closed_forms():
+    h, N = 0.01, 300
+    t = h * np.arange(N + 1)
+    # A triple integrator forced by constants c_j: cubics, which RK4 steps exactly.
+    A, B = np.diag([1.0, 1.0], 1), np.array([[0.0], [0.0], [1.0]])
+    c = np.array([0.7, -1.3])
+    Pi, psi = affine_interval_maps(A, B, None, np.broadcast_to(c, (2 * N + 1, 1, 2)), h)
+    assert_allclose(Pi, np.eye(3) + np.multiply.outer(t, A) + np.multiply.outer(0.5 * t**2, A @ A),
+                    rtol=0, atol=1e-12)
+    assert_allclose(psi, np.multiply.outer(np.stack([t**3 / 6, t**2 / 2, t], 1), c),
+                    rtol=0, atol=1e-12)
+    # y' = a y + b f: each RK4 step is y -> R y + phi with R the degree-4 Taylor
+    # polynomial of e^{ha} and phi = (R - 1) b f / a; both within RK4's error of e^{at}.
+    a, b, f = -2.0, 3.0, 0.5
+    Pi, psi = affine_interval_maps(np.array([[a]]), np.array([[b]]), None,
+                                   np.full((2 * N + 1, 1, 1), f), h)
+    x = h * a
+    R = 1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24
+    steps = R ** np.arange(N + 1)
+    assert_allclose(Pi[:, 0, 0], steps, rtol=1e-13)
+    assert_allclose(psi[:, 0, 0], (steps - 1.0) * b * f / a, rtol=1e-12, atol=1e-15)
+    assert_allclose(psi[:, 0, 0], (np.exp(a * t) - 1.0) * b * f / a, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("feedback", [True, False], ids=["K", "K=None"])
+def test_each_forcing_column_is_its_one_forcing_call_bit_for_bit(feedback):
+    # 600 steps: three chunks of step maps (_MAP_CHUNK = 256).
+    rng = np.random.default_rng(5)
+    d, m, k, N = 4, 2, 5, 600
+    A, B = rng.standard_normal((d, d)), rng.standard_normal((d, m))
+    K = rng.standard_normal((2 * N + 1, m, d)) if feedback else None
+    c = rng.standard_normal((2 * N + 1, m, k))
+    Pi, psi = affine_interval_maps(A, B, K, c, 0.01)
+    assert Pi.shape == (N + 1, d, d) and psi.shape == (N + 1, d, k)
+    assert np.array_equal(Pi[0], np.eye(d)) and not psi[0].any()
+    for j in range(k):
+        Pi_j, psi_j = affine_interval_maps(A, B, K, c[:, :, j:j + 1], 0.01)
+        assert np.array_equal(Pi_j, Pi) and np.array_equal(psi_j[:, :, 0], psi[:, :, j])
 
 
 @given(dt=st.sampled_from([1e-3, 2.5e-3, 0.01, 0.1, 0.25, 1.0 / 3.0, 0.7]),
