@@ -202,20 +202,19 @@ def transform_demos(cfg: EmbeddingConfig,
     n = cfg.n
     grid, states, u = batch.times, batch.states, batch.inputs  # (N,), (N, n, k), (N, k)
     k = states.shape[2]
-    x_half = half_slots(states)
-    forcing = np.empty((len(x_half), n - 1, k))
-    for i in range(k):  # one recording's Lie table at a time
+    forcing = np.empty((2 * len(grid) - 1, n - 1, k))
+    for i in range(k):  # one recording's stage states and Lie table at a time
         try:
             cfg.plant.require_in_domain(states[:, :, i].T)
         except DomainError as exc:
             exc.add_note(f"demonstration {i}, sample {exc.column}")
             raise
-        forcing[:, :, i] = cfg.plant.terms(x_half[:, :, i].T)[3 * n + 1:4 * n].T
+        forcing[:, :, i] = cfg.plant.terms(half_slots(states[:, :, i]).T)[3 * n + 1:4 * n].T
     forcing *= -half_slots(u)[:, None, :]
     # A copy, not a view that would hold the maps.
     xi = np.ascontiguousarray(affine_interval_maps(cfg.A_xi, np.eye(n - 1), None, forcing,
                                                    float(grid[1] - grid[0]))[1])
-    del x_half, forcing  # k recordings' stage tables: not held through the pass below
+    del forcing  # k recordings' forcing table: not held through the pass below
     check_divergence(xi, grid)
 
     z, v = np.empty(states.shape), np.empty(u.shape)

@@ -122,12 +122,8 @@ class AffineBasis:
         w = min(max(w, 0.0), 1.0)
         if w == 0.0:
             return self.Zs[i], self.Vs[i], self.z_base[i], self.v_base[i]
-        return (
-            (1.0 - w) * self.Zs[i] + w * self.Zs[i + 1],
-            (1.0 - w) * self.Vs[i] + w * self.Vs[i + 1],
-            (1.0 - w) * self.z_base[i] + w * self.z_base[i + 1],
-            (1.0 - w) * self.v_base[i] + w * self.v_base[i + 1],
-        )
+        return tuple((1.0 - w) * a[i] + w * a[i + 1]
+                     for a in (self.Zs, self.Vs, self.z_base, self.v_base))
 
     def zeta(self, tau: float, z: np.ndarray) -> np.ndarray:
         """Solve Z(tau) zeta = z - z_base(tau); z may be (n,) or a batch (n, k)."""
@@ -241,14 +237,8 @@ def build_basis(dset: DemonstrationSet, index_set: Optional[Sequence[int]] = Non
                 f"at t={dset.grid[k_bad]:.6f}",
                 time=float(dset.grid[k_bad]),
             )
-    return AffineBasis(
-        index_set=tuple(int(i) for i in index_set),
-        times=dset.grid.copy(),
-        Zs=Zs,
-        Vs=Vs,
-        z_base=z_base,
-        v_base=v_base,
-    )
+    return AffineBasis(index_set=tuple(int(i) for i in index_set), times=dset.grid.copy(),
+                       Zs=Zs, Vs=Vs, z_base=z_base, v_base=v_base)
 
 
 class IntervalController:

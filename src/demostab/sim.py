@@ -92,6 +92,15 @@ def half_slots(samples: np.ndarray) -> np.ndarray:
     return out
 
 
+def _compose(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """[L | l] after [Q_L | Q_l], d rows each: [L Q_L | L Q_l + l], the d top rows of
+    [[L, l], [0, I]] @ [[Q_L, Q_l], [0, I]]; the last k rows stay [0 | I], never formed."""
+    d = P.shape[-2]
+    Y = P[..., :d] @ Q
+    Y[..., d:] += P[..., d:]
+    return Y
+
+
 def affine_interval_maps(A: np.ndarray, B: np.ndarray, K: Optional[np.ndarray], c: np.ndarray,
                          h: float) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative RK4 maps of dy/ds = (A + B K(s)) y + B c(s) on a uniform grid.
@@ -99,36 +108,36 @@ def affine_interval_maps(A: np.ndarray, B: np.ndarray, K: Optional[np.ndarray], 
     K (2N+1, m, d), or None for no feedback, and c (2N+1, m, k), k forcing
     columns, are tabulated on the half_slots of a grid with step h.  An RK4
     step of this affine flow is an affine map y -> Phi_i y + phi_i, one
-    column of phi_i per forcing: the four stages run on the homogeneous
-    identity, where [[A + B K, B c], [0, 0]] acts on [[L, l], [0, I]], a
-    chunk of steps at a time.  A doubling scan then composes the steps in
-    log2(N) batched products.  Returns Pi (N+1, d, d) and psi (N+1, d, k)
-    with y(t_i) = Pi_i y(t_0) + psi_i[:, j] under forcing j, Pi_0 = I and
-    psi_0 = 0.
+    column of phi_i per forcing, held as the d rows [Phi_i | phi_i]: the four
+    stages compose [A + B K | B c] with the state's map, a chunk of steps at
+    a time.  A doubling scan then composes the steps in log2(N) batched
+    products.  Memory and work grow linearly in k.  Returns Pi (N+1, d, d)
+    and psi (N+1, d, k) with y(t_i) = Pi_i y(t_0) + psi_i[:, j] under
+    forcing j, Pi_0 = I and psi_0 = 0.
     """
     (d, m), k, N = B.shape, c.shape[2], (len(c) - 1) // 2
-    eye = np.eye(d + k)
-    C = np.empty((N + 1, d + k, d + k))
+    eye = np.eye(d, d + k)
+    C = np.empty((N + 1, d, d + k))
     C[0] = eye
     for lo in range(0, N, _MAP_CHUNK):
         hi = min(lo + _MAP_CHUNK, N)
-        F = np.zeros((2 * (hi - lo) + 1, d + k, d + k))
-        F[:, :d, :d] = A if K is None else B @ K[2 * lo:2 * hi + 1] + A
+        F = np.empty((2 * (hi - lo) + 1, d, d + k))
+        F[:, :, :d] = A if K is None else B @ K[2 * lo:2 * hi + 1] + A
         # B c as one 2-D product, a row per slot and forcing: column j gets the bits of k = 1.
         Bc = np.swapaxes(c[2 * lo:2 * hi + 1], 1, 2).reshape(-1, m) @ B.T
-        F[:, :d, d:] = np.swapaxes(Bc.reshape(len(F), k, d), 1, 2)
+        F[:, :, d:] = np.swapaxes(Bc.reshape(len(F), k, d), 1, 2)
         k1, F1, F2 = F[0:-1:2], F[1::2], F[2::2]
-        k2 = F1 @ (eye + (0.5 * h) * k1)
-        k3 = F1 @ (eye + (0.5 * h) * k2)
-        k4 = F2 @ (eye + h * k3)
+        k2 = _compose(F1, eye + (0.5 * h) * k1)
+        k3 = _compose(F1, eye + (0.5 * h) * k2)
+        k4 = _compose(F2, eye + h * k3)
         C[lo + 1:hi + 1] = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # After the pass with shift s, C[i] holds the product of steps i-1 down to
     # max(i - 2s, 0); the right-hand side is formed before it is stored.
     shift = 1
     while shift < N:
-        C[shift + 1:] = C[shift + 1:] @ C[1:N + 1 - shift]
+        C[shift + 1:] = _compose(C[shift + 1:], C[1:N + 1 - shift])
         shift *= 2
-    return C[:, :d, :d], C[:, :d, d:]
+    return C[:, :, :d], C[:, :, d:]
 
 
 def _largest_column(y: np.ndarray) -> int:

@@ -1,6 +1,7 @@
 """Fixed-step RK4 integrator and closed-loop simulation."""
 
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -319,7 +320,7 @@ def test_affine_maps_under_constant_forcing_match_the_closed_forms():
 
 
 @pytest.mark.parametrize("feedback", [True, False], ids=["K", "K=None"])
-def test_each_forcing_column_is_its_one_forcing_call_bit_for_bit(feedback):
+def test_each_forcing_column_is_its_one_forcing_call(feedback):
     # 600 steps: three chunks of step maps (_MAP_CHUNK = 256).
     rng = np.random.default_rng(5)
     d, m, k, N = 4, 2, 5, 600
@@ -329,9 +330,32 @@ def test_each_forcing_column_is_its_one_forcing_call_bit_for_bit(feedback):
     Pi, psi = affine_interval_maps(A, B, K, c, 0.01)
     assert Pi.shape == (N + 1, d, d) and psi.shape == (N + 1, d, k)
     assert np.array_equal(Pi[0], np.eye(d)) and not psi[0].any()
+    # Products of other widths may sum in another order under another BLAS
+    # build; summing every product in reverse moves these maps by up to 3.5e-14
+    # of a column's largest magnitude.  A column taken from the wrong forcing
+    # is off by O(1).
     for j in range(k):
         Pi_j, psi_j = affine_interval_maps(A, B, K, c[:, :, j:j + 1], 0.01)
-        assert np.array_equal(Pi_j, Pi) and np.array_equal(psi_j[:, :, 0], psi[:, :, j])
+        assert_allclose(Pi_j, Pi, rtol=0, atol=1e-12 * np.abs(Pi).max())
+        assert_allclose(psi_j[:, :, 0], psi[:, :, j], rtol=0,
+                        atol=1e-12 * np.abs(psi[:, :, j]).max())
+
+
+@pytest.mark.parametrize("k", [8, 64])
+def test_affine_maps_memory_grows_linearly_in_the_forcings(k):
+    # The maps are held as the d rows [Pi | psi], (N+1) d (d+k) floats; the
+    # call's peak allocation stays within four times that, linear in k.  The
+    # full (d+k) x (d+k) homogeneous maps would be (d+k)/d times as large.
+    d, N = 3, 2000
+    rng = np.random.default_rng(k)
+    A, c = 0.1 * rng.standard_normal((d, d)), rng.standard_normal((2 * N + 1, d, k))
+    tracemalloc.start()
+    try:
+        affine_interval_maps(A, np.eye(d), None, c, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (N + 1) * d * (d + k) * 8, peak
 
 
 @given(dt=st.sampled_from([1e-3, 2.5e-3, 0.01, 0.1, 0.25, 1.0 / 3.0, 0.7]),
