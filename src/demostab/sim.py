@@ -93,8 +93,10 @@ def half_slots(samples: np.ndarray) -> np.ndarray:
 
 
 def _compose(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """[L | l] after [Q_L | Q_l], d rows each: [L Q_L | L Q_l + l], the d top rows of
-    [[L, l], [0, I]] @ [[Q_L, Q_l], [0, I]]; the last k rows stay [0 | I], never formed."""
+    """The affine map [L | l] after [Q_L | Q_l], d rows each: [L Q_L | L Q_l + l].
+
+    The top d rows of [[L, l], [0, I]] @ [[Q_L, Q_l], [0, I]]; its last k rows [0 | I] go unformed.
+    """
     d = P.shape[-2]
     Y = P[..., :d] @ Q
     Y[..., d:] += P[..., d:]
