@@ -14,6 +14,7 @@ the exception to the exit code and prints one line, "usage error: ..." or
 "<stage>: ...", to standard error:
 
     _UsageError, OSError (a file that cannot be read or written)   1
+    RiccatiError (expert weights with no accurate LQR gain)        1
     AffineDependenceError, DegenerateGeometryError                 2
     _StageFailure (a certificate verdict, a missing stage file or
         tracking reference, a failed validation report)            its code: 1, 2 or 3
@@ -40,7 +41,7 @@ from . import demos as demos_mod
 from . import embed as embed_mod
 from . import systems
 from .errors import AffineDependenceError, DegenerateGeometryError, DivergenceError, DomainError, \
-    SingularEmbeddingError
+    RiccatiError, SingularEmbeddingError
 from .files import read_json, write_csv, write_json
 from .learner import learn_controller, load_controller, save_controller, \
     simulate_chain_closed_loop
@@ -557,6 +558,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     # The one map from a failure to its exit code.
     except (_UsageError, OSError) as exc:  # OSError: the config, --out or an output file
         return _fail("usage error", exc, EXIT_USAGE)
+    except RiccatiError as exc:  # raised for the expert's LQR gain only
+        return _fail("usage error: expert weights Q and R", exc, EXIT_USAGE)
     except _StageFailure as exc:
         return _fail(stage, exc, exc.code)
     except (AffineDependenceError, DegenerateGeometryError) as exc:

@@ -208,7 +208,7 @@ def validate_affine_independence(
     min_sigma = float(sigmas[:, -1].min())
     max_sigma = float(sigmas[:, 0].max())
     k = int(sigmas[:, -1].argmin())
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # a subnormal sigma_n gives inf
         conds = np.where(sigmas[:, -1] > 0.0, sigmas[:, 0] / sigmas[:, -1], np.inf)
     tol = RANK_TOL * max_sigma
     return AffineIndependenceReport(

@@ -25,6 +25,11 @@ class SingularDecouplingError(_Located, ArithmeticError):
     """Decoupling term b(z) = L_g L_f^{n-1} h(x) is numerically zero."""
 
 
+class RiccatiError(ArithmeticError):
+    """The LQR weights admit no accurate stabilizing solution of the algebraic Riccati
+    equation (see plant.lqr_gain)."""
+
+
 class NotFeedbackLinearizableError(ValueError):
     """Plant does not have relative degree n; use the embedding pipeline."""
 

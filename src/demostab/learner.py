@@ -450,14 +450,23 @@ def load_controller(path: str | Path) -> IntervalController:
     beside it.
 
     Raises ValueError, as read_demo_set does, if that file's SHA-256 is not
-    the recorded one.
+    the recorded one, and if an index set (I, or a simplex) is not a list of
+    integers in 0..M-1 for the set's M demonstrations.
     """
     path = Path(path)
     record = read_json(path)
     if record["mode"] not in ("single", "multi"):
         raise ValueError(f"unknown controller mode {record['mode']!r}")
     dset, sha256 = read_demo_set(path.with_name("demo_set.json"), record["demo_set_sha256"])
-    if record["mode"] == "multi":
-        return learn_controller(dset, sha256, True, record["feedback_mode"],
-                                record["simplices"], record["kind"])
-    return learn_controller(dset, sha256, False, record["feedback_mode"], [record["I"]])
+    multi = record["mode"] == "multi"
+    index_sets = record["simplices"] if multi else [record["I"]]
+    for index_set in index_sets:
+        # type() and not isinstance(): a JSON true is no index
+        if not (isinstance(index_set, list)
+                and all(type(i) is int and 0 <= i < dset.M for i in index_set)):
+            raise ValueError(f"index set {index_set!r} is not a list of integers "
+                             f"in 0..{dset.M - 1}")
+    if multi:
+        return learn_controller(dset, sha256, True, record["feedback_mode"], index_sets,
+                                record["kind"])
+    return learn_controller(dset, sha256, False, record["feedback_mode"], index_sets)

@@ -12,6 +12,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import expm, solve_continuous_are
 
 from demostab.errors import AffineDependenceError, DegenerateGeometryError
 from demostab.sim import interval_index, time_grid
@@ -53,6 +54,13 @@ def matrix_exp_series(A: np.ndarray, t: float, terms: int = 60) -> np.ndarray:
         term = term @ A * (t / k)
         out = out + term
     return out
+
+
+def lqr_gain_scipy(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """LQR gain R^-1 B^T P, with P from scipy's Schur-method Riccati solver: the
+    reference for plant.lqr_gain's Hamiltonian eigenvector solve.  scipy's
+    expm, imported here, is the reference for the quadrotor step map."""
+    return np.linalg.solve(R, B.T @ solve_continuous_are(A, B, Q, R))
 
 
 # ---------------------------------------------------------------------------

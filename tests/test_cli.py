@@ -429,6 +429,32 @@ def test_controller_index_set_edited_after_learn_is_refused(tmp_path, capsys):
     assert len(err) == 1 and "affinely dependent" in err[0]
 
 
+@pytest.mark.parametrize("multi, key, position, value", [
+    (False, "I", 0, 2.0),
+    (False, "I", 0, -1),
+    (False, "I", 0, True),
+    (True, "simplices", 2, 1e308),
+], ids=["float", "negative", "bool", "huge_in_simplex"])
+def test_controller_index_outside_the_set_is_one_line(tmp_path, capsys, multi, key, position,
+                                                      value):
+    # An index must be an integer in 0..M-1: 2.0 and 1e308 are no index, -1
+    # would read as Python's M-1 and true as 1.
+    starts = [[1, 0], [0, 1], [-1, -1]] if multi else [[1, 0], [0, 1], [2, 0]]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": "chain2", "T": 1.0, "dt": 0.01, "multi": multi,
+                               "initial_conditions": starts}))
+    main(["all", "--config", str(cfg), "--out", str(tmp_path)])
+    path = tmp_path / "controller.json"
+    record = json.loads(path.read_text())
+    (record[key] if multi else [record[key]])[0][position] = value
+    write_json(path, record)
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--force"]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:") and "0..3" in err[0], err
+
+
 def test_demos_rerun_without_learn_is_refused(tmp_path, capsys):
     # New starts recorded over the set a controller was learned from, and no
     # learn stage after them: simulate refuses the stale controller.
@@ -457,6 +483,42 @@ def test_missing_stage_file_names_the_stage_that_writes_it(tmp_path, capsys, sta
     assert main([stage, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [
         f"{stage}: no {what} at {tmp_path / missing}; run the {writer} stage first"]
+
+
+def test_subnormal_start_is_one_line(tmp_path, capsys):
+    # sigma_max / sigma_min of a subnormal sigma_min overflows to inf, silently.
+    cfg = write_config(tmp_path / "config.json",
+                       initial_conditions=[[1.0, 0.0], [0.0, -1e-320], [2.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["demos", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("demos: affine-independence validation failed")
+
+
+@pytest.mark.parametrize("preset, Q", [("chain2", [1e308, 1e308]), ("chain2", [1e-300, 1.0]),
+                                       ("chain17", None)])
+def test_expert_weights_without_a_riccati_solution_are_one_line(tmp_path, capsys, preset, Q):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": preset, "T": 1.0, "dt": 0.01,
+                               "expert": {} if Q is None else {"Q": Q}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: expert weights Q and R: "), err
+    assert not (tmp_path / "demo_set.json").exists()
+
+
+def test_expert_too_stiff_for_the_step_is_one_line(tmp_path, capsys):
+    # Q = diag(1e200, 1e-200) has an accurate gain, K = (1e100, 1.4e50), whose
+    # closed loop no step of 0.01 s can follow: the recording diverges.
+    cfg = write_config(tmp_path / "config.json", expert={"Q": [1e200, 1e-200]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DIVERGENCE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("demos: recording failed: state diverged"), err
 
 
 def test_demo_start_outside_domain_exit_divergence(tmp_path, capsys):
@@ -602,8 +664,6 @@ def test_ball_beam_start_past_the_divergence_bound_is_one_line(tmp_path, capsys)
 def test_import_leaves_the_multi_geometry_unloaded(module):
     # scipy.optimize and scipy.spatial serve multi controllers only; a fresh
     # interpreter loads them on the first use of MultiController.
-    import demostab
-
     code = f"""
 import sys
 import {module}
@@ -613,11 +673,36 @@ from demostab import MultiController
 from demostab.multi import MultiController as direct
 assert MultiController is direct and "scipy.spatial" in sys.modules
 """
+    result = _fresh_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter that imports demostab from this checkout."""
+    import demostab
+
     src = str(Path(demostab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_single_controller_run_loads_no_scipy(tmp_path):
+    # The expert's Riccati solve and every single-basis stage are NumPy only;
+    # scipy serves multi controllers alone.
+    cfg = write_config(tmp_path / "config.json")
+    code = f"""
+import sys
+import demostab.cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+assert not scipy_modules(), scipy_modules()
+assert demostab.cli.main(["all", "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r}]) == 0
+assert not scipy_modules(), scipy_modules()
+"""
+    result = _fresh_python(code)
     assert result.returncode == 0, result.stderr
 
 

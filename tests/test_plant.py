@@ -2,16 +2,18 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import ball_beam_lie, chain_lie, directional_derivative
+from oracles import ball_beam_lie, chain_lie, directional_derivative, lqr_gain_scipy
 
-from demostab.errors import DomainError, SingularDecouplingError
+from demostab.errors import DomainError, RiccatiError, SingularDecouplingError
 from demostab.plant import (
+    RICCATI_TOL,
     PlantModel,
     brunovsky_pair,
     chain_preset,
@@ -21,7 +23,7 @@ from demostab.plant import (
     lqr_gain,
 )
 from demostab.sim import simulate_closed_loop
-from demostab.systems import BALL_BEAM_B, BALL_BEAM_G, ball_beam_plant
+from demostab.systems import BALL_BEAM_B, BALL_BEAM_G, ball_beam_plant, flat_quad_pair
 
 
 def test_brunovsky_pair_n2():
@@ -133,6 +135,66 @@ def test_lqr_rejects_bad_weights():
     pair = brunovsky_pair(2)
     with pytest.raises(ValueError):
         lqr_gain(pair.A, pair.B, -np.eye(2), np.eye(1))
+
+
+def _preset_lqr_problem(name):
+    """(A, B, Q, R) of a preset's expert with its default weights."""
+    if name == "ball_beam":
+        bg = BALL_BEAM_B * BALL_BEAM_G
+        A = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -bg, 0.0],
+                      [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        return A, np.eye(4)[:, 3:], np.diag([0.2, 0.5, 1.0, 2.0]), np.array([[0.1]])
+    if name == "flat_quad_3d":
+        return (*flat_quad_pair(), 40.0 * np.eye(9), np.eye(3))
+    n = int(name[len("chain"):])
+    pair = brunovsky_pair(n)
+    return pair.A, pair.B, np.eye(n), np.eye(1)
+
+
+# Largest change of the gain relative to its largest entry, against scipy's
+# Schur solver.  Measured: at most 9e-15 up to chain4 and on the two
+# presets, 2.6e-14 on chain5-6, 3.4e-13 on chain7-10, 3.1e-11 on chain11-12.
+LQR_SCIPY_RTOL = {**{f"chain{n}": 1e-13 for n in range(1, 7)},
+                  **{f"chain{n}": 1e-11 for n in range(7, 11)},
+                  "chain11": 1e-10, "chain12": 1e-10, "ball_beam": 1e-13, "flat_quad_3d": 1e-13}
+
+
+@pytest.mark.parametrize("name", LQR_SCIPY_RTOL)
+def test_lqr_gain_matches_the_scipy_riccati_solver(name):
+    A, B, Q, R = _preset_lqr_problem(name)
+    K, want = lqr_gain(A, B, Q, R), lqr_gain_scipy(A, B, Q, R)
+    assert K.shape == want.shape
+    assert np.abs(K - want).max() <= LQR_SCIPY_RTOL[name] * np.abs(want).max()
+
+
+@pytest.mark.parametrize("q1, q2", [(1.0, 1.0), (1e-8, 1e8), (1e8, 1e-8), (1e100, 1e-100),
+                                    (1e200, 1e-200)])
+def test_lqr_gain_of_the_double_integrator_in_closed_form(q1, q2):
+    # Q = diag(q1, q2), R = 1: P = [[sqrt(q1) c, sqrt(q1)], [sqrt(q1), c]] with
+    # c = sqrt(q2 + 2 sqrt(q1)), so K = (sqrt(q1), c), at any scale of the weights.
+    pair = brunovsky_pair(2)
+    K = lqr_gain(pair.A, pair.B, np.diag([q1, q2]), np.eye(1))[0]
+    assert_allclose(K, [math.sqrt(q1), math.sqrt(q2 + 2.0 * math.sqrt(q1))], rtol=1e-14)
+
+
+def test_lqr_gain_residual_bound_accepts_chains_up_to_16():
+    # The default weights of every chain preset up to 16 integrators pass the
+    # residual check; from 17 on the residual is above RICCATI_TOL.
+    for n in range(1, 17):
+        A, B, Q, R = _preset_lqr_problem(f"chain{n}")
+        assert np.all(np.isfinite(lqr_gain(A, B, Q, R)))
+    A, B, Q, R = _preset_lqr_problem("chain17")
+    with pytest.raises(RiccatiError, match=f"above {RICCATI_TOL:g}"):
+        lqr_gain(A, B, Q, R)
+
+
+@pytest.mark.parametrize("q", [[1e308, 1e308], [1e-300, 1.0], [1e-160, 1e-160]])
+def test_lqr_gain_refuses_weights_without_an_accurate_solution(q):
+    pair = brunovsky_pair(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RiccatiError, match="Riccati"):
+            lqr_gain(pair.A, pair.B, np.diag(q), np.eye(1))
 
 
 @pytest.mark.parametrize("make_plant", [lambda: chain_preset(3), ball_beam_plant])

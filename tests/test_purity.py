@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.linalg import expm
+
+from oracles import expm
 
 from demostab.demos import DemonstrationSet
 from demostab.learner import LearnedController, build_basis
