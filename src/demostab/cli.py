@@ -68,21 +68,32 @@ class _StageFailure(Exception):
         self.code = code
 
 
-def _number(what: str, value, positive: bool = False) -> float:
+def _numbers(value) -> bool:
+    """True for a JSON number (an int or a float, not a bool) or a list of them, at any depth."""
+    return all(map(_numbers, value)) if isinstance(value, list) else type(value) in (int, float)
+
+
+def _floats(what: str, value, kind: str) -> np.ndarray:
+    """value, a JSON number or a list of them, as floats; otherwise "<what> must be <kind>"."""
     try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"{what} must be a number, got {value!r}") from exc
+        if _numbers(value):
+            return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):  # a ragged list; an int past the float range
+        pass
+    raise _UsageError(f"{what} must be {kind}, got {value!r}")
+
+
+def _number(what: str, value, positive: bool = False) -> float:
+    if isinstance(value, list):
+        raise _UsageError(f"{what} must be a number, got {value!r}")
+    x = float(_floats(what, value, "a number"))
     if positive and not 0.0 < x < math.inf:
         raise _UsageError(f"{what} must be a positive number, got {value!r}")
     return x
 
 
 def _vector(what: str, value, n: int) -> np.ndarray:
-    try:
-        x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"{what} must be numbers, got {value!r}") from exc
+    x = _floats(what, value, "numbers")
     if x.shape != (n,):
         raise _UsageError(f"{what} must have {n} entries, got {value!r}")
     return x
@@ -124,8 +135,9 @@ class Preset:
     plant(preset_params) builds the plant and its integrator-chain embedding,
     or None for a plant whose demonstrations reach chain form by feedback
     linearization; flat_quad_3d has neither, because systems.flat_quad_demo_set
-    records it from fixed starts (starts None).  params names the
-    preset_params keys plant reads.  expert(plant, Q, R) is the
+    records it from fixed starts (starts None).  params pairs each
+    preset_params key plant reads with its number of entries, None for a
+    number.  expert(plant, Q, R) is the
     expert u = expert(x) for the LQR weights Q (default: the diagonal entries
     given here) and R.  starts are the default recorded starts, x0 the
     default simulate start (None: the first recorded start), simulate(cfg,
@@ -162,7 +174,7 @@ def _simulate_chain(cfg: RunConfig, ctrl, z0: np.ndarray):
 
 def _simulate_embedded(cfg: RunConfig, ctrl, x0: np.ndarray):
     n = cfg.embedding.n
-    xi0 = _vector("simulate.xi0", cfg.simulate.get("xi0", np.zeros(n - 1)), n - 1)
+    xi0 = _vector("simulate.xi0", cfg.simulate.get("xi0", [0.0] * (n - 1)), n - 1)
     traj = embed_mod.simulate_embedded_closed_loop(cfg.embedding, ctrl, x0, xi0,
                                                    cfg.simulate_duration)
     header = (["t"] + [f"x{k + 1}" for k in range(n)]
@@ -194,7 +206,8 @@ PRESETS = {
     # controller, which amplifies the demonstrations affinely, stays inside
     # the beam-angle domain from far-out starts as well.
     "ball_beam": Preset(
-        plant=lambda params: systems.ball_beam_preset(**params), params=("b_bar", "g_bar", "w"),
+        plant=lambda params: systems.ball_beam_preset(**params),
+        params=(("b_bar", None), ("g_bar", None), ("w", 3)),
         expert=systems.ball_beam_expert, Q=(0.2, 0.5, 1.0, 2.0), R=0.1,
         starts=((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
                 (0.0, 0.0, math.pi / 8.0, 0.0), (0.0, 0.0, 0.0, 10.0)),
@@ -239,10 +252,13 @@ class RunConfig:
             self.dt = _number("dt", data["dt"], positive=True)
         except KeyError as exc:
             raise _UsageError(f"config missing required key: {exc}") from exc
+        sizes = dict(self.preset.params)
+        params = {key: _number(f"preset_params.{key}", value) if sizes[key] is None
+                  else _vector(f"preset_params.{key}", value, sizes[key])
+                  for key, value in _section(data, "preset_params", tuple(sizes)).items()}
         try:
-            self.plant, self.embedding = self.preset.plant(
-                _section(data, "preset_params", self.preset.params))
-        except (TypeError, ValueError) as exc:
+            self.plant, self.embedding = self.preset.plant(params)
+        except ValueError as exc:
             raise _UsageError(f"preset_params: {exc}") from exc
         self.expert_params = _section(data, "expert", EXPERT_KEYS)
         self.multi = data.get("multi", False)
@@ -290,10 +306,7 @@ class RunConfig:
         """
         n = len(self.preset.Q)
         Q = self.expert_params.get("Q")
-        try:
-            Q = np.asarray(self.preset.Q if Q is None else Q, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"expert.Q must be numbers, got {Q!r}") from exc
+        Q = _floats("expert.Q", list(self.preset.Q) if Q is None else Q, "numbers")
         if Q.ndim == 1:
             Q = np.diag(Q)
         if Q.shape != (n, n):
@@ -327,16 +340,7 @@ class RunConfig:
         if len(given) < n:
             raise _UsageError(f"initial_conditions must list at least n = {n} starts for "
                               f"{self.name}, got {len(given)}")
-        out = []
-        for k, ic in enumerate(given):
-            try:
-                x = np.asarray(ic, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise _UsageError(f"initial_conditions[{k}] must be numbers: {exc}") from exc
-            if x.shape != (n,):
-                raise _UsageError(f"initial_conditions[{k}] must have {n} entries, got {ic!r}")
-            out.append(x)
-        return out
+        return [_vector(f"initial_conditions[{k}]", ic, n) for k, ic in enumerate(given)]
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +458,7 @@ def _load_controller(cfg: RunConfig, out: Path):
 def cmd_simulate(cfg: RunConfig, out: Path, force: bool = False) -> None:
     _check_certificate(out, force)
     ctrl = _load_controller(cfg, out)
-    x0 = cfg.starts[0] if cfg.preset.x0 is None else cfg.preset.x0
+    x0 = cfg.starts[0].tolist() if cfg.preset.x0 is None else list(cfg.preset.x0)
     x0 = _vector("simulate.x0", cfg.simulate.get("x0", x0), len(cfg.preset.Q))
     times, header, cols, norms = cfg.preset.simulate(cfg, ctrl, x0)
     write_json(out / "trajectory.json", dict(zip(header, cols)),
@@ -484,7 +488,7 @@ def cmd_track(cfg: RunConfig, out: Path, force: bool = False) -> None:
     ctrl = _load_controller(cfg, out)
     f, duration = cfg.track_f, cfg.track_duration
     ref = cfg.preset.reference(f, cfg.track_axis)
-    z0 = _vector("track.z0", cfg.track.get("z0", np.zeros(ref.n)), ref.n)
+    z0 = _vector("track.z0", cfg.track.get("z0", [0.0] * ref.n), ref.n)
     res = systems.simulate_tracking(ctrl, ref, z0, duration)
 
     n, m = res.z.shape[1], res.v.shape[1]

@@ -17,13 +17,16 @@ which fixes
 Each EmbeddingConfig writes these formulas out once, for its n and w, as
 one stage function of the rows of plant.terms and of xi; every quantity of
 the embedding is read off it, on Python floats for one state and on NumPy
-rows for a batch, with the same bits either way.  Demonstrations of the
-original plant are transformed by integrating the auxiliary dynamics along
-the recorded (x, u), an affine flow in xi that affine_interval_maps moves,
-and re-reading the inputs as v = r u - s; the chain learner then applies
-unchanged.  The learned chain input drives the
-extended system one interval at a time, one rk4 call per interval on
-floats, anchored as the chain simulator anchors it.
+rows for a batch, with the same bits either way.  From the same expressions
+it writes the closed-loop field of one state: z, r and s, the law's row
+applied to z or to a frozen zeta, u = (s + v) / r and the extended
+derivative, in one call on floats.  Demonstrations of the original plant
+are transformed by integrating the auxiliary dynamics along the recorded
+(x, u), an affine flow in xi that affine_interval_maps moves, and
+re-reading the inputs as v = r u - s; the chain learner then applies
+unchanged.  The learned chain input drives the extended system one interval
+at a time, one rk4 call per interval on floats, each stage one call of the
+closed-loop field, anchored as the chain simulator anchors it.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ def hurwitz(M: np.ndarray) -> bool:
     return bool(np.all(np.linalg.eigvals(M).real < -1e-9))
 
 
-def _stage_source(n: int, w: tuple[float, ...]) -> str:
-    """Source of the stage function of an embedding with n states and coefficients w."""
+def _embedding_source(n: int, w: tuple[float, ...]) -> str:
+    """Source of stage and loop_field for an embedding with n states and coefficients w."""
     f, g = [f"f{i}" for i in range(n)], [f"g{i}" for i in range(n)]
     lf, lg = [f"lf{k}" for k in range(n + 1)], [f"lg{k}" for k in range(n)]
     xi = [f"xi{j}" for j in range(n - 1)]
@@ -68,16 +71,36 @@ def _stage_source(n: int, w: tuple[float, ...]) -> str:
         return " + ".join(f"{c!r} * {row}" for c, row in zip(coeffs, rows))
 
     shifted = f" + ({dot(w[:n - 2], xi[1:])})" if n > 2 else ""
+    z = [f"{a} + {b}" for a, b in zip(lf, xi)] + [f"{lf[n - 1]} - wxi"]
+    drift, gain = f + xi[1:] + ["-wxi"], g + [f"-{row}" for row in lg[:n - 1]]
+    r, s = f"{lg[n - 1]} + ({dot(w, lg)})", f"-{lf[n]}{shifted} - {w[n - 2]!r} * wxi"
+    head = [f"    {', '.join(f + g + lf + lg)} = p", f"    wxi = {dot(w, xi)}"]
+
+    def law(y):  # G_j y + g_j, left to right
+        return " + ".join([f"G{i} * {row}" for i, row in enumerate(y)] + ["gj"])
+
+    zeta = [f"zeta{i}" for i in range(n)]
     return "\n".join([
         "def stage(p, xi):",
-        f"    {', '.join(f + g + lf + lg)} = p",
-        f"    {', '.join(xi)}, = xi",
-        f"    wxi = {dot(w, xi)}",
-        f"    return ([{', '.join(f'{a} + {b}' for a, b in zip(lf, xi))}, {lf[n - 1]} - wxi],",
-        f"            {lg[n - 1]} + ({dot(w, lg)}),",
-        f"            -{lf[n]}{shifted} - {w[n - 2]!r} * wxi,",
-        f"            [{', '.join(f + xi[1:])}, -wxi],",
-        f"            [{', '.join(g + [f'-{row}' for row in lg[:n - 1]])}])",
+        f"    [{', '.join(xi)}] = xi",
+        *head,
+        f"    return [{', '.join(z)}], {r}, {s}, [{', '.join(drift)}], [{', '.join(gain)}]",
+        "",
+        "def loop_field(y, p, Gj, gj, zeta=None):",
+        f"    [{', '.join([f'x{i}' for i in range(n)] + xi)}] = y",
+        *head,
+        f"    r = {r}",
+        f"    s = {s}",
+        f"    [{', '.join(f'G{i}' for i in range(n))}] = Gj",
+        "    if zeta is None:",
+        f"        v = {law([f'({row})' for row in z])}",
+        "    else:",
+        f"        [{', '.join(zeta)}] = zeta",
+        f"        v = {law(zeta)}",
+        f"    if abs(r) <= {R_TOL!r}:",
+        "        return None, r, v, None",
+        "    u = (s + v) / r",
+        f"    return ({', '.join(f'{a} + {b} * u' for a, b in zip(drift, gain))}), r, v, u",
     ])
 
 
@@ -98,19 +121,25 @@ class EmbeddingConfig:
     and the extended state y = (x, xi) moves as dy/dt = drift + gain u with
     drift = [f; A_xi xi] = [f; xi[1:]; -w . xi] and gain = [g; -lg[:n-1]].
     Construction writes these formulas out once for this n and w, with w as
-    constants, into one function stage(p, xi) -> (z, r, s, drift, gain),
-    whose z, drift and gain are lists of rows.  Every dot product is summed
-    left to right and w . xi is formed once.  Its rows are Python floats for
-    one state (p and xi as lists) or NumPy rows for a batch (p (4n+1, k),
-    xi (n-1, k)); both take the same operations in the same order, so a
-    state gets the bits of its batch column, and no product goes through
-    BLAS.
+    constants, into stage(p, xi) -> (z, r, s, drift, gain), whose z, drift
+    and gain are lists of rows.  Every dot product is summed left to right
+    and w . xi is formed once.  Its rows are Python floats for one state (p
+    and xi as lists) or NumPy rows for a batch (p (4n+1, k), xi (n-1, k));
+    both take the same operations in the same order, so a state gets the
+    bits of its batch column, and no product goes through BLAS.  From the
+    same expressions it writes the closed-loop field of one state on
+    floats, loop_field(y, p, Gj, gj, zeta) -> (dy/dt, r, v, u): y is
+    the extended state, (Gj, gj) a row of the law v = Gj y' + gj, summed
+    left to right, with y' = z if zeta is None and the frozen zeta
+    otherwise, u = (s + v) / r and dy/dt = drift + gain u as a tuple; with
+    |r| <= R_TOL, dy/dt and u are None.
     """
 
     plant: PlantModel
     w: tuple[float, ...]
     A_xi: np.ndarray = field(init=False, repr=False, compare=False)
     stage: Callable = field(init=False, repr=False, compare=False)
+    loop_field: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(float(v) for v in self.w))
@@ -122,9 +151,10 @@ class EmbeddingConfig:
             raise ValueError(f"companion matrix of w={self.w} is not Hurwitz")
         A.flags.writeable = False
         namespace: dict = {}
-        exec(_stage_source(n, self.w), namespace)
+        exec(_embedding_source(n, self.w), namespace)
         object.__setattr__(self, "A_xi", A)
-        object.__setattr__(self, "stage", namespace["stage"])
+        for name in ("stage", "loop_field"):
+            object.__setattr__(self, name, namespace[name])
 
     @property
     def n(self) -> int:
@@ -143,11 +173,10 @@ def _stage(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray):
     return cfg.stage(cfg.plant.terms(x), xi)
 
 
-def _feedback(r, s, v, x, time=None) -> float:
-    if abs(r) <= R_TOL:
-        at = "" if time is None else f" at t={time:.6f}"
-        raise SingularEmbeddingError(f"r(x) = {r:.3e} at x={np.asarray(x)}{at}", time=time)
-    return float((s + v) / r)
+def _singular(r, x, time=None) -> SingularEmbeddingError:
+    """The failure of a state x with |r| <= R_TOL, at the absolute time of its stage if given."""
+    at = "" if time is None else f" at t={time:.6f}"
+    return SingularEmbeddingError(f"r(x) = {r:.3e} at x={np.asarray(x)}{at}", time=time)
 
 
 def phi_z(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -171,7 +200,9 @@ def aux_rhs(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, u) -> np.ndarra
 def dynamic_feedback(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, v: float) -> float:
     """Physical input u = (s(x, xi) + v) / r(x) realizing the chain input v."""
     _, r, s, _, _ = _stage(cfg, x, xi)
-    return _feedback(r, s, float(v), x)
+    if abs(r) <= R_TOL:
+        raise _singular(r, x)
+    return float((s + float(v)) / r)
 
 
 def transform_demos(cfg: EmbeddingConfig,
@@ -325,9 +356,12 @@ def simulate_embedded_closed_loop(
     the chain state is read off as z = Phi_z(x, xi), the learned controller
     supplies v, and the dynamic feedback turns it into the physical input
     u = (s + v) / r.  rk4 steps the single state as a list of Python
-    floats, and a stage stays on that list end to end: one domain test,
-    plant.terms and cfg.stage on the list's slices, one read of the law and
-    drift + gain u, returned as a list.  The committed grid states are
+    floats, and a stage stays on floats end to end: one domain test and one
+    plant.terms call on the list's first n entries, then one call of
+    cfg.loop_field on the list, those terms and the law's row at the stage's
+    slot, which returns the derivative as a tuple with v and u (the
+    interval's first stage also reads z off cfg.stage for the anchor).  The
+    committed grid states are
     tested by their first stage, so rk4 runs without its grid-point domain
     guard.  Each interval of interval_grid is one rk4 call; the anchor is
     read off the chain state of the interval's first stage, after rk4's
@@ -335,8 +369,8 @@ def simulate_embedded_closed_loop(
     their shared boundary point's input.  Both feedback modes read the law
     v = G[j] y + g[j] of the basis interval_groups(anchor) names, from
     basis.law(open_loop) with y = z (closed loop) or y = zeta (open loop),
-    taken as Python floats once per basis per run and summed
-    left to right, at slot round(2 tau / dt), dt = ctrl.dt: interval_grid
+    taken as Python floats once per basis per run and summed left to right
+    inside loop_field, at slot round(2 tau / dt), dt = ctrl.dt: interval_grid
     refuses a duration that is no whole number of steps, so every stage of
     every interval is on a slot.  A stage outside the domain (DomainError)
     or with |r| <= R_TOL (SingularEmbeddingError) fails with its absolute
@@ -351,7 +385,8 @@ def simulate_embedded_closed_loop(
     for name, value, size in (("x0", x0, n), ("xi0", xi0, n - 1)):
         if value.shape != (size,):
             raise ValueError(f"{name} must be shaped ({size},), got {value.shape}")
-    terms, inside, stage = plant.terms, plant.domain_check, cfg.stage
+    terms, inside = plant.terms, plant.domain_check
+    stage, loop_field = cfg.stage, cfg.loop_field
     T, dt = ctrl.T, ctrl.dt
     times, N = interval_grid(ctrl, duration)
     anchor = None  # (start, zeta as floats or None, G rows, g)
@@ -371,18 +406,15 @@ def simulate_embedded_closed_loop(
         if not inside(x):
             raise DomainError(f"state {np.array(x)} is outside the domain of {plant.name} "
                               f"at t={t:.6f}", time=t)
-        z, r, s, drift, gain = stage(terms(x), y[n:])
+        p = terms(x)
         if anchor is None:  # the interval's first stage: its start
-            anchor = begin(t, z)
+            anchor = begin(t, stage(p, y[n:])[0])
         start, zeta, G, g = anchor
         j = round(2.0 * min(t - start, T) / dt)
-        w, Gj = z if zeta is None else zeta, G[j]
-        v = Gj[0] * w[0]
-        for i in range(1, n):  # G(tau) y, left to right
-            v += Gj[i] * w[i]
-        v += g[j]
-        u = _feedback(r, s, v, x, t)
-        return [a + b * u for a, b in zip(drift, gain)], (v, u)
+        dy, r, v, u = loop_field(y, p, G[j], g[j], zeta)
+        if dy is None:
+            raise _singular(r, x, t)
+        return dy, (v, u)
 
     states = np.empty((len(times), 2 * n - 1))
     inputs = np.empty((len(times), 2))

@@ -3,8 +3,9 @@
 Two engines integrate on a grid, both classical RK4.  A nonlinear flow
 (expert recording, the embedded loop) runs stage by stage through rk4,
 which steps the grid it is given and owns the grid-point divergence and
-domain guard; it steps a single state on Python floats and a batch on NumPy
-arrays, with the same step expressions on both.  An affine flow (the
+domain guard; it steps a single state on Python floats, through a step
+written out once for its size, and a batch on NumPy arrays, with the same
+step expressions on both.  An affine flow (the
 auxiliary states of an embedding, the learned chain loops under either law)
 goes through affine_interval_maps, RK4 steps composed in closed form from
 coefficients tabulated on the half_slots of the grid.
@@ -16,6 +17,7 @@ grid covers is a whole number of steps dt (whole_steps), so every step is dt.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -185,9 +187,30 @@ def _squared_norm(y: list) -> float:
     return acc
 
 
-def _float_rows(k) -> list:
-    """An rhs derivative for a single state as a list of Python floats."""
-    return k.tolist() if isinstance(k, np.ndarray) else k
+@functools.cache
+def _float_step(d: int) -> Callable:
+    """step(rhs, t, h, y, k1): one RK4 step of d floats, the batch path's expressions written
+    out entry by entry; an rhs derivative (k1 is the first) not d long is a ValueError."""
+    a = [f"a{i}" for i in range(d)]
+    b1, b2, b3, b4 = ([f"b{c}_{i}" for i in range(d)] for c in range(1, 5))
+
+    def stage(c: str, b: list) -> str:
+        return ", ".join(f"{ai} + {c} * {bi}" for ai, bi in zip(a, b))
+
+    update = [f"{a[i]} + h6 * ({b1[i]} + 2.0 * {b2[i]} + 2.0 * {b3[i]} + {b4[i]})"
+              for i in range(d)]
+    namespace = {"rows": lambda k: k.tolist() if isinstance(k, np.ndarray) else k}
+    exec("\n".join([
+        "def step(rhs, t, h, y, k1):",
+        "    half, h6 = 0.5 * h, h / 6.0",
+        f"    [{', '.join(a)}] = y",
+        f"    [{', '.join(b1)}] = rows(k1)",
+        f"    [{', '.join(b2)}] = rows(rhs(t + half, [{stage('half', b1)}])[0])",
+        f"    [{', '.join(b3)}] = rows(rhs(t + half, [{stage('half', b2)}])[0])",
+        f"    [{', '.join(b4)}] = rows(rhs(t + h, [{stage('h', b3)}])[0])",
+        f"    return [{', '.join(update)}]",
+    ]), namespace)
+    return namespace["step"]
 
 
 def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
@@ -199,9 +222,11 @@ def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
     point, so a one-point grid costs one call).
 
     A single state y0 shaped (d,) is stepped on Python floats, entry by
-    entry, which spares the NumPy dispatch of d-sized arrays: rhs receives
-    each stage state as the list of floats rk4 steps, and may return a list
-    of floats or an ndarray.  A batch y0 shaped (d, k), k columns, is
+    entry, which spares the NumPy dispatch of d-sized arrays: each step is
+    one call of a function written out for d (_float_step), with no loop
+    over the entries.  rhs receives each stage state as a list of floats,
+    and may return a list or tuple of floats or an ndarray; a derivative
+    that is not d long is a ValueError.  A batch y0 shaped (d, k), k columns, is
     stepped on NumPy arrays, and rhs receives each stage state as a (d, k)
     array.  Both paths write the same step expressions, so a state gets the
     bits it would get as a column of a (d, 1) batch under an rhs that acts
@@ -220,6 +245,7 @@ def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
     y0 = np.asarray(y0, dtype=float)
     single = y0.ndim == 1
     y = y0.tolist() if single else y0
+    step = _float_step(len(y)) if single else None
     states = np.empty((len(grid),) + y0.shape)
     inputs = None
     for k, t in enumerate(grid):
@@ -241,17 +267,10 @@ def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
         if k == last:
             break
         h = grid[k + 1] - t
-        half, h6 = 0.5 * h, h / 6.0
-        # The same expressions on both paths: entry by entry on floats, or on
-        # the batch array.
-        if single:
-            k1 = _float_rows(k1)
-            k2 = _float_rows(rhs(t + half, [a + half * b for a, b in zip(y, k1)])[0])
-            k3 = _float_rows(rhs(t + half, [a + half * b for a, b in zip(y, k2)])[0])
-            k4 = _float_rows(rhs(t + h, [a + h * b for a, b in zip(y, k3)])[0])
-            y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
+        if single:  # the batch path's expressions, written out entry by entry
+            y = step(rhs, t, h, y, k1)
         else:
+            half, h6 = 0.5 * h, h / 6.0
             k2, _ = rhs(t + half, y + half * k1)
             k3, _ = rhs(t + half, y + half * k2)
             k4, _ = rhs(t + h, y + h * k3)

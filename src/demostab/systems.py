@@ -182,8 +182,8 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
     2 b r omega), so the plant is not feedback linearizable and is handled by
     the embedding pipeline.
     """
-    if b_bar <= 0 or g_bar <= 0:
-        raise ValueError("b_bar and g_bar must be positive")
+    if not (0 < b_bar < math.inf and 0 < g_bar < math.inf):
+        raise ValueError("b_bar and g_bar must be positive and finite")
     b, g = float(b_bar), float(g_bar)
 
     def f(x):

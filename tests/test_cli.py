@@ -233,6 +233,18 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
     {"preset": "flat_quad_3d", "expert": {}, "initial_conditions": "default",
      "preset_params": {"w": [1.0]}},
     {"preset": "ball_beam", "expert": {}, "preset_params": {"b_barr": 0.5}},
+    # Numbers are JSON numbers: no string, no bool, no int past the float range.
+    {"T": "1"},
+    {"T": True},
+    {"dt": "0.01"},
+    {"expert": {"Q": ["1", True]}},
+    {"initial_conditions": [["1", 0], [0, 1]]},
+    {"t_tilde_grid": ["0.5", True]},
+    {"preset": "ball_beam", "expert": {}, "preset_params": {"g_bar": "9.81"}},
+    {"preset": "ball_beam", "expert": {}, "preset_params": {"w": [True, 3, 3]}},
+    {"preset": "ball_beam", "expert": {}, "preset_params": {"b_bar": [0.5]}},
+    {"T": 10**400},
+    {"simulate": {"x0": [10**400, 0.5], "duration": 8.0}},
 ], ids=["t_tilde_grid", "simulate.duration", "track.f", "track.duration", "track.axis",
         "ragged_initial_conditions", "t_tilde_grid_not_a_list", "simulate_not_an_object",
         "simulate.x0_length", "expert.Q", "expert.Q_shape", "expert.Q_indefinite",
@@ -244,12 +256,33 @@ def test_filesystem_error_is_usage_error(tmp_path, capsys, case):
         "preset_chain_space_2", "preset_chain_plus_2", "track.axis_is_a_bool",
         "ball_beam.preset_params.xi0", "t_tilde_grid_above_T", "unknown_key",
         "simulate.unknown_key", "chain2.simulate.xi0", "track.unknown_key", "expert.unknown_key",
-        "chain2.preset_params", "flat_quad_3d.preset_params", "ball_beam.preset_params.typo"])
+        "chain2.preset_params", "flat_quad_3d.preset_params", "ball_beam.preset_params.typo",
+        "T_a_string", "T_a_bool", "dt_a_string", "expert.Q_a_string_and_a_bool",
+        "initial_conditions_a_string", "t_tilde_grid_a_string_and_a_bool",
+        "ball_beam.preset_params.g_bar_a_string", "ball_beam.preset_params.w_a_bool",
+        "ball_beam.preset_params.b_bar_a_list", "T_past_the_float_range",
+        "simulate.x0_past_the_float_range"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "config.json", **overrides)
     assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"T": "1"}, "T must be a number, got '1'"),
+    ({"preset_params": {"g_bar": "9.81"}}, "preset_params.g_bar must be a number, got '9.81'"),
+    ({"preset_params": {"w": [True, 3, 3]}}, "preset_params.w must be numbers, got [True, 3, 3]"),
+    ({"preset_params": {"g_bar": float("inf")}},
+     "preset_params: b_bar and g_bar must be positive and finite"),
+], ids=["T", "g_bar", "w", "g_bar_inf"])
+def test_config_number_is_refused_by_its_key(tmp_path, capsys, overrides, message):
+    # A ball-beam parameter that is not a finite positive number is refused
+    # while the config is read, not blamed later on the expert's weights.
+    cfg = write_config(tmp_path / "config.json", preset="ball_beam", expert={},
+                       simulate={"duration": 8.0}, **overrides)
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
 
 
 def test_unknown_config_key_is_named(tmp_path, capsys):

@@ -373,10 +373,14 @@ def _stage_values(stage_out) -> list[float]:
     return [*z, r, s, *drift, *gain]
 
 
+def _bits(values) -> list[str]:
+    return [float(q).hex() for q in values]
+
+
 @pytest.mark.parametrize("name", sorted(STAGE_CONFIGS))
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([None, 1, 5]))
-def test_stage_function_matches_term_by_term_oracle(name, seed, k):
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([None, 1, 5]), frozen=st.booleans())
+def test_stage_function_matches_term_by_term_oracle(name, seed, k, frozen):
     cfg = STAGE_CONFIGS[name]
     plant, n = cfg.plant, cfg.n
     rng = np.random.default_rng(seed)
@@ -410,10 +414,32 @@ def test_stage_function_matches_term_by_term_oracle(name, seed, k):
         assert_allclose(r[at[1:]], r_want, rtol=0, atol=1e-12 * scale)
         assert_allclose(s[at[1:]], s_want, rtol=0, atol=1e-12 * scale)
         assert_allclose(dy[at], dy_want, rtol=0, atol=1e-12 * max(1.0, np.abs(dy_want).max()))
+        p_j = plant.terms(xj).tolist()
+        single = cfg.stage(p_j, xij.tolist())
         if k is not None:  # one state on floats: the bits of its batch column
-            single = cfg.stage(plant.terms(xj).tolist(), xij.tolist())
             column = [*z[:, j], r[j], s[j], *drift[:, j], *gain[:, j]]
             assert _stage_values(single) == column
+        # The closed-loop field: the stage, the law G y + g summed left to
+        # right with y = z or a frozen zeta, u = (s + v) / r and drift + gain u.
+        z_j, r_j, s_j, drift_j, gain_j = single
+        G, g = rng.uniform(-3.0, 3.0, n).tolist(), float(rng.uniform(-3.0, 3.0))
+        zeta = rng.uniform(-2.0, 2.0, n).tolist() if frozen else None
+        law = z_j if zeta is None else zeta
+        v_j = G[0] * law[0]
+        for i in range(1, n):
+            v_j += G[i] * law[i]
+        v_j += g
+        u_j = (s_j + v_j) / r_j
+        y = xj.tolist() + xij.tolist()
+        dy_j, r_got, v_got, u_got = cfg.loop_field(y, p_j, G, g, zeta)
+        assert type(dy_j) is tuple
+        assert _bits([*dy_j, r_got, v_got, u_got]) == _bits(
+            [*(a + b * u_j for a, b in zip(drift_j, gain_j)), r_j, v_j, u_j])
+        # With r = 0 (its last term set to minus the sum of the others) the
+        # field returns no derivative and no input.
+        p_j[4 * n] = 0.0
+        p_j[4 * n] = -cfg.stage(p_j, xij.tolist())[1]
+        assert cfg.loop_field(y, p_j, G, g, zeta) == (None, 0.0, v_j, None)
     # The module's accessors read the same function.
     assert np.array_equal(phi_z(cfg, x, xi), z)
     assert np.array_equal(r_of_x(cfg, x), r)

@@ -180,10 +180,21 @@ def _cubic_rhs(t, x):
     return np.asarray(x)**3, 0.0
 
 
-@pytest.mark.parametrize("rhs, y0", [(_linear_rhs, [0.3, -0.2]), (_cubic_rhs, [2.0])],
-                         ids=["linear", "cubic"])
+def _ring_rhs(t, y):
+    # Each entry is pulled towards the next one, cyclically, with a cubic
+    # damping term: row by row, as _linear_rhs, and a list of floats for one state.
+    y = np.asarray(y)
+    dy = 0.5 * np.roll(y, -1, axis=0) - y * y * y + t
+    return (dy.tolist() if y.ndim == 1 else dy), y[0]
+
+
+@pytest.mark.parametrize("rhs, y0", [(_linear_rhs, [0.3, -0.2]), (_cubic_rhs, [2.0]),
+                                     (_ring_rhs, np.linspace(-1.0, 1.0, 7)),
+                                     (_ring_rhs, np.linspace(-1.5, 1.0, 23))],
+                         ids=["linear", "cubic", "ring7", "ring23"])
 def test_single_state_steps_to_the_bits_of_its_batch_column(rhs, y0):
-    # A 1-D state is stepped on Python floats, a (d, 1) batch on NumPy rows.
+    # A 1-D state is stepped on Python floats, a (d, 1) batch on NumPy rows;
+    # d = 7 is the size of the ball-beam's extended state.
     # x' = x^3 from 2 blows up at t = 1/8: up to 0.1 both paths step it, and
     # to 5.0 both fail at one grid time.
     y0 = np.array(y0)
@@ -201,6 +212,15 @@ def test_single_state_steps_to_the_bits_of_its_batch_column(rhs, y0):
             errors.append((err.value.time, err.value.column))
         assert errors[0] == (errors[1][0], None) and errors[1][1] == 0
         assert 0.1 < errors[0][0] < 0.2
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_single_state_derivative_of_another_length_is_a_value_error(extra):
+    def rhs(t, y):
+        return [1.0] * (len(y) + extra), 0.0
+
+    with pytest.raises(ValueError):
+        rk4(rhs, np.array([0.5, -0.25, 1.0]), time_grid(0.0, 0.3, 0.1))
 
 
 def test_rhs_receives_the_state_rk4_steps():
