@@ -14,7 +14,8 @@ the exception to the exit code and prints one line, "usage error: ..." or
 "<stage>: ...", to standard error:
 
     _UsageError, OSError (a file that cannot be read or written)   1
-    RiccatiError (expert weights with no accurate LQR gain)        1
+    RiccatiError (expert weights, or the preset_params the line
+        names if the config sets any, with no accurate LQR gain)   1
     AffineDependenceError, DegenerateGeometryError                 2
     _StageFailure (a certificate verdict, a missing stage file or
         tracking reference, a failed validation report)            its code: 1, 2 or 3
@@ -27,6 +28,7 @@ Exit 0 is success, 1 usage, 2 validation failure, 3 certification failure and
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import re
 import sys
@@ -253,9 +255,10 @@ class RunConfig:
         except KeyError as exc:
             raise _UsageError(f"config missing required key: {exc}") from exc
         sizes = dict(self.preset.params)
+        self.preset_params = _section(data, "preset_params", tuple(sizes))
         params = {key: _number(f"preset_params.{key}", value) if sizes[key] is None
                   else _vector(f"preset_params.{key}", value, sizes[key])
-                  for key, value in _section(data, "preset_params", tuple(sizes)).items()}
+                  for key, value in self.preset_params.items()}
         try:
             self.plant, self.embedding = self.preset.plant(params)
         except ValueError as exc:
@@ -562,8 +565,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     # The one map from a failure to its exit code.
     except (_UsageError, OSError) as exc:  # OSError: the config, --out or an output file
         return _fail("usage error", exc, EXIT_USAGE)
-    except RiccatiError as exc:  # raised for the expert's LQR gain only
-        return _fail("usage error: expert weights Q and R", exc, EXIT_USAGE)
+    except RiccatiError as exc:  # raised for the expert's LQR gain only, after cfg is read
+        # The plant's parameters shape the linearization the gain is solved for.
+        given = f" or preset_params {json.dumps(cfg.preset_params)}" if cfg.preset_params else ""
+        return _fail(f"usage error: expert weights Q and R{given}", exc, EXIT_USAGE)
     except _StageFailure as exc:
         return _fail(stage, exc, exc.code)
     except (AffineDependenceError, DegenerateGeometryError) as exc:

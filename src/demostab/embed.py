@@ -15,18 +15,20 @@ which fixes
                - w_{n-1} sum_i w_i xi_i.
 
 Each EmbeddingConfig writes these formulas out once, for its n and w, as
-one stage function of the rows of plant.terms and of xi; every quantity of
-the embedding is read off it, on Python floats for one state and on NumPy
-rows for a batch, with the same bits either way.  From the same expressions
-it writes the closed-loop field of one state: z, r and s, the law's row
-applied to z or to a frozen zeta, u = (s + v) / r and the extended
-derivative, in one call on floats.  Demonstrations of the original plant
-are transformed by integrating the auxiliary dynamics along the recorded
-(x, u), an affine flow in xi that affine_interval_maps moves, and
+one stage function cfg.stage of the rows of plant.terms and of xi; every
+quantity of the embedding is read off it, on Python floats for one state
+and on NumPy rows for a batch, with the same bits either way.  From the
+same expressions it writes the closed-loop field of one state: z, r and s,
+the law's row applied to z or to a frozen zeta, u = (s + v) / r and the
+extended derivative, in one call on floats.  Demonstrations of the original
+plant are transformed by integrating the auxiliary dynamics along the
+recorded (x, u), an affine flow in xi that affine_interval_maps moves, and
 re-reading the inputs as v = r u - s; the chain learner then applies
 unchanged.  The learned chain input drives the extended system one interval
 at a time, one rk4 call per interval on floats, each stage one call of the
-closed-loop field, anchored as the chain simulator anchors it.
+closed-loop field, anchored as the chain simulator anchors it.  The
+linearization A_w of the auxiliary subsystem on z = 0 is one
+central-difference Jacobian of one batched cfg.stage call.
 """
 
 from __future__ import annotations
@@ -161,50 +163,6 @@ class EmbeddingConfig:
         return self.plant.n
 
 
-# The functions below take x shaped (n,) with xi (n-1,), or a batch of states
-# as columns, x (n, k) with xi (n-1, k).
-
-
-def _stage(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray):
-    """cfg.stage at (x, xi): on Python floats for one state, on NumPy rows for a batch."""
-    x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
-    if x.ndim == 1:
-        return cfg.stage(cfg.plant.terms(x.tolist()), xi.tolist())
-    return cfg.stage(cfg.plant.terms(x), xi)
-
-
-def _singular(r, x, time=None) -> SingularEmbeddingError:
-    """The failure of a state x with |r| <= R_TOL, at the absolute time of its stage if given."""
-    at = "" if time is None else f" at t={time:.6f}"
-    return SingularEmbeddingError(f"r(x) = {r:.3e} at x={np.asarray(x)}{at}", time=time)
-
-
-def phi_z(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Chain coordinates of the extended state (one column per state of a batch)."""
-    cfg.plant.require_in_domain(x)
-    return np.array(_stage(cfg, x, xi)[0])
-
-
-def r_of_x(cfg: EmbeddingConfig, x: np.ndarray):
-    """Input coefficient r(x) of the embedded chain's top equation, for x shaped (n,) or (n, k)."""
-    x = np.asarray(x, dtype=float)
-    return _stage(cfg, x, np.zeros((cfg.n - 1,) + x.shape[1:]))[1]
-
-
-def aux_rhs(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, u) -> np.ndarray:
-    """Auxiliary dynamics dxi/dt = A_xi xi - [L_g L_f^{k-1} h(x)]_k u."""
-    _, _, _, drift, gain = _stage(cfg, x, xi)
-    return np.array([d + g * u for d, g in zip(drift[cfg.n:], gain[cfg.n:])])
-
-
-def dynamic_feedback(cfg: EmbeddingConfig, x: np.ndarray, xi: np.ndarray, v: float) -> float:
-    """Physical input u = (s(x, xi) + v) / r(x) realizing the chain input v."""
-    _, r, s, _, _ = _stage(cfg, x, xi)
-    if abs(r) <= R_TOL:
-        raise _singular(r, x)
-    return float((s + float(v)) / r)
-
-
 def transform_demos(cfg: EmbeddingConfig,
                     batch: Trajectory) -> tuple[DemonstrationSet, np.ndarray]:
     """Transform a recorded batch of (x, u) runs into chain coordinates.
@@ -264,71 +222,29 @@ def transform_demos(cfg: EmbeddingConfig,
     return DemonstrationSet(grid=grid, z=z, v=v, A=pair.A, B=pair.B), xi
 
 
-def invert_phi_z(
-    cfg: EmbeddingConfig,
-    z_target: np.ndarray,
-    xi: np.ndarray,
-    x_guess: Optional[np.ndarray] = None,
-    tol: float = 1e-12,
-    max_iter: int = 60,
-) -> np.ndarray:
-    """Solve Phi_z(x, xi) = z_target for x by damped Newton iteration."""
-    n = cfg.n
-    x = np.zeros(n) if x_guess is None else np.asarray(x_guess, dtype=float).copy()
-    z_target = np.asarray(z_target, dtype=float)
-
-    def G(xv):
-        return phi_z(cfg, xv, xi) - z_target
-
-    g = G(x)
-    for _ in range(max_iter):
-        if np.linalg.norm(g) < tol:
-            return x
-        J = np.empty((n, n))
-        eps = 1e-7
-        for j in range(n):
-            dx = np.zeros(n)
-            dx[j] = eps * (1.0 + abs(x[j]))
-            J[:, j] = (G(x + dx) - G(x - dx)) / (2.0 * dx[j])
-        try:
-            step = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("Jacobian singular while inverting the coordinate change") from exc
-        lam = 1.0
-        while lam > 1e-6:
-            x_new = x + lam * step
-            g_new = G(x_new)
-            if np.linalg.norm(g_new) < np.linalg.norm(g):
-                x, g = x_new, g_new
-                break
-            lam *= 0.5
-        else:
-            raise RuntimeError("numeric inversion of the coordinate change stalled")
-    if np.linalg.norm(g) < 1e-9:
-        return x
-    raise RuntimeError("numeric inversion of the coordinate change did not converge")
-
-
 def a_w_numeric(cfg: EmbeddingConfig, eps: float = 1e-5) -> np.ndarray:
     """Jacobian correction A_w of the unforced xi-subsystem at the origin.
 
-    Central-difference Jacobian with respect to xi, at (z, xi) = (0, 0), of
-    the transformed xi-drift; the practical surrogate for input-to-state
-    stability of the auxiliary subsystem is that A_xi + A_w is Hurwitz.  This
-    is a local linearization check, not a proof of the ISS condition.
+    On the manifold z = Phi_z(x, xi) = 0 under v = 0, xi moves as
+    xi' = F(x, xi) = drift[n:] + gain[n:] s / r with x = x(xi), and the
+    implicit-function theorem gives its Jacobian at (x, xi) = (0, 0) as
+    F_xi - F_x Phi_x^{-1} Phi_xi.  One cfg.stage call on a batch of the
+    2(2n-1) states (x, xi) = +-eps e_j takes the central differences of
+    (Phi_z, F), and A_w is that Jacobian minus A_xi.  The practical
+    surrogate for input-to-state stability of the auxiliary subsystem is
+    that A_xi + A_w is Hurwitz.  This is a local linearization check, not a
+    proof of the ISS condition.  |r| <= R_TOL at a state of the batch is a
+    SingularEmbeddingError.
     """
-    n = cfg.n
-
-    def drift(xi):
-        x = invert_phi_z(cfg, np.zeros(n), xi)
-        return aux_rhs(cfg, x, xi, dynamic_feedback(cfg, x, xi, 0.0))
-
-    J = np.empty((n - 1, n - 1))
-    for j in range(n - 1):
-        dxi = np.zeros(n - 1)
-        dxi[j] = eps
-        J[:, j] = (drift(dxi) - drift(-dxi)) / (2.0 * eps)
-    return J - cfg.A_xi
+    n, d = cfg.n, 2 * cfg.n - 1
+    y = eps * np.hstack([np.eye(d), -np.eye(d)])  # column j: +eps e_j, column d + j: -eps e_j
+    z, r, s, drift, gain = cfg.stage(cfg.plant.terms(y[:n]), y[n:])
+    if np.abs(r).min() <= R_TOL:
+        raise SingularEmbeddingError(f"r(x) = {r[np.abs(r).argmin()]:.3e} within {eps:g} of "
+                                     f"the origin: A_w is undefined")
+    G = np.vstack([z, np.array(drift[n:]) + np.array(gain[n:]) * (s / r)])
+    J = (G[:, :d] - G[:, d:]) / (2.0 * eps)  # rows (Phi_z, F), columns (x, xi)
+    return J[n:, n:] - J[n:, :n] @ np.linalg.solve(J[:n, :n], J[:n, n:]) - cfg.A_xi
 
 
 @dataclass(frozen=True)
@@ -413,7 +329,8 @@ def simulate_embedded_closed_loop(
         j = round(2.0 * min(t - start, T) / dt)
         dy, r, v, u = loop_field(y, p, G[j], g[j], zeta)
         if dy is None:
-            raise _singular(r, x, t)
+            raise SingularEmbeddingError(f"r(x) = {r:.3e} at x={np.array(x)} at t={t:.6f}",
+                                         time=t)
         return dy, (v, u)
 
     states = np.empty((len(times), 2 * n - 1))

@@ -116,37 +116,6 @@ def last_unit_field(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def feedback_linearize(plant: PlantModel, x: np.ndarray) -> np.ndarray:
-    """Map a state, or a batch (n, k), to linearizing coordinates z_k = L_f^{k-1} h(x)."""
-    x = np.asarray(x, dtype=float)
-    plant.require_in_domain(x)
-    n = plant.n
-    return plant.terms(x)[2 * n:3 * n]
-
-
-def linearizing_input(plant: PlantModel, x: np.ndarray, v: float) -> float:
-    """Physical input realizing the chain input v at state x.
-
-    Computes u = (v - L_f^n h(x)) / (L_g L_f^{n-1} h(x)), the feedback that
-    renders the output dynamics a chain of n integrators driven by v; a
-    batch x (n, k) takes v shaped (k,).
-    """
-    x = np.asarray(x, dtype=float)
-    plant.require_in_domain(x)
-    return _decouple(plant, x, plant.terms(x), v)
-
-
-def _decouple(plant: PlantModel, x: np.ndarray, terms: np.ndarray, v):
-    """(v - L_f^n h) / L_g L_f^{n-1} h from the stacked terms at x."""
-    n = plant.n
-    a, b = terms[3 * n], terms[4 * n]
-    if np.any(np.abs(b) < DECOUPLING_TOL):
-        bad = x if x.ndim == 1 else x[:, np.argmin(np.abs(b))]
-        raise SingularDecouplingError(f"decoupling term |b| = {np.min(np.abs(b)):.3e} below "
-                                      f"tolerance at x={bad} for {plant.name}")
-    return (v - a) / b
-
-
 def lqr_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Infinite-horizon LQR gain K = R^-1 B^T P, shaped (m, n), for dx/dt = Ax + Bu.
 
@@ -209,8 +178,9 @@ def expert_lqr(plant: PlantModel, Q: np.ndarray,
     the plant's chain.  The expert is u = expert(x): the chain input -K z(x),
     passed through the linearizing input, a smooth stabilizing state feedback
     of x shaped (n,) or of a batch (n, k).  A call tests the domain once and
-    reads z, L_f^n h and L_g L_f^{n-1} h from one terms evaluation; it equals
-    linearizing_input(plant, x, -K @ feedback_linearize(plant, x)) bit for bit.
+    reads z = L_f^{0..n-1} h, L_f^n h and L_g L_f^{n-1} h from one terms
+    evaluation: u = (-K z - L_f^n h) / L_g L_f^{n-1} h, a
+    SingularDecouplingError where |L_g L_f^{n-1} h| < DECOUPLING_TOL.
     """
     n = plant.n
     pair = brunovsky_pair(n)
@@ -220,7 +190,12 @@ def expert_lqr(plant: PlantModel, Q: np.ndarray,
         x = np.asarray(x, dtype=float)
         plant.require_in_domain(x)
         terms = plant.terms(x)
-        return _decouple(plant, x, terms, -K @ terms[2 * n:3 * n])
+        a, b = terms[3 * n], terms[4 * n]
+        if np.any(np.abs(b) < DECOUPLING_TOL):
+            bad = x if x.ndim == 1 else x[:, np.argmin(np.abs(b))]
+            raise SingularDecouplingError(f"decoupling term |b| = {np.min(np.abs(b)):.3e} below "
+                                          f"tolerance at x={bad} for {plant.name}")
+        return (-K @ terms[2 * n:3 * n] - a) / b
 
     return expert
 

@@ -807,12 +807,12 @@ def stage_map(cfg) -> np.ndarray:
 def s_of_x_xi(cfg, x, xi):
     """Drift term s(x, xi) of an EmbeddingConfig, chosen so that dz_n/dt = -s + r u.
 
-    Read off cfg.stage, the formula the dynamic feedback divides by, so that
-    v = -s cancels it exactly; stage_map checks that formula independently.
+    Read off cfg.stage at one state on Python floats, the formula the dynamic
+    feedback divides by, so that v = -s cancels it exactly; stage_map checks
+    that formula independently.
     """
-    from demostab.embed import _stage
-
-    return _stage(cfg, x, xi)[2]
+    return cfg.stage(cfg.plant.terms(np.asarray(x, dtype=float).tolist()),
+                     np.asarray(xi, dtype=float).tolist())[2]
 
 
 # ---------------------------------------------------------------------------

@@ -543,6 +543,24 @@ def test_expert_weights_without_a_riccati_solution_are_one_line(tmp_path, capsys
     assert not (tmp_path / "demo_set.json").exists()
 
 
+@pytest.mark.parametrize("params", [{"b_bar": 1e308}, {"g_bar": 1e308}, {"b_bar": 1e160},
+                                    {"b_bar": 1e-20}],
+                         ids=["b_bar_1e308", "g_bar_1e308", "b_bar_1e160", "b_bar_1e-20"])
+def test_preset_params_without_a_riccati_solution_are_named(tmp_path, capsys, params):
+    # The default weights have a gain for the default ball-beam, but not for
+    # these plants' linearizations: the one line names the preset_params too.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": "ball_beam", "T": 0.5, "dt": 0.001,
+                               "preset_params": params}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"usage error: expert weights Q and R or preset_params {json.dumps(params)}: "), err
+    assert not (tmp_path / "demo_set.json").exists()
+
+
 def test_expert_too_stiff_for_the_step_is_one_line(tmp_path, capsys):
     # Q = diag(1e200, 1e-200) has an accurate gain, K = (1e100, 1.4e50), whose
     # closed loop no step of 0.01 s can follow: the recording diverges.

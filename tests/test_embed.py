@@ -12,22 +12,16 @@ from oracles import (aux_dot, aux_states_rk4, charpoly, embedded_rk4, embedding_
                      routh_stable, s_of_x_xi, stage_map, transform_demo_per_sample)
 
 from demostab.embed import (
-    R_TOL,
     EmbeddingConfig,
     a_w_numeric,
-    aux_rhs,
     companion_from_coeffs,
-    dynamic_feedback,
     hurwitz,
-    invert_phi_z,
-    phi_z,
-    r_of_x,
     simulate_embedded_closed_loop,
     transform_demos,
 )
 from demostab.errors import DomainError, SingularEmbeddingError
 from demostab.learner import AffineBasis, LearnedController, build_basis
-from demostab.plant import chain_preset
+from demostab.plant import PlantModel, chain_preset
 from demostab.sim import time_grid
 from demostab.systems import BALL_BEAM_B, BALL_BEAM_G, ball_beam_preset
 
@@ -35,6 +29,11 @@ from demostab.systems import BALL_BEAM_B, BALL_BEAM_G, ball_beam_preset
 @pytest.fixture(scope="module")
 def bb_cfg():
     return ball_beam_preset()[1]
+
+
+def stage_at(cfg, x, xi):
+    """cfg.stage at one state (x, xi): (z, r, s, drift, gain) on Python floats."""
+    return cfg.stage(cfg.plant.terms(list(map(float, x))), list(map(float, xi)))
 
 
 def test_a_xi_companion_structure(bb_cfg):
@@ -75,13 +74,13 @@ def test_config_rejects_wrong_length():
 
 
 def test_phi_at_origin(bb_cfg):
-    z = phi_z(bb_cfg, np.zeros(4), np.zeros(3))
-    assert np.all(z == 0.0)
+    z = stage_at(bb_cfg, np.zeros(4), np.zeros(3))[0]
+    assert np.all(np.array(z) == 0.0)
 
 
 def test_phi_zero_xi_gives_plain_coordinates(bb_cfg):
     x = np.array([0.4, -0.3, 0.2, 0.6])
-    z = phi_z(bb_cfg, x, np.zeros(3))
+    z = stage_at(bb_cfg, x, np.zeros(3))[0]
     plant = bb_cfg.plant
     expected = plant.terms(x)[8:12]  # L_f^k h, k = 0..3
     assert_allclose(z, expected, atol=1e-14)
@@ -91,7 +90,7 @@ def test_phi_ball_beam_third_coordinate(bb_cfg):
     b, g = BALL_BEAM_B, BALL_BEAM_G
     x = np.array([0.7, 0.1, 0.3, 0.5])
     xi = np.array([0.11, -0.2, 0.35])
-    z = phi_z(bb_cfg, x, xi)
+    z = stage_at(bb_cfg, x, xi)[0]
     assert_allclose(z[2], -b * g * math.sin(x[2]) + b * x[0] * x[3] ** 2 + xi[2], atol=1e-14)
     # Top coordinate subtracts the w-weighted xi.
     w = np.array(bb_cfg.w)
@@ -100,8 +99,9 @@ def test_phi_ball_beam_third_coordinate(bb_cfg):
 
 
 def test_r_at_origin_is_minus_bg(bb_cfg):
-    assert_allclose(r_of_x(bb_cfg, np.zeros(4)), -BALL_BEAM_B * BALL_BEAM_G, atol=1e-12)
-    assert_allclose(r_of_x(bb_cfg, np.zeros(4)), -7.0073, atol=1e-3)
+    r = stage_at(bb_cfg, np.zeros(4), np.zeros(3))[1]
+    assert_allclose(r, -BALL_BEAM_B * BALL_BEAM_G, atol=1e-12)
+    assert_allclose(r, -7.0073, atol=1e-3)
 
 
 def test_r_matches_ball_beam_closed_form(bb_cfg):
@@ -111,7 +111,7 @@ def test_r_matches_ball_beam_closed_form(bb_cfg):
     for _ in range(20):
         x = rng.uniform(-1.0, 1.0, size=4)
         expected = 2.0 * b * x[1] * x[3] - b * g * math.cos(x[2]) + 2.0 * w3 * b * x[0] * x[3]
-        assert_allclose(r_of_x(bb_cfg, x), expected, atol=1e-12)
+        assert_allclose(stage_at(bb_cfg, x, np.zeros(3))[1], expected, atol=1e-12)
 
 
 def test_s_at_origin_vanishes(bb_cfg):
@@ -143,13 +143,15 @@ def test_small_w_reduces_r_to_plain_decoupling():
     a = 1e-4
     cfg = EmbeddingConfig(plant=plant, w=(a**3, 3 * a**2, 3 * a))
     x = np.array([0.3, -0.2, 0.1, 0.8])
-    assert_allclose(r_of_x(cfg, x), plant.terms(x)[16], rtol=1e-3)  # L_g L_f^3 h
+    assert_allclose(stage_at(cfg, x, np.zeros(3))[1], plant.terms(x)[16],
+                    rtol=1e-3)  # L_g L_f^3 h
 
 
 def test_aux_rhs_unforced_is_companion(bb_cfg):
+    # Under u = 0 the auxiliary rows of the extended field are drift[4:].
     xi = np.array([0.2, -0.4, 0.9])
-    assert_allclose(aux_rhs(bb_cfg, np.zeros(4), xi, 0.0), bb_cfg.A_xi @ xi, atol=1e-14)
-    assert_allclose(aux_rhs(bb_cfg, np.zeros(4), np.zeros(3), 0.0), 0.0, atol=0)
+    assert_allclose(stage_at(bb_cfg, np.zeros(4), xi)[3][4:], bb_cfg.A_xi @ xi, atol=1e-14)
+    assert_allclose(stage_at(bb_cfg, np.zeros(4), np.zeros(3))[3][4:], 0.0, atol=0)
 
 
 def test_aux_rhs_ball_beam_input_terms(bb_cfg):
@@ -158,7 +160,8 @@ def test_aux_rhs_ball_beam_input_terms(bb_cfg):
     x = np.array([0.5, 0.0, 0.0, 2.0])
     xi = np.array([0.1, 0.2, 0.3])
     u = 1.7
-    dxi = aux_rhs(bb_cfg, x, xi, u)
+    _, _, _, drift, gain = stage_at(bb_cfg, x, xi)
+    dxi = np.array(drift[4:]) + np.array(gain[4:]) * u
     w = np.array(bb_cfg.w)
     assert_allclose(dxi[2], -w @ xi - 2.0 * b * x[0] * x[3] * u, atol=1e-14)
     # First two rows carry no input (L_g h = L_g L_f h = 0 for this plant).
@@ -166,28 +169,33 @@ def test_aux_rhs_ball_beam_input_terms(bb_cfg):
 
 
 def test_dynamic_feedback_origin(bb_cfg):
-    assert dynamic_feedback(bb_cfg, np.zeros(4), np.zeros(3), 0.0) == 0.0
+    _, r, s, _, _ = stage_at(bb_cfg, np.zeros(4), np.zeros(3))
+    assert (s + 0.0) / r == 0.0
 
 
 def test_dynamic_feedback_scales_by_r(bb_cfg):
     v = 2.5
-    u = dynamic_feedback(bb_cfg, np.zeros(4), np.zeros(3), v)
+    _, r, s, _, _ = stage_at(bb_cfg, np.zeros(4), np.zeros(3))
+    u = (s + v) / r
     assert_allclose(u, v / (-BALL_BEAM_B * BALL_BEAM_G), atol=1e-12)
 
 
 def test_dynamic_feedback_cancels_s(bb_cfg):
     x = np.array([0.4, 0.1, 0.2, 0.3])
     xi = np.array([0.05, -0.1, 0.2])
-    assert dynamic_feedback(bb_cfg, x, xi, -s_of_x_xi(bb_cfg, x, xi)) == 0.0
+    _, r, s, _, _ = stage_at(bb_cfg, x, xi)
+    assert (s - s_of_x_xi(bb_cfg, x, xi)) / r == 0.0
 
 
-def test_dynamic_feedback_singular(bb_cfg):
-    # r = 2 b x2 x4 - b g cos x3 + 2 w3 b x1 x4 vanishes at this state.
-    g = BALL_BEAM_G
+def test_dynamic_feedback_singular(ball_beam_fixture):
+    # r = 2 b x2 x4 - b g cos x3 + 2 w3 b x1 x4 vanishes at this state: the
+    # embedded loop started there fails at its first stage.
+    g, cfg = BALL_BEAM_G, ball_beam_fixture["cfg"]
     x = np.array([0.0, g / 2.0, 0.0, 1.0])
-    assert abs(r_of_x(bb_cfg, x)) < 1e-9
+    assert abs(stage_at(cfg, x, np.zeros(3))[1]) < 1e-9
+    ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
     with pytest.raises(SingularEmbeddingError):
-        dynamic_feedback(bb_cfg, x, np.zeros(3), 1.0)
+        simulate_embedded_closed_loop(cfg, ctrl, x, np.zeros(3), duration=1.0)
 
 
 def test_transform_trivial_demo(ball_beam_fixture):
@@ -223,7 +231,8 @@ def test_transform_recovers_input(ball_beam_fixture):
     eset, xi = ball_beam_fixture["set"], ball_beam_fixture["xi"]
     for i in range(eset.M):
         for k in range(0, len(raw.times), 500):
-            u_rec = dynamic_feedback(cfg, raw.states[k, :, i], xi[k, :, i], eset.v[k, 0, i])
+            _, r, s, _, _ = stage_at(cfg, raw.states[k, :, i], xi[k, :, i])
+            u_rec = (s + eset.v[k, 0, i]) / r
             assert abs(u_rec - raw.inputs[k, i]) < 1e-6
 
 
@@ -263,16 +272,6 @@ def test_chain_defect_shrinks_at_second_order():
     assert 3.0 < ratio < 5.0
 
 
-def test_invert_phi_z_roundtrip(bb_cfg):
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        x = rng.uniform(-0.5, 0.5, size=4)
-        xi = rng.uniform(-0.3, 0.3, size=3)
-        z = phi_z(bb_cfg, x, xi)
-        x_rec = invert_phi_z(bb_cfg, z, xi, x_guess=x + rng.normal(scale=0.05, size=4))
-        assert_allclose(x_rec, x, atol=1e-8)
-
-
 def test_a_w_zero_for_relative_degree_n():
     # A plant with L_g h = ... = L_g L_f^{n-2} h = 0 has no xi feedthrough.
     plant = chain_preset(3)
@@ -288,10 +287,55 @@ def test_a_w_ball_beam_rows_and_surrogate(bb_cfg):
     assert hurwitz(bb_cfg.A_xi + Aw)
 
 
+def linear_plant(A, b, c) -> PlantModel:
+    """dx/dt = A x + b u with output c x: terms stacks A x, b, c A^k x and c A^k b."""
+    A, b, c = (np.asarray(a, dtype=float) for a in (A, b, c))
+    n = len(b)
+    cA = np.array([c @ np.linalg.matrix_power(A, k) for k in range(n + 1)])
+    M = np.vstack([A, np.zeros((n, n)), cA, np.zeros((n, n))])
+    const = np.concatenate([np.zeros(n), b, np.zeros(n + 1), cA[:n] @ b])
+
+    def terms(x):
+        if isinstance(x, list):
+            return terms(np.array(x)).tolist()
+        return M @ x + (const if x.ndim == 1 else const[:, None])
+
+    return PlantModel(n=n, f=lambda x: A @ x,
+                      g=lambda x: np.multiply.outer(b, np.ones(x.shape[1:])), terms=terms,
+                      name="linear")
+
+
+def linear3_cfg() -> EmbeddingConfig:
+    # c b = 0 and c A b = 1: relative degree 2 in a 3-state plant.
+    A = companion_from_coeffs([1.0, 2.0, 0.5])
+    return EmbeddingConfig(plant=linear_plant(A, [0.0, 1.0, 0.3], [1.0, 0.0, 0.0]), w=(2.0, 3.0))
+
+
+def test_a_w_linear_plant_closed_form():
+    # On z = 0: x = (-xi_1, -xi_2, 2 xi_1 + 3 xi_2), s = -6 xi_1 - 7.5 xi_2 and
+    # r = c A^2 b + 3 c A b = 3.3.  The first auxiliary row has no input term
+    # (c b = 0); the second adds -(c A b) s / r = (20 xi_1 + 25 xi_2) / 11.
+    Aw = a_w_numeric(linear3_cfg())
+    assert np.max(np.abs(Aw - np.array([[0.0, 0.0], [20.0 / 11.0, 25.0 / 11.0]]))) < 1e-10
+
+
+def test_a_w_singular_at_the_origin():
+    # chain2 with L_g L_f h = 1e-7: r = L_g L_f h + w L_g h is below R_TOL.
+    def terms(x):
+        out = chain_preset(2).terms(x)
+        out[8] = 1e-7
+        return out
+
+    cfg = EmbeddingConfig(plant=dataclasses.replace(chain_preset(2), terms=terms), w=(1.0,))
+    with pytest.raises(SingularEmbeddingError, match="A_w is undefined"):
+        a_w_numeric(cfg)
+
+
 def test_a_w_step_size_robustness(bb_cfg):
-    mats = [a_w_numeric(bb_cfg, eps=e) for e in (1e-4, 1e-5, 1e-6)]
-    for other in mats[1:]:
-        assert np.max(np.abs(other - mats[0])) < 1e-3
+    for cfg in (bb_cfg, linear3_cfg()):
+        mats = [a_w_numeric(cfg, eps=e) for e in (1e-4, 1e-5, 1e-6)]
+        for other in mats[1:]:
+            assert np.max(np.abs(other - mats[0])) < 1e-3
 
 
 def test_embedded_closed_loop_zero_stays_zero(ball_beam_fixture):
@@ -440,13 +484,6 @@ def test_stage_function_matches_term_by_term_oracle(name, seed, k, frozen):
         p_j[4 * n] = 0.0
         p_j[4 * n] = -cfg.stage(p_j, xij.tolist())[1]
         assert cfg.loop_field(y, p_j, G, g, zeta) == (None, 0.0, v_j, None)
-    # The module's accessors read the same function.
-    assert np.array_equal(phi_z(cfg, x, xi), z)
-    assert np.array_equal(r_of_x(cfg, x), r)
-    assert np.array_equal(s_of_x_xi(cfg, x, xi), s)
-    assert np.array_equal(aux_rhs(cfg, x, xi, u), dy[n:])
-    if k is None and abs(r) > R_TOL:
-        assert dynamic_feedback(cfg, x, xi, v) == u
 
 
 @pytest.mark.parametrize("x0, xi0, message", [

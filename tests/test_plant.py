@@ -18,8 +18,6 @@ from demostab.plant import (
     brunovsky_pair,
     chain_preset,
     expert_lqr,
-    feedback_linearize,
-    linearizing_input,
     lqr_gain,
 )
 from demostab.sim import simulate_closed_loop
@@ -50,25 +48,30 @@ def test_brunovsky_pair_rejects_zero():
         brunovsky_pair(0)
 
 
+# The linearizing coordinates z_k = L_f^{k-1} h are rows 2n:3n of terms, and
+# the linearizing input u = (v - L_f^n h) / L_g L_f^{n-1} h reads rows 3n and 4n.
+
+
 def test_chain_feedback_linearize_is_identity():
     plant = chain_preset(4)
     x = np.array([0.3, -1.2, 0.7, 2.0])
-    assert_allclose(feedback_linearize(plant, x), x)
+    assert_allclose(plant.terms(x)[8:12], x)
 
 
 def test_feedback_linearize_at_origin_vanishes():
     for plant in (chain_preset(2), chain_preset(3)):
-        assert_allclose(feedback_linearize(plant, np.zeros(plant.n)), 0.0)
+        assert_allclose(plant.terms(np.zeros(plant.n))[2 * plant.n:3 * plant.n], 0.0)
 
 
 def test_linearizing_input_chain_is_passthrough():
-    plant = chain_preset(3)
-    assert linearizing_input(plant, np.array([0.5, 0.1, -0.2]), 1.7) == 1.7
+    terms = chain_preset(3).terms(np.array([0.5, 0.1, -0.2]))
+    assert (1.7 - terms[9]) / terms[12] == 1.7
 
 
 def test_linearizing_input_origin_zero():
     for plant in (chain_preset(2), ball_beam_plant()):
-        assert linearizing_input(plant, np.zeros(plant.n), 0.0) == 0.0
+        terms = plant.terms(np.zeros(plant.n))
+        assert (0.0 - terms[3 * plant.n]) / terms[4 * plant.n] == 0.0
 
 
 def scaled_double_integrator() -> PlantModel:
@@ -85,8 +88,8 @@ def scaled_double_integrator() -> PlantModel:
 
 
 def test_linearizing_input_scaled_field():
-    plant = scaled_double_integrator()
-    assert linearizing_input(plant, np.array([0.2, 0.4]), 4.0) == 2.0
+    terms = scaled_double_integrator().terms(np.array([0.2, 0.4]))
+    assert (4.0 - terms[6]) / terms[8] == 2.0
 
 
 def test_linearizing_input_singular_decoupling():
@@ -98,13 +101,13 @@ def test_linearizing_input_singular_decoupling():
         name="degenerate",
     )
     with pytest.raises(SingularDecouplingError):
-        linearizing_input(plant, np.zeros(1), 1.0)
+        expert_lqr(plant, np.eye(1), 1.0)(np.zeros(1))
 
 
 def test_domain_error():
     plant = ball_beam_plant()
     with pytest.raises(DomainError):
-        feedback_linearize(plant, np.array([0.0, 0.0, 2.0, 0.0]))
+        plant.require_in_domain(np.array([0.0, 0.0, 2.0, 0.0]))
 
 
 def test_expert_lqr_known_gain_n2():
@@ -230,7 +233,7 @@ def test_chain_inverse_phi_roundtrip():
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.normal(size=5)
-        z = feedback_linearize(plant, x)
+        z = plant.terms(x)[10:15]
         assert_allclose(z, x, atol=1e-9)
 
 
@@ -328,8 +331,8 @@ def test_term_list_is_terms_as_floats(name, column):
 
 @pytest.mark.parametrize("k", [None, 16])
 def test_expert_lqr_is_one_domain_test_and_one_terms_call(k):
-    # The expert equals the composition through feedback_linearize and
-    # linearizing_input bit for bit, with half their evaluations.
+    # The expert equals (-K z - L_f^n h) / L_g L_f^{n-1} h, formed from the
+    # rows of one terms call, bit for bit.
     calls = {"domain": 0, "terms": 0}
     base = chain_preset(4)
 
@@ -349,6 +352,7 @@ def test_expert_lqr_is_one_domain_test_and_one_terms_call(k):
     x = rng.normal(size=(4,) if k is None else (4, k))
     u = expert(x)
     assert calls == {"domain": 1, "terms": 1}
-    want = linearizing_input(base, x, -K @ feedback_linearize(base, x))
+    terms = base.terms(x)
+    want = (-K @ terms[8:12] - terms[12]) / terms[16]
     assert np.shape(u) == np.shape(want)
     assert np.asarray(u).tobytes() == np.asarray(want).tobytes()
