@@ -45,7 +45,7 @@ from . import systems
 from .errors import AffineDependenceError, DegenerateGeometryError, DivergenceError, DomainError, \
     RiccatiError, SingularEmbeddingError
 from .files import read_json, write_csv, write_json
-from .learner import learn_controller, load_controller, save_controller, \
+from .learner import CONTROLLER_MEMO, learn_controller, load_controller, save_controller, \
     simulate_chain_closed_loop
 from .plant import chain_preset, expert_lqr
 from .sim import MAX_STEPS, whole_steps
@@ -370,9 +370,12 @@ def _build_demo_set(cfg: RunConfig):
 
 
 def cmd_demos(cfg: RunConfig, out: Path) -> None:
+    demos_mod.SET_MEMO.release()
     dset, xi = _build_demo_set(cfg)
-    demos_mod.save_demo_set(dset, out / "demo_set.json",
-                            [out / f"demo_{i:02d}.csv" for i in range(dset.M)])
+    # The stage owns dset: held under the digest of the bytes written, so that a later
+    # stage of this process reads demo_set.json without decoding it.
+    demos_mod.SET_MEMO.hold(demos_mod.save_demo_set(
+        dset, out / "demo_set.json", [out / f"demo_{i:02d}.csv" for i in range(dset.M)]), dset)
     # A set recorded earlier into out may have had more demonstrations or an embedding.
     for path in out.glob("demo_*.csv"):
         index = re.fullmatch(r"demo_(\d+)\.csv", path.name, re.ASCII)
@@ -403,9 +406,10 @@ def cmd_learn(cfg: RunConfig, out: Path) -> None:
     demo_path = _require(out / "demo_set.json", "demo set", "demos")
     dset, sha256 = _read(demo_path, demos_mod.read_demo_set)
     _check_grid(cfg, demo_path, "demonstration set", dset)
+    CONTROLLER_MEMO.release()
     ctrl = learn_controller(dset, sha256, cfg.multi, cfg.feedback)
     cert = certify_mod.certificate(ctrl)
-    save_controller(ctrl, out / "controller.json")
+    CONTROLLER_MEMO.hold(save_controller(ctrl, out / "controller.json"), ctrl)
     write_json(out / "certificate.json", cert.to_dict())
     if not cert.verdict:
         grid = cfg.t_tilde_grid or [cfg.T / 8, cfg.T / 4, cfg.T / 2, cfg.T]

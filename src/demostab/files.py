@@ -7,11 +7,16 @@ rows, and the writers only rewrite that text's brackets and separators with
 ``str.replace``, ``split`` and ``join``.  ``write_json`` also writes CSV tables, cut
 from the JSON's text where their columns are arrays of the payload; no other module
 knows either format.  JSON is read back with the cyclic garbage collector paused.
+
+A Memo holds the object a file's bytes decode to under their SHA-256, which
+``write_json`` returns for the bytes it wrote, so that a process decodes each
+demonstration set and controller once.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 from contextlib import ExitStack
 from pathlib import Path
@@ -113,9 +118,10 @@ def _json_skeleton(payload) -> tuple[list[str], list[np.ndarray], list[int]]:
     return parts, arrays, [len(line) - len(line.lstrip(" ")) for line in lines]
 
 
-def write_json(path: str | Path, payload, tables=()) -> None:
+def write_json(path: str | Path, payload, tables=()) -> str:
     """``payload`` as indent=1, sorted-key JSON, its float arrays streamed block by block, and
-    each table ``(csv_path, header, columns)`` as ``write_csv`` writes it.
+    each table ``(csv_path, header, columns)`` as ``write_csv`` writes it; the SHA-256 hex
+    digest of the JSON file's bytes.
 
     A column that is a float array of ``payload`` (the same object) is cut from that array's
     JSON text; any other column is formatted once per call.  A table is written while the
@@ -138,12 +144,18 @@ def write_json(path: str | Path, payload, tables=()) -> None:
                 held[id(c)] = list(_block_texts(c))
             elif last.get(id(c), p) < p:
                 keep[id(c)] = max(keep.get(id(c), p), p)
-    with open(path, "w") as f:
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        def put(text: str) -> None:
+            data = text.encode()
+            digest.update(data)
+            f.write(data)
+
         for p, (part, a, level) in enumerate(zip(parts, arrays, levels)):
             layout, texts = _JsonArray(a.ndim, level), _block_texts(a)
             if last[id(a)] == p and id(a) in keep:
                 texts = held[id(a)] = list(texts)
-            f.write(part + layout.head)
+            put(part + layout.head)
             with ExitStack() as stack:
                 csvs = [(stack.enter_context(open(csv_path, "w")), header,
                          [held.get(id(c)) for c in columns])
@@ -151,13 +163,14 @@ def write_json(path: str | Path, payload, tables=()) -> None:
                 for csv, header, _ in csvs:
                     csv.write(",".join(header) + "\n")
                 for b, text in enumerate(texts):
-                    f.write(layout.block(text, not b))
+                    put(layout.block(text, not b))
                     for csv, _, sources in csvs:
                         csv.write(_csv_rows([text if s is None else s[b] for s in sources]))
-            f.write(layout.tail)
+            put(layout.tail)
             for x in [x for x, q in keep.items() if q == p]:
                 del held[x]
-        f.write(parts[-1])
+        put(parts[-1])
+    return digest.hexdigest()
 
 
 def write_csv(path: str | Path, header: list[str], columns) -> None:
@@ -192,3 +205,48 @@ def decode_json(text: str):
     finally:
         if enabled:
             gc.enable()
+
+
+class Memo:
+    """A one-slot memo: the object a file's bytes decode to, under their SHA-256 hex digest.
+
+    A reader still reads and hashes the file.  ``get(digest)`` returns the object held under
+    that digest, the one this process decoded or wrote last, and None for any other digest.
+    A miss empties the slot, and a writer calls ``release`` before it builds, so that a new
+    object is not built beside the old one.  ``hold`` makes every array reachable from the
+    object read-only, so a later reader cannot change what an earlier one holds.
+    """
+
+    def __init__(self):
+        self.release()
+
+    def release(self) -> None:
+        self._digest = self._obj = None
+
+    def get(self, digest: str):
+        if digest != self._digest:
+            self.release()
+        return self._obj
+
+    def hold(self, digest: str, obj):
+        """obj, made read-only and held under digest in place of the object held before."""
+        _freeze(obj, set())
+        self._digest, self._obj = digest, obj
+        return obj
+
+
+def _freeze(obj, seen: set) -> None:
+    """Clear the writeable flag of every ndarray reachable from obj through tuples, lists
+    and the attributes of this package's objects."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+        return
+    if type(obj).__module__.partition(".")[0] == __package__:
+        obj = vars(obj).values()
+    elif not isinstance(obj, (tuple, list)):
+        return
+    for item in obj:
+        _freeze(item, seen)

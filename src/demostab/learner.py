@@ -42,11 +42,13 @@ and a last point on a boundary starts a zero-step interval.
 A learned controller is fixed by its demonstrations and the index sets
 chosen from them, so the controller file records only those choices and the
 SHA-256 of the demo_set.json beside it; loading it learns the controller
-again from that set with learn_controller, the builder the learn stage uses.
+again from that set with learn_controller, the builder the learn stage uses,
+unless this process already holds the controller of those exact bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -55,7 +57,7 @@ import numpy as np
 
 from .demos import DemonstrationSet, difference_matrices, read_demo_set
 from .errors import AffineDependenceError
-from .files import read_json, write_json
+from .files import Memo, decode_json, write_json
 from .plant import brunovsky_pair
 from .sim import (
     Trajectory,
@@ -425,12 +427,14 @@ def learn_controller(dset: DemonstrationSet, sha256: str, multi: bool = False,
     return ctrl
 
 
-def save_controller(ctrl: IntervalController, path: str | Path) -> None:
-    """Write how ctrl was learned, which holds no float array and no path.
+def save_controller(ctrl: IntervalController, path: str | Path) -> str:
+    """Write how ctrl was learned, which holds no float array and no path; the SHA-256 hex
+    digest of the file's bytes.
 
     The keys are mode, feedback_mode, T, dt, n, m, the index set I (single)
     or the simplices and their kind (multi), and demo_set_sha256, the digest
     of the demo_set.json ctrl was learned from, which belongs beside path.
+    ctrl is not held.
     """
     if ctrl.demo_set_sha256 is None:
         raise ValueError("the controller was not learned from a demo_set.json "
@@ -442,7 +446,12 @@ def save_controller(ctrl: IntervalController, path: str | Path) -> None:
         record["simplices"] = [list(s.vertex_indices) for s in ctrl.tri.simplices]
     else:
         record["I"] = list(ctrl.basis.index_set)
-    write_json(path, record)
+    return write_json(path, record)
+
+
+# The controller this process loaded or saved last, under the SHA-256 of its controller.json
+# bytes; the learn stage puts the controller it saved here.
+CONTROLLER_MEMO = Memo()
 
 
 def load_controller(path: str | Path) -> IntervalController:
@@ -451,10 +460,15 @@ def load_controller(path: str | Path) -> IntervalController:
 
     Raises ValueError, as read_demo_set does, if that file's SHA-256 is not
     the recorded one, and if an index set (I, or a simplex) is not a list of
-    integers in 0..M-1 for the set's M demonstrations.
+    integers in 0..M-1 for the set's M demonstrations.  Both files are read
+    and checked every time.  After the checks, the controller is learned
+    again only if CONTROLLER_MEMO holds none under the SHA-256 of the
+    controller file's bytes, which name the set's digest; the controller
+    returned is then held there, its arrays read-only.
     """
     path = Path(path)
-    record = read_json(path)
+    data = path.read_bytes()
+    record = decode_json(data.decode())
     if record["mode"] not in ("single", "multi"):
         raise ValueError(f"unknown controller mode {record['mode']!r}")
     dset, sha256 = read_demo_set(path.with_name("demo_set.json"), record["demo_set_sha256"])
@@ -466,7 +480,10 @@ def load_controller(path: str | Path) -> IntervalController:
                 and all(type(i) is int and 0 <= i < dset.M for i in index_set)):
             raise ValueError(f"index set {index_set!r} is not a list of integers "
                              f"in 0..{dset.M - 1}")
-    if multi:
-        return learn_controller(dset, sha256, True, record["feedback_mode"], index_sets,
-                                record["kind"])
-    return learn_controller(dset, sha256, False, record["feedback_mode"], index_sets)
+    digest = hashlib.sha256(data).hexdigest()
+    ctrl = CONTROLLER_MEMO.get(digest)
+    if ctrl is None:
+        ctrl = CONTROLLER_MEMO.hold(digest, learn_controller(
+            dset, sha256, multi, record["feedback_mode"], index_sets,
+            record["kind"] if multi else "delaunay"))
+    return ctrl
