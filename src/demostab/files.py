@@ -8,6 +8,12 @@ rows, and the writers only rewrite that text's brackets and separators with
 from the JSON's text where their columns are arrays of the payload; no other module
 knows either format.  JSON is read back with the cyclic garbage collector paused.
 
+An array or table of two or more blocks is formatted on two cores: a helper process,
+forked once per process on first use, runs ``_block_text`` on every odd block while
+this process formats the even one before it, so the text, and every byte written, is
+the same.  On one CPU, without ``os.fork``, for a single block, or once the helper has
+failed, every block is formatted in this process.
+
 A Memo holds the object a file's bytes decode to under their SHA-256, which
 ``write_json`` returns for the bytes it wrote, so that a process decodes each
 demonstration set and controller once.
@@ -15,9 +21,14 @@ demonstration set and controller once.
 
 from __future__ import annotations
 
+import atexit
 import gc
 import hashlib
 import json
+import math
+import os
+import struct
+import warnings
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -29,13 +40,186 @@ _MARK = "\x00array"  # an array's place in the JSON skeleton; json escapes the N
 
 
 def _block_text(block: np.ndarray) -> str:
-    """``repr(block.tolist())``: the text of every float of a block of at most CHUNK_ROWS rows."""
+    """``repr(block.tolist())``: the text of every float of a block of at most CHUNK_ROWS rows.
+
+    The helper process runs this same function on the blocks it formats."""
     return repr(block.tolist())
 
 
 def _block_texts(a: np.ndarray):
     """The _block_text of each block of CHUNK_ROWS rows of ``a``, in order."""
-    return (_block_text(a[start:start + CHUNK_ROWS]) for start in range(0, len(a), CHUNK_ROWS))
+    return _formatted(len(a), lambda start: a[start:start + CHUNK_ROWS])
+
+
+def _formatted(rows: int, block):
+    """The _block_text of ``block(start)`` for start = 0, CHUNK_ROWS, ... below ``rows``, in
+    order.  With two or more blocks, each odd block is sent to the helper before the even
+    one before it is formatted here, so one block at most is in flight."""
+    starts = range(0, rows, CHUNK_ROWS)
+    helper = _helper() if len(starts) > 1 else None
+    for even, odd in zip(starts[::2], [*starts[1::2], None]):
+        sent = odd is not None and helper is not None and helper.send(block(odd))
+        try:
+            yield _block_text(block(even))
+        finally:  # also when the caller drops the generator: the reply is read off the pipe
+            text = helper.receive() if sent else None
+        if odd is not None:
+            yield _block_text(block(odd)) if text is None else text
+        del text  # held by the caller alone while the next blocks are formatted
+
+
+_SIZE = struct.Struct("<Q")
+
+
+class _Helper:
+    """A child made by ``os.fork`` that replies to each float64 block sent to it with the
+    block's _block_text.
+
+    A request is the block's ndim, its shape and its raw bytes; a reply is the text's
+    length and its ASCII bytes, each length and shape entry a little-endian uint64.  The
+    child runs only ``frombuffer``, ``tolist``, ``repr`` and pipe I/O, nothing of BLAS, so
+    a process whose BLAS threads hold locks can fork it; it leaves through ``os._exit``
+    when its input ends.  A block that cannot be sent or whose reply does not arrive is
+    formatted by the caller, and the helper is reaped and not replaced.
+    """
+
+    def __init__(self):
+        requests, replies = os.pipe(), os.pipe()  # each (read end, write end)
+        try:
+            with warnings.catch_warnings():  # Python 3.12 warns of fork() beside BLAS threads
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            for fd in requests + replies:
+                os.close(fd)
+            raise
+        if pid == 0:
+            os.close(requests[1])
+            os.close(replies[0])
+            _serve(requests[0], replies[1])
+        os.close(requests[0])
+        os.close(replies[1])
+        self.pid, self.owner, self.busy = pid, os.getpid(), False
+        self.requests, self.replies = open(requests[1], "wb"), open(replies[0], "rb")
+
+    def send(self, block: np.ndarray) -> bool:
+        """Whether ``block`` went to the helper: not while another block is in flight, nor
+        for a dtype other than float64."""
+        if self.busy or self.requests.closed or block.dtype != np.float64:
+            return False
+        try:
+            self.requests.write(struct.pack(f"<{block.ndim + 1}Q", block.ndim, *block.shape))
+            self.requests.write(np.ascontiguousarray(block))
+            self.requests.flush()
+            self.busy = True
+        except OSError:
+            pass
+        finally:
+            if not self.busy:  # also on an interrupt, which leaves the pipe out of step
+                _drop_helper(self)
+        return self.busy
+
+    def receive(self) -> str | None:
+        """The text of the block in flight; None if there is none or the helper failed."""
+        if not self.busy:
+            return None
+        self.busy, text = False, None
+        try:
+            size, = _SIZE.unpack(self.replies.read(_SIZE.size))
+            data = self.replies.read(size)
+            text = data.decode("ascii") if len(data) == size else None
+        except (OSError, struct.error):  # struct.error: the reply ended inside its length
+            pass
+        finally:
+            if text is None:  # also on an interrupt, which leaves the pipe out of step
+                _drop_helper(self)
+        return text
+
+    def close(self) -> None:
+        """Close this end of both pipes; the helper reads the end of its input and exits."""
+        self.busy = False
+        for f in (self.requests, self.replies):
+            try:
+                f.close()
+            except OSError:  # the unsent rest of a request the helper did not read
+                pass
+
+    def stop(self) -> None:
+        """Close the pipes and reap the helper."""
+        self.close()
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
+            pass
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The helper's loop: read a block from ``requests``, write its text to ``replies``,
+    until the input ends; then leave without atexit handlers or flushing inherited files."""
+    try:
+        with open(requests, "rb") as src, open(replies, "wb") as dst:
+            while head := src.read(_SIZE.size):
+                ndim, = _SIZE.unpack(head)
+                shape = struct.unpack(f"<{ndim}Q", src.read(_SIZE.size * ndim))
+                data = src.read(8 * math.prod(shape))
+                text = _block_text(np.frombuffer(data).reshape(shape)).encode("ascii")
+                dst.write(_SIZE.pack(len(text)))
+                dst.write(text)
+                dst.flush()
+    finally:
+        os._exit(0)
+
+
+# This process's helper: None until a file of two or more blocks is written, then the
+# _Helper, or False for the rest of the process if none could be forked or it failed.
+_HELPER: _Helper | bool | None = None
+
+
+def _helper() -> _Helper | None:
+    """This process's helper, forked on the first call, or None: on one CPU, without
+    ``os.fork``, or once a helper could not be forked or failed."""
+    global _HELPER
+    if _HELPER and _HELPER.owner != os.getpid():  # inherited through a fork the hook missed
+        _forget_helper()
+    if _HELPER is None:
+        _HELPER = False
+        if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2):
+            try:
+                _HELPER = _Helper()
+            except OSError:
+                pass
+    return _HELPER or None
+
+
+def _drop_helper(helper: _Helper) -> None:
+    """Reap a helper that failed; if it is this process's, no other is forked."""
+    global _HELPER
+    helper.stop()
+    if _HELPER is helper:
+        _HELPER = False
+
+
+def _stop_helper() -> None:
+    """Reap this process's helper; the next file of two or more blocks forks another."""
+    global _HELPER
+    if _HELPER and _HELPER.owner == os.getpid():
+        _HELPER.stop()
+    _HELPER = None
+
+
+def _forget_helper() -> None:
+    """In a forked child: close its copies of the pipes of the parent's helper, which the
+    parent alone then holds and reaps; the child forks its own."""
+    global _HELPER
+    if _HELPER:
+        _HELPER.close()
+    _HELPER = None
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _row_texts(text: str) -> list[str]:
@@ -46,7 +230,7 @@ def _row_texts(text: str) -> list[str]:
     return text[1:-1].split(", ")
 
 
-def _csv_rows(texts) -> str:
+def _csv_rows(*texts: str) -> str:
     """The CSV rows of one block of rows from the _block_text of each of its columns."""
     return "\n".join(map(",".join, zip(*map(_row_texts, texts)))) + "\n"
 
@@ -165,7 +349,7 @@ def write_json(path: str | Path, payload, tables=()) -> str:
                 for b, text in enumerate(texts):
                     put(layout.block(text, not b))
                     for csv, _, sources in csvs:
-                        csv.write(_csv_rows([text if s is None else s[b] for s in sources]))
+                        csv.write(_csv_rows(*[text if s is None else s[b] for s in sources]))
             put(layout.tail)
             for x in [x for x, q in keep.items() if q == p]:
                 del held[x]
@@ -178,11 +362,14 @@ def write_csv(path: str | Path, header: list[str], columns) -> None:
     column fills one CSV column per entry of its rows.  Each block of rows of the columns is
     formatted as one 2-D block."""
     columns = _table_columns(header, columns)
+
+    def block(start: int) -> np.ndarray:
+        return np.column_stack([c[start:start + CHUNK_ROWS] for c in columns])
+
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), CHUNK_ROWS):
-            block = np.column_stack([c[start:start + CHUNK_ROWS] for c in columns])
-            f.write(_csv_rows([_block_text(block)]))
+        # Unlike a for loop, map holds no block's text while the next block is formatted.
+        f.writelines(map(_csv_rows, _formatted(len(columns[0]), block)))
 
 
 def read_json(path: str | Path):

@@ -1,10 +1,18 @@
-"""Output files: the chunked writers against the plain ones, and lossless round trips."""
+"""Output files: the chunked writers against the plain ones, with and without the helper
+process, and lossless round trips."""
 
 import gc
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +23,7 @@ from oracles import csv_text, json_text
 
 from demostab.demos import (DemonstrationSet, demo_set_to_dict, load_demo_set, save_demo_csv,
                             save_demo_set)
+from demostab import files
 from demostab.errors import AffineDependenceError, DegenerateGeometryError
 from demostab.files import CHUNK_ROWS, read_json, write_csv, write_json
 from demostab.learner import LearnedController, build_basis, load_controller
@@ -23,7 +32,45 @@ from demostab.plant import brunovsky_pair
 from demostab.sim import time_grid
 
 SPECIAL = [-0.0, 5e-324, 1e-300, 1e16, 1e22, 1.0, math.nan, math.inf, -math.inf]
-ROWS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+ROWS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 4 * CHUNK_ROWS]
+# How the writers format blocks: the odd ones in a helper process, or all in this process
+# because os.fork fails or the process may run on one CPU only.
+WAYS = ("helper", "no fork", "one CPU")
+TWO_CPUS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+needs_two_cpus = pytest.mark.skipif(not TWO_CPUS, reason="the helper runs on two or more CPUs")
+
+
+def refuse_fork():
+    raise OSError("fork refused")
+
+
+@contextmanager
+def no_helper_yet():
+    """No helper when the body starts; the one it leaves, if any, reaped when it ends."""
+    files._stop_helper()
+    try:
+        yield
+    finally:
+        files._stop_helper()
+
+
+@contextmanager
+def formatted(way: str, rows: int):
+    """The writers inside, with no helper yet, formatting the blocks in ``way`` (one of WAYS).
+
+    Afterwards a helper is live exactly if ``way`` is "helper", a file of ``rows`` rows has
+    two or more blocks and this machine has two CPUs; it is then reaped.
+    """
+    with no_helper_yet():
+        with pytest.MonkeyPatch.context() as patch:
+            if way == "no fork":
+                patch.setattr(os, "fork", refuse_fork)
+            elif way == "one CPU":
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            yield
+        forked = way == "helper" and rows > CHUNK_ROWS and TWO_CPUS
+        assert isinstance(files._HELPER, files._Helper) == forked, (way, rows, files._HELPER)
 
 
 @st.composite
@@ -64,7 +111,11 @@ def test_json_array_matches_oracle(rows, data):
     # Indented by 0 (bare), 1 (a value of the top object) and 3 (inside a list
     # inside a nested object).
     for payload in (a, {"a": a, "b": 1}, {"x": {"y": [None, a, "s"]}, "a": a}):
-        assert_same_text(written(write_json, payload), json_text(payload))
+        want = json_text(payload)
+        for way in WAYS:
+            with formatted(way, rows if a.size else 0):  # an empty array is not streamed
+                got = written(write_json, payload)
+            assert_same_text(got, want)
 
 
 _LEAVES = st.one_of(
@@ -108,15 +159,19 @@ def test_csv_and_column_json_match_oracle(rows, data):
     payload = {f"c{j}": c for j, (c, given) in enumerate(zip(columns, in_payload)) if given}
     if payload and data.draw(st.booleans()):
         payload["d"] = next(iter(payload.values()))
-    with tempfile.TemporaryDirectory() as d:
-        csv_path, back_path, json_path = Path(d) / "t.csv", Path(d) / "u.csv", Path(d) / "t.json"
-        write_json(json_path, payload, [(csv_path, header, columns),
-                                        (back_path, back_header, columns[::-1])])
-        assert_same_text(csv_path.read_text(), csv_text(header, csv_columns(columns)))
-        assert_same_text(back_path.read_text(), csv_text(back_header, csv_columns(columns[::-1])))
-        assert_same_text(json_path.read_text(), json_text(payload))
-        write_csv(csv_path, header, columns)
-        assert_same_text(csv_path.read_text(), csv_text(header, csv_columns(columns)))
+    want = csv_text(header, csv_columns(columns))
+    back_want = csv_text(back_header, csv_columns(columns[::-1]))
+    json_want = json_text(payload)
+    for way in WAYS:
+        with tempfile.TemporaryDirectory() as d, formatted(way, rows):
+            csv_path, back_path, json_path = Path(d) / "t.csv", Path(d) / "u.csv", Path(d) / "t.json"
+            write_json(json_path, payload, [(csv_path, header, columns),
+                                            (back_path, back_header, columns[::-1])])
+            assert_same_text(csv_path.read_text(), want)
+            assert_same_text(back_path.read_text(), back_want)
+            assert_same_text(json_path.read_text(), json_want)
+            write_csv(csv_path, header, columns)
+            assert_same_text(csv_path.read_text(), want)
 
 
 both_writers = pytest.mark.parametrize("write", [
@@ -171,6 +226,132 @@ def test_json_rejects_a_string_equal_to_the_placeholder(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The helper's failures and lifetime.
+# ---------------------------------------------------------------------------
+
+
+def table(rows: int, seed: int = 0):
+    """A header, three columns of ``rows`` rows, and their CSV text."""
+    header, columns = ["a", "b", "c"], list(np.random.default_rng(seed).standard_normal((3, rows)))
+    return header, columns, csv_text(header, columns)
+
+
+def reap(pid: int, timeout: float = 60.0) -> int:
+    """The exit code of child ``pid``, which is killed if it has not exited within timeout."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail(f"child {pid} still ran after {timeout} s")
+
+
+@needs_two_cpus
+def test_a_helper_killed_between_two_blocks_is_reaped_and_its_blocks_formatted_here(
+        tmp_path, capfd):
+    header, columns, want = table(4 * CHUNK_ROWS)
+    with no_helper_yet():
+        write_csv(tmp_path / "first.csv", header, columns)
+        helper, parent, block_text = files._HELPER, os.getpid(), files._block_text
+
+        def kill_helper_once(block):
+            # Called here for block 0 while block 1 is in flight.
+            if os.getpid() == parent and files._HELPER is helper and helper.busy:
+                os.kill(helper.pid, signal.SIGKILL)
+                os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)
+            return block_text(block)
+
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("always")
+            patch.setattr(files, "_block_text", kill_helper_once)
+            write_csv(tmp_path / "killed.csv", header, columns)
+            assert files._HELPER is False  # reaped, and not replaced
+            write_csv(tmp_path / "after.csv", header, columns)
+            assert files._HELPER is False
+        assert caught == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(helper.pid, os.WNOHANG)
+        for name in ("first.csv", "killed.csv", "after.csv"):
+            assert_same_text((tmp_path / name).read_text(), want)
+        assert capfd.readouterr().err == ""
+
+
+@needs_two_cpus
+def test_an_interrupt_in_mid_reply_drops_the_helper(tmp_path):
+    # Part of a reply is left in the pipe, which no later block may read as its own.
+    header, columns, want = table(2 * CHUNK_ROWS)
+    with no_helper_yet():
+        write_csv(tmp_path / "first.csv", header, columns)
+        helper = files._HELPER
+        replies = helper.replies
+
+        class Interrupted:
+            def read(self, size):
+                helper.replies = replies
+                replies.read(size // 2)
+                raise KeyboardInterrupt
+
+        helper.replies = Interrupted()
+        with pytest.raises(KeyboardInterrupt):
+            write_csv(tmp_path / "cut.csv", header, columns)
+        assert files._HELPER is False
+        with pytest.raises(ChildProcessError):
+            os.waitpid(helper.pid, os.WNOHANG)
+        write_csv(tmp_path / "after.csv", header, columns)
+        assert_same_text((tmp_path / "after.csv").read_text(), want)
+
+
+@needs_two_cpus
+def test_a_forked_child_forks_its_own_helper(tmp_path):
+    header, columns, want = table(3 * CHUNK_ROWS)
+    with no_helper_yet():
+        write_csv(tmp_path / "parent.csv", header, columns)
+        helper = files._HELPER
+        with warnings.catch_warnings():  # Python 3.12 warns of fork() beside BLAS threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                write_csv(tmp_path / "child.csv", header, columns)
+                own = files._HELPER
+                code = 0 if (isinstance(own, files._Helper) and own.owner == os.getpid()
+                             and own.pid != helper.pid) else 2
+                files._stop_helper()
+            finally:
+                os._exit(code)
+        assert reap(pid) == 0
+        assert_same_text((tmp_path / "child.csv").read_text(), want)
+        write_csv(tmp_path / "again.csv", header, columns)  # the parent's helper still serves it
+        assert files._HELPER is helper
+        assert_same_text((tmp_path / "again.csv").read_text(), want)
+
+
+@needs_two_cpus
+def test_a_process_reaps_its_helper_before_it_exits(tmp_path):
+    code = f"""
+import numpy as np
+from demostab import files
+files.write_csv({str(tmp_path / "t.csv")!r}, ["a"], [np.arange(3.0 * files.CHUNK_ROWS)])
+print(files._HELPER.pid)
+"""
+    src = str(Path(files.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    with pytest.raises(ProcessLookupError):  # gone, not a zombie: kill finds a zombie
+        os.kill(int(result.stdout), 0)
+    assert_same_text((tmp_path / "t.csv").read_text(),
+                     csv_text(["a"], [np.arange(3.0 * CHUNK_ROWS)]))
+
+
+# ---------------------------------------------------------------------------
 # save_* then load_* gives back the same arrays and the same control values.
 # ---------------------------------------------------------------------------
 
@@ -207,26 +388,30 @@ def demo_csv_text(dset, i) -> str:
 
 
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+@pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                  2 * CHUNK_ROWS + 1, 4 * CHUNK_ROWS])
 @settings(max_examples=4)
 @given(data=st.data())
 def test_demo_set_and_csvs_match_oracles(m, rows, data):
     # One pass writes demo_set.json and the CSVs from the same formatted text;
     # each file is the plain writers' text, as are a lone set and a lone CSV.
     dset = data.draw(demo_sets(steps=st.just(rows - 1), ms=st.just(m), special=0.3))
-    with tempfile.TemporaryDirectory() as d:
-        set_path, csv_paths = Path(d) / "set.json", [Path(d) / f"{i}.csv" for i in range(dset.M)]
-        want = json_text(demo_set_to_dict(dset))
-        save_demo_set(dset, set_path, csv_paths)
-        assert_same_text(set_path.read_text(), want)
-        for i, path in enumerate(csv_paths):
-            assert_same_text(path.read_text(), demo_csv_text(dset, i))
-            path.unlink()
-        save_demo_set(dset, set_path)
-        assert_same_text(set_path.read_text(), want)
-        assert not any(path.exists() for path in csv_paths)
-        save_demo_csv(dset, csv_paths[-1], dset.M - 1)
-        assert_same_text(csv_paths[-1].read_text(), demo_csv_text(dset, dset.M - 1))
+    want, csv_wants = json_text(demo_set_to_dict(dset)), [demo_csv_text(dset, i)
+                                                          for i in range(dset.M)]
+    for way in WAYS:
+        with tempfile.TemporaryDirectory() as d, formatted(way, rows):
+            set_path = Path(d) / "set.json"
+            csv_paths = [Path(d) / f"{i}.csv" for i in range(dset.M)]
+            save_demo_set(dset, set_path, csv_paths)
+            assert_same_text(set_path.read_text(), want)
+            for path, csv_want in zip(csv_paths, csv_wants):
+                assert_same_text(path.read_text(), csv_want)
+                path.unlink()
+            save_demo_set(dset, set_path)
+            assert_same_text(set_path.read_text(), want)
+            assert not any(path.exists() for path in csv_paths)
+            save_demo_csv(dset, csv_paths[-1], dset.M - 1)
+            assert_same_text(csv_paths[-1].read_text(), csv_wants[-1])
 
 
 def test_demo_writer_holds_one_demonstration(tmp_path):
