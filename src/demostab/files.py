@@ -8,11 +8,12 @@ rows, and the writers only rewrite that text's brackets and separators with
 from the JSON's text where their columns are arrays of the payload; no other module
 knows either format.  JSON is read back with the cyclic garbage collector paused.
 
-An array or table of two or more blocks is formatted on two cores: a helper process,
-forked once per process on first use, runs ``_block_text`` on every odd block while
-this process formats the even one before it, so the text, and every byte written, is
-the same.  On one CPU, without ``os.fork``, for a single block, or once the helper has
-failed, every block is formatted in this process.
+A write call with an array or table of two or more blocks formats on two cores: it forks
+a helper process, which runs ``_block_text`` on every odd block while this process formats
+the even one before it, so the text, and every byte written, is the same; the call reaps
+the helper before it returns or raises.  On one CPU, without ``os.fork``, for single
+blocks, or for the rest of a call once its helper has failed, every block is formatted in
+this process.
 
 A Memo holds the object a file's bytes decode to under their SHA-256, which
 ``write_json`` returns for the bytes it wrote, so that a process decodes each
@@ -21,7 +22,6 @@ demonstration set and controller once.
 
 from __future__ import annotations
 
-import atexit
 import gc
 import hashlib
 import json
@@ -29,7 +29,7 @@ import math
 import os
 import struct
 import warnings
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -46,23 +46,20 @@ def _block_text(block: np.ndarray) -> str:
     return repr(block.tolist())
 
 
-def _block_texts(a: np.ndarray):
+def _block_texts(a: np.ndarray, helper: _Helper | None):
     """The _block_text of each block of CHUNK_ROWS rows of ``a``, in order."""
-    return _formatted(len(a), lambda start: a[start:start + CHUNK_ROWS])
+    return _formatted(len(a), lambda start: a[start:start + CHUNK_ROWS], helper)
 
 
-def _formatted(rows: int, block):
+def _formatted(rows: int, block, helper: _Helper | None):
     """The _block_text of ``block(start)`` for start = 0, CHUNK_ROWS, ... below ``rows``, in
-    order.  With two or more blocks, each odd block is sent to the helper before the even
-    one before it is formatted here, so one block at most is in flight."""
+    order.  With a helper, each odd block is sent to it before the even one before it is
+    formatted here, so one block at most is in flight."""
     starts = range(0, rows, CHUNK_ROWS)
-    helper = _helper() if len(starts) > 1 else None
     for even, odd in zip(starts[::2], [*starts[1::2], None]):
         sent = odd is not None and helper is not None and helper.send(block(odd))
-        try:
-            yield _block_text(block(even))
-        finally:  # also when the caller drops the generator: the reply is read off the pipe
-            text = helper.receive() if sent else None
+        yield _block_text(block(even))
+        text = helper.receive() if sent else None
         if odd is not None:
             yield _block_text(block(odd)) if text is None else text
         del text  # held by the caller alone while the next blocks are formatted
@@ -72,15 +69,16 @@ _SIZE = struct.Struct("<Q")
 
 
 class _Helper:
-    """A child made by ``os.fork`` that replies to each float64 block sent to it with the
-    block's _block_text.
+    """A child made by ``os.fork`` for one write call, which replies to each float64 block
+    sent to it with the block's _block_text.
 
     A request is the block's ndim, its shape and its raw bytes; a reply is the text's
     length and its ASCII bytes, each length and shape entry a little-endian uint64.  The
     child runs only ``frombuffer``, ``tolist``, ``repr`` and pipe I/O, nothing of BLAS, so
     a process whose BLAS threads hold locks can fork it; it leaves through ``os._exit``
     when its input ends.  A block that cannot be sent or whose reply does not arrive is
-    formatted by the caller, and the helper is reaped and not replaced.
+    formatted by the caller, and the helper is stopped, so the rest of the call formats
+    every block in process.
     """
 
     def __init__(self):
@@ -99,63 +97,55 @@ class _Helper:
             _serve(requests[0], replies[1])
         os.close(requests[0])
         os.close(replies[1])
-        self.pid, self.owner, self.busy = pid, os.getpid(), False
+        self.pid = pid
         self.requests, self.replies = open(requests[1], "wb"), open(replies[0], "rb")
 
     def send(self, block: np.ndarray) -> bool:
-        """Whether ``block`` went to the helper: not while another block is in flight, nor
-        for a dtype other than float64."""
-        if self.busy or self.requests.closed or block.dtype != np.float64:
+        """Whether ``block`` went to the helper: not once it is stopped, nor for a dtype other
+        than float64."""
+        if self.requests.closed or block.dtype != np.float64:
             return False
         try:
             self.requests.write(struct.pack(f"<{block.ndim + 1}Q", block.ndim, *block.shape))
             self.requests.write(np.ascontiguousarray(block))
             self.requests.flush()
-            self.busy = True
+            return True
         except OSError:
-            pass
-        finally:
-            if not self.busy:  # also on an interrupt, which leaves the pipe out of step
-                _drop_helper(self)
-        return self.busy
+            self.stop()
+            return False
 
     def receive(self) -> str | None:
-        """The text of the block in flight; None if there is none or the helper failed."""
-        if not self.busy:
-            return None
-        self.busy, text = False, None
+        """The text of the block in flight, or None if the helper failed; it is then stopped."""
         try:
             size, = _SIZE.unpack(self.replies.read(_SIZE.size))
             data = self.replies.read(size)
-            text = data.decode("ascii") if len(data) == size else None
+            if len(data) == size:
+                return data.decode("ascii")
         except (OSError, struct.error):  # struct.error: the reply ended inside its length
             pass
-        finally:
-            if text is None:  # also on an interrupt, which leaves the pipe out of step
-                _drop_helper(self)
-        return text
+        self.stop()
+        return None
 
-    def close(self) -> None:
-        """Close this end of both pipes; the helper reads the end of its input and exits."""
-        self.busy = False
+    def stop(self) -> None:
+        """Close this end of both pipes, so that the helper exits, and reap it unless it is
+        reaped already."""
         for f in (self.requests, self.replies):
             try:
                 f.close()
             except OSError:  # the unsent rest of a request the helper did not read
                 pass
-
-    def stop(self) -> None:
-        """Close the pipes and reap the helper."""
-        self.close()
-        try:
-            os.waitpid(self.pid, 0)
-        except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
-            pass
+        if self.pid:
+            try:
+                os.waitpid(self.pid, 0)
+            except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
+                pass
+            self.pid = 0
 
 
 def _serve(requests: int, replies: int) -> None:
     """The helper's loop: read a block from ``requests``, write its text to ``replies``,
-    until the input ends; then leave without atexit handlers or flushing inherited files."""
+    until the input ends; then leave through ``os._exit``, which runs no exit handlers and
+    flushes no inherited files."""
     try:
         with open(requests, "rb") as src, open(replies, "wb") as dst:
             while head := src.read(_SIZE.size):
@@ -170,56 +160,23 @@ def _serve(requests: int, replies: int) -> None:
         os._exit(0)
 
 
-# This process's helper: None until a file of two or more blocks is written, then the
-# _Helper, or False for the rest of the process if none could be forked or it failed.
-_HELPER: _Helper | bool | None = None
-
-
-def _helper() -> _Helper | None:
-    """This process's helper, forked on the first call, or None: on one CPU, without
-    ``os.fork``, or once a helper could not be forked or failed."""
-    global _HELPER
-    if _HELPER and _HELPER.owner != os.getpid():  # inherited through a fork the hook missed
-        _forget_helper()
-    if _HELPER is None:
-        _HELPER = False
-        if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) >= 2):
-            try:
-                _HELPER = _Helper()
-            except OSError:
-                pass
-    return _HELPER or None
-
-
-def _drop_helper(helper: _Helper) -> None:
-    """Reap a helper that failed; if it is this process's, no other is forked."""
-    global _HELPER
-    helper.stop()
-    if _HELPER is helper:
-        _HELPER = False
-
-
-def _stop_helper() -> None:
-    """Reap this process's helper; the next file of two or more blocks forks another."""
-    global _HELPER
-    if _HELPER and _HELPER.owner == os.getpid():
-        _HELPER.stop()
-    _HELPER = None
-
-
-def _forget_helper() -> None:
-    """In a forked child: close its copies of the pipes of the parent's helper, which the
-    parent alone then holds and reaps; the child forks its own."""
-    global _HELPER
-    if _HELPER:
-        _HELPER.close()
-    _HELPER = None
-
-
-atexit.register(_stop_helper)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+@contextmanager
+def _helper_for(rows: list[int]):
+    """A helper for one write call whose arrays and tables have ``rows`` rows, stopped when
+    the call returns or raises; None if none of them has two or more blocks, on one CPU,
+    without ``os.fork``, or if the fork fails."""
+    helper = None
+    if (max(rows, default=0) > CHUNK_ROWS and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        try:
+            helper = _Helper()
+        except OSError:
+            pass
+    try:
+        yield helper
+    finally:
+        if helper is not None:
+            helper.stop()
 
 
 def _row_texts(text: str) -> list[str]:
@@ -310,50 +267,51 @@ def write_json(path: str | Path, payload, tables=()) -> str:
     A column that is a float array of ``payload`` (the same object) is cut from that array's
     JSON text; any other column is formatted once per call.  A table is written while the
     last of its arrays in the document streams, and the text of its earlier ones is held
-    until then; a table with none is written by write_csv.
+    until then; a table with none is written first, as write_csv writes it.
     """
     parts, arrays, levels = _json_skeleton(payload)
     tables = [(csv_path, header, _table_columns(header, columns))
               for csv_path, header, columns in tables]
-    last = {id(a): p for p, a in enumerate(arrays)}  # each array's last place in the document
-    due, keep, held = {}, {}, {}  # keep: array id -> the place of the last table that needs it
-    for csv_path, header, columns in tables:
-        p = max(last.get(id(c), -1) for c in columns)
-        if p < 0:
-            write_csv(csv_path, header, columns)
-            continue
-        due.setdefault(p, []).append((csv_path, header, columns))
-        for c in columns:
-            if id(c) not in last and id(c) not in held:
-                held[id(c)] = list(_block_texts(c))
-            elif last.get(id(c), p) < p:
-                keep[id(c)] = max(keep.get(id(c), p), p)
-    digest = hashlib.sha256()
-    with open(path, "wb") as f:
-        def put(text: str) -> None:
-            data = text.encode()
-            digest.update(data)
-            f.write(data)
+    with _helper_for([len(a) for a in arrays] + [len(c) for t in tables for c in t[2]]) as helper:
+        last = {id(a): p for p, a in enumerate(arrays)}  # each array's last place in the document
+        due, keep, held = {}, {}, {}  # keep: array id -> the place of the last table that needs it
+        for csv_path, header, columns in tables:
+            p = max(last.get(id(c), -1) for c in columns)
+            if p < 0:
+                _write_table(csv_path, header, columns, helper)
+                continue
+            due.setdefault(p, []).append((csv_path, header, columns))
+            for c in columns:
+                if id(c) not in last and id(c) not in held:
+                    held[id(c)] = list(_block_texts(c, helper))
+                elif last.get(id(c), p) < p:
+                    keep[id(c)] = max(keep.get(id(c), p), p)
+        digest = hashlib.sha256()
+        with open(path, "wb") as f:
+            def put(text: str) -> None:
+                data = text.encode()
+                digest.update(data)
+                f.write(data)
 
-        for p, (part, a, level) in enumerate(zip(parts, arrays, levels)):
-            layout, texts = _JsonArray(a.ndim, level), _block_texts(a)
-            if last[id(a)] == p and id(a) in keep:
-                texts = held[id(a)] = list(texts)
-            put(part + layout.head)
-            with ExitStack() as stack:
-                csvs = [(stack.enter_context(open(csv_path, "w")), header,
-                         [held.get(id(c)) for c in columns])
-                        for csv_path, header, columns in due.get(p, ())]
-                for csv, header, _ in csvs:
-                    csv.write(",".join(header) + "\n")
-                for b, text in enumerate(texts):
-                    put(layout.block(text, not b))
-                    for csv, _, sources in csvs:
-                        csv.write(_csv_rows(*[text if s is None else s[b] for s in sources]))
-            put(layout.tail)
-            for x in [x for x, q in keep.items() if q == p]:
-                del held[x]
-        put(parts[-1])
+            for p, (part, a, level) in enumerate(zip(parts, arrays, levels)):
+                layout, texts = _JsonArray(a.ndim, level), _block_texts(a, helper)
+                if last[id(a)] == p and id(a) in keep:
+                    texts = held[id(a)] = list(texts)
+                put(part + layout.head)
+                with ExitStack() as stack:
+                    csvs = [(stack.enter_context(open(csv_path, "w")), header,
+                             [held.get(id(c)) for c in columns])
+                            for csv_path, header, columns in due.get(p, ())]
+                    for csv, header, _ in csvs:
+                        csv.write(",".join(header) + "\n")
+                    for b, text in enumerate(texts):
+                        put(layout.block(text, not b))
+                        for csv, _, sources in csvs:
+                            csv.write(_csv_rows(*[text if s is None else s[b] for s in sources]))
+                put(layout.tail)
+                for x in [x for x, q in keep.items() if q == p]:
+                    del held[x]
+            put(parts[-1])
     return digest.hexdigest()
 
 
@@ -362,14 +320,20 @@ def write_csv(path: str | Path, header: list[str], columns) -> None:
     column fills one CSV column per entry of its rows.  Each block of rows of the columns is
     formatted as one 2-D block."""
     columns = _table_columns(header, columns)
+    with _helper_for([len(columns[0])]) as helper:
+        _write_table(path, header, columns, helper)
 
+
+def _write_table(path: str | Path, header: list[str], columns: list[np.ndarray],
+                 helper: _Helper | None) -> None:
+    """write_csv's file, from the columns _table_columns returns."""
     def block(start: int) -> np.ndarray:
         return np.column_stack([c[start:start + CHUNK_ROWS] for c in columns])
 
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         # Unlike a for loop, map holds no block's text while the next block is formatted.
-        f.writelines(map(_csv_rows, _formatted(len(columns[0]), block)))
+        f.writelines(map(_csv_rows, _formatted(len(columns[0]), block, helper)))
 
 
 def read_json(path: str | Path):

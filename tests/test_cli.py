@@ -642,6 +642,41 @@ def test_determinism_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a process to a CPU")
+def test_outputs_on_one_cpu_and_on_two(tmp_path):
+    # A chain2 run whose demo set (3001 rows) and trajectory (10001 rows) span several
+    # blocks of rows: pinned to one CPU every block is formatted in process, unpinned a
+    # helper formats every other one. The trees are byte-identical, and when demostab all
+    # returns, no process it started is left, running or a zombie.
+    cfg = write_config(tmp_path / "config.json", T=3.0, dt=1e-3,
+                       simulate={"x0": [0.5, 0.5], "duration": 10.0})
+    cpu, cpus = min(os.sched_getaffinity(0)), len(os.sched_getaffinity(0))
+    for name, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("two", None)):
+        code = f"""
+import os
+from demostab import files
+from demostab.cli import main
+helpers, init = [], files._Helper.__init__
+files._Helper.__init__ = lambda helper: init(helper) or helpers.append(helper.pid)
+assert main(["all", "--config", {str(cfg)!r}, "--out", {str(tmp_path / name)!r}]) == 0
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print(os.getpid(), len(helpers))
+"""
+        result = _fresh_python(code, preexec_fn=pin, start_new_session=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        pid, helpers = map(int, result.stdout.splitlines()[-1].split())
+        assert helpers == (0 if name == "one" or cpus < 2 else 2), (name, helpers)
+        with pytest.raises(ProcessLookupError):  # nothing left in the run's process group
+            os.killpg(pid, 0)
+    one, two = tmp_path / "one", tmp_path / "two"
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in two.iterdir()) and names
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
 def test_ball_beam_divergence_exit(tmp_path):
     config = {
         "preset": "ball_beam",
@@ -728,14 +763,16 @@ assert MultiController is direct and "scipy.spatial" in sys.modules
     assert result.returncode == 0, result.stderr
 
 
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
-    """code run by a fresh interpreter that imports demostab from this checkout."""
+def _fresh_python(code: str, **kwargs) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter that imports demostab from this checkout; kwargs go
+    to subprocess.run."""
     import demostab
 
     src = str(Path(demostab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          **kwargs)
 
 
 def test_single_controller_run_loads_no_scipy(tmp_path):

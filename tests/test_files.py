@@ -9,10 +9,9 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,21 @@ from demostab.plant import brunovsky_pair
 from demostab.sim import time_grid
 
 SPECIAL = [-0.0, 5e-324, 1e-300, 1e16, 1e22, 1.0, math.nan, math.inf, -math.inf]
-ROWS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 4 * CHUNK_ROWS]
+# The oracle tests write blocks of SMALL rows (the writers read files.CHUNK_ROWS at each
+# call), so that they reach the same numbers of blocks in less time.
+SMALL = 8
+
+
+def rows_about(chunk: int) -> list[int]:
+    """Row counts about blocks of ``chunk`` rows: none, one, a block less one, a block, a
+    block and one, two blocks and one, four blocks."""
+    return [0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 4 * chunk]
+
+
+# Each case is named by the row count it stands for at the full CHUNK_ROWS.
+NAMES = [str(rows) for rows in rows_about(CHUNK_ROWS)]
+ROWS = pytest.mark.parametrize("rows", rows_about(SMALL), ids=NAMES)
+DEMO_ROWS = pytest.mark.parametrize("rows", rows_about(SMALL)[2:], ids=NAMES[2:])
 # How the writers format blocks: the odd ones in a helper process, or all in this process
 # because os.fork fails or the process may run on one CPU only.
 WAYS = ("helper", "no fork", "one CPU")
@@ -45,32 +58,43 @@ def refuse_fork():
     raise OSError("fork refused")
 
 
-@contextmanager
-def no_helper_yet():
-    """No helper when the body starts; the one it leaves, if any, reaped when it ends."""
-    files._stop_helper()
-    try:
-        yield
-    finally:
-        files._stop_helper()
+def record_helpers(patch: pytest.MonkeyPatch, then=lambda helper: None) -> list[int]:
+    """The pids of the helpers forked from now on, in order; ``then`` sees each new one."""
+    pids, init = [], files._Helper.__init__
+
+    def recorded(helper):
+        init(helper)
+        pids.append(helper.pid)
+        then(helper)
+
+    patch.setattr(files._Helper, "__init__", recorded)
+    return pids
+
+
+def assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # neither running nor a zombie of this process
+            os.waitpid(pid, os.WNOHANG)
 
 
 @contextmanager
-def formatted(way: str, rows: int):
-    """The writers inside, with no helper yet, formatting the blocks in ``way`` (one of WAYS).
+def formatted(way: str, rows: int, chunk: int = SMALL):
+    """The writers inside, with blocks of ``chunk`` rows, formatting them in ``way`` (one of
+    WAYS).
 
-    Afterwards a helper is live exactly if ``way`` is "helper", a file of ``rows`` rows has
-    two or more blocks and this machine has two CPUs; it is then reaped.
+    Afterwards a helper has been forked exactly if ``way`` is "helper", a file of ``rows``
+    rows has two or more blocks and this machine has two CPUs, and every helper is reaped.
     """
-    with no_helper_yet():
-        with pytest.MonkeyPatch.context() as patch:
-            if way == "no fork":
-                patch.setattr(os, "fork", refuse_fork)
-            elif way == "one CPU":
-                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            yield
-        forked = way == "helper" and rows > CHUNK_ROWS and TWO_CPUS
-        assert isinstance(files._HELPER, files._Helper) == forked, (way, rows, files._HELPER)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(files, "CHUNK_ROWS", chunk)
+        pids = record_helpers(patch)
+        if way == "no fork":
+            patch.setattr(os, "fork", refuse_fork)
+        elif way == "one CPU":
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        yield
+    assert bool(pids) == (way == "helper" and rows > chunk and TWO_CPUS), (way, rows, pids)
+    assert_reaped(pids)
 
 
 @st.composite
@@ -103,7 +127,7 @@ def written(write, *args) -> str:
         return path.read_text()
 
 
-@pytest.mark.parametrize("rows", ROWS)
+@ROWS
 @settings(max_examples=15)
 @given(data=st.data())
 def test_json_array_matches_oracle(rows, data):
@@ -141,7 +165,7 @@ def csv_columns(columns):
     return [col for c in columns for col in (c.T if c.ndim == 2 else [c])]
 
 
-@pytest.mark.parametrize("rows", ROWS)
+@ROWS
 @settings(max_examples=10)
 @given(data=st.data())
 def test_csv_and_column_json_match_oracle(rows, data):
@@ -236,57 +260,63 @@ def table(rows: int, seed: int = 0):
     return header, columns, csv_text(header, columns)
 
 
-def reap(pid: int, timeout: float = 60.0) -> int:
-    """The exit code of child ``pid``, which is killed if it has not exited within timeout."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return os.waitstatus_to_exitcode(status)
-        time.sleep(0.01)
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-    pytest.fail(f"child {pid} still ran after {timeout} s")
+@pytest.mark.parametrize("way", WAYS)
+def test_full_size_blocks_match_oracles(tmp_path, capfd, way):
+    # Two blocks and one of CHUNK_ROWS rows, as a run's files have them, through each
+    # writer; no warning and nothing on standard error whichever way they are formatted.
+    rows = 2 * CHUNK_ROWS + 1
+    header, columns, want = table(rows)
+    payload = {"a": columns[0], "z": np.stack(columns, axis=-1)[:, :, None]}
+    with warnings.catch_warnings(record=True) as caught, formatted(way, rows, CHUNK_ROWS):
+        warnings.simplefilter("always")
+        write_json(tmp_path / "t.json", payload, [(tmp_path / "t.csv", header, columns)])
+        write_csv(tmp_path / "u.csv", header, columns)
+    assert caught == []
+    assert_same_text((tmp_path / "t.json").read_text(), json_text(payload))
+    for name in ("t.csv", "u.csv"):
+        assert_same_text((tmp_path / name).read_text(), want)
+    assert capfd.readouterr().err == ""
 
 
 @needs_two_cpus
 def test_a_helper_killed_between_two_blocks_is_reaped_and_its_blocks_formatted_here(
-        tmp_path, capfd):
+        tmp_path, capfd, monkeypatch):
+    # Killed while block 1 is in flight: that call formats blocks 1 to 3 here, and the next
+    # call forks a helper of its own.
     header, columns, want = table(4 * CHUNK_ROWS)
-    with no_helper_yet():
-        write_csv(tmp_path / "first.csv", header, columns)
-        helper, parent, block_text = files._HELPER, os.getpid(), files._block_text
+    pids = record_helpers(monkeypatch)
+    parent, block_text, here = os.getpid(), files._block_text, []
 
-        def kill_helper_once(block):
-            # Called here for block 0 while block 1 is in flight.
-            if os.getpid() == parent and files._HELPER is helper and helper.busy:
-                os.kill(helper.pid, signal.SIGKILL)
-                os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)
-            return block_text(block)
+    def kill_helper_once(block):
+        if os.getpid() == parent:
+            here.append(block)
+            if len(here) == 1:  # block 0, formatted while block 1 is in flight
+                os.kill(pids[0], signal.SIGKILL)
+                os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+        return block_text(block)
 
-        with warnings.catch_warnings(record=True) as caught, \
-                pytest.MonkeyPatch.context() as patch:
-            warnings.simplefilter("always")
-            patch.setattr(files, "_block_text", kill_helper_once)
-            write_csv(tmp_path / "killed.csv", header, columns)
-            assert files._HELPER is False  # reaped, and not replaced
-            write_csv(tmp_path / "after.csv", header, columns)
-            assert files._HELPER is False
-        assert caught == []
-        with pytest.raises(ChildProcessError):
-            os.waitpid(helper.pid, os.WNOHANG)
-        for name in ("first.csv", "killed.csv", "after.csv"):
-            assert_same_text((tmp_path / name).read_text(), want)
-        assert capfd.readouterr().err == ""
+    monkeypatch.setattr(files, "_block_text", kill_helper_once)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        write_csv(tmp_path / "killed.csv", header, columns)
+        assert len(pids) == 1 and len(here) == 4
+        assert_reaped(pids)
+        write_csv(tmp_path / "after.csv", header, columns)
+        assert len(pids) == 2 and len(here) == 6  # blocks 1 and 3 formatted by the new helper
+        assert_reaped(pids)
+    assert caught == []
+    for name in ("killed.csv", "after.csv"):
+        assert_same_text((tmp_path / name).read_text(), want)
+    assert capfd.readouterr().err == ""
 
 
 @needs_two_cpus
-def test_an_interrupt_in_mid_reply_drops_the_helper(tmp_path):
-    # Part of a reply is left in the pipe, which no later block may read as its own.
+def test_an_interrupt_in_mid_reply_drops_the_helper(tmp_path, monkeypatch):
+    # Part of a reply is left in the pipe; the call that raises reaps its helper, and the
+    # next call forks a helper of its own.
     header, columns, want = table(2 * CHUNK_ROWS)
-    with no_helper_yet():
-        write_csv(tmp_path / "first.csv", header, columns)
-        helper = files._HELPER
+
+    def interrupt_the_first_reply(helper):
         replies = helper.replies
 
         class Interrupted:
@@ -295,49 +325,69 @@ def test_an_interrupt_in_mid_reply_drops_the_helper(tmp_path):
                 replies.read(size // 2)
                 raise KeyboardInterrupt
 
-        helper.replies = Interrupted()
-        with pytest.raises(KeyboardInterrupt):
-            write_csv(tmp_path / "cut.csv", header, columns)
-        assert files._HELPER is False
-        with pytest.raises(ChildProcessError):
-            os.waitpid(helper.pid, os.WNOHANG)
-        write_csv(tmp_path / "after.csv", header, columns)
-        assert_same_text((tmp_path / "after.csv").read_text(), want)
+        if len(pids) == 1:
+            helper.replies = Interrupted()
+
+    pids = record_helpers(monkeypatch, interrupt_the_first_reply)
+    with pytest.raises(KeyboardInterrupt):
+        write_csv(tmp_path / "cut.csv", header, columns)
+    assert len(pids) == 1
+    assert_reaped(pids)
+    write_csv(tmp_path / "after.csv", header, columns)
+    assert len(pids) == 2
+    assert_reaped(pids)
+    assert_same_text((tmp_path / "after.csv").read_text(), want)
+
+
+class Refused(Exception):
+    pass
 
 
 @needs_two_cpus
-def test_a_forked_child_forks_its_own_helper(tmp_path):
-    header, columns, want = table(3 * CHUNK_ROWS)
-    with no_helper_yet():
-        write_csv(tmp_path / "parent.csv", header, columns)
-        helper = files._HELPER
-        with warnings.catch_warnings():  # Python 3.12 warns of fork() beside BLAS threads
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                write_csv(tmp_path / "child.csv", header, columns)
-                own = files._HELPER
-                code = 0 if (isinstance(own, files._Helper) and own.owner == os.getpid()
-                             and own.pid != helper.pid) else 2
-                files._stop_helper()
-            finally:
-                os._exit(code)
-        assert reap(pid) == 0
-        assert_same_text((tmp_path / "child.csv").read_text(), want)
-        write_csv(tmp_path / "again.csv", header, columns)  # the parent's helper still serves it
-        assert files._HELPER is helper
-        assert_same_text((tmp_path / "again.csv").read_text(), want)
+@pytest.mark.parametrize("fault", [None, "unopenable path", "raise on block 2"])
+@both_writers
+def test_no_helper_outlives_its_write_call(tmp_path, monkeypatch, write, fault):
+    # Whether the call returns or raises, with no block in flight or with block 3.
+    header, columns, _ = table(4 * CHUNK_ROWS)
+    pids = record_helpers(monkeypatch)
+    parent, block_text, here = os.getpid(), files._block_text, []
+
+    def refuse_block_2(block):
+        if os.getpid() == parent:
+            here.append(block)
+            if len(here) == 2:  # block 2, formatted here while block 3 is in flight
+                raise Refused
+        return block_text(block)
+
+    raises = nullcontext()
+    if fault == "unopenable path":
+        for name in ("t.csv", "t.json"):
+            (tmp_path / name).mkdir()
+        raises = pytest.raises(IsADirectoryError)
+    elif fault == "raise on block 2":
+        monkeypatch.setattr(files, "_block_text", refuse_block_2)
+        raises = pytest.raises(Refused)
+    with raises:
+        write(tmp_path, header, columns)
+    assert len(pids) == 1
+    assert_reaped(pids)
 
 
 @needs_two_cpus
-def test_a_process_reaps_its_helper_before_it_exits(tmp_path):
+def test_the_helper_is_reaped_before_the_write_call_returns(tmp_path):
+    # In a fresh process: once write_csv returns, no child of the process is left, running
+    # or a zombie, before the process exits.
     code = f"""
+import os
 import numpy as np
 from demostab import files
+pids, init = [], files._Helper.__init__
+files._Helper.__init__ = lambda helper: init(helper) or pids.append(helper.pid)
 files.write_csv({str(tmp_path / "t.csv")!r}, ["a"], [np.arange(3.0 * files.CHUNK_ROWS)])
-print(files._HELPER.pid)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print(*pids)
 """
     src = str(Path(files.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -345,8 +395,9 @@ print(files._HELPER.pid)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0 and result.stderr == "", result.stderr
+    pid, = map(int, result.stdout.split())
     with pytest.raises(ProcessLookupError):  # gone, not a zombie: kill finds a zombie
-        os.kill(int(result.stdout), 0)
+        os.kill(pid, 0)
     assert_same_text((tmp_path / "t.csv").read_text(),
                      csv_text(["a"], [np.arange(3.0 * CHUNK_ROWS)]))
 
@@ -388,8 +439,7 @@ def demo_csv_text(dset, i) -> str:
 
 
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
-                                  2 * CHUNK_ROWS + 1, 4 * CHUNK_ROWS])
+@DEMO_ROWS
 @settings(max_examples=4)
 @given(data=st.data())
 def test_demo_set_and_csvs_match_oracles(m, rows, data):
