@@ -9,11 +9,12 @@ from the JSON's text where their columns are arrays of the payload; no other mod
 knows either format.  JSON is read back with the cyclic garbage collector paused.
 
 A write call with an array or table of two or more blocks formats on two cores: it forks
-a helper process, which runs ``_block_text`` on every odd block while this process formats
-the even one before it, so the text, and every byte written, is the same; the call reaps
-the helper before it returns or raises.  On one CPU, without ``os.fork``, for single
-blocks, or for the rest of a call once its helper has failed, every block is formatted in
-this process.
+a child, which already holds every array and table of the call, runs ``_block_text`` on
+every odd block and writes the texts to a pipe in order, while this process formats the
+even blocks and reads the odd ones, so the text, and every byte written, is the same; the
+call reaps the child before it returns or raises.  On one CPU, without ``os.fork``, for
+single blocks, or for the rest of a call once its child has failed, every block is
+formatted in this process.
 
 A Memo holds the object a file's bytes decode to under their SHA-256, which
 ``write_json`` returns for the bytes it wrote, so that a process decodes each
@@ -25,9 +26,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import math
 import os
-import struct
 import warnings
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -42,141 +41,98 @@ _MARK = "\x00array"  # an array's place in the JSON skeleton; json escapes the N
 def _block_text(block: np.ndarray) -> str:
     """``repr(block.tolist())``: the text of every float of a block of at most CHUNK_ROWS rows.
 
-    The helper process runs this same function on the blocks it formats."""
+    The child a write call forks runs this same function on the odd blocks."""
     return repr(block.tolist())
 
 
-def _block_texts(a: np.ndarray, helper: _Helper | None):
-    """The _block_text of each block of CHUNK_ROWS rows of ``a``, in order."""
-    return _formatted(len(a), lambda start: a[start:start + CHUNK_ROWS], helper)
+def _array_source(a: np.ndarray):
+    """(rows, block) of an array: its blocks of CHUNK_ROWS rows."""
+    return len(a), lambda start: a[start:start + CHUNK_ROWS]
 
 
-def _formatted(rows: int, block, helper: _Helper | None):
-    """The _block_text of ``block(start)`` for start = 0, CHUNK_ROWS, ... below ``rows``, in
-    order.  With a helper, each odd block is sent to it before the even one before it is
-    formatted here, so one block at most is in flight."""
-    starts = range(0, rows, CHUNK_ROWS)
-    for even, odd in zip(starts[::2], [*starts[1::2], None]):
-        sent = odd is not None and helper is not None and helper.send(block(odd))
-        yield _block_text(block(even))
-        text = helper.receive() if sent else None
-        if odd is not None:
-            yield _block_text(block(odd)) if text is None else text
-        del text  # held by the caller alone while the next blocks are formatted
+def _table_source(columns: list[np.ndarray]):
+    """(rows, block) of a table: each block of rows of its columns as one 2-D block."""
+    return len(columns[0]), lambda start: np.column_stack([c[start:start + CHUNK_ROWS]
+                                                           for c in columns])
 
 
-_SIZE = struct.Struct("<Q")
+@contextmanager
+def _formatted(sources: list):
+    """For each source ``(rows, block)``, in order, an iterator over the _block_text of
+    ``block(start)`` for start = 0, CHUNK_ROWS, ... below ``rows``; the caller takes them in
+    order and runs each to its end.
 
-
-class _Helper:
-    """A child made by ``os.fork`` for one write call, which replies to each float64 block
-    sent to it with the block's _block_text.
-
-    A request is the block's ndim, its shape and its raw bytes; a reply is the text's
-    length and its ASCII bytes, each length and shape entry a little-endian uint64.  The
-    child runs only ``frombuffer``, ``tolist``, ``repr`` and pipe I/O, nothing of BLAS, so
-    a process whose BLAS threads hold locks can fork it; it leaves through ``os._exit``
-    when its input ends.  A block that cannot be sent or whose reply does not arrive is
-    formatted by the caller, and the helper is stopped, so the rest of the call formats
-    every block in process.
+    When a source has two or more blocks, ``os.fork`` exists and two or more CPUs are
+    available, a child forked here walks the same sources and writes the text of every odd
+    block to a pipe, each as its length, a little-endian uint64, and its ASCII bytes, then
+    leaves through ``os._exit``, which runs no exit handlers and flushes no inherited files.
+    It runs only slicing, stacking, ``tolist``, ``repr`` and pipe I/O, nothing of BLAS, so a
+    process whose BLAS threads hold locks can fork it.  This process formats the even blocks and
+    reads the odd ones; once a read fails, it formats every block left.  On return or raise
+    it closes its read end, so that a child still writing gets EPIPE and exits, and reaps
+    the child.
     """
-
-    def __init__(self):
-        requests, replies = os.pipe(), os.pipe()  # each (read end, write end)
+    pid, replies = 0, None
+    if (max((rows for rows, _ in sources), default=0) > CHUNK_ROWS and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        r, w = os.pipe()
         try:
             with warnings.catch_warnings():  # Python 3.12 warns of fork() beside BLAS threads
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
         except OSError:
-            for fd in requests + replies:
-                os.close(fd)
-            raise
-        if pid == 0:
-            os.close(requests[1])
-            os.close(replies[0])
-            _serve(requests[0], replies[1])
-        os.close(requests[0])
-        os.close(replies[1])
-        self.pid = pid
-        self.requests, self.replies = open(requests[1], "wb"), open(replies[0], "rb")
-
-    def send(self, block: np.ndarray) -> bool:
-        """Whether ``block`` went to the helper: not once it is stopped, nor for a dtype other
-        than float64."""
-        if self.requests.closed or block.dtype != np.float64:
-            return False
-        try:
-            self.requests.write(struct.pack(f"<{block.ndim + 1}Q", block.ndim, *block.shape))
-            self.requests.write(np.ascontiguousarray(block))
-            self.requests.flush()
-            return True
-        except OSError:
-            self.stop()
-            return False
-
-    def receive(self) -> str | None:
-        """The text of the block in flight, or None if the helper failed; it is then stopped."""
-        try:
-            size, = _SIZE.unpack(self.replies.read(_SIZE.size))
-            data = self.replies.read(size)
-            if len(data) == size:
-                return data.decode("ascii")
-        except (OSError, struct.error):  # struct.error: the reply ended inside its length
-            pass
-        self.stop()
-        return None
-
-    def stop(self) -> None:
-        """Close this end of both pipes, so that the helper exits, and reap it unless it is
-        reaped already."""
-        for f in (self.requests, self.replies):
+            os.close(w)
+            os.close(r)
+        else:
+            if pid == 0:
+                try:
+                    os.close(r)
+                    with open(w, "wb") as dst:
+                        for rows, block in sources:
+                            for start in range(CHUNK_ROWS, rows, 2 * CHUNK_ROWS):
+                                text = _block_text(block(start)).encode("ascii")
+                                dst.write(len(text).to_bytes(8, "little"))
+                                dst.write(text)
+                                dst.flush()
+                finally:
+                    os._exit(0)
+            os.close(w)
+            replies = open(r, "rb")
+    try:
+        yield (_texts(rows, block, replies) for rows, block in sources)
+    finally:
+        if replies is not None:
+            replies.close()
             try:
-                f.close()
-            except OSError:  # the unsent rest of a request the helper did not read
-                pass
-        if self.pid:
-            try:
-                os.waitpid(self.pid, 0)
+                os.waitpid(pid, 0)
             except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
                 pass
-            self.pid = 0
 
 
-def _serve(requests: int, replies: int) -> None:
-    """The helper's loop: read a block from ``requests``, write its text to ``replies``,
-    until the input ends; then leave through ``os._exit``, which runs no exit handlers and
-    flushes no inherited files."""
+def _texts(rows: int, block, replies):
+    """The _block_text of each block of a source: an odd one read from ``replies``, unless
+    there is no child or it has failed (None is falsy, as no text is)."""
+    for b, start in enumerate(range(0, rows, CHUNK_ROWS)):
+        yield b % 2 and _receive(replies) or _block_text(block(start))
+
+
+def _receive(replies) -> str | None:
+    """The next text the child wrote, or None without a child; at an EOF, a short read or an
+    OSError, ``replies`` is closed and None is returned from then on.  A plain function, so
+    that nothing holds a text once it is returned."""
+    if replies is None or replies.closed:
+        return None
     try:
-        with open(requests, "rb") as src, open(replies, "wb") as dst:
-            while head := src.read(_SIZE.size):
-                ndim, = _SIZE.unpack(head)
-                shape = struct.unpack(f"<{ndim}Q", src.read(_SIZE.size * ndim))
-                data = src.read(8 * math.prod(shape))
-                text = _block_text(np.frombuffer(data).reshape(shape)).encode("ascii")
-                dst.write(_SIZE.pack(len(text)))
-                dst.write(text)
-                dst.flush()
-    finally:
-        os._exit(0)
-
-
-@contextmanager
-def _helper_for(rows: list[int]):
-    """A helper for one write call whose arrays and tables have ``rows`` rows, stopped when
-    the call returns or raises; None if none of them has two or more blocks, on one CPU,
-    without ``os.fork``, or if the fork fails."""
-    helper = None
-    if (max(rows, default=0) > CHUNK_ROWS and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
-        try:
-            helper = _Helper()
-        except OSError:
-            pass
-    try:
-        yield helper
-    finally:
-        if helper is not None:
-            helper.stop()
+        head = replies.read(8)
+        if len(head) == 8:
+            size = int.from_bytes(head, "little")
+            data = replies.read(size)
+            if len(data) == size:
+                return data.decode("ascii")
+    except OSError:
+        pass
+    replies.close()
+    return None
 
 
 def _row_texts(text: str) -> list[str]:
@@ -272,20 +228,26 @@ def write_json(path: str | Path, payload, tables=()) -> str:
     parts, arrays, levels = _json_skeleton(payload)
     tables = [(csv_path, header, _table_columns(header, columns))
               for csv_path, header, columns in tables]
-    with _helper_for([len(a) for a in arrays] + [len(c) for t in tables for c in t[2]]) as helper:
-        last = {id(a): p for p, a in enumerate(arrays)}  # each array's last place in the document
-        due, keep, held = {}, {}, {}  # keep: array id -> the place of the last table that needs it
-        for csv_path, header, columns in tables:
-            p = max(last.get(id(c), -1) for c in columns)
-            if p < 0:
-                _write_table(csv_path, header, columns, helper)
-                continue
-            due.setdefault(p, []).append((csv_path, header, columns))
-            for c in columns:
-                if id(c) not in last and id(c) not in held:
-                    held[id(c)] = list(_block_texts(c, helper))
-                elif last.get(id(c), p) < p:
-                    keep[id(c)] = max(keep.get(id(c), p), p)
+    last = {id(a): p for p, a in enumerate(arrays)}  # each array's last place in the document
+    alone, others = [], {}  # tables with no array of the payload; other tables' other columns
+    due, keep = {}, {}  # keep: array id -> the place of the last table that needs it
+    for csv_path, header, columns in tables:
+        p = max(last.get(id(c), -1) for c in columns)
+        if p < 0:
+            alone.append((csv_path, header, columns))
+            continue
+        due.setdefault(p, []).append((csv_path, header, columns))
+        for c in columns:
+            if id(c) not in last:
+                others.setdefault(id(c), c)
+            elif last[id(c)] < p:
+                keep[id(c)] = max(keep.get(id(c), p), p)
+    sources = ([_table_source(columns) for _, _, columns in alone]
+               + [_array_source(c) for c in others.values()] + [_array_source(a) for a in arrays])
+    with _formatted(sources) as texts:
+        for csv_path, header, _ in alone:
+            _write_table(csv_path, header, next(texts))
+        held = {x: list(next(texts)) for x in others}
         digest = hashlib.sha256()
         with open(path, "wb") as f:
             def put(text: str) -> None:
@@ -294,9 +256,9 @@ def write_json(path: str | Path, payload, tables=()) -> str:
                 f.write(data)
 
             for p, (part, a, level) in enumerate(zip(parts, arrays, levels)):
-                layout, texts = _JsonArray(a.ndim, level), _block_texts(a, helper)
+                layout, array_texts = _JsonArray(a.ndim, level), next(texts)
                 if last[id(a)] == p and id(a) in keep:
-                    texts = held[id(a)] = list(texts)
+                    array_texts = held[id(a)] = list(array_texts)
                 put(part + layout.head)
                 with ExitStack() as stack:
                     csvs = [(stack.enter_context(open(csv_path, "w")), header,
@@ -304,10 +266,10 @@ def write_json(path: str | Path, payload, tables=()) -> str:
                             for csv_path, header, columns in due.get(p, ())]
                     for csv, header, _ in csvs:
                         csv.write(",".join(header) + "\n")
-                    for b, text in enumerate(texts):
+                    for b, text in enumerate(array_texts):
                         put(layout.block(text, not b))
-                        for csv, _, sources in csvs:
-                            csv.write(_csv_rows(*[text if s is None else s[b] for s in sources]))
+                        for csv, _, held_texts in csvs:
+                            csv.write(_csv_rows(*[text if s is None else s[b] for s in held_texts]))
                 put(layout.tail)
                 for x in [x for x, q in keep.items() if q == p]:
                     del held[x]
@@ -320,20 +282,16 @@ def write_csv(path: str | Path, header: list[str], columns) -> None:
     column fills one CSV column per entry of its rows.  Each block of rows of the columns is
     formatted as one 2-D block."""
     columns = _table_columns(header, columns)
-    with _helper_for([len(columns[0])]) as helper:
-        _write_table(path, header, columns, helper)
+    with _formatted([_table_source(columns)]) as texts:
+        _write_table(path, header, next(texts))
 
 
-def _write_table(path: str | Path, header: list[str], columns: list[np.ndarray],
-                 helper: _Helper | None) -> None:
-    """write_csv's file, from the columns _table_columns returns."""
-    def block(start: int) -> np.ndarray:
-        return np.column_stack([c[start:start + CHUNK_ROWS] for c in columns])
-
+def _write_table(path: str | Path, header: list[str], texts) -> None:
+    """write_csv's file, from the _block_text of each block of rows of its columns."""
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         # Unlike a for loop, map holds no block's text while the next block is formatted.
-        f.writelines(map(_csv_rows, _formatted(len(columns[0]), block, helper)))
+        f.writelines(map(_csv_rows, texts))
 
 
 def read_json(path: str | Path):

@@ -654,10 +654,9 @@ def test_outputs_on_one_cpu_and_on_two(tmp_path):
     for name, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("two", None)):
         code = f"""
 import os
-from demostab import files
 from demostab.cli import main
-helpers, init = [], files._Helper.__init__
-files._Helper.__init__ = lambda helper: init(helper) or helpers.append(helper.pid)
+helpers, fork = [], os.fork
+os.fork = lambda: helpers.append(fork()) or helpers[-1]
 assert main(["all", "--config", {str(cfg)!r}, "--out", {str(tmp_path / name)!r}]) == 0
 try:
     os.waitpid(-1, os.WNOHANG)

@@ -58,16 +58,17 @@ def refuse_fork():
     raise OSError("fork refused")
 
 
-def record_helpers(patch: pytest.MonkeyPatch, then=lambda helper: None) -> list[int]:
-    """The pids of the helpers forked from now on, in order; ``then`` sees each new one."""
-    pids, init = [], files._Helper.__init__
+def record_forks(patch: pytest.MonkeyPatch) -> list[int]:
+    """The pids of the children forked from now on, in order, as this process sees them."""
+    pids, fork = [], os.fork
 
-    def recorded(helper):
-        init(helper)
-        pids.append(helper.pid)
-        then(helper)
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    patch.setattr(files._Helper, "__init__", recorded)
+    patch.setattr(os, "fork", recorded)
     return pids
 
 
@@ -87,7 +88,7 @@ def formatted(way: str, rows: int, chunk: int = SMALL):
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(files, "CHUNK_ROWS", chunk)
-        pids = record_helpers(patch)
+        pids = record_forks(patch)
         if way == "no fork":
             patch.setattr(os, "fork", refuse_fork)
         elif way == "one CPU":
@@ -263,10 +264,12 @@ def table(rows: int, seed: int = 0):
 @pytest.mark.parametrize("way", WAYS)
 def test_full_size_blocks_match_oracles(tmp_path, capfd, way):
     # Two blocks and one of CHUNK_ROWS rows, as a run's files have them, through each
-    # writer; no warning and nothing on standard error whichever way they are formatted.
+    # writer, a float32 array among them; no warning and nothing on standard error
+    # whichever way they are formatted.
     rows = 2 * CHUNK_ROWS + 1
     header, columns, want = table(rows)
-    payload = {"a": columns[0], "z": np.stack(columns, axis=-1)[:, :, None]}
+    payload = {"a": columns[0], "f": columns[1].astype(np.float32),
+               "z": np.stack(columns, axis=-1)[:, :, None]}
     with warnings.catch_warnings(record=True) as caught, formatted(way, rows, CHUNK_ROWS):
         warnings.simplefilter("always")
         write_json(tmp_path / "t.json", payload, [(tmp_path / "t.csv", header, columns)])
@@ -281,28 +284,30 @@ def test_full_size_blocks_match_oracles(tmp_path, capfd, way):
 @needs_two_cpus
 def test_a_helper_killed_between_two_blocks_is_reaped_and_its_blocks_formatted_here(
         tmp_path, capfd, monkeypatch):
-    # Killed while block 1 is in flight: that call formats blocks 1 to 3 here, and the next
-    # call forks a helper of its own.
+    # The first call's helper writes block 1 and is killed as it takes block 3: that call
+    # reads block 1, formats blocks 0, 2 and 3 here, and the next call forks a helper of
+    # its own.
     header, columns, want = table(4 * CHUNK_ROWS)
-    pids = record_helpers(monkeypatch)
-    parent, block_text, here = os.getpid(), files._block_text, []
+    pids = record_forks(monkeypatch)
+    parent, block_text, here, there = os.getpid(), files._block_text, [], []
 
-    def kill_helper_once(block):
+    def kill_the_first_helper_at_its_second_block(block):
         if os.getpid() == parent:
             here.append(block)
-            if len(here) == 1:  # block 0, formatted while block 1 is in flight
-                os.kill(pids[0], signal.SIGKILL)
-                os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+        elif not pids:  # the first helper: this process had recorded no fork when it forked
+            there.append(block)
+            if len(there) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
         return block_text(block)
 
-    monkeypatch.setattr(files, "_block_text", kill_helper_once)
+    monkeypatch.setattr(files, "_block_text", kill_the_first_helper_at_its_second_block)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         write_csv(tmp_path / "killed.csv", header, columns)
-        assert len(pids) == 1 and len(here) == 4
+        assert len(pids) == 1 and len(here) == 3
         assert_reaped(pids)
         write_csv(tmp_path / "after.csv", header, columns)
-        assert len(pids) == 2 and len(here) == 6  # blocks 1 and 3 formatted by the new helper
+        assert len(pids) == 2 and len(here) == 5  # blocks 1 and 3 formatted by the new helper
         assert_reaped(pids)
     assert caught == []
     for name in ("killed.csv", "after.csv"):
@@ -312,23 +317,17 @@ def test_a_helper_killed_between_two_blocks_is_reaped_and_its_blocks_formatted_h
 
 @needs_two_cpus
 def test_an_interrupt_in_mid_reply_drops_the_helper(tmp_path, monkeypatch):
-    # Part of a reply is left in the pipe; the call that raises reaps its helper, and the
-    # next call forks a helper of its own.
+    # Part of the first reply is read off the pipe, the rest left in it; the call that
+    # raises reaps its helper, and the next call forks a helper of its own.
     header, columns, want = table(2 * CHUNK_ROWS)
+    pids, receive = record_forks(monkeypatch), files._receive
 
-    def interrupt_the_first_reply(helper):
-        replies = helper.replies
+    def interrupt_the_first_reply(replies):
+        monkeypatch.setattr(files, "_receive", receive)
+        replies.read(4)
+        raise KeyboardInterrupt
 
-        class Interrupted:
-            def read(self, size):
-                helper.replies = replies
-                replies.read(size // 2)
-                raise KeyboardInterrupt
-
-        if len(pids) == 1:
-            helper.replies = Interrupted()
-
-    pids = record_helpers(monkeypatch, interrupt_the_first_reply)
+    monkeypatch.setattr(files, "_receive", interrupt_the_first_reply)
     with pytest.raises(KeyboardInterrupt):
         write_csv(tmp_path / "cut.csv", header, columns)
     assert len(pids) == 1
@@ -347,15 +346,16 @@ class Refused(Exception):
 @pytest.mark.parametrize("fault", [None, "unopenable path", "raise on block 2"])
 @both_writers
 def test_no_helper_outlives_its_write_call(tmp_path, monkeypatch, write, fault):
-    # Whether the call returns or raises, with no block in flight or with block 3.
+    # Whether the call returns or raises, with every reply read or with the reply of block 3
+    # unread.
     header, columns, _ = table(4 * CHUNK_ROWS)
-    pids = record_helpers(monkeypatch)
+    pids = record_forks(monkeypatch)
     parent, block_text, here = os.getpid(), files._block_text, []
 
     def refuse_block_2(block):
         if os.getpid() == parent:
             here.append(block)
-            if len(here) == 2:  # block 2, formatted here while block 3 is in flight
+            if len(here) == 2:  # block 2, formatted here before block 3 is read
                 raise Refused
         return block_text(block)
 
@@ -381,8 +381,8 @@ def test_the_helper_is_reaped_before_the_write_call_returns(tmp_path):
 import os
 import numpy as np
 from demostab import files
-pids, init = [], files._Helper.__init__
-files._Helper.__init__ = lambda helper: init(helper) or pids.append(helper.pid)
+pids, fork = [], os.fork
+os.fork = lambda: pids.append(fork()) or pids[-1]
 files.write_csv({str(tmp_path / "t.csv")!r}, ["a"], [np.arange(3.0 * files.CHUNK_ROWS)])
 try:
     os.waitpid(-1, os.WNOHANG)
