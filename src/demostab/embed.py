@@ -18,9 +18,14 @@ Each EmbeddingConfig writes these formulas out once, for its n and w, as
 one stage function cfg.stage of the rows of plant.terms and of xi; every
 quantity of the embedding is read off it, on Python floats for one state
 and on NumPy rows for a batch, with the same bits either way.  From the
-same expressions it writes the closed-loop field of one state: z, r and s,
-the law's row applied to z or to a frozen zeta, u = (s + v) / r and the
-extended derivative, in one call on floats.  Demonstrations of the original
+same expressions it writes the closed-loop field of one state: the domain
+test and the plant's terms, z, r and s, the law's row applied to z or to a
+frozen zeta, u = (s + v) / r and the extended derivative, in one call on
+floats.  A plant with a PlantSource (the ball-beam) has its domain predicate,
+helpers and term rows written into that field, so that an RK4 stage makes no
+other Python call; a plant given only as callables (chain<N>, or a stand-in
+built with dataclasses.replace) has the field call its domain_check and
+terms, the only way to reach them.  Demonstrations of the original
 plant are transformed by integrating the auxiliary dynamics along the
 recorded (x, u), an affine flow in xi that affine_interval_maps moves, and
 re-reading the inputs as v = r u - s; the chain learner then applies
@@ -40,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, SingularEmbeddingError
 from .demos import DemonstrationSet
-from .plant import PlantModel, brunovsky_pair
+from .plant import FLOAT_CALLS, PlantModel, PlantSource, brunovsky_pair
 from .learner import interval_grid
 from .sim import Trajectory, affine_interval_maps, check_divergence, half_slots, rk4
 
@@ -63,8 +68,13 @@ def hurwitz(M: np.ndarray) -> bool:
     return bool(np.all(np.linalg.eigvals(M).real < -1e-9))
 
 
-def _embedding_source(n: int, w: tuple[float, ...]) -> str:
-    """Source of stage and loop_field for an embedding with n states and coefficients w."""
+def _embedding_source(n: int, w: tuple[float, ...], source: Optional[PlantSource]) -> str:
+    """Source of stage and loop_field for an embedding with n states and coefficients w.
+
+    With the plant's source, loop_field's head is the plant's domain test,
+    helpers and term rows, their names prefixed with _ so that none shadows
+    the embedding's own; without it, one domain_check and one terms call.
+    """
     f, g = [f"f{i}" for i in range(n)], [f"g{i}" for i in range(n)]
     lf, lg = [f"lf{k}" for k in range(n + 1)], [f"lg{k}" for k in range(n)]
     xi = [f"xi{j}" for j in range(n - 1)]
@@ -76,7 +86,15 @@ def _embedding_source(n: int, w: tuple[float, ...]) -> str:
     z = [f"{a} + {b}" for a, b in zip(lf, xi)] + [f"{lf[n - 1]} - wxi"]
     drift, gain = f + xi[1:] + ["-wxi"], g + [f"-{row}" for row in lg[:n - 1]]
     r, s = f"{lg[n - 1]} + ({dot(w, lg)})", f"-{lf[n]}{shifted} - {w[n - 2]!r} * wxi"
-    head = [f"    {', '.join(f + g + lf + lg)} = p", f"    wxi = {dot(w, xi)}"]
+    names, wxi = ", ".join(f + g + lf + lg), f"    wxi = {dot(w, xi)}"
+    outside = ["        return None, None, None, None"]
+    if source is None:
+        head = [f"    [{', '.join(xi)}] = y[{n}:]", f"    x = y[:{n}]",
+                "    if not domain_check(x):", *outside, f"    [{names}] = terms(x)"]
+    else:
+        state, domain, helpers, rows = source.spelled("_")
+        head = [f"    [{', '.join(state + xi)}] = y", f"    if not ({domain}):", *outside,
+                *(f"    {line}" for line in helpers), f"    {names} = {', '.join(rows)}"]
 
     def law(y):  # G_j y + g_j, left to right
         return " + ".join([f"G{i} * {row}" for i, row in enumerate(y)] + ["gj"])
@@ -85,14 +103,17 @@ def _embedding_source(n: int, w: tuple[float, ...]) -> str:
     return "\n".join([
         "def stage(p, xi):",
         f"    [{', '.join(xi)}] = xi",
-        *head,
+        f"    [{names}] = p",
+        wxi,
         f"    return [{', '.join(z)}], {r}, {s}, [{', '.join(drift)}], [{', '.join(gain)}]",
         "",
-        "def loop_field(y, p, Gj, gj, zeta=None):",
-        f"    [{', '.join([f'x{i}' for i in range(n)] + xi)}] = y",
+        "def loop_field(y, Gj, gj, zeta, begin=None):",
         *head,
+        wxi,
         f"    r = {r}",
         f"    s = {s}",
+        "    if begin is not None:",
+        f"        Gj, gj, zeta = begin([{', '.join(z)}])",
         f"    [{', '.join(f'G{i}' for i in range(n))}] = Gj",
         "    if zeta is None:",
         f"        v = {law([f'({row})' for row in z])}",
@@ -130,11 +151,19 @@ class EmbeddingConfig:
     both take the same operations in the same order, so a state gets the
     bits of its batch column, and no product goes through BLAS.  From the
     same expressions it writes the closed-loop field of one state on
-    floats, loop_field(y, p, Gj, gj, zeta) -> (dy/dt, r, v, u): y is
-    the extended state, (Gj, gj) a row of the law v = Gj y' + gj, summed
-    left to right, with y' = z if zeta is None and the frozen zeta
-    otherwise, u = (s + v) / r and dy/dt = drift + gain u as a tuple; with
-    |r| <= R_TOL, dy/dt and u are None.
+    floats, loop_field(y, Gj, gj, zeta, begin=None) -> (dy/dt, r, v, u): y
+    is the extended state as a list, (Gj, gj) a row of the law
+    v = Gj y' + gj, summed left to right, with y' = z if zeta is None and
+    the frozen zeta otherwise, u = (s + v) / r and dy/dt = drift + gain u
+    as a tuple.  With begin, the row and zeta are begin(z) instead, for the
+    first stage of an interval.  The field first tests y's x against the
+    domain and reads the terms of x: for a plant with a source, from the
+    source's predicate, helpers and rows written into the field (names
+    prefixed with _, constants as literals, every row as written: a zero
+    row of g still multiplies u, so -0.0 and non-finite bits fall as
+    through plant.terms); for a plant of callables, by
+    one domain_check and one terms call.  Outside the domain it returns
+    (None, None, None, None); with |r| <= R_TOL, dy/dt and u are None.
     """
 
     plant: PlantModel
@@ -152,8 +181,10 @@ class EmbeddingConfig:
         if not hurwitz(A):
             raise ValueError(f"companion matrix of w={self.w} is not Hurwitz")
         A.flags.writeable = False
-        namespace: dict = {}
-        exec(_embedding_source(n, self.w), namespace)
+        plant = self.plant
+        namespace = (dict(FLOAT_CALLS) if plant.source is not None else
+                     {"domain_check": plant.domain_check, "terms": plant.terms})
+        exec(_embedding_source(n, self.w, plant.source), namespace)
         object.__setattr__(self, "A_xi", A)
         for name in ("stage", "loop_field"):
             object.__setattr__(self, name, namespace[name])
@@ -272,17 +303,18 @@ def simulate_embedded_closed_loop(
     the chain state is read off as z = Phi_z(x, xi), the learned controller
     supplies v, and the dynamic feedback turns it into the physical input
     u = (s + v) / r.  rk4 steps the single state as a list of Python
-    floats, and a stage stays on floats end to end: one domain test and one
-    plant.terms call on the list's first n entries, then one call of
-    cfg.loop_field on the list, those terms and the law's row at the stage's
-    slot, which returns the derivative as a tuple with v and u (the
-    interval's first stage also reads z off cfg.stage for the anchor).  The
-    committed grid states are
-    tested by their first stage, so rk4 runs without its grid-point domain
-    guard.  Each interval of interval_grid is one rk4 call; the anchor is
-    read off the chain state of the interval's first stage, after rk4's
-    divergence test of that point, and the later of two intervals re-reads
-    their shared boundary point's input.  Both feedback modes read the law
+    floats, and a stage stays on floats end to end: one call of
+    cfg.loop_field on the list and the law's row at the stage's slot, which
+    tests the domain, evaluates the plant's terms (inlined for a plant with
+    a source, called otherwise; see EmbeddingConfig) and returns the
+    derivative as a tuple with v and u (at the interval's first stage it
+    hands z to the anchor and takes the law's first row back).  The
+    committed grid states are tested by their first stage, so rk4 runs
+    without its grid-point domain guard.  Each interval of interval_grid is
+    one rk4 call; the anchor is read off the chain state of the interval's
+    first stage, after rk4's divergence test of that point, and the later of
+    two intervals re-reads their shared boundary point's input.  Both
+    feedback modes read the law
     v = G[j] y + g[j] of the basis interval_groups(anchor) names, from
     basis.law(open_loop) with y = z (closed loop) or y = zeta (open loop),
     taken as Python floats once per basis per run and summed left to right
@@ -290,7 +322,7 @@ def simulate_embedded_closed_loop(
     refuses a duration that is no whole number of steps, so every stage of
     every interval is on a slot.  A stage outside the domain (DomainError)
     or with |r| <= R_TOL (SingularEmbeddingError) fails with its absolute
-    time.
+    time, in the same line whether the field inlines the terms or calls them.
     """
     if ctrl.m != 1:
         raise ValueError("the embedding pipeline drives a single-input plant")
@@ -301,36 +333,36 @@ def simulate_embedded_closed_loop(
     for name, value, size in (("x0", x0, n), ("xi0", xi0, n - 1)):
         if value.shape != (size,):
             raise ValueError(f"{name} must be shaped ({size},), got {value.shape}")
-    terms, inside = plant.terms, plant.domain_check
-    stage, loop_field = cfg.stage, cfg.loop_field
-    T, dt = ctrl.T, ctrl.dt
+    loop_field, T, dt = cfg.loop_field, ctrl.T, ctrl.dt
     times, N = interval_grid(ctrl, duration)
     anchor = None  # (start, zeta as floats or None, G rows, g)
     laws = {}  # id(basis) -> (G rows, g) as Python floats
 
     def begin(t, z):
-        """The anchor of an interval whose first stage is at t with chain state z."""
+        """Anchor the interval whose first stage is at t with chain state z, and return
+        the law's first row and the frozen zeta: (G[0], g[0], zeta)."""
+        nonlocal anchor
         (basis, _, zeta), = ctrl.interval_groups(ctrl.begin_interval(np.array(z)))
         if id(basis) not in laws:
             G, g = basis.law(open_loop=zeta is not None)
             laws[id(basis)] = G[:, 0].tolist(), g[:, 0].tolist()
-        return (t, None if zeta is None else np.ravel(zeta).tolist()) + laws[id(basis)]
+        G, g = laws[id(basis)]
+        anchor = (t, None if zeta is None else np.ravel(zeta).tolist(), G, g)
+        return G[0], g[0], anchor[1]
 
     def rhs(t, y):
-        nonlocal anchor
-        x = y[:n]
-        if not inside(x):
-            raise DomainError(f"state {np.array(x)} is outside the domain of {plant.name} "
-                              f"at t={t:.6f}", time=t)
-        p = terms(x)
         if anchor is None:  # the interval's first stage: its start
-            anchor = begin(t, stage(p, y[n:])[0])
-        start, zeta, G, g = anchor
-        j = round(2.0 * min(t - start, T) / dt)
-        dy, r, v, u = loop_field(y, p, G[j], g[j], zeta)
+            dy, r, v, u = loop_field(y, None, None, None, lambda z: begin(t, z))
+        else:
+            start, zeta, G, g = anchor
+            j = round(2.0 * min(t - start, T) / dt)
+            dy, r, v, u = loop_field(y, G[j], g[j], zeta)
         if dy is None:
-            raise SingularEmbeddingError(f"r(x) = {r:.3e} at x={np.array(x)} at t={t:.6f}",
-                                         time=t)
+            x = np.array(y[:n])
+            if r is None:
+                raise DomainError(f"state {x} is outside the domain of {plant.name} "
+                                  f"at t={t:.6f}", time=t)
+            raise SingularEmbeddingError(f"r(x) = {r:.3e} at x={x} at t={t:.6f}", time=t)
         return dy, (v, u)
 
     states = np.empty((len(times), 2 * n - 1))

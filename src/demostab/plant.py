@@ -2,14 +2,19 @@
 
 A plant is a single-input control-affine system  dx/dt = f(x) + g(x) u  with a
 scalar output h.  Instead of differentiating symbolically, each preset carries
-one hand-coded closed-form evaluator that stacks f, g and the iterated Lie
-derivatives L_f^k h and L_g L_f^k h; these are all the quantities the
-coordinate change, the decoupling feedback and the embedding need.
+one closed-form evaluator that stacks f, g and the iterated Lie derivatives
+L_f^k h and L_g L_f^k h; these are all the quantities the coordinate change,
+the decoupling feedback and the embedding need.  A preset either gives that
+evaluator and its domain test as callables, or states them once as
+expression source (PlantSource), from which both are generated and which
+the embedding writes into its closed-loop field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,6 +57,94 @@ def brunovsky_pair(n: int) -> BrunovskyPair:
     return BrunovskyPair(A=A, B=B)
 
 
+# What a PlantSource expression may call besides abs: on one state's Python
+# floats, and on the NumPy rows of a batch.
+FLOAT_CALLS = {"sin": math.sin, "cos": math.cos, "isfinite": math.isfinite}
+ROW_CALLS = {"sin": np.sin, "cos": np.cos, "isfinite": np.isfinite}
+
+
+@dataclass(frozen=True)
+class PlantSource:
+    """A plant's stacked terms and domain predicate, stated once as Python expressions.
+
+    The expressions read the state entries by the names in state, the named
+    constants, and the helpers, each assigned once in order, and call only
+    abs and the names of FLOAT_CALLS: the same text evaluates one state on
+    Python floats and a batch on NumPy rows.  terms holds the 4n + 1 rows of
+    PlantModel.terms in order; a constant row is a float literal such as 0.0.
+    domain is the predicate of the open set U, joined with &.  Inside U the
+    helpers and rows must not raise on floats: the embedding's closed-loop
+    field evaluates them there with no NumPy fallback.
+    """
+
+    state: tuple[str, ...]
+    constants: tuple[tuple[str, float], ...]
+    helpers: tuple[tuple[str, str], ...]
+    terms: tuple[str, ...]
+    domain: str
+
+    def __post_init__(self):
+        if len(self.terms) != 4 * len(self.state) + 1:
+            raise ValueError(f"need 4n + 1 = {4 * len(self.state) + 1} term rows, "
+                             f"got {len(self.terms)}")
+
+    def spelled(self, prefix: str = "") -> tuple[list[str], str, list[str], list[str]]:
+        """(state names, domain, helper lines, term rows) as text to write into a function.
+
+        Each constant is written as its value, in parentheses, and each state
+        and helper name takes the prefix, so that the lines can share a
+        function with names of another origin.  Nothing else is rewritten.
+        """
+        words = {name: f"({value!r})" for name, value in self.constants}
+        words.update((name, prefix + name) for name in self.state + tuple(dict(self.helpers)))
+
+        def spell(expr: str) -> str:
+            return re.sub(r"\b[A-Za-z_]\w*", lambda m: words.get(m[0], m[0]), expr)
+
+        return ([prefix + name for name in self.state], spell(self.domain),
+                [f"{prefix}{name} = {spell(expr)}" for name, expr in self.helpers],
+                [spell(row) for row in self.terms])
+
+
+def _source_evaluators(source: PlantSource) -> tuple[Callable, Callable]:
+    """terms and domain_check of a plant, generated from its source (see PlantModel)."""
+    state, domain, helpers, rows = source.spelled()
+    unpack = f"    [{', '.join(state)}] = x"
+    text = "\n".join(["def terms(x):", unpack, *(f"    {line}" for line in helpers),
+                      f"    return [{', '.join(rows)}]", "",
+                      "def inside(x):", unpack, f"    return {domain}"])
+    on_floats, on_rows = dict(FLOAT_CALLS), dict(ROW_CALLS)
+    exec(text, on_floats)
+    exec(text, on_rows)
+
+    def terms(x):
+        if isinstance(x, np.ndarray):
+            if x.ndim == 1:
+                return np.array(terms(x.tolist()))
+            out = np.empty((len(rows),) + x.shape[1:])
+            for i, row in enumerate(on_rows["terms"](x)):  # a constant row fills its row
+                out[i] = row
+            return out
+        try:
+            return on_floats["terms"](x)
+        except (ArithmeticError, ValueError):  # raised where NumPy gives inf or nan: sin(inf)
+            return terms(np.array(x, dtype=float)[:, None])[:, 0].tolist()
+
+    def domain_check(x):
+        if isinstance(x, np.ndarray):
+            if x.ndim > 1:
+                return on_rows["inside"](x)
+            x = x.tolist()
+        return on_floats["inside"](x)
+
+    terms.source = domain_check.source = source
+    return terms, domain_check
+
+
+def _everywhere(x) -> bool:
+    return True
+
+
 @dataclass(frozen=True)
 class PlantModel:
     """Single-input plant with one closed-form evaluator of its stacked terms.
@@ -65,6 +158,15 @@ class PlantModel:
     one state, as an array or a list, as for that state taken as a column
     of a batch, and never raises on non-finite input.
 
+    A plant gives terms and domain_check either as callables, or as a
+    source from which both are generated: one function of Python floats and
+    one of NumPy rows from the same text, the float one falling back to the
+    rows of a one-column batch where a float call raises (math.sin of an
+    infinite angle).  A plant with a source holds only the evaluators
+    generated from it, so they cannot disagree with the source the embedding
+    writes into its closed-loop field; dataclasses.replace(plant,
+    source=None) keeps them as plain callables.
+
     Attributes:
         n: state dimension.
         f: drift vector field.
@@ -75,21 +177,41 @@ class PlantModel:
             row 2n, L_f^k h in row 2n + k and L_g L_f^k h in row 3n + 1 + k.
             Its f and g rows equal f(x) and g(x) bit for bit; f and g stay
             separate because the plant's own rhs needs nothing else.
-        domain_check: predicate for membership in the open set U.
+        domain_check: predicate for membership in the open set U (all of
+            R^n if neither it nor a source is given).
         relative_degree: n for feedback-linearizable presets, None otherwise.
+        source: the expression source of terms and domain_check, or None.
     """
 
     n: int
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
-    terms: Callable[[np.ndarray], np.ndarray]
-    domain_check: Callable[[np.ndarray], bool] = field(default=lambda x: True)
+    terms: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    domain_check: Optional[Callable[[np.ndarray], bool]] = None
     relative_degree: Optional[int] = None
     name: str = "plant"
+    source: Optional[PlantSource] = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"state dimension must be >= 1, got {self.n}")
+        if self.source is None:
+            if self.terms is None:
+                raise ValueError(f"{self.name} needs terms or a source")
+            if self.domain_check is None:
+                object.__setattr__(self, "domain_check", _everywhere)
+            return
+        if len(self.source.state) != self.n:
+            raise ValueError(f"the source of {self.name} names {len(self.source.state)} "
+                             f"state entries, not n = {self.n}")
+        given = (self.terms, self.domain_check)
+        if given == (None, None):
+            given = _source_evaluators(self.source)
+        elif not all(getattr(fn, "source", None) is self.source for fn in given):
+            raise ValueError(f"terms and domain_check of {self.name} are generated from its "
+                             f"source; give source=None with callables of their own")
+        object.__setattr__(self, "terms", given[0])
+        object.__setattr__(self, "domain_check", given[1])
 
     def require_in_domain(self, x: np.ndarray) -> None:
         """Raise DomainError unless x, shaped (n,) or (n, k), lies in the domain."""

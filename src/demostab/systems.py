@@ -19,7 +19,7 @@ import numpy as np
 from .demos import DemonstrationSet
 from .embed import EmbeddingConfig
 from .learner import simulate_chain_batch
-from .plant import PlantModel, last_unit_field, lqr_gain
+from .plant import PlantModel, PlantSource, last_unit_field, lqr_gain
 from .sim import time_grid
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,9 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
     ddr = b (r omega^2 - g sin phi), dphi = omega, domega = u, output h = r.
     The output has relative degree 3 < n away from the axis (L_g L_f^2 h =
     2 b r omega), so the plant is not feedback linearizable and is handled by
-    the embedding pipeline.
+    the embedding pipeline.  Its terms and domain are stated once, as a
+    PlantSource: the plant's evaluators are generated from it, and the
+    embedding writes it into its closed-loop field.
     """
     if not (0 < b_bar < math.inf and 0 < g_bar < math.inf):
         raise ValueError("b_bar and g_bar must be positive and finite")
@@ -193,56 +195,25 @@ def ball_beam_plant(b_bar: float = BALL_BEAM_B, g_bar: float = BALL_BEAM_G) -> P
         dx[2] = x[3]
         return dx
 
-    # terms and domain_check write each formula once over the state rows:
-    # Python floats for one state, given as a list or an (n,) array, which
-    # spares the NumPy dispatch, or NumPy rows for a batch, with sin, cos,
-    # isfinite and the constant rows of the same kind, so that a state gets
-    # the bits of its batch column.  omega^2
-    # is om * om, the product NumPy forms for a row's om ** 2; a float's
-    # om ** 2 calls pow, which can round one ulp off and raises OverflowError
-    # past 1e154.
-
-    def rows(x0, x1, phi, om, sin, cos, zero, one):
-        s, c, om2 = sin(phi), cos(phi), om * om
-        a = x0 * om2 - g * s
-        ddr = b * a                                       # f_2 = L_f^2 h
-        return [x1, ddr, om, zero,                        # f
-                zero, zero, zero, one,                    # g = e_4
-                x0, x1, ddr, b * (x1 * om2 - g * om * c),  # L_f^k h, k = 0..4
-                b * b * om2 * a + b * g * om2 * s,
-                zero, zero, 2.0 * b * x0 * om,            # L_g L_f^k h, k = 0..3 (k < 2: 0)
-                2.0 * b * x1 * om - b * g * c]
-
-    def terms(x):
-        if isinstance(x, np.ndarray):
-            if x.ndim == 1:
-                return np.array(terms(x.tolist()))
-            shape = x.shape[1:]
-            return np.array(rows(*x, np.sin, np.cos, np.zeros(shape), np.ones(shape)))
-        x0, x1, phi, om = x
-        if math.isfinite(phi):  # math.sin and math.cos raise on an infinite angle
-            return rows(x0, x1, phi, om, math.sin, math.cos, 0.0, 1.0)
-        return terms(np.array(x)[:, None])[:, 0].tolist()
-
-    def inside(x0, x1, phi, om, isfinite):
-        return isfinite(x0) & isfinite(x1) & isfinite(om) & (abs(phi) < math.pi / 2)
-
-    def domain_check(x):
-        if isinstance(x, np.ndarray):
-            if x.ndim > 1:
-                return inside(*x, np.isfinite)
-            x = x.tolist()
-        return inside(*x, math.isfinite)
-
-    return PlantModel(
-        n=4,
-        f=f,
-        g=last_unit_field,
-        terms=terms,
-        domain_check=domain_check,
-        relative_degree=None,
-        name="ball_beam",
+    # omega^2 is om * om, the product NumPy forms for a row's om ** 2; a
+    # float's om ** 2 calls pow, which can round one ulp off and raises
+    # OverflowError past 1e154.
+    source = PlantSource(
+        state=("x0", "x1", "phi", "om"),
+        constants=(("b", b), ("g", g), ("half_pi", math.pi / 2)),
+        helpers=(("s", "sin(phi)"), ("c", "cos(phi)"), ("om2", "om * om"),
+                 ("a", "x0 * om2 - g * s"),
+                 ("ddr", "b * a")),                                   # f_2 = L_f^2 h
+        terms=("x1", "ddr", "om", "0.0",                              # f
+               "0.0", "0.0", "0.0", "1.0",                            # g = e_4
+               "x0", "x1", "ddr", "b * (x1 * om2 - g * om * c)",      # L_f^k h, k = 0..4
+               "b * b * om2 * a + b * g * om2 * s",
+               "0.0", "0.0", "2.0 * b * x0 * om",                     # L_g L_f^k h, k = 0..3
+               "2.0 * b * x1 * om - b * g * c"),                      # (k < 2: 0)
+        domain="isfinite(x0) & isfinite(x1) & isfinite(om) & (abs(phi) < half_pi)",
     )
+    return PlantModel(n=4, f=f, g=last_unit_field, relative_degree=None, name="ball_beam",
+                      source=source)
 
 
 def ball_beam_preset(
@@ -272,5 +243,5 @@ def ball_beam_expert(plant: PlantModel, Q: np.ndarray,
         ]
     )
     B_lin = np.array([[0.0], [0.0], [0.0], [1.0]])
-    K = lqr_gain(A_lin, B_lin, Q, np.atleast_2d(float(R)))[0]
-    return lambda x: -K @ np.asarray(x, dtype=float)
+    minus_K = -lqr_gain(A_lin, B_lin, Q, np.atleast_2d(float(R)))[0]
+    return lambda x: minus_K @ np.asarray(x, dtype=float)

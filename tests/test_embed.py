@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (aux_dot, aux_states_rk4, charpoly, embedded_rk4, embedding_terms,
                      routh_stable, s_of_x_xi, stage_map, transform_demo_per_sample)
+from test_plant import EDGE_ENTRIES
 
 from demostab.embed import (
     EmbeddingConfig,
@@ -29,6 +30,14 @@ from demostab.systems import BALL_BEAM_B, BALL_BEAM_G, ball_beam_preset
 @pytest.fixture(scope="module")
 def bb_cfg():
     return ball_beam_preset()[1]
+
+
+# The README ball-beam embedding two ways: "inlined", its plant's source
+# written into loop_field, and "called", the same plant as callables only
+# (source=None), whose domain_check and terms loop_field calls.
+BB_PATHS = {"inlined": ball_beam_preset()[1]}
+BB_PATHS["called"] = EmbeddingConfig(
+    plant=dataclasses.replace(BB_PATHS["inlined"].plant, source=None), w=BB_PATHS["inlined"].w)
 
 
 def stage_at(cfg, x, xi):
@@ -187,15 +196,19 @@ def test_dynamic_feedback_cancels_s(bb_cfg):
     assert (s - s_of_x_xi(bb_cfg, x, xi)) / r == 0.0
 
 
-def test_dynamic_feedback_singular(ball_beam_fixture):
+@pytest.mark.parametrize("path", sorted(BB_PATHS))
+def test_dynamic_feedback_singular(ball_beam_fixture, path):
     # r = 2 b x2 x4 - b g cos x3 + 2 w3 b x1 x4 vanishes at this state: the
-    # embedded loop started there fails at its first stage.
-    g, cfg = BALL_BEAM_G, ball_beam_fixture["cfg"]
+    # embedded loop started there fails at its first stage, inlined or called.
+    g, cfg = BALL_BEAM_G, BB_PATHS[path]
     x = np.array([0.0, g / 2.0, 0.0, 1.0])
-    assert abs(stage_at(cfg, x, np.zeros(3))[1]) < 1e-9
+    r = stage_at(cfg, x, np.zeros(3))[1]
+    assert abs(r) < 1e-9
     ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
-    with pytest.raises(SingularEmbeddingError):
+    with pytest.raises(SingularEmbeddingError) as err:
         simulate_embedded_closed_loop(cfg, ctrl, x, np.zeros(3), duration=1.0)
+    assert type(err.value) is SingularEmbeddingError and err.value.time == 0.0
+    assert str(err.value) == f"r(x) = {r:.3e} at x={x} at t=0.000000"
 
 
 def test_transform_trivial_demo(ball_beam_fixture):
@@ -475,7 +488,7 @@ def test_stage_function_matches_term_by_term_oracle(name, seed, k, frozen):
         v_j += g
         u_j = (s_j + v_j) / r_j
         y = xj.tolist() + xij.tolist()
-        dy_j, r_got, v_got, u_got = cfg.loop_field(y, p_j, G, g, zeta)
+        dy_j, r_got, v_got, u_got = cfg.loop_field(y, G, g, zeta)
         assert type(dy_j) is tuple
         assert _bits([*dy_j, r_got, v_got, u_got]) == _bits(
             [*(a + b * u_j for a, b in zip(drift_j, gain_j)), r_j, v_j, u_j])
@@ -483,7 +496,92 @@ def test_stage_function_matches_term_by_term_oracle(name, seed, k, frozen):
         # field returns no derivative and no input.
         p_j[4 * n] = 0.0
         p_j[4 * n] = -cfg.stage(p_j, xij.tolist())[1]
-        assert cfg.loop_field(y, p_j, G, g, zeta) == (None, 0.0, v_j, None)
+        singular = EmbeddingConfig(plant=dataclasses.replace(plant, source=None,
+                                                             terms=lambda x: p_j), w=cfg.w)
+        assert singular.loop_field(y, G, g, zeta) == (None, 0.0, v_j, None)
+
+
+def _field_bits(out) -> list:
+    """loop_field's (dy/dt, r, v, u) with each float as its hex and None kept."""
+    dy, *rest = out
+    return [None if dy is None else _bits(dy), *(None if q is None else float(q).hex()
+                                                 for q in rest)]
+
+
+_PHI_EDGES = [s * np.nextafter(math.pi / 2, e) for s in (1.0, -1.0) for e in (0.0, 4.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(y=st.lists(EDGE_ENTRIES, min_size=7, max_size=7),
+       law=st.lists(EDGE_ENTRIES, min_size=9, max_size=9), frozen=st.booleans(),
+       first=st.booleans())
+# phi one ulp inside and outside +-pi/2, the other entries in the domain.
+@example(y=[6.0, 0.0, _PHI_EDGES[0], 1.0, 0.1, -0.2, 0.3], law=[1.0] * 9, frozen=False,
+         first=True)
+@example(y=[6.0, 0.0, _PHI_EDGES[1], 1.0, 0.1, -0.2, 0.3], law=[1.0] * 9, frozen=False,
+         first=False)
+@example(y=[6.0, 0.0, _PHI_EDGES[2], 1.0, 0.1, -0.2, 0.3], law=[1.0] * 9, frozen=True,
+         first=False)
+@example(y=[6.0, 0.0, _PHI_EDGES[3], 1.0, 0.1, -0.2, 0.3], law=[1.0] * 9, frozen=True,
+         first=True)
+# Non-finite and huge entries, and -0.0, in x, xi and the law.
+@example(y=[math.inf, 0.0, 0.3, 1.0, 0.0, 0.0, 0.0], law=[1.0] * 9, frozen=False, first=True)
+@example(y=[0.0, -math.inf, 0.3, 1.0, 0.0, 0.0, 0.0], law=[1.0] * 9, frozen=False, first=False)
+@example(y=[0.0, 0.0, math.nan, 1.0, 0.0, 0.0, 0.0], law=[1.0] * 9, frozen=False, first=False)
+@example(y=[-0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0], law=[-0.0] * 9, frozen=True,
+         first=True)
+@example(y=[1e200, -1e200, 0.3, 1e200, 1e200, -1e200, 1e200], law=[1e200] * 9, frozen=False,
+         first=False)
+@example(y=[1.0, 2.0, 0.3, 1.0, math.inf, math.nan, 0.0], law=[math.inf] * 9, frozen=True,
+         first=False)
+# u = inf: each zero row of g times u is nan, so f + g u is nan there too.
+@example(y=[1.0, 2.0, 0.3, 1.0, 0.1, 0.2, 0.0], law=[math.inf] * 9, frozen=True, first=False)
+# r = 0 exactly: 2 b x2 x4 - b g cos x3 with x2 = g / 2, x4 = 1, and x1 = xi = 0.
+@example(y=[0.0, BALL_BEAM_G / 2.0, 0.0, 1.0, 0.0, 0.0, 0.0], law=[1.0] * 9, frozen=False,
+         first=True)
+def test_inlined_loop_field_is_the_called_composition(y, law, frozen, first):
+    # The ball-beam loop_field with the plant's source written in against the
+    # callable-only plant's, whose loop_field calls domain_check and terms:
+    # the same derivative, r, v and u to the bit, the same chain state handed
+    # to an interval's begin, or the same failure (None for dy/dt and u, and
+    # None for r outside the domain).
+    y, law = [float(q) for q in y], [float(q) for q in law]  # as rk4 hands them: no NumPy scalars
+    G, g, zeta = law[:4], law[4], law[5:] if frozen else None
+    got = {}
+    for path, cfg in BB_PATHS.items():
+        seen = []
+
+        def begin(z):
+            seen.append(_bits(z))
+            return G, g, zeta
+
+        args = (None, None, None, begin) if first else (G, g, zeta)
+        got[path] = _field_bits(cfg.loop_field(y, *args)), seen
+    assert got["inlined"] == got["called"]
+
+
+def test_inlined_field_drops_no_zero_term():
+    # g = e_4 and L_g h = L_g L_f h = 0, yet each f_i + g_i u and xi' row keeps
+    # its multiply and add: with u = inf those rows are nan (0.0 * inf).
+    y = [1.0, 2.0, 0.3, 1.0, 0.1, 0.2, 0.0]
+    dy, _, _, u = BB_PATHS["inlined"].loop_field(y, [math.inf] * 4, math.inf, [math.inf] * 4)
+    assert u == math.inf and dy[3] == math.inf and dy[6] == -math.inf
+    assert all(math.isnan(q) for q in dy[:3] + dy[4:6])
+
+
+@pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
+def test_readme_interval_is_the_same_bytes_inlined_and_called(ball_beam_fixture, mode):
+    # One 8 s interval from the README start, through the inlined loop_field
+    # and through the callable-only plant's: x, xi, v and u byte for byte.
+    eset = ball_beam_fixture["set"]
+    ctrl = LearnedController(build_basis(eset), A=eset.A, B=eset.B, feedback_mode=mode)
+    x0 = np.array([6.0, 0.0, 0.345, 0.0])
+    inlined, called = (simulate_embedded_closed_loop(BB_PATHS[path], ctrl, x0, np.zeros(3),
+                                                     duration=ctrl.T)
+                       for path in ("inlined", "called"))
+    assert len(inlined.times) == 8001
+    for name in ("x", "xi", "v", "u"):
+        assert getattr(inlined, name).tobytes() == getattr(called, name).tobytes(), name
 
 
 @pytest.mark.parametrize("x0, xi0, message", [
@@ -613,16 +711,22 @@ def _zero_controller(T, dt, n=2):
     return _replay_controller(times, np.zeros(len(times)), n)
 
 
-def test_stage_outside_the_domain_carries_its_time(ball_beam_fixture):
+@pytest.mark.parametrize("path", sorted(BB_PATHS))
+def test_stage_outside_the_domain_carries_its_time(ball_beam_fixture, path):
     # The start passes rk4's grid-point domain guard at t = 0; dphi/dt = omega = 1 takes
-    # the beam angle past pi/2 at the first midpoint stage.
+    # the beam angle past pi/2 at the first midpoint stage.  The inlined
+    # domain test fails there as the called one does: same class, time and line.
     x0 = np.array([0.0, 0.0, math.pi / 2 - 1e-6, 1.0])
     ctrl = LearnedController(build_basis(ball_beam_fixture["set"]))
-    with pytest.raises(DomainError) as err:
-        simulate_embedded_closed_loop(ball_beam_fixture["cfg"], ctrl, x0, np.zeros(3),
-                                      duration=1.0)
-    assert err.value.time == pytest.approx(5e-4, rel=0, abs=1e-15)
-    assert "at t=0.000500" in str(err.value)
+    failures = []
+    for cfg in (BB_PATHS[path], BB_PATHS["called"]):
+        with pytest.raises(DomainError) as err:
+            simulate_embedded_closed_loop(cfg, ctrl, x0, np.zeros(3), duration=1.0)
+        failures.append((type(err.value), err.value.time, str(err.value)))
+    assert failures[0] == failures[1]
+    assert failures[0][0] is DomainError
+    assert failures[0][1] == pytest.approx(5e-4, rel=0, abs=1e-15)
+    assert failures[0][2].endswith("is outside the domain of ball_beam at t=0.000500")
 
 
 def _unit_speed_chain2(**changes):

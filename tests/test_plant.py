@@ -329,6 +329,24 @@ def test_term_list_is_terms_as_floats(name, column):
     assert np.array(got).tobytes() == want.tobytes()
 
 
+def test_a_source_plant_holds_only_its_generated_evaluators():
+    # The ball-beam terms and domain_check are generated from the plant's
+    # source.  Callables of another origin next to that source are refused;
+    # a copy that changes another field keeps the source, and source=None
+    # keeps the evaluators as plain callables.
+    plant = ball_beam_plant()
+    assert plant.terms.source is plant.source is plant.domain_check.source
+    with pytest.raises(ValueError, match="generated from its source"):
+        dataclasses.replace(plant, terms=chain_preset(4).terms)
+    assert dataclasses.replace(plant, name="beam").source is plant.source
+    called = dataclasses.replace(plant, source=None)
+    assert (called.terms, called.domain_check) == (plant.terms, plant.domain_check)
+    with pytest.raises(ValueError, match=r"4n \+ 1 = 17 term rows, got 16"):
+        dataclasses.replace(plant.source, terms=plant.source.terms[:-1])
+    with pytest.raises(ValueError, match="names 4 state entries, not n = 3"):
+        dataclasses.replace(plant, n=3)
+
+
 @pytest.mark.parametrize("k", [None, 16])
 def test_expert_lqr_is_one_domain_test_and_one_terms_call(k):
     # The expert equals (-K z - L_f^n h) / L_g L_f^{n-1} h, formed from the
