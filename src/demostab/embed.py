@@ -21,11 +21,10 @@ and on NumPy rows for a batch, with the same bits either way.  From the
 same expressions it writes the closed-loop field of one state: the domain
 test and the plant's terms, z, r and s, the law's row applied to z or to a
 frozen zeta, u = (s + v) / r and the extended derivative, in one call on
-floats.  A plant with a PlantSource (the ball-beam) has its domain predicate,
-helpers and term rows written into that field, so that an RK4 stage makes no
-other Python call; a plant given only as callables (chain<N>, or a stand-in
-built with dataclasses.replace) has the field call its domain_check and
-terms, the only way to reach them.  Demonstrations of the original
+floats.  The plant states its terms as a PlantSource (the ball-beam does),
+whose domain predicate, helpers and term rows are written into that field,
+so that an RK4 stage makes no other Python call; a plant given only as
+callables (chain<N>) cannot be embedded.  Demonstrations of the original
 plant are transformed by integrating the auxiliary dynamics along the
 recorded (x, u), an affine flow in xi that affine_interval_maps moves, and
 re-reading the inputs as v = r u - s; the chain learner then applies
@@ -68,12 +67,11 @@ def hurwitz(M: np.ndarray) -> bool:
     return bool(np.all(np.linalg.eigvals(M).real < -1e-9))
 
 
-def _embedding_source(n: int, w: tuple[float, ...], source: Optional[PlantSource]) -> str:
+def _embedding_source(n: int, w: tuple[float, ...], source: PlantSource) -> str:
     """Source of stage and loop_field for an embedding with n states and coefficients w.
 
-    With the plant's source, loop_field's head is the plant's domain test,
-    helpers and term rows, their names prefixed with _ so that none shadows
-    the embedding's own; without it, one domain_check and one terms call.
+    loop_field's head is the plant's domain test, helpers and term rows, their
+    names prefixed with _ so that none shadows the embedding's own.
     """
     f, g = [f"f{i}" for i in range(n)], [f"g{i}" for i in range(n)]
     lf, lg = [f"lf{k}" for k in range(n + 1)], [f"lg{k}" for k in range(n)]
@@ -87,14 +85,7 @@ def _embedding_source(n: int, w: tuple[float, ...], source: Optional[PlantSource
     drift, gain = f + xi[1:] + ["-wxi"], g + [f"-{row}" for row in lg[:n - 1]]
     r, s = f"{lg[n - 1]} + ({dot(w, lg)})", f"-{lf[n]}{shifted} - {w[n - 2]!r} * wxi"
     names, wxi = ", ".join(f + g + lf + lg), f"    wxi = {dot(w, xi)}"
-    outside = ["        return None, None, None, None"]
-    if source is None:
-        head = [f"    [{', '.join(xi)}] = y[{n}:]", f"    x = y[:{n}]",
-                "    if not domain_check(x):", *outside, f"    [{names}] = terms(x)"]
-    else:
-        state, domain, helpers, rows = source.spelled("_")
-        head = [f"    [{', '.join(state + xi)}] = y", f"    if not ({domain}):", *outside,
-                *(f"    {line}" for line in helpers), f"    {names} = {', '.join(rows)}"]
+    state, domain, helpers, rows = source.spelled("_")
 
     def law(y):  # G_j y + g_j, left to right
         return " + ".join([f"G{i} * {row}" for i, row in enumerate(y)] + ["gj"])
@@ -108,7 +99,11 @@ def _embedding_source(n: int, w: tuple[float, ...], source: Optional[PlantSource
         f"    return [{', '.join(z)}], {r}, {s}, [{', '.join(drift)}], [{', '.join(gain)}]",
         "",
         "def loop_field(y, Gj, gj, zeta, begin=None):",
-        *head,
+        f"    [{', '.join(state + xi)}] = y",
+        f"    if not ({domain}):",
+        "        return None, None, None, None",
+        *(f"    {line}" for line in helpers),
+        f"    {names} = {', '.join(rows)}",
         wxi,
         f"    r = {r}",
         f"    s = {s}",
@@ -157,13 +152,12 @@ class EmbeddingConfig:
     the frozen zeta otherwise, u = (s + v) / r and dy/dt = drift + gain u
     as a tuple.  With begin, the row and zeta are begin(z) instead, for the
     first stage of an interval.  The field first tests y's x against the
-    domain and reads the terms of x: for a plant with a source, from the
-    source's predicate, helpers and rows written into the field (names
-    prefixed with _, constants as literals, every row as written: a zero
-    row of g still multiplies u, so -0.0 and non-finite bits fall as
-    through plant.terms); for a plant of callables, by
-    one domain_check and one terms call.  Outside the domain it returns
-    (None, None, None, None); with |r| <= R_TOL, dy/dt and u are None.
+    domain and reads the terms of x, from the source's predicate, helpers
+    and rows written into the field (names prefixed with _, constants as
+    literals, every row as written: a zero row of g still multiplies u, so
+    -0.0 and non-finite bits fall as through plant.terms).  Outside the
+    domain it returns (None, None, None, None); with |r| <= R_TOL, dy/dt and
+    u are None.  A plant without a source is a ValueError.
     """
 
     plant: PlantModel
@@ -173,6 +167,9 @@ class EmbeddingConfig:
     loop_field: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.plant.source is None:
+            raise ValueError(f"{self.plant.name} has no source to write into the "
+                             f"embedding's closed-loop field")
         object.__setattr__(self, "w", tuple(float(v) for v in self.w))
         n = self.plant.n
         if len(self.w) != n - 1:
@@ -181,10 +178,8 @@ class EmbeddingConfig:
         if not hurwitz(A):
             raise ValueError(f"companion matrix of w={self.w} is not Hurwitz")
         A.flags.writeable = False
-        plant = self.plant
-        namespace = (dict(FLOAT_CALLS) if plant.source is not None else
-                     {"domain_check": plant.domain_check, "terms": plant.terms})
-        exec(_embedding_source(n, self.w, plant.source), namespace)
+        namespace = dict(FLOAT_CALLS)
+        exec(_embedding_source(n, self.w, self.plant.source), namespace)
         object.__setattr__(self, "A_xi", A)
         for name in ("stage", "loop_field"):
             object.__setattr__(self, name, namespace[name])
@@ -305,8 +300,8 @@ def simulate_embedded_closed_loop(
     u = (s + v) / r.  rk4 steps the single state as a list of Python
     floats, and a stage stays on floats end to end: one call of
     cfg.loop_field on the list and the law's row at the stage's slot, which
-    tests the domain, evaluates the plant's terms (inlined for a plant with
-    a source, called otherwise; see EmbeddingConfig) and returns the
+    tests the domain, evaluates the plant's terms (inlined from its source;
+    see EmbeddingConfig) and returns the
     derivative as a tuple with v and u (at the interval's first stage it
     hands z to the anchor and takes the law's first row back).  The
     committed grid states are tested by their first stage, so rk4 runs
@@ -322,7 +317,7 @@ def simulate_embedded_closed_loop(
     refuses a duration that is no whole number of steps, so every stage of
     every interval is on a slot.  A stage outside the domain (DomainError)
     or with |r| <= R_TOL (SingularEmbeddingError) fails with its absolute
-    time, in the same line whether the field inlines the terms or calls them.
+    time.
     """
     if ctrl.m != 1:
         raise ValueError("the embedding pipeline drives a single-input plant")

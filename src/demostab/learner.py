@@ -219,7 +219,8 @@ def build_basis(dset: DemonstrationSet, index_set: Optional[Sequence[int]] = Non
     One batched inverse decides most sets: the 2-norm condition number is
     at most kappa_F = ||Z||_F ||Z^{-1}||_F, so a set whose kappa_F is finite
     and at most COND_MAX / 2 at every grid point is accepted.  Otherwise the
-    SVD condition number np.linalg.cond gives the verdict and the message.
+    SVD condition number np.linalg.cond gives the verdict and the message,
+    and a Z(t) whose inverse overflows (a subnormal set) is refused too.
     """
     if index_set is None:
         index_set = tuple(range(dset.n + 1))
@@ -239,6 +240,11 @@ def build_basis(dset: DemonstrationSet, index_set: Optional[Sequence[int]] = Non
                 f"at t={dset.grid[k_bad]:.6f}",
                 time=float(dset.grid[k_bad]),
             )
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.linalg.inv(Zs)).all(axis=(1, 2))
+        if not finite.all():  # a subnormal Z(t), however well conditioned
+            t = float(dset.grid[finite.argmin()])
+            raise AffineDependenceError(f"Z(t) has no finite inverse at t={t:.6f}", time=t)
     return AffineBasis(index_set=tuple(int(i) for i in index_set), times=dset.grid.copy(),
                        Zs=Zs, Vs=Vs, z_base=z_base, v_base=v_base)
 

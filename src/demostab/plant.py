@@ -5,9 +5,10 @@ scalar output h.  Instead of differentiating symbolically, each preset carries
 one closed-form evaluator that stacks f, g and the iterated Lie derivatives
 L_f^k h and L_g L_f^k h; these are all the quantities the coordinate change,
 the decoupling feedback and the embedding need.  A preset either gives that
-evaluator and its domain test as callables, or states them once as
-expression source (PlantSource), from which both are generated and which
-the embedding writes into its closed-loop field.
+evaluator and its domain test as callables of NumPy arrays, or states them
+once as expression source (PlantSource), from which both are generated and
+which the embedding writes into its closed-loop field; a plant that is
+embedded must give a source.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def brunovsky_pair(n: int) -> BrunovskyPair:
 
 
 # What a PlantSource expression may call besides abs: on one state's Python
-# floats, and on the NumPy rows of a batch.
+# floats in the embedding's closed-loop field, and on the NumPy rows of a
+# batch in the plant's evaluators.
 FLOAT_CALLS = {"sin": math.sin, "cos": math.cos, "isfinite": math.isfinite}
 ROW_CALLS = {"sin": np.sin, "cos": np.cos, "isfinite": np.isfinite}
 
@@ -68,13 +70,14 @@ class PlantSource:
     """A plant's stacked terms and domain predicate, stated once as Python expressions.
 
     The expressions read the state entries by the names in state, the named
-    constants, and the helpers, each assigned once in order, and call only
-    abs and the names of FLOAT_CALLS: the same text evaluates one state on
-    Python floats and a batch on NumPy rows.  terms holds the 4n + 1 rows of
-    PlantModel.terms in order; a constant row is a float literal such as 0.0.
-    domain is the predicate of the open set U, joined with &.  Inside U the
-    helpers and rows must not raise on floats: the embedding's closed-loop
-    field evaluates them there with no NumPy fallback.
+    constants (finite floats), and the helpers, each assigned once in order,
+    and call only abs and the names of FLOAT_CALLS: the plant's evaluators
+    run the text on NumPy rows (ROW_CALLS), and the embedding's closed-loop
+    field runs it on one state's Python floats.  terms holds the 4n + 1 rows
+    of PlantModel.terms in order; a constant row is a float literal such as
+    0.0.  domain is the predicate of the open set U, joined with &.  Inside
+    U the helpers and rows must not raise on floats: the closed-loop field
+    evaluates them there with no NumPy fallback.
     """
 
     state: tuple[str, ...]
@@ -110,32 +113,23 @@ def _source_evaluators(source: PlantSource) -> tuple[Callable, Callable]:
     """terms and domain_check of a plant, generated from its source (see PlantModel)."""
     state, domain, helpers, rows = source.spelled()
     unpack = f"    [{', '.join(state)}] = x"
-    text = "\n".join(["def terms(x):", unpack, *(f"    {line}" for line in helpers),
-                      f"    return [{', '.join(rows)}]", "",
-                      "def inside(x):", unpack, f"    return {domain}"])
-    on_floats, on_rows = dict(FLOAT_CALLS), dict(ROW_CALLS)
-    exec(text, on_floats)
-    exec(text, on_rows)
+    namespace = dict(ROW_CALLS)
+    exec("\n".join(["def terms(x):", unpack, *(f"    {line}" for line in helpers),
+                     f"    return [{', '.join(rows)}]", "",
+                     "def inside(x):", unpack, f"    return {domain}"]), namespace)
+    on_rows, inside = namespace["terms"], namespace["inside"]
 
     def terms(x):
-        if isinstance(x, np.ndarray):
-            if x.ndim == 1:
-                return np.array(terms(x.tolist()))
-            out = np.empty((len(rows),) + x.shape[1:])
-            for i, row in enumerate(on_rows["terms"](x)):  # a constant row fills its row
-                out[i] = row
-            return out
-        try:
-            return on_floats["terms"](x)
-        except (ArithmeticError, ValueError):  # raised where NumPy gives inf or nan: sin(inf)
-            return terms(np.array(x, dtype=float)[:, None])[:, 0].tolist()
+        if x.ndim == 1:  # NumPy warns on overflow where the field's Python floats do not
+            with np.errstate(over="ignore", invalid="ignore"):
+                return terms(x[:, None])[:, 0]
+        out = np.empty((len(rows),) + x.shape[1:])
+        for i, row in enumerate(on_rows(x)):  # a constant row fills its row
+            out[i] = row
+        return out
 
     def domain_check(x):
-        if isinstance(x, np.ndarray):
-            if x.ndim > 1:
-                return on_rows["inside"](x)
-            x = x.tolist()
-        return on_floats["inside"](x)
+        return inside(x[:, None])[0] if x.ndim == 1 else inside(x)
 
     terms.source = domain_check.source = source
     return terms, domain_check
@@ -149,32 +143,29 @@ def _everywhere(x) -> bool:
 class PlantModel:
     """Single-input plant with one closed-form evaluator of its stacked terms.
 
-    Every field and evaluator takes the state on the first axis: x shaped
-    (n,), or a batch x shaped (n, k) with one state per column.  The vector
-    fields give (n,) or (n, k), domain_check a bool or one per column.
-    terms and domain_check also take one state as a list of Python floats,
-    which is how rk4 steps a single state, and give a list of floats or a
-    bool, without NumPy's dispatch.  An evaluator gives the same bits for
-    one state, as an array or a list, as for that state taken as a column
-    of a batch, and never raises on non-finite input.
+    Every field and evaluator takes a NumPy array with the state on the
+    first axis: x shaped (n,), or a batch x shaped (n, k) with one state per
+    column.  The vector fields give (n,) or (n, k), domain_check a bool or
+    one per column.  An evaluator gives the same bits for one state as for
+    that state taken as a column of a batch, and never raises on non-finite
+    input.
 
     A plant gives terms and domain_check either as callables, or as a
-    source from which both are generated: one function of Python floats and
-    one of NumPy rows from the same text, the float one falling back to the
-    rows of a one-column batch where a float call raises (math.sin of an
-    infinite angle).  A plant with a source holds only the evaluators
-    generated from it, so they cannot disagree with the source the embedding
-    writes into its closed-loop field; dataclasses.replace(plant,
-    source=None) keeps them as plain callables.
+    source from which both are generated: one function of NumPy rows, which
+    evaluates one state (n,) as the one-column batch x[:, None], quietly
+    where its entries overflow.  A plant with a source holds only the
+    evaluators generated from it, so they cannot disagree with the source
+    the embedding writes into its closed-loop field;
+    dataclasses.replace(plant, source=None) keeps them as plain callables.
 
     Attributes:
         n: state dimension.
         f: drift vector field.
         g: input vector field.
         terms: the stack [f; g; L_f^k h, k = 0..n; L_g L_f^k h, k = 0..n-1],
-            shaped (4n + 1,) or (4n + 1, k), or a list of 4n + 1 floats: f
-            in rows :n, g in n:2n, the output h = L_f^0 h (with h(0) = 0) in
-            row 2n, L_f^k h in row 2n + k and L_g L_f^k h in row 3n + 1 + k.
+            shaped (4n + 1,) or (4n + 1, k): f in rows :n, g in n:2n, the
+            output h = L_f^0 h (with h(0) = 0) in row 2n, L_f^k h in row
+            2n + k and L_g L_f^k h in row 3n + 1 + k.
             Its f and g rows equal f(x) and g(x) bit for bit; f and g stay
             separate because the plant's own rhs needs nothing else.
         domain_check: predicate for membership in the open set U (all of
@@ -335,8 +326,6 @@ def chain_preset(n: int) -> PlantModel:
     def terms(x):
         # f = (x_2, .., x_n, 0) and g = e_n; L_f^k h = x_{k+1} for k < n and
         # L_f^n h = 0; of the L_g L_f^k h only L_g L_f^{n-1} h = 1 is nonzero.
-        if isinstance(x, list):
-            return terms(np.array(x)).tolist()
         out = np.zeros((4 * n + 1,) + x.shape[1:])
         out[:n - 1] = x[1:]
         out[2 * n - 1] = 1.0

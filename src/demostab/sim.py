@@ -238,7 +238,9 @@ def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
     otherwise DivergenceError carries the time of the offending grid point.
     A single state's squared norm is summed left to right on floats; a
     batch's norm test is on the whole batch, the domain test on every
-    column, and the error names a column.
+    column, and the error names a column.  The steps run with NumPy's
+    overflow and invalid-value warnings off: a step that overflows leaves
+    a non-finite state, which the next norm test refuses.
     """
     grid = times.tolist()
     last = len(grid) - 1
@@ -248,33 +250,35 @@ def rk4(rhs, y0, times: np.ndarray, domain: Optional[PlantModel] = None):
     step = _float_step(len(y)) if single else None
     states = np.empty((len(grid),) + y0.shape)
     inputs = None
-    for k, t in enumerate(grid):
-        # A non-finite entry makes the squared norm NaN or inf, failing the test too.
-        sq = _squared_norm(y) if single else float(np.vdot(y, y))
-        if not sq <= _NORM_SQ:
-            raise DivergenceError(f"state diverged at t={t:.6f}", time=t,
-                                  column=None if single else _largest_column(y))
-        states[k] = y
-        if domain is not None:
-            try:
-                domain.require_in_domain(y[: domain.n])
-            except DomainError as exc:
-                raise DivergenceError(f"{exc} at t={t:.6f}", time=t, column=exc.column) from exc
-        k1, u = rhs(t, y)
-        if inputs is None:
-            inputs = np.empty((len(times),) + np.shape(u))
-        inputs[k] = u
-        if k == last:
-            break
-        h = grid[k + 1] - t
-        if single:  # the batch path's expressions, written out entry by entry
-            y = step(rhs, t, h, y, k1)
-        else:
-            half, h6 = 0.5 * h, h / 6.0
-            k2, _ = rhs(t + half, y + half * k1)
-            k3, _ = rhs(t + half, y + half * k2)
-            k4, _ = rhs(t + h, y + h * k3)
-            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(grid):
+            # A non-finite entry makes the squared norm NaN or inf, failing the test too.
+            sq = _squared_norm(y) if single else float(np.vdot(y, y))
+            if not sq <= _NORM_SQ:
+                raise DivergenceError(f"state diverged at t={t:.6f}", time=t,
+                                      column=None if single else _largest_column(y))
+            states[k] = y
+            if domain is not None:
+                try:
+                    domain.require_in_domain(y[: domain.n])
+                except DomainError as exc:
+                    raise DivergenceError(f"{exc} at t={t:.6f}", time=t,
+                                          column=exc.column) from exc
+            k1, u = rhs(t, y)
+            if inputs is None:
+                inputs = np.empty((len(times),) + np.shape(u))
+            inputs[k] = u
+            if k == last:
+                break
+            h = grid[k + 1] - t
+            if single:  # the batch path's expressions, written out entry by entry
+                y = step(rhs, t, h, y, k1)
+            else:
+                half, h6 = 0.5 * h, h / 6.0
+                k2, _ = rhs(t + half, y + half * k1)
+                k3, _ = rhs(t + half, y + half * k2)
+                k4, _ = rhs(t + h, y + h * k3)
+                y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return states, inputs
 
 

@@ -701,6 +701,8 @@ def svd_condition_check(Zs, grid, index_set, cond_max: float = 1e12) -> None:
     np.linalg.cond at every grid point: an inf condition number (a singular
     Z(t)) or one above cond_max raises AffineDependenceError naming the
     worst grid time; a NaN entry raises numpy's LinAlgError from the SVD.
+    Then the first grid point whose inverse, taken alone, is not finite (a
+    subnormal Z(t)) raises AffineDependenceError too.
     """
     conds = np.linalg.cond(Zs)
     k_bad = int(conds.argmax())
@@ -716,6 +718,11 @@ def svd_condition_check(Zs, grid, index_set, cond_max: float = 1e12) -> None:
             f"at t={grid[k_bad]:.6f}",
             time=float(grid[k_bad]),
         )
+    for k in range(len(Zs)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(np.linalg.inv(Zs[k])).all():
+                raise AffineDependenceError(f"Z(t) has no finite inverse at t={grid[k]:.6f}",
+                                            time=float(grid[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -807,11 +814,12 @@ def stage_map(cfg) -> np.ndarray:
 def s_of_x_xi(cfg, x, xi):
     """Drift term s(x, xi) of an EmbeddingConfig, chosen so that dz_n/dt = -s + r u.
 
-    Read off cfg.stage at one state on Python floats, the formula the dynamic
-    feedback divides by, so that v = -s cancels it exactly; stage_map checks
-    that formula independently.
+    Read off cfg.stage at one state on Python floats, the rows of
+    cfg.plant.terms(x) and xi as lists: the formula the dynamic feedback
+    divides by, so that v = -s cancels it exactly; stage_map checks that
+    formula independently.
     """
-    return cfg.stage(cfg.plant.terms(np.asarray(x, dtype=float).tolist()),
+    return cfg.stage(cfg.plant.terms(np.asarray(x, dtype=float)).tolist(),
                      np.asarray(xi, dtype=float).tolist())[2]
 
 

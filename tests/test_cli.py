@@ -1,14 +1,19 @@
 """Batch pipeline: subcommands, exit codes, file outputs, determinism."""
 
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from demostab.cli import (
     EXIT_CERTIFICATION,
@@ -570,6 +575,120 @@ def test_expert_too_stiff_for_the_step_is_one_line(tmp_path, capsys):
         assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DIVERGENCE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("demos: recording failed: state diverged"), err
+
+
+@pytest.mark.parametrize("preset, Q", [("chain2", [1e308, 1]), ("ball_beam", [1e300, 1, 1, 1])])
+def test_overflowing_recording_is_one_line_and_no_warning(tmp_path, capsys, preset, Q):
+    # The expert's gain is so large that the first recording step overflows:
+    # NumPy's overflow and invalid-value warnings stay off, and the one line
+    # is the divergence the next grid point's norm test reports.
+    config = {"preset": "chain2", "T": 1.0, "dt": 0.01} if preset == "chain2" else \
+        readme_config(preset)
+    config["expert"] = {"Q": Q}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DIVERGENCE
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("demos: recording failed: state diverged"), err
+
+
+# A chain2 config that runs every stage of all in well under a second, and the
+# mutations of it that the fuzzing below draws from.
+FUZZ_CONFIG = {"preset": "chain2", "expert": {"Q": [1.0, 2.0], "R": 1.0},
+               "initial_conditions": [[1.0, 0.0], [0.0, 1.0]], "T": 1.0, "dt": 0.01,
+               "simulate": {"x0": [0.5, 0.5], "duration": 8.0}}
+_OTHER_TYPES = {"number": 1.0, "string": "1.0", "bool": True, "null": None, "list": [1.0],
+                "object": {"x": 1.0}}
+_EXTREMES = [1e308, -1e308, 1e-320]
+# Paths whose numbers the extremes replace, and the lists given a wrong length.
+_NUMBER_PATHS = [("T",), ("dt",), ("expert", "Q", 0), ("expert", "Q", 1), ("expert", "R"),
+                 ("initial_conditions", 0, 0), ("initial_conditions", 1, 1),
+                 ("simulate", "x0", 0), ("simulate", "x0", 1)]
+_LIST_PATHS = [("expert", "Q"), ("initial_conditions",), ("initial_conditions", 1),
+               ("simulate", "x0")]
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    return {int: "number", float: "number", str: "string", type(None): "null", list: "list",
+            dict: "object"}[type(value)]
+
+
+def _paths(doc, prefix=()):
+    """The path of every value inside a JSON document, containers included."""
+    if not isinstance(doc, (dict, list)):
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_configs(draw):
+    """FUZZ_CONFIG after one or two mutations: a key dropped, a value of another JSON
+    type, an extreme number in place of one, or a list one entry short or long."""
+    config = copy.deepcopy(FUZZ_CONFIG)
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["drop", "retype", "extreme", "length"]))
+        paths = list(_paths(config))
+        if kind == "drop":
+            paths = [p for p in paths if isinstance(_at(config, p[:-1]), dict)]
+        elif kind == "extreme":
+            paths = [p for p in paths if p in _NUMBER_PATHS]
+        elif kind == "length":
+            paths = [p for p in paths if p in _LIST_PATHS and isinstance(_at(config, p), list)]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        parent, key = _at(config, path[:-1]), path[-1]
+        value = parent[key]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(
+                [v for t, v in _OTHER_TYPES.items() if t != _json_type(value)])))
+        elif kind == "extreme":
+            parent[key] = draw(st.sampled_from(_EXTREMES))
+        elif value and draw(st.booleans()):
+            parent[key] = value[:-1]
+        else:
+            parent[key] = value + (value[-1:] or [1.0])
+    return config
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=mutated_configs())
+@example(config={**FUZZ_CONFIG, "expert": {"Q": [1e308, 1.0], "R": 1.0}})
+@example(config={**FUZZ_CONFIG, "simulate": {"x0": [-1e308, 0.5], "duration": 8.0}})
+# Both starts subnormal: well conditioned, but Z(t)^-1 overflows.
+@example(config={**FUZZ_CONFIG, "initial_conditions": [[1e-320, 0.0], [0.0, 1e-320]]})
+def test_a_mutated_config_exits_with_one_line_and_no_warning(config):
+    # Whatever the mutation, all returns an exit code of 0 to 4, no NumPy
+    # warning is raised, and a nonzero code comes with exactly one line on
+    # standard error and no traceback.
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out, "mutated.json")
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+                redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["all", "--config", str(path), "--out", out])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_CERTIFICATION, EXIT_DIVERGENCE)
+    assert [str(w.message) for w in caught] == []
+    lines = err.getvalue().splitlines()
+    if code != EXIT_OK:
+        assert len(lines) == 1 and "Traceback" not in lines[0], lines
 
 
 def test_demo_start_outside_domain_exit_divergence(tmp_path, capsys):

@@ -13,6 +13,7 @@ from oracles import (aux_dot, aux_states_rk4, charpoly, embedded_rk4, embedding_
 from test_plant import EDGE_ENTRIES
 
 from demostab.embed import (
+    R_TOL,
     EmbeddingConfig,
     a_w_numeric,
     companion_from_coeffs,
@@ -22,7 +23,7 @@ from demostab.embed import (
 )
 from demostab.errors import DomainError, SingularEmbeddingError
 from demostab.learner import AffineBasis, LearnedController, build_basis
-from demostab.plant import PlantModel, chain_preset
+from demostab.plant import PlantModel, PlantSource, chain_preset
 from demostab.sim import time_grid
 from demostab.systems import BALL_BEAM_B, BALL_BEAM_G, ball_beam_preset
 
@@ -32,17 +33,63 @@ def bb_cfg():
     return ball_beam_preset()[1]
 
 
-# The README ball-beam embedding two ways: "inlined", its plant's source
-# written into loop_field, and "called", the same plant as callables only
-# (source=None), whose domain_check and terms loop_field calls.
-BB_PATHS = {"inlined": ball_beam_preset()[1]}
-BB_PATHS["called"] = EmbeddingConfig(
-    plant=dataclasses.replace(BB_PATHS["inlined"].plant, source=None), w=BB_PATHS["inlined"].w)
+def chain_plant(n: int, domain: str = "", rows: dict | None = None) -> PlantModel:
+    """chain<n> with its terms and domain (every entry finite) stated as a PlantSource.
+
+    domain, if given, is joined to the predicate with &, and rows replaces
+    the term rows at the given indices.
+    """
+    x = [f"x{i}" for i in range(n)]
+    terms = x[1:] + ["0.0"] * n + ["1.0"] + x + ["0.0"] * n + ["1.0"]
+    for i, row in (rows or {}).items():
+        terms[i] = row
+    source = PlantSource(state=tuple(x), constants=(), helpers=(), terms=tuple(terms),
+                         domain=" & ".join([f"isfinite({v})" for v in x]
+                                           + ([f"({domain})"] if domain else [])))
+    return dataclasses.replace(chain_preset(n), terms=None, domain_check=None, source=source)
 
 
 def stage_at(cfg, x, xi):
     """cfg.stage at one state (x, xi): (z, r, s, drift, gain) on Python floats."""
-    return cfg.stage(cfg.plant.terms(list(map(float, x))), list(map(float, xi)))
+    return cfg.stage(cfg.plant.terms(np.asarray(x, dtype=float)).tolist(),
+                     list(map(float, xi)))
+
+
+def called_field(cfg):
+    """cfg.loop_field as a composition of calls: the domain test and plant.terms of x
+    as a one-column batch, on NumPy rows, then cfg.stage on that column's rows and xi,
+    the law v = Gj y' + gj summed left to right, u = (s + v) / r and drift + gain u,
+    all on Python floats."""
+    plant, n = cfg.plant, cfg.n
+
+    def field(y, Gj, gj, zeta, begin=None):
+        x = np.array(y[:n])[:, None]
+        if not plant.domain_check(x)[0]:
+            return None, None, None, None
+        with np.errstate(all="ignore"):
+            p = plant.terms(x)[:, 0].tolist()
+        z, r, s, drift, gain = cfg.stage(p, y[n:])
+        if begin is not None:
+            Gj, gj, zeta = begin(z)
+        law = z if zeta is None else zeta
+        v = Gj[0] * law[0]
+        for G, q in zip(Gj[1:], law[1:]):
+            v += G * q
+        v += gj
+        if abs(r) <= R_TOL:
+            return None, r, v, None
+        u = (s + v) / r
+        return tuple(a + b * u for a, b in zip(drift, gain)), r, v, u
+
+    return field
+
+
+# The README ball-beam embedding two ways: "inlined", as built, its plant's
+# source written into loop_field, and "called", a copy whose loop_field is
+# called_field.
+BB_PATHS = {"inlined": ball_beam_preset()[1]}
+BB_PATHS["called"] = dataclasses.replace(BB_PATHS["inlined"])
+object.__setattr__(BB_PATHS["called"], "loop_field", called_field(BB_PATHS["called"]))
 
 
 def test_a_xi_companion_structure(bb_cfg):
@@ -71,15 +118,22 @@ def test_hurwitz_matches_routh_table():
 
 
 def test_config_rejects_non_hurwitz_w():
-    plant = chain_preset(2)
+    plant = chain_plant(2)
     with pytest.raises(ValueError, match="Hurwitz"):
         EmbeddingConfig(plant=plant, w=(-1.0,))
 
 
 def test_config_rejects_wrong_length():
-    plant = chain_preset(3)
-    with pytest.raises(ValueError):
+    plant = chain_plant(3)
+    with pytest.raises(ValueError, match="need n-1 = 2 coefficients w, got 1"):
         EmbeddingConfig(plant=plant, w=(1.0,))
+
+
+def test_config_rejects_a_plant_without_a_source():
+    # The embedding writes the plant's terms into its closed-loop field: a
+    # plant given only as callables, as chain<N> is, has none to write.
+    with pytest.raises(ValueError, match="chain2 has no source"):
+        EmbeddingConfig(plant=chain_preset(2), w=(1.0,))
 
 
 def test_phi_at_origin(bb_cfg):
@@ -287,8 +341,7 @@ def test_chain_defect_shrinks_at_second_order():
 
 def test_a_w_zero_for_relative_degree_n():
     # A plant with L_g h = ... = L_g L_f^{n-2} h = 0 has no xi feedthrough.
-    plant = chain_preset(3)
-    cfg = EmbeddingConfig(plant=plant, w=(1.0, 2.0))
+    cfg = EmbeddingConfig(plant=chain_plant(3), w=(1.0, 2.0))
     Aw = a_w_numeric(cfg)
     assert np.max(np.abs(Aw)) < 1e-8
 
@@ -301,21 +354,21 @@ def test_a_w_ball_beam_rows_and_surrogate(bb_cfg):
 
 
 def linear_plant(A, b, c) -> PlantModel:
-    """dx/dt = A x + b u with output c x: terms stacks A x, b, c A^k x and c A^k b."""
+    """dx/dt = A x + b u with output c x: terms stacks A x, b, c A^k x and c A^k b,
+    each row written out as its nonzero coefficients times x, plus its constant."""
     A, b, c = (np.asarray(a, dtype=float) for a in (A, b, c))
     n = len(b)
     cA = np.array([c @ np.linalg.matrix_power(A, k) for k in range(n + 1)])
     M = np.vstack([A, np.zeros((n, n)), cA, np.zeros((n, n))])
     const = np.concatenate([np.zeros(n), b, np.zeros(n + 1), cA[:n] @ b])
-
-    def terms(x):
-        if isinstance(x, list):
-            return terms(np.array(x)).tolist()
-        return M @ x + (const if x.ndim == 1 else const[:, None])
-
+    x = [f"x{j}" for j in range(n)]
+    rows = [" + ".join([f"{float(a)!r} * {v}" for a, v in zip(coeffs, x) if a]
+                       + [repr(float(k))]) for coeffs, k in zip(M, const)]
+    source = PlantSource(state=tuple(x), constants=(), helpers=(), terms=tuple(rows),
+                         domain=" & ".join(f"isfinite({v})" for v in x))
     return PlantModel(n=n, f=lambda x: A @ x,
-                      g=lambda x: np.multiply.outer(b, np.ones(x.shape[1:])), terms=terms,
-                      name="linear")
+                      g=lambda x: np.multiply.outer(b, np.ones(x.shape[1:])), name="linear",
+                      source=source)
 
 
 def linear3_cfg() -> EmbeddingConfig:
@@ -334,12 +387,7 @@ def test_a_w_linear_plant_closed_form():
 
 def test_a_w_singular_at_the_origin():
     # chain2 with L_g L_f h = 1e-7: r = L_g L_f h + w L_g h is below R_TOL.
-    def terms(x):
-        out = chain_preset(2).terms(x)
-        out[8] = 1e-7
-        return out
-
-    cfg = EmbeddingConfig(plant=dataclasses.replace(chain_preset(2), terms=terms), w=(1.0,))
+    cfg = EmbeddingConfig(plant=chain_plant(2, rows={8: "1e-07"}), w=(1.0,))
     with pytest.raises(SingularEmbeddingError, match="A_w is undefined"):
         a_w_numeric(cfg)
 
@@ -420,8 +468,8 @@ def test_transform_matches_per_sample_formulas():
 # one state or a batch (n, k).  chain2 has one w: xi of length 1, no xi[1:]
 # drift rows and no shifted sum in s.
 STAGE_CONFIGS = {"ball_beam": ball_beam_preset()[1],
-                 "chain2": EmbeddingConfig(plant=chain_preset(2), w=(2.0,)),
-                 "chain3": EmbeddingConfig(plant=chain_preset(3), w=(2.0, 3.0))}
+                 "chain2": EmbeddingConfig(plant=chain_plant(2), w=(2.0,)),
+                 "chain3": EmbeddingConfig(plant=chain_plant(3), w=(2.0, 3.0))}
 
 
 def _stage_values(stage_out) -> list[float]:
@@ -493,11 +541,13 @@ def test_stage_function_matches_term_by_term_oracle(name, seed, k, frozen):
         assert _bits([*dy_j, r_got, v_got, u_got]) == _bits(
             [*(a + b * u_j for a, b in zip(drift_j, gain_j)), r_j, v_j, u_j])
         # With r = 0 (its last term set to minus the sum of the others) the
-        # field returns no derivative and no input.
+        # field returns no derivative and no input: a plant whose rows are
+        # these terms as constants.
         p_j[4 * n] = 0.0
         p_j[4 * n] = -cfg.stage(p_j, xij.tolist())[1]
-        singular = EmbeddingConfig(plant=dataclasses.replace(plant, source=None,
-                                                             terms=lambda x: p_j), w=cfg.w)
+        constant = dataclasses.replace(plant.source, helpers=(), terms=tuple(map(repr, p_j)))
+        singular = EmbeddingConfig(plant=dataclasses.replace(plant, terms=None, domain_check=None,
+                                                             source=constant), w=cfg.w)
         assert singular.loop_field(y, G, g, zeta) == (None, 0.0, v_j, None)
 
 
@@ -524,6 +574,8 @@ _PHI_EDGES = [s * np.nextafter(math.pi / 2, e) for s in (1.0, -1.0) for e in (0.
          first=False)
 @example(y=[6.0, 0.0, _PHI_EDGES[3], 1.0, 0.1, -0.2, 0.3], law=[1.0] * 9, frozen=True,
          first=True)
+# omega = 2.759: pow(2.759, 2) rounds one ulp below 2.759 * 2.759.
+@example(y=[6.0, 0.0, 0.345, 2.759, 0.1, -0.2, 0.3], law=[1.0] * 9, frozen=False, first=False)
 # Non-finite and huge entries, and -0.0, in x, xi and the law.
 @example(y=[math.inf, 0.0, 0.3, 1.0, 0.0, 0.0, 0.0], law=[1.0] * 9, frozen=False, first=True)
 @example(y=[0.0, -math.inf, 0.3, 1.0, 0.0, 0.0, 0.0], law=[1.0] * 9, frozen=False, first=False)
@@ -540,11 +592,11 @@ _PHI_EDGES = [s * np.nextafter(math.pi / 2, e) for s in (1.0, -1.0) for e in (0.
 @example(y=[0.0, BALL_BEAM_G / 2.0, 0.0, 1.0, 0.0, 0.0, 0.0], law=[1.0] * 9, frozen=False,
          first=True)
 def test_inlined_loop_field_is_the_called_composition(y, law, frozen, first):
-    # The ball-beam loop_field with the plant's source written in against the
-    # callable-only plant's, whose loop_field calls domain_check and terms:
-    # the same derivative, r, v and u to the bit, the same chain state handed
-    # to an interval's begin, or the same failure (None for dy/dt and u, and
-    # None for r outside the domain).
+    # The ball-beam loop_field, the plant's source written in and run on
+    # Python floats, against called_field, which reads the terms on NumPy
+    # rows of a one-column batch: the same derivative, r, v and u to the bit,
+    # the same chain state handed to an interval's begin, or the same failure
+    # (None for dy/dt and u, and None for r outside the domain).
     y, law = [float(q) for q in y], [float(q) for q in law]  # as rk4 hands them: no NumPy scalars
     G, g, zeta = law[:4], law[4], law[5:] if frozen else None
     got = {}
@@ -572,7 +624,7 @@ def test_inlined_field_drops_no_zero_term():
 @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
 def test_readme_interval_is_the_same_bytes_inlined_and_called(ball_beam_fixture, mode):
     # One 8 s interval from the README start, through the inlined loop_field
-    # and through the callable-only plant's: x, xi, v and u byte for byte.
+    # and through called_field: x, xi, v and u byte for byte.
     eset = ball_beam_fixture["set"]
     ctrl = LearnedController(build_basis(eset), A=eset.A, B=eset.B, feedback_mode=mode)
     x0 = np.array([6.0, 0.0, 0.345, 0.0])
@@ -729,17 +781,17 @@ def test_stage_outside_the_domain_carries_its_time(ball_beam_fixture, path):
     assert failures[0][2].endswith("is outside the domain of ball_beam at t=0.000500")
 
 
-def _unit_speed_chain2(**changes):
+def _unit_speed_chain2(domain: str = "", rows: dict | None = None) -> EmbeddingConfig:
     # chain2 embedded with w = (1,): under v = 0 from x = (0, 1), xi = 0 the
     # input u = (s + v) / r stays 0, so x_1 = t, x_2 = 1 and xi = 0.
-    return EmbeddingConfig(plant=dataclasses.replace(chain_preset(2), **changes), w=(1.0,))
+    return EmbeddingConfig(plant=chain_plant(2, domain, rows), w=(1.0,))
 
 
 def test_stage_failures_carry_the_absolute_time():
     # Intervals of 2 ms: the failures fall in interval 5, which starts at 0.010.
     ctrl, x0 = _zero_controller(2e-3, 1e-3), np.array([0.0, 1.0])
     # x_1 < 0.0104 holds at the grid point 0.010 and fails at its midpoint stage.
-    cfg = _unit_speed_chain2(domain_check=lambda x: np.isfinite(x).all(axis=0) & (x[0] < 0.0104))
+    cfg = _unit_speed_chain2("x0 < 0.0104")
     with pytest.raises(DomainError) as err:
         simulate_embedded_closed_loop(cfg, ctrl, x0, np.zeros(1), duration=0.02)
     assert err.value.time == pytest.approx(0.0105, rel=0, abs=1e-12)
@@ -747,51 +799,40 @@ def test_stage_failures_carry_the_absolute_time():
     # r = L_g L_f h + w L_g h, with L_g L_f h (row 8 of the chain2 terms)
     # replaced by 1 - 100 x_1, vanishes at the grid point 0.010, the first
     # stage of interval 5.
-    def terms(x):
-        out = chain_preset(2).terms(x)
-        out[8] = 1.0 - 100.0 * x[0]
-        return out
-
     with pytest.raises(SingularEmbeddingError) as err:
-        simulate_embedded_closed_loop(_unit_speed_chain2(terms=terms), ctrl, x0, np.zeros(1),
-                                      duration=0.02)
+        simulate_embedded_closed_loop(_unit_speed_chain2(rows={8: "1.0 - 100.0 * x0"}), ctrl,
+                                      x0, np.zeros(1), duration=0.02)
     assert err.value.time == pytest.approx(0.010, rel=0, abs=1e-12)
     assert "at t=0.010000" in str(err.value)
 
 
-def _recording_chain2(seen, bound=np.inf):
-    """The unit-speed chain2 embedding with x_1 < bound as its domain.
+def _recording_chain2(seen, bound=None):
+    """The unit-speed chain2 embedding, with x_1 < bound as its domain if a bound is given.
 
-    Every state the domain test sees is appended to seen, and every terms
-    call appends None.
+    Every stage state's x that loop_field receives is appended to seen.
     """
-    base = chain_preset(2)
+    cfg = _unit_speed_chain2("" if bound is None else f"x0 < {float(bound)!r}")
+    field = cfg.loop_field
 
-    def inside(x):
-        seen.append(np.array(x))
-        return bool(np.isfinite(x).all() and x[0] < bound)
+    def recorded(y, *args):
+        seen.append(np.array(y[:2]))
+        return field(y, *args)
 
-    def terms(x):
-        seen.append(None)
-        return base.terms(x)
-
-    return _unit_speed_chain2(domain_check=inside, terms=terms)
+    object.__setattr__(cfg, "loop_field", recorded)
+    return cfg
 
 
 def test_embedded_loop_tests_each_stage_and_anchor_state_once():
     # 20 steps in intervals of 2 steps: 4 stages per step, and each of the
     # 11 intervals (the zero-step one at 0.020 among them) adds one stage at
-    # its last grid point, each one domain test and one terms call.  The
-    # anchor is read off an interval's first stage, and rk4 adds no
-    # grid-point test of its own.
+    # its last grid point, each one loop_field call, which tests the domain
+    # and reads the terms.  The anchor is read off an interval's first
+    # stage, and rk4 adds no grid-point test of its own.
     seen = []
     traj = simulate_embedded_closed_loop(_recording_chain2(seen), _zero_controller(2e-3, 1e-3),
                                          np.array([0.0, 1.0]), np.zeros(1), duration=0.02)
     steps, intervals = len(traj.times) - 1, len(range(0, 21, 2))
-    tests = [x for x in seen if x is not None]
-    assert len(tests) == len(seen) - len(tests) == 4 * steps + intervals == 91
-    # Pairs: every domain test is followed by the terms call of the same stage.
-    assert all(a is not None and b is None for a, b in zip(seen[0::2], seen[1::2]))
+    assert len(seen) == 4 * steps + intervals == 91
 
 
 # With v(tau) = 50 - 1000 tau falling through each 0.1 s interval, an RK4
@@ -806,9 +847,8 @@ def test_committed_state_outside_the_domain_fails_at_its_grid_time(k):
     x0, xi0 = np.array([0.0, 1.0]), np.zeros(1)
     seen = []
     free = simulate_embedded_closed_loop(_recording_chain2(seen), ctrl, x0, xi0, duration=0.3)
-    tests = [x for x in seen if x is not None]
-    first = next(i for i, x in enumerate(tests) if np.array_equal(x, free.x[k]))
-    before = max(x[0] for x in tests[:first])
+    first = next(i for i, x in enumerate(seen) if np.array_equal(x, free.x[k]))
+    before = max(x[0] for x in seen[:first])
     assert before < free.x[k, 0]
     bound = 0.5 * (before + free.x[k, 0])
     with pytest.raises(DomainError) as err:

@@ -271,11 +271,12 @@ def test_singular_midpoint_raises_with_time():
 def z_stacks(draw):
     """Stacks Z(t) of (G, n, n) that mix well-conditioned grid points with
     columns scaled to condition numbers of about 1e10-1e14, exactly singular
-    points and NaN or inf entries."""
+    points, subnormal points and NaN or inf entries."""
     n, G = draw(st.integers(1, 4)), draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     Zs = rng.standard_normal((G, n, n)) + 3.0 * np.eye(n)
-    kinds = st.sampled_from(["plain", "scaled", "scaled", "scaled", "singular", "nan", "inf"])
+    kinds = st.sampled_from(["plain", "scaled", "scaled", "scaled", "singular", "subnormal",
+                             "nan", "inf"])
     for k in range(G):
         kind = draw(kinds)
         j, i = rng.integers(n, size=2)
@@ -283,6 +284,8 @@ def z_stacks(draw):
             Zs[k, :, j] *= 10.0 ** -draw(st.floats(10.0, 14.0))
         elif kind == "singular":
             Zs[k, :, j] = 0.0 if i == j else 2.0 * Zs[k, :, i]
+        elif kind == "subnormal":
+            Zs[k] *= 1e-320
         elif kind == "nan":
             Zs[k, i, j] = np.nan
         elif kind == "inf":
@@ -320,3 +323,17 @@ def test_well_conditioned_set_is_accepted_without_the_svd(double_int_set):
         mp.setattr(np.linalg, "cond", None)
         basis = build_basis(double_int_set)
     assert basis.index_set == (0, 1, 2)
+
+
+def test_set_without_a_finite_inverse_is_refused():
+    # Z(t) = 1e-320 I has condition number 1, but its inverse overflows, so
+    # no law could be formed from it: refused at the first such grid point.
+    pair = brunovsky_pair(2)
+    dset = DemonstrationSet(grid=np.array([0.0, 0.01]), z=np.zeros((2, 2, 3)),
+                            v=np.zeros((2, 1, 3)), A=pair.A, B=pair.B)
+    Zs = np.stack([np.eye(2), 1e-320 * np.eye(2)])
+    parts = (Zs, np.zeros((2, 1, 2)), np.zeros((2, 2)), np.zeros((2, 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "difference_matrices", lambda dset, I: parts)
+        with pytest.raises(AffineDependenceError, match="no finite inverse at t=0.010000"):
+            build_basis(dset)

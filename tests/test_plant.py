@@ -313,22 +313,6 @@ def test_a_state_is_its_column_of_a_batch(name, columns):
                 assert single.tobytes() == batched[..., j].tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(TERMS_PRESETS))
-@settings(max_examples=60)
-@given(column=st.lists(EDGE_ENTRIES, min_size=6, max_size=6))
-@example(column=[6.0, 0.0, 0.345, 2.759, -4.536, 0.0])
-@example(column=[6.0, 0.0, math.inf, 1.0, 0.0, 0.0])
-def test_term_list_is_terms_as_floats(name, column):
-    # terms of one state given as a list of floats is a list of floats with
-    # the bytes of that state's column of a batch, a non-finite angle included.
-    plant = TERMS_PRESETS[name][0]
-    x = np.array(column[:plant.n])
-    with np.errstate(all="ignore"):
-        got, want = plant.terms(x.tolist()), plant.terms(x[:, None])[:, 0]
-    assert type(got) is list and all(type(v) is float for v in got)
-    assert np.array(got).tobytes() == want.tobytes()
-
-
 def test_a_source_plant_holds_only_its_generated_evaluators():
     # The ball-beam terms and domain_check are generated from the plant's
     # source.  Callables of another origin next to that source are refused;
